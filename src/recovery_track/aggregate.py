@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParseError, TaxonomyError
-from .ingest import RegionTransaction, TripRecord
+from .ingest import Activity, BroadcastResult
 from .windows import DateWindow
 
 ESSENTIAL = "essential"
@@ -164,65 +164,137 @@ class SeriesSet:
         return self.data[key]
 
 
-def series_keys(region: str):
-    for source in SOURCES:
-        for category in CATEGORIES:
-            yield (region, source, category)
-
-
 def build_daily_series(
-    trips: list[TripRecord],
-    region_transactions: list[RegionTransaction],
+    trips: Activity,
+    transactions: Activity,
+    broadcast: BroadcastResult,
     taxonomy: ServiceTaxonomy,
     window: DateWindow,
-    regions=None,
     unknown_policy: str = POLICY_ERROR,
 ):
-    """Aggregate records into one daily series per (region, source, category).
+    """Aggregate both sources into one daily series per (region, source, category).
 
-    All four series exist for every region in `regions` (default: the union of
-    record regions), zero-filled where no activity was recorded. Per-day
-    per-type totals are summed with math.fsum, so results are independent of
-    record order. Returns (SeriesSet, unknown_code_counts).
+    All four series exist for every region of `broadcast`, zero-filled where
+    no activity was recorded. Trips reduce per region and transactions per
+    Zip; each region then takes its Zip's row. Rows of entities no region
+    takes are left out (the caller counts them). Each day's value is the
+    weighted_measurement of its per-type math.fsum totals, so results are
+    independent of row order. Unknown codes count once per input row.
+    Returns (SeriesSet, unknown_code_counts).
     """
     if unknown_policy not in (POLICY_ERROR, POLICY_SKIP):
         raise TaxonomyError(f"unknown_policy must be {POLICY_ERROR!r} or {POLICY_SKIP!r}")
 
-    if regions is None:
-        region_set = {t.origin_region for t in trips}
-        region_set.update(t.region for t in region_transactions)
-        regions = sorted(region_set)
-    else:
-        regions = sorted(regions)
-
+    regions = list(broadcast.regions)
+    trip_row = {region: i for i, region in enumerate(trips.entities)}
+    sources = (
+        (SOURCE_TRIP, trips, np.array([trip_row.get(r, -1) for r in regions], dtype=np.int64)),
+        (SOURCE_TRANSACTION, transactions, broadcast.records),
+    )
     unknown: dict[str, int] = {}
-    # (region, source, category) -> day index -> code -> [values]
-    buckets: dict[tuple[str, str, str], dict[int, dict[str, list[float]]]] = {}
-
-    def add(region, source, day, code, value):
-        if code not in taxonomy:
-            unknown[code] = unknown.get(code, 0) + 1
-            if unknown_policy == POLICY_ERROR:
-                raise TaxonomyError(f"unknown service type {code!r} in {source} data")
-            return
-        category = taxonomy[code].category
-        key = (region, source, category)
-        buckets.setdefault(key, {}).setdefault(window.index_of(day), {}).setdefault(code, []).append(value)
-
-    for trip in trips:
-        add(trip.origin_region, SOURCE_TRIP, trip.day, trip.service_type, float(trip.trip_count))
-    for tx in region_transactions:
-        add(tx.region, SOURCE_TRANSACTION, tx.day, tx.merchant_type, tx.amount)
+    per_source = {}
+    for source, activity, region_rows in sources:
+        per_source[source], counts = _region_series(
+            activity, region_rows, taxonomy, window, source, unknown_policy
+        )
+        for code, rows in counts.items():
+            unknown[code] = unknown.get(code, 0) + rows
 
     data = {}
-    for region in regions:
-        for key in series_keys(region):
-            values = np.zeros(window.n_days)
-            per_day = buckets.get(key)
-            if per_day:
-                category = key[2]
-                for day_index, per_code in per_day.items():
-                    totals = {code: math.fsum(vals) for code, vals in per_code.items()}
-                    values[day_index] = weighted_measurement(totals, taxonomy, category)
-            data[key] = values
-    return SeriesSet(window=window, data=data, regions=regions), unknown
+    for i, region in enumerate(regions):
+        for source in SOURCES:
+            for c, category in enumerate(CATEGORIES):
+                data[(region, source, category)] = per_source[source][i, c]
+    return SeriesSet(window=window, data=data, regions=regions), dict(sorted(unknown.items()))
+
+
+def _region_series(activity, region_rows, taxonomy, window, source, unknown_policy):
+    """(regions, categories, days) series of one source, plus its unknown-code row counts.
+
+    `region_rows[i]` is the entity whose rows region i takes, or -1 for none.
+    """
+    order = [code for category in CATEGORIES for code in taxonomy.codes(category)]
+    position = {code: i for i, code in enumerate(order)}
+    code_position = np.array([position.get(code, -1) for code in activity.codes], dtype=np.int64)
+    taken = np.zeros(len(activity.entities), dtype=bool)
+    taken[region_rows[region_rows >= 0]] = True
+
+    rows_taken = taken[activity.entity]
+    rows_known = code_position[activity.code] >= 0
+    unknown_rows = rows_taken & ~rows_known
+    unknown = {}
+    if unknown_rows.any():
+        if unknown_policy == POLICY_ERROR:
+            first = activity.codes[activity.code[np.argmax(unknown_rows)]]
+            raise TaxonomyError(f"unknown service type {first!r} in {source} data")
+        counts = np.bincount(activity.code[unknown_rows], minlength=len(activity.codes))
+        unknown = {activity.codes[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+
+    # entity x code x day totals over the taken entities only
+    n_taken, n_codes, n_days = int(taken.sum()), len(order), window.n_days
+    compact = np.cumsum(taken) - 1
+    keep = rows_taken & rows_known
+    cells = (
+        compact[activity.entity[keep]] * n_codes + code_position[activity.code[keep]]
+    ) * n_days + activity.day[keep]
+    totals = _cell_fsums(cells, activity.value[keep], n_taken * n_codes * n_days)
+    totals = totals.reshape(n_taken, n_codes, n_days)
+
+    weights = np.array([taxonomy[code].weight for code in order])
+    entity_series = np.zeros((n_taken + 1, len(CATEGORIES), n_days))  # last row: no data
+    first = 0
+    for c, category in enumerate(CATEGORIES):
+        last = first + len(taxonomy.codes(category))
+        with np.errstate(over="ignore", invalid="ignore"):  # such cells go to math.fsum
+            products = totals[:, first:last, :] * weights[first:last, None]
+            entity_series[:n_taken, c] = _exact_sums(products)
+        first = last
+    series_row = np.full(len(region_rows), n_taken)
+    has_rows = region_rows >= 0
+    series_row[has_rows] = compact[region_rows[has_rows]]
+    return entity_series[series_row], unknown
+
+
+def _cell_fsums(cells, values, n_cells):
+    """math.fsum of `values` grouped by cell index; cells without rows are 0.0."""
+    rows_in_cell = np.bincount(cells, minlength=n_cells)
+    totals = np.zeros(n_cells)
+    # a lone row is its own sum, except -0.0: fsum([-0.0]) is 0.0
+    alone = (rows_in_cell[cells] == 1) & ~np.signbit(values)
+    totals[cells[alone]] = values[alone]
+    grouped = np.flatnonzero(~alone)
+    if grouped.size:
+        grouped = grouped[np.argsort(cells[grouped], kind="stable")]
+        for group in np.split(grouped, np.flatnonzero(np.diff(cells[grouped])) + 1):
+            totals[cells[group[0]]] = math.fsum(values[group].tolist())
+    return totals
+
+
+def _two_sum(a, b):
+    """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _exact_sums(terms):
+    """math.fsum over axis 1 of a (rows, terms, days) array, vectorised.
+
+    The terms are added in order with TwoSum, which keeps each rounding error.
+    Where the errors themselves add up without rounding, sum + errors is the
+    exact total rounded once, which is what math.fsum returns. Cells where
+    that check fails (a non-finite term or partial sum makes the error NaN),
+    or with a -0.0 term, whose sign fsum decides, are summed with math.fsum.
+    """
+    total = np.zeros((terms.shape[0], terms.shape[2]))
+    error = np.zeros_like(total)
+    exact = np.ones(total.shape, dtype=bool)
+    for k in range(terms.shape[1]):
+        total, rounding = _two_sum(total, terms[:, k])
+        error, residue = _two_sum(error, rounding)
+        exact &= residue == 0
+    result = total + error
+    redo = ~exact | ((terms == 0) & np.signbit(terms)).any(axis=1)
+    for row, day in zip(*np.nonzero(redo)):
+        result[row, day] = math.fsum(terms[row, :, day].tolist())
+    return result

@@ -103,6 +103,28 @@ def _get_section(raw: dict, name: str) -> dict:
     return section
 
 
+def _integer(section: dict, name: str, key: str, default: int) -> int:
+    value = section.get(key, default)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(section: dict, name: str, key: str, default: float) -> float:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(section: dict, name: str, key: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path) -> PipelineConfig:
     """Parse and validate a pipeline config JSON file."""
     path = Path(path)
@@ -139,7 +161,7 @@ def load_config(path) -> PipelineConfig:
     taxonomy_options = _get_section(raw, "taxonomy_options")
     stats = _get_section(raw, "stats")
 
-    horizon_days = int(recovery.get("horizon_days", 120))
+    horizon_days = _integer(recovery, "recovery", "horizon_days", 120)
     try:
         if "start" in baseline or "end" in baseline:
             baseline_window = DateWindow.from_strings(baseline["start"], baseline["end"])
@@ -171,17 +193,19 @@ def load_config(path) -> PipelineConfig:
         event_day=event_day,
         window=window,
         baseline_window=baseline_window,
-        min_baseline=float(baseline.get("min_baseline", DEFAULT_MIN_BASELINE)),
-        smoothing_half_width=int(smoothing.get("half_width", 3)),
+        min_baseline=_number(baseline, "baseline", "min_baseline", DEFAULT_MIN_BASELINE),
+        smoothing_half_width=_integer(smoothing, "smoothing", "half_width", 3),
         smoothing_boundary=str(smoothing.get("boundary", BOUNDARY_TRUNCATE)),
-        recovered_fraction=float(recovery.get("threshold", 0.90)),
-        run_length=int(recovery.get("run_length", 3)),
+        recovered_fraction=_number(recovery, "recovery", "threshold", 0.90),
+        run_length=_integer(recovery, "recovery", "run_length", 3),
         horizon_days=horizon_days,
-        renormalize_weights=bool(taxonomy_options.get("renormalize_weights", False)),
+        renormalize_weights=_boolean(
+            taxonomy_options, "taxonomy_options", "renormalize_weights", False
+        ),
         unknown_service_policy=str(taxonomy_options.get("unknown_service_policy", POLICY_ERROR)),
-        permutations=int(stats.get("permutations", 0)),
-        yates=bool(stats.get("yates", False)),
-        seed=int(stats.get("seed", 0)),
+        permutations=_integer(stats, "stats", "permutations", 0),
+        yates=_boolean(stats, "stats", "yates", False),
+        seed=_integer(stats, "stats", "seed", 0),
         output_dir=_resolve(raw.get("output_dir", "out")),
     )
     config.validate()

@@ -70,46 +70,41 @@ def _json_text(obj) -> str:
 # stage: series (ingest + aggregate + baseline + change)
 
 
-def _stage_series(config: PipelineConfig, read_artifact) -> dict:
-    taxonomy = aggregate.load_taxonomy(
-        config.taxonomy, renormalize=config.renormalize_weights
-    )
-    trips_result = ingest.parse_trips(config.inputs["trips"], config.window)
-    tx_result = ingest.parse_transactions(config.inputs["transactions"], config.window)
-    overlaps_result = ingest.parse_overlaps(config.inputs["overlaps"])
+@dataclass
+class PreparedSeries:
+    """Daily series and baselines plus the coverage counts behind them."""
 
-    crosswalk = ingest.resolve_crosswalk(overlaps_result.records)
-    region_set = set(crosswalk)
+    series_set: aggregate.SeriesSet
+    baselines: dict
+    insufficient: dict[str, list[str]]  # region -> milestone fields lacking a baseline
+    unmatched_regions: dict[str, int]  # trip rows per origin region no overlap names
+    unmatched_zips: dict[str, int]  # transaction rows per zip no region resolves to
+    unknown_codes: dict[str, int]  # input rows per unknown service code
 
-    unmatched_trip_regions: dict[str, int] = {}
-    known_trips = []
-    for trip in trips_result.records:
-        if trip.origin_region in region_set:
-            known_trips.append(trip)
-        else:
-            unmatched_trip_regions[trip.origin_region] = (
-                unmatched_trip_regions.get(trip.origin_region, 0) + 1
-            )
 
-    broadcast = ingest.broadcast_zip_to_regions(tx_result.records, crosswalk)
+def _prepare_series(config: PipelineConfig, taxonomy, trips, transactions, overlaps, unknown_policy):
+    """Crosswalk, daily series and baselines from the parsed inputs.
+
+    Shared by the series stage and validate(), so both count coverage the same way.
+    """
+    crosswalk = ingest.resolve_crosswalk(overlaps.records)
+    unmatched_regions = {
+        region: rows
+        for region, rows in trips.records.rows_per_entity().items()
+        if region not in crosswalk
+    }
+    broadcast = ingest.broadcast_zip_to_regions(transactions.records, crosswalk)
     series_set, unknown_codes = aggregate.build_daily_series(
-        known_trips,
-        broadcast.records,
+        trips.records,
+        transactions.records,
+        broadcast,
         taxonomy,
         config.window,
-        regions=sorted(region_set),
-        unknown_policy=config.unknown_service_policy,
+        unknown_policy=unknown_policy,
     )
     baselines = series.compute_baselines(
         series_set, config.baseline_window, config.min_baseline
     )
-    changes = series.build_change_series(
-        series_set,
-        baselines,
-        half_width=config.smoothing_half_width,
-        boundary=config.smoothing_boundary,
-    )
-
     insufficient: dict[str, list[str]] = {}
     for key, baseline in sorted(baselines.items()):
         if not baseline.sufficient:
@@ -117,6 +112,36 @@ def _stage_series(config: PipelineConfig, read_artifact) -> dict:
             insufficient.setdefault(region, []).append(
                 milestones.milestone_field(source, category)
             )
+    return PreparedSeries(
+        series_set=series_set,
+        baselines=baselines,
+        insufficient=insufficient,
+        unmatched_regions=unmatched_regions,
+        unmatched_zips=broadcast.unmatched_zip_rows,
+        unknown_codes=unknown_codes,
+    )
+
+
+def _stage_series(config: PipelineConfig, read_artifact) -> dict:
+    taxonomy = aggregate.load_taxonomy(
+        config.taxonomy, renormalize=config.renormalize_weights
+    )
+    trips_result = ingest.parse_trips(config.inputs["trips"], config.window)
+    tx_result = ingest.parse_transactions(config.inputs["transactions"], config.window)
+    overlaps_result = ingest.parse_overlaps(config.inputs["overlaps"])
+    prepared = _prepare_series(
+        config, taxonomy, trips_result, tx_result, overlaps_result,
+        config.unknown_service_policy,
+    )
+    series_set, baselines, insufficient = (
+        prepared.series_set, prepared.baselines, prepared.insufficient
+    )
+    changes = series.build_change_series(
+        series_set,
+        baselines,
+        half_width=config.smoothing_half_width,
+        boundary=config.smoothing_boundary,
+    )
     included = [r for r in series_set.regions if r not in insufficient]
 
     baselines_csv = io.StringIO()
@@ -148,16 +173,16 @@ def _stage_series(config: PipelineConfig, read_artifact) -> dict:
             "data_rows": trips_result.total_rows,
             "accepted": trips_result.accepted,
             "dropped_out_of_window": trips_result.dropped,
-            "unmatched_regions": dict(sorted(unmatched_trip_regions.items())),
+            "unmatched_regions": prepared.unmatched_regions,
         },
         "transactions": {
             "data_rows": tx_result.total_rows,
             "accepted": tx_result.accepted,
             "dropped_out_of_window": tx_result.dropped,
-            "unmatched_zips": dict(sorted(broadcast.unmatched_zip_rows.items())),
+            "unmatched_zips": prepared.unmatched_zips,
         },
         "insufficient_baselines": {r: insufficient[r] for r in sorted(insufficient)},
-        "unknown_service_types": dict(sorted(unknown_codes.items())),
+        "unknown_service_types": prepared.unknown_codes,
     }
     return {
         BASELINES_ARTIFACT: baselines_csv.getvalue(),
@@ -171,18 +196,62 @@ def _stage_series(config: PipelineConfig, read_artifact) -> dict:
 
 
 def _parse_changes_artifact(text: str, n_days: int) -> dict:
+    """work/changes.csv -> {key: change array}, checking it is whole.
+
+    Rows must come as written: keys in sorted order, each with day_index 0 to
+    n_days - 1 in turn, and a newline after the last. A truncated, duplicated
+    or reordered artifact would otherwise read as zero change, i.e. as
+    recovered. The writer never quotes, so rows split on commas.
+    """
+    if text and not text.endswith("\n"):
+        raise PipelineError(f"{CHANGES_ARTIFACT} ends mid-line")
+    lines = _lines(text)
+    header = next(lines, None)
+    if header != "region,source,category,day_index,change":
+        raise PipelineError(f"unexpected {CHANGES_ARTIFACT} header: {header!r}")
     changes: dict[tuple[str, str, str], np.ndarray] = {}
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["region", "source", "category", "day_index", "change"]:
-        raise PipelineError(f"unexpected {CHANGES_ARTIFACT} header: {header}")
-    for row in reader:
+    day_texts = [str(day) for day in range(n_days)]
+    key, values, day = None, None, n_days
+    for line_no, line in enumerate(lines, start=2):
+        row = line.split(",")
+        if len(row) != 5:
+            raise PipelineError(f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {len(row)}")
         region, source, category, day_index, value = row
-        key = (region, source, category)
-        if key not in changes:
-            changes[key] = np.zeros(n_days)
-        changes[key][int(day_index)] = float(value)
+        if day == n_days:
+            next_key = (region, source, category)
+            if key is not None and next_key <= key:
+                raise PipelineError(
+                    f"{CHANGES_ARTIFACT} line {line_no}: key {next_key} is duplicated or out of order"
+                )
+            key, values, day = next_key, np.empty(n_days), 0
+            changes[key] = values
+        elif (region, source, category) != key:
+            raise PipelineError(
+                f"{CHANGES_ARTIFACT} line {line_no}: key {key} ends after {day} of {n_days} days"
+            )
+        if day_index != day_texts[day]:
+            raise PipelineError(
+                f"{CHANGES_ARTIFACT} line {line_no}: expected day_index {day}, got {day_index!r}"
+            )
+        try:
+            values[day] = float(value)
+        except ValueError:
+            raise PipelineError(
+                f"{CHANGES_ARTIFACT} line {line_no}: change {value!r} is not a number"
+            ) from None
+        day += 1
+    if day != n_days:
+        raise PipelineError(f"{CHANGES_ARTIFACT}: key {key} ends after {day} of {n_days} days")
     return changes
+
+
+def _lines(text: str):
+    """The lines of newline-terminated `text`, split about a megabyte at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
+        yield from text[start : end - 1].split("\n")
+        start = end
 
 
 def _stage_milestones(config: PipelineConfig, read_artifact) -> dict:
@@ -470,55 +539,16 @@ def validate(config: PipelineConfig) -> list:
     if "trips" not in parsed or "transactions" not in parsed or "overlaps" not in parsed:
         return diagnostics
 
-    crosswalk = ingest.resolve_crosswalk(parsed["overlaps"].records)
-    region_set = set(crosswalk)
-    unmatched_regions: dict[str, int] = {}
-    known_trips = []
-    for trip in parsed["trips"].records:
-        if trip.origin_region in region_set:
-            known_trips.append(trip)
-        else:
-            unmatched_regions[trip.origin_region] = unmatched_regions.get(trip.origin_region, 0) + 1
-    for region in sorted(unmatched_regions):
-        diagnostics.append(
-            {"kind": "unmatched-region", "region": region, "rows": unmatched_regions[region]}
-        )
-
-    broadcast = ingest.broadcast_zip_to_regions(parsed["transactions"].records, crosswalk)
-    for zip_code in sorted(broadcast.unmatched_zip_rows):
-        diagnostics.append(
-            {
-                "kind": "unmatched-zip",
-                "zip": zip_code,
-                "rows": broadcast.unmatched_zip_rows[zip_code],
-            }
-        )
-
-    series_set, unknown_codes = aggregate.build_daily_series(
-        known_trips,
-        broadcast.records,
-        taxonomy,
-        config.window,
-        regions=sorted(region_set),
-        unknown_policy=aggregate.POLICY_SKIP,
+    prepared = _prepare_series(
+        config, taxonomy, parsed["trips"], parsed["transactions"], parsed["overlaps"],
+        aggregate.POLICY_SKIP,
     )
-    for code in sorted(unknown_codes):
-        diagnostics.append(
-            {"kind": "unknown-service-type", "code": code, "rows": unknown_codes[code]}
-        )
-
-    baselines = series.compute_baselines(
-        series_set, config.baseline_window, config.min_baseline
-    )
-    insufficient: dict[str, list[str]] = {}
-    for key, baseline in sorted(baselines.items()):
-        if not baseline.sufficient:
-            region, source, category = key
-            insufficient.setdefault(region, []).append(
-                milestones.milestone_field(source, category)
-            )
-    for region in sorted(insufficient):
-        diagnostics.append(
-            {"kind": "insufficient-baseline", "region": region, "fields": insufficient[region]}
-        )
+    for region, rows in prepared.unmatched_regions.items():
+        diagnostics.append({"kind": "unmatched-region", "region": region, "rows": rows})
+    for zip_code, rows in prepared.unmatched_zips.items():
+        diagnostics.append({"kind": "unmatched-zip", "zip": zip_code, "rows": rows})
+    for code, rows in prepared.unknown_codes.items():
+        diagnostics.append({"kind": "unknown-service-type", "code": code, "rows": rows})
+    for region, fields in prepared.insufficient.items():
+        diagnostics.append({"kind": "insufficient-baseline", "region": region, "fields": fields})
     return diagnostics

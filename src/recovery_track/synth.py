@@ -122,8 +122,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror or exc}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must hold a JSON object")
         return cls.from_mapping(raw)

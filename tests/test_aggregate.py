@@ -17,7 +17,7 @@ from recovery_track.aggregate import (
     weighted_measurement,
 )
 from recovery_track.errors import TaxonomyError
-from recovery_track.ingest import RegionTransaction, TripRecord
+from recovery_track.ingest import Activity, broadcast_zip_to_regions
 from recovery_track.windows import DateWindow
 
 WINDOW = DateWindow.from_strings("2017-08-01", "2017-09-30")
@@ -99,25 +99,35 @@ def test_renormalized_weights_sum_to_one(taxonomy):
 # daily series
 
 
-def _trip(day, region, code, count):
-    return TripRecord(date.fromisoformat(day), region, code, count)
+def _activity(rows):
+    """(ISO day, entity, code, value) rows as columns over WINDOW."""
+    return Activity.from_rows(
+        (WINDOW.index_of(date.fromisoformat(day)), entity, code, float(value))
+        for day, entity, code, value in rows
+    )
 
 
-def _tx(day, region, code, amount):
-    return RegionTransaction(date.fromisoformat(day), region, code, amount)
+def _series(taxonomy, trips=(), transactions=(), crosswalk=None, **options):
+    """Daily series of trip rows (per region) and transaction rows (per zip).
+
+    The default crosswalk takes every trip region, all in zip 77001.
+    """
+    trips, transactions = _activity(trips), _activity(transactions)
+    if crosswalk is None:
+        crosswalk = {region: "77001" for region in trips.entities}
+    broadcast = broadcast_zip_to_regions(transactions, crosswalk)
+    return build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW, **options)
 
 
 def test_single_trip_weights_into_series(taxonomy):
-    series_set, unknown = build_daily_series(
-        [_trip("2017-08-05", "R001", "grocery", 10)], [], taxonomy, WINDOW
-    )
+    series_set, unknown = _series(taxonomy, trips=[("2017-08-05", "R001", "grocery", 10)])
     values = series_set[("R001", "trip", ESSENTIAL)]
     assert values[WINDOW.index_of(date.fromisoformat("2017-08-05"))] == pytest.approx(9.47)
     assert unknown == {}
 
 
 def test_all_four_series_exist_even_without_records(taxonomy):
-    series_set, _ = build_daily_series([], [], taxonomy, WINDOW, regions=["R009"])
+    series_set, _ = _series(taxonomy, crosswalk={"R009": "77001"})
     assert len(series_set.data) == 4
     for key, values in series_set.data.items():
         assert key[0] == "R009"
@@ -125,11 +135,10 @@ def test_all_four_series_exist_even_without_records(taxonomy):
 
 
 def test_same_day_records_sum_before_weighting(taxonomy):
-    series_set, _ = build_daily_series(
-        [],
-        [_tx("2017-08-05", "R001", "restaurant", 100.0), _tx("2017-08-05", "R001", "restaurant", 50.0)],
+    series_set, _ = _series(
         taxonomy,
-        WINDOW,
+        transactions=[("2017-08-05", "77001", "restaurant", 100.0), ("2017-08-05", "77001", "restaurant", 50.0)],
+        crosswalk={"R001": "77001"},
     )
     value = series_set[("R001", "transaction", NON_ESSENTIAL)][4]
     assert value == pytest.approx(0.631 * 150.0, rel=1e-12)
@@ -138,13 +147,14 @@ def test_same_day_records_sum_before_weighting(taxonomy):
 def test_series_additivity_under_dataset_split(taxonomy):
     rng = random.Random(11)
     trips = [
-        _trip(f"2017-08-{rng.randrange(1, 28):02d}", f"R{rng.randrange(3):03d}",
-              rng.choice(list(DEFAULT_WEIGHTS)), rng.randrange(0, 50))
+        (f"2017-08-{rng.randrange(1, 28):02d}", f"R{rng.randrange(3):03d}",
+         rng.choice(list(DEFAULT_WEIGHTS)), rng.randrange(0, 50))
         for _ in range(400)
     ]
-    whole, _ = build_daily_series(trips, [], taxonomy, WINDOW)
-    first, _ = build_daily_series(trips[::2], [], taxonomy, WINDOW, regions=whole.regions)
-    second, _ = build_daily_series(trips[1::2], [], taxonomy, WINDOW, regions=whole.regions)
+    crosswalk = {f"R{i:03d}": "77001" for i in range(3)}
+    whole, _ = _series(taxonomy, trips=trips, crosswalk=crosswalk)
+    first, _ = _series(taxonomy, trips=trips[::2], crosswalk=crosswalk)
+    second, _ = _series(taxonomy, trips=trips[1::2], crosswalk=crosswalk)
     for key in whole.keys():
         combined = first[key] + second[key]
         assert combined == pytest.approx(whole[key], rel=1e-12, abs=1e-12)
@@ -153,21 +163,45 @@ def test_series_additivity_under_dataset_split(taxonomy):
 def test_series_independent_of_record_order(taxonomy):
     rng = random.Random(13)
     trips = [
-        _trip(f"2017-08-{rng.randrange(1, 28):02d}", "R001",
-              rng.choice(list(DEFAULT_WEIGHTS)), rng.randrange(0, 50))
+        (f"2017-08-{rng.randrange(1, 28):02d}", "R001",
+         rng.choice(list(DEFAULT_WEIGHTS)), rng.randrange(0, 50))
         for _ in range(300)
     ]
-    reference, _ = build_daily_series(trips, [], taxonomy, WINDOW)
+    reference, _ = _series(taxonomy, trips=trips)
     shuffled = trips[:]
     rng.shuffle(shuffled)
-    permuted, _ = build_daily_series(shuffled, [], taxonomy, WINDOW)
+    permuted, _ = _series(taxonomy, trips=shuffled)
     for key in reference.keys():
         assert (reference[key] == permuted[key]).all()
 
 
 def test_unknown_code_policies(taxonomy):
-    trips = [_trip("2017-08-05", "R001", "florist", 3)]
+    trips = [("2017-08-05", "R001", "florist", 3)]
     with pytest.raises(TaxonomyError):
-        build_daily_series(trips, [], taxonomy, WINDOW)
-    _, unknown = build_daily_series(trips, [], taxonomy, WINDOW, unknown_policy=POLICY_SKIP)
+        _series(taxonomy, trips=trips)
+    _, unknown = _series(taxonomy, trips=trips, unknown_policy=POLICY_SKIP)
     assert unknown == {"florist": 1}
+
+
+def test_unknown_code_counts_input_rows_not_inheriting_regions(taxonomy):
+    crosswalk = {f"R00{i}": "77001" for i in range(1, 5)}
+    transactions = [("2017-08-05", "77001", "florist", 9.99), ("2017-08-05", "77001", "grocery", 5.0)]
+    _, unknown = _series(
+        taxonomy, transactions=transactions, crosswalk=crosswalk, unknown_policy=POLICY_SKIP
+    )
+    assert unknown == {"florist": 1}
+
+
+def test_unknown_code_error_names_first_in_file_order_trips_first(taxonomy):
+    crosswalk = {"R001": "77001"}
+    trips = [
+        ("2017-08-05", "R001", "grocery", 1),
+        ("2017-08-06", "R001", "kiosk", 1),
+        ("2017-08-05", "R001", "atm", 1),
+    ]
+    transactions = [("2017-08-05", "77001", "bakery", 1.0)]
+    with pytest.raises(TaxonomyError, match="'kiosk' in trip data"):
+        _series(taxonomy, trips=trips, transactions=transactions, crosswalk=crosswalk)
+    transactions.append(("2017-08-04", "77001", "atm", 1.0))
+    with pytest.raises(TaxonomyError, match="'bakery' in transaction data"):
+        _series(taxonomy, trips=trips[:1], transactions=transactions, crosswalk=crosswalk)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
+from datetime import date
 
 import pytest
 
 from conftest import write_csv
+from recovery_track.aggregate import build_daily_series, load_taxonomy
 from recovery_track.errors import ParseError
 from recovery_track.ingest import (
+    Activity,
     OverlapEntry,
     broadcast_zip_to_regions,
     parse_adjacency,
@@ -28,11 +32,11 @@ def test_parse_trips_maps_fields(tmp_path):
         "2017-08-15,R001,grocery,12\n",
     )
     result = parse_trips(path, WINDOW)
-    record = result.records[0]
-    assert record.day.isoformat() == "2017-08-15"
-    assert record.origin_region == "R001"
-    assert record.service_type == "grocery"
-    assert record.trip_count == 12
+    columns = result.records
+    assert WINDOW.date_at(int(columns.day[0])).isoformat() == "2017-08-15"
+    assert columns.entities[columns.entity[0]] == "R001"
+    assert columns.codes[columns.code[0]] == "grocery"
+    assert columns.value[0] == 12.0
     assert result.accepted == 1 and result.dropped == 0
 
 
@@ -72,7 +76,7 @@ def test_parse_transactions_zero_amount_is_valid(tmp_path):
         "date,zip,merchant_type,amount\n2017-08-15,77005,restaurant,0.00\n",
     )
     result = parse_transactions(path, WINDOW)
-    assert result.records[0].amount == 0.0
+    assert result.records.value[0] == 0.0
 
 
 def test_parse_transactions_keeps_duplicates(tmp_path):
@@ -84,7 +88,7 @@ def test_parse_transactions_keeps_duplicates(tmp_path):
     )
     result = parse_transactions(path, WINDOW)
     assert len(result.records) == 2
-    assert sum(r.amount for r in result.records) == 250.0
+    assert result.records.value.sum() == 250.0
 
 
 def test_parser_reconciliation_on_random_files(tmp_path):
@@ -169,55 +173,63 @@ def test_overlaps_rejects_duplicates_and_nonpositive_area(tmp_path):
 # broadcast
 
 
-def _tx(day, zip_code, amount):
-    from datetime import date
-    from recovery_track.ingest import TransactionRecord
+def _tx(rows):
+    """(ISO day, zip, amount) grocery rows as transaction columns."""
+    return Activity.from_rows(
+        (WINDOW.index_of(date.fromisoformat(day)), zip_code, "grocery", amount)
+        for day, zip_code, amount in rows
+    )
 
-    return TransactionRecord(date.fromisoformat(day), zip_code, "grocery", amount)
+
+def _tx_series(transactions, broadcast):
+    no_trips = Activity.from_rows([])
+    series_set, _ = build_daily_series(no_trips, transactions, broadcast, load_taxonomy(), WINDOW)
+    return {r: series_set[(r, "transaction", "essential")] for r in series_set.regions}
 
 
 def test_broadcast_copies_full_value_to_each_region():
-    result = broadcast_zip_to_regions(
-        [_tx("2017-08-15", "77005", 100.0)], {"R001": "77005", "R002": "77005"}
-    )
+    transactions = _tx([("2017-08-15", "77005", 100.0)])
+    result = broadcast_zip_to_regions(transactions, {"R001": "77005", "R002": "77005"})
     assert len(result.records) == 2
-    assert {r.region for r in result.records} == {"R001", "R002"}
-    assert all(r.amount == 100.0 for r in result.records)
+    assert result.regions == ["R001", "R002"]
+    assert result.records.tolist() == [0, 0]
+    grocery = load_taxonomy()["grocery"].weight
+    for values in _tx_series(transactions, result).values():
+        assert values[14] == grocery * 100.0
 
 
 def test_broadcast_counts_unmatched_zip():
-    result = broadcast_zip_to_regions([_tx("2017-08-15", "99999", 5.0)], {"R001": "77005"})
-    assert result.records == []
+    result = broadcast_zip_to_regions(_tx([("2017-08-15", "99999", 5.0)]), {"R001": "77005"})
+    assert result.records.tolist() == [-1]
     assert result.unmatched_zip_rows == {"99999": 1}
 
 
 def test_broadcast_identity_single_pair():
-    result = broadcast_zip_to_regions([_tx("2017-08-15", "77005", 7.5)], {"R001": "77005"})
+    transactions = _tx([("2017-08-15", "77005", 7.5)])
+    result = broadcast_zip_to_regions(transactions, {"R001": "77005"})
     assert len(result.records) == 1
-    assert result.records[0].region == "R001"
-    assert result.records[0].amount == 7.5
+    assert result.regions == ["R001"]
+    assert _tx_series(transactions, result)["R001"][14] == load_taxonomy()["grocery"].weight * 7.5
 
 
 def test_broadcast_preserves_per_zip_daily_values():
     rng = random.Random(5)
-    transactions = []
+    rows = []
     for day in range(1, 20):
         for zip_code in ("77001", "77002", "77003"):
-            for merchant in ("grocery", "retail"):
-                transactions.append(_tx(f"2017-08-{day:02d}", zip_code, rng.uniform(0, 500)))
+            for _ in ("grocery", "retail"):
+                rows.append((f"2017-08-{day:02d}", zip_code, rng.uniform(0, 500)))
     crosswalk = {f"R{i:03d}": rng.choice(["77001", "77002", "77003"]) for i in range(12)}
-    result = broadcast_zip_to_regions(transactions, crosswalk)
-    by_zip = {}
-    for tx in transactions:
-        by_zip.setdefault((tx.zip_code, tx.day, tx.merchant_type), []).append(tx.amount)
-    by_region = {}
-    for rec in result.records:
-        by_region.setdefault((rec.region, rec.day, rec.merchant_type), []).append(rec.amount)
+    series = _tx_series(_tx(rows), broadcast_zip_to_regions(_tx(rows), crosswalk))
+    grocery = load_taxonomy()["grocery"].weight
+    by_zip_day = {}
+    for day, zip_code, amount in rows:
+        by_zip_day.setdefault((zip_code, day), []).append(amount)
     for region, zip_code in crosswalk.items():
-        for (z, day, merchant), amounts in by_zip.items():
-            if z != zip_code:
-                continue
-            assert sorted(by_region[(region, day, merchant)]) == sorted(amounts)
+        for (z, day), amounts in by_zip_day.items():
+            if z == zip_code:
+                index = WINDOW.index_of(date.fromisoformat(day))
+                assert series[region][index] == grocery * math.fsum(amounts)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,22 @@ def test_validate_reports_unknown_service_type(tmp_path):
     diagnostics = validate(load_config(config_path))
     assert {d["kind"] for d in diagnostics} == {"unknown-service-type"}
     assert diagnostics[0]["code"] == "florist"
+    # one input row, although both R001 and R002 inherit zip 77001
+    assert diagnostics[0]["rows"] == 1
+
+
+def test_coverage_counts_unknown_codes_once_per_input_row(tmp_path):
+    config_path = _write_mini_bundle(
+        tmp_path,
+        tx_extra="2017-08-02,77001,florist,9.99\n2017-08-03,77002,florist,1.00\n",
+        trip_extra="2017-08-02,R003,florist,5\n",
+    )
+    raw = json.loads(config_path.read_text())
+    raw["taxonomy_options"] = {"unknown_service_policy": "skip-with-warning"}
+    config_path.write_text(json.dumps(raw))
+    result = run(load_config(config_path))
+    coverage = json.loads((result.output_dir / "coverage_report.json").read_text())
+    assert coverage["unknown_service_types"] == {"florist": 3}
 
 
 def test_validate_reports_schema_errors_not_exceptions(tmp_path):
@@ -256,6 +272,97 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["run", "--config", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("stats", "yates", "false"),
+        ("stats", "yates", 0),
+        ("taxonomy_options", "renormalize_weights", "true"),
+        ("recovery", "horizon_days", "abc"),
+        ("recovery", "horizon_days", 60.9),
+        ("recovery", "horizon_days", True),
+        ("recovery", "run_length", "3"),
+        ("smoothing", "half_width", 2.5),
+        ("stats", "permutations", "99"),
+        ("stats", "seed", 1.5),
+        ("recovery", "threshold", "0.9"),
+    ],
+)
+def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, section, key, value):
+    config_path = _write_mini_bundle(tmp_path)
+    raw = json.loads(config_path.read_text())
+    raw.setdefault(section, {})[key] = value
+    config_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_integral_float_for_integer_field(tmp_path):
+    config_path = _write_mini_bundle(tmp_path)
+    raw = json.loads(config_path.read_text())
+    raw["recovery"]["horizon_days"] = 10.0
+    raw["stats"] = {"yates": True}
+    config_path.write_text(json.dumps(raw))
+    config = load_config(config_path)
+    assert config.horizon_days == 10 and isinstance(config.horizon_days, int)
+    assert config.yates is True
+
+
+@pytest.mark.parametrize("spec_text", [None, "{not json", "\udcff"])
+def test_cli_synth_unreadable_spec_exit_code(tmp_path, capsys, spec_text):
+    spec_path = tmp_path / "spec.json"
+    if spec_text is not None:
+        spec_path.write_bytes(spec_text.encode("utf-8", "surrogateescape"))
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "city")]) == 2
+    assert "spec.json" in capsys.readouterr().err
+
+
+def _mangle_truncate(lines):
+    return lines[:-20]
+
+
+def _mangle_duplicate(lines):
+    return lines + lines[1:16]
+
+
+def _mangle_swap_keys(lines):
+    return [lines[0], *lines[16:31], *lines[1:16], *lines[31:]]
+
+
+def _mangle_swap_days(lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
+
+
+def _mangle_drop_inner_day(lines):
+    return lines[:5] + lines[6:]
+
+
+def _mangle_cut_mid_line(lines):
+    return lines[:-1] + [lines[-1][:-4]]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        _mangle_truncate, _mangle_duplicate, _mangle_swap_keys, _mangle_swap_days,
+        _mangle_drop_inner_day, _mangle_cut_mid_line,
+    ],
+)
+def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, mangle):
+    config_path = _write_mini_bundle(tmp_path)
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    changes = tmp_path / "out" / "work" / "changes.csv"
+    lines = changes.read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 16 * 15  # 16 keys x 15 days
+    changes.write_text("".join(mangle(lines)))
+    before = (tmp_path / "out" / "milestones.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config_path), "--only", "milestones"]) == 1
+    assert "changes.csv" in capsys.readouterr().err
+    assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
 
 
 def test_cli_pipeline_error_exit_code(tmp_path, capsys):

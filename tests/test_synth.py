@@ -96,7 +96,7 @@ def test_generated_files_roundtrip_with_zero_warnings(tmp_path):
 
     crosswalk = resolve_crosswalk(overlaps.records)
     regions = set(crosswalk)
-    assert {t.origin_region for t in trips.records} <= regions
+    assert set(trips.records.entities) <= regions
     broadcast = broadcast_zip_to_regions(transactions.records, crosswalk)
     assert broadcast.unmatched_zip_rows == {}
     assert set(attributes.records) == regions
