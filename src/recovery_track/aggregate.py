@@ -8,6 +8,7 @@ fractions in memory); the bundled default ships with the package.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -128,11 +129,6 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
     return taxonomy.renormalized() if renormalize else taxonomy
 
 
-def classify(service_type: str, taxonomy: ServiceTaxonomy) -> TaxonomyEntry:
-    """Look up a service type; unknown codes raise TaxonomyError."""
-    return taxonomy[service_type]
-
-
 def weighted_measurement(values, taxonomy: ServiceTaxonomy, category: str) -> float:
     """Weighted sum of per-type values over one category.
 
@@ -151,17 +147,29 @@ def weighted_measurement(values, taxonomy: ServiceTaxonomy, category: str) -> fl
 
 @dataclass
 class SeriesSet:
-    """Per (region, source, category) daily value arrays over one window."""
+    """Daily series of (region, source, category) keys over one window, as one matrix.
+
+    Row i of `values`, shape (n_keys, window.n_days), is the series of
+    `key_list[i]`; keys are in sorted order.
+    """
 
     window: DateWindow
-    data: dict[tuple[str, str, str], np.ndarray]
-    regions: list[str]
+    key_list: list[tuple[str, str, str]]
+    values: np.ndarray
 
-    def keys(self):
-        return self.data.keys()
+    def keys(self) -> list[tuple[str, str, str]]:
+        return self.key_list
 
-    def __getitem__(self, key):
-        return self.data[key]
+    def __getitem__(self, key) -> np.ndarray:
+        row = bisect.bisect_left(self.key_list, key)
+        if row == len(self.key_list) or self.key_list[row] != key:
+            raise KeyError(key)
+        return self.values[row]
+
+    @property
+    def regions(self) -> list[str]:
+        """Regions with at least one key, in sorted order."""
+        return list(dict.fromkeys(key[0] for key in self.key_list))
 
 
 def build_daily_series(
@@ -200,12 +208,12 @@ def build_daily_series(
         for code, rows in counts.items():
             unknown[code] = unknown.get(code, 0) + rows
 
-    data = {}
-    for i, region in enumerate(regions):
-        for source in SOURCES:
-            for c, category in enumerate(CATEGORIES):
-                data[(region, source, category)] = per_source[source][i, c]
-    return SeriesSet(window=window, data=data, regions=regions), dict(sorted(unknown.items()))
+    # regions come sorted and CATEGORIES is in sorted order, so this is key order
+    key_sources = sorted(SOURCES)
+    keys = [(r, s, c) for r in regions for s in key_sources for c in CATEGORIES]
+    values = np.stack([per_source[s] for s in key_sources], axis=1)
+    values = values.reshape(len(keys), window.n_days)
+    return SeriesSet(window, keys, values), dict(sorted(unknown.items()))
 
 
 def _region_series(activity, region_rows, taxonomy, window, source, unknown_policy):

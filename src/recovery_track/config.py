@@ -103,19 +103,27 @@ def _get_section(raw: dict, name: str) -> dict:
     return section
 
 
-def _integer(section: dict, name: str, key: str, default: int) -> int:
-    value = section.get(key, default)
+def integer_field(value, label: str, error=ConfigError) -> int:
+    """A JSON integer, or a float with no fraction; strings and booleans raise `error`."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+        raise error(f"{label} must be an integer, got {value!r}")
     return int(value)
 
 
-def _number(section: dict, name: str, key: str, default: float) -> float:
-    value = section.get(key, default)
+def number_field(value, label: str, error=ConfigError) -> float:
+    """A JSON number as a float; strings and booleans raise `error`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
+        raise error(f"{label} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(section: dict, name: str, key: str, default: int) -> int:
+    return integer_field(section.get(key, default), f"{name}.{key}")
+
+
+def _number(section: dict, name: str, key: str, default: float) -> float:
+    return number_field(section.get(key, default), f"{name}.{key}")
 
 
 def _boolean(section: dict, name: str, key: str, default: bool) -> bool:

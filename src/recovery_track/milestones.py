@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .aggregate import CATEGORIES, SOURCES
+import numpy as np
+
+from .aggregate import CATEGORIES, SOURCES, SeriesSet
 from .errors import SeriesError
 
 
@@ -60,13 +62,7 @@ def detect_recovery_day(
     Scans [d0, d0 + horizon] with a single run counter; NaN days (skip-mode
     smoothing boundaries) never qualify and reset the run.
     """
-    if run_length < 1:
-        raise SeriesError(f"run_length must be >= 1, got {run_length}")
-    if d0 < 0 or d0 + horizon >= len(changes):
-        raise SeriesError(
-            f"change series of length {len(changes)} does not cover "
-            f"[{d0}, {d0 + horizon}]"
-        )
+    _check_scan(len(changes), d0, horizon, run_length)
     run = 0
     for day in range(d0, d0 + horizon + 1):
         value = changes[day]
@@ -79,6 +75,36 @@ def detect_recovery_day(
     return None
 
 
+def _check_scan(n_days: int, d0: int, horizon: int, run_length: int):
+    if run_length < 1:
+        raise SeriesError(f"run_length must be >= 1, got {run_length}")
+    if d0 < 0 or d0 + horizon >= n_days:
+        raise SeriesError(
+            f"change series of length {n_days} does not cover [{d0}, {d0 + horizon}]"
+        )
+
+
+def detect_recovery_days(
+    changes: np.ndarray,
+    d0: int,
+    horizon: int,
+    threshold: float = DEFAULT_CHANGE_THRESHOLD,
+    run_length: int = DEFAULT_RUN_LENGTH,
+) -> np.ndarray:
+    """detect_recovery_day of every row of a (keys, days) matrix; -1 where censored.
+
+    One run counter per row steps across [d0, d0 + horizon]; a row's first
+    day with a counter of `run_length` is its recovery day.
+    """
+    _check_scan(changes.shape[1], d0, horizon, run_length)
+    run = np.zeros(len(changes), dtype=np.int64)
+    found = np.full(len(changes), -1, dtype=np.int64)
+    for day in range(d0, d0 + horizon + 1):
+        run = np.where(changes[:, day] >= threshold, run + 1, 0)  # NaN never qualifies
+        found[(run == run_length) & (found < 0)] = day
+    return found
+
+
 def recovery_duration(d0: int, dn, horizon: int) -> Milestone:
     """Days from event to recovery; censored keys are pinned at the horizon."""
     if dn is None:
@@ -89,7 +115,7 @@ def recovery_duration(d0: int, dn, horizon: int) -> Milestone:
 
 
 def build_milestone_table(
-    changes: dict,
+    changes: SeriesSet,
     d0: int,
     horizon: int,
     threshold: float = DEFAULT_CHANGE_THRESHOLD,
@@ -102,22 +128,21 @@ def build_milestone_table(
     fields. Returns (table, excluded) with the table keyed by region in sorted
     order.
     """
-    regions = sorted({key[0] for key in changes})
+    days = detect_recovery_days(changes.values, d0, horizon, threshold, run_length)
+    row_of = {key: i for i, key in enumerate(changes.keys())}
     table: dict[str, dict[str, Milestone]] = {}
     excluded: dict[str, list[str]] = {}
-    for region in regions:
+    for region in changes.regions:
         missing = []
         row = {}
         for source in SOURCES:
             for category in CATEGORIES:
-                key = (region, source, category)
                 field = milestone_field(source, category)
-                if key not in changes:
+                i = row_of.get((region, source, category))
+                if i is None:
                     missing.append(field)
                     continue
-                dn = detect_recovery_day(
-                    changes[key], d0, horizon, threshold=threshold, run_length=run_length
-                )
+                dn = int(days[i]) if days[i] >= 0 else None
                 row[field] = recovery_duration(d0, dn, horizon)
         if missing:
             excluded[region] = missing

@@ -1,9 +1,13 @@
 """End-to-end orchestration: ingest through stats, with staged artifacts.
 
-Stages communicate only through their serialized artifacts, so a full run and
-a sequence of --only runs produce byte-identical files. All artifacts are
-computed first and moved into the output directory together; a failing stage
-leaves the directory untouched.
+Stages communicate through their serialized artifacts, so a full run and a
+sequence of --only runs produce byte-identical files. The change matrix is the
+one exception: in a full run the series stage passes it to the milestones
+stage in memory, and only `--only milestones` parses work/changes.csv back.
+Both give the same milestones because each change is written as its repr and
+float(repr(x)) == x for every float; NaN reads back as NaN, which never
+qualifies as recovered. All artifacts are computed first and moved into the
+output directory together; a failing stage leaves the directory untouched.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
@@ -12,13 +16,13 @@ golden bundle is stable.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import os
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +32,7 @@ from . import aggregate, ingest, metric, milestones, series, stats
 from .config import PipelineConfig
 from .errors import ParseError, PipelineError, StatsError
 from .milestones import MILESTONE_FIELDS, Milestone, change_threshold
+from .windows import DateWindow
 
 STAGE_SERIES = "series"
 STAGE_MILESTONES = "milestones"
@@ -51,6 +56,12 @@ METRIC_COLUMNS = {
 }
 
 CHI_SQUARE_VARIABLES = ("per_capita_income", "minority_fraction", "flood_fraction")
+
+CHANGES_HEADER = "region,source,category,day_index,change"
+MILESTONES_HEADER = ",".join(
+    ["region", *(f"{field}_{part}" for field in MILESTONE_FIELDS for part in ("days", "censored"))]
+)
+METRIC_HEADER = ",".join(["region", *METRIC_COLUMNS.values(), "integrated", "category"])
 
 
 def format_sig(value: float) -> str:
@@ -122,7 +133,7 @@ def _prepare_series(config: PipelineConfig, taxonomy, trips, transactions, overl
     )
 
 
-def _stage_series(config: PipelineConfig, read_artifact) -> dict:
+def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     taxonomy = aggregate.load_taxonomy(
         config.taxonomy, renormalize=config.renormalize_weights
     )
@@ -143,22 +154,6 @@ def _stage_series(config: PipelineConfig, read_artifact) -> dict:
         boundary=config.smoothing_boundary,
     )
     included = [r for r in series_set.regions if r not in insufficient]
-
-    baselines_csv = io.StringIO()
-    baselines_csv.write("region,source,category,baseline,sufficient\n")
-    for (region, source, category), baseline in sorted(baselines.items()):
-        baselines_csv.write(
-            f"{region},{source},{category},{baseline.value!r},"
-            f"{'true' if baseline.sufficient else 'false'}\n"
-        )
-
-    changes_csv = io.StringIO()
-    changes_csv.write("region,source,category,day_index,change\n")
-    for key in sorted(changes):
-        region, source, category = key
-        for day_index, value in enumerate(changes[key]):
-            changes_csv.write(f"{region},{source},{category},{day_index},{float(value)!r}\n")
-
     coverage = {
         "window": {
             "start": config.window.start.isoformat(),
@@ -184,65 +179,128 @@ def _stage_series(config: PipelineConfig, read_artifact) -> dict:
         "insufficient_baselines": {r: insufficient[r] for r in sorted(insufficient)},
         "unknown_service_types": prepared.unknown_codes,
     }
+    # the parse columns hold most of the stage's memory; rendering needs none of it
+    del trips_result, tx_result, overlaps_result, prepared, series_set
+
+    baselines_csv = io.StringIO()
+    baselines_csv.write("region,source,category,baseline,sufficient\n")
+    for (region, source, category), baseline in sorted(baselines.items()):
+        baselines_csv.write(
+            f"{region},{source},{category},{baseline.value!r},"
+            f"{'true' if baseline.sufficient else 'false'}\n"
+        )
+    artifacts.changes = changes
     return {
         BASELINES_ARTIFACT: baselines_csv.getvalue(),
-        CHANGES_ARTIFACT: changes_csv.getvalue(),
+        CHANGES_ARTIFACT: _changes_csv(changes),
         COVERAGE_ARTIFACT: _json_text(coverage),
     }
+
+
+def _changes_csv(changes: aggregate.SeriesSet) -> str:
+    """work/changes.csv: one line per key and day, the change as its repr.
+
+    Rows equal bit for bit, such as those of regions that inherit one Zip's
+    transactions, share one rendering of their day and value text, which is
+    dropped after its last use.
+    """
+    day_cells = [f"{day}," for day in range(changes.values.shape[1])]
+    blobs = [row.tobytes() for row in changes.values]
+    uses_left = Counter(blobs)
+    rendered = {}
+    parts = [CHANGES_HEADER + "\n"]
+    for (region, source, category), row, blob in zip(changes.keys(), changes.values, blobs):
+        cells = rendered.pop(blob, None)
+        if cells is None:
+            cells = list(map(str.__add__, day_cells, map(repr, row.tolist())))
+        uses_left[blob] -= 1
+        if uses_left[blob]:
+            rendered[blob] = cells
+        prefix = f"{region},{source},{category},"
+        parts.append(prefix + ("\n" + prefix).join(cells) + "\n")
+    return "".join(parts)
 
 
 # --------------------------------------------------------------------------
 # stage: milestones
 
 
-def _parse_changes_artifact(text: str, n_days: int) -> dict:
-    """work/changes.csv -> {key: change array}, checking it is whole.
+def _parse_changes_artifact(text: str, window: DateWindow) -> aggregate.SeriesSet:
+    """work/changes.csv -> change matrix, checking it is whole.
 
     Rows must come as written: keys in sorted order, each with day_index 0 to
     n_days - 1 in turn, and a newline after the last. A truncated, duplicated
     or reordered artifact would otherwise read as zero change, i.e. as
-    recovered. The writer never quotes, so rows split on commas.
+    recovered.
     """
-    if text and not text.endswith("\n"):
-        raise PipelineError(f"{CHANGES_ARTIFACT} ends mid-line")
-    lines = _lines(text)
-    header = next(lines, None)
-    if header != "region,source,category,day_index,change":
-        raise PipelineError(f"unexpected {CHANGES_ARTIFACT} header: {header!r}")
-    changes: dict[tuple[str, str, str], np.ndarray] = {}
+    n_days = window.n_days
+    # every key but the last takes n_days lines, so this many rows hold all keys
+    data_lines = max(text.count("\n") - 1, 0)
+    matrix = np.empty(((data_lines + n_days - 1) // n_days, n_days))
+    keys: list[tuple[str, str, str]] = []
     day_texts = [str(day) for day in range(n_days)]
-    key, values, day = None, None, n_days
-    for line_no, line in enumerate(lines, start=2):
-        row = line.split(",")
-        if len(row) != 5:
-            raise PipelineError(f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {len(row)}")
-        region, source, category, day_index, value = row
+    key_text, values, day = None, None, n_days
+    for line_no, line in enumerate(_data_lines(text, CHANGES_ARTIFACT, CHANGES_HEADER), start=2):
+        row = line.rsplit(",", 2)
         if day == n_days:
-            next_key = (region, source, category)
-            if key is not None and next_key <= key:
+            key = tuple(row[0].split(","))
+            if len(row) != 3 or len(key) != 3:
                 raise PipelineError(
-                    f"{CHANGES_ARTIFACT} line {line_no}: key {next_key} is duplicated or out of order"
+                    f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {line.count(',') + 1}"
                 )
-            key, values, day = next_key, np.empty(n_days), 0
-            changes[key] = values
-        elif (region, source, category) != key:
+            if keys and key <= keys[-1]:
+                raise PipelineError(
+                    f"{CHANGES_ARTIFACT} line {line_no}: key {key} is duplicated or out of order"
+                )
+            key_text, values, day = row[0], matrix[len(keys)], 0
+            keys.append(key)
+        elif len(row) != 3 or row[0] != key_text:
+            if line.count(",") != 4:
+                raise PipelineError(
+                    f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {line.count(',') + 1}"
+                )
             raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: key {key} ends after {day} of {n_days} days"
+                f"{CHANGES_ARTIFACT} line {line_no}: key {keys[-1]} ends after {day} of {n_days} days"
             )
-        if day_index != day_texts[day]:
+        if row[1] != day_texts[day]:
             raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: expected day_index {day}, got {day_index!r}"
+                f"{CHANGES_ARTIFACT} line {line_no}: expected day_index {day}, got {row[1]!r}"
             )
         try:
-            values[day] = float(value)
+            values[day] = float(row[2])
         except ValueError:
             raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: change {value!r} is not a number"
+                f"{CHANGES_ARTIFACT} line {line_no}: change {row[2]!r} is not a number"
             ) from None
         day += 1
     if day != n_days:
-        raise PipelineError(f"{CHANGES_ARTIFACT}: key {key} ends after {day} of {n_days} days")
-    return changes
+        raise PipelineError(f"{CHANGES_ARTIFACT}: key {keys[-1]} ends after {day} of {n_days} days")
+    return aggregate.SeriesSet(window, keys, matrix[: len(keys)])
+
+
+def _data_lines(text: str, name: str, header: str):
+    """The lines after the header of an artifact, checking its framing.
+
+    The header must be exact and a newline must end the text. The writers
+    never quote, so rows split on commas.
+    """
+    if text and not text.endswith("\n"):
+        raise PipelineError(f"{name} ends mid-line")
+    lines = _lines(text)
+    first = next(lines, None)
+    if first != header:
+        raise PipelineError(f"{name} line 1: expected header {header!r}, got {first!r}")
+    return lines
+
+
+def _data_rows(text: str, name: str, header: str):
+    """(line number, cells) of each data row of a report artifact, all the header's width."""
+    n_cells = header.count(",") + 1
+    for line_no, line in enumerate(_data_lines(text, name, header), start=2):
+        cells = line.split(",")
+        if len(cells) != n_cells:
+            raise PipelineError(f"{name} line {line_no}: expected {n_cells} fields, got {len(cells)}")
+        yield line_no, cells
 
 
 def _lines(text: str):
@@ -254,8 +312,10 @@ def _lines(text: str):
         start = end
 
 
-def _stage_milestones(config: PipelineConfig, read_artifact) -> dict:
-    changes = _parse_changes_artifact(read_artifact(CHANGES_ARTIFACT), config.window.n_days)
+def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
+    changes = artifacts.changes
+    if changes is None:
+        changes = _parse_changes_artifact(artifacts.read(CHANGES_ARTIFACT), config.window)
     d0 = config.window.index_of(config.event_day)
     table, _ = milestones.build_milestone_table(
         changes,
@@ -266,10 +326,7 @@ def _stage_milestones(config: PipelineConfig, read_artifact) -> dict:
     )
 
     out = io.StringIO()
-    columns = ["region"]
-    for field in MILESTONE_FIELDS:
-        columns.extend([f"{field}_days", f"{field}_censored"])
-    out.write(",".join(columns) + "\n")
+    out.write(MILESTONES_HEADER + "\n")
     for region in sorted(table):
         cells = [region]
         for field in MILESTONE_FIELDS:
@@ -281,17 +338,21 @@ def _stage_milestones(config: PipelineConfig, read_artifact) -> dict:
 
 
 def parse_milestones_artifact(text: str) -> dict:
-    """milestones.csv -> {region: {field: Milestone}}."""
-    reader = csv.DictReader(io.StringIO(text))
+    """milestones.csv -> {region: {field: Milestone}}, checking every cell."""
     table = {}
-    for row in reader:
+    for line_no, cells in _data_rows(text, MILESTONES_ARTIFACT, MILESTONES_HEADER):
+        where, region = f"{MILESTONES_ARTIFACT} line {line_no}", cells[0]
+        if region in table:
+            raise PipelineError(f"{where}: region {region!r} is duplicated")
         entry = {}
-        for field in MILESTONE_FIELDS:
-            entry[field] = Milestone(
-                duration_days=int(row[f"{field}_days"]),
-                censored=row[f"{field}_censored"] == "true",
-            )
-        table[row["region"]] = entry
+        for k, field in enumerate(MILESTONE_FIELDS):
+            days, censored = cells[2 * k + 1], cells[2 * k + 2]
+            if not (days.isascii() and days.isdigit()):
+                raise PipelineError(f"{where}: {field}_days {days!r} is not a whole number")
+            if censored not in ("true", "false"):
+                raise PipelineError(f"{where}: {field}_censored {censored!r} is not true or false")
+            entry[field] = Milestone(duration_days=int(days), censored=censored == "true")
+        table[region] = entry
     return table
 
 
@@ -299,12 +360,12 @@ def parse_milestones_artifact(text: str) -> dict:
 # stage: metric
 
 
-def _stage_metric(config: PipelineConfig, read_artifact) -> dict:
-    table = parse_milestones_artifact(read_artifact(MILESTONES_ARTIFACT))
+def _stage_metric(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
+    table = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT))
     rows = metric.build_metric_table(table)
 
     out = io.StringIO()
-    out.write("region," + ",".join(METRIC_COLUMNS.values()) + ",integrated,category\n")
+    out.write(METRIC_HEADER + "\n")
     for region in sorted(rows):
         row = rows[region]
         cells = [region]
@@ -316,14 +377,25 @@ def _stage_metric(config: PipelineConfig, read_artifact) -> dict:
 
 
 def parse_metric_artifact(text: str) -> dict:
-    """metric.csv -> {region: (normalized, integrated, category)}."""
-    reader = csv.DictReader(io.StringIO(text))
+    """metric.csv -> {region: (normalized, integrated, category)}, checking every cell."""
     rows = {}
-    for row in reader:
-        normalized = {
-            field: float(row[column]) for field, column in METRIC_COLUMNS.items()
-        }
-        rows[row["region"]] = (normalized, float(row["integrated"]), row["category"])
+    columns = METRIC_HEADER.split(",")
+    for line_no, cells in _data_rows(text, METRIC_ARTIFACT, METRIC_HEADER):
+        where, region, category = f"{METRIC_ARTIFACT} line {line_no}", cells[0], cells[-1]
+        if region in rows:
+            raise PipelineError(f"{where}: region {region!r} is duplicated")
+        numbers = []
+        for column, cell in zip(columns[1:-1], cells[1:-1]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise PipelineError(f"{where}: {column} {cell!r} is not a finite number")
+            numbers.append(value)
+        if category not in metric.CATEGORY_LABELS:
+            raise PipelineError(f"{where}: category {category!r} is not one of {metric.CATEGORY_LABELS}")
+        rows[region] = (dict(zip(METRIC_COLUMNS, numbers)), numbers[-1], category)
     return rows
 
 
@@ -355,9 +427,11 @@ def _moran_entry(values, weights, permutations, seed) -> dict:
     return entry
 
 
-def _stage_stats(config: PipelineConfig, read_artifact) -> dict:
-    milestone_table = parse_milestones_artifact(read_artifact(MILESTONES_ARTIFACT))
-    metric_rows = parse_metric_artifact(read_artifact(METRIC_ARTIFACT))
+def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
+    milestone_table = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT))
+    metric_rows = parse_metric_artifact(artifacts.read(METRIC_ARTIFACT))
+    if set(metric_rows) != set(milestone_table):
+        raise PipelineError(f"{METRIC_ARTIFACT} and {MILESTONES_ARTIFACT} list different regions")
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
     attributes = ingest.parse_attributes(config.inputs["attributes"]).records
 
@@ -447,6 +521,29 @@ _STAGE_FUNCS = {
 }
 
 
+class _RunArtifacts:
+    """What the stages of one run read: artifacts produced so far, else committed files.
+
+    The series stage also leaves its change matrix here, which the milestones
+    stage of the same run takes instead of parsing work/changes.csv back.
+    """
+
+    def __init__(self, output_dir: Path):
+        self.output_dir = output_dir
+        self.produced: dict[str, str] = {}
+        self.changes: aggregate.SeriesSet | None = None
+
+    def read(self, name: str) -> str:
+        if name in self.produced:
+            return self.produced[name]
+        path = self.output_dir / name
+        if not path.exists():
+            raise PipelineError(
+                f"artifact {name} not found in {self.output_dir}; run upstream stages first"
+            )
+        return path.read_text(encoding="utf-8")
+
+
 @dataclass
 class RunResult:
     output_dir: Path
@@ -459,23 +556,12 @@ def run(config: PipelineConfig, only: str | None = None) -> RunResult:
         raise PipelineError(f"unknown stage {only!r}; expected one of {STAGES}")
     stages = STAGES if only is None else (only,)
 
-    produced: dict[str, str] = {}
-
-    def read_artifact(name: str) -> str:
-        if name in produced:
-            return produced[name]
-        path = config.output_dir / name
-        if not path.exists():
-            raise PipelineError(
-                f"artifact {name} not found in {config.output_dir}; run upstream stages first"
-            )
-        return path.read_text(encoding="utf-8")
-
+    artifacts = _RunArtifacts(config.output_dir)
     for stage in stages:
-        produced.update(_STAGE_FUNCS[stage](config, read_artifact))
+        artifacts.produced.update(_STAGE_FUNCS[stage](config, artifacts))
 
-    _commit(config.output_dir, produced)
-    return RunResult(output_dir=config.output_dir, written=sorted(produced))
+    _commit(config.output_dir, artifacts.produced)
+    return RunResult(output_dir=config.output_dir, written=sorted(artifacts.produced))
 
 
 def _commit(output_dir: Path, artifacts: dict):

@@ -53,10 +53,7 @@ def moving_average(
     `truncate` averages whatever days exist near the window edges; `skip`
     leaves edge days NaN so they never qualify as recovered.
     """
-    if half_width < 0:
-        raise SeriesError(f"half_width must be nonnegative, got {half_width}")
-    if boundary not in (BOUNDARY_TRUNCATE, BOUNDARY_SKIP):
-        raise SeriesError(f"unknown boundary mode {boundary!r}")
+    _check_smoothing(half_width, boundary)
     n = len(values)
     if half_width == 0 or n == 0:
         return np.array(values, dtype=float)
@@ -73,6 +70,34 @@ def moving_average(
     return out
 
 
+def _check_smoothing(half_width: int, boundary: str):
+    if half_width < 0:
+        raise SeriesError(f"half_width must be nonnegative, got {half_width}")
+    if boundary not in (BOUNDARY_TRUNCATE, BOUNDARY_SKIP):
+        raise SeriesError(f"unknown boundary mode {boundary!r}")
+
+
+def _smooth_rows(values: np.ndarray, half_width: int, boundary: str) -> np.ndarray:
+    """moving_average of every row of a (keys, days) matrix, with the same arithmetic.
+
+    Each row's cumulative sum is the same sequential sum, and each day divides
+    the same window difference by the same count. May return `values` itself.
+    """
+    n = values.shape[1]
+    if half_width == 0 or n == 0:
+        return values
+    csum = np.zeros((values.shape[0], n + 1))
+    np.cumsum(values, axis=1, out=csum[:, 1:])
+    day = np.arange(n)
+    lo = np.maximum(day - half_width, 0)
+    hi = np.minimum(day + half_width, n - 1)
+    out = (csum[:, hi + 1] - csum[:, lo]) / (hi - lo + 1)
+    if boundary == BOUNDARY_SKIP:
+        out[:, :half_width] = np.nan
+        out[:, n - half_width :] = np.nan
+    return out
+
+
 def percent_change(smoothed, baseline: float):
     """(smoothed - baseline) / baseline; requires a positive baseline."""
     if baseline <= 0:
@@ -85,10 +110,10 @@ def compute_baselines(
     baseline_window: DateWindow,
     min_baseline: float = DEFAULT_MIN_BASELINE,
 ) -> dict:
-    """Baseline per series key."""
+    """Baseline per series key, in key order."""
     return {
-        key: compute_baseline(series_set[key], series_set.window, baseline_window, min_baseline)
-        for key in sorted(series_set.keys())
+        key: compute_baseline(row, series_set.window, baseline_window, min_baseline)
+        for key, row in zip(series_set.keys(), series_set.values)
     }
 
 
@@ -97,13 +122,17 @@ def build_change_series(
     baselines: dict,
     half_width: int = 3,
     boundary: str = BOUNDARY_TRUNCATE,
-) -> dict:
-    """Smoothed percent-change series for every key with a sufficient baseline."""
-    changes = {}
-    for key in sorted(series_set.keys()):
-        baseline = baselines[key]
-        if not baseline.sufficient:
-            continue
-        smoothed = moving_average(series_set[key], half_width=half_width, boundary=boundary)
-        changes[key] = percent_change(smoothed, baseline.value)
-    return changes
+) -> SeriesSet:
+    """Smoothed percent-change series for every key with a sufficient baseline.
+
+    All keys at once; each value goes through the same operations as
+    moving_average and then percent_change, so rows equal theirs bit for bit.
+    """
+    _check_smoothing(half_width, boundary)
+    rows = [i for i, key in enumerate(series_set.keys()) if baselines[key].sufficient]
+    keys = [series_set.key_list[i] for i in rows]
+    base = np.array([baselines[key].value for key in keys]).reshape(-1, 1)
+    if (base <= 0).any():
+        raise SeriesError(f"baseline must be positive, got {float(base[base <= 0][0])}")
+    smoothed = _smooth_rows(series_set.values[rows], half_width, boundary)
+    return SeriesSet(series_set.window, keys, (smoothed - base) / base)

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import CATEGORIES, ESSENTIAL, load_taxonomy
+from .config import integer_field, number_field
 from .errors import ScenarioError
 from .milestones import DEFAULT_RUN_LENGTH, change_threshold
 from .windows import DateWindow, parse_iso_date
@@ -83,11 +84,17 @@ class ScenarioSpec:
         if merged["n_regions"] is None:
             raise ScenarioError("n_regions: field is required")
 
+        def _integer(name):
+            return integer_field(merged[name], name, ScenarioError)
+
+        def _number(name):
+            return number_field(merged[name], name, ScenarioError)
+
         def _pair(name, kind):
             value = merged[name]
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ScenarioError(f"{name}: expected a [low, high] pair")
-            lo, hi = kind(value[0]), kind(value[1])
+            lo, hi = (kind(item, name, ScenarioError) for item in value)
             if lo > hi:
                 raise ScenarioError(f"{name}: low {lo} exceeds high {hi}")
             return (lo, hi)
@@ -100,21 +107,21 @@ class ScenarioSpec:
 
         spec = cls(
             name=str(merged["name"]),
-            seed=int(merged["seed"]),
-            n_regions=int(merged["n_regions"]),
+            seed=_integer("seed"),
+            n_regions=_integer("n_regions"),
             event_day=event_day,
             window_start=window_start,
-            baseline_days=int(merged["baseline_days"]),
-            horizon_days=int(merged["horizon_days"]),
-            noise=float(merged["noise"]),
-            regions_per_zip=int(merged["regions_per_zip"]),
-            clusters=int(merged["clusters"]),
-            baseline_level_range=_pair("baseline_level_range", float),
-            tx_level_range=_pair("tx_level_range", float),
-            drop_range=_pair("drop_range", float),
-            ramp_range=_pair("ramp_range", int),
-            flat_fraction=float(merged["flat_fraction"]),
-            censored_fraction=float(merged["censored_fraction"]),
+            baseline_days=_integer("baseline_days"),
+            horizon_days=_integer("horizon_days"),
+            noise=_number("noise"),
+            regions_per_zip=_integer("regions_per_zip"),
+            clusters=_integer("clusters"),
+            baseline_level_range=_pair("baseline_level_range", number_field),
+            tx_level_range=_pair("tx_level_range", number_field),
+            drop_range=_pair("drop_range", number_field),
+            ramp_range=_pair("ramp_range", integer_field),
+            flat_fraction=_number("flat_fraction"),
+            censored_fraction=_number("censored_fraction"),
             ramp_shape=str(merged["ramp_shape"]),
         )
         spec.validate()

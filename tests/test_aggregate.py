@@ -12,7 +12,6 @@ from recovery_track.aggregate import (
     NON_ESSENTIAL,
     POLICY_SKIP,
     build_daily_series,
-    classify,
     load_taxonomy,
     weighted_measurement,
 )
@@ -47,12 +46,12 @@ def test_default_taxonomy_matches_documented_weights(taxonomy):
 
 
 def test_classify_examples(taxonomy):
-    assert classify("grocery", taxonomy).category == ESSENTIAL
-    assert classify("grocery", taxonomy).weight == pytest.approx(0.947, abs=1e-12)
-    assert classify("restaurant", taxonomy).category == NON_ESSENTIAL
-    assert classify("restaurant", taxonomy).weight == pytest.approx(0.631, abs=1e-12)
+    assert taxonomy["grocery"].category == ESSENTIAL
+    assert taxonomy["grocery"].weight == pytest.approx(0.947, abs=1e-12)
+    assert taxonomy["restaurant"].category == NON_ESSENTIAL
+    assert taxonomy["restaurant"].weight == pytest.approx(0.631, abs=1e-12)
     with pytest.raises(TaxonomyError):
-        classify("florist", taxonomy)
+        taxonomy["florist"]
 
 
 def test_weighted_measurement_unit_inputs(taxonomy):
@@ -128,8 +127,8 @@ def test_single_trip_weights_into_series(taxonomy):
 
 def test_all_four_series_exist_even_without_records(taxonomy):
     series_set, _ = _series(taxonomy, crosswalk={"R009": "77001"})
-    assert len(series_set.data) == 4
-    for key, values in series_set.data.items():
+    assert len(series_set.keys()) == 4
+    for key, values in zip(series_set.keys(), series_set.values):
         assert key[0] == "R009"
         assert values.sum() == 0.0
 

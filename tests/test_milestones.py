@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from datetime import date
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_recovery_day
+from recovery_track.aggregate import SeriesSet
 from recovery_track.errors import SeriesError
 from recovery_track.milestones import (
     Milestone,
@@ -11,6 +14,7 @@ from recovery_track.milestones import (
     detect_recovery_day,
     recovery_duration,
 )
+from recovery_track.windows import DateWindow
 
 
 def _series(changes, d0=0, horizon=None):
@@ -114,6 +118,13 @@ def test_duration_examples():
         recovery_duration(10, 5, 120)
 
 
+def _change_set(changes: dict, n_days: int) -> SeriesSet:
+    """A change matrix holding the series of `changes`, keys sorted."""
+    keys = sorted(changes)
+    values = np.array([changes[key] for key in keys]).reshape(len(keys), n_days)
+    return SeriesSet(DateWindow(date(2017, 8, 1), date(2017, 8, n_days)), keys, values)
+
+
 def test_milestone_table_requires_all_four_series():
     full = np.zeros(20)
     changes = {}
@@ -121,7 +132,7 @@ def test_milestone_table_requires_all_four_series():
         for category in ("essential", "non-essential"):
             changes[("R001", source, category)] = full
     changes[("R002", "trip", "essential")] = full
-    table, excluded = build_milestone_table(changes, d0=0, horizon=10)
+    table, excluded = build_milestone_table(_change_set(changes, 20), d0=0, horizon=10)
     assert sorted(table) == ["R001"]
     assert set(table["R001"]) == {
         "trip_essential",
@@ -134,5 +145,5 @@ def test_milestone_table_requires_all_four_series():
 
 
 def test_milestone_table_empty_input():
-    table, excluded = build_milestone_table({}, d0=0, horizon=10)
+    table, excluded = build_milestone_table(_change_set({}, 20), d0=0, horizon=10)
     assert table == {} and excluded == {}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from recovery_track import cli
 from recovery_track.config import load_config
 from recovery_track.errors import ConfigError, ParseError, PipelineError, TaxonomyError
 from recovery_track.pipeline import STAGES, run, validate
+from recovery_track.series import BOUNDARY_SKIP
 from recovery_track.synth import ScenarioSpec, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -93,16 +95,29 @@ def test_run_writes_expected_bundle(mini_bundle):
 
 
 def test_staged_runs_match_full_run(small_city, tmp_path):
-    root, config = small_city
-    full = config.with_overrides(output_dir=tmp_path / "full")
-    run(full)
-    staged = config.with_overrides(output_dir=tmp_path / "staged")
-    for stage in STAGES:
-        run(staged, only=stage)
-    comparison = filecmp.dircmp(tmp_path / "full", tmp_path / "staged")
-    assert not comparison.diff_files
-    work = filecmp.dircmp(tmp_path / "full" / "work", tmp_path / "staged" / "work")
-    assert not work.diff_files
+    _, config = small_city
+    # one Zip per region: no two transaction rows are the same
+    own_zip = generate(
+        ScenarioSpec.from_mapping(
+            {"name": "own-zip", "seed": 6, "n_regions": 9, "horizon_days": 60, "regions_per_zip": 1}
+        ),
+        tmp_path / "own-zip-city",
+    )
+    configs = {
+        "small": config,
+        "skip-boundary": replace(config, smoothing_boundary=BOUNDARY_SKIP),
+        "own-zip": load_config(own_zip["config.json"]),
+    }
+    for label, base in configs.items():
+        full = tmp_path / label / "full"
+        run(base.with_overrides(output_dir=full))
+        staged = base.with_overrides(output_dir=tmp_path / label / "staged")
+        for stage in STAGES:
+            run(staged, only=stage)
+        comparison = filecmp.dircmp(full, staged.output_dir)
+        assert sorted(comparison.same_files) == sorted(GOLDEN_ARTIFACTS), label
+        work = filecmp.dircmp(full / "work", staged.output_dir / "work")
+        assert sorted(work.same_files) == ["baselines.csv", "changes.csv"], label
 
 
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
@@ -344,11 +359,24 @@ def _mangle_cut_mid_line(lines):
     return lines[:-1] + [lines[-1][:-4]]
 
 
+def _mangle_extra_field(lines):
+    return lines[:5] + [lines[5].replace(",", ",x,", 1)] + lines[6:]
+
+
+def _mangle_short_first_row(lines):
+    return [lines[0], lines[1].split(",", 1)[1]] + lines[2:]
+
+
+def _mangle_not_a_number(lines):
+    return lines[:5] + [lines[5].rsplit(",", 1)[0] + ",zz\n"] + lines[6:]
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
         _mangle_truncate, _mangle_duplicate, _mangle_swap_keys, _mangle_swap_days,
-        _mangle_drop_inner_day, _mangle_cut_mid_line,
+        _mangle_drop_inner_day, _mangle_cut_mid_line, _mangle_extra_field,
+        _mangle_short_first_row, _mangle_not_a_number,
     ],
 )
 def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, mangle):
@@ -363,6 +391,47 @@ def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, mangl
     assert cli.main(["run", "--config", str(config_path), "--only", "milestones"]) == 1
     assert "changes.csv" in capsys.readouterr().err
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
+
+
+def _set_cell(line_no, cell, value):
+    def edit(text):
+        lines = text.split("\n")
+        cells = lines[line_no - 1].split(",")
+        cells[cell] = value
+        lines[line_no - 1] = ",".join(cells)
+        return "\n".join(lines)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, stage, edit, expected",
+    [
+        pytest.param("milestones.csv", "metric", _set_cell(1, 1, "trip_ess_days"), "line 1", id="header"),
+        pytest.param("milestones.csv", "metric", _set_cell(2, 1, "abc"), "line 2", id="days"),
+        pytest.param("milestones.csv", "metric", _set_cell(3, 3, "-4"), "line 3", id="negative-days"),
+        pytest.param("milestones.csv", "metric", _set_cell(2, 2, "yes"), "line 2", id="censored"),
+        pytest.param("milestones.csv", "metric", _set_cell(3, 0, "R001"), "line 3", id="duplicate"),
+        pytest.param("milestones.csv", "metric", lambda text: text[:-1], "ends mid-line", id="cut"),
+        pytest.param("metric.csv", "stats", _set_cell(2, 1, "zz"), "line 2", id="metric-cell"),
+        pytest.param("metric.csv", "stats", _set_cell(4, 5, "nan"), "line 4", id="metric-nan"),
+        pytest.param("metric.csv", "stats", _set_cell(2, 6, "soon"), "line 2", id="metric-category"),
+        pytest.param("metric.csv", "stats", _set_cell(2, 6, "early,0"), "line 2", id="metric-extra-cell"),
+        pytest.param(
+            "metric.csv", "stats", lambda text: text.rsplit("R004", 1)[0], "different regions",
+            id="metric-missing-region",
+        ),
+    ],
+)
+def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, name, stage, edit, expected):
+    config_path = _write_mini_bundle(tmp_path)
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    path = tmp_path / "out" / name
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config_path), "--only", stage]) == 1
+    err = capsys.readouterr().err
+    assert name in err and expected in err
 
 
 def test_cli_pipeline_error_exit_code(tmp_path, capsys):

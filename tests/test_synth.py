@@ -155,3 +155,18 @@ def test_spec_errors_name_the_field():
         ScenarioSpec.from_mapping({**SMALL, "wibble": 3})
     with pytest.raises(ScenarioError, match="baseline_days"):
         ScenarioSpec.from_mapping({**SMALL, "event_day": "2017-08-10"})
+    mistyped = [
+        ("seed", "abc"),
+        ("n_regions", 6.7),
+        ("clusters", True),
+        ("horizon_days", "60"),
+        ("noise", "0.1"),
+        ("flat_fraction", False),
+        ("ramp_range", [5, 60.5]),
+        ("ramp_range", [True, 60]),
+        ("drop_range", ["0.2", 0.9]),
+    ]
+    for field, value in mistyped:
+        with pytest.raises(ScenarioError, match=field):
+            ScenarioSpec.from_mapping({**SMALL, field: value})
+    assert ScenarioSpec.from_mapping({**SMALL, "n_regions": 6.0}).n_regions == 6
