@@ -57,6 +57,7 @@ METRIC_COLUMNS = {
 
 CHI_SQUARE_VARIABLES = ("per_capita_income", "minority_fraction", "flood_fraction")
 
+BASELINES_HEADER = "region,source,category,baseline,sufficient"
 CHANGES_HEADER = "region,source,category,day_index,change"
 MILESTONES_HEADER = ",".join(
     ["region", *(f"{field}_{part}" for field in MILESTONE_FIELDS for part in ("days", "censored"))]
@@ -183,7 +184,7 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     del trips_result, tx_result, overlaps_result, prepared, series_set
 
     baselines_csv = io.StringIO()
-    baselines_csv.write("region,source,category,baseline,sufficient\n")
+    baselines_csv.write(BASELINES_HEADER + "\n")
     for (region, source, category), baseline in sorted(baselines.items()):
         baselines_csv.write(
             f"{region},{source},{category},{baseline.value!r},"
@@ -278,6 +279,19 @@ def _parse_changes_artifact(text: str, window: DateWindow) -> aggregate.SeriesSe
     return aggregate.SeriesSet(window, keys, matrix[: len(keys)])
 
 
+def _sufficient_keys(text: str) -> set[tuple[str, str, str]]:
+    """The keys work/baselines.csv marks sufficient, checking its framing and flags."""
+    keys = set()
+    for line_no, cells in _data_rows(text, BASELINES_ARTIFACT, BASELINES_HEADER):
+        if cells[4] not in ("true", "false"):
+            raise PipelineError(
+                f"{BASELINES_ARTIFACT} line {line_no}: sufficient {cells[4]!r} is not true or false"
+            )
+        if cells[4] == "true":
+            keys.add((cells[0], cells[1], cells[2]))
+    return keys
+
+
 def _data_lines(text: str, name: str, header: str):
     """The lines after the header of an artifact, checking its framing.
 
@@ -294,7 +308,7 @@ def _data_lines(text: str, name: str, header: str):
 
 
 def _data_rows(text: str, name: str, header: str):
-    """(line number, cells) of each data row of a report artifact, all the header's width."""
+    """(line number, cells) of each data row of an artifact, all the header's width."""
     n_cells = header.count(",") + 1
     for line_no, line in enumerate(_data_lines(text, name, header), start=2):
         cells = line.split(",")
@@ -316,6 +330,13 @@ def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     changes = artifacts.changes
     if changes is None:
         changes = _parse_changes_artifact(artifacts.read(CHANGES_ARTIFACT), config.window)
+        # a file cut at a key boundary passes the parse, so compare the key set
+        differ = sorted(set(changes.keys()) ^ _sufficient_keys(artifacts.read(BASELINES_ARTIFACT)))
+        if differ:
+            raise PipelineError(
+                f"{CHANGES_ARTIFACT} does not hold the sufficient keys of {BASELINES_ARTIFACT}: "
+                f"{len(differ)} differ, first {differ[0]}"
+            )
     d0 = config.window.index_of(config.event_day)
     table, _ = milestones.build_milestone_table(
         changes,

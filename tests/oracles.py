@@ -7,6 +7,9 @@ no shared code with src/) so a bug in the package cannot hide in its oracle.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+import numpy as np
 
 
 def brute_force_recovery_day(changes, d0, horizon, threshold=-0.1, run_length=3):
@@ -74,3 +77,94 @@ def seven_term_mean(values, index, half_width=3):
     hi = min(len(values) - 1, index + half_width)
     window = values[lo : hi + 1]
     return sum(window) / len(window)
+
+
+def dense_weights(weights):
+    """Dense row-standardized n x n matrix of a SpatialWeights, in `regions` order.
+
+    Built from the region names in `weights.neighbors`, not from the sparse
+    arrays the package computes with.
+    """
+    index = {region: i for i, region in enumerate(weights.regions)}
+    n = len(weights.regions)
+    w = np.zeros((n, n))
+    for region, others in weights.neighbors.items():
+        for other in others:
+            w[index[region], index[other]] = 1.0 / len(others)
+    return w
+
+
+def dense_moran(values, w, permutations=0, seed=0):
+    """Moran's I with randomization moments from a dense weight matrix.
+
+    Returns a dict with i, variance, z_score, s0, s1, s2 and, for
+    `permutations > 0`, permutation_p: shuffles drawn one `permutation` call
+    each from numpy's `default_rng(seed)`, counted when at least as far from
+    E[I] as the observed I.
+    """
+    n = len(values)
+    x = np.asarray(values, dtype=float)
+    z = x - x.mean()
+    denom = float(z @ z)
+    s0 = float(w.sum())
+    i_value = (n / s0) * float(z @ (w @ z)) / denom
+    expected = -1.0 / (n - 1)
+    s1 = 0.5 * float(((w + w.T) ** 2).sum())
+    s2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
+    b2 = n * float((z**4).sum()) / denom**2
+    variance = (
+        n * ((n * n - 3 * n + 3) * s1 - n * s2 + 3 * s0 * s0)
+        - b2 * ((n * n - n) * s1 - 2 * n * s2 + 6 * s0 * s0)
+    ) / ((n - 1) * (n - 2) * (n - 3) * s0 * s0) - expected * expected
+    result = {
+        "i": i_value,
+        "variance": variance,
+        "z_score": (i_value - expected) / math.sqrt(variance),
+        "s0": s0,
+        "s1": s1,
+        "s2": s2,
+    }
+    if permutations > 0:
+        rng = np.random.default_rng(seed)
+        extreme = 0
+        for _ in range(permutations):
+            perm = rng.permutation(z)
+            i_perm = (n / s0) * float(perm @ (w @ perm)) / denom
+            extreme += abs(i_perm - expected) >= abs(i_value - expected)
+        result["permutation_p"] = (extreme + 1) / (permutations + 1)
+    return result
+
+
+def exact_moran_permutation_p(values, neighbor_indices, permutations, seed):
+    """Permutation p-value of row-standardized Moran's I in rational arithmetic.
+
+    `values` are integers (or Fractions); `neighbor_indices[i]` lists the
+    neighbors of observation i. Shuffles follow numpy's
+    `default_rng(seed).permutation`, one call per shuffle, applied to the
+    positions. Returns (p, number of shuffles whose |I - E[I]| exactly ties
+    the observed one).
+    """
+    n = len(values)
+    x = [Fraction(v) for v in values]
+    mean = sum(x) / n
+    z = [v - mean for v in x]
+    denom = sum(v * v for v in z)
+    s0 = sum(Fraction(1, len(others)) * len(others) for others in neighbor_indices)
+    expected = Fraction(-1, n - 1)
+
+    def deviation(field):
+        num = sum(
+            Fraction(1, len(others)) * field[i] * field[j]
+            for i, others in enumerate(neighbor_indices)
+            for j in others
+        )
+        return abs(n / s0 * num / denom - expected)
+
+    observed = deviation(z)
+    rng = np.random.default_rng(seed)
+    extreme = ties = 0
+    for _ in range(permutations):
+        shuffled = deviation([z[k] for k in rng.permutation(n)])
+        extreme += shuffled >= observed
+        ties += shuffled == observed
+    return Fraction(extreme + 1, permutations + 1), ties

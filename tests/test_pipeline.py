@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -276,6 +279,17 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
+def test_cli_import_does_not_import_scipy():
+    # scipy is a test dependency only
+    probe = "import sys, recovery_track.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_cli_synth(tmp_path, capsys):
     spec_path = tmp_path / "scenario.json"
     spec_path.write_text(json.dumps({"n_regions": 6, "seed": 1, "horizon_days": 30}))
@@ -371,12 +385,16 @@ def _mangle_not_a_number(lines):
     return lines[:5] + [lines[5].rsplit(",", 1)[0] + ",zz\n"] + lines[6:]
 
 
+def _mangle_drop_last_region(lines):
+    return lines[: -4 * 15]  # its four keys, 15 days each: every check of the parse passes
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
         _mangle_truncate, _mangle_duplicate, _mangle_swap_keys, _mangle_swap_days,
         _mangle_drop_inner_day, _mangle_cut_mid_line, _mangle_extra_field,
-        _mangle_short_first_row, _mangle_not_a_number,
+        _mangle_short_first_row, _mangle_not_a_number, _mangle_drop_last_region,
     ],
 )
 def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, mangle):
@@ -421,6 +439,10 @@ def _set_cell(line_no, cell, value):
             "metric.csv", "stats", lambda text: text.rsplit("R004", 1)[0], "different regions",
             id="metric-missing-region",
         ),
+        pytest.param("work/baselines.csv", "milestones", _set_cell(1, 4, "ok"), "line 1", id="baselines-header"),
+        pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "yes"), "line 2", id="baselines-flag"),
+        pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "false"), "1 differ", id="baselines-key-set"),
+        pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "true,x"), "line 2", id="baselines-extra-cell"),
     ],
 )
 def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, name, stage, edit, expected):

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import gini_pairwise, moran_double_sum
+from oracles import (
+    dense_moran,
+    dense_weights,
+    exact_moran_permutation_p,
+    gini_pairwise,
+    moran_double_sum,
+)
 from recovery_track.errors import StatsError
 from recovery_track.stats import (
     SpatialWeights,
@@ -207,7 +215,7 @@ def test_moran_analytic_moments_match_permutation_distribution():
     mapping = {r: float(v) for r, v in zip(weights.regions, values)}
     result = morans_i(mapping, weights)
 
-    w = weights.dense()
+    w = dense_weights(weights)
     n = len(weights.regions)
     s0 = w.sum()
     z = values - values.mean()
@@ -218,6 +226,84 @@ def test_moran_analytic_moments_match_permutation_distribution():
         sims[k] = (n / s0) * float(perm @ (w @ perm)) / denom
     assert sims.mean() == pytest.approx(result.expected_i, abs=5e-3)
     assert sims.var() == pytest.approx(result.variance, rel=0.05)
+
+
+def _random_adjacency(rng, n, symmetric):
+    """A chain plus n random edges; an asymmetric graph lists some edges one way only."""
+    adjacency = {f"R{i:02d}": set() for i in range(n)}
+    edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    edges += [tuple(int(v) for v in rng.integers(0, n, size=2)) for _ in range(n)]
+    for i, j in edges:
+        if i != j:
+            adjacency[f"R{i:02d}"].add(f"R{j:02d}")
+            if symmetric or rng.random() < 0.5:
+                adjacency[f"R{j:02d}"].add(f"R{i:02d}")
+    return adjacency
+
+
+def test_moran_matches_dense_reference_on_random_graphs():
+    rng = np.random.default_rng(83)
+    with_isolated = 0
+    for trial in range(60):
+        n = int(rng.integers(6, 50))
+        adjacency = _random_adjacency(rng, n, symmetric=trial % 2 == 0)
+        include = None
+        if trial % 4 >= 2:
+            include = sorted(r for r in adjacency if rng.random() < 0.6)
+        weights = SpatialWeights.from_adjacency(adjacency, include=include)
+        with_isolated += bool(weights.isolated)
+        if len(weights.regions) < 4:
+            continue
+        x = rng.normal(size=len(weights.regions))
+        values = dict(zip(weights.regions, map(float, x)))
+        result = morans_i(values, weights, permutations=99, seed=[5, trial])
+        oracle = dense_moran(x, dense_weights(weights), permutations=99, seed=[5, trial])
+        for name in ("i", "variance", "z_score"):
+            assert getattr(result, name) == pytest.approx(oracle[name], rel=1e-12, abs=1e-12)
+        assert weights.sums() == pytest.approx((oracle["s0"], oracle["s1"], oracle["s2"]), rel=1e-12)
+        assert result.permutation_p == oracle["permutation_p"]
+    assert with_isolated > 0
+
+
+def test_moran_weights_drop_edges_to_isolated_regions():
+    # B lists no neighbor; A lists only B, so it is left without one too
+    adjacency = {"A": {"B"}, "B": set(), "C": {"A", "D"}, "D": {"C", "E"}, "E": {"D"}}
+    weights = SpatialWeights.from_adjacency(adjacency)
+    assert weights.isolated == ("A", "B")
+    assert weights.regions == ("C", "D", "E")
+    assert weights.neighbors == {"C": ("D",), "D": ("C", "E"), "E": ("D",)}
+    assert dense_weights(weights).tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
+    assert morans_i({"C": 1.0, "D": 2.0, "E": 4.0}, weights).n == 3
+
+
+def test_moran_permutation_p_counts_exact_ties():
+    # whole-day fields tie often: 61 of these 999 shuffles tie the observed I exactly
+    n = 40
+    ring = {f"R{i:02d}": {f"R{(i - 1) % n:02d}", f"R{(i + 1) % n:02d}"} for i in range(n)}
+    weights = SpatialWeights.from_adjacency(ring)
+    days = [int(d) for d in np.random.default_rng(0).integers(0, 3, size=n)]
+    neighbor_indices = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    exact_p, ties = exact_moran_permutation_p(days, neighbor_indices, permutations=999, seed=1)
+    assert (exact_p, ties) == (Fraction(409, 1000), 61)
+    values = {region: float(d) for region, d in zip(weights.regions, days)}
+    result = morans_i(values, weights, permutations=999, seed=1)
+    assert result.permutation_p == float(exact_p)
+
+
+def test_moran_memory_is_linear_in_edges():
+    # 20,164 regions: the dense matrix alone would take 8 n^2 B = 3.2 GB
+    weights = _grid_weights(142, 142)
+    x = np.random.default_rng(79).normal(size=len(weights.regions))
+    values = dict(zip(weights.regions, map(float, x)))
+    tracemalloc.start()
+    try:
+        result = morans_i(values, weights, permutations=99, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n == 142 * 142
+    assert 0.0 < result.permutation_p <= 1.0
+    assert peak < 64 * 2**20
 
 
 def test_moran_permutation_p_range_and_determinism():
