@@ -5,10 +5,10 @@ integrated recovery metric with quartile categories, and spatial and
 socioeconomic inequality statistics come out.
 """
 
-from .aggregate import ServiceTaxonomy, load_taxonomy, weighted_measurement
+from .aggregate import ServiceTaxonomy, load_taxonomy
 from .config import PipelineConfig, load_config
 from .metric import build_metric_table, categorize, integrated_metric, min_max_normalize
-from .milestones import build_milestone_table, detect_recovery_day, recovery_duration
+from .milestones import build_milestone_table
 from .pipeline import run, validate
 from .stats import SpatialWeights, chi_square_2x2, dichotomize_by_median, gini, morans_i
 from .synth import ScenarioSpec, generate
@@ -24,7 +24,6 @@ __all__ = [
     "build_milestone_table",
     "categorize",
     "chi_square_2x2",
-    "detect_recovery_day",
     "dichotomize_by_median",
     "generate",
     "gini",
@@ -33,7 +32,6 @@ __all__ = [
     "load_taxonomy",
     "min_max_normalize",
     "morans_i",
-    "recovery_duration",
     "run",
     "validate",
     "__version__",

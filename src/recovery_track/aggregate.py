@@ -129,22 +129,6 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
     return taxonomy.renormalized() if renormalize else taxonomy
 
 
-def weighted_measurement(values, taxonomy: ServiceTaxonomy, category: str) -> float:
-    """Weighted sum of per-type values over one category.
-
-    Terms are added in lexicographic code order so the float result does not
-    depend on the mapping's insertion order. Keys outside `category` are an
-    error, not a silent skip.
-    """
-    for code in values:
-        entry = taxonomy[code]
-        if entry.category != category:
-            raise TaxonomyError(
-                f"service type {code!r} is {entry.category}, not {category}"
-            )
-    return math.fsum(taxonomy[code].weight * values[code] for code in sorted(values))
-
-
 @dataclass
 class SeriesSet:
     """Daily series of (region, source, category) keys over one window, as one matrix.
@@ -186,8 +170,9 @@ def build_daily_series(
     no activity was recorded. Trips reduce per region and transactions per
     Zip; each region then takes its Zip's row. Rows of entities no region
     takes are left out (the caller counts them). Each day's value is the
-    weighted_measurement of its per-type math.fsum totals, so results are
-    independent of row order. Unknown codes count once per input row.
+    weighted sum over the category's types of their per-type math.fsum
+    totals, itself summed as by math.fsum, so results are independent of row
+    order. Unknown codes count once per input row.
     Returns (SeriesSet, unknown_code_counts).
     """
     if unknown_policy not in (POLICY_ERROR, POLICY_SKIP):

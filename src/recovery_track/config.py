@@ -64,6 +64,8 @@ class PipelineConfig:
             raise ConfigError(f"baseline.min_baseline must be >= 0, got {self.min_baseline}")
         if self.permutations < 0:
             raise ConfigError(f"stats.permutations must be >= 0, got {self.permutations}")
+        if self.seed < 0:
+            raise ConfigError(f"stats.seed must be >= 0, got {self.seed}")
         if self.baseline_window.end >= self.event_day:
             raise ConfigError(
                 f"baseline window must end before the event day "
@@ -71,7 +73,7 @@ class PipelineConfig:
             )
         if self.window.start > self.baseline_window.start:
             raise ConfigError("analysis window must start at or before the baseline window")
-        needed_end = self.event_day + timedelta(days=self.horizon_days)
+        needed_end = days_after(self.event_day, self.horizon_days, "recovery.horizon_days")
         if self.window.end < needed_end:
             raise ConfigError(
                 f"analysis window must reach event day + horizon ({needed_end}), "
@@ -118,6 +120,24 @@ def number_field(value, label: str, error=ConfigError) -> float:
     return float(value)
 
 
+def date_field(value, label: str, error=ConfigError) -> date:
+    """A JSON string holding an ISO date; other types and bad dates raise `error`."""
+    if not isinstance(value, str):
+        raise error(f"{label} must be a date string, got {value!r}")
+    try:
+        return parse_iso_date(value)
+    except ValueError as exc:
+        raise error(f"{label}: {exc}") from None
+
+
+def days_after(day: date, days: int, label: str, error=ConfigError) -> date:
+    """`day` plus `days` days; a result past the calendar raises `error` naming `label`."""
+    try:
+        return day + timedelta(days=days)
+    except OverflowError:
+        raise error(f"{label}: {day} plus {days} days is past the calendar") from None
+
+
 def _integer(section: dict, name: str, key: str, default: int) -> int:
     return integer_field(section.get(key, default), f"{name}.{key}")
 
@@ -131,6 +151,15 @@ def _boolean(section: dict, name: str, key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{name}.{key} must be true or false, got {value!r}")
     return value
+
+
+def _window(section: dict, name: str) -> DateWindow:
+    days = []
+    for key in ("start", "end"):
+        if key not in section:
+            raise ConfigError(f"{name}.{key} is required: a window needs both start and end")
+        days.append(date_field(section[key], f"{name}.{key}"))
+    return DateWindow(*days)
 
 
 def load_config(path) -> PipelineConfig:
@@ -148,20 +177,25 @@ def load_config(path) -> PipelineConfig:
 
     base_dir = path.parent
 
-    def _resolve(value):
+    def _resolve(value, label):
+        if not isinstance(value, str):
+            raise ConfigError(f"{label} must be a path string, got {value!r}")
         p = Path(value)
         return p if p.is_absolute() else base_dir / p
 
     raw_inputs = _get_section(raw, "inputs")
-    inputs = {name: _resolve(raw_inputs[name]) for name in INPUT_NAMES if name in raw_inputs}
-    taxonomy = _resolve(raw_inputs["taxonomy"]) if "taxonomy" in raw_inputs else None
+    inputs = {
+        name: _resolve(raw_inputs[name], f"inputs.{name}")
+        for name in INPUT_NAMES
+        if name in raw_inputs
+    }
+    taxonomy = (
+        _resolve(raw_inputs["taxonomy"], "inputs.taxonomy") if "taxonomy" in raw_inputs else None
+    )
 
-    try:
-        event_day = parse_iso_date(str(raw["event_day"]))
-    except KeyError:
-        raise ConfigError("event_day is required") from None
-    except ValueError as exc:
-        raise ConfigError(f"event_day: {exc}") from None
+    if "event_day" not in raw:
+        raise ConfigError("event_day is required")
+    event_day = date_field(raw["event_day"], "event_day")
 
     baseline = _get_section(raw, "baseline")
     recovery = _get_section(raw, "recovery")
@@ -170,30 +204,19 @@ def load_config(path) -> PipelineConfig:
     stats = _get_section(raw, "stats")
 
     horizon_days = _integer(recovery, "recovery", "horizon_days", 120)
-    try:
-        if "start" in baseline or "end" in baseline:
-            baseline_window = DateWindow.from_strings(baseline["start"], baseline["end"])
-        else:
-            # default: the 21 days ending 6 days before the event
-            end = event_day - timedelta(days=6)
-            baseline_window = DateWindow(end - timedelta(days=20), end)
-    except KeyError as exc:
-        raise ConfigError(f"baseline window needs both start and end ({exc})") from None
-    except ValueError as exc:
-        raise ConfigError(f"baseline window: {exc}") from None
+    if "start" in baseline or "end" in baseline:
+        baseline_window = _window(baseline, "baseline")
+    else:
+        # default: the 21 days ending 6 days before the event
+        end = days_after(event_day, -6, "event_day")
+        baseline_window = DateWindow(days_after(end, -20, "event_day"), end)
 
     window_section = _get_section(raw, "window")
-    try:
-        if window_section:
-            window = DateWindow.from_strings(window_section["start"], window_section["end"])
-        else:
-            window = DateWindow(
-                baseline_window.start, event_day + timedelta(days=horizon_days)
-            )
-    except KeyError as exc:
-        raise ConfigError(f"window needs both start and end ({exc})") from None
-    except ValueError as exc:
-        raise ConfigError(f"window: {exc}") from None
+    if window_section:
+        window = _window(window_section, "window")
+    else:
+        end = days_after(event_day, horizon_days, "recovery.horizon_days")
+        window = DateWindow(baseline_window.start, end)
 
     config = PipelineConfig(
         inputs=inputs,
@@ -214,7 +237,7 @@ def load_config(path) -> PipelineConfig:
         permutations=_integer(stats, "stats", "permutations", 0),
         yates=_boolean(stats, "stats", "yates", False),
         seed=_integer(stats, "stats", "seed", 0),
-        output_dir=_resolve(raw.get("output_dir", "out")),
+        output_dir=_resolve(raw.get("output_dir", "out"), "output_dir"),
     )
     config.validate()
     return config

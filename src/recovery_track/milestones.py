@@ -9,7 +9,6 @@ horizon, not dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,40 +49,6 @@ class Milestone:
     censored: bool
 
 
-def detect_recovery_day(
-    changes,
-    d0: int,
-    horizon: int,
-    threshold: float = DEFAULT_CHANGE_THRESHOLD,
-    run_length: int = DEFAULT_RUN_LENGTH,
-):
-    """Index of the qualifying run's last day, or None when censored.
-
-    Scans [d0, d0 + horizon] with a single run counter; NaN days (skip-mode
-    smoothing boundaries) never qualify and reset the run.
-    """
-    _check_scan(len(changes), d0, horizon, run_length)
-    run = 0
-    for day in range(d0, d0 + horizon + 1):
-        value = changes[day]
-        if not math.isnan(value) and value >= threshold:
-            run += 1
-            if run == run_length:
-                return day
-        else:
-            run = 0
-    return None
-
-
-def _check_scan(n_days: int, d0: int, horizon: int, run_length: int):
-    if run_length < 1:
-        raise SeriesError(f"run_length must be >= 1, got {run_length}")
-    if d0 < 0 or d0 + horizon >= n_days:
-        raise SeriesError(
-            f"change series of length {n_days} does not cover [{d0}, {d0 + horizon}]"
-        )
-
-
 def detect_recovery_days(
     changes: np.ndarray,
     d0: int,
@@ -91,27 +56,24 @@ def detect_recovery_days(
     threshold: float = DEFAULT_CHANGE_THRESHOLD,
     run_length: int = DEFAULT_RUN_LENGTH,
 ) -> np.ndarray:
-    """detect_recovery_day of every row of a (keys, days) matrix; -1 where censored.
+    """Recovery day of every row of a (keys, days) matrix; -1 where censored.
 
-    One run counter per row steps across [d0, d0 + horizon]; a row's first
+    One run counter per row steps across [d0, d0 + horizon]; NaN days
+    (skip-mode smoothing boundaries) never qualify and reset it. A row's first
     day with a counter of `run_length` is its recovery day.
     """
-    _check_scan(changes.shape[1], d0, horizon, run_length)
+    if run_length < 1:
+        raise SeriesError(f"run_length must be >= 1, got {run_length}")
+    if d0 < 0 or d0 + horizon >= changes.shape[1]:
+        raise SeriesError(
+            f"change series of length {changes.shape[1]} does not cover [{d0}, {d0 + horizon}]"
+        )
     run = np.zeros(len(changes), dtype=np.int64)
     found = np.full(len(changes), -1, dtype=np.int64)
     for day in range(d0, d0 + horizon + 1):
         run = np.where(changes[:, day] >= threshold, run + 1, 0)  # NaN never qualifies
         found[(run == run_length) & (found < 0)] = day
     return found
-
-
-def recovery_duration(d0: int, dn, horizon: int) -> Milestone:
-    """Days from event to recovery; censored keys are pinned at the horizon."""
-    if dn is None:
-        return Milestone(duration_days=horizon, censored=True)
-    if dn < d0:
-        raise SeriesError(f"recovery day {dn} precedes event day {d0}")
-    return Milestone(duration_days=dn - d0, censored=False)
 
 
 def build_milestone_table(
@@ -123,10 +85,11 @@ def build_milestone_table(
 ):
     """All four milestones per region.
 
-    A region is included only when all four change series exist (i.e. all four
-    baselines were sufficient); the rest are reported with their missing
-    fields. Returns (table, excluded) with the table keyed by region in sorted
-    order.
+    A milestone is the days from the event to recovery; censored keys are
+    pinned at the horizon. A region is included only when all four change
+    series exist (i.e. all four baselines were sufficient); the rest are
+    reported with their missing fields. Returns (table, excluded) with the
+    table keyed by region in sorted order.
     """
     days = detect_recovery_days(changes.values, d0, horizon, threshold, run_length)
     row_of = {key: i for i, key in enumerate(changes.keys())}
@@ -142,8 +105,10 @@ def build_milestone_table(
                 if i is None:
                     missing.append(field)
                     continue
-                dn = int(days[i]) if days[i] >= 0 else None
-                row[field] = recovery_duration(d0, dn, horizon)
+                if days[i] < 0:
+                    row[field] = Milestone(duration_days=horizon, censored=True)
+                else:
+                    row[field] = Milestone(duration_days=int(days[i]) - d0, censored=False)
         if missing:
             excluded[region] = missing
         else:

@@ -141,6 +141,7 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     trips_result = ingest.parse_trips(config.inputs["trips"], config.window)
     tx_result = ingest.parse_transactions(config.inputs["transactions"], config.window)
     overlaps_result = ingest.parse_overlaps(config.inputs["overlaps"])
+    _release_free_memory()
     prepared = _prepare_series(
         config, taxonomy, trips_result, tx_result, overlaps_result,
         config.unknown_service_policy,
@@ -182,6 +183,7 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     }
     # the parse columns hold most of the stage's memory; rendering needs none of it
     del trips_result, tx_result, overlaps_result, prepared, series_set
+    _release_free_memory()
 
     baselines_csv = io.StringIO()
     baselines_csv.write(BASELINES_HEADER + "\n")
@@ -196,6 +198,24 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
         CHANGES_ARTIFACT: _changes_csv(changes),
         COVERAGE_ARTIFACT: _json_text(coverage),
     }
+
+
+def _release_free_memory():
+    """Give the C heap's free pages back to the OS, where glibc's malloc_trim exists.
+
+    The series stage frees most of its memory twice at once: the parsers'
+    block temporaries, then the parse columns. glibc keeps much of such freed
+    memory, and whether later arrays and strings reuse it or take fresh pages
+    depends on the heap's layout, which shifts with the input and even with
+    where stdout goes. Without the trims, a run's peak RSS on a 1000-region
+    city moves by 10-20 MB between otherwise equal runs.
+    """
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).malloc_trim(0)
+    except (ImportError, OSError, AttributeError, TypeError):
+        pass
 
 
 def _changes_csv(changes: aggregate.SeriesSet) -> str:

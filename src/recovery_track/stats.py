@@ -98,66 +98,11 @@ class SpatialWeights:
 
 
 # --------------------------------------------------------------------------
-# chi-square machinery (regularized incomplete gamma, no external deps)
-
-
-def regularized_upper_gamma(s: float, x: float) -> float:
-    """Q(s, x) = Gamma(s, x) / Gamma(s), by series or continued fraction."""
-    if s <= 0 or x < 0:
-        raise StatsError(f"invalid incomplete gamma arguments s={s}, x={x}")
-    if x == 0.0:
-        return 1.0
-    log_prefix = -x + s * math.log(x) - math.lgamma(s)
-    if x < s + 1.0:
-        # power series for the lower function P(s, x)
-        term = 1.0 / s
-        total = term
-        denom = s
-        for _ in range(1000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        return 1.0 - total * math.exp(log_prefix)
-    # modified Lentz continued fraction for Q(s, x)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(log_prefix) * h
-
-
-def chi2_sf(statistic: float, dof: int) -> float:
-    """Chi-square survival function P(X >= statistic)."""
-    if dof < 1:
-        raise StatsError(f"dof must be >= 1, got {dof}")
-    if statistic < 0:
-        raise StatsError(f"statistic must be nonnegative, got {statistic}")
-    return regularized_upper_gamma(dof / 2.0, statistic / 2.0)
+# Moran's I
 
 
 def normal_two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-# --------------------------------------------------------------------------
-# Moran's I
 
 
 @dataclass(frozen=True)
@@ -304,7 +249,11 @@ class ChiSquareResult:
 
 
 def chi_square_from_table(table, yates: bool = False) -> ChiSquareResult:
-    """Pearson chi-square for a 2x2 count table, dof = 1."""
+    """Pearson chi-square for a 2x2 count table, dof = 1.
+
+    With one degree of freedom X^2 is the square of a standard normal, so
+    P(X^2 >= x) = erfc(sqrt(x / 2)) exactly.
+    """
     (a, b), (c, d) = table
     for cell in (a, b, c, d):
         if cell < 0:
@@ -323,7 +272,7 @@ def chi_square_from_table(table, yates: bool = False) -> ChiSquareResult:
     return ChiSquareResult(
         statistic=statistic,
         dof=1,
-        p_value=chi2_sf(statistic, 1),
+        p_value=math.erfc(math.sqrt(statistic / 2.0)),
         table=((a, b), (c, d)),
     )
 

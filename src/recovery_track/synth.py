@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import CATEGORIES, ESSENTIAL, load_taxonomy
-from .config import integer_field, number_field
+from .config import date_field, days_after, integer_field, number_field
 from .errors import ScenarioError
 from .milestones import DEFAULT_RUN_LENGTH, change_threshold
-from .windows import DateWindow, parse_iso_date
+from .windows import DateWindow
 
 RAMP_LINEAR = "linear"
 RAMP_EXPONENTIAL = "exponential"
@@ -99,18 +99,12 @@ class ScenarioSpec:
                 raise ScenarioError(f"{name}: low {lo} exceeds high {hi}")
             return (lo, hi)
 
-        try:
-            event_day = parse_iso_date(str(merged["event_day"]))
-            window_start = parse_iso_date(str(merged["window_start"]))
-        except ValueError as exc:
-            raise ScenarioError(f"event_day/window_start: {exc}") from None
-
         spec = cls(
             name=str(merged["name"]),
             seed=_integer("seed"),
             n_regions=_integer("n_regions"),
-            event_day=event_day,
-            window_start=window_start,
+            event_day=date_field(merged["event_day"], "event_day", ScenarioError),
+            window_start=date_field(merged["window_start"], "window_start", ScenarioError),
             baseline_days=_integer("baseline_days"),
             horizon_days=_integer("horizon_days"),
             noise=_number("noise"),
@@ -141,13 +135,18 @@ class ScenarioSpec:
         return cls.from_mapping(raw)
 
     def validate(self):
+        if self.seed < 0:
+            raise ScenarioError(f"seed: must be >= 0, got {self.seed}")
         if self.n_regions < 1:
             raise ScenarioError(f"n_regions: must be >= 1, got {self.n_regions}")
         if self.baseline_days < 1:
             raise ScenarioError(f"baseline_days: must be >= 1, got {self.baseline_days}")
         if self.horizon_days < 1:
             raise ScenarioError(f"horizon_days: must be >= 1, got {self.horizon_days}")
-        baseline_end = self.window_start + timedelta(days=self.baseline_days - 1)
+        baseline_end = days_after(
+            self.window_start, self.baseline_days - 1, "baseline_days", ScenarioError
+        )
+        days_after(self.event_day, self.horizon_days, "horizon_days", ScenarioError)
         if baseline_end >= self.event_day:
             raise ScenarioError(
                 f"baseline_days: baseline window ends {baseline_end}, "

@@ -2,6 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
 no shared code with src/) so a bug in the package cannot hide in its oracle.
+
+Three of them, moving_average, percent_change and weighted_measurement, work
+one series or one day at a time but mirror the kernels' arithmetic on purpose
+(the same cumulative sums, divisions and math.fsum totals), so the change
+matrix and the daily series can be checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -77,6 +82,37 @@ def seven_term_mean(values, index, half_width=3):
     hi = min(len(values) - 1, index + half_width)
     window = values[lo : hi + 1]
     return sum(window) / len(window)
+
+
+def moving_average(values, half_width=3, boundary="truncate"):
+    """Centered moving average of one series, one day at a time.
+
+    `truncate` averages whatever days exist near the edges; `skip` leaves the
+    edge days NaN.
+    """
+    n = len(values)
+    if half_width == 0 or n == 0:
+        return np.array(values, dtype=float)
+    csum = np.concatenate(([0.0], np.cumsum(values, dtype=float)))
+    out = np.empty(n)
+    for i in range(n):
+        lo = max(0, i - half_width)
+        hi = min(n - 1, i + half_width)
+        out[i] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    if boundary == "skip":
+        out[:half_width] = np.nan
+        out[n - half_width :] = np.nan
+    return out
+
+
+def percent_change(smoothed, baseline):
+    """(smoothed - baseline) / baseline."""
+    return (smoothed - baseline) / baseline
+
+
+def weighted_measurement(values, taxonomy):
+    """One day's weighted sum of per-type totals: math.fsum of weight * value."""
+    return math.fsum(taxonomy[code].weight * values[code] for code in sorted(values))
 
 
 def dense_weights(weights):

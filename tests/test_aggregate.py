@@ -13,7 +13,6 @@ from recovery_track.aggregate import (
     POLICY_SKIP,
     build_daily_series,
     load_taxonomy,
-    weighted_measurement,
 )
 from recovery_track.errors import TaxonomyError
 from recovery_track.ingest import Activity, broadcast_zip_to_regions
@@ -54,11 +53,18 @@ def test_classify_examples(taxonomy):
         taxonomy["florist"]
 
 
+def _measurement(values, taxonomy, category):
+    """One day's series value of a region with one trip row per type of `values`."""
+    trips = [("2017-08-05", "R001", code, value) for code, value in values.items()]
+    series_set, _ = _series(taxonomy, trips=trips)
+    return series_set[("R001", "trip", category)][WINDOW.index_of(date(2017, 8, 5))]
+
+
 def test_weighted_measurement_unit_inputs(taxonomy):
     essential = {c: 100.0 for c, (cat, _) in DEFAULT_WEIGHTS.items() if cat == ESSENTIAL}
-    assert weighted_measurement(essential, taxonomy, ESSENTIAL) == pytest.approx(99.91, abs=1e-10)
+    assert _measurement(essential, taxonomy, ESSENTIAL) == pytest.approx(99.91, abs=1e-10)
     zeros = {c: 0.0 for c in essential}
-    assert weighted_measurement(zeros, taxonomy, ESSENTIAL) == 0.0
+    assert _measurement(zeros, taxonomy, ESSENTIAL) == 0.0
 
 
 def test_weighted_measurement_identity_weight(tmp_path):
@@ -67,12 +73,7 @@ def test_weighted_measurement_identity_weight(tmp_path):
         "service_type,category,weight_percent\nonly_type,essential,100.0\n",
     )
     taxonomy = load_taxonomy(path)
-    assert weighted_measurement({"only_type": 42.0}, taxonomy, ESSENTIAL) == 42.0
-
-
-def test_weighted_measurement_rejects_wrong_category(taxonomy):
-    with pytest.raises(TaxonomyError):
-        weighted_measurement({"restaurant": 1.0}, taxonomy, ESSENTIAL)
+    assert _measurement({"only_type": 42.0}, taxonomy, ESSENTIAL) == 42.0
 
 
 def test_weighted_measurement_linearity(taxonomy):
@@ -82,8 +83,8 @@ def test_weighted_measurement_linearity(taxonomy):
         values = {c: rng.uniform(0, 1000) for c in codes}
         a = rng.uniform(0, 10)
         scaled = {c: a * v for c, v in values.items()}
-        lhs = weighted_measurement(scaled, taxonomy, NON_ESSENTIAL)
-        rhs = a * weighted_measurement(values, taxonomy, NON_ESSENTIAL)
+        lhs = _measurement(scaled, taxonomy, NON_ESSENTIAL)
+        rhs = a * _measurement(values, taxonomy, NON_ESSENTIAL)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

@@ -1,6 +1,6 @@
 """The vectorised ingest path against the row-by-row parser and weighted_measurement.
 
-The row loops and the scalar weighted_measurement are the references: every
+The row loops and oracles.weighted_measurement are the references: every
 case must give bit-identical columns and series, the same row counts, and the
 same ParseError line lists.
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import write_csv
+from oracles import weighted_measurement
 from recovery_track import ingest
 from recovery_track.aggregate import (
     CATEGORIES,
@@ -23,7 +24,6 @@ from recovery_track.aggregate import (
     _exact_sums,
     build_daily_series,
     load_taxonomy,
-    weighted_measurement,
 )
 from recovery_track.errors import ParseError
 from recovery_track.windows import DateWindow
@@ -207,7 +207,7 @@ def _scalar_series(trips, transactions, crosswalk, taxonomy):
                 values = np.zeros(WINDOW.n_days)
                 for day, per_code in buckets.get((region, source, category), {}).items():
                     totals = {code: math.fsum(vals) for code, vals in per_code.items()}
-                    values[day] = weighted_measurement(totals, taxonomy, category)
+                    values[day] = weighted_measurement(totals, taxonomy)
                 series[(region, source, category)] = values
     return series
 

@@ -317,6 +317,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("stats", "permutations", "99"),
         ("stats", "seed", 1.5),
         ("recovery", "threshold", "0.9"),
+        ("stats", "seed", -1),
+        ("window", "start", 1),
+        ("baseline", "end", 20170821),
+        ("inputs", "trips", 5),
+        # past the calendar: the analysis window ends event_day + horizon_days
+        ("recovery", "horizon_days", 1_000_000_000),
     ],
 )
 def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, section, key, value):
@@ -326,6 +332,25 @@ def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, section, key, valu
     config_path.write_text(json.dumps(raw))
     assert cli.main(["run", "--config", str(config_path)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("event_day", 20170805), ("output_dir", 5)])
+def test_cli_rejects_non_string_dates_and_paths(tmp_path, capsys, key, value):
+    config_path = _write_mini_bundle(tmp_path)
+    raw = json.loads(config_path.read_text())
+    raw[key] = value
+    config_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert f"{key} must be a" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_negative_seed_option(tmp_path, capsys):
+    config_path = _write_mini_bundle(tmp_path)
+    argv = ["run", "--config", str(config_path), "--seed", "-1", "--permutations", "9"]
+    assert cli.main(argv) == 2
+    assert "stats.seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

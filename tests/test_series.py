@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from oracles import seven_term_mean
+from recovery_track.aggregate import SeriesSet
 from recovery_track.errors import SeriesError
 from recovery_track.series import (
     BOUNDARY_SKIP,
-    compute_baseline,
-    moving_average,
-    percent_change,
+    BOUNDARY_TRUNCATE,
+    Baseline,
+    _smooth_rows,
+    build_change_series,
+    compute_baselines,
 )
 from recovery_track.windows import DateWindow
 
 WINDOW = DateWindow.from_strings("2017-08-01", "2017-09-30")
 BASELINE_WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-21")
+KEY = ("R001", "trip", "essential")
 
 
 def _values(prefix):
@@ -24,26 +29,48 @@ def _values(prefix):
     return data
 
 
+def _one_key(values, window=WINDOW) -> SeriesSet:
+    return SeriesSet(window, [KEY], np.asarray(values, dtype=float).reshape(1, -1))
+
+
+def _baseline(values, window, baseline_window) -> Baseline:
+    return compute_baselines(_one_key(values, window), baseline_window)[KEY]
+
+
+def _smoothed(values, boundary=BOUNDARY_TRUNCATE):
+    """The smoothing build_change_series applies, on one series."""
+    return _smooth_rows(np.asarray(values, dtype=float).reshape(1, -1), 3, boundary)[0]
+
+
+def _change(values, baseline: float, half_width=0):
+    """build_change_series of one series against a sufficient `baseline`."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    window = DateWindow(WINDOW.start, WINDOW.start + timedelta(days=len(values) - 1))
+    baselines = {KEY: Baseline(baseline, sufficient=True)}
+    changes = build_change_series(_one_key(values, window), baselines, half_width)
+    return changes.values[0]
+
+
 def test_baseline_constant_series():
-    baseline = compute_baseline(_values([10.0] * 21), WINDOW, BASELINE_WINDOW)
+    baseline = _baseline(_values([10.0] * 21), WINDOW, BASELINE_WINDOW)
     assert baseline.value == 10.0
     assert baseline.sufficient
 
 
 def test_baseline_arithmetic_mean():
-    baseline = compute_baseline(_values(range(1, 22)), WINDOW, BASELINE_WINDOW)
+    baseline = _baseline(_values(range(1, 22)), WINDOW, BASELINE_WINDOW)
     assert baseline.value == pytest.approx(11.0, abs=1e-12)
 
 
 def test_baseline_all_zero_flagged_insufficient():
-    baseline = compute_baseline(np.zeros(WINDOW.n_days), WINDOW, BASELINE_WINDOW)
+    baseline = _baseline(np.zeros(WINDOW.n_days), WINDOW, BASELINE_WINDOW)
     assert not baseline.sufficient
 
 
 def test_baseline_window_outside_data_errors():
     narrow = DateWindow.from_strings("2017-08-10", "2017-09-30")
     with pytest.raises(SeriesError):
-        compute_baseline(np.zeros(narrow.n_days), narrow, BASELINE_WINDOW)
+        _baseline(np.zeros(narrow.n_days), narrow, BASELINE_WINDOW)
 
 
 # ---------------------------------------------------------------------------
@@ -52,32 +79,32 @@ def test_baseline_window_outside_data_errors():
 
 def test_moving_average_constant_is_identity():
     values = np.full(30, 7.5)
-    smoothed = moving_average(values)
+    smoothed = _smoothed(values)
     assert smoothed == pytest.approx(values)
 
 
 def test_moving_average_interior_seven_term_mean():
     values = np.array([1.0, 2, 3, 4, 5, 6, 7, 100, 100])
-    assert moving_average(values)[3] == pytest.approx(4.0)
+    assert _smoothed(values)[3] == pytest.approx(4.0)
 
 
 def test_moving_average_truncated_first_day():
     values = np.array([2.0, 4.0, 6.0, 8.0])
-    assert moving_average(values)[0] == pytest.approx(5.0)
+    assert _smoothed(values)[0] == pytest.approx(5.0)
 
 
 def test_moving_average_matches_direct_oracle():
     rng = np.random.default_rng(21)
     for _ in range(50):
         values = rng.uniform(0, 100, size=rng.integers(1, 60))
-        smoothed = moving_average(values)
+        smoothed = _smoothed(values)
         for i in range(len(values)):
             assert smoothed[i] == pytest.approx(seven_term_mean(list(values), i), rel=1e-12)
 
 
 def test_moving_average_skip_mode_marks_boundaries():
     values = np.arange(10.0)
-    smoothed = moving_average(values, boundary=BOUNDARY_SKIP)
+    smoothed = _smoothed(values, boundary=BOUNDARY_SKIP)
     assert np.isnan(smoothed[:3]).all()
     assert np.isnan(smoothed[-3:]).all()
     assert smoothed[4] == pytest.approx(4.0)
@@ -89,7 +116,7 @@ def test_moving_average_preserves_mean_on_circular_padding():
         values = rng.uniform(0, 50, size=rng.integers(8, 60))
         h = 3
         padded = np.concatenate([values[-h:], values, values[:h]])
-        smoothed = moving_average(padded)[h:-h]
+        smoothed = _smoothed(padded)[h:-h]
         assert smoothed.mean() == pytest.approx(values.mean(), rel=1e-12)
 
 
@@ -98,22 +125,22 @@ def test_moving_average_preserves_mean_on_circular_padding():
 
 
 def test_percent_change_examples():
-    assert percent_change(100.0, 100.0) == 0.0
-    assert percent_change(95.0, 100.0) == pytest.approx(-0.05)
-    assert percent_change(0.0, 50.0) == -1.0
+    assert _change(100.0, 100.0) == 0.0
+    assert _change(95.0, 100.0) == pytest.approx(-0.05)
+    assert _change(0.0, 50.0) == -1.0
 
 
 def test_percent_change_requires_positive_baseline():
     with pytest.raises(SeriesError):
-        percent_change(1.0, 0.0)
+        _change(1.0, 0.0)
     with pytest.raises(SeriesError):
-        percent_change(1.0, -2.0)
+        _change(1.0, -2.0)
 
 
 def test_change_is_exactly_minus_one_when_smoothed_is_zero():
     baselines = np.linspace(0.1, 500, 100)
     for b in baselines:
-        assert percent_change(0.0, float(b)) == -1.0
+        assert _change(0.0, float(b)) == -1.0
 
 
 def test_smoothing_and_change_commute():
@@ -121,11 +148,11 @@ def test_smoothing_and_change_commute():
     for _ in range(50):
         values = rng.uniform(0, 100, size=40)
         baseline = rng.uniform(1, 50)
-        change_then_smooth = moving_average(percent_change(values, baseline))
-        smooth_then_change = percent_change(moving_average(values), baseline)
+        change_then_smooth = _smoothed(_change(values, baseline))
+        smooth_then_change = _change(values, baseline, half_width=3)
         assert change_then_smooth == pytest.approx(smooth_then_change, rel=1e-12, abs=1e-12)
 
 
 def test_percent_change_of_baseline_is_exact_zero():
     for value in (0.001, 1.0, 3.7, 123456.789):
-        assert percent_change(value, value) == 0.0
+        assert _change(value, value) == 0.0

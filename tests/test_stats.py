@@ -18,36 +18,31 @@ from oracles import (
 from recovery_track.errors import StatsError
 from recovery_track.stats import (
     SpatialWeights,
-    chi2_sf,
     chi_square_2x2,
     chi_square_from_table,
     dichotomize_by_median,
     gini,
     morans_i,
-    regularized_upper_gamma,
 )
 
 
 # ---------------------------------------------------------------------------
-# incomplete gamma / chi-square survival
-
-
-def test_chi2_sf_matches_scipy_over_grid():
-    for dof in (1, 2, 3, 5, 10):
-        for x in (0.0, 0.01, 0.5, 1.0, 3.84, 6.6667, 12.5, 30.0, 80.0):
-            mine = chi2_sf(x, dof)
-            reference = scipy.stats.chi2.sf(x, dof)
-            assert mine == pytest.approx(reference, rel=1e-12, abs=1e-300)
-
-
-def test_upper_gamma_boundaries():
-    assert regularized_upper_gamma(0.5, 0.0) == 1.0
-    with pytest.raises(StatsError):
-        regularized_upper_gamma(-1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # chi-square
+
+
+def test_chi_square_p_value_matches_scipy_over_grid():
+    # every 2x2 table with cells up to 8, plus tables whose statistic reaches 80
+    tables = [((a, b), (c, d)) for a in range(9) for b in range(9) for c in range(9) for d in range(9)]
+    tables += [((n, 0), (0, n)) for n in (10, 20, 30, 40)]
+    results = []
+    for table in tables:
+        (a, b), (c, d) = table
+        if min(a + b, c + d, a + c, b + d) > 0:
+            results += [chi_square_from_table(table), chi_square_from_table(table, yates=True)]
+    statistics = np.array([result.statistic for result in results])
+    assert statistics.min() == 0.0 and statistics.max() == 80.0
+    p_values = np.array([result.p_value for result in results])
+    np.testing.assert_allclose(p_values, scipy.stats.chi2.sf(statistics, 1), rtol=1e-12, atol=1e-300)
 
 
 def test_chi_square_balanced_table_is_null():

@@ -165,6 +165,12 @@ def test_spec_errors_name_the_field():
         ("ramp_range", [5, 60.5]),
         ("ramp_range", [True, 60]),
         ("drop_range", ["0.2", 0.9]),
+        ("seed", -1),
+        ("event_day", 20170910),
+        ("window_start", 1),
+        # past the calendar
+        ("horizon_days", 1_000_000_000),
+        ("baseline_days", 1_000_000_000),
     ]
     for field, value in mistyped:
         with pytest.raises(ScenarioError, match=field):
