@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParseError, TaxonomyError
-from .ingest import Activity, BroadcastResult
+from .ingest import Activity, BroadcastResult, reading
 from .windows import DateWindow
 
 ESSENTIAL = "essential"
@@ -50,9 +50,6 @@ class ServiceTaxonomy:
             cat: tuple(sorted(c for c, e in self._entries.items() if e.category == cat))
             for cat in CATEGORIES
         }
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._entries
 
     def __getitem__(self, code: str) -> TaxonomyEntry:
         try:
@@ -91,7 +88,7 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
 
     entries: dict[str, TaxonomyEntry] = {}
     errors = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with reading(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != TAXONOMY_HEADER:

@@ -168,9 +168,9 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -8,13 +8,14 @@ class RecoveryTrackError(Exception):
 
 
 class ParseError(RecoveryTrackError):
-    """A file failed schema or row validation.
+    """A file could not be read, or failed schema or row validation.
 
     Carries the per-row failures plus the accepted/dropped counters so callers
-    can reconcile `accepted + dropped + errored == data rows`.
+    can reconcile `accepted + dropped + errored == data rows`; `detail`
+    describes a failure of the whole file.
     """
 
-    def __init__(self, path, row_errors, accepted=0, dropped=0, total_rows=0):
+    def __init__(self, path, row_errors, accepted=0, dropped=0, total_rows=0, detail="invalid file"):
         self.path = str(path)
         self.row_errors = list(row_errors)  # (line_number, message) pairs
         self.accepted = accepted
@@ -23,8 +24,6 @@ class ParseError(RecoveryTrackError):
         if self.row_errors:
             line, msg = self.row_errors[0]
             detail = f"{len(self.row_errors)} invalid row(s); first at line {line}: {msg}"
-        else:
-            detail = "invalid file"
         super().__init__(f"{self.path}: {detail}")
 
     @property

@@ -4,19 +4,22 @@ All files are UTF-8, comma separated, first row is a header that must match
 the documented schema exactly, dates are ISO-8601. Parsers validate every row,
 collect all violations, and raise a single ParseError naming the offending
 lines, so `accepted + dropped + errored` always reconciles with the data row
-count.
+count. A file that cannot be opened or is not UTF-8 raises a ParseError too.
 
-trips.csv and transactions.csv are read into columns (`Activity`). A
-vectorised reader takes files in the plain form generators and feed exports
-write: no quotes, carriage returns or padding, four fields on every line and
-every row valid. It hands any other file to the row-by-row loop, which stays
-the reference for both the values and the per-line error messages.
+trips.csv and transactions.csv are read into columns (`Activity`) in one
+pass: whole lines are split on newlines and commas about a megabyte at a
+time, or by the csv module where that would split them differently, and each
+chunk of rows is validated at once, dates, names and codes once per distinct
+text and values in one vectorised conversion where the chunk allows it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -47,23 +50,6 @@ class Activity:
     entity: np.ndarray
     code: np.ndarray
     value: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows) -> "Activity":
-        """Columns of (day index, entity name, code name, value) rows."""
-        rows = list(rows)
-        entities = tuple(sorted({row[1] for row in rows}))
-        codes = tuple(sorted({row[2] for row in rows}))
-        entity_index = {name: i for i, name in enumerate(entities)}
-        code_index = {name: i for i, name in enumerate(codes)}
-        return cls(
-            entities=entities,
-            codes=codes,
-            day=np.array([row[0] for row in rows], dtype=np.int64),
-            entity=np.array([entity_index[row[1]] for row in rows], dtype=np.int64),
-            code=np.array([code_index[row[2]] for row in rows], dtype=np.int64),
-            value=np.array([row[3] for row in rows], dtype=np.float64),
-        )
 
     def __len__(self) -> int:
         return len(self.value)
@@ -101,6 +87,17 @@ class ParseResult:
     path: str
 
 
+@contextmanager
+def reading(path):
+    """Turn a file that cannot be opened or is not UTF-8 into a ParseError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ParseError(path, [], detail="not UTF-8 text") from None
+    except OSError as exc:
+        raise ParseError(path, [], detail=f"cannot read ({exc.strerror or exc})") from None
+
+
 class _RowReader:
     """Shared CSV scaffolding: header check, line numbers, error collection."""
 
@@ -113,53 +110,49 @@ class _RowReader:
         self.total_rows = 0
 
     def rows(self):
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(self.path, [(1, "empty file, missing header row")])
-            if [h.strip() for h in header] != self.expected_header:
-                raise ParseError(
-                    self.path,
-                    [(1, f"header {header!r} does not match expected {self.expected_header!r}")],
-                )
-            for line_no, row in enumerate(reader, start=2):
+        with reading(self.path), open(self.path, "rb") as handle:
+            yield from self.rows_from(handle, 1)
+
+    def rows_from(self, handle, line_no):
+        """(line number, fields) of the data rows the csv module reads from
+        binary `handle`, which stands at the start of line `line_no`."""
+        with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+            reader = csv.reader(text)
+            if line_no == 1:
+                self.check_header(next(reader, None))
+                line_no = 2
+            for line_no, row in enumerate(reader, start=line_no):
                 if not row:
-                    continue  # blank trailing lines are not data rows
+                    continue  # blank lines are not data rows
                 self.total_rows += 1
                 if len(row) != len(self.expected_header):
                     self.error(line_no, f"expected {len(self.expected_header)} fields, got {len(row)}")
                     continue
                 yield line_no, row
 
+    def check_header(self, header):
+        if header is None:
+            raise ParseError(self.path, [(1, "empty file, missing header row")])
+        if [h.strip() for h in header] != self.expected_header:
+            raise ParseError(
+                self.path,
+                [(1, f"header {header!r} does not match expected {self.expected_header!r}")],
+            )
+
     def error(self, line_no, message):
         self.errors.append((line_no, message))
 
     def finish(self, records) -> ParseResult:
         if self.errors:
+            # sorted: the activity reader finds a chunk's bad widths before its bad fields
             raise ParseError(
-                self.path, self.errors, accepted=self.accepted,
+                self.path, sorted(self.errors), accepted=self.accepted,
                 dropped=self.dropped, total_rows=self.total_rows,
             )
         return ParseResult(
             records=records, accepted=self.accepted,
             dropped=self.dropped, total_rows=self.total_rows, path=str(self.path),
         )
-
-
-class _DateParser:
-    """Memoized ISO date parsing; input files repeat a small set of dates."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def __call__(self, text: str) -> date:
-        day = self._cache.get(text)
-        if day is None:
-            day = date.fromisoformat(text)
-            self._cache[text] = day
-        return day
 
 
 def parse_trips(path, window: DateWindow) -> ParseResult:
@@ -170,11 +163,6 @@ def parse_trips(path, window: DateWindow) -> ParseResult:
 def parse_transactions(path, window: DateWindow) -> ParseResult:
     """Parse transactions.csv; rows outside `window` are dropped and counted."""
     return _parse_activity(path, window, TRANSACTIONS_HEADER, _plain_amounts, _amount)
-
-
-def _parse_activity(path, window, header, plain_values, parse_value) -> ParseResult:
-    result = _read_plain_activity(path, window, header, plain_values)
-    return result if result is not None else _parse_activity_rows(path, window, header, parse_value)
 
 
 def _trip_count(text: str) -> float:
@@ -202,117 +190,127 @@ def _amount(text: str) -> float:
     return amount
 
 
-def _parse_activity_rows(path, window: DateWindow, header, parse_value) -> ParseResult:
-    """Row-by-row parser of trips.csv or transactions.csv: the reference, and
-    the path for any file the vectorised reader does not take."""
-    reader = _RowReader(path, header)
-    parse_date = _DateParser()
-    rows = []
-    for line_no, row in reader.rows():
-        raw_date, entity, code, raw_value = (f.strip() for f in row)
-        try:
-            day = parse_date(raw_date)
-        except ValueError:
-            reader.error(line_no, f"bad date {raw_date!r}")
-            continue
-        if not entity:
-            reader.error(line_no, f"empty {header[1]}")
-            continue
-        if not code:
-            reader.error(line_no, f"empty {header[2]}")
-            continue
-        try:
-            value = parse_value(raw_value)
-        except ValueError as exc:
-            reader.error(line_no, str(exc))
-            continue
-        if not window.contains(day):
-            reader.dropped += 1
-            continue
-        reader.accepted += 1
-        rows.append((window.index_of(day), entity, code, value))
-    return reader.finish(Activity.from_rows(rows))
+# What a bad date, an empty name or code, or a refused value resolves to.
+_BAD = np.iinfo(np.int64).min
 
-
-# Bytes per block of whole lines the vectorised reader splits at once; bounds
-# the Python strings alive at one time.
+# Bytes per block of whole lines tokenised at once, and rows per chunk the csv
+# module hands to validation; both bound the Python strings alive at one time.
 _BLOCK_BYTES = 1 << 20
+_CHUNK_ROWS = 1 << 14
 
 
-def _read_plain_activity(path, window: DateWindow, header, plain_values):
-    """Vectorised read of a plain activity file, or None when the row loop must decide.
-
-    Plain means: no quote or carriage return, the characters the csv module
-    treats specially; the exact header; four fields on every line, so no
-    blank line; dates, entities and codes that are unpadded, non-empty and
-    (dates) ISO; values that `plain_values` takes. Such a file parses to
-    exactly what the row loop returns, and has no error to report.
-    """
-    day_of: dict[str, int] = {}  # date text -> offset from the window start
-    entity_ids: dict[str, int] = {}  # provisional ids in first-seen order
+def _parse_activity(path, window: DateWindow, header, plain_values, parse_value) -> ParseResult:
+    reader = _RowReader(path, header)
+    day_of: dict[str, int] = {}  # raw date text -> offset from the window start, or _BAD
+    entity_of: dict[str, int] = {}  # raw text -> provisional id, or _BAD
+    code_of: dict[str, int] = {}
+    entity_ids: dict[str, int] = {}  # stripped name -> provisional id, in first-seen order
     code_ids: dict[str, int] = {}
+
+    def name_id(ids):
+        return lambda text: ids.setdefault(text, len(ids)) if text else _BAD
+
     no_rows = np.zeros(0, dtype=np.int64)
-    blocks = [(no_rows, no_rows, no_rows, np.zeros(0))]
-    total = dropped = 0
-    with open(path, "rb") as handle:
-        if handle.readline() != (",".join(header) + "\n").encode("ascii"):
-            return None
+    kept = [(no_rows, no_rows, no_rows, np.zeros(0))]
+    for lines, dates, entities, codes, texts in _activity_chunks(reader):
+        day = _resolve(day_of, dates, lambda text: window.index_of(date.fromisoformat(text)))
+        entity = _resolve(entity_of, entities, name_id(entity_ids))
+        code = _resolve(code_of, codes, name_id(code_ids))
+        value = plain_values(texts)
+        if value is None:  # no value parse_value takes is NaN, so NaN marks a refused one
+            value = _resolve({}, texts, parse_value, math.nan, np.float64)
+        bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(value)
+        for i in np.flatnonzero(bad).tolist():
+            if day[i] == _BAD:
+                message = f"bad date {dates[i].strip()!r}"
+            elif entity[i] == _BAD:
+                message = f"empty {header[1]}"
+            elif code[i] == _BAD:
+                message = f"empty {header[2]}"
+            else:
+                message = _refusal(parse_value, texts[i].strip())
+            reader.error(int(lines[i]), message)
+        good = ~bad
+        keep = good & (day >= 0) & (day < window.n_days)
+        accepted = int(np.count_nonzero(keep))
+        reader.accepted += accepted
+        reader.dropped += int(np.count_nonzero(good)) - accepted
+        kept.append((day[keep], entity[keep], code[keep], value[keep]))
+        del dates, entities, codes, texts  # free the chunk before the next one is split
+
+    day, entity, code, value = (np.concatenate(column) for column in zip(*kept))
+    entities, entity = _sorted_names(entity_ids, entity)
+    codes, code = _sorted_names(code_ids, code)
+    return reader.finish(
+        Activity(entities=entities, codes=codes, day=day, entity=entity, code=code, value=value)
+    )
+
+
+def _activity_chunks(reader: _RowReader):
+    """(line numbers, dates, entities, codes, values) of the data rows, a chunk at a time.
+
+    Fields are the raw texts, unstripped. A block whose every line has four
+    fields is split with str.split alone. The csv module reads any other
+    block, and the rest of the file from the first block that holds a quote
+    or a carriage return; on the other blocks it would split the same way.
+    """
+    with reading(reader.path), open(reader.path, "rb") as handle:
+        line_no = 1  # of the block's first line
         while block := handle.read(_BLOCK_BYTES):
             block += handle.readline()
+            if b'"' in block or b"\r" in block:
+                handle.seek(-len(block), io.SEEK_CUR)
+                yield from _row_chunks(reader.rows_from(handle, line_no))
+                return
             if not block.endswith(b"\n"):
                 block += b"\n"
-            if b'"' in block or b"\r" in block:
-                return None
+            if line_no == 1:
+                first, block = block.split(b"\n", 1)
+                reader.check_header(first.decode("utf-8").split(",") if first else [])
+                line_no = 2
+                if not block:
+                    continue
             raw = np.frombuffer(block, dtype=np.uint8)
             line_ends = np.flatnonzero(raw == ord("\n"))
             commas_per_line = np.diff(
                 np.searchsorted(np.flatnonzero(raw == ord(",")), line_ends), prepend=0
             )
-            if (commas_per_line != 3).any():
-                return None
-            try:
+            if (commas_per_line == 3).all():
                 fields = block[:-1].decode("utf-8").replace("\n", ",").split(",")
-            except UnicodeDecodeError:
-                return None
-            dates, entities, codes = fields[0::4], fields[1::4], fields[2::4]
-            values = plain_values(fields[3::4])
-            if values is None or not (
-                _learn(day_of, dates, lambda text: window.index_of(date.fromisoformat(text)))
-                and _learn(entity_ids, entities, lambda _: len(entity_ids))
-                and _learn(code_ids, codes, lambda _: len(code_ids))
-            ):
-                return None
-            day = np.fromiter(map(day_of.__getitem__, dates), np.int64, len(dates))
-            keep = (day >= 0) & (day < window.n_days)
-            total += len(day)
-            dropped += len(day) - int(np.count_nonzero(keep))
-            blocks.append((
-                day[keep],
-                np.fromiter(map(entity_ids.__getitem__, entities), np.int64, len(entities))[keep],
-                np.fromiter(map(code_ids.__getitem__, codes), np.int64, len(codes))[keep],
-                values[keep],
-            ))
-
-    day, entity, code, value = (np.concatenate(column) for column in zip(*blocks))
-    entities, entity = _sorted_names(entity_ids, entity)
-    codes, code = _sorted_names(code_ids, code)
-    activity = Activity(entities=entities, codes=codes, day=day, entity=entity, code=code, value=value)
-    return ParseResult(
-        records=activity, accepted=total - dropped, dropped=dropped,
-        total_rows=total, path=str(path),
-    )
+                reader.total_rows += len(line_ends)
+                lines = np.arange(line_no, line_no + len(line_ends))
+                yield lines, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+            else:
+                yield from _row_chunks(reader.rows_from(io.BytesIO(block), line_no))
+            line_no += len(line_ends)
+        if line_no == 1:
+            reader.check_header(None)
 
 
-def _learn(known: dict, texts, parse) -> bool:
-    """Map every new text to parse(text); False if one is empty, padded or rejected."""
+def _row_chunks(records):
+    """Columns of (line number, four fields) records, _CHUNK_ROWS at a time."""
+    while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+        lines, dates, entities, codes, texts = zip(*((n, *fields) for n, fields in chunk))
+        yield np.array(lines, dtype=np.int64), dates, entities, codes, texts
+
+
+def _resolve(known: dict, texts, parse, refused=_BAD, dtype=np.int64) -> np.ndarray:
+    """parse(text.strip()) of every text, or `refused` where that raises
+    ValueError, computed once per distinct text and remembered in `known`."""
     for text in set(texts).difference(known):
-        if not text or text != text.strip():
-            return False
         try:
-            known[text] = parse(text)
+            known[text] = parse(text.strip())
         except ValueError:
-            return False
-    return True
+            known[text] = refused
+    return np.fromiter(map(known.__getitem__, texts), dtype, len(texts))
+
+
+def _refusal(parse_value, text) -> str:
+    """The message `parse_value` refuses `text` with."""
+    try:
+        parse_value(text)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _sorted_names(ids: dict, column: np.ndarray):
@@ -326,24 +324,26 @@ def _sorted_names(ids: dict, column: np.ndarray):
 
 
 def _plain_counts(texts):
-    """Trip counts written as ASCII digits, as floats; None for anything else.
+    """Trip counts written as at most 308 ASCII digits, as floats; None for anything else.
 
     float() of a digit string rounds the exact integer once, as float(int())
-    does, so counts above 2**53 and above the int64 range come out the same;
-    one too large for a float goes to the row loop.
+    does, so counts above 2**53 and above the int64 range come out the same.
+    308 digits keep every count below the float range and int()'s digit limit.
     """
     joined = "".join(texts)
-    if not (all(texts) and joined.isascii() and joined.isdigit()):
+    if not (joined.isascii() and joined.isdigit()):
         return None
-    values = np.fromiter(map(float, texts), np.float64, len(texts))
-    return values if np.isfinite(values).all() else None
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    if lengths.min() < 1 or lengths.max() > 308:
+        return None
+    return np.fromiter(map(float, texts), np.float64, len(texts))
 
 
 def _plain_amounts(texts):
     """Finite, nonnegative amounts as floats; None for anything else.
 
-    Where float() takes a padded amount at all, it reads it as the row loop
-    reads the stripped text, so padding needs no check here.
+    Where float() takes a padded amount at all, it reads it as it reads the
+    stripped text, so padding needs no check here.
     """
     try:
         values = np.fromiter(map(float, texts), np.float64, len(texts))

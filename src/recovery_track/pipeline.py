@@ -582,7 +582,12 @@ class _RunArtifacts:
             raise PipelineError(
                 f"artifact {name} not found in {self.output_dir}; run upstream stages first"
             )
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise PipelineError(f"cannot read artifact {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError:
+            raise PipelineError(f"artifact {path} is not UTF-8 text") from None
 
 
 @dataclass
@@ -606,7 +611,10 @@ def run(config: PipelineConfig, only: str | None = None) -> RunResult:
 
 
 def _commit(output_dir: Path, artifacts: dict):
-    output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PipelineError(f"cannot create output directory {output_dir}: {exc.strerror or exc}") from None
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=output_dir))
     try:
         for name, text in artifacts.items():

@@ -7,14 +7,121 @@ Three of them, moving_average, percent_change and weighted_measurement, work
 one series or one day at a time but mirror the kernels' arithmetic on purpose
 (the same cumulative sums, divisions and math.fsum totals), so the change
 matrix and the daily series can be checked against them bit for bit.
+
+parse_activity_rows is the row-by-row reader of trips.csv and transactions.csv
+through the csv module; the package's reader must give the same columns,
+counts and per-line messages for every file. It shares only the result and
+error types with the package.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from datetime import date
 from fractions import Fraction
 
 import numpy as np
+
+from recovery_track.errors import ParseError
+from recovery_track.ingest import Activity, ParseResult
+
+
+def activity_from_rows(rows):
+    """Activity columns of (day index, entity name, code name, value) rows."""
+    rows = list(rows)
+    entities = tuple(sorted({row[1] for row in rows}))
+    codes = tuple(sorted({row[2] for row in rows}))
+    entity_index = {name: i for i, name in enumerate(entities)}
+    code_index = {name: i for i, name in enumerate(codes)}
+    return Activity(
+        entities=entities,
+        codes=codes,
+        day=np.array([row[0] for row in rows], dtype=np.int64),
+        entity=np.array([entity_index[row[1]] for row in rows], dtype=np.int64),
+        code=np.array([code_index[row[2]] for row in rows], dtype=np.int64),
+        value=np.array([row[3] for row in rows], dtype=np.float64),
+    )
+
+
+def trip_count(text):
+    """A trip count as int() reads it, as a float; ValueError with the row's message."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise ValueError(f"trip_count {text!r} is not an integer") from None
+    if count < 0:
+        raise ValueError(f"negative trip_count {count}")
+    try:
+        return float(count)
+    except OverflowError:
+        raise ValueError(f"trip_count {text!r} is too large") from None
+
+
+def amount(text):
+    """A finite, nonnegative amount; ValueError with the row's message."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"amount {text!r} is not a number")
+    if value < 0:
+        raise ValueError(f"negative amount {value}")
+    return value
+
+
+def parse_activity_rows(path, window, header, parse_value):
+    """trips.csv or transactions.csv read one csv-module row at a time.
+
+    Returns a ParseResult of activity_from_rows columns, or raises the
+    ParseError the package raises: every bad row's (line, message) in line
+    order, with the accepted, dropped and total row counts.
+    """
+    errors, rows = [], []
+    accepted = dropped = total = 0
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(path, [(1, "empty file, missing header row")])
+        if [h.strip() for h in first] != header:
+            raise ParseError(path, [(1, f"header {first!r} does not match expected {header!r}")])
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            total += 1
+            if len(row) != len(header):
+                errors.append((line_no, f"expected {len(header)} fields, got {len(row)}"))
+                continue
+            raw_date, entity, code, raw_value = (f.strip() for f in row)
+            try:
+                day = date.fromisoformat(raw_date)
+            except ValueError:
+                errors.append((line_no, f"bad date {raw_date!r}"))
+                continue
+            if not entity:
+                errors.append((line_no, f"empty {header[1]}"))
+                continue
+            if not code:
+                errors.append((line_no, f"empty {header[2]}"))
+                continue
+            try:
+                value = parse_value(raw_value)
+            except ValueError as exc:
+                errors.append((line_no, str(exc)))
+                continue
+            if not window.start <= day <= window.end:
+                dropped += 1
+                continue
+            accepted += 1
+            rows.append(((day - window.start).days, entity, code, value))
+    if errors:
+        raise ParseError(path, errors, accepted=accepted, dropped=dropped, total_rows=total)
+    return ParseResult(
+        records=activity_from_rows(rows), accepted=accepted, dropped=dropped,
+        total_rows=total, path=str(path),
+    )
 
 
 def brute_force_recovery_day(changes, d0, horizon, threshold=-0.1, run_length=3):

@@ -19,12 +19,11 @@ import scipy.stats
 
 import corpus as corpus_module
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from oracles import brute_force_recovery_day, gini_pairwise, moran_double_sum
+from oracles import activity_from_rows, brute_force_recovery_day, gini_pairwise, moran_double_sum
 from recovery_track.aggregate import ESSENTIAL, NON_ESSENTIAL, build_daily_series, load_taxonomy
 from recovery_track.config import load_config
 from recovery_track.errors import ParseError
 from recovery_track.ingest import (
-    Activity,
     OverlapEntry,
     broadcast_zip_to_regions,
     parse_adjacency,
@@ -148,8 +147,8 @@ def test_criterion_04_weighted_measurement_fidelity():
         taxonomy = load_taxonomy()
         window = DateWindow.from_strings("2017-08-01", "2017-08-01")
         # one trip of 1.0 per service type, in one region on one day
-        units = Activity.from_rows((0, "R001", code, 1.0) for code in taxonomy.entries)
-        no_transactions = Activity.from_rows([])
+        units = activity_from_rows((0, "R001", code, 1.0) for code in taxonomy.entries)
+        no_transactions = activity_from_rows([])
         broadcast = broadcast_zip_to_regions(no_transactions, {"R001": "77001"})
         series_set, _ = build_daily_series(units, no_transactions, broadcast, taxonomy, window)
         assert abs(series_set[("R001", "trip", ESSENTIAL)][0] - 0.9991) <= 1e-12

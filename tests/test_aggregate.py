@@ -7,6 +7,7 @@ from datetime import date
 import pytest
 
 from conftest import write_csv
+from oracles import activity_from_rows
 from recovery_track.aggregate import (
     ESSENTIAL,
     NON_ESSENTIAL,
@@ -15,7 +16,7 @@ from recovery_track.aggregate import (
     load_taxonomy,
 )
 from recovery_track.errors import TaxonomyError
-from recovery_track.ingest import Activity, broadcast_zip_to_regions
+from recovery_track.ingest import broadcast_zip_to_regions
 from recovery_track.windows import DateWindow
 
 WINDOW = DateWindow.from_strings("2017-08-01", "2017-09-30")
@@ -101,7 +102,7 @@ def test_renormalized_weights_sum_to_one(taxonomy):
 
 def _activity(rows):
     """(ISO day, entity, code, value) rows as columns over WINDOW."""
-    return Activity.from_rows(
+    return activity_from_rows(
         (WINDOW.index_of(date.fromisoformat(day)), entity, code, float(value))
         for day, entity, code, value in rows
     )

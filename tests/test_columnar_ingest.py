@@ -1,8 +1,9 @@
-"""The vectorised ingest path against the row-by-row parser and weighted_measurement.
+"""The activity reader against the row-by-row oracle, and the series against weighted_measurement.
 
-The row loops and oracles.weighted_measurement are the references: every
-case must give bit-identical columns and series, the same row counts, and the
-same ParseError line lists.
+oracles.parse_activity_rows and oracles.weighted_measurement are the
+references: every case must give bit-identical columns and series, the same
+row counts, and the same ParseError line lists, whatever the block size the
+reader tokenises with.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import write_csv
-from oracles import weighted_measurement
+from oracles import amount, parse_activity_rows, trip_count, weighted_measurement
 from recovery_track import ingest
 from recovery_track.aggregate import (
     CATEGORIES,
@@ -31,13 +32,23 @@ from recovery_track.windows import DateWindow
 WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-31")
 CODES = ("grocery", "restaurant", "drug_store", "retail", "utilities", "recreation")
 
-# public parser, header, fast-path value reader, row-loop value parser
+# public parser, header, oracle value parser
 PARSERS = {
-    "trips": (ingest.parse_trips, ingest.TRIPS_HEADER, ingest._plain_counts, ingest._trip_count),
-    "transactions": (
-        ingest.parse_transactions, ingest.TRANSACTIONS_HEADER,
-        ingest._plain_amounts, ingest._amount,
-    ),
+    "trips": (ingest.parse_trips, ingest.TRIPS_HEADER, trip_count),
+    "transactions": (ingest.parse_transactions, ingest.TRANSACTIONS_HEADER, amount),
+}
+
+# value texts at the edges of what int() and float() take: signs, underscores,
+# padding, non-ASCII digits, int()'s digit limit, and refused ones
+VALUE_QUIRKS = {
+    "trips": [
+        "+5", "1_000", "-0", "007", " 7", "7\t", "\u0663", "-3", "1.5", " 1.5", "", "1__0", "_1",
+        "9" * 400, "0" * 5000 + "7",
+    ],
+    "transactions": [
+        "+5", "1_000.5", "-0", "-0.0", " 2.50", "\x1c5.00", "nan", " nan", "-inf", "-0.50", "1e400",
+        "12,50", "", "0x10", "\u0663.5",
+    ],
 }
 
 
@@ -69,12 +80,11 @@ def _assert_same_columns(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-def _check_against_rows(path, kind, plain):
-    """parse_* on `path` equals the row loop; `plain` says whether the fast path takes the file."""
-    public, header, plain_values, parse_value = PARSERS[kind]
-    assert (ingest._read_plain_activity(path, WINDOW, header, plain_values) is not None) == plain
+def _check_against_rows(path, kind):
+    """parse_* on `path` equals the row-by-row oracle; the result, or None on a ParseError."""
+    public, header, parse_value = PARSERS[kind]
     try:
-        expected = ingest._parse_activity_rows(path, WINDOW, header, parse_value)
+        expected = parse_activity_rows(path, WINDOW, header, parse_value)
     except ParseError as reference:
         with pytest.raises(ParseError) as err:
             public(path, WINDOW)
@@ -91,18 +101,18 @@ def _check_against_rows(path, kind, plain):
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
-def test_plain_files_take_the_fast_path_and_match_rows(tmp_path, kind):
+def test_plain_files_match_the_row_loop(tmp_path, kind):
     rng = random.Random(kind)
     for trial in range(20):
         rows = _random_rows(rng, kind, rng.randrange(1, 300) if trial else 0)
-        result = _check_against_rows(_write(tmp_path, f"{trial}.csv", kind, rows), kind, plain=True)
+        result = _check_against_rows(_write(tmp_path, f"{trial}.csv", kind, rows), kind)
         assert result.dropped == sum(not WINDOW.contains(date.fromisoformat(r[0])) for r in rows)
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 def test_files_outside_the_plain_form_parse_to_the_same_columns(tmp_path, kind):
     rows = _random_rows(random.Random(3), kind, 200)
-    reference = _check_against_rows(_write(tmp_path, "plain.csv", kind, rows), kind, plain=True)
+    reference = _check_against_rows(_write(tmp_path, "plain.csv", kind, rows), kind)
     header = ",".join(PARSERS[kind][1])
     body = "\n".join(",".join(row) for row in rows)
     padded = [[f" {row[0]}", row[1], f"{row[2]}  ", f"\t{row[3]}"] for row in rows]
@@ -110,23 +120,21 @@ def test_files_outside_the_plain_form_parse_to_the_same_columns(tmp_path, kind):
     quoted = [[row[0], f'"{row[1]}"', row[2], f'"{row[3]}"'] for row in rows]
     quoted_entity = [[row[0], f'"{row[1]}"', row[2], row[3]] for row in rows]
     variants = {
-        "crlf.csv": (_write(tmp_path, "crlf.csv", kind, rows, newline="\r\n"), False),
-        "padded.csv": (_write(tmp_path, "padded.csv", kind, padded), False),
-        "padded_code.csv": (_write(tmp_path, "padded_code.csv", kind, padded_code), False),
-        "quoted.csv": (_write(tmp_path, "quoted.csv", kind, quoted), False),
-        "quoted_entity.csv": (_write(tmp_path, "quoted_entity.csv", kind, quoted_entity), False),
-        "padded_header.csv": (
-            write_csv(tmp_path, "padded_header.csv", header.replace(",", ", ") + "\n" + body + "\n"),
-            False,
+        "crlf.csv": _write(tmp_path, "crlf.csv", kind, rows, newline="\r\n"),
+        "padded.csv": _write(tmp_path, "padded.csv", kind, padded),
+        "padded_code.csv": _write(tmp_path, "padded_code.csv", kind, padded_code),
+        "quoted.csv": _write(tmp_path, "quoted.csv", kind, quoted),
+        "quoted_entity.csv": _write(tmp_path, "quoted_entity.csv", kind, quoted_entity),
+        "padded_header.csv": write_csv(
+            tmp_path, "padded_header.csv", header.replace(",", ", ") + "\n" + body + "\n"
         ),
-        "blank_line.csv": (
-            write_csv(tmp_path, "blank_line.csv", header + "\n" + body.replace("\n", "\n\n", 1) + "\n"),
-            False,
+        "blank_line.csv": write_csv(
+            tmp_path, "blank_line.csv", header + "\n" + body.replace("\n", "\n\n", 1) + "\n"
         ),
-        "no_final_newline.csv": (write_csv(tmp_path, "no_final_newline.csv", header + "\n" + body), True),
+        "no_final_newline.csv": write_csv(tmp_path, "no_final_newline.csv", header + "\n" + body),
     }
-    for name, (path, plain) in variants.items():
-        result = _check_against_rows(path, kind, plain)
+    for name, path in variants.items():
+        result = _check_against_rows(path, kind)
         assert (result.accepted, result.dropped, result.total_rows) == (
             reference.accepted, reference.dropped, reference.total_rows,
         ), name
@@ -139,11 +147,11 @@ def test_trip_counts_beyond_float_precision_and_int64(tmp_path):
         "1" + "0" * 30, "0" * 5 + "7", str(2**1023 * 3 // 2),
     ]
     rows = [["2017-08-02", "R001", "grocery", count] for count in counts]
-    result = _check_against_rows(_write(tmp_path, "huge.csv", "trips", rows), "trips", plain=True)
+    result = _check_against_rows(_write(tmp_path, "huge.csv", "trips", rows), "trips")
     assert result.records.value.tolist() == [float(int(count)) for count in counts]
 
     rows.append(["2017-08-03", "R001", "grocery", "9" * 400])  # no float holds it
-    _check_against_rows(_write(tmp_path, "overflow.csv", "trips", rows), "trips", plain=False)
+    assert _check_against_rows(_write(tmp_path, "overflow.csv", "trips", rows), "trips") is None
 
 
 @pytest.mark.parametrize(
@@ -174,7 +182,81 @@ def test_bad_rows_keep_the_row_loop_errors_and_counts(tmp_path, kind, bad):
     rows = _random_rows(rng, kind, 50)
     for position in sorted(rng.sample(range(50), 3), reverse=True):
         rows[position:position] = bad
-    _check_against_rows(_write(tmp_path, "bad.csv", kind, rows), kind, plain=False)
+    _check_against_rows(_write(tmp_path, "bad.csv", kind, rows), kind)
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("block_bytes", [16, 200, 1 << 20])
+def test_bad_rows_and_value_quirks_inside_plain_blocks(tmp_path, monkeypatch, kind, block_bytes):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(kind)
+    rows = _random_rows(rng, kind, 300)
+    for quirk in VALUE_QUIRKS[kind]:
+        rows[rng.randrange(60, 240)][3] = quirk
+    rows[rng.randrange(60, 240)][0] = "2017-13-01"
+    rows[rng.randrange(60, 240)][1] = " "
+    _check_against_rows(_write(tmp_path, "quirks.csv", kind, rows), kind)
+    # every quirk that int() or float() takes, alone in an otherwise plain file
+    for quirk in VALUE_QUIRKS[kind]:
+        rows = _random_rows(rng, kind, 40)
+        rows[20][3] = quirk
+        _check_against_rows(_write(tmp_path, "quirk.csv", kind, rows), kind)
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_blank_lines_quotes_and_crlf_across_block_boundaries(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    rows = _random_rows(random.Random(kind), kind, 40)
+    lines = [",".join(PARSERS[kind][1])] + [",".join(row) for row in rows]
+    quoted = '{},"{}, north\nside",{},{}'.format(*rows[0])
+    for at in range(1, len(lines)):
+        for name, edited in {
+            "blank": [*lines[:at], "", *lines[at:]],
+            "quoted": [*lines[:at], quoted, *lines[at:]],
+        }.items():
+            path = write_csv(tmp_path, f"{name}.csv", "\n".join(edited) + "\n")
+            _check_against_rows(path, kind)
+        # CRLF from line `at` on, so it first shows up after the first block
+        text = "\n".join(lines[:at]) + "\n" + "\r\n".join(lines[at:]) + "\r\n"
+        _check_against_rows(write_csv(tmp_path, "crlf.csv", text), kind)
+
+
+def _random_file(rng, kind):
+    """Header and rows with random damage: the forms the csv module and int()/float() read."""
+    rows = _random_rows(rng, kind, rng.randrange(0, 60))
+    damage = rng.choice([0.0, 0.02, 0.3])
+    for row in rows:
+        roll = rng.random() / damage if damage else 1.0
+        if roll < 0.2:
+            row[0] = rng.choice(
+                ["2017-02-30", " 2017-02-30", "", "not-a-date", " 2017-08-02 ", "20170802", "2017-08-02T00"]
+            )
+        elif roll < 0.4:
+            row[rng.choice([1, 2])] = rng.choice(["", " ", "\t", f" {row[1]}", f"{row[2]} "])
+        elif roll < 0.7:
+            row[3] = rng.choice(VALUE_QUIRKS[kind])
+        elif roll < 0.85:
+            row[1] = f'"{row[1]},{rng.choice(["", "x", chr(10)])}"'
+        elif roll < 1.0:
+            row.append("extra") if rng.random() < 0.5 else row.pop()
+    lines = [",".join(PARSERS[kind][1])] + [",".join(row) for row in rows]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.insert(rng.randrange(1, len(lines) + 1), rng.choice(["", " ", ","]))
+    newline = rng.choice(["\n", "\n", "\n", "\r\n"])
+    text = newline.join(lines) + rng.choice([newline, ""])
+    if rng.random() < 0.1:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + "\r" + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_random_files_match_the_row_loop_at_any_block_size(tmp_path, monkeypatch, kind):
+    rng = random.Random(f"fuzz-{kind}")
+    for trial in range(150):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", rng.choice([16, 50, 256, 4096, 1 << 20]))
+        path = write_csv(tmp_path, f"{trial}.csv", _random_file(rng, kind))
+        _check_against_rows(path, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from datetime import date
 import pytest
 
 from conftest import write_csv
+from oracles import activity_from_rows
 from recovery_track.aggregate import build_daily_series, load_taxonomy
 from recovery_track.errors import ParseError
 from recovery_track.ingest import (
-    Activity,
     OverlapEntry,
     broadcast_zip_to_regions,
     parse_adjacency,
@@ -175,14 +175,14 @@ def test_overlaps_rejects_duplicates_and_nonpositive_area(tmp_path):
 
 def _tx(rows):
     """(ISO day, zip, amount) grocery rows as transaction columns."""
-    return Activity.from_rows(
+    return activity_from_rows(
         (WINDOW.index_of(date.fromisoformat(day)), zip_code, "grocery", amount)
         for day, zip_code, amount in rows
     )
 
 
 def _tx_series(transactions, broadcast):
-    no_trips = Activity.from_rows([])
+    no_trips = activity_from_rows([])
     series_set, _ = build_daily_series(no_trips, transactions, broadcast, load_taxonomy(), WINDOW)
     return {r: series_set[(r, "transaction", "essential")] for r in series_set.regions}
 

@@ -436,15 +436,33 @@ def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, mangl
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
 
 
+def _edit_text(change):
+    def edit(path):
+        path.write_text(change(path.read_text()))
+
+    return edit
+
+
 def _set_cell(line_no, cell, value):
-    def edit(text):
+    def change(text):
         lines = text.split("\n")
         cells = lines[line_no - 1].split(",")
         cells[cell] = value
         lines[line_no - 1] = ",".join(cells)
         return "\n".join(lines)
 
-    return edit
+    return _edit_text(change)
+
+
+def _not_utf8(path):
+    data = path.read_bytes()
+    at = data.rindex(b"\n", 0, -1) + 1  # the start of the last line
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
 
 
 @pytest.mark.parametrize(
@@ -455,30 +473,61 @@ def _set_cell(line_no, cell, value):
         pytest.param("milestones.csv", "metric", _set_cell(3, 3, "-4"), "line 3", id="negative-days"),
         pytest.param("milestones.csv", "metric", _set_cell(2, 2, "yes"), "line 2", id="censored"),
         pytest.param("milestones.csv", "metric", _set_cell(3, 0, "R001"), "line 3", id="duplicate"),
-        pytest.param("milestones.csv", "metric", lambda text: text[:-1], "ends mid-line", id="cut"),
+        pytest.param("milestones.csv", "metric", _edit_text(lambda text: text[:-1]), "ends mid-line", id="cut"),
         pytest.param("metric.csv", "stats", _set_cell(2, 1, "zz"), "line 2", id="metric-cell"),
         pytest.param("metric.csv", "stats", _set_cell(4, 5, "nan"), "line 4", id="metric-nan"),
         pytest.param("metric.csv", "stats", _set_cell(2, 6, "soon"), "line 2", id="metric-category"),
         pytest.param("metric.csv", "stats", _set_cell(2, 6, "early,0"), "line 2", id="metric-extra-cell"),
         pytest.param(
-            "metric.csv", "stats", lambda text: text.rsplit("R004", 1)[0], "different regions",
-            id="metric-missing-region",
+            "metric.csv", "stats", _edit_text(lambda text: text.rsplit("R004", 1)[0]),
+            "different regions", id="metric-missing-region",
         ),
         pytest.param("work/baselines.csv", "milestones", _set_cell(1, 4, "ok"), "line 1", id="baselines-header"),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "yes"), "line 2", id="baselines-flag"),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "false"), "1 differ", id="baselines-key-set"),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "true,x"), "line 2", id="baselines-extra-cell"),
+        pytest.param("work/changes.csv", "milestones", _not_utf8, "not UTF-8", id="changes-not-utf8"),
+        pytest.param("milestones.csv", "metric", _directory, "cannot read", id="milestones-directory"),
     ],
 )
 def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, name, stage, edit, expected):
     config_path = _write_mini_bundle(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0
     path = tmp_path / "out" / name
-    path.write_text(edit(path.read_text()))
+    edit(path)
     capsys.readouterr()
     assert cli.main(["run", "--config", str(config_path), "--only", stage]) == 1
     err = capsys.readouterr().err
     assert name in err and expected in err
+
+
+def _set_taxonomy(config_path):
+    raw = json.loads(config_path.read_text())
+    raw["inputs"]["taxonomy"] = "no-taxonomy.csv"
+    config_path.write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "target, damage, code, expected",
+    [
+        pytest.param("trips.csv", _not_utf8, 1, "trips.csv: not UTF-8", id="trips-not-utf8"),
+        pytest.param("overlaps.csv", _not_utf8, 1, "overlaps.csv: not UTF-8", id="overlaps-not-utf8"),
+        pytest.param("trips.csv", Path.unlink, 1, "trips.csv: cannot read", id="trips-missing"),
+        pytest.param("overlaps.csv", Path.unlink, 1, "overlaps.csv: cannot read", id="overlaps-missing"),
+        pytest.param("config.json", _set_taxonomy, 1, "no-taxonomy.csv: cannot read", id="taxonomy-missing"),
+        pytest.param("trips.csv", _directory, 1, "trips.csv: cannot read", id="trips-directory"),
+        pytest.param("config.json", _directory, 2, "cannot read config file", id="config-directory"),
+        pytest.param("config.json", _not_utf8, 2, "invalid JSON", id="config-not-utf8"),
+        pytest.param("out", Path.touch, 1, "cannot create output directory", id="output-dir-is-a-file"),
+    ],
+)
+def test_cli_reports_unreadable_files(tmp_path, capsys, target, damage, code, expected):
+    config_path = _write_mini_bundle(tmp_path)
+    damage(tmp_path / target)
+    assert cli.main(["run", "--config", str(config_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "error: ")
+    assert expected in err and err.count("\n") == 1
 
 
 def test_cli_pipeline_error_exit_code(tmp_path, capsys):
