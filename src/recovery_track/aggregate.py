@@ -9,15 +9,14 @@ fractions in memory); the bundled default ships with the package.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError, TaxonomyError
-from .ingest import Activity, BroadcastResult, reading
+from .errors import TaxonomyError
+from .ingest import Activity, BroadcastResult, _RowReader
 from .windows import DateWindow
 
 ESSENTIAL = "essential"
@@ -87,39 +86,29 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
             return load_taxonomy(bundled, renormalize=renormalize)
 
     entries: dict[str, TaxonomyEntry] = {}
-    errors = []
-    with reading(path), open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TAXONOMY_HEADER:
-            raise ParseError(path, [(1, f"header must be {TAXONOMY_HEADER!r}")])
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                errors.append((line_no, f"expected 3 fields, got {len(row)}"))
-                continue
-            code, category, raw_weight = (f.strip() for f in row)
-            if not code:
-                errors.append((line_no, "empty service_type"))
-                continue
-            if category not in CATEGORIES:
-                errors.append((line_no, f"category must be one of {CATEGORIES}, got {category!r}"))
-                continue
-            try:
-                weight_percent = float(raw_weight)
-            except ValueError:
-                errors.append((line_no, f"weight_percent {raw_weight!r} is not a number"))
-                continue
-            if not math.isfinite(weight_percent) or weight_percent < 0:
-                errors.append((line_no, f"weight_percent must be nonnegative, got {raw_weight}"))
-                continue
-            if code in entries:
-                errors.append((line_no, f"duplicate service_type {code!r}"))
-                continue
-            entries[code] = TaxonomyEntry(category, weight_percent / 100.0)
-    if errors:
-        raise ParseError(path, errors)
+    reader = _RowReader(path, TAXONOMY_HEADER)
+    for line_no, row in reader.rows():
+        code, category, raw_weight = (f.strip() for f in row)
+        if not code:
+            reader.error(line_no, "empty service_type")
+            continue
+        if category not in CATEGORIES:
+            reader.error(line_no, f"category must be one of {CATEGORIES}, got {category!r}")
+            continue
+        try:
+            weight_percent = float(raw_weight)
+        except ValueError:
+            reader.error(line_no, f"weight_percent {raw_weight!r} is not a number")
+            continue
+        if not math.isfinite(weight_percent) or weight_percent < 0:
+            reader.error(line_no, f"weight_percent must be nonnegative, got {raw_weight}")
+            continue
+        if code in entries:
+            reader.error(line_no, f"duplicate service_type {code!r}")
+            continue
+        reader.accepted += 1
+        entries[code] = TaxonomyEntry(category, weight_percent / 100.0)
+    reader.finish(entries)
     if not entries:
         raise TaxonomyError(f"{path}: taxonomy has no entries")
     taxonomy = ServiceTaxonomy(entries)

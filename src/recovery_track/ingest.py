@@ -249,19 +249,23 @@ def _parse_activity(path, window: DateWindow, header, plain_values, parse_value)
 def _activity_chunks(reader: _RowReader):
     """(line numbers, dates, entities, codes, values) of the data rows, a chunk at a time.
 
-    Fields are the raw texts, unstripped. A block whose every line has four
-    fields is split with str.split alone. The csv module reads any other
-    block, and the rest of the file from the first block that holds a quote
-    or a carriage return; on the other blocks it would split the same way.
+    Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
+    block whose every line has four fields is split with str.split alone.
+    The csv module reads any other block, and the rest of the file from the
+    first block that holds a quote or a carriage return not directly before
+    a newline; on the other blocks it would split the same way.
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
         line_no = 1  # of the block's first line
         while block := handle.read(_BLOCK_BYTES):
             block += handle.readline()
-            if b'"' in block or b"\r" in block:
+            crlf = block.count(b"\r\n") if b"\r" in block else 0
+            if b'"' in block or block.count(b"\r") != crlf:
                 handle.seek(-len(block), io.SEEK_CUR)
                 yield from _row_chunks(reader.rows_from(handle, line_no))
                 return
+            if crlf:
+                block = block.replace(b"\r\n", b"\n")
             if not block.endswith(b"\n"):
                 block += b"\n"
             if line_no == 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +25,13 @@ import numpy as np
 from .aggregate import CATEGORIES, ESSENTIAL, load_taxonomy
 from .config import date_field, days_after, integer_field, number_field
 from .errors import ScenarioError
+from .ingest import (
+    ADJACENCY_HEADER,
+    ATTRIBUTES_HEADER,
+    OVERLAPS_HEADER,
+    TRANSACTIONS_HEADER,
+    TRIPS_HEADER,
+)
 from .milestones import DEFAULT_RUN_LENGTH, change_threshold
 from .windows import DateWindow
 
@@ -191,14 +198,21 @@ class ScenarioSpec:
 # planted curves
 
 
-def level_at(t: int, level: float, drop: float, ramp: int, shape: str = RAMP_LINEAR) -> float:
-    """Planted activity level t days after the event (t < 0 is pre-event)."""
-    if t < 0 or drop == 0.0:
-        return level
+def level_at(
+    t: np.ndarray, level: float, drop: float, ramp: int, shape: str = RAMP_LINEAR
+) -> np.ndarray:
+    """Planted activity level at integer day offsets `t` from the event (t < 0 is pre-event)."""
+    t = np.asarray(t)
+    if drop == 0.0:
+        return np.full(t.shape, level)
     if shape == RAMP_LINEAR:
-        fraction = min(1.0, t / ramp)
-        return level * (1.0 - drop * (1.0 - fraction))
-    return level * (1.0 - drop * math.exp(-3.0 * t / ramp))
+        fraction = np.minimum(1.0, t / ramp)
+        curve = level * (1.0 - drop * (1.0 - fraction))
+    else:
+        # math.exp, not np.exp: the two may differ in the last bit, and the curve is a contract
+        decay = [math.exp(-3.0 * day / ramp) for day in np.maximum(t, 0).tolist()]
+        curve = level * (1.0 - drop * np.array(decay))
+    return np.where(t < 0, level, curve)
 
 
 def analytic_recovery_day(
@@ -235,16 +249,8 @@ class _EntityProfile:
     level: float
     drop: float
     ramp: int
-    mix: dict  # category -> {code: proportion}
+    shares: dict  # category -> share of each of its codes, in sorted code order
     kind: str = "ramped"  # ramped | flat | censored
-
-
-@dataclass
-class _Emitted:
-    """Per-category noisy and noiseless per-type integer/cent values."""
-
-    noisy: dict = field(default_factory=dict)  # category -> {code: list}
-    clean: dict = field(default_factory=dict)
 
 
 def _region_ids(n: int) -> list[str]:
@@ -299,13 +305,11 @@ def _sample_profile(
     elif kind == "censored":
         drop = max(drop, 0.5)
         ramp = spec.horizon_days * 10
-    mix = {}
+    shares = {}
     for category in CATEGORIES:
-        codes = codes_by_category[category]
-        shares = rng.uniform(0.5, 1.5, size=len(codes))
-        shares = shares / shares.sum()
-        mix[category] = dict(zip(codes, (float(s) for s in shares)))
-    return _EntityProfile(level=level, drop=drop, ramp=ramp, mix=mix, kind=kind)
+        draws = rng.uniform(0.5, 1.5, size=len(codes_by_category[category]))
+        shares[category] = draws / draws.sum()
+    return _EntityProfile(level=level, drop=drop, ramp=ramp, shares=shares, kind=kind)
 
 
 def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> list[str]:
@@ -318,48 +322,56 @@ def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> 
     return kinds
 
 
-def _emit_entity(rng, spec: ScenarioSpec, profile: _EntityProfile, quantize) -> _Emitted:
-    """Daily per-type values for one entity, noisy (emitted) and noiseless (truth)."""
-    window = spec.window
-    d0_index = window.index_of(spec.event_day)
-    emitted = _Emitted()
+def _emit_entity(rng, spec: ScenarioSpec, profile: _EntityProfile, offsets: np.ndarray):
+    """Per-type values of one entity before quantisation, noisy (emitted) and
+    noiseless (truth), each (n_codes, n_days) with rows in category, then code order."""
+    noisy, clean = [], []
     for category in CATEGORIES:
         ramp = max(1, round(profile.ramp * CATEGORY_RAMP_SCALE[category]))
-        clean_curve = [
-            level_at(i - d0_index, profile.level, profile.drop, ramp, spec.ramp_shape)
-            for i in range(window.n_days)
-        ]
+        curve = level_at(offsets, profile.level, profile.drop, ramp, spec.ramp_shape)
+        shares = profile.shares[category][:, np.newaxis]
+        clean.append(shares * curve)
         if spec.noise > 0.0:
-            jitter = rng.uniform(-spec.noise, spec.noise, size=window.n_days)
-            noisy_curve = [v * (1.0 + float(j)) for v, j in zip(clean_curve, jitter)]
-        else:
-            noisy_curve = clean_curve
-        emitted.noisy[category] = {
-            code: [quantize(share * v) for v in noisy_curve]
-            for code, share in sorted(profile.mix[category].items())
-        }
-        emitted.clean[category] = {
-            code: [quantize(share * v) for v in clean_curve]
-            for code, share in sorted(profile.mix[category].items())
-        }
-    return emitted
+            curve = curve * (1.0 + rng.uniform(-spec.noise, spec.noise, size=len(offsets)))
+        noisy.append(shares * curve)
+    return np.concatenate(noisy), np.concatenate(clean)
 
 
-def _quantize_count(value: float) -> int:
-    return max(0, int(round(value)))
+def _counts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Trip counts: nearest integer, ties to even as round() does, never negative."""
+    return np.maximum(0.0, np.rint(values, out=out), out=out)
 
 
-def _quantize_money(value: float) -> float:
-    # round-trip through the written representation so truth == parsed value
-    return float(f"{max(0.0, value):.2f}")
+def _count_texts(counts: np.ndarray):
+    """Texts of nonnegative integral counts, as str(int(count)) gives them at any size."""
+    return map(str, map(int, counts.tolist()))
 
 
-def _weighted_series(per_code: dict, weights: dict, n_days: int) -> list[float]:
-    codes = sorted(per_code)
-    return [
-        math.fsum(weights[code] * per_code[code][day] for code in codes)
-        for day in range(n_days)
-    ]
+def _cents(values: np.ndarray) -> list[str]:
+    """Amounts as written, two decimals, never negative, in flattened order."""
+    return [f"{v:.2f}" for v in np.maximum(0.0, values).ravel().tolist()]
+
+
+def _amounts_as_read(values: np.ndarray) -> np.ndarray:
+    """The amounts a reader of the written text gets back, so truth == parsed value."""
+    return np.array(list(map(float, _cents(values)))).reshape(values.shape)
+
+
+def _weighted_series(values: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Exactly rounded weighted sum of a (n_codes, n_days) block, per day."""
+    return [math.fsum(day) for day in (weights[:, np.newaxis] * values).T.tolist()]
+
+
+def _lines(rows):
+    return (",".join(row) + "\n" for row in rows)
+
+
+def _day_blocks(window: DateWindow, prefixes: list[str], texts_by_day):
+    """Lines of an activity file, one block per day: each "entity,code,"
+    prefix with that day's value text, in prefix order."""
+    for day, texts in zip(window.days(), texts_by_day):
+        stamp = day.isoformat()
+        yield "".join([f"{stamp},{prefix}{text}\n" for prefix, text in zip(prefixes, texts)])
 
 
 def generate(spec: ScenarioSpec, out_dir) -> dict:
@@ -372,9 +384,24 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     window = spec.window
     d0_index = window.index_of(spec.event_day)
+    offsets = np.arange(window.n_days) - d0_index
     taxonomy = load_taxonomy()
-    weights = {code: entry.weight for code, entry in taxonomy.entries.items()}
     codes_by_category = {category: taxonomy.codes(category) for category in CATEGORIES}
+    # an entity's rows: each category's codes in sorted order, categories in order
+    codes = [code for category in CATEGORIES for code in codes_by_category[category]]
+    weights = np.array([taxonomy[code].weight for code in codes])
+    bounds = np.cumsum([0] + [len(codes_by_category[category]) for category in CATEGORIES])
+    category_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def truth(clean):
+        """(duration, censored) per category of one entity, from its noiseless values."""
+        return [
+            _ground_truth_for(
+                _weighted_series(clean[rows], weights[rows]),
+                spec.baseline_days, d0_index, spec.horizon_days,
+            )
+            for rows in category_rows
+        ]
 
     regions = _region_ids(spec.n_regions)
     zips = _zip_ids(spec.n_regions, spec.regions_per_zip)
@@ -401,65 +428,55 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         spec.flat_fraction, spec.censored_fraction,
     )
 
-    region_profiles = {}
-    region_emitted = {}
-    for i, region in enumerate(regions):
+    n_codes = len(codes)
+    region_profiles = []
+    # noisy values, one block of n_codes rows per entity, filled in place
+    counts = np.empty((spec.n_regions * n_codes, window.n_days))
+    trip_truth = []
+    for i in range(spec.n_regions):
         profile = _sample_profile(
             np.random.default_rng([spec.seed, 1, i]), spec, cluster_bases,
             cluster_of(i), spec.baseline_level_range, region_kinds[i], codes_by_category,
         )
-        region_profiles[region] = profile
-        region_emitted[region] = _emit_entity(
-            np.random.default_rng([spec.seed, 3, i]), spec, profile, _quantize_count
-        )
+        region_profiles.append(profile)
+        noisy, clean = _emit_entity(np.random.default_rng([spec.seed, 3, i]), spec, profile, offsets)
+        counts[i * n_codes:(i + 1) * n_codes] = noisy
+        trip_truth.append(truth(_counts(clean)))
 
-    zip_emitted = {}
-    for k, zip_code in enumerate(zips):
+    amounts = np.empty((len(zips) * n_codes, window.n_days))
+    tx_truth = []
+    for k in range(len(zips)):
         first_region_index = k * spec.regions_per_zip
         profile = _sample_profile(
             np.random.default_rng([spec.seed, 2, k]), spec, cluster_bases,
             cluster_of(min(first_region_index, spec.n_regions - 1)),
             spec.tx_level_range, zip_kinds[k], codes_by_category,
         )
-        zip_emitted[zip_code] = _emit_entity(
-            np.random.default_rng([spec.seed, 4, k]), spec, profile, _quantize_money
-        )
+        noisy, clean = _emit_entity(np.random.default_rng([spec.seed, 4, k]), spec, profile, offsets)
+        amounts[k * n_codes:(k + 1) * n_codes] = noisy
+        tx_truth.append(truth(_amounts_as_read(clean)))
 
     paths = {}
 
-    def _write_csv(name, header, rows):
-        path = out / name
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+    def write(name, header, blocks):
+        """Write the header line, then each block of whole lines."""
+        paths[name] = out / name
+        with open(paths[name], "w", newline="", encoding="utf-8") as handle:
             handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
-        paths[name] = path
+            handle.writelines(blocks)
 
     # trips.csv: per day x region x service type
-    def trip_rows():
-        for day_index, day in enumerate(window.days()):
-            day_text = day.isoformat()
-            for region in regions:
-                emitted = region_emitted[region]
-                for category in CATEGORIES:
-                    for code in sorted(emitted.noisy[category]):
-                        count = emitted.noisy[category][code][day_index]
-                        yield (day_text, region, code, str(count))
-
-    _write_csv("trips.csv", ["date", "origin_region", "service_type", "trip_count"], trip_rows())
+    _counts(counts, out=counts)
+    write("trips.csv", TRIPS_HEADER, _day_blocks(
+        window, [f"{region},{code}," for region in regions for code in codes],
+        (_count_texts(day) for day in counts.T),
+    ))
 
     # transactions.csv: per day x zip x merchant type
-    def tx_rows():
-        for day_index, day in enumerate(window.days()):
-            day_text = day.isoformat()
-            for zip_code in zips:
-                emitted = zip_emitted[zip_code]
-                for category in CATEGORIES:
-                    for code in sorted(emitted.noisy[category]):
-                        amount = emitted.noisy[category][code][day_index]
-                        yield (day_text, zip_code, code, f"{amount:.2f}")
-
-    _write_csv("transactions.csv", ["date", "zip", "merchant_type", "amount"], tx_rows())
+    write("transactions.csv", TRANSACTIONS_HEADER, _day_blocks(
+        window, [f"{zip_code},{code}," for zip_code in zips for code in codes],
+        (_cents(day) for day in amounts.T),
+    ))
 
     # overlaps.csv: each region mostly in its own zip, a sliver in the next one
     def overlap_rows():
@@ -473,7 +490,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
                 sliver = own_area * (0.1 + 0.8 * rng.uniform())
                 yield (region, zips[neighbor_index], f"{sliver:.6f}")
 
-    _write_csv("overlaps.csv", ["region", "zip", "overlap_area"], overlap_rows())
+    write("overlaps.csv", OVERLAPS_HEADER, _lines(overlap_rows()))
 
     # adjacency.csv: rook edges on the grid
     def adjacency_rows():
@@ -486,7 +503,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
                     continue
                 yield (region, regions[j])
 
-    _write_csv("adjacency.csv", ["region_a", "region_b"], adjacency_rows())
+    write("adjacency.csv", ADJACENCY_HEADER, _lines(adjacency_rows()))
 
     # attributes.csv: income anti-correlated and minority correlated with severity
     def attribute_rows():
@@ -494,7 +511,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         span = max(drop_hi - drop_lo, 1e-9)
         for i, region in enumerate(regions):
             rng = np.random.default_rng([spec.seed, 8, i])
-            profile = region_profiles[region]
+            profile = region_profiles[i]
             severity = (profile.drop - drop_lo) / span if profile.drop > 0 else 0.0
             severity = min(1.0, max(0.0, severity))
             flood = rng.uniform()
@@ -502,40 +519,20 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
             income = max(0.0, 20000.0 + 45000.0 * (1.0 - severity) + rng.uniform(-8000.0, 8000.0))
             yield (region, f"{flood:.6f}", f"{minority:.6f}", f"{income:.2f}")
 
-    _write_csv(
-        "attributes.csv",
-        ["region", "flood_fraction", "minority_fraction", "per_capita_income"],
-        attribute_rows(),
-    )
+    write("attributes.csv", ATTRIBUTES_HEADER, _lines(attribute_rows()))
 
     # ground_truth.csv from the noiseless emitted values
     def truth_rows():
-        zip_truth = {}
-        for zip_code in zips:
-            emitted = zip_emitted[zip_code]
-            zip_truth[zip_code] = {}
-            for category in CATEGORIES:
-                series = _weighted_series(emitted.clean[category], weights, window.n_days)
-                zip_truth[zip_code][category] = _ground_truth_for(
-                    series, spec.baseline_days, d0_index, spec.horizon_days
-                )
         for i, region in enumerate(regions):
-            emitted = region_emitted[region]
-            own_zip = zips[i // spec.regions_per_zip]
-            for category in CATEGORIES:
-                series = _weighted_series(emitted.clean[category], weights, window.n_days)
-                duration, censored = _ground_truth_for(
-                    series, spec.baseline_days, d0_index, spec.horizon_days
-                )
-                yield (region, "trip", category, str(duration), "true" if censored else "false")
-            for category in CATEGORIES:
-                duration, censored = zip_truth[own_zip][category]
-                yield (region, "transaction", category, str(duration), "true" if censored else "false")
+            own_zip = i // spec.regions_per_zip
+            for source, cells in (("trip", trip_truth[i]), ("transaction", tx_truth[own_zip])):
+                for category, (duration, censored) in zip(CATEGORIES, cells):
+                    yield (region, source, category, str(duration), "true" if censored else "false")
 
-    _write_csv(
+    write(
         "ground_truth.csv",
         ["region", "source", "category", "duration_days", "censored"],
-        truth_rows(),
+        _lines(truth_rows()),
     )
 
     config = {

@@ -15,7 +15,7 @@ from recovery_track.aggregate import (
     build_daily_series,
     load_taxonomy,
 )
-from recovery_track.errors import TaxonomyError
+from recovery_track.errors import ParseError, TaxonomyError
 from recovery_track.ingest import broadcast_zip_to_regions
 from recovery_track.windows import DateWindow
 
@@ -75,6 +75,28 @@ def test_weighted_measurement_identity_weight(tmp_path):
     )
     taxonomy = load_taxonomy(path)
     assert _measurement({"only_type": 42.0}, taxonomy, ESSENTIAL) == 42.0
+
+
+def test_taxonomy_file_errors_read_like_the_other_inputs(tmp_path):
+    bad_header = write_csv(tmp_path, "header.csv", "code,category,weight\ngrocery,essential,1\n")
+    with pytest.raises(ParseError) as err:
+        load_taxonomy(bad_header)
+    assert err.value.row_errors == [(
+        1,
+        "header ['code', 'category', 'weight'] does not match expected "
+        "['service_type', 'category', 'weight_percent']",
+    )]
+    rows = write_csv(
+        tmp_path, "rows.csv",
+        "service_type,category,weight_percent\n\ngrocery,essential\nretail,non-essential,x\n",
+    )
+    with pytest.raises(ParseError) as err:
+        load_taxonomy(rows)
+    assert err.value.row_errors == [
+        (3, "expected 3 fields, got 2"),
+        (4, "weight_percent 'x' is not a number"),
+    ]
+    assert err.value.total_rows == 2
 
 
 def test_weighted_measurement_linearity(taxonomy):

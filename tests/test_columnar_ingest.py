@@ -221,6 +221,16 @@ def test_blank_lines_quotes_and_crlf_across_block_boundaries(tmp_path, monkeypat
         _check_against_rows(write_csv(tmp_path, "crlf.csv", text), kind)
 
 
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("block_bytes", [16, 64, 1 << 20])
+def test_lone_carriage_return_after_crlf_blocks(tmp_path, monkeypatch, kind, block_bytes):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    rows = _random_rows(random.Random(kind), kind, 40)
+    rows[30][1] = rows[30][1][:2] + "\r" + rows[30][1][2:]  # the csv module ends the row at \r
+    path = _write(tmp_path, "lone_cr.csv", kind, rows, newline="\r\n")
+    assert _check_against_rows(path, kind) is None  # both halves have the wrong width
+
+
 def _random_file(rng, kind):
     """Header and rows with random damage: the forms the csv module and int()/float() read."""
     rows = _random_rows(rng, kind, rng.randrange(0, 60))

@@ -8,7 +8,12 @@ import pytest
 from oracles import brute_force_recovery_day
 from recovery_track.aggregate import SeriesSet
 from recovery_track.errors import SeriesError
-from recovery_track.milestones import Milestone, build_milestone_table, detect_recovery_days
+from recovery_track.milestones import (
+    Milestone,
+    build_milestone_table,
+    change_threshold,
+    detect_recovery_days,
+)
 from recovery_track.windows import DateWindow
 
 
@@ -67,6 +72,19 @@ def test_detection_scans_from_d0_only():
 def test_nan_days_never_qualify():
     changes = np.array([0.0, np.nan, 0.0, 0.0, 0.0])
     assert _recovery_day(changes, 0, 4) == 4
+
+
+def test_change_equal_to_threshold_qualifies():
+    # the comparison is >=: a run sitting exactly on the threshold recovers,
+    # one ulp below it never does
+    threshold = change_threshold(0.9)
+    below = np.nextafter(threshold, -np.inf)
+    at = np.array([-0.5, -0.5] + [threshold] * 3 + [-0.5])
+    under = np.array([-0.5, -0.5] + [below] * 3 + [-0.5])
+    assert _recovery_day(at, 0, 5, threshold) == 4
+    assert _recovery_day(under, 0, 5, threshold) is None
+    days = detect_recovery_days(np.stack([at, under]), 0, 5)  # the default threshold
+    assert days.tolist() == [4, -1]
 
 
 def test_brute_force_agreement_on_random_series():

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import ast
 import csv
 import filecmp
+import hashlib
+import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import recovery_track.synth
 
 from recovery_track.errors import ScenarioError
 from recovery_track.ingest import (
@@ -50,7 +57,7 @@ def test_scan_truth_matches_analytic_in_interior_regime():
     level = 500.0
     values = [level] * (pre + 5)
     d0 = len(values)
-    values += [level_at(t, level, drop, ramp) for t in range(horizon + 1)]
+    values += level_at(np.arange(horizon + 1), level, drop, ramp).tolist()
     duration, censored = _ground_truth_for(values, pre, d0, horizon)
     assert not censored
     assert duration == analytic_recovery_day(drop, ramp)
@@ -79,6 +86,85 @@ def test_generation_is_deterministic(tmp_path):
         "config.json",
     ):
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
+
+GOLDEN_SPEC = Path(__file__).resolve().parents[1] / "configs" / "golden_scenario.json"
+
+HUGE_COUNTS = {**SMALL, "n_regions": 3, "horizon_days": 30, "baseline_level_range": [1e19, 4e19]}
+
+# sha256 of every file `generate` writes, recorded from the per-cell generator
+# that the array-at-a-time one replaced
+WRITTEN_DIGESTS = {
+    "golden": (json.loads(GOLDEN_SPEC.read_text(encoding="utf-8")), {
+        "trips.csv": "f19bcee56d50d5576d14d69d56a1fc05da0011dee8d083de391fac88313aaccf",
+        "transactions.csv": "c23a335bcb3d0c3d58487eae9baceb71e288ef9c8c5ea5a854b9a4e2da9d1c7e",
+        "overlaps.csv": "3451ee9d4f3dfc159cb82002e4491cb20e2c1cba771f136ecfd9925e0a2c8b38",
+        "adjacency.csv": "332c6e2be38254db9d6ed8d2f51885dfddc5bb94756e9e106d5950b26ed434e2",
+        "attributes.csv": "094cf602f0f9aa593f4a67795d83dbcf540ead9dc6bd9be704f529d8a32b461e",
+        "ground_truth.csv": "5652617fc6b5ce49b9b4b316def80d54e1340d096c0cbab95513a8b1e79cccb1",
+        "config.json": "6e4beaca7d0f2042a24c5057342fea3dcdde178689f725070b6dbdbd062f6782",
+    }),
+    "noisy": ({**SMALL, "noise": 0.02}, {
+        "trips.csv": "3db120306f545ccd21355eb907c6ffbb613c463bca5bc3f1e9c80eea5093fab9",
+        "transactions.csv": "ddf2b5e9ef6dd52bada6b8f38e75d34bebb69f7a5558002e2493fee7f4df02de",
+        "overlaps.csv": "c9102a96821d7062b0dcd5d26f61a9e2c86afacdc2e8c0e64dbd69189ad5c23b",
+        "adjacency.csv": "9e41f11ef1bd029546762eb393c8c22a0a2dfa9c74c91ee763251aca1e3e5022",
+        "attributes.csv": "8ac307ce7d5f4731b8309633a7b0d6d7cdf9e1a311a397563b02da6fa93b0b4f",
+        "ground_truth.csv": "0ac338f5d48d106936aa19a3346583fafbd381d50fc6496646c529880bb3325b",
+        "config.json": "6c6003d7bfd4ac236d4c76a140883109426498b50de4d8d246b2e82ed07f5e29",
+    }),
+    "exponential": ({**SMALL, "ramp_shape": "exponential"}, {
+        "trips.csv": "a695906fb48baa5ee7a204bd0f4facb3c52e4f7d14c21aee4a82d200416de1ec",
+        "transactions.csv": "29a05a85116fbf2fb6a3b3588d7aa2c13fd687322e58a7c737e5ee154bb06a7e",
+        "overlaps.csv": "c9102a96821d7062b0dcd5d26f61a9e2c86afacdc2e8c0e64dbd69189ad5c23b",
+        "adjacency.csv": "9e41f11ef1bd029546762eb393c8c22a0a2dfa9c74c91ee763251aca1e3e5022",
+        "attributes.csv": "8ac307ce7d5f4731b8309633a7b0d6d7cdf9e1a311a397563b02da6fa93b0b4f",
+        "ground_truth.csv": "75e2f6226ae2251182340bb5461ed1ad0bdfd6a0322404a27854e0706a85331d",
+        "config.json": "6c6003d7bfd4ac236d4c76a140883109426498b50de4d8d246b2e82ed07f5e29",
+    }),
+    "flat-and-censored": ({**SMALL, "flat_fraction": 0.3, "censored_fraction": 0.3}, {
+        "trips.csv": "eaa49e8b9723348a93a15a551ed9528671f55646f0009e34c98b25437b8348c1",
+        "transactions.csv": "ee15931bacae168be7084648a1bae4a595aa469242417f57158bd7f7a9d2bc61",
+        "overlaps.csv": "c9102a96821d7062b0dcd5d26f61a9e2c86afacdc2e8c0e64dbd69189ad5c23b",
+        "adjacency.csv": "9e41f11ef1bd029546762eb393c8c22a0a2dfa9c74c91ee763251aca1e3e5022",
+        "attributes.csv": "bf986c9eb3bee98335f7a1700bb667f55aad5cea6540752aa03392761031f0d3",
+        "ground_truth.csv": "76d64cac194a173ce4d9d20948e2c11bd767fac271f45c782487d7c326287a70",
+        "config.json": "6c6003d7bfd4ac236d4c76a140883109426498b50de4d8d246b2e82ed07f5e29",
+    }),
+    # some of its trip counts pass 2**63, beyond int64
+    "huge-counts": (HUGE_COUNTS, {
+        "trips.csv": "3bc2fb7946704ab8b4f32f26ea7207c80fb1b13fcc5c0c7500d671b34256adcc",
+        "transactions.csv": "b83091c2e691582e316fce68396376014cc6d853908f8a26c5bed0b1091a5515",
+        "overlaps.csv": "10bea6b054500b5087b4ccc4eb7e8a188a375cddda228d0db122a7e90746243f",
+        "adjacency.csv": "fe16fbd3145dc0ca9af4ab69a6f30387fc4490c583d07f5ac6bee137f1d22edc",
+        "attributes.csv": "37ab875e0e0b8bd0671cc790e876052e5072014a5621a8ae8c958c7e0f956ce0",
+        "ground_truth.csv": "9e6e0db7b3995f935f75aef06ae86fa501159fbc65b00dcbb1fd05915ff7c692",
+        "config.json": "fb6ed595e17ac4f5a26b5b1a115b8cadf37a59cc967b946904a0e693acecd45e",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
+def test_written_files_keep_their_bytes(tmp_path, name):
+    raw, digests = WRITTEN_DIGESTS[name]
+    paths = generate(ScenarioSpec.from_mapping(raw), tmp_path)
+    assert set(paths) == set(digests)
+    for file_name, path in paths.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[file_name], file_name
+
+
+def test_truth_uses_no_pipeline_code():
+    # criterion 02 checks the pipeline against this truth, so it must not share its code
+    tree = ast.parse(Path(recovery_track.synth.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(f"{'.' * node.level}{alias.name}" for alias in node.names if not node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    forbidden = {".series", ".pipeline", "recovery_track.series", "recovery_track.pipeline"}
+    assert not imported & forbidden, sorted(imported & forbidden)
 
 
 def test_generated_files_roundtrip_with_zero_warnings(tmp_path):
