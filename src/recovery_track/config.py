@@ -9,7 +9,7 @@ horizon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -39,7 +39,7 @@ class PipelineConfig:
     permutations: int = 0
     yates: bool = False
     seed: int = 0
-    output_dir: Path = field(default_factory=lambda: Path("out"))
+    output_dir: Path = Path("out")
 
     def validate(self):
         if not (0.0 < self.recovered_fraction <= 1.0):
@@ -203,7 +203,9 @@ def load_config(path) -> PipelineConfig:
     taxonomy_options = _get_section(raw, "taxonomy_options")
     stats = _get_section(raw, "stats")
 
-    horizon_days = _integer(recovery, "recovery", "horizon_days", 120)
+    # a dataclass field's default is also its class attribute
+    defaults = PipelineConfig
+    horizon_days = _integer(recovery, "recovery", "horizon_days", defaults.horizon_days)
     if "start" in baseline or "end" in baseline:
         baseline_window = _window(baseline, "baseline")
     else:
@@ -224,20 +226,25 @@ def load_config(path) -> PipelineConfig:
         event_day=event_day,
         window=window,
         baseline_window=baseline_window,
-        min_baseline=_number(baseline, "baseline", "min_baseline", DEFAULT_MIN_BASELINE),
-        smoothing_half_width=_integer(smoothing, "smoothing", "half_width", 3),
-        smoothing_boundary=str(smoothing.get("boundary", BOUNDARY_TRUNCATE)),
-        recovered_fraction=_number(recovery, "recovery", "threshold", 0.90),
-        run_length=_integer(recovery, "recovery", "run_length", 3),
+        min_baseline=_number(baseline, "baseline", "min_baseline", defaults.min_baseline),
+        smoothing_half_width=_integer(
+            smoothing, "smoothing", "half_width", defaults.smoothing_half_width
+        ),
+        smoothing_boundary=str(smoothing.get("boundary", defaults.smoothing_boundary)),
+        recovered_fraction=_number(recovery, "recovery", "threshold", defaults.recovered_fraction),
+        run_length=_integer(recovery, "recovery", "run_length", defaults.run_length),
         horizon_days=horizon_days,
         renormalize_weights=_boolean(
-            taxonomy_options, "taxonomy_options", "renormalize_weights", False
+            taxonomy_options, "taxonomy_options", "renormalize_weights",
+            defaults.renormalize_weights,
         ),
-        unknown_service_policy=str(taxonomy_options.get("unknown_service_policy", POLICY_ERROR)),
-        permutations=_integer(stats, "stats", "permutations", 0),
-        yates=_boolean(stats, "stats", "yates", False),
-        seed=_integer(stats, "stats", "seed", 0),
-        output_dir=_resolve(raw.get("output_dir", "out"), "output_dir"),
+        unknown_service_policy=str(
+            taxonomy_options.get("unknown_service_policy", defaults.unknown_service_policy)
+        ),
+        permutations=_integer(stats, "stats", "permutations", defaults.permutations),
+        yates=_boolean(stats, "stats", "yates", defaults.yates),
+        seed=_integer(stats, "stats", "seed", defaults.seed),
+        output_dir=_resolve(raw.get("output_dir", str(defaults.output_dir)), "output_dir"),
     )
     config.validate()
     return config

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import aggregate, ingest, metric, milestones, series, stats
 from .config import PipelineConfig
-from .errors import ParseError, PipelineError, StatsError
+from .errors import ParseError, PipelineError, StatsError, TaxonomyError
 from .milestones import MILESTONE_FIELDS, Milestone, change_threshold
 from .windows import DateWindow
 
@@ -48,12 +48,7 @@ METRIC_ARTIFACT = "metric.csv"
 STATS_ARTIFACT = "stats.json"
 LORENZ_ARTIFACT = "lorenz.csv"
 
-METRIC_COLUMNS = {
-    "trip_essential": "norm_trip_e",
-    "trip_nonessential": "norm_trip_ne",
-    "transaction_essential": "norm_tx_e",
-    "transaction_nonessential": "norm_tx_ne",
-}
+METRIC_COLUMNS = ("norm_trip_e", "norm_trip_ne", "norm_tx_e", "norm_tx_ne")  # in MILESTONE_FIELDS order
 
 CHI_SQUARE_VARIABLES = ("per_capita_income", "minority_fraction", "flood_fraction")
 
@@ -62,7 +57,7 @@ CHANGES_HEADER = "region,source,category,day_index,change"
 MILESTONES_HEADER = ",".join(
     ["region", *(f"{field}_{part}" for field in MILESTONE_FIELDS for part in ("days", "censored"))]
 )
-METRIC_HEADER = ",".join(["region", *METRIC_COLUMNS.values(), "integrated", "category"])
+METRIC_HEADER = ",".join(["region", *METRIC_COLUMNS, "integrated", "category"])
 
 
 def format_sig(value: float) -> str:
@@ -82,56 +77,53 @@ def _json_text(obj) -> str:
 # stage: series (ingest + aggregate + baseline + change)
 
 
-@dataclass
-class PreparedSeries:
-    """Daily series and baselines plus the coverage counts behind them."""
+def _series_and_coverage(config: PipelineConfig, taxonomy, trips, transactions, overlaps, unknown_policy):
+    """Daily series, baselines and the coverage report from the parsed inputs.
 
-    series_set: aggregate.SeriesSet
-    baselines: dict
-    insufficient: dict[str, list[str]]  # region -> milestone fields lacking a baseline
-    unmatched_regions: dict[str, int]  # trip rows per origin region no overlap names
-    unmatched_zips: dict[str, int]  # transaction rows per zip no region resolves to
-    unknown_codes: dict[str, int]  # input rows per unknown service code
-
-
-def _prepare_series(config: PipelineConfig, taxonomy, trips, transactions, overlaps, unknown_policy):
-    """Crosswalk, daily series and baselines from the parsed inputs.
-
-    Shared by the series stage and validate(), so both count coverage the same way.
+    Returns (series_set, baselines, coverage): the (values, sufficient) pair
+    of series.compute_baselines, and the content of coverage_report.json.
+    Shared by the series stage and validate(), whose diagnostics restate the
+    report's findings.
     """
     crosswalk = ingest.resolve_crosswalk(overlaps.records)
-    unmatched_regions = {
-        region: rows
-        for region, rows in trips.records.rows_per_entity().items()
-        if region not in crosswalk
-    }
     broadcast = ingest.broadcast_zip_to_regions(transactions.records, crosswalk)
     series_set, unknown_codes = aggregate.build_daily_series(
-        trips.records,
-        transactions.records,
-        broadcast,
-        taxonomy,
-        config.window,
+        trips.records, transactions.records, broadcast, taxonomy, config.window,
         unknown_policy=unknown_policy,
     )
-    baselines = series.compute_baselines(
-        series_set, config.baseline_window, config.min_baseline
-    )
-    insufficient: dict[str, list[str]] = {}
-    for key, baseline in sorted(baselines.items()):
-        if not baseline.sufficient:
-            region, source, category = key
-            insufficient.setdefault(region, []).append(
-                milestones.milestone_field(source, category)
-            )
-    return PreparedSeries(
-        series_set=series_set,
-        baselines=baselines,
-        insufficient=insufficient,
-        unmatched_regions=unmatched_regions,
-        unmatched_zips=broadcast.unmatched_zip_rows,
-        unknown_codes=unknown_codes,
-    )
+    baselines = series.compute_baselines(series_set, config.baseline_window, config.min_baseline)
+    insufficient: dict[str, list[str]] = {}  # region -> milestone fields lacking a baseline
+    for (region, source, category), sufficient in zip(series_set.key_list, baselines[1].tolist()):
+        if not sufficient:
+            insufficient.setdefault(region, []).append(milestones.milestone_field(source, category))
+    n_regions = len(series_set.regions)
+    coverage = {
+        "window": {"start": config.window.start.isoformat(), "end": config.window.end.isoformat()},
+        "regions": {
+            "total": n_regions,
+            "included": n_regions - len(insufficient),
+            "excluded": list(insufficient),
+        },
+        "trips": {
+            "data_rows": trips.total_rows,
+            "accepted": trips.accepted,
+            "dropped_out_of_window": trips.dropped,
+            "unmatched_regions": {
+                region: rows
+                for region, rows in trips.records.rows_per_entity().items()
+                if region not in crosswalk
+            },
+        },
+        "transactions": {
+            "data_rows": transactions.total_rows,
+            "accepted": transactions.accepted,
+            "dropped_out_of_window": transactions.dropped,
+            "unmatched_zips": broadcast.unmatched_zip_rows,
+        },
+        "insufficient_baselines": insufficient,
+        "unknown_service_types": unknown_codes,
+    }
+    return series_set, baselines, coverage
 
 
 def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
@@ -142,59 +134,27 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     tx_result = ingest.parse_transactions(config.inputs["transactions"], config.window)
     overlaps_result = ingest.parse_overlaps(config.inputs["overlaps"])
     _release_free_memory()
-    prepared = _prepare_series(
+    series_set, baselines, coverage = _series_and_coverage(
         config, taxonomy, trips_result, tx_result, overlaps_result,
         config.unknown_service_policy,
     )
-    series_set, baselines, insufficient = (
-        prepared.series_set, prepared.baselines, prepared.insufficient
-    )
     changes = series.build_change_series(
-        series_set,
-        baselines,
-        half_width=config.smoothing_half_width,
-        boundary=config.smoothing_boundary,
+        series_set, baselines, config.smoothing_half_width, config.smoothing_boundary
     )
-    included = [r for r in series_set.regions if r not in insufficient]
-    coverage = {
-        "window": {
-            "start": config.window.start.isoformat(),
-            "end": config.window.end.isoformat(),
-        },
-        "regions": {
-            "total": len(series_set.regions),
-            "included": len(included),
-            "excluded": sorted(insufficient),
-        },
-        "trips": {
-            "data_rows": trips_result.total_rows,
-            "accepted": trips_result.accepted,
-            "dropped_out_of_window": trips_result.dropped,
-            "unmatched_regions": prepared.unmatched_regions,
-        },
-        "transactions": {
-            "data_rows": tx_result.total_rows,
-            "accepted": tx_result.accepted,
-            "dropped_out_of_window": tx_result.dropped,
-            "unmatched_zips": prepared.unmatched_zips,
-        },
-        "insufficient_baselines": {r: insufficient[r] for r in sorted(insufficient)},
-        "unknown_service_types": prepared.unknown_codes,
-    }
+    keys = series_set.key_list
     # the parse columns hold most of the stage's memory; rendering needs none of it
-    del trips_result, tx_result, overlaps_result, prepared, series_set
+    del trips_result, tx_result, overlaps_result, series_set
     _release_free_memory()
 
-    baselines_csv = io.StringIO()
-    baselines_csv.write(BASELINES_HEADER + "\n")
-    for (region, source, category), baseline in sorted(baselines.items()):
-        baselines_csv.write(
-            f"{region},{source},{category},{baseline.value!r},"
-            f"{'true' if baseline.sufficient else 'false'}\n"
-        )
+    values, sufficient = (array.tolist() for array in baselines)
+    baselines_csv = [BASELINES_HEADER + "\n"]
+    baselines_csv.extend(
+        f"{region},{source},{category},{value!r},{'true' if ok else 'false'}\n"
+        for (region, source, category), value, ok in zip(keys, values, sufficient)
+    )
     artifacts.changes = changes
     return {
-        BASELINES_ARTIFACT: baselines_csv.getvalue(),
+        BASELINES_ARTIFACT: "".join(baselines_csv),
         CHANGES_ARTIFACT: _changes_csv(changes),
         COVERAGE_ARTIFACT: _json_text(coverage),
     }
@@ -417,27 +377,25 @@ def _stage_metric(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     return {METRIC_ARTIFACT: out.getvalue()}
 
 
-def parse_metric_artifact(text: str) -> dict:
-    """metric.csv -> {region: (normalized, integrated, category)}, checking every cell."""
-    rows = {}
-    columns = METRIC_HEADER.split(",")
+def parse_metric_artifact(text: str) -> dict[str, float]:
+    """metric.csv -> {region: integrated metric}, checking every cell."""
+    integrated = {}
+    columns = METRIC_HEADER.split(",")[1:-1]
     for line_no, cells in _data_rows(text, METRIC_ARTIFACT, METRIC_HEADER):
         where, region, category = f"{METRIC_ARTIFACT} line {line_no}", cells[0], cells[-1]
-        if region in rows:
+        if region in integrated:
             raise PipelineError(f"{where}: region {region!r} is duplicated")
-        numbers = []
-        for column, cell in zip(columns[1:-1], cells[1:-1]):
+        for column, cell in zip(columns, cells[1:-1]):
             try:
                 value = float(cell)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise PipelineError(f"{where}: {column} {cell!r} is not a finite number")
-            numbers.append(value)
         if category not in metric.CATEGORY_LABELS:
             raise PipelineError(f"{where}: category {category!r} is not one of {metric.CATEGORY_LABELS}")
-        rows[region] = (dict(zip(METRIC_COLUMNS, numbers)), numbers[-1], category)
-    return rows
+        integrated[region] = value
+    return integrated
 
 
 # --------------------------------------------------------------------------
@@ -470,8 +428,8 @@ def _moran_entry(values, weights, permutations, seed) -> dict:
 
 def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     milestone_table = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT))
-    metric_rows = parse_metric_artifact(artifacts.read(METRIC_ARTIFACT))
-    if set(metric_rows) != set(milestone_table):
+    integrated = parse_metric_artifact(artifacts.read(METRIC_ARTIFACT))
+    if set(integrated) != set(milestone_table):
         raise PipelineError(f"{METRIC_ARTIFACT} and {MILESTONES_ARTIFACT} list different regions")
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
     attributes = ingest.parse_attributes(config.inputs["attributes"]).records
@@ -483,7 +441,7 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     fields = list(MILESTONE_FIELDS) + ["integrated"]
     for index, field in enumerate(fields):
         if field == "integrated":
-            values = {region: metric_rows[region][1] for region in regions}
+            values = {region: integrated[region] for region in regions}
         else:
             values = {
                 region: float(milestone_table[region][field].duration_days)
@@ -493,7 +451,6 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
             values, weights, config.permutations, [config.seed, index]
         )
 
-    integrated = {region: metric_rows[region][1] for region in regions}
     with_attributes = sorted(set(regions) & set(attributes))
     chi_section = {}
     for variable in CHI_SQUARE_VARIABLES:
@@ -646,13 +603,13 @@ def validate(config: PipelineConfig) -> list:
         "adjacency": ingest.parse_adjacency,
         "attributes": ingest.parse_attributes,
     }
-    for name in ("trips", "transactions", "overlaps", "adjacency", "attributes"):
+    for name, parse in parsers.items():
         path = config.inputs[name]
         if not Path(path).exists():
             diagnostics.append({"kind": "missing-file", "input": name, "detail": str(path)})
             continue
         try:
-            parsed[name] = parsers[name](path)
+            parsed[name] = parse(path)
         except ParseError as exc:
             diagnostics.append({"kind": "schema-error", "input": name, "detail": str(exc)})
 
@@ -660,7 +617,7 @@ def validate(config: PipelineConfig) -> list:
         taxonomy = aggregate.load_taxonomy(
             config.taxonomy, renormalize=config.renormalize_weights
         )
-    except Exception as exc:  # taxonomy problems are diagnostics here, not crashes
+    except (ParseError, TaxonomyError) as exc:  # taxonomy problems are diagnostics here
         diagnostics.append({"kind": "taxonomy-error", "detail": str(exc)})
         return diagnostics
 
@@ -674,16 +631,16 @@ def validate(config: PipelineConfig) -> list:
     if "trips" not in parsed or "transactions" not in parsed or "overlaps" not in parsed:
         return diagnostics
 
-    prepared = _prepare_series(
+    _, _, coverage = _series_and_coverage(
         config, taxonomy, parsed["trips"], parsed["transactions"], parsed["overlaps"],
         aggregate.POLICY_SKIP,
     )
-    for region, rows in prepared.unmatched_regions.items():
-        diagnostics.append({"kind": "unmatched-region", "region": region, "rows": rows})
-    for zip_code, rows in prepared.unmatched_zips.items():
-        diagnostics.append({"kind": "unmatched-zip", "zip": zip_code, "rows": rows})
-    for code, rows in prepared.unknown_codes.items():
-        diagnostics.append({"kind": "unknown-service-type", "code": code, "rows": rows})
-    for region, fields in prepared.insufficient.items():
-        diagnostics.append({"kind": "insufficient-baseline", "region": region, "fields": fields})
+    findings = (
+        ("unmatched-region", "region", "rows", coverage["trips"]["unmatched_regions"]),
+        ("unmatched-zip", "zip", "rows", coverage["transactions"]["unmatched_zips"]),
+        ("unknown-service-type", "code", "rows", coverage["unknown_service_types"]),
+        ("insufficient-baseline", "region", "fields", coverage["insufficient_baselines"]),
+    )
+    for kind, name, field, counts in findings:
+        diagnostics.extend({"kind": kind, name: key, field: value} for key, value in counts.items())
     return diagnostics

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +14,6 @@ DEFAULT_MIN_BASELINE = 1e-9
 
 BOUNDARY_TRUNCATE = "truncate"
 BOUNDARY_SKIP = "skip"
-
-
-@dataclass(frozen=True)
-class Baseline:
-    value: float
-    sufficient: bool
 
 
 def _smooth_rows(values: np.ndarray, half_width: int, boundary: str) -> np.ndarray:
@@ -50,12 +43,12 @@ def compute_baselines(
     series_set: SeriesSet,
     baseline_window: DateWindow,
     min_baseline: float = DEFAULT_MIN_BASELINE,
-) -> dict:
-    """Baseline per series key, in key order: the mean daily value over the window.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, sufficient) per row of `series_set`: the mean daily value over the window.
 
-    Missing days count as 0. Keys whose mean falls below `min_baseline` are
-    flagged insufficient and excluded from every downstream computation that
-    divides by the baseline.
+    Both arrays align with `series_set.key_list`. Missing days count as 0.
+    Rows whose mean falls below `min_baseline` are flagged insufficient and
+    excluded from every downstream computation that divides by the baseline.
     """
     start = series_set.window.index_of(baseline_window.start)
     end = series_set.window.index_of(baseline_window.end)
@@ -64,30 +57,30 @@ def compute_baselines(
             f"baseline window {baseline_window.start}..{baseline_window.end} "
             f"is outside the data window"
         )
-    baselines = {}
-    for key, row in zip(series_set.keys(), series_set.values):
-        mean = math.fsum(row[start : end + 1]) / baseline_window.n_days
-        baselines[key] = Baseline(value=mean, sufficient=mean >= min_baseline)
-    return baselines
+    days = series_set.values[:, start : end + 1]
+    values = np.array([math.fsum(row.tolist()) / baseline_window.n_days for row in days], dtype=float)
+    return values, values >= min_baseline
 
 
 def build_change_series(
     series_set: SeriesSet,
-    baselines: dict,
+    baselines: tuple[np.ndarray, np.ndarray],
     half_width: int = 3,
     boundary: str = BOUNDARY_TRUNCATE,
 ) -> SeriesSet:
     """Smoothed percent-change series for every key with a sufficient baseline.
 
-    A change is (smoothed - baseline) / baseline, computed for all keys at once.
+    `baselines` is the (values, sufficient) pair of compute_baselines. A
+    change is (smoothed - baseline) / baseline, computed for all keys at once.
     """
     if half_width < 0:
         raise SeriesError(f"half_width must be nonnegative, got {half_width}")
     if boundary not in (BOUNDARY_TRUNCATE, BOUNDARY_SKIP):
         raise SeriesError(f"unknown boundary mode {boundary!r}")
-    rows = [i for i, key in enumerate(series_set.keys()) if baselines[key].sufficient]
-    keys = [series_set.key_list[i] for i in rows]
-    base = np.array([baselines[key].value for key in keys]).reshape(-1, 1)
+    values, sufficient = baselines
+    rows = np.flatnonzero(sufficient)
+    keys = [series_set.key_list[i] for i in rows.tolist()]
+    base = values[rows].reshape(-1, 1)
     if (base <= 0).any():
         raise SeriesError(f"baseline must be positive, got {float(base[base <= 0][0])}")
     smoothed = _smooth_rows(series_set.values[rows], half_width, boundary)

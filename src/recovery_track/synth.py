@@ -281,8 +281,10 @@ def _scan_recovery(changes, d0: int, horizon: int, threshold: float, run_length:
     return None
 
 
-def _ground_truth_for(values, baseline_days: int, d0_index: int, horizon: int):
+def _ground_truth_for(values, baseline_days: int, d0_index: int, horizon: int, label: str):
     baseline = math.fsum(values[:baseline_days]) / baseline_days
+    if baseline == 0.0:
+        raise ScenarioError(f"{label} quantises to zero, so it has no percent change; raise the range")
     smoothed = _smooth_truncated(values)
     threshold = change_threshold(0.9)
     changes = [(s - baseline) / baseline for s in smoothed]
@@ -393,14 +395,15 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     bounds = np.cumsum([0] + [len(codes_by_category[category]) for category in CATEGORIES])
     category_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def truth(clean):
+    def truth(clean, field, entity):
         """(duration, censored) per category of one entity, from its noiseless values."""
         return [
             _ground_truth_for(
                 _weighted_series(clean[rows], weights[rows]),
                 spec.baseline_days, d0_index, spec.horizon_days,
+                f"{field}: the {category} baseline of {entity}",
             )
-            for rows in category_rows
+            for category, rows in zip(CATEGORIES, category_rows)
         ]
 
     regions = _region_ids(spec.n_regions)
@@ -441,7 +444,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         region_profiles.append(profile)
         noisy, clean = _emit_entity(np.random.default_rng([spec.seed, 3, i]), spec, profile, offsets)
         counts[i * n_codes:(i + 1) * n_codes] = noisy
-        trip_truth.append(truth(_counts(clean)))
+        trip_truth.append(truth(_counts(clean), "baseline_level_range", f"region {regions[i]}"))
 
     amounts = np.empty((len(zips) * n_codes, window.n_days))
     tx_truth = []
@@ -454,7 +457,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         )
         noisy, clean = _emit_entity(np.random.default_rng([spec.seed, 4, k]), spec, profile, offsets)
         amounts[k * n_codes:(k + 1) * n_codes] = noisy
-        tx_truth.append(truth(_amounts_as_read(clean)))
+        tx_truth.append(truth(_amounts_as_read(clean), "tx_level_range", f"Zip {zips[k]}"))
 
     paths = {}
 

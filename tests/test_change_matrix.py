@@ -46,14 +46,15 @@ def test_change_matrix_equals_scalar_smoothing_and_change(boundary, half_width):
     rng = np.random.default_rng(half_width)
     for _ in range(5):
         series_set = _random_set(rng)
-        baselines = compute_baselines(series_set, BASELINE_WINDOW)
-        changes = build_change_series(series_set, baselines, half_width, boundary)
-        expected = [key for key in series_set.keys() if baselines[key].sufficient]
+        values, sufficient = compute_baselines(series_set, BASELINE_WINDOW)
+        changes = build_change_series(series_set, (values, sufficient), half_width, boundary)
+        baseline_of = dict(zip(series_set.keys(), values.tolist()))
+        expected = [key for key, ok in zip(series_set.keys(), sufficient.tolist()) if ok]
         assert changes.keys() == expected
         assert 0 < len(expected) < len(series_set.keys())
         for key, row in zip(changes.keys(), changes.values):
             smoothed = moving_average(series_set[key], half_width=half_width, boundary=boundary)
-            want = percent_change(smoothed, baselines[key].value)
+            want = percent_change(smoothed, baseline_of[key])
             assert row.tobytes() == want.tobytes(), key
 
 

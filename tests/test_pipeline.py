@@ -5,14 +5,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from recovery_track import cli
-from recovery_track.config import load_config
+from recovery_track import aggregate, cli
+from recovery_track.config import PipelineConfig, load_config
 from recovery_track.errors import ConfigError, ParseError, PipelineError, TaxonomyError
 from recovery_track.pipeline import STAGES, run, validate
 from recovery_track.series import BOUNDARY_SKIP
@@ -223,6 +223,84 @@ def test_validate_reports_missing_file(tmp_path):
     assert any(d["kind"] == "missing-file" and d["input"] == "adjacency" for d in diagnostics)
 
 
+def _write_city_with_every_finding(directory):
+    """The mini city plus one of each coverage finding.
+
+    R999 has trips but no overlap (unmatched region), Zip 77999 has
+    transactions but no region (unmatched Zip), florist is no known service
+    type, R005 takes Zip 77002 but has no trips (insufficient trip
+    baselines), and each activity file has one row after the window.
+    """
+    config_path = _write_mini_bundle(
+        directory,
+        trip_extra="2017-08-02,R999,grocery,5\n2017-08-03,R001,florist,4\n2017-09-01,R002,grocery,7\n",
+        tx_extra="2017-08-02,77999,grocery,12.50\n2017-09-01,77001,grocery,3.00\n",
+    )
+    with open(directory / "overlaps.csv", "a", encoding="utf-8") as handle:
+        handle.write("R005,77002,0.7\n")
+    raw = json.loads(config_path.read_text())
+    raw["taxonomy_options"] = {"unknown_service_policy": "skip-with-warning"}
+    config_path.write_text(json.dumps(raw))
+    return config_path
+
+
+def test_validate_findings_restate_the_coverage_report(tmp_path):
+    config = load_config(_write_city_with_every_finding(tmp_path))
+    diagnostics = validate(config)
+    coverage = json.loads((run(config).output_dir / "coverage_report.json").read_text())
+
+    def found(kind, name, field):
+        return {d[name]: d[field] for d in diagnostics if d["kind"] == kind}
+
+    assert found("out-of-window-rows", "input", "rows") == {
+        "trips": coverage["trips"]["dropped_out_of_window"],
+        "transactions": coverage["transactions"]["dropped_out_of_window"],
+    } == {"trips": 1, "transactions": 1}
+    assert found("unmatched-region", "region", "rows") == coverage["trips"]["unmatched_regions"] == {"R999": 1}
+    assert found("unmatched-zip", "zip", "rows") == coverage["transactions"]["unmatched_zips"] == {"77999": 1}
+    assert found("unknown-service-type", "code", "rows") == coverage["unknown_service_types"] == {"florist": 1}
+    assert found("insufficient-baseline", "region", "fields") == coverage["insufficient_baselines"] == {
+        "R005": ["trip_essential", "trip_nonessential"]
+    }
+    assert coverage["regions"] == {"total": 5, "included": 4, "excluded": ["R005"]}
+    assert [d["kind"] for d in diagnostics] == [
+        "out-of-window-rows", "out-of-window-rows", "unmatched-region", "unmatched-zip",
+        "unknown-service-type", "insufficient-baseline",
+    ]
+
+
+def test_validate_reports_out_of_window_rows_without_overlaps(tmp_path):
+    config_path = _write_city_with_every_finding(tmp_path)
+    write_csv(tmp_path, "overlaps.csv", "region,zip\n")
+    diagnostics = validate(load_config(config_path))
+    assert [d["kind"] for d in diagnostics] == [
+        "schema-error", "out-of-window-rows", "out-of-window-rows",
+    ]
+    assert diagnostics[0]["input"] == "overlaps"
+
+
+def test_validate_reports_taxonomy_errors(tmp_path):
+    config_path = _write_mini_bundle(tmp_path)
+    write_csv(tmp_path, "taxonomy.csv", "service_type,category,weight_percent\ngrocery,staple,50\n")
+    raw = json.loads(config_path.read_text())
+    raw["inputs"]["taxonomy"] = "taxonomy.csv"
+    config_path.write_text(json.dumps(raw))
+    diagnostics = validate(load_config(config_path))
+    assert [d["kind"] for d in diagnostics] == ["taxonomy-error"]
+    assert "staple" in diagnostics[0]["detail"]
+
+
+def test_validate_lets_a_taxonomy_bug_propagate(tmp_path, monkeypatch):
+    config = load_config(_write_mini_bundle(tmp_path))
+
+    def broken_loader(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(aggregate, "load_taxonomy", broken_loader)
+    with pytest.raises(KeyError, match="bug"):
+        validate(config)
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -255,6 +333,14 @@ def test_config_defaults_follow_standard_setup(tmp_path):
     assert config.run_length == 3
     assert config.horizon_days == 120
     assert config.smoothing_half_width == 3
+    # every other field takes its PipelineConfig default, output_dir beside the file
+    derived = {"inputs", "taxonomy", "event_day", "window", "baseline_window"}
+    defaulted = [f for f in fields(PipelineConfig) if f.name not in derived]
+    assert len(defaulted) == 12
+    for f in defaulted:
+        want = tmp_path / f.default if f.name == "output_dir" else f.default
+        assert getattr(config, f.name) == want, f.name
+        assert type(getattr(config, f.name)) is type(want), f.name
 
 
 def test_config_resolves_paths_relative_to_file(tmp_path):
@@ -372,6 +458,20 @@ def test_cli_synth_unreadable_spec_exit_code(tmp_path, capsys, spec_text):
         spec_path.write_bytes(spec_text.encode("utf-8", "surrogateescape"))
     assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "city")]) == 2
     assert "spec.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, entity",
+    [("baseline_level_range", "region R0001"), ("tx_level_range", "Zip 77001")],
+)
+def test_cli_synth_zero_baseline_exit_code(tmp_path, capsys, field, entity):
+    # levels this low quantise to 0 trips or 0.00 a day before the event
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_regions": 4, field: [0.001, 0.02]}))
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "city")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: the essential baseline of {entity} quantises to zero" in err
+    assert not (tmp_path / "city" / "ground_truth.csv").exists()
 
 
 def _mangle_truncate(lines):

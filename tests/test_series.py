@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -11,7 +12,7 @@ from recovery_track.errors import SeriesError
 from recovery_track.series import (
     BOUNDARY_SKIP,
     BOUNDARY_TRUNCATE,
-    Baseline,
+    DEFAULT_MIN_BASELINE,
     _smooth_rows,
     build_change_series,
     compute_baselines,
@@ -33,8 +34,11 @@ def _one_key(values, window=WINDOW) -> SeriesSet:
     return SeriesSet(window, [KEY], np.asarray(values, dtype=float).reshape(1, -1))
 
 
-def _baseline(values, window, baseline_window) -> Baseline:
-    return compute_baselines(_one_key(values, window), baseline_window)[KEY]
+def _baseline(values, window, baseline_window) -> tuple[float, bool]:
+    """(value, sufficient) of one series."""
+    values, sufficient = compute_baselines(_one_key(values, window), baseline_window)
+    assert values.shape == sufficient.shape == (1,)
+    return values.tolist()[0], sufficient.tolist()[0]
 
 
 def _smoothed(values, boundary=BOUNDARY_TRUNCATE):
@@ -46,25 +50,45 @@ def _change(values, baseline: float, half_width=0):
     """build_change_series of one series against a sufficient `baseline`."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
     window = DateWindow(WINDOW.start, WINDOW.start + timedelta(days=len(values) - 1))
-    baselines = {KEY: Baseline(baseline, sufficient=True)}
+    baselines = (np.array([baseline]), np.array([True]))
     changes = build_change_series(_one_key(values, window), baselines, half_width)
     return changes.values[0]
 
 
 def test_baseline_constant_series():
-    baseline = _baseline(_values([10.0] * 21), WINDOW, BASELINE_WINDOW)
-    assert baseline.value == 10.0
-    assert baseline.sufficient
+    value, sufficient = _baseline(_values([10.0] * 21), WINDOW, BASELINE_WINDOW)
+    assert value == 10.0
+    assert sufficient is True
 
 
 def test_baseline_arithmetic_mean():
-    baseline = _baseline(_values(range(1, 22)), WINDOW, BASELINE_WINDOW)
-    assert baseline.value == pytest.approx(11.0, abs=1e-12)
+    value, _ = _baseline(_values(range(1, 22)), WINDOW, BASELINE_WINDOW)
+    assert value == pytest.approx(11.0, abs=1e-12)
 
 
 def test_baseline_all_zero_flagged_insufficient():
-    baseline = _baseline(np.zeros(WINDOW.n_days), WINDOW, BASELINE_WINDOW)
-    assert not baseline.sufficient
+    _, sufficient = _baseline(np.zeros(WINDOW.n_days), WINDOW, BASELINE_WINDOW)
+    assert sufficient is False
+
+
+def test_baselines_align_with_keys_and_sum_exactly():
+    rng = np.random.default_rng(8)
+    keys = [(f"R{i:03d}", "trip", "essential") for i in range(40)]
+    values = rng.uniform(0, 1e6, size=(len(keys), WINDOW.n_days))
+    values[::3, :21] *= 1e-16  # means below the default min_baseline
+    baselines, sufficient = compute_baselines(SeriesSet(WINDOW, keys, values), BASELINE_WINDOW)
+    assert baselines.dtype == np.float64 and sufficient.dtype == np.bool_
+    for row, value, ok in zip(values, baselines.tolist(), sufficient.tolist()):
+        assert value == math.fsum(row[:21].tolist()) / 21
+        assert ok == (value >= DEFAULT_MIN_BASELINE)
+    assert 0 < sufficient.sum() < len(keys)
+
+
+def test_baselines_of_no_keys_are_empty():
+    empty = SeriesSet(WINDOW, [], np.zeros((0, WINDOW.n_days)))
+    baselines, sufficient = compute_baselines(empty, BASELINE_WINDOW)
+    assert baselines.shape == sufficient.shape == (0,)
+    assert build_change_series(empty, (baselines, sufficient)).keys() == []
 
 
 def test_baseline_window_outside_data_errors():
