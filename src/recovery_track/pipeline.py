@@ -31,7 +31,7 @@ import numpy as np
 from . import aggregate, ingest, metric, milestones, series, stats
 from .config import PipelineConfig
 from .errors import ParseError, PipelineError, StatsError, TaxonomyError
-from .milestones import MILESTONE_FIELDS, Milestone, change_threshold
+from .milestones import MILESTONE_FIELDS, change_threshold
 from .windows import DateWindow
 
 STAGE_SERIES = "series"
@@ -338,23 +338,33 @@ def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     return {MILESTONES_ARTIFACT: out.getvalue()}
 
 
-def parse_milestones_artifact(text: str) -> dict:
-    """milestones.csv -> {region: {field: Milestone}}, checking every cell."""
-    table = {}
+def parse_milestones_artifact(text: str, horizon_days: int):
+    """milestones.csv -> (regions, durations), checking every cell.
+
+    `durations` is a float matrix with one row per region, sorted by region,
+    and one column per milestone in MILESTONE_FIELDS order. No milestone
+    exceeds the horizon, so a longer duration fails like any damaged cell.
+    """
+    rows = {}
     for line_no, cells in _data_rows(text, MILESTONES_ARTIFACT, MILESTONES_HEADER):
         where, region = f"{MILESTONES_ARTIFACT} line {line_no}", cells[0]
-        if region in table:
+        if region in rows:
             raise PipelineError(f"{where}: region {region!r} is duplicated")
-        entry = {}
+        row = []
         for k, field in enumerate(MILESTONE_FIELDS):
             days, censored = cells[2 * k + 1], cells[2 * k + 2]
             if not (days.isascii() and days.isdigit()):
                 raise PipelineError(f"{where}: {field}_days {days!r} is not a whole number")
+            digits = days.lstrip("0") or "0"
+            # compare lengths first: int() refuses a text of over 4300 digits
+            if len(digits) > len(str(horizon_days)) or int(digits) > horizon_days:
+                raise PipelineError(f"{where}: {field}_days exceeds recovery.horizon_days ({horizon_days})")
             if censored not in ("true", "false"):
                 raise PipelineError(f"{where}: {field}_censored {censored!r} is not true or false")
-            entry[field] = Milestone(duration_days=int(days), censored=censored == "true")
-        table[region] = entry
-    return table
+            row.append(int(digits))
+        rows[region] = row
+    regions = sorted(rows)
+    return regions, np.array([rows[r] for r in regions], dtype=float).reshape(-1, len(MILESTONE_FIELDS))
 
 
 # --------------------------------------------------------------------------
@@ -362,25 +372,19 @@ def parse_milestones_artifact(text: str) -> dict:
 
 
 def _stage_metric(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
-    table = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT))
-    rows = metric.build_metric_table(table)
+    regions, durations = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT), config.horizon_days)
+    normalized, integrated, categories = metric.build_metric_table(durations)
 
-    out = io.StringIO()
-    out.write(METRIC_HEADER + "\n")
-    for region in sorted(rows):
-        row = rows[region]
-        cells = [region]
-        cells.extend(format_sig(row.normalized[f]) for f in MILESTONE_FIELDS)
-        cells.append(format_sig(row.integrated))
-        cells.append(row.category)
-        out.write(",".join(cells) + "\n")
-    return {METRIC_ARTIFACT: out.getvalue()}
+    out = [METRIC_HEADER + "\n"]
+    for region, row, value, category in zip(regions, normalized.tolist(), integrated.tolist(), categories):
+        out.append(",".join([region, *map(format_sig, row), format_sig(value), category]) + "\n")
+    return {METRIC_ARTIFACT: "".join(out)}
 
 
-def parse_metric_artifact(text: str) -> dict[str, float]:
-    """metric.csv -> {region: integrated metric}, checking every cell."""
+def parse_metric_artifact(text: str):
+    """metric.csv -> (regions, integrated metric), rows sorted by region, checking every cell."""
     integrated = {}
-    columns = METRIC_HEADER.split(",")[1:-1]
+    columns = (*METRIC_COLUMNS, "integrated")
     for line_no, cells in _data_rows(text, METRIC_ARTIFACT, METRIC_HEADER):
         where, region, category = f"{METRIC_ARTIFACT} line {line_no}", cells[0], cells[-1]
         if region in integrated:
@@ -395,7 +399,8 @@ def parse_metric_artifact(text: str) -> dict[str, float]:
         if category not in metric.CATEGORY_LABELS:
             raise PipelineError(f"{where}: category {category!r} is not one of {metric.CATEGORY_LABELS}")
         integrated[region] = value
-    return integrated
+    regions = sorted(integrated)
+    return regions, np.array([integrated[region] for region in regions], dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -427,31 +432,25 @@ def _moran_entry(values, weights, permutations, seed) -> dict:
 
 
 def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
-    milestone_table = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT))
-    integrated = parse_metric_artifact(artifacts.read(METRIC_ARTIFACT))
-    if set(integrated) != set(milestone_table):
+    regions, durations = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT), config.horizon_days)
+    metric_regions, integrated = parse_metric_artifact(artifacts.read(METRIC_ARTIFACT))
+    if metric_regions != regions:
         raise PipelineError(f"{METRIC_ARTIFACT} and {MILESTONES_ARTIFACT} list different regions")
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
     attributes = ingest.parse_attributes(config.inputs["attributes"]).records
 
-    regions = sorted(milestone_table)
     weights = stats.SpatialWeights.from_adjacency(adjacency, include=regions)
 
-    moran_section = {}
-    fields = list(MILESTONE_FIELDS) + ["integrated"]
-    for index, field in enumerate(fields):
-        if field == "integrated":
-            values = {region: integrated[region] for region in regions}
-        else:
-            values = {
-                region: float(milestone_table[region][field].duration_days)
-                for region in regions
-            }
-        moran_section[field] = _moran_entry(
-            values, weights, config.permutations, [config.seed, index]
+    columns = zip((*MILESTONE_FIELDS, "integrated"), (*durations.T, integrated))
+    moran_section = {
+        field: _moran_entry(
+            dict(zip(regions, column.tolist())), weights, config.permutations, [config.seed, index]
         )
+        for index, (field, column) in enumerate(columns)
+    }
 
-    with_attributes = sorted(set(regions) & set(attributes))
+    with_attributes = [i for i, region in enumerate(regions) if region in attributes]
+    attribute_rows = [attributes[regions[i]] for i in with_attributes]
     chi_section = {}
     for variable in CHI_SQUARE_VARIABLES:
         try:
@@ -459,16 +458,9 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
                 raise StatsError(
                     f"chi-square needs >= 4 regions with attributes, got {len(with_attributes)}"
                 )
-            recovery_labels, recovery_degenerate = stats.dichotomize_by_median(
-                {region: integrated[region] for region in with_attributes}
-            )
-            attr_values = {
-                region: getattr(attributes[region], variable) for region in with_attributes
-            }
-            attr_labels, attr_degenerate = stats.dichotomize_by_median(attr_values)
-            if recovery_degenerate or attr_degenerate:
-                raise StatsError("degenerate median split: all regions on one side")
-            result = stats.chi_square_2x2(recovery_labels, attr_labels, yates=config.yates)
+            recovery_high = stats.dichotomize_by_median(integrated[with_attributes])
+            attr_high = stats.dichotomize_by_median([getattr(row, variable) for row in attribute_rows])
+            result = stats.chi_square_2x2(recovery_high, attr_high, yates=config.yates)
             chi_section[variable] = {
                 "statistic": round_sig(result.statistic),
                 "dof": result.dof,
@@ -481,7 +473,7 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
 
     lorenz_text = "pop_share,metric_share\n"
     try:
-        curve = stats.gini(integrated.values())
+        curve = stats.gini(integrated.tolist())
         gini_section = {"value": round_sig(curve.gini), "n": curve.n}
         lorenz_text += "".join(
             f"{format_sig(p)},{format_sig(s)}\n" for p, s in curve.points

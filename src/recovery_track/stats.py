@@ -222,22 +222,15 @@ def morans_i(
 # median dichotomization and chi-square
 
 
-def median_value(values) -> float:
-    return float(np.quantile(np.asarray(list(values), dtype=float), 0.5))
-
-
-def dichotomize_by_median(values: dict):
-    """1 where the value exceeds the median, else 0 (ties go low).
-
-    Returns (labels, degenerate); a degenerate split means every region landed
-    in the same group.
-    """
+def dichotomize_by_median(values) -> np.ndarray:
+    """True where the value exceeds the median (ties go low); a one-sided split raises."""
+    values = np.asarray(values, dtype=float)
     if len(values) < 2:
         raise StatsError(f"median split needs at least 2 regions, got {len(values)}")
-    med = median_value(values.values())
-    labels = {region: (1 if value > med else 0) for region, value in values.items()}
-    distinct = set(labels.values())
-    return labels, len(distinct) == 1
+    high = values > np.quantile(values, 0.5)
+    if high.all() or not high.any():
+        raise StatsError("degenerate median split: all regions on one side")
+    return high
 
 
 @dataclass(frozen=True)
@@ -277,19 +270,16 @@ def chi_square_from_table(table, yates: bool = False) -> ChiSquareResult:
     )
 
 
-def chi_square_2x2(group_a: dict, group_b: dict, yates: bool = False) -> ChiSquareResult:
-    """Association between two binary region labelings over the same regions."""
-    if set(group_a) != set(group_b):
-        raise StatsError("labelings cover different region sets")
-    if not group_a:
+def chi_square_2x2(group_a, group_b, yates: bool = False) -> ChiSquareResult:
+    """Association between two boolean labelings of the same regions, in one order."""
+    group_a = np.asarray(group_a, dtype=bool)
+    group_b = np.asarray(group_b, dtype=bool)
+    if group_a.shape != group_b.shape:
+        raise StatsError(f"labelings differ in length: {group_a.size} and {group_b.size}")
+    if not group_a.size:
         raise StatsError("empty labelings")
-    counts = [[0, 0], [0, 0]]
-    for region, a_label in group_a.items():
-        b_label = group_b[region]
-        if a_label not in (0, 1) or b_label not in (0, 1):
-            raise StatsError(f"labels must be 0/1, got ({a_label}, {b_label}) for {region}")
-        counts[a_label][b_label] += 1
-    return chi_square_from_table(counts, yates=yates)
+    n00, n01, n10, n11 = np.bincount(2 * group_a + group_b, minlength=4).tolist()
+    return chi_square_from_table(((n00, n01), (n10, n11)), yates=yates)
 
 
 # --------------------------------------------------------------------------

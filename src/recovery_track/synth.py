@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -41,90 +41,63 @@ RAMP_EXPONENTIAL = "exponential"
 # per-category ramp multipliers: essential activity comes back faster
 CATEGORY_RAMP_SCALE = {ESSENTIAL: 0.7, "non-essential": 1.3}
 
-_SPEC_DEFAULTS = {
-    "name": "scenario",
-    "seed": 0,
-    "n_regions": None,  # required
-    "event_day": "2017-08-27",
-    "window_start": "2017-08-01",
-    "baseline_days": 21,
-    "horizon_days": 120,
-    "noise": 0.0,
-    "regions_per_zip": 4,
-    "clusters": 4,
-    "baseline_level_range": (200.0, 2000.0),
-    "tx_level_range": (2000.0, 20000.0),
-    "drop_range": (0.2, 0.9),
-    "ramp_range": (5, 60),
-    "flat_fraction": 0.05,
-    "censored_fraction": 0.05,
-    "ramp_shape": RAMP_LINEAR,
+def _pair(kind):
+    """A reader for a [low, high] field whose items `kind` reads."""
+
+    def read(value, name):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ScenarioError(f"{name}: expected a [low, high] pair")
+        lo, hi = (kind(item, name, ScenarioError) for item in value)
+        if lo > hi:
+            raise ScenarioError(f"{name}: low {lo} exceeds high {hi}")
+        return (lo, hi)
+
+    return read
+
+
+# from_mapping's reader for each field annotation of ScenarioSpec
+_FIELD_READERS = {
+    "str": lambda value, name: str(value),
+    "int": lambda value, name: integer_field(value, name, ScenarioError),
+    "float": lambda value, name: number_field(value, name, ScenarioError),
+    "date": lambda value, name: date_field(value, name, ScenarioError),
+    "tuple[float, float]": _pair(number_field),
+    "tuple[int, int]": _pair(integer_field),
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    name: str
-    seed: int
-    n_regions: int
-    event_day: date
-    window_start: date
-    baseline_days: int
-    horizon_days: int
-    noise: float
-    regions_per_zip: int
-    clusters: int
-    baseline_level_range: tuple[float, float]
-    tx_level_range: tuple[float, float]
-    drop_range: tuple[float, float]
-    ramp_range: tuple[int, int]
-    flat_fraction: float
-    censored_fraction: float
-    ramp_shape: str
+    name: str = "scenario"
+    seed: int = 0
+    n_regions: int  # required
+    event_day: date = date(2017, 8, 27)
+    window_start: date = date(2017, 8, 1)
+    baseline_days: int = 21
+    horizon_days: int = 120
+    noise: float = 0.0
+    regions_per_zip: int = 4
+    clusters: int = 4
+    baseline_level_range: tuple[float, float] = (200.0, 2000.0)
+    tx_level_range: tuple[float, float] = (2000.0, 20000.0)
+    drop_range: tuple[float, float] = (0.2, 0.9)
+    ramp_range: tuple[int, int] = (5, 60)
+    flat_fraction: float = 0.05
+    censored_fraction: float = 0.05
+    ramp_shape: str = RAMP_LINEAR
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ScenarioSpec":
-        unknown = set(raw) - set(_SPEC_DEFAULTS)
+        spec_fields = fields(cls)
+        unknown = set(raw) - {f.name for f in spec_fields}
         if unknown:
             raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
-        merged = {**_SPEC_DEFAULTS, **raw}
-        if merged["n_regions"] is None:
-            raise ScenarioError("n_regions: field is required")
-
-        def _integer(name):
-            return integer_field(merged[name], name, ScenarioError)
-
-        def _number(name):
-            return number_field(merged[name], name, ScenarioError)
-
-        def _pair(name, kind):
-            value = merged[name]
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ScenarioError(f"{name}: expected a [low, high] pair")
-            lo, hi = (kind(item, name, ScenarioError) for item in value)
-            if lo > hi:
-                raise ScenarioError(f"{name}: low {lo} exceeds high {hi}")
-            return (lo, hi)
-
-        spec = cls(
-            name=str(merged["name"]),
-            seed=_integer("seed"),
-            n_regions=_integer("n_regions"),
-            event_day=date_field(merged["event_day"], "event_day", ScenarioError),
-            window_start=date_field(merged["window_start"], "window_start", ScenarioError),
-            baseline_days=_integer("baseline_days"),
-            horizon_days=_integer("horizon_days"),
-            noise=_number("noise"),
-            regions_per_zip=_integer("regions_per_zip"),
-            clusters=_integer("clusters"),
-            baseline_level_range=_pair("baseline_level_range", number_field),
-            tx_level_range=_pair("tx_level_range", number_field),
-            drop_range=_pair("drop_range", number_field),
-            ramp_range=_pair("ramp_range", integer_field),
-            flat_fraction=_number("flat_fraction"),
-            censored_fraction=_number("censored_fraction"),
-            ramp_shape=str(merged["ramp_shape"]),
-        )
+        for f in spec_fields:
+            if f.default is MISSING and raw.get(f.name) is None:
+                raise ScenarioError(f"{f.name}: field is required")
+        spec = cls(**{
+            f.name: _FIELD_READERS[f.type](raw[f.name], f.name) for f in spec_fields if f.name in raw
+        })
         spec.validate()
         return spec
 

@@ -15,43 +15,58 @@ from recovery_track.metric import (
     min_max_normalize,
     quartiles,
 )
-from recovery_track.milestones import MILESTONE_FIELDS, Milestone
 
 
 def test_normalize_examples():
-    assert min_max_normalize({"A": 10, "B": 30, "C": 20}) == {"A": 0.0, "B": 1.0, "C": 0.5}
-    assert min_max_normalize({"A": 7, "B": 7, "C": 7}) == {"A": 0.0, "B": 0.0, "C": 0.0}
-    assert min_max_normalize({"A": 5, "B": 7}) == {"A": 0.0, "B": 1.0}
+    assert min_max_normalize([10, 30, 20]).tolist() == [0.0, 1.0, 0.5]
+    assert min_max_normalize([7, 7, 7]).tolist() == [0.0, 0.0, 0.0]
+    assert min_max_normalize([5, 7]).tolist() == [0.0, 1.0]
+
+
+def test_normalize_scales_each_column_alone():
+    durations = [[10, 7, 0], [30, 7, 4], [20, 7, 1]]
+    assert min_max_normalize(durations).tolist() == [
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 1.0],
+        [0.5, 0.0, 0.25],
+    ]
 
 
 def test_normalize_rejects_tiny_inputs():
     with pytest.raises(MetricError):
-        min_max_normalize({})
+        min_max_normalize([])
     with pytest.raises(MetricError):
-        min_max_normalize({"A": 1})
+        min_max_normalize([1])
+    with pytest.raises(MetricError):
+        min_max_normalize([[1, 2, 3, 4]])
 
 
 def test_normalize_endpoints_exact():
     rng = random.Random(3)
     for _ in range(100):
-        values = {f"R{i}": rng.uniform(0, 120) for i in range(rng.randrange(2, 30))}
+        values = [rng.uniform(0, 120) for _ in range(rng.randrange(2, 30))]
         normalized = min_max_normalize(values)
-        assert min(normalized.values()) == 0.0
-        assert max(normalized.values()) == 1.0
-        assert all(0.0 <= v <= 1.0 for v in normalized.values())
+        assert normalized.min() == 0.0
+        assert normalized.max() == 1.0
+        assert ((0.0 <= normalized) & (normalized <= 1.0)).all()
 
 
 def test_integrated_metric_examples():
-    assert integrated_metric([0, 0, 0, 0]) == 0.0
-    assert integrated_metric([0.2, 0.4, 0.6, 0.8]) == pytest.approx(0.5, abs=1e-15)
-    assert integrated_metric([1, 1, 1, 1]) == 1.0
+    values = integrated_metric([[0, 0, 0, 0], [0.2, 0.4, 0.6, 0.8], [1, 1, 1, 1]])
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(0.5, abs=1e-15)
+    assert values[2] == 1.0
 
 
 def test_integrated_metric_validates_input():
     with pytest.raises(MetricError):
-        integrated_metric([0.1, 0.2, 0.3])
+        integrated_metric([[0.1, 0.2, 0.3]])
     with pytest.raises(MetricError):
-        integrated_metric([0.1, 0.2, 0.3, 1.5])
+        integrated_metric([0.1, 0.2, 0.3, 0.4])  # one row needs its own brackets
+    with pytest.raises(MetricError):
+        integrated_metric([[0.1, 0.2, 0.3, 1.5]])
+    with pytest.raises(MetricError):
+        integrated_metric([[0.1, 0.2, 0.3, 0.4], [0.1, math.nan, 0.3, 0.4]])
 
 
 def test_quartiles_match_independent_interpolation():
@@ -65,33 +80,32 @@ def test_quartiles_match_independent_interpolation():
 
 
 def test_categorize_eight_point_fixture_splits_evenly():
-    metrics = {f"R{i}": 0.1 * i for i in range(1, 9)}
-    labels = categorize(metrics)
+    labels = categorize([0.1 * i for i in range(1, 9)])
     counts = {}
-    for label in labels.values():
+    for label in labels:
         counts[label] = counts.get(label, 0) + 1
     assert counts == {"early": 2, "mild": 2, "late": 2, "delayed": 2}
-    assert labels["R1"] == "early" and labels["R8"] == "delayed"
+    assert labels[0] == "early" and labels[7] == "delayed"
 
 
 def test_categorize_all_identical_goes_early():
-    labels = categorize({f"R{i}": 0.42 for i in range(6)})
-    assert set(labels.values()) == {"early"}
+    labels = categorize([0.42] * 6)
+    assert labels == ["early"] * 6
 
 
 def test_categorize_needs_four_regions():
     with pytest.raises(MetricError):
-        categorize({"A": 0.1, "B": 0.2, "C": 0.3})
+        categorize([0.1, 0.2, 0.3])
 
 
 def test_categorize_invariant_under_monotone_transform():
     rng = random.Random(23)
     transforms = [math.exp, lambda x: x**3 + x, lambda x: 10 * x + 3, math.atan]
     for _ in range(200):
-        metrics = {f"R{i}": rng.uniform(-2, 2) for i in range(rng.randrange(4, 40))}
+        metrics = [rng.uniform(-2, 2) for _ in range(rng.randrange(4, 40))]
         base = categorize(metrics)
         transform = rng.choice(transforms)
-        mapped = categorize({k: transform(v) for k, v in metrics.items()})
+        mapped = categorize([transform(v) for v in metrics])
         assert mapped == base
 
 
@@ -99,57 +113,49 @@ def test_categorize_invariant_under_monotone_transform():
 # full metric table
 
 
-def _random_table(rng, n_regions, horizon=120):
-    table = {}
-    for i in range(n_regions):
-        row = {}
-        for field in MILESTONE_FIELDS:
-            duration = rng.randrange(0, horizon + 1)
-            row[field] = Milestone(duration, censored=duration == horizon and rng.random() < 0.3)
-        table[f"R{i:03d}"] = row
-    return table
+def _random_durations(rng, n_regions, horizon=120):
+    """Whole-day durations, one row per region and one column per milestone."""
+    return np.array(
+        [[float(rng.randrange(0, horizon + 1)) for _ in range(4)] for _ in range(n_regions)]
+    )
 
 
 def test_metric_table_integrated_is_mean_of_normalized():
     rng = random.Random(29)
-    table = _random_table(rng, 25)
-    rows = build_metric_table(table)
-    for row in rows.values():
-        mean = math.fsum(row.normalized[f] for f in MILESTONE_FIELDS) / 4.0
-        assert abs(row.integrated - mean) <= 1e-15
-        assert 0.0 <= row.integrated <= 1.0
+    durations = _random_durations(rng, 25)
+    normalized, integrated, categories = build_metric_table(durations)
+    assert normalized.shape == durations.shape
+    assert len(integrated) == len(categories) == len(durations)
+    for row, value in zip(normalized.tolist(), integrated.tolist()):
+        mean = math.fsum(row) / 4.0
+        assert abs(value - mean) <= 1e-15
+        assert 0.0 <= value <= 1.0
 
 
 def test_metric_table_order_preservation():
     rng = random.Random(31)
     for _ in range(50):
-        table = _random_table(rng, 12)
-        regions = sorted(table)
-        a, b = rng.sample(regions, 2)
-        if all(
-            table[a][f].duration_days <= table[b][f].duration_days for f in MILESTONE_FIELDS
-        ):
-            rows = build_metric_table(table)
-            assert rows[a].integrated <= rows[b].integrated
+        durations = _random_durations(rng, 12)
+        a, b = rng.sample(range(12), 2)
+        if (durations[a] <= durations[b]).all():
+            _, integrated, _ = build_metric_table(durations)
+            assert integrated[a] <= integrated[b]
 
 
 def test_metric_table_censored_participate_at_horizon():
-    table = {
-        "R1": {f: Milestone(0, False) for f in MILESTONE_FIELDS},
-        "R2": {f: Milestone(60, False) for f in MILESTONE_FIELDS},
-        "R3": {f: Milestone(120, True) for f in MILESTONE_FIELDS},
-        "R4": {f: Milestone(30, False) for f in MILESTONE_FIELDS},
-    }
-    rows = build_metric_table(table)
-    assert rows["R3"].integrated == 1.0
-    assert rows["R1"].integrated == 0.0
+    # the third region is censored in every milestone, at the 120-day horizon
+    durations = [[0.0] * 4, [60.0] * 4, [120.0] * 4, [30.0] * 4]
+    _, integrated, _ = build_metric_table(durations)
+    assert integrated[2] == 1.0
+    assert integrated[0] == 0.0
 
 
 def test_metric_table_category_consistent_with_quartiles():
     rng = random.Random(37)
-    table = _random_table(rng, 40)
-    rows = build_metric_table(table)
-    metrics = {region: row.integrated for region, row in rows.items()}
-    labels = categorize(metrics)
-    for region, row in rows.items():
-        assert row.category == labels[region]
+    _, integrated, categories = build_metric_table(_random_durations(rng, 40))
+    assert categories == categorize(integrated)
+
+
+def test_metric_table_needs_four_regions():
+    with pytest.raises(MetricError, match="at least 4 regions"):
+        build_metric_table(_random_durations(random.Random(41), 3))

@@ -123,6 +123,65 @@ def test_staged_runs_match_full_run(small_city, tmp_path):
         assert sorted(work.same_files) == ["baselines.csv", "changes.csv"], label
 
 
+def test_report_stages_ignore_row_order(small_city, tmp_path):
+    _, config = small_city
+    config = config.with_overrides(output_dir=tmp_path / "out")
+    run(config)
+    out = config.output_dir
+    expected = {name: (out / name).read_bytes() for name in GOLDEN_ARTIFACTS}
+
+    def reverse_rows(name):
+        header, *rows = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text(header + "".join(reversed(rows)))
+
+    reverse_rows("milestones.csv")
+    run(config, only="metric")
+    assert (out / "metric.csv").read_bytes() == expected["metric.csv"]
+    reverse_rows("metric.csv")
+    run(config, only="stats")
+    for name in ("stats.json", "lorenz.csv"):
+        assert (out / name).read_bytes() == expected[name], name
+
+
+@pytest.mark.parametrize(
+    "keep, edit, expected",
+    [
+        pytest.param(
+            3, None,
+            {variable: "chi-square needs >= 4 regions with attributes, got 3" for variable in (
+                "per_capita_income", "minority_fraction", "flood_fraction",
+            )},
+            id="three-regions",
+        ),
+        pytest.param(
+            None, ("flood_fraction", "0.5"),
+            {"flood_fraction": "degenerate median split: all regions on one side"},
+            id="constant-flood-fraction",
+        ),
+    ],
+)
+def test_stats_records_chi_square_errors(small_city, tmp_path, keep, edit, expected):
+    _, config = small_city
+    header, *rows = Path(config.inputs["attributes"]).read_text().splitlines()
+    rows = rows[:keep]
+    if edit is not None:
+        column = header.split(",").index(edit[0])
+        rows = [",".join(edit[1] if k == column else cell for k, cell in enumerate(row.split(",")))
+                for row in rows]
+    write_csv(tmp_path, "attributes.csv", "\n".join([header, *rows]) + "\n")
+    config = replace(
+        config, inputs={**config.inputs, "attributes": tmp_path / "attributes.csv"},
+        output_dir=tmp_path / "out",
+    )
+    run(config)
+    chi_square = json.loads((tmp_path / "out" / "stats.json").read_text())["chi_square"]
+    for variable, entry in chi_square.items():
+        if variable in expected:
+            assert entry == {"error": expected[variable]}, variable
+        else:
+            assert entry["n"] == len(rows), variable
+
+
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
     _, config = small_city
     config = config.with_overrides(output_dir=tmp_path / "fresh")
@@ -574,6 +633,24 @@ def _directory(path):
         pytest.param("milestones.csv", "metric", _set_cell(2, 2, "yes"), "line 2", id="censored"),
         pytest.param("milestones.csv", "metric", _set_cell(3, 0, "R001"), "line 3", id="duplicate"),
         pytest.param("milestones.csv", "metric", _edit_text(lambda text: text[:-1]), "ends mid-line", id="cut"),
+        pytest.param(
+            "milestones.csv", "metric", _set_cell(2, 1, "9" * 400),
+            "line 2: trip_essential_days exceeds recovery.horizon_days (10)", id="days-400-digits",
+        ),
+        pytest.param(
+            "milestones.csv", "metric", _set_cell(2, 3, "9" * 5000),
+            "line 2: trip_nonessential_days exceeds recovery.horizon_days (10)", id="days-5000-digits",
+        ),
+        pytest.param(
+            "milestones.csv", "stats", _set_cell(4, 5, "9" * 5000),
+            "line 4: transaction_essential_days exceeds recovery.horizon_days (10)",
+            id="days-5000-digits-stats",
+        ),
+        pytest.param(
+            "milestones.csv", "metric", _set_cell(3, 7, "11"),
+            "line 3: transaction_nonessential_days exceeds recovery.horizon_days (10)",
+            id="days-above-horizon",
+        ),
         pytest.param("metric.csv", "stats", _set_cell(2, 1, "zz"), "line 2", id="metric-cell"),
         pytest.param("metric.csv", "stats", _set_cell(4, 5, "nan"), "line 4", id="metric-nan"),
         pytest.param("metric.csv", "stats", _set_cell(2, 6, "soon"), "line 2", id="metric-category"),

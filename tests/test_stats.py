@@ -92,12 +92,16 @@ def test_chi_square_matches_scipy_statistic():
 
 
 def test_chi_square_from_labelings():
-    group_a = {"R1": 1, "R2": 1, "R3": 0, "R4": 0, "R5": 1}
-    group_b = {"R1": 1, "R2": 0, "R3": 0, "R4": 1, "R5": 1}
+    group_a = [True, True, False, False, True]
+    group_b = [True, False, False, True, True]
     result = chi_square_2x2(group_a, group_b)
     assert result.table == ((1, 1), (1, 2))
-    with pytest.raises(StatsError):
-        chi_square_2x2(group_a, {"R1": 1})
+    assert all(type(cell) is int for row in result.table for cell in row)
+    assert chi_square_2x2([1, 1, 0, 0, 1], [1, 0, 0, 1, 1]).table == result.table
+    with pytest.raises(StatsError, match="differ in length"):
+        chi_square_2x2(group_a, [True])
+    with pytest.raises(StatsError, match="empty"):
+        chi_square_2x2([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +109,19 @@ def test_chi_square_from_labelings():
 
 
 def test_dichotomize_examples():
-    labels, degenerate = dichotomize_by_median({"A": 1, "B": 2, "C": 3, "D": 4})
-    assert labels == {"A": 0, "B": 0, "C": 1, "D": 1}
-    assert not degenerate
+    assert dichotomize_by_median([1, 2, 3, 4]).tolist() == [False, False, True, True]
 
 
 def test_dichotomize_median_tie_goes_low():
-    labels, _ = dichotomize_by_median({"A": 1, "B": 2, "C": 3})
-    assert labels["B"] == 0  # exactly at the median
+    high = dichotomize_by_median([1, 2, 3])
+    assert not high[1]  # exactly at the median
 
 
 def test_dichotomize_degenerate_split():
-    labels, degenerate = dichotomize_by_median({"A": 5, "B": 5, "C": 5})
-    assert degenerate
-    assert set(labels.values()) == {0}
+    with pytest.raises(StatsError, match="degenerate median split: all regions on one side"):
+        dichotomize_by_median([5, 5, 5])
+    with pytest.raises(StatsError, match="at least 2 regions"):
+        dichotomize_by_median([5])
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,18 @@ def test_exponential_ramp_supported(tmp_path):
     assert len(rows) == spec.n_regions * 4
 
 
+def test_spec_reads_back_every_field():
+    spec = ScenarioSpec.from_mapping({"n_regions": 5})
+    assert spec == ScenarioSpec(n_regions=5)
+    # every field given explicitly, as JSON would hold it
+    raw = {
+        name: value.isoformat() if hasattr(value, "isoformat") else
+        list(value) if isinstance(value, tuple) else value
+        for name, value in vars(spec).items()
+    }
+    assert ScenarioSpec.from_mapping(raw) == spec
+
+
 def test_spec_errors_name_the_field():
     with pytest.raises(ScenarioError, match="n_regions"):
         ScenarioSpec.from_mapping({})
