@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, RecoveryTrackError
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run the pipeline and write the report bundle")
     run_parser.add_argument("--config", required=True, help="pipeline config JSON")
     run_parser.add_argument("--only", choices=STAGES, help="run a single stage")
-    run_parser.add_argument("--out", help="override the config's output directory")
+    run_parser.add_argument("--out", type=Path, help="override the config's output directory")
     run_parser.add_argument("--permutations", type=int, help="Moran's I permutation count")
     run_parser.add_argument("--yates", action="store_true", default=None,
                             help="apply the continuity correction to chi-square tests")

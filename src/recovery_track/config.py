@@ -3,22 +3,153 @@
 Relative input paths resolve against the config file's directory so a config
 can travel with its data. Defaults reproduce the standard setup: 21-day
 baseline, 7-day centered smoothing, 90% threshold held for 3 days, 120-day
-horizon.
+horizon. Each setting, here and in `synth.ScenarioSpec`, is declared once with
+`setting`: its JSON key, its default and its bounds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 from .aggregate import POLICY_ERROR, POLICY_SKIP
 from .errors import ConfigError
-from .series import BOUNDARY_SKIP, BOUNDARY_TRUNCATE, DEFAULT_MIN_BASELINE
+from .series import BOUNDARIES, BOUNDARY_TRUNCATE, DEFAULT_MIN_BASELINE
 from .windows import DateWindow, parse_iso_date
 
 INPUT_NAMES = ("trips", "transactions", "overlaps", "adjacency", "attributes")
+# the config keys load_config reads besides the settings
+STRUCTURAL_KEYS = {
+    *(f"inputs.{name}" for name in (*INPUT_NAMES, "taxonomy")),
+    "window.start", "window.end", "baseline.start", "baseline.end", "event_day", "output_dir",
+}
+
+
+def integer_field(value, label: str, error=ConfigError) -> int:
+    """A JSON integer, or a float with no fraction; strings and booleans raise `error`."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise error(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
+def number_field(value, label: str, error=ConfigError) -> float:
+    """A finite JSON number as a float; strings, booleans, NaN and infinities raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{label} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, and integers too large for a float
+        raise error(f"{label} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def boolean_field(value, label: str, error=ConfigError) -> bool:
+    """A JSON boolean; anything else, "false" and 0 included, raises `error`."""
+    if not isinstance(value, bool):
+        raise error(f"{label} must be true or false, got {value!r}")
+    return value
+
+
+def string_field(value, label: str, error=ConfigError) -> str:
+    """A JSON string; anything else raises `error`."""
+    if not isinstance(value, str):
+        raise error(f"{label} must be a string, got {value!r}")
+    return value
+
+
+def date_field(value, label: str, error=ConfigError) -> date:
+    """A JSON string holding an ISO date; other types and bad dates raise `error`."""
+    if not isinstance(value, str):
+        raise error(f"{label} must be a date string, got {value!r}")
+    try:
+        return parse_iso_date(value)
+    except ValueError as exc:
+        raise error(f"{label}: {exc}") from None
+
+
+def _pair(kind):
+    """A reader for a [low, high] field whose items `kind` reads."""
+
+    def read(value, label: str, error=ConfigError):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise error(f"{label}: expected a [low, high] pair")
+        lo, hi = (kind(item, label, error) for item in value)
+        if lo > hi:
+            raise error(f"{label}: low {lo} exceeds high {hi}")
+        return (lo, hi)
+
+    return read
+
+
+# read_settings' reader for each field annotation (a string, under `from __future__ import annotations`)
+FIELD_READERS = {
+    "int": integer_field,
+    "float": number_field,
+    "bool": boolean_field,
+    "str": string_field,
+    "date": date_field,
+    "tuple[float, float]": _pair(number_field),
+    "tuple[int, int]": _pair(integer_field),
+}
+
+
+def setting(default=MISSING, key=None, minimum=None, choices=None):
+    """A dataclass field read from JSON `key` (default: its name); a `MISSING` default makes it required."""
+    return field(default=default, metadata={"key": key, "minimum": minimum, "choices": choices})
+
+
+def _settings(cls):
+    """(field, JSON key) for every field of `cls` declared with `setting`."""
+    return [(f, f.metadata["key"] or f.name) for f in fields(cls) if "key" in f.metadata]
+
+
+def read_settings(cls, lookup, error) -> dict:
+    """{field name: value} for each setting of `cls` that `lookup(key)` finds, read by its annotation.
+
+    `lookup` returns `MISSING` for an absent key; a required setting must be present and not null.
+    """
+    values = {}
+    for f, key in _settings(cls):
+        value = lookup(key)
+        if f.default is MISSING and (value is MISSING or value is None):
+            raise error(f"{key}: field is required")
+        if value is not MISSING:
+            values[f.name] = FIELD_READERS[f.type](value, key, error)
+    return values
+
+
+def check_settings(obj, error):
+    """Raise `error` for a setting of `obj` below its declared minimum or outside its choices."""
+    for f, key in _settings(obj):
+        value, minimum, choices = getattr(obj, f.name), f.metadata["minimum"], f.metadata["choices"]
+        if minimum is not None and value < minimum:
+            raise error(f"{key} must be >= {minimum}, got {value}")
+        if choices is not None and value not in choices:
+            raise error(f"{key} must be one of {list(choices)}, got {value!r}")
+
+
+def read_json_object(path, what: str, error) -> dict:
+    """The JSON object in file `path`; an unreadable file, bad JSON or a non-object raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return raw
+
+
+def days_after(day: date, days: int, label: str, error=ConfigError) -> date:
+    """`day` plus `days` days; a result past the calendar raises `error` naming `label`."""
+    try:
+        return day + timedelta(days=days)
+    except OverflowError:
+        raise error(f"{label}: {day} plus {days} days is past the calendar") from None
 
 
 @dataclass(frozen=True)
@@ -28,44 +159,27 @@ class PipelineConfig:
     event_day: date
     window: DateWindow
     baseline_window: DateWindow
-    min_baseline: float = DEFAULT_MIN_BASELINE
-    smoothing_half_width: int = 3
-    smoothing_boundary: str = BOUNDARY_TRUNCATE
-    recovered_fraction: float = 0.90
-    run_length: int = 3
-    horizon_days: int = 120
-    renormalize_weights: bool = False
-    unknown_service_policy: str = POLICY_ERROR
-    permutations: int = 0
-    yates: bool = False
-    seed: int = 0
+    min_baseline: float = setting(DEFAULT_MIN_BASELINE, "baseline.min_baseline", minimum=0)
+    smoothing_half_width: int = setting(3, "smoothing.half_width", minimum=0)
+    smoothing_boundary: str = setting(BOUNDARY_TRUNCATE, "smoothing.boundary", choices=BOUNDARIES)
+    recovered_fraction: float = setting(0.90, "recovery.threshold")
+    run_length: int = setting(3, "recovery.run_length", minimum=1)
+    horizon_days: int = setting(120, "recovery.horizon_days", minimum=1)
+    renormalize_weights: bool = setting(False, "taxonomy_options.renormalize_weights")
+    unknown_service_policy: str = setting(
+        POLICY_ERROR, "taxonomy_options.unknown_service_policy", choices=(POLICY_ERROR, POLICY_SKIP)
+    )
+    permutations: int = setting(0, "stats.permutations", minimum=0)
+    yates: bool = setting(False, "stats.yates")
+    seed: int = setting(0, "stats.seed", minimum=0)
     output_dir: Path = Path("out")
 
     def validate(self):
+        check_settings(self, ConfigError)
         if not (0.0 < self.recovered_fraction <= 1.0):
             raise ConfigError(
                 f"recovery.threshold must lie in (0, 1], got {self.recovered_fraction}"
             )
-        if self.run_length < 1:
-            raise ConfigError(f"recovery.run_length must be >= 1, got {self.run_length}")
-        if self.horizon_days < 1:
-            raise ConfigError(f"recovery.horizon_days must be >= 1, got {self.horizon_days}")
-        if self.smoothing_half_width < 0:
-            raise ConfigError(
-                f"smoothing.half_width must be >= 0, got {self.smoothing_half_width}"
-            )
-        if self.smoothing_boundary not in (BOUNDARY_TRUNCATE, BOUNDARY_SKIP):
-            raise ConfigError("smoothing.boundary must be truncate or skip")
-        if self.unknown_service_policy not in (POLICY_ERROR, POLICY_SKIP):
-            raise ConfigError(
-                f"unknown_service_policy must be {POLICY_ERROR!r} or {POLICY_SKIP!r}"
-            )
-        if self.min_baseline < 0:
-            raise ConfigError(f"baseline.min_baseline must be >= 0, got {self.min_baseline}")
-        if self.permutations < 0:
-            raise ConfigError(f"stats.permutations must be >= 0, got {self.permutations}")
-        if self.seed < 0:
-            raise ConfigError(f"stats.seed must be >= 0, got {self.seed}")
         if self.baseline_window.end >= self.event_day:
             raise ConfigError(
                 f"baseline window must end before the event day "
@@ -83,17 +197,9 @@ class PipelineConfig:
         if missing:
             raise ConfigError(f"inputs missing: {missing}")
 
-    def with_overrides(self, permutations=None, yates=None, seed=None, output_dir=None):
-        updates = {}
-        if permutations is not None:
-            updates["permutations"] = permutations
-        if yates is not None:
-            updates["yates"] = yates
-        if seed is not None:
-            updates["seed"] = seed
-        if output_dir is not None:
-            updates["output_dir"] = Path(output_dir)
-        config = replace(self, **updates) if updates else self
+    def with_overrides(self, **overrides):
+        """A validated copy with every override that is not None applied."""
+        config = replace(self, **{name: value for name, value in overrides.items() if value is not None})
         config.validate()
         return config
 
@@ -103,54 +209,6 @@ def _get_section(raw: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
     return section
-
-
-def integer_field(value, label: str, error=ConfigError) -> int:
-    """A JSON integer, or a float with no fraction; strings and booleans raise `error`."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise error(f"{label} must be an integer, got {value!r}")
-    return int(value)
-
-
-def number_field(value, label: str, error=ConfigError) -> float:
-    """A JSON number as a float; strings and booleans raise `error`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error(f"{label} must be a number, got {value!r}")
-    return float(value)
-
-
-def date_field(value, label: str, error=ConfigError) -> date:
-    """A JSON string holding an ISO date; other types and bad dates raise `error`."""
-    if not isinstance(value, str):
-        raise error(f"{label} must be a date string, got {value!r}")
-    try:
-        return parse_iso_date(value)
-    except ValueError as exc:
-        raise error(f"{label}: {exc}") from None
-
-
-def days_after(day: date, days: int, label: str, error=ConfigError) -> date:
-    """`day` plus `days` days; a result past the calendar raises `error` naming `label`."""
-    try:
-        return day + timedelta(days=days)
-    except OverflowError:
-        raise error(f"{label}: {day} plus {days} days is past the calendar") from None
-
-
-def _integer(section: dict, name: str, key: str, default: int) -> int:
-    return integer_field(section.get(key, default), f"{name}.{key}")
-
-
-def _number(section: dict, name: str, key: str, default: float) -> float:
-    return number_field(section.get(key, default), f"{name}.{key}")
-
-
-def _boolean(section: dict, name: str, key: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name}.{key} must be true or false, got {value!r}")
-    return value
 
 
 def _window(section: dict, name: str) -> DateWindow:
@@ -165,16 +223,7 @@ def _window(section: dict, name: str) -> DateWindow:
 def load_config(path) -> PipelineConfig:
     """Parse and validate a pipeline config JSON file."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-
+    raw = read_json_object(path, "config", ConfigError)
     base_dir = path.parent
 
     def _resolve(value, label):
@@ -196,16 +245,22 @@ def load_config(path) -> PipelineConfig:
     if "event_day" not in raw:
         raise ConfigError("event_day is required")
     event_day = date_field(raw["event_day"], "event_day")
+    # a misspelled key would otherwise leave its setting at the default
+    known = STRUCTURAL_KEYS.union(key for _, key in _settings(PipelineConfig))
+    sections = {key.split(".")[0] for key in known if "." in key}
+    given = {name for name in raw if name not in sections}
+    given.update(f"{name}.{key}" for name in sections & raw.keys() for key in _get_section(raw, name))
+    if given - known:
+        raise ConfigError(f"unknown config key(s): {sorted(given - known)}")
 
-    baseline = _get_section(raw, "baseline")
-    recovery = _get_section(raw, "recovery")
-    smoothing = _get_section(raw, "smoothing")
-    taxonomy_options = _get_section(raw, "taxonomy_options")
-    stats = _get_section(raw, "stats")
+    def lookup(key):
+        section, name = key.split(".")
+        return _get_section(raw, section).get(name, MISSING)
 
+    settings = read_settings(PipelineConfig, lookup, ConfigError)
     # a dataclass field's default is also its class attribute
-    defaults = PipelineConfig
-    horizon_days = _integer(recovery, "recovery", "horizon_days", defaults.horizon_days)
+    horizon_days = settings.get("horizon_days", PipelineConfig.horizon_days)
+    baseline = _get_section(raw, "baseline")
     if "start" in baseline or "end" in baseline:
         baseline_window = _window(baseline, "baseline")
     else:
@@ -226,25 +281,8 @@ def load_config(path) -> PipelineConfig:
         event_day=event_day,
         window=window,
         baseline_window=baseline_window,
-        min_baseline=_number(baseline, "baseline", "min_baseline", defaults.min_baseline),
-        smoothing_half_width=_integer(
-            smoothing, "smoothing", "half_width", defaults.smoothing_half_width
-        ),
-        smoothing_boundary=str(smoothing.get("boundary", defaults.smoothing_boundary)),
-        recovered_fraction=_number(recovery, "recovery", "threshold", defaults.recovered_fraction),
-        run_length=_integer(recovery, "recovery", "run_length", defaults.run_length),
-        horizon_days=horizon_days,
-        renormalize_weights=_boolean(
-            taxonomy_options, "taxonomy_options", "renormalize_weights",
-            defaults.renormalize_weights,
-        ),
-        unknown_service_policy=str(
-            taxonomy_options.get("unknown_service_policy", defaults.unknown_service_policy)
-        ),
-        permutations=_integer(stats, "stats", "permutations", defaults.permutations),
-        yates=_boolean(stats, "stats", "yates", defaults.yates),
-        seed=_integer(stats, "stats", "seed", defaults.seed),
-        output_dir=_resolve(raw.get("output_dir", str(defaults.output_dir)), "output_dir"),
+        output_dir=_resolve(raw.get("output_dir", str(PipelineConfig.output_dir)), "output_dir"),
+        **settings,
     )
     config.validate()
     return config

@@ -394,8 +394,8 @@ def parse_metric_artifact(text: str):
                 value = float(cell)
             except ValueError:
                 value = math.nan
-            if not math.isfinite(value):
-                raise PipelineError(f"{where}: {column} {cell!r} is not a finite number")
+            if not 0.0 <= value <= 1.0:  # NaN included
+                raise PipelineError(f"{where}: {column} {cell!r} is not a number in [0, 1]")
         if category not in metric.CATEGORY_LABELS:
             raise PipelineError(f"{where}: category {category!r} is not one of {metric.CATEGORY_LABELS}")
         integrated[region] = value

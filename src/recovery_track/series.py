@@ -14,6 +14,7 @@ DEFAULT_MIN_BASELINE = 1e-9
 
 BOUNDARY_TRUNCATE = "truncate"
 BOUNDARY_SKIP = "skip"
+BOUNDARIES = (BOUNDARY_TRUNCATE, BOUNDARY_SKIP)
 
 
 def _smooth_rows(values: np.ndarray, half_width: int, boundary: str) -> np.ndarray:
@@ -22,9 +23,11 @@ def _smooth_rows(values: np.ndarray, half_width: int, boundary: str) -> np.ndarr
     `truncate` averages whatever days exist near the window edges; `skip`
     leaves edge days NaN so they never qualify as recovered. Each day divides
     a difference of the row's sequential cumulative sum by the day count.
-    May return `values` itself.
+    May return `values` itself. Every half width of at least `n` days gives the
+    same result, so it is clamped to `n` before the index arithmetic.
     """
     n = values.shape[1]
+    half_width = min(half_width, n)
     if half_width == 0 or n == 0:
         return values
     csum = np.zeros((values.shape[0], n + 1))
@@ -75,7 +78,7 @@ def build_change_series(
     """
     if half_width < 0:
         raise SeriesError(f"half_width must be nonnegative, got {half_width}")
-    if boundary not in (BOUNDARY_TRUNCATE, BOUNDARY_SKIP):
+    if boundary not in BOUNDARIES:
         raise SeriesError(f"unknown boundary mode {boundary!r}")
     values, sufficient = baselines
     rows = np.flatnonzero(sufficient)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import CATEGORIES, ESSENTIAL, load_taxonomy
-from .config import date_field, days_after, integer_field, number_field
+from .config import check_settings, days_after, read_json_object, read_settings, setting
 from .errors import ScenarioError
 from .ingest import (
     ADJACENCY_HEADER,
@@ -41,88 +41,42 @@ RAMP_EXPONENTIAL = "exponential"
 # per-category ramp multipliers: essential activity comes back faster
 CATEGORY_RAMP_SCALE = {ESSENTIAL: 0.7, "non-essential": 1.3}
 
-def _pair(kind):
-    """A reader for a [low, high] field whose items `kind` reads."""
-
-    def read(value, name):
-        if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ScenarioError(f"{name}: expected a [low, high] pair")
-        lo, hi = (kind(item, name, ScenarioError) for item in value)
-        if lo > hi:
-            raise ScenarioError(f"{name}: low {lo} exceeds high {hi}")
-        return (lo, hi)
-
-    return read
-
-
-# from_mapping's reader for each field annotation of ScenarioSpec
-_FIELD_READERS = {
-    "str": lambda value, name: str(value),
-    "int": lambda value, name: integer_field(value, name, ScenarioError),
-    "float": lambda value, name: number_field(value, name, ScenarioError),
-    "date": lambda value, name: date_field(value, name, ScenarioError),
-    "tuple[float, float]": _pair(number_field),
-    "tuple[int, int]": _pair(integer_field),
-}
-
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    name: str = "scenario"
-    seed: int = 0
-    n_regions: int  # required
-    event_day: date = date(2017, 8, 27)
-    window_start: date = date(2017, 8, 1)
-    baseline_days: int = 21
-    horizon_days: int = 120
-    noise: float = 0.0
-    regions_per_zip: int = 4
-    clusters: int = 4
-    baseline_level_range: tuple[float, float] = (200.0, 2000.0)
-    tx_level_range: tuple[float, float] = (2000.0, 20000.0)
-    drop_range: tuple[float, float] = (0.2, 0.9)
-    ramp_range: tuple[int, int] = (5, 60)
-    flat_fraction: float = 0.05
-    censored_fraction: float = 0.05
-    ramp_shape: str = RAMP_LINEAR
+    name: str = setting("scenario")
+    seed: int = setting(0, minimum=0)
+    n_regions: int = setting(MISSING, minimum=1)
+    event_day: date = setting(date(2017, 8, 27))
+    window_start: date = setting(date(2017, 8, 1))
+    baseline_days: int = setting(21, minimum=1)
+    horizon_days: int = setting(120, minimum=1)
+    noise: float = setting(0.0)
+    regions_per_zip: int = setting(4, minimum=1)
+    clusters: int = setting(4, minimum=1)
+    baseline_level_range: tuple[float, float] = setting((200.0, 2000.0))
+    tx_level_range: tuple[float, float] = setting((2000.0, 20000.0))
+    drop_range: tuple[float, float] = setting((0.2, 0.9))
+    ramp_range: tuple[int, int] = setting((5, 60))
+    flat_fraction: float = setting(0.05)
+    censored_fraction: float = setting(0.05)
+    ramp_shape: str = setting(RAMP_LINEAR, choices=(RAMP_LINEAR, RAMP_EXPONENTIAL))
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ScenarioSpec":
-        spec_fields = fields(cls)
-        unknown = set(raw) - {f.name for f in spec_fields}
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
-        for f in spec_fields:
-            if f.default is MISSING and raw.get(f.name) is None:
-                raise ScenarioError(f"{f.name}: field is required")
-        spec = cls(**{
-            f.name: _FIELD_READERS[f.type](raw[f.name], f.name) for f in spec_fields if f.name in raw
-        })
+        spec = cls(**read_settings(cls, lambda key: raw.get(key, MISSING), ScenarioError))
         spec.validate()
         return spec
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror or exc}") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario file must hold a JSON object")
-        return cls.from_mapping(raw)
+        return cls.from_mapping(read_json_object(path, "scenario", ScenarioError))
 
     def validate(self):
-        if self.seed < 0:
-            raise ScenarioError(f"seed: must be >= 0, got {self.seed}")
-        if self.n_regions < 1:
-            raise ScenarioError(f"n_regions: must be >= 1, got {self.n_regions}")
-        if self.baseline_days < 1:
-            raise ScenarioError(f"baseline_days: must be >= 1, got {self.baseline_days}")
-        if self.horizon_days < 1:
-            raise ScenarioError(f"horizon_days: must be >= 1, got {self.horizon_days}")
+        check_settings(self, ScenarioError)
         baseline_end = days_after(
             self.window_start, self.baseline_days - 1, "baseline_days", ScenarioError
         )
@@ -134,10 +88,6 @@ class ScenarioSpec:
             )
         if not (0.0 <= self.noise < 1.0):
             raise ScenarioError(f"noise: must lie in [0, 1), got {self.noise}")
-        if self.regions_per_zip < 1:
-            raise ScenarioError(f"regions_per_zip: must be >= 1, got {self.regions_per_zip}")
-        if self.clusters < 1:
-            raise ScenarioError(f"clusters: must be >= 1, got {self.clusters}")
         lo, hi = self.drop_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ScenarioError(f"drop_range: must lie in [0, 1], got {self.drop_range}")
@@ -155,8 +105,6 @@ class ScenarioSpec:
             )
         if self.flat_fraction + self.censored_fraction > 1.0:
             raise ScenarioError("flat_fraction + censored_fraction exceed 1")
-        if self.ramp_shape not in (RAMP_LINEAR, RAMP_EXPONENTIAL):
-            raise ScenarioError(f"ramp_shape: must be linear or exponential, got {self.ramp_shape!r}")
 
     @property
     def window(self) -> DateWindow:

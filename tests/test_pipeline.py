@@ -468,6 +468,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("inputs", "trips", 5),
         # past the calendar: the analysis window ends event_day + horizon_days
         ("recovery", "horizon_days", 1_000_000_000),
+        # json reads NaN and Infinity as floats, and big integers exactly
+        ("baseline", "min_baseline", float("nan")),
+        ("recovery", "threshold", float("inf")),
+        ("recovery", "threshold", -float("inf")),
+        pytest.param("baseline", "min_baseline", 10**400, id="baseline-min_baseline-10**400"),
+        ("smoothing", "boundary", "edge"),
+        ("taxonomy_options", "unknown_service_policy", "ignore"),
     ],
 )
 def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, section, key, value):
@@ -478,6 +485,48 @@ def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, section, key, valu
     assert cli.main(["run", "--config", str(config_path)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, unknown",
+    [
+        (("recovery", "treshold"), 0.5, "recovery.treshold"),
+        (("smoothng", "half_width"), 0, "smoothng"),
+        (("smoothing", "halfwidth"), 0, "smoothing.halfwidth"),
+        (("stats", "permutation"), 99, "stats.permutation"),
+        (("horizon_days",), 30, "horizon_days"),
+    ],
+)
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, path, value, unknown):
+    # each of these would leave the run at its default setting
+    config_path = _write_mini_bundle(tmp_path)
+    raw = json.loads(config_path.read_text())
+    *sections, key = path
+    target = raw
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
+    config_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert f"unknown config key(s): [{unknown!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("boundary", ["truncate", "skip"])
+def test_half_width_past_the_window_equals_the_window_length(tmp_path, boundary):
+    config_path = _write_mini_bundle(tmp_path)
+    raw = json.loads(config_path.read_text())
+    n_days = load_config(config_path).window.n_days
+    bundles = []
+    for half_width in (n_days, 2**63 - 1, 10**30):
+        raw["smoothing"] = {"half_width": half_width, "boundary": boundary}
+        raw["output_dir"] = f"out-{half_width}"
+        config_path.write_text(json.dumps(raw))
+        out = run(load_config(config_path)).output_dir
+        names = (*GOLDEN_ARTIFACTS, "work/baselines.csv", "work/changes.csv")
+        bundles.append({name: (out / name).read_bytes() for name in names})
+    assert bundles[1] == bundles[0]
+    assert bundles[2] == bundles[0]
 
 
 @pytest.mark.parametrize("key,value", [("event_day", 20170805), ("output_dir", 5)])
@@ -653,6 +702,12 @@ def _directory(path):
         ),
         pytest.param("metric.csv", "stats", _set_cell(2, 1, "zz"), "line 2", id="metric-cell"),
         pytest.param("metric.csv", "stats", _set_cell(4, 5, "nan"), "line 4", id="metric-nan"),
+        pytest.param(
+            "metric.csv", "stats", _set_cell(2, 5, "-7"), "line 2: integrated '-7'", id="metric-negative",
+        ),
+        pytest.param(
+            "metric.csv", "stats", _set_cell(3, 3, "1.5"), "line 3: norm_tx_e '1.5'", id="metric-above-one",
+        ),
         pytest.param("metric.csv", "stats", _set_cell(2, 6, "soon"), "line 2", id="metric-category"),
         pytest.param("metric.csv", "stats", _set_cell(2, 6, "early,0"), "line 2", id="metric-extra-cell"),
         pytest.param(

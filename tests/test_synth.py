@@ -5,6 +5,7 @@ import csv
 import filecmp
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,13 @@ def test_spec_errors_name_the_field():
         # past the calendar
         ("horizon_days", 1_000_000_000),
         ("baseline_days", 1_000_000_000),
+        # json reads NaN and Infinity as floats
+        ("baseline_level_range", [1, math.inf]),
+        ("tx_level_range", [math.nan, 5]),
+        ("noise", math.nan),
+        ("flat_fraction", -math.inf),
+        ("ramp_shape", "cubic"),
+        ("name", 5),
     ]
     for field, value in mistyped:
         with pytest.raises(ScenarioError, match=field):
