@@ -194,29 +194,38 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     """
     order = [code for category in CATEGORIES for code in taxonomy.codes(category)]
     position = {code: i for i, code in enumerate(order)}
-    code_position = np.array([position.get(code, -1) for code in activity.codes], dtype=np.int64)
+    code_position = np.array([position.get(code, -1) for code in activity.codes], dtype=np.int32)
     taken = np.zeros(len(activity.entities), dtype=bool)
     taken[region_rows[region_rows >= 0]] = True
+    known = code_position >= 0
 
-    rows_taken = taken[activity.entity]
-    rows_known = code_position[activity.code] >= 0
-    unknown_rows = rows_taken & ~rows_known
+    keep = None  # rows of taken entities with known codes, where not all rows are
     unknown = {}
-    if unknown_rows.any():
-        if unknown_policy == POLICY_ERROR:
-            first = activity.codes[activity.code[np.argmax(unknown_rows)]]
-            raise TaxonomyError(f"unknown service type {first!r} in {source} data")
-        counts = np.bincount(activity.code[unknown_rows], minlength=len(activity.codes))
-        unknown = {activity.codes[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+    if not (taken.all() and known.all()):
+        keep = taken[activity.entity]
+        unknown_rows = keep & ~known[activity.code]
+        if unknown_rows.any():
+            if unknown_policy == POLICY_ERROR:
+                first = activity.codes[activity.code[np.argmax(unknown_rows)]]
+                raise TaxonomyError(f"unknown service type {first!r} in {source} data")
+            counts = np.bincount(activity.code[unknown_rows], minlength=len(activity.codes))
+            unknown = {activity.codes[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+        keep &= ~unknown_rows
 
-    # entity x code x day totals over the taken entities only
+    # entity x code x day totals over the taken entities only; the flat cell
+    # index is built in place, in int64 so that no city's cell count overflows it
     n_taken, n_codes, n_days = int(taken.sum()), len(order), window.n_days
-    compact = np.cumsum(taken) - 1
-    keep = rows_taken & rows_known
-    cells = (
-        compact[activity.entity[keep]] * n_codes + code_position[activity.code[keep]]
-    ) * n_days + activity.day[keep]
-    totals = _cell_fsums(cells, activity.value[keep], n_taken * n_codes * n_days)
+    compact = np.cumsum(taken, dtype=np.int64) - 1
+    cells = compact[activity.entity]
+    cells *= n_codes
+    cells += code_position[activity.code]
+    cells *= n_days
+    cells += activity.day
+    values = activity.value
+    if keep is not None:
+        cells, values = cells[keep], values[keep]
+    totals = _cell_fsums(cells, values, n_taken * n_codes * n_days)
+    del cells, values
     totals = totals.reshape(n_taken, n_codes, n_days)
 
     weights = np.array([taxonomy[code].weight for code in order])
@@ -236,12 +245,13 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
 
 def _cell_fsums(cells, values, n_cells):
     """math.fsum of `values` grouped by cell index; cells without rows are 0.0."""
-    rows_in_cell = np.bincount(cells, minlength=n_cells)
+    grouped_cell = np.bincount(cells, minlength=n_cells) > 1
     totals = np.zeros(n_cells)
-    # a lone row is its own sum, except -0.0: fsum([-0.0]) is 0.0
-    alone = (rows_in_cell[cells] == 1) & ~np.signbit(values)
-    totals[cells[alone]] = values[alone]
-    grouped = np.flatnonzero(~alone)
+    # a lone row is its own sum, except -0.0: fsum([-0.0]) is 0.0, as is -0.0 + 0.0;
+    # grouped cells take a row's value here and their fsum below
+    totals[cells] = values
+    totals += 0.0
+    grouped = np.flatnonzero(grouped_cell[cells])
     if grouped.size:
         grouped = grouped[np.argsort(cells[grouped], kind="stable")]
         for group in np.split(grouped, np.flatnonzero(np.diff(cells[grouped])) + 1):

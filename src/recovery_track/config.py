@@ -95,9 +95,11 @@ FIELD_READERS = {
 }
 
 
-def setting(default=MISSING, key=None, minimum=None, choices=None):
+def setting(default=MISSING, key=None, minimum=None, maximum=None, choices=None):
     """A dataclass field read from JSON `key` (default: its name); a `MISSING` default makes it required."""
-    return field(default=default, metadata={"key": key, "minimum": minimum, "choices": choices})
+    return field(
+        default=default, metadata={"key": key, "minimum": minimum, "maximum": maximum, "choices": choices}
+    )
 
 
 def _settings(cls):
@@ -121,11 +123,14 @@ def read_settings(cls, lookup, error) -> dict:
 
 
 def check_settings(obj, error):
-    """Raise `error` for a setting of `obj` below its declared minimum or outside its choices."""
+    """Raise `error` for a setting of `obj` outside its declared bounds or choices."""
     for f, key in _settings(obj):
-        value, minimum, choices = getattr(obj, f.name), f.metadata["minimum"], f.metadata["choices"]
+        value, minimum, maximum = getattr(obj, f.name), f.metadata["minimum"], f.metadata["maximum"]
+        choices = f.metadata["choices"]
         if minimum is not None and value < minimum:
             raise error(f"{key} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise error(f"{key} must be <= {maximum}, got {value}")
         if choices is not None and value not in choices:
             raise error(f"{key} must be one of {list(choices)}, got {value!r}")
 
@@ -169,7 +174,7 @@ class PipelineConfig:
     unknown_service_policy: str = setting(
         POLICY_ERROR, "taxonomy_options.unknown_service_policy", choices=(POLICY_ERROR, POLICY_SKIP)
     )
-    permutations: int = setting(0, "stats.permutations", minimum=0)
+    permutations: int = setting(0, "stats.permutations", minimum=0, maximum=1_000_000)
     yates: bool = setting(False, "stats.yates")
     seed: int = setting(0, "stats.seed", minimum=0)
     output_dir: Path = Path("out")

@@ -42,6 +42,7 @@ class Activity:
     `entity` indexes `entities` (region or Zip names, sorted) and `code`
     indexes `codes` (service or merchant types, sorted); `day` is the offset
     from the window start and `value` the trip count or amount as a float.
+    `day`, `entity` and `code` are int32 and `value` is float64: 20 bytes a row.
     """
 
     entities: tuple[str, ...]
@@ -190,8 +191,9 @@ def _amount(text: str) -> float:
     return amount
 
 
-# What a bad date, an empty name or code, or a refused value resolves to.
-_BAD = np.iinfo(np.int64).min
+# What a bad date, an empty name or code, or a refused value resolves to. Day
+# offsets between any two calendar dates, under 3.7 million, never reach it.
+_BAD = np.iinfo(np.int32).min
 
 # Bytes per block of whole lines tokenised at once, and rows per chunk the csv
 # module hands to validation; both bound the Python strings alive at one time.
@@ -210,8 +212,8 @@ def _parse_activity(path, window: DateWindow, header, plain_values, parse_value)
     def name_id(ids):
         return lambda text: ids.setdefault(text, len(ids)) if text else _BAD
 
-    no_rows = np.zeros(0, dtype=np.int64)
-    kept = [(no_rows, no_rows, no_rows, np.zeros(0))]
+    # the kept rows of each chunk, one list per column
+    kept = tuple([np.zeros(0, dtype)] for dtype in (np.int32, np.int32, np.int32, np.float64))
     for lines, dates, entities, codes, texts in _activity_chunks(reader):
         day = _resolve(day_of, dates, lambda text: window.index_of(date.fromisoformat(text)))
         entity = _resolve(entity_of, entities, name_id(entity_ids))
@@ -235,10 +237,11 @@ def _parse_activity(path, window: DateWindow, header, plain_values, parse_value)
         accepted = int(np.count_nonzero(keep))
         reader.accepted += accepted
         reader.dropped += int(np.count_nonzero(good)) - accepted
-        kept.append((day[keep], entity[keep], code[keep], value[keep]))
+        for pieces, column in zip(kept, (day, entity, code, value)):
+            pieces.append(column[keep])
         del dates, entities, codes, texts  # free the chunk before the next one is split
 
-    day, entity, code, value = (np.concatenate(column) for column in zip(*kept))
+    day, entity, code, value = map(_concatenate, kept)
     entities, entity = _sorted_names(entity_ids, entity)
     codes, code = _sorted_names(code_ids, code)
     return reader.finish(
@@ -298,7 +301,14 @@ def _row_chunks(records):
         yield np.array(lines, dtype=np.int64), dates, entities, codes, texts
 
 
-def _resolve(known: dict, texts, parse, refused=_BAD, dtype=np.int64) -> np.ndarray:
+def _concatenate(pieces: list) -> np.ndarray:
+    """np.concatenate(pieces), emptying `pieces` so that each is freed once copied."""
+    whole = np.concatenate(pieces)
+    pieces.clear()
+    return whole
+
+
+def _resolve(known: dict, texts, parse, refused=_BAD, dtype=np.int32) -> np.ndarray:
     """parse(text.strip()) of every text, or `refused` where that raises
     ValueError, computed once per distinct text and remembered in `known`."""
     for text in set(texts).difference(known):
@@ -322,7 +332,7 @@ def _sorted_names(ids: dict, column: np.ndarray):
     by_id = list(ids)
     used = np.flatnonzero(np.bincount(column, minlength=len(by_id)))
     names = sorted(by_id[i] for i in used)
-    renumber = np.zeros(len(by_id), dtype=np.int64)
+    renumber = np.zeros(len(by_id), dtype=np.int32)
     renumber[[ids[name] for name in names]] = np.arange(len(names))
     return tuple(names), renumber[column]
 

@@ -37,9 +37,9 @@ def activity_from_rows(rows):
     return Activity(
         entities=entities,
         codes=codes,
-        day=np.array([row[0] for row in rows], dtype=np.int64),
-        entity=np.array([entity_index[row[1]] for row in rows], dtype=np.int64),
-        code=np.array([code_index[row[2]] for row in rows], dtype=np.int64),
+        day=np.array([row[0] for row in rows], dtype=np.int32),
+        entity=np.array([entity_index[row[1]] for row in rows], dtype=np.int32),
+        code=np.array([code_index[row[2]] for row in rows], dtype=np.int32),
         value=np.array([row[3] for row in rows], dtype=np.float64),
     )
 

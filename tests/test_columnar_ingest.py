@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -26,7 +27,9 @@ from recovery_track.aggregate import (
     build_daily_series,
     load_taxonomy,
 )
+from recovery_track.config import load_config
 from recovery_track.errors import ParseError
+from recovery_track.synth import ScenarioSpec, generate
 from recovery_track.windows import DateWindow
 
 WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-31")
@@ -107,6 +110,18 @@ def test_plain_files_match_the_row_loop(tmp_path, kind):
         rows = _random_rows(rng, kind, rng.randrange(1, 300) if trial else 0)
         result = _check_against_rows(_write(tmp_path, f"{trial}.csv", kind, rows), kind)
         assert result.dropped == sum(not WINDOW.contains(date.fromisoformat(r[0])) for r in rows)
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_rows_at_the_ends_of_the_calendar_are_dropped(tmp_path, kind):
+    # day offsets are int32: the first and last ISO dates must not wrap into the window
+    rows = _random_rows(random.Random(11), kind, 40)
+    edges = [[day, *row[1:]] for row in rows[:6] for day in ("0001-01-01", "9999-12-31")]
+    result = _check_against_rows(_write(tmp_path, "edges.csv", kind, rows + edges), kind)
+    in_window = sum(WINDOW.contains(date.fromisoformat(r[0])) for r in rows)
+    assert (result.accepted, result.dropped) == (in_window, len(rows) + len(edges) - in_window)
+    assert result.records.day.dtype == np.int32
+    assert ((result.records.day >= 0) & (result.records.day < WINDOW.n_days)).all()
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -366,3 +381,32 @@ def test_cell_fsums_equal_fsum_per_group():
     for cell in range(64):
         want = math.fsum(values[cells == cell].tolist())
         assert got[cell].tobytes() == np.float64(want).tobytes(), cell
+
+
+def _traced_peak(func, *args):
+    """func(*args), and the peak of the memory it allocated, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_series_stage_memory_per_row(tmp_path, monkeypatch):
+    # 60 regions: 70,560 trip rows; small blocks keep the reader's own text out of the peak
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+    config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
+    trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
+    assert trips.accepted == 70_560
+    # the columns take 20 B a row, and joining their chunks one column at a time adds 8 more
+    assert peak / trips.accepted < 48
+    transactions = ingest.parse_transactions(config.inputs["transactions"], config.window)
+    crosswalk = ingest.resolve_crosswalk(ingest.parse_overlaps(config.inputs["overlaps"]).records)
+    broadcast = ingest.broadcast_zip_to_regions(transactions.records, crosswalk)
+    _, peak = _traced_peak(
+        build_daily_series, trips.records, transactions.records, broadcast, load_taxonomy(), config.window
+    )
+    # an int64 cell index and one float total per trip row, plus the series
+    assert peak / trips.accepted < 40

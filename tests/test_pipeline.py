@@ -3,6 +3,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -760,6 +761,68 @@ def test_cli_reports_unreadable_files(tmp_path, capsys, target, damage, code, ex
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "error: ")
     assert expected in err and err.count("\n") == 1
+
+
+def _work_as_file(out):
+    shutil.rmtree(out / "work")
+    (out / "work").write_text("not a directory\n", encoding="utf-8")
+
+
+def _stats_as_directory(out):
+    (out / "stats.json").unlink()
+    (out / "stats.json" / "kept").mkdir(parents=True)
+
+
+def _files(directory):
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*")) if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "damage, expected",
+    [
+        pytest.param(_work_as_file, "out/work: File exists", id="work-is-a-file"),
+        pytest.param(_stats_as_directory, "out/stats.json: Is a directory", id="stats-is-a-directory"),
+    ],
+)
+def test_cli_commit_failure_leaves_the_bundle_as_it_was(tmp_path, capsys, damage, expected):
+    config_path = _write_mini_bundle(tmp_path, trip_extra="2017-08-02,R001,grocery,7\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    damage(out)
+    before = _files(out)
+    # a run with other trips would replace every artifact it reaches
+    _write_mini_bundle(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and expected in err and err.count("\n") == 1
+    assert _files(out) == before
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        {*GOLDEN_ARTIFACTS, "work"}
+    )  # no staging directory is left behind
+
+
+@pytest.mark.parametrize("where", ["config", "option"])
+def test_cli_rejects_permutations_above_the_maximum(tmp_path, capsys, where):
+    config_path = _write_mini_bundle(tmp_path)
+    argv = ["run", "--config", str(config_path)]
+    if where == "config":
+        raw = json.loads(config_path.read_text())
+        raw["stats"] = {"permutations": 10**18}
+        config_path.write_text(json.dumps(raw))
+    else:
+        argv += ["--only", "stats", "--permutations", str(10**18)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: stats.permutations must be <= 1000000, got {10**18}\n"
+    assert not (tmp_path / "out").exists()
+    raw = json.loads(config_path.read_text())
+    raw["stats"] = {"permutations": 1_000_000}
+    config_path.write_text(json.dumps(raw))
+    assert load_config(config_path).permutations == 1_000_000
 
 
 def test_cli_pipeline_error_exit_code(tmp_path, capsys):
