@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import TaxonomyError
+from .errors import SeriesError, TaxonomyError
 from .ingest import Activity, BroadcastResult, _RowReader
 from .windows import DateWindow
 
@@ -227,6 +227,8 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     totals = _cell_fsums(cells, values, n_taken * n_codes * n_days)
     del cells, values
     totals = totals.reshape(n_taken, n_codes, n_days)
+    entity_names = [activity.entities[i] for i in np.flatnonzero(taken)]
+    _refuse_overflow(totals, source, entity_names, [f"service type {code!r}" for code in order], window)
 
     weights = np.array([taxonomy[code].weight for code in order])
     entity_series = np.zeros((n_taken + 1, len(CATEGORIES), n_days))  # last row: no data
@@ -237,14 +239,39 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
             products = totals[:, first:last, :] * weights[first:last, None]
             entity_series[:n_taken, c] = _exact_sums(products)
         first = last
+    category_names = [f"{category} services" for category in CATEGORIES]
+    _refuse_overflow(entity_series[:n_taken], source, entity_names, category_names, window)
     series_row = np.full(len(region_rows), n_taken)
     has_rows = region_rows >= 0
     series_row[has_rows] = compact[region_rows[has_rows]]
     return entity_series[series_row], unknown
 
 
+def _refuse_overflow(sums, source, entity_names, column_names, window):
+    """SeriesError naming the first (entity, column, day) cell of `sums` that is not finite.
+
+    The inputs are finite and nonnegative, so only a sum past the float range is not.
+    """
+    if np.isfinite(sums).all():
+        return
+    entity, column, day = np.argwhere(~np.isfinite(sums))[0]
+    kind = "region" if source == SOURCE_TRIP else "Zip"
+    raise SeriesError(
+        f"{source} data: the total of {column_names[column]} for {kind} {entity_names[entity]} "
+        f"on {window.date_at(int(day))} passes the float range"
+    )
+
+
+def _fsum(values):
+    """math.fsum of a float array, or inf where its nonnegative terms sum past the float range."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
+
+
 def _cell_fsums(cells, values, n_cells):
-    """math.fsum of `values` grouped by cell index; cells without rows are 0.0."""
+    """math.fsum of `values` grouped by cell index, as _fsum; cells without rows are 0.0."""
     grouped_cell = np.bincount(cells, minlength=n_cells) > 1
     totals = np.zeros(n_cells)
     # a lone row is its own sum, except -0.0: fsum([-0.0]) is 0.0, as is -0.0 + 0.0;
@@ -255,7 +282,7 @@ def _cell_fsums(cells, values, n_cells):
     if grouped.size:
         grouped = grouped[np.argsort(cells[grouped], kind="stable")]
         for group in np.split(grouped, np.flatnonzero(np.diff(cells[grouped])) + 1):
-            totals[cells[group[0]]] = math.fsum(values[group].tolist())
+            totals[cells[group[0]]] = _fsum(values[group])
     return totals
 
 
@@ -273,7 +300,7 @@ def _exact_sums(terms):
     Where the errors themselves add up without rounding, sum + errors is the
     exact total rounded once, which is what math.fsum returns. Cells where
     that check fails (a non-finite term or partial sum makes the error NaN),
-    or with a -0.0 term, whose sign fsum decides, are summed with math.fsum.
+    or with a -0.0 term, whose sign fsum decides, are summed with _fsum.
     """
     total = np.zeros((terms.shape[0], terms.shape[2]))
     error = np.zeros_like(total)
@@ -285,5 +312,5 @@ def _exact_sums(terms):
     result = total + error
     redo = ~exact | ((terms == 0) & np.signbit(terms)).any(axis=1)
     for row, day in zip(*np.nonzero(redo)):
-        result[row, day] = math.fsum(terms[row, :, day].tolist())
+        result[row, day] = _fsum(terms[row, :, day])
     return result

@@ -9,6 +9,13 @@ float(repr(x)) == x for every float; NaN reads back as NaN, which never
 qualifies as recovered. All artifacts are computed first and moved into the
 output directory together; a failing stage leaves the directory untouched.
 
+Stages read artifacts through one line reader, `_RunArtifacts.lines`, which
+checks the header and the final newline. It splits lines from blocks of about
+a megabyte, of the in-memory text of an artifact produced in this run or read
+from the file of a committed one. `--only milestones` fills a change matrix
+allocated once from the sufficient keys of work/baselines.csv, so it never
+holds the text of work/changes.csv.
+
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
 golden bundle is stable.
@@ -59,6 +66,12 @@ MILESTONES_HEADER = ",".join(
     ["region", *(f"{field}_{part}" for field in MILESTONE_FIELDS for part in ("days", "censored"))]
 )
 METRIC_HEADER = ",".join(["region", *METRIC_COLUMNS, "integrated", "category"])
+_HEADERS = {
+    BASELINES_ARTIFACT: BASELINES_HEADER,
+    CHANGES_ARTIFACT: CHANGES_HEADER,
+    MILESTONES_ARTIFACT: MILESTONES_HEADER,
+    METRIC_ARTIFACT: METRIC_HEADER,
+}
 
 
 def format_sig(value: float) -> str:
@@ -207,22 +220,23 @@ def _changes_csv(changes: aggregate.SeriesSet) -> str:
 # stage: milestones
 
 
-def _parse_changes_artifact(text: str, window: DateWindow) -> aggregate.SeriesSet:
-    """work/changes.csv -> change matrix, checking it is whole.
+def _parse_changes_artifact(lines, window: DateWindow, sufficient: set) -> aggregate.SeriesSet:
+    """The data lines of work/changes.csv -> change matrix, checking it is whole.
 
     Rows must come as written: keys in sorted order, each with day_index 0 to
-    n_days - 1 in turn, and a newline after the last. A truncated, duplicated
-    or reordered artifact would otherwise read as zero change, i.e. as
-    recovered.
+    n_days - 1 in turn, and the keys must be those work/baselines.csv marks
+    `sufficient`. A truncated, duplicated or reordered artifact would
+    otherwise read as zero change, i.e. as recovered. The matrix is allocated
+    once, one row per sufficient key; the lines of any further key are
+    checked but their values not kept, since the key-set check refuses them.
     """
     n_days = window.n_days
-    # every key but the last takes n_days lines, so this many rows hold all keys
-    data_lines = max(text.count("\n") - 1, 0)
-    matrix = np.empty(((data_lines + n_days - 1) // n_days, n_days))
+    matrix = np.empty((len(sufficient), n_days))
+    spare = np.empty(n_days)
     keys: list[tuple[str, str, str]] = []
     day_texts = [str(day) for day in range(n_days)]
     key_text, values, day = None, None, n_days
-    for line_no, line in enumerate(_data_lines(text, CHANGES_ARTIFACT, CHANGES_HEADER), start=2):
+    for line_no, line in enumerate(lines, start=2):
         row = line.rsplit(",", 2)
         if day == n_days:
             key = tuple(row[0].split(","))
@@ -234,7 +248,7 @@ def _parse_changes_artifact(text: str, window: DateWindow) -> aggregate.SeriesSe
                 raise PipelineError(
                     f"{CHANGES_ARTIFACT} line {line_no}: key {key} is duplicated or out of order"
                 )
-            key_text, values, day = row[0], matrix[len(keys)], 0
+            key_text, values, day = row[0], matrix[len(keys)] if len(keys) < len(matrix) else spare, 0
             keys.append(key)
         elif len(row) != 3 or row[0] != key_text:
             if line.count(",") != 4:
@@ -257,13 +271,20 @@ def _parse_changes_artifact(text: str, window: DateWindow) -> aggregate.SeriesSe
         day += 1
     if day != n_days:
         raise PipelineError(f"{CHANGES_ARTIFACT}: key {keys[-1]} ends after {day} of {n_days} days")
-    return aggregate.SeriesSet(window, keys, matrix[: len(keys)])
+    # a file cut at a key boundary passes the checks above
+    differ = sorted(set(keys) ^ sufficient)
+    if differ:
+        raise PipelineError(
+            f"{CHANGES_ARTIFACT} does not hold the sufficient keys of {BASELINES_ARTIFACT}: "
+            f"{len(differ)} differ, first {differ[0]}"
+        )
+    return aggregate.SeriesSet(window, keys, matrix)
 
 
-def _sufficient_keys(text: str) -> set[tuple[str, str, str]]:
-    """The keys work/baselines.csv marks sufficient, checking its framing and flags."""
+def _sufficient_keys(rows) -> set[tuple[str, str, str]]:
+    """The keys the data rows of work/baselines.csv mark sufficient, checking their flags."""
     keys = set()
-    for line_no, cells in _data_rows(text, BASELINES_ARTIFACT, BASELINES_HEADER):
+    for line_no, cells in rows:
         if cells[4] not in ("true", "false"):
             raise PipelineError(
                 f"{BASELINES_ARTIFACT} line {line_no}: sufficient {cells[4]!r} is not true or false"
@@ -273,51 +294,12 @@ def _sufficient_keys(text: str) -> set[tuple[str, str, str]]:
     return keys
 
 
-def _data_lines(text: str, name: str, header: str):
-    """The lines after the header of an artifact, checking its framing.
-
-    The header must be exact and a newline must end the text. The writers
-    never quote, so rows split on commas.
-    """
-    if text and not text.endswith("\n"):
-        raise PipelineError(f"{name} ends mid-line")
-    lines = _lines(text)
-    first = next(lines, None)
-    if first != header:
-        raise PipelineError(f"{name} line 1: expected header {header!r}, got {first!r}")
-    return lines
-
-
-def _data_rows(text: str, name: str, header: str):
-    """(line number, cells) of each data row of an artifact, all the header's width."""
-    n_cells = header.count(",") + 1
-    for line_no, line in enumerate(_data_lines(text, name, header), start=2):
-        cells = line.split(",")
-        if len(cells) != n_cells:
-            raise PipelineError(f"{name} line {line_no}: expected {n_cells} fields, got {len(cells)}")
-        yield line_no, cells
-
-
-def _lines(text: str):
-    """The lines of newline-terminated `text`, split about a megabyte at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
-        yield from text[start : end - 1].split("\n")
-        start = end
-
-
 def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     changes = artifacts.changes
     if changes is None:
-        changes = _parse_changes_artifact(artifacts.read(CHANGES_ARTIFACT), config.window)
-        # a file cut at a key boundary passes the parse, so compare the key set
-        differ = sorted(set(changes.keys()) ^ _sufficient_keys(artifacts.read(BASELINES_ARTIFACT)))
-        if differ:
-            raise PipelineError(
-                f"{CHANGES_ARTIFACT} does not hold the sufficient keys of {BASELINES_ARTIFACT}: "
-                f"{len(differ)} differ, first {differ[0]}"
-            )
+        # baselines.csv is small: read it first, so that the matrix is allocated once
+        sufficient = _sufficient_keys(artifacts.rows(BASELINES_ARTIFACT))
+        changes = _parse_changes_artifact(artifacts.lines(CHANGES_ARTIFACT), config.window, sufficient)
     d0 = config.window.index_of(config.event_day)
     table, _ = milestones.build_milestone_table(
         changes,
@@ -339,17 +321,17 @@ def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     return {MILESTONES_ARTIFACT: out.getvalue()}
 
 
-def parse_milestones_artifact(text: str, horizon_days: int):
-    """milestones.csv -> (regions, durations), checking every cell.
+def parse_milestones_artifact(rows, horizon_days: int):
+    """The data rows of milestones.csv -> (regions, durations), checking every cell.
 
     `durations` is a float matrix with one row per region, sorted by region,
     and one column per milestone in MILESTONE_FIELDS order. No milestone
     exceeds the horizon, so a longer duration fails like any damaged cell.
     """
-    rows = {}
-    for line_no, cells in _data_rows(text, MILESTONES_ARTIFACT, MILESTONES_HEADER):
+    durations = {}
+    for line_no, cells in rows:
         where, region = f"{MILESTONES_ARTIFACT} line {line_no}", cells[0]
-        if region in rows:
+        if region in durations:
             raise PipelineError(f"{where}: region {region!r} is duplicated")
         row = []
         for k, field in enumerate(MILESTONE_FIELDS):
@@ -363,9 +345,9 @@ def parse_milestones_artifact(text: str, horizon_days: int):
             if censored not in ("true", "false"):
                 raise PipelineError(f"{where}: {field}_censored {censored!r} is not true or false")
             row.append(int(digits))
-        rows[region] = row
-    regions = sorted(rows)
-    return regions, np.array([rows[r] for r in regions], dtype=float).reshape(-1, len(MILESTONE_FIELDS))
+        durations[region] = row
+    regions = sorted(durations)
+    return regions, np.array([durations[r] for r in regions], dtype=float).reshape(-1, len(MILESTONE_FIELDS))
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +355,7 @@ def parse_milestones_artifact(text: str, horizon_days: int):
 
 
 def _stage_metric(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
-    regions, durations = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT), config.horizon_days)
+    regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
     normalized, integrated, categories = metric.build_metric_table(durations)
 
     out = [METRIC_HEADER + "\n"]
@@ -382,11 +364,11 @@ def _stage_metric(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     return {METRIC_ARTIFACT: "".join(out)}
 
 
-def parse_metric_artifact(text: str):
-    """metric.csv -> (regions, integrated metric), rows sorted by region, checking every cell."""
+def parse_metric_artifact(rows):
+    """The data rows of metric.csv -> (regions, integrated metric), sorted by region, checking every cell."""
     integrated = {}
     columns = (*METRIC_COLUMNS, "integrated")
-    for line_no, cells in _data_rows(text, METRIC_ARTIFACT, METRIC_HEADER):
+    for line_no, cells in rows:
         where, region, category = f"{METRIC_ARTIFACT} line {line_no}", cells[0], cells[-1]
         if region in integrated:
             raise PipelineError(f"{where}: region {region!r} is duplicated")
@@ -433,8 +415,8 @@ def _moran_entry(values, weights, permutations, seed) -> dict:
 
 
 def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
-    regions, durations = parse_milestones_artifact(artifacts.read(MILESTONES_ARTIFACT), config.horizon_days)
-    metric_regions, integrated = parse_metric_artifact(artifacts.read(METRIC_ARTIFACT))
+    regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
+    metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
     if metric_regions != regions:
         raise PipelineError(f"{METRIC_ARTIFACT} and {MILESTONES_ARTIFACT} list different regions")
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
@@ -512,11 +494,21 @@ _STAGE_FUNCS = {
 }
 
 
+# Characters of a committed artifact read at a time, which bounds the text a
+# staged run holds besides what it parses the artifact into.
+_READ_CHARS = 1 << 20
+
+
 class _RunArtifacts:
     """What the stages of one run read: artifacts produced so far, else committed files.
 
-    The series stage also leaves its change matrix here, which the milestones
-    stage of the same run takes instead of parsing work/changes.csv back.
+    Each artifact is read through one line reader, `lines`, which checks its
+    header and that it ends with a newline. It splits the lines from blocks
+    of _READ_CHARS characters: slices of the text for an artifact produced in
+    this run, reads of the file for a committed one, so a staged run never
+    holds a whole file's text. The series stage also leaves its change matrix
+    here, which the milestones stage of the same run takes instead of parsing
+    work/changes.csv back.
     """
 
     def __init__(self, output_dir: Path):
@@ -524,16 +516,54 @@ class _RunArtifacts:
         self.produced: dict[str, str] = {}
         self.changes: aggregate.SeriesSet | None = None
 
-    def read(self, name: str) -> str:
+    def lines(self, name: str):
+        """The lines after the header of artifact `name`, checking the header is exact."""
+        header = _HEADERS[name]
+        lines = self._lines(name)
+        first = next(lines, None)
+        if first != header:
+            raise PipelineError(f"{name} line 1: expected header {header!r}, got {first!r}")
+        return lines
+
+    def rows(self, name: str):
+        """(line number, cells) of each data row of artifact `name`, all the header's width.
+
+        The writers never quote, so rows split on commas.
+        """
+        n_cells = _HEADERS[name].count(",") + 1
+        for line_no, line in enumerate(self.lines(name), start=2):
+            cells = line.split(",")
+            if len(cells) != n_cells:
+                raise PipelineError(f"{name} line {line_no}: expected {n_cells} fields, got {len(cells)}")
+            yield line_no, cells
+
+    def _lines(self, name: str):
+        tail = ""  # the start of a line that the next block ends
+        for block in self._blocks(name):
+            lines = block.split("\n")
+            del block  # drop each block and its lines before the next read
+            lines[0] = tail + lines[0]
+            tail = lines.pop()
+            yield from lines
+            del lines
+        if tail:
+            raise PipelineError(f"{name} ends mid-line")
+
+    def _blocks(self, name: str):
         if name in self.produced:
-            return self.produced[name]
+            text = self.produced[name]
+            for start in range(0, len(text), _READ_CHARS):
+                yield text[start : start + _READ_CHARS]
+            return
         path = self.output_dir / name
         if not path.exists():
             raise PipelineError(
                 f"artifact {name} not found in {self.output_dir}; run upstream stages first"
             )
         try:
-            return path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8", newline="") as handle:
+                while block := handle.read(_READ_CHARS):
+                    yield block
         except OSError as exc:
             raise PipelineError(f"cannot read artifact {path}: {exc.strerror or exc}") from None
         except UnicodeDecodeError:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_recovery_day, moving_average, percent_change
+from recovery_track import pipeline
 from recovery_track.aggregate import SeriesSet
 from recovery_track.errors import SeriesError
 from recovery_track.milestones import detect_recovery_days
-from recovery_track.pipeline import _changes_csv, _parse_changes_artifact
+from recovery_track.pipeline import CHANGES_ARTIFACT, _changes_csv, _parse_changes_artifact, _RunArtifacts
 from recovery_track.series import (
     BOUNDARY_SKIP,
     BOUNDARY_TRUNCATE,
@@ -114,7 +115,8 @@ def _per_cell_csv(changes):
     return "".join(lines)
 
 
-def test_changes_artifact_round_trips_every_float_bit_for_bit():
+def _special_values():
+    """Changes with every kind of float the artifact must keep, and rows reused or nearly so."""
     rng = np.random.default_rng(9)
     keys = _keys(6)
     shape = (len(keys), WINDOW.n_days)
@@ -130,18 +132,48 @@ def test_changes_artifact_round_trips_every_float_bit_for_bit():
     values[7, -1] = 1.0
     values[10] = values[4]
     values[10, 0] = 0.0
-    changes = SeriesSet(WINDOW, keys, values)
+    return SeriesSet(WINDOW, keys, values)
+
+
+def _read_back(text, keys, output_dir, committed=False):
+    """`text` parsed back as work/changes.csv: produced in this run, or committed to `output_dir`."""
+    artifacts = _RunArtifacts(output_dir)
+    if committed:
+        (output_dir / "work").mkdir(parents=True)
+        (output_dir / CHANGES_ARTIFACT).write_bytes(text.encode("utf-8"))
+    else:
+        artifacts.produced[CHANGES_ARTIFACT] = text
+    return _parse_changes_artifact(artifacts.lines(CHANGES_ARTIFACT), WINDOW, set(keys))
+
+
+def test_changes_artifact_round_trips_every_float_bit_for_bit(tmp_path):
+    changes = _special_values()
+    keys, values = changes.keys(), changes.values
 
     text = _changes_csv(changes)
     assert text == _per_cell_csv(changes)
-    parsed = _parse_changes_artifact(text, WINDOW)
+    parsed = _read_back(text, keys, tmp_path)
     assert parsed.keys() == keys
     assert parsed.values.tobytes() == values.tobytes()
 
 
-def test_changes_artifact_of_no_keys():
+@pytest.mark.parametrize("committed", [False, True], ids=["produced", "committed"])
+@pytest.mark.parametrize("read_chars", [1, 7])
+def test_changes_artifact_streams_bit_for_bit_across_read_blocks(tmp_path, monkeypatch, read_chars, committed):
+    # blocks this small end inside keys, day indices and values, and right at each newline
+    monkeypatch.setattr(pipeline, "_READ_CHARS", read_chars)
+    changes = _special_values()
+    parsed = _read_back(_changes_csv(changes), changes.keys(), tmp_path, committed)
+    assert parsed.keys() == changes.keys()
+    assert parsed.values.tobytes() == changes.values.tobytes()
+    empty = SeriesSet(WINDOW, [], np.empty((0, WINDOW.n_days)))
+    parsed = _read_back(_changes_csv(empty), [], tmp_path / "empty", committed)
+    assert parsed.keys() == [] and parsed.values.shape == (0, WINDOW.n_days)
+
+
+def test_changes_artifact_of_no_keys(tmp_path):
     changes = SeriesSet(WINDOW, [], np.empty((0, WINDOW.n_days)))
     text = _changes_csv(changes)
     assert text == "region,source,category,day_index,change\n"
-    parsed = _parse_changes_artifact(text, WINDOW)
+    parsed = _read_back(text, [], tmp_path)
     assert parsed.keys() == [] and parsed.values.shape == (0, WINDOW.n_days)

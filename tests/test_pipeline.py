@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from recovery_track import aggregate, cli
+from recovery_track import aggregate, cli, pipeline
 from recovery_track.config import PipelineConfig, load_config
 from recovery_track.errors import ConfigError, ParseError, PipelineError, TaxonomyError
 from recovery_track.pipeline import STAGES, run, validate
@@ -181,6 +182,26 @@ def test_stats_records_chi_square_errors(small_city, tmp_path, keep, edit, expec
             assert entry == {"error": expected[variable]}, variable
         else:
             assert entry["n"] == len(rows), variable
+
+
+def test_milestones_rerun_memory_per_read(tmp_path, monkeypatch):
+    # 60 regions: work/changes.csv is 1.8 MB, 28 reads of 64 KiB
+    read_chars = 64 << 10
+    monkeypatch.setattr(pipeline, "_READ_CHARS", read_chars)
+    config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
+    run(config)
+    out = config.output_dir
+    assert (out / "work" / "changes.csv").stat().st_size > 25 * read_chars
+    sufficient = (out / "work" / "baselines.csv").read_text().count(",true\n")
+    matrix_bytes = sufficient * config.window.n_days * 8
+    tracemalloc.start()
+    try:
+        run(config, only="milestones")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the matrix, plus a read or two of text and the lines split from one, never the whole file
+    assert peak < matrix_bytes + 8 * read_chars
 
 
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
@@ -623,15 +644,29 @@ def _mangle_drop_last_region(lines):
     return lines[: -4 * 15]  # its four keys, 15 days each: every check of the parse passes
 
 
+# characters read at a time in the damaged-artifact tests: every artifact there takes many reads
+_SMALL_READ = 64
+
+
+def _mangle_cut_at_read_boundary(lines):
+    text = "".join(lines)
+    end = len(text) // _SMALL_READ * _SMALL_READ
+    while text[end - 1] == "\n":
+        end -= _SMALL_READ
+    return [text[:end]]
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
         _mangle_truncate, _mangle_duplicate, _mangle_swap_keys, _mangle_swap_days,
         _mangle_drop_inner_day, _mangle_cut_mid_line, _mangle_extra_field,
         _mangle_short_first_row, _mangle_not_a_number, _mangle_drop_last_region,
+        _mangle_cut_at_read_boundary,
     ],
 )
-def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, mangle):
+def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, monkeypatch, mangle):
+    monkeypatch.setattr(pipeline, "_READ_CHARS", _SMALL_READ)
     config_path = _write_mini_bundle(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0
     changes = tmp_path / "out" / "work" / "changes.csv"
@@ -667,6 +702,11 @@ def _not_utf8(path):
     data = path.read_bytes()
     at = data.rindex(b"\n", 0, -1) + 1  # the start of the last line
     path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+
+def _not_utf8_past_first_block(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: _SMALL_READ + 10] + b"\xff" + data[_SMALL_READ + 10 :])
 
 
 def _directory(path):
@@ -721,17 +761,27 @@ def _directory(path):
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "true,x"), "line 2", id="baselines-extra-cell"),
         pytest.param("work/changes.csv", "milestones", _not_utf8, "not UTF-8", id="changes-not-utf8"),
         pytest.param("milestones.csv", "metric", _directory, "cannot read", id="milestones-directory"),
+        pytest.param("milestones.csv", "stats", _edit_text(lambda text: text[:-1]), "ends mid-line", id="cut-stats"),
+        pytest.param("work/changes.csv", "milestones", _directory, "cannot read", id="changes-directory"),
+        pytest.param("work/changes.csv", "milestones", Path.unlink, "not found", id="changes-missing"),
+        pytest.param(
+            "work/changes.csv", "milestones", _not_utf8_past_first_block, "not UTF-8",
+            id="changes-not-utf8-past-first-block",
+        ),
     ],
 )
-def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, name, stage, edit, expected):
+def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, monkeypatch, name, stage, edit, expected):
+    monkeypatch.setattr(pipeline, "_READ_CHARS", _SMALL_READ)
     config_path = _write_mini_bundle(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0
     path = tmp_path / "out" / name
     edit(path)
+    before = _files(tmp_path / "out")
     capsys.readouterr()
     assert cli.main(["run", "--config", str(config_path), "--only", stage]) == 1
     err = capsys.readouterr().err
     assert name in err and expected in err
+    assert _files(tmp_path / "out") == before
 
 
 def _set_taxonomy(config_path):
@@ -823,6 +873,31 @@ def test_cli_rejects_permutations_above_the_maximum(tmp_path, capsys, where):
     raw["stats"] = {"permutations": 1_000_000}
     config_path.write_text(json.dumps(raw))
     assert load_config(config_path).permutations == 1_000_000
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "rows, grocery_weight, total",
+    [
+        # each count is finite, but the day's total of R001 grocery trips is not
+        pytest.param(2, 94.7, "service type 'grocery'", id="type-total"),
+        # the total is finite, but not once weighted
+        pytest.param(1, 200.0, "essential services", id="weighted-total"),
+    ],
+)
+def test_cli_rejects_a_daily_total_past_the_float_range(tmp_path, capsys, command, rows, grocery_weight, total):
+    config_path = _write_mini_bundle(tmp_path, trip_extra=f"2017-08-02,R001,grocery,{'9' * 308}\n" * rows)
+    write_csv(
+        tmp_path, "taxonomy.csv",
+        f"service_type,category,weight_percent\ngrocery,essential,{grocery_weight}\nrestaurant,non-essential,100\n",
+    )
+    raw = json.loads(config_path.read_text())
+    raw["inputs"]["taxonomy"] = "taxonomy.csv"
+    config_path.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: trip data: the total of {total} for region R001 on 2017-08-02 passes the float range\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_pipeline_error_exit_code(tmp_path, capsys):
