@@ -11,6 +11,14 @@ pass: whole lines are split on newlines and commas about a megabyte at a
 time, or by the csv module where that would split them differently, and each
 chunk of rows is validated at once, dates, names and codes once per distinct
 text and values in one vectorised conversion where the chunk allows it.
+
+A file of _SPLIT_BYTES or more is read by two processes where at least two
+CPUs are usable and os.fork exists: a forked child reads the lines from the
+first line start at or after the middle byte while this process reads the
+ones before, and the child's columns, names, counts and row errors are
+merged in file order (_read_in_two). The result and any ParseError are the
+ones one process gives, bit for bit. The child's memory counts in a peak RSS
+taken over the run and its children, not in the run's own.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ import csv
 import io
 import itertools
 import math
+import os
+import pickle
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
@@ -112,16 +123,17 @@ class _RowReader:
 
     def rows(self):
         with reading(self.path), open(self.path, "rb") as handle:
-            yield from self.rows_from(handle, 1)
+            yield from self.rows_from(handle, 1, True)
 
-    def rows_from(self, handle, line_no):
+    def rows_from(self, handle, line_no, header):
         """(line number, fields) of the data rows the csv module reads from
-        binary `handle`, which stands at the start of line `line_no`."""
+        binary `handle`, which stands at the start of line `line_no`, the
+        header row where `header` is true."""
         with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
             reader = csv.reader(text)
-            if line_no == 1:
+            if header:
                 self.check_header(next(reader, None))
-                line_no = 2
+                line_no += 1
             for line_no, row in enumerate(reader, start=line_no):
                 if not row:
                     continue  # blank lines are not data rows
@@ -200,57 +212,100 @@ _BAD = np.iinfo(np.int32).min
 _BLOCK_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 14
 
+# Files from this size on are read in two processes (see _split_point).
+_SPLIT_BYTES = 4 << 20
+
 
 def _parse_activity(path, window: DateWindow, header, plain_values, parse_value) -> ParseResult:
-    reader = _RowReader(path, header)
-    day_of: dict[str, int] = {}  # raw date text -> offset from the window start, or _BAD
-    entity_of: dict[str, int] = {}  # raw text -> provisional id, or _BAD
-    code_of: dict[str, int] = {}
-    entity_ids: dict[str, int] = {}  # stripped name -> provisional id, in first-seen order
-    code_ids: dict[str, int] = {}
-
-    def name_id(ids):
-        return lambda text: ids.setdefault(text, len(ids)) if text else _BAD
-
-    # the kept rows of each chunk, one list per column
-    kept = tuple([np.zeros(0, dtype)] for dtype in (np.int32, np.int32, np.int32, np.float64))
-    for lines, dates, entities, codes, texts in _activity_chunks(reader):
-        day = _resolve(day_of, dates, lambda text: window.index_of(date.fromisoformat(text)))
-        entity = _resolve(entity_of, entities, name_id(entity_ids))
-        code = _resolve(code_of, codes, name_id(code_ids))
-        value = plain_values(texts)
-        if value is None:  # no value parse_value takes is NaN, so NaN marks a refused one
-            value = _resolve({}, texts, parse_value, math.nan, np.float64)
-        bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(value)
-        for i in np.flatnonzero(bad).tolist():
-            if day[i] == _BAD:
-                message = f"bad date {dates[i].strip()!r}"
-            elif entity[i] == _BAD:
-                message = f"empty {header[1]}"
-            elif code[i] == _BAD:
-                message = f"empty {header[2]}"
-            else:
-                message = _refusal(parse_value, texts[i].strip())
-            reader.error(int(lines[i]), message)
-        good = ~bad
-        keep = good & (day >= 0) & (day < window.n_days)
-        accepted = int(np.count_nonzero(keep))
-        reader.accepted += accepted
-        reader.dropped += int(np.count_nonzero(good)) - accepted
-        for pieces, column in zip(kept, (day, entity, code, value)):
-            pieces.append(column[keep])
-        del dates, entities, codes, texts  # free the chunk before the next one is split
-
-    day, entity, code, value = map(_concatenate, kept)
-    entities, entity = _sorted_names(entity_ids, entity)
-    codes, code = _sorted_names(code_ids, code)
-    return reader.finish(
-        Activity(entities=entities, codes=codes, day=day, entity=entity, code=code, value=value)
-    )
+    reader = _ActivityReader(path, header, window, plain_values, parse_value)
+    mid = _split_point(path)
+    if mid is None:
+        reader.read()
+    else:
+        _read_in_two(reader, mid)
+    return reader.result()
 
 
-def _activity_chunks(reader: _RowReader):
-    """(line numbers, dates, entities, codes, values) of the data rows, a chunk at a time.
+class _ActivityReader(_RowReader):
+    """The accepted rows of trips.csv or transactions.csv as column chunks,
+    taken in a range of whole lines at a time."""
+
+    def __init__(self, path, header, window: DateWindow, plain_values, parse_value):
+        super().__init__(path, header)
+        self.window = window
+        self.plain_values = plain_values
+        self.parse_value = parse_value
+        self.day_of: dict[str, int] = {}  # raw date text -> offset from the window start, or _BAD
+        self.entity_of: dict[str, int] = {}  # raw text -> provisional id, or _BAD
+        self.code_of: dict[str, int] = {}
+        self.entity_ids: dict[str, int] = {}  # stripped name -> provisional id, in first-seen order
+        self.code_ids: dict[str, int] = {}
+        # the kept rows of each chunk, one list per column: day, entity, code, value
+        self.kept = tuple([np.zeros(0, t)] for t in (np.int32, np.int32, np.int32, np.float64))
+        # the number of the next line to read; None once the csv module has read to the end
+        self.line_no = 1
+
+    def read(self, start=0, stop=None):
+        """Take in the rows of the lines from byte `start` (a line start) to
+        byte `stop` (a line start, or None for the end of the file)."""
+        header = self.expected_header
+
+        def name_id(ids):
+            return lambda text: ids.setdefault(text, len(ids)) if text else _BAD
+
+        for lines, dates, entities, codes, texts in _activity_chunks(self, start, stop):
+            day = _resolve(self.day_of, dates, lambda text: self.window.index_of(date.fromisoformat(text)))
+            entity = _resolve(self.entity_of, entities, name_id(self.entity_ids))
+            code = _resolve(self.code_of, codes, name_id(self.code_ids))
+            value = self.plain_values(texts)
+            if value is None:  # no value parse_value takes is NaN, so NaN marks a refused one
+                value = _resolve({}, texts, self.parse_value, math.nan, np.float64)
+            bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(value)
+            for i in np.flatnonzero(bad).tolist():
+                if day[i] == _BAD:
+                    message = f"bad date {dates[i].strip()!r}"
+                elif entity[i] == _BAD:
+                    message = f"empty {header[1]}"
+                elif code[i] == _BAD:
+                    message = f"empty {header[2]}"
+                else:
+                    message = _refusal(self.parse_value, texts[i].strip())
+                self.error(int(lines[i]), message)
+            good = ~bad
+            keep = good & (day >= 0) & (day < self.window.n_days)
+            accepted = int(np.count_nonzero(keep))
+            self.accepted += accepted
+            self.dropped += int(np.count_nonzero(good)) - accepted
+            for pieces, column in zip(self.kept, (day, entity, code, value)):
+                pieces.append(column[keep])
+            del dates, entities, codes, texts  # free the chunk before the next one is split
+
+    def join(self, part):
+        """Take in what _send sent of another reader that read on from line
+        self.line_no, numbering its lines from 0."""
+        accepted, dropped, total_rows, errors, entities, codes, (day, entity, code, value) = part
+        self.accepted += accepted
+        self.dropped += dropped
+        self.total_rows += total_rows
+        self.errors.extend((line + self.line_no, message) for line, message in errors)
+        entity = _renumber(self.entity_ids, entities, entity)
+        code = _renumber(self.code_ids, codes, code)
+        for pieces, more in zip(self.kept, (day, entity, code, value)):
+            pieces.extend(more)
+
+    def result(self) -> ParseResult:
+        day, entity, code, value = map(_concatenate, self.kept)
+        entities, entity = _sorted_names(self.entity_ids, entity)
+        codes, code = _sorted_names(self.code_ids, code)
+        return self.finish(
+            Activity(entities=entities, codes=codes, day=day, entity=entity, code=code, value=value)
+        )
+
+
+def _activity_chunks(reader: _ActivityReader, start, stop):
+    """(line numbers, dates, entities, codes, values) of the data rows between
+    byte offsets `start` and `stop`, a chunk at a time; the header is read
+    where `start` is 0.
 
     Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
     block whose every line has four fields is split with str.split alone.
@@ -259,22 +314,29 @@ def _activity_chunks(reader: _RowReader):
     a newline; on the other blocks it would split the same way.
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
-        line_no = 1  # of the block's first line
-        while block := handle.read(_BLOCK_BYTES):
-            block += handle.readline()
+        if start:
+            handle.seek(start)
+        header = start == 0
+        left = math.inf if stop is None else stop - start  # bytes of the range not yet read
+        while block := handle.read(min(_BLOCK_BYTES, left)):
+            if len(block) < left:
+                block += handle.readline()
+            left -= len(block)
             crlf = block.count(b"\r\n") if b"\r" in block else 0
             if b'"' in block or block.count(b"\r") != crlf:
                 handle.seek(-len(block), io.SEEK_CUR)
-                yield from _row_chunks(reader.rows_from(handle, line_no))
+                yield from _row_chunks(reader.rows_from(handle, reader.line_no, header))
+                reader.line_no = None
                 return
             if crlf:
                 block = block.replace(b"\r\n", b"\n")
             if not block.endswith(b"\n"):
                 block += b"\n"
-            if line_no == 1:
+            if header:
                 first, block = block.split(b"\n", 1)
                 reader.check_header(first.decode("utf-8").split(",") if first else [])
-                line_no = 2
+                reader.line_no += 1
+                header = False
                 if not block:
                     continue
             raw = np.frombuffer(block, dtype=np.uint8)
@@ -285,13 +347,104 @@ def _activity_chunks(reader: _RowReader):
             if (commas_per_line == 3).all():
                 fields = block[:-1].decode("utf-8").replace("\n", ",").split(",")
                 reader.total_rows += len(line_ends)
-                lines = np.arange(line_no, line_no + len(line_ends))
+                lines = np.arange(reader.line_no, reader.line_no + len(line_ends))
                 yield lines, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
             else:
-                yield from _row_chunks(reader.rows_from(io.BytesIO(block), line_no))
-            line_no += len(line_ends)
-        if line_no == 1:
+                yield from _row_chunks(reader.rows_from(io.BytesIO(block), reader.line_no, False))
+            reader.line_no += len(line_ends)
+        if header:
             reader.check_header(None)
+
+
+def _split_point(path):
+    """The first line start at or after the middle of `path`, where the file
+    is read in two processes; None where it is read in one.
+
+    A file is read in two where it holds at least _SPLIT_BYTES, at least two
+    CPUs are usable and os.fork exists; a middle on the last line leaves
+    nothing for a second process.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return None
+    try:
+        size = os.stat(path).st_size  # 0 for a pipe, which is read in one
+    except OSError:  # the read in one process reports it
+        return None
+    if size < _SPLIT_BYTES:
+        return None
+    with reading(path), open(path, "rb") as handle:
+        handle.seek(max(size // 2 - 1, 0))
+        handle.readline()
+        mid = handle.tell()
+    return mid if mid < size else None
+
+
+def _read_in_two(reader: _ActivityReader, mid) -> None:
+    """reader.read(), with a forked child reading the lines from byte `mid` on
+    while this process reads the ones before them.
+
+    This process reads the child's lines itself when the child fails in any
+    way, and keeps reading through them when the csv module takes over
+    before `mid`. The child is reaped before this returns or raises, and
+    killed first unless it has sent all its rows.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        reader.read()
+        return
+    if pid == 0:
+        _read_and_send(reader, mid, read_fd, write_fd)
+    os.close(write_fd)
+    part = None
+    with open(read_fd, "rb") as pipe:  # open until the child is dead: it may be writing
+        try:
+            reader.read(stop=mid)
+            if reader.line_no is None:  # the csv module read on through the child's lines
+                return
+            try:
+                part = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child sent less than a whole part
+                pass
+        finally:
+            if part is None:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+    if part is not None and status == 0:
+        reader.join(part)
+    else:
+        reader.read(start=mid)
+
+
+def _read_and_send(reader: _ActivityReader, mid, read_fd, write_fd):
+    """In the forked child: read the lines from byte `mid` on, numbered from
+    0, and send what was taken in down the pipe. Never returns."""
+    status = 1
+    try:
+        os.close(read_fd)
+        pipe = open(write_fd, "wb")
+        reader.line_no = 0
+        reader.read(start=mid)
+        _send(pipe, reader)
+        pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)  # which closes the pipe: the parent reads its end once the status is set
+
+
+def _send(pipe, reader: _ActivityReader):
+    """Pickle the counters, row errors, names and column chunks `reader` took in, for join()."""
+    part = (
+        reader.accepted, reader.dropped, reader.total_rows, reader.errors,
+        list(reader.entity_ids), list(reader.code_ids), reader.kept,
+    )
+    pickle.dump(part, pipe, protocol=5)  # 5 sends the chunks' bytes without a copy
 
 
 def _row_chunks(records):
@@ -310,7 +463,12 @@ def _concatenate(pieces: list) -> np.ndarray:
 
 def _resolve(known: dict, texts, parse, refused=_BAD, dtype=np.int32) -> np.ndarray:
     """parse(text.strip()) of every text, or `refused` where that raises
-    ValueError, computed once per distinct text and remembered in `known`."""
+    ValueError, computed once per distinct text and remembered in `known`;
+    only texts not found there are gathered and parsed."""
+    try:
+        return np.fromiter(map(known.__getitem__, texts), dtype, len(texts))
+    except KeyError:
+        pass
     for text in set(texts).difference(known):
         try:
             known[text] = parse(text.strip())
@@ -325,6 +483,12 @@ def _refusal(parse_value, text) -> str:
         parse_value(text)
     except ValueError as exc:
         return str(exc)
+
+
+def _renumber(ids: dict, names: list, pieces: list) -> list:
+    """`pieces` of a column of ids into `names`, as ids in `ids`, which takes in the names it lacks."""
+    renumber = np.array([ids.setdefault(name, len(ids)) for name in names], dtype=np.int32)
+    return [renumber[piece] for piece in pieces]
 
 
 def _sorted_names(ids: dict, column: np.ndarray):

@@ -3,19 +3,27 @@
 oracles.parse_activity_rows and oracles.weighted_measurement are the
 references: every case must give bit-identical columns and series, the same
 row counts, and the same ParseError line lists, whatever the block size the
-reader tokenises with.
+reader tokenises with. A file read in two processes must give what the same
+file read in one gives, bit for bit, including the ParseError text.
 """
 
 from __future__ import annotations
 
+import errno
+import io
 import math
+import os
 import random
+import signal
+import threading
+import time
 import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+import corpus
 from conftest import write_csv
 from oracles import amount, parse_activity_rows, trip_count, weighted_measurement
 from recovery_track import ingest
@@ -29,6 +37,7 @@ from recovery_track.aggregate import (
 )
 from recovery_track.config import load_config
 from recovery_track.errors import ParseError
+from recovery_track.pipeline import validate
 from recovery_track.synth import ScenarioSpec, generate
 from recovery_track.windows import DateWindow
 
@@ -410,3 +419,265 @@ def test_series_stage_memory_per_row(tmp_path, monkeypatch):
     )
     # an int64 cell index and one float total per trip row, plus the series
     assert peak / trips.accepted < 40
+
+
+# ---------------------------------------------------------------------------
+# two-process reads
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """{pid: wait status} of the readers' children, on a machine taken to have two CPUs.
+
+    Afterwards every child must have been reaped and no descriptor left open.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("two-process reads need os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    children = {}
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        if pid in children:
+            children[pid] = reaped[1]
+        return reaped
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    fds = sorted(os.listdir("/dev/fd"))
+    yield children
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert None not in children.values()
+
+
+def _failed(children):
+    """How many children exited with a nonzero code."""
+    return sum(os.WIFEXITED(status) and os.WEXITSTATUS(status) != 0 for status in children.values())
+
+
+def _outcome(read, path):
+    """read(path), or the text, row errors and counts of the ParseError it raises."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc), exc.row_errors, exc.accepted, exc.dropped, exc.total_rows
+
+
+def _check_split(monkeypatch, read, path):
+    """read(path) in two processes equals read(path) in one; the outcome.
+
+    `read` may also be a parse_* caller such as validate, whose result is compared whole.
+    """
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1 << 62)
+    expected = _outcome(read, path)
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    got = _outcome(read, path)
+    if not isinstance(expected, ingest.ParseResult):
+        assert got == expected
+    else:
+        assert (got.accepted, got.dropped, got.total_rows, got.path) == (
+            expected.accepted, expected.dropped, expected.total_rows, expected.path,
+        )
+        _assert_same_columns(got.records, expected.records)
+    return expected
+
+
+def _reader(kind, window=WINDOW):
+    return lambda path: PARSERS[kind][0](path, window)
+
+
+def _lines(kind, rows):
+    return [",".join(PARSERS[kind][1])] + [",".join(row) for row in rows]
+
+
+@pytest.mark.parametrize("case", [c for c in corpus.CASES if c[1] in PARSERS], ids=lambda c: c[0])
+def test_corpus_reads_the_same_in_two_processes(tmp_path, monkeypatch, forks, case):
+    name, kind, text, _ = case
+    window = DateWindow.from_strings("2017-08-01", "2017-12-25")
+    _check_split(monkeypatch, _reader(kind, window), write_csv(tmp_path, f"{name}.csv", text))
+    assert _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_random_files_read_the_same_in_two_processes(tmp_path, monkeypatch, forks, kind):
+    rng = random.Random(f"split-{kind}")
+    for trial in range(50):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", rng.choice([16, 50, 256, 1 << 20]))
+        _check_split(monkeypatch, _reader(kind), write_csv(tmp_path, f"{trial}.csv", _random_file(rng, kind)))
+    assert len(forks) > 35 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_bad_and_dropped_rows_in_both_halves(tmp_path, monkeypatch, forks, kind):
+    rows = _random_rows(random.Random(kind), kind, 300)
+    rows[40][0], rows[260][1], rows[270][3] = "2017-02-30", "", "-5"
+    rows[120:120] = [rows[5][:3], [*rows[6], "extra"]]
+    reference = _check_split(monkeypatch, _reader(kind), _write(tmp_path, "bad.csv", kind, rows))
+    lines = [line for line, _ in reference[1]]
+    assert len(lines) == 5 and lines[0] < 100 and lines[-1] > 250
+    clean = [row for row in rows if len(row) == 4 and row[1] and not row[3].startswith("-")]
+    clean = [row for row in clean if row[0] != "2017-02-30"]
+    result = _check_split(monkeypatch, _reader(kind), _write(tmp_path, "clean.csv", kind, clean))
+    assert result.dropped > 0
+    assert len(forks) == 2 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_headers_and_line_ends_around_the_middle(tmp_path, monkeypatch, forks, kind):
+    read = _reader(kind)
+    rows = _random_rows(random.Random(kind), kind, 40)
+    lines = _lines(kind, rows)
+    header = lines[0]
+    quoted, cr = (lambda line: line.replace(",", ',"', 1) + '"'), (lambda line: line.replace(",", "\r,", 1))
+    # the middle falls on the last line: nothing is left for a second process
+    text = "\n".join(lines[:3]) + "\n" + lines[3].replace(",", "," + " " * 400, 1)
+    _check_split(monkeypatch, read, write_csv(tmp_path, "long_last_line.csv", text))
+    assert not forks
+    texts = {
+        "header_only": header + "\n",
+        "header_then_blank_lines": header + "\n" * 200,
+        "bad_header": "day,region,type,count\n" + "\n".join(lines[1:]) + "\n",
+        "quoted_first": "\n".join([header, quoted(lines[1]), *lines[2:]]) + "\n",
+        "cr_first": "\n".join([header, cr(lines[1]), *lines[2:]]) + "\n",
+    }
+    for name, text in texts.items():
+        _check_split(monkeypatch, read, write_csv(tmp_path, f"{name}.csv", text))
+    for at in range(len(lines) // 2 - 2, len(lines) // 2 + 2):
+        for block_bytes in (16, 1 << 20):
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            for name, edited in {
+                "blank": [*lines[:at], "", "", *lines[at:]],
+                "quoted_at": [*lines[:at], quoted(lines[at]), *lines[at + 1:]],
+                "cr_at": [*lines[:at], cr(lines[at]), *lines[at + 1:]],
+                "quoted_last": [*lines[:-1], quoted(lines[-1])],
+            }.items():
+                for newline in ("\n", "\r\n"):
+                    path = write_csv(tmp_path, f"{name}.csv", newline.join(edited) + newline)
+                    _check_split(monkeypatch, read, path)
+    assert len(forks) > 60 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("half", [0, 1])
+def test_a_byte_that_is_not_utf8_in_either_half(tmp_path, monkeypatch, forks, kind, half):
+    lines = _lines(kind, _random_rows(random.Random(kind), kind, 100))
+    at = 20 if half == 0 else 80
+    data = ("\n".join(lines[:at]) + "\n").encode() + b"\xff" + ("\n".join(lines[at:]) + "\n").encode()
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    message, *_ = _check_split(monkeypatch, _reader(kind), path)
+    assert message.endswith("not UTF-8 text")
+    assert len(forks) == 1 and _failed(forks) == half  # a child that fails leaves its lines to the parent
+
+
+@pytest.mark.parametrize("failure", ["raise", "interrupt", "exit", "short", "exit_after_sending"])
+def test_a_failed_child_leaves_its_lines_to_this_process(tmp_path, monkeypatch, forks, failure):
+    send = ingest._send
+
+    def fail(pipe, reader):
+        if failure == "raise":
+            raise RuntimeError("the child fails")
+        if failure == "interrupt":
+            raise KeyboardInterrupt
+        if failure == "short":  # all but the end of the last column, and a clean exit
+            whole = io.BytesIO()
+            send(whole, reader)
+            pipe.write(whole.getvalue()[:-40])
+            return
+        if failure == "exit_after_sending":  # a wrong count, sent whole, is not trusted either
+            reader.accepted += 1
+            send(pipe, reader)
+            pipe.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(ingest, "_send", fail)
+    rows = _random_rows(random.Random(failure), "trips", 300)
+    result = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "clean.csv", "trips", rows))
+    assert result.accepted > 0
+    rows[30][3], rows[280][3] = "1.5", "-2"
+    message, errors, *_ = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "bad.csv", "trips", rows))
+    assert [line for line, _ in errors] == [32, 282]
+    assert len(forks) == 2 and _failed(forks) == (0 if failure == "short" else 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_is_read_in_one_process(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    path = _write(tmp_path, "trips.csv", "trips", _random_rows(random.Random(9), "trips", 300))
+    expected = ingest.parse_trips(path, WINDOW)
+    fifo = tmp_path / "trips.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        result = ingest.parse_trips(fifo, WINDOW)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive() and len(forks) == 1  # the regular file alone was split
+    assert (result.accepted, result.dropped, result.total_rows) == (
+        expected.accepted, expected.dropped, expected.total_rows,
+    )
+    _assert_same_columns(result.records, expected.records)
+
+
+def test_without_a_process_to_spare_the_file_is_read_in_one(tmp_path, monkeypatch, forks):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows = _random_rows(random.Random(5), "transactions", 300)
+    rows[30][3], rows[280][3] = "nan", "-2"
+    _check_split(monkeypatch, _reader("transactions"), _write(tmp_path, "bad.csv", "transactions", rows))
+    assert not forks
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_a_bad_header_in_the_first_range_kills_and_reaps_the_child(tmp_path, monkeypatch, forks, kind):
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(ingest, "_send", lambda pipe, reader: time.sleep(30))  # a child that hangs
+    lines = _lines(kind, _random_rows(random.Random(kind), kind, 2000))
+    path = write_csv(tmp_path, "bad_header.csv", "\n".join(["day,region,type,count", *lines[1:]]) + "\n")
+    with pytest.raises(ParseError, match="does not match"):
+        PARSERS[kind][0](path, WINDOW)
+    [status] = forks.values()
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+
+def test_validate_diagnoses_the_same_in_two_processes(tmp_path, monkeypatch, forks):
+    paths = generate(ScenarioSpec.from_mapping({"n_regions": 12, "horizon_days": 60}), tmp_path)
+    config = load_config(paths["config.json"])
+    # an unmatched region or Zip in the first half; an unknown code and out-of-window rows in the second
+    for name, first, last in (
+        ("trips.csv", "2017-08-02,R999,grocery,5", "2017-08-03,{},florist,4\n2030-01-01,{},grocery,7"),
+        ("transactions.csv", "2017-08-02,77999,grocery,12.50", "2030-01-01,{},grocery,3.00"),
+    ):
+        header, *lines = paths[name].read_text(encoding="utf-8").splitlines()
+        last = last.replace("{}", lines[0].split(",")[1])
+        paths[name].write_text("\n".join([header, first, *lines, last]) + "\n", encoding="utf-8")
+    diagnostics = _check_split(monkeypatch, lambda _: validate(config), None)
+    assert {d["kind"] for d in diagnostics} == {
+        "out-of-window-rows", "unmatched-region", "unmatched-zip", "unknown-service-type",
+    }
+    with open(paths["trips.csv"], "a", encoding="utf-8") as handle:
+        handle.write("2017-08-04,R001,grocery,-1\n")
+    diagnostics = _check_split(monkeypatch, lambda _: validate(config), None)
+    assert [d["kind"] for d in diagnostics] == ["schema-error", "out-of-window-rows"]
+    assert len(forks) == 4 and _failed(forks) == 0
+
+
+def test_series_stage_memory_per_row_in_two_processes(tmp_path, monkeypatch, forks):
+    # test_series_stage_memory_per_row's trip file, read in two processes: the
+    # child's columns, received and joined, must not add a copy of the columns
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
+    trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
+    assert trips.accepted == 70_560 and len(forks) == 1 and _failed(forks) == 0
+    assert peak / trips.accepted < 48
