@@ -29,13 +29,13 @@ import itertools
 import math
 import os
 import pickle
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
+from . import processes
 from .errors import ParseError
 from .windows import DateWindow
 
@@ -324,8 +324,8 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             left -= len(block)
             crlf = block.count(b"\r\n") if b"\r" in block else 0
             if b'"' in block or block.count(b"\r") != crlf:
-                handle.seek(-len(block), io.SEEK_CUR)
-                yield from _row_chunks(reader.rows_from(handle, reader.line_no, header))
+                rest = io.BufferedReader(_Chained(block, handle))  # no seek: a pipe cannot
+                yield from _row_chunks(reader.rows_from(rest, reader.line_no, header))
                 reader.line_no = None
                 return
             if crlf:
@@ -356,6 +356,20 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             reader.check_header(None)
 
 
+class _Chained(io.RawIOBase):
+    """The bytes `head`, then the rest of binary file `tail`, read as one stream."""
+
+    def __init__(self, head: bytes, tail):
+        self.head = io.BytesIO(head)
+        self.tail = tail
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self.head.readinto(buffer) or self.tail.readinto(buffer)
+
+
 def _split_point(path):
     """The first line start at or after the middle of `path`, where the file
     is read in two processes; None where it is read in one.
@@ -364,10 +378,7 @@ def _split_point(path):
     CPUs are usable and os.fork exists; a middle on the last line leaves
     nothing for a second process.
     """
-    if not hasattr(os, "fork"):
-        return None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
+    if not processes.second_cpu():
         return None
     try:
         size = os.stat(path).st_size  # 0 for a pipe, which is read in one
@@ -391,51 +402,23 @@ def _read_in_two(reader: _ActivityReader, mid) -> None:
     before `mid`. The child is reaped before this returns or raises, and
     killed first unless it has sent all its rows.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(read_fd)
-        os.close(write_fd)
-        reader.read()
-        return
-    if pid == 0:
-        _read_and_send(reader, mid, read_fd, write_fd)
-    os.close(write_fd)
-    part = None
-    with open(read_fd, "rb") as pipe:  # open until the child is dead: it may be writing
-        try:
-            reader.read(stop=mid)
-            if reader.line_no is None:  # the csv module read on through the child's lines
-                return
-            try:
-                part = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):  # the child sent less than a whole part
-                pass
-        finally:
-            if part is None:
-                os.kill(pid, signal.SIGKILL)
-            _, status = os.waitpid(pid, 0)
-    if part is not None and status == 0:
-        reader.join(part)
+    with processes.forked(lambda pipe: _read_and_send(reader, mid, pipe)) as child:
+        reader.read(stop=mid)
+        if reader.line_no is None:  # the csv module read on through the child's lines
+            return
+        part = child.receive()
+    if part is None:
+        reader.read(start=mid)
     else:
-        reader.read(start=mid)
+        reader.join(part)
 
 
-def _read_and_send(reader: _ActivityReader, mid, read_fd, write_fd):
+def _read_and_send(reader: _ActivityReader, mid, pipe):
     """In the forked child: read the lines from byte `mid` on, numbered from
-    0, and send what was taken in down the pipe. Never returns."""
-    status = 1
-    try:
-        os.close(read_fd)
-        pipe = open(write_fd, "wb")
-        reader.line_no = 0
-        reader.read(start=mid)
-        _send(pipe, reader)
-        pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)  # which closes the pipe: the parent reads its end once the status is set
+    0, and send what was taken in down `pipe`."""
+    reader.line_no = 0
+    reader.read(start=mid)
+    _send(pipe, reader)
 
 
 def _send(pipe, reader: _ActivityReader):

@@ -18,7 +18,9 @@ holds the text of work/changes.csv.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
-golden bundle is stable.
+golden bundle is stable. A large work/changes.csv is rendered by two
+processes, split at the middle key (_changes_csv); the text is the one a
+single process renders.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import tempfile
 from collections import Counter
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import aggregate, ingest, metric, milestones, series, stats
+from . import aggregate, ingest, metric, milestones, processes, series, stats
 from .config import PipelineConfig
 from .errors import ParseError, PipelineError, StatsError, TaxonomyError
 from .milestones import MILESTONE_FIELDS, change_threshold
@@ -192,19 +195,56 @@ def _release_free_memory():
         pass
 
 
+# Change cells from which work/changes.csv is rendered in two processes.
+_SPLIT_CELLS = 1 << 17
+
+
 def _changes_csv(changes: aggregate.SeriesSet) -> str:
     """work/changes.csv: one line per key and day, the change as its repr.
+
+    From _SPLIT_CELLS change cells on, where processes.second_cpu() holds, a
+    forked child renders the keys from the middle one on while this process
+    renders those before it. The child sends its pieces, one per key, and
+    they are joined once with this process's; this process renders them
+    itself where the child fails in any way.
+    """
+    n_keys = len(changes.keys())
+    mid = n_keys // 2
+    if not mid or changes.values.size < _SPLIT_CELLS or not processes.second_cpu():
+        return "".join([CHANGES_HEADER + "\n", *_changes_pieces(changes, 0, n_keys)])
+
+    with processes.forked(lambda pipe: _send_pieces(pipe, changes, mid, n_keys)) as child:
+        pieces = _changes_pieces(changes, 0, mid)
+        rest = child.receive()
+    if rest is None:
+        rest = _changes_pieces(changes, mid, n_keys)
+    return "".join([CHANGES_HEADER + "\n", *pieces, *rest])
+
+
+def _send_pieces(pipe, changes: aggregate.SeriesSet, start: int, stop: int):
+    """In the forked child: pickle the pieces of keys `start` to `stop` down `pipe`.
+
+    The pieces go as a list, which this process unpickles into the strings
+    its join takes. Sent as one joined text, encoded and decoded again, they
+    took a 1000-region city's peak RSS from 105 MB to 119 MB.
+    """
+    pickle.dump(_changes_pieces(changes, start, stop), pipe, protocol=5)
+
+
+def _changes_pieces(changes: aggregate.SeriesSet, start: int, stop: int) -> list[str]:
+    """The lines of keys `start` to `stop` of work/changes.csv, one str per key.
 
     Rows equal bit for bit, such as those of regions that inherit one Zip's
     transactions, share one rendering of their day and value text, which is
     dropped after its last use.
     """
     day_cells = [f"{day}," for day in range(changes.values.shape[1])]
-    blobs = [row.tobytes() for row in changes.values]
+    values = changes.values[start:stop]
+    blobs = [row.tobytes() for row in values]
     uses_left = Counter(blobs)
     rendered = {}
-    parts = [CHANGES_HEADER + "\n"]
-    for (region, source, category), row, blob in zip(changes.keys(), changes.values, blobs):
+    pieces = []
+    for (region, source, category), row, blob in zip(changes.keys()[start:stop], values, blobs):
         cells = rendered.pop(blob, None)
         if cells is None:
             cells = list(map(str.__add__, day_cells, map(repr, row.tolist())))
@@ -212,8 +252,8 @@ def _changes_csv(changes: aggregate.SeriesSet) -> str:
         if uses_left[blob]:
             rendered[blob] = cells
         prefix = f"{region},{source},{category},"
-        parts.append(prefix + ("\n" + prefix).join(cells) + "\n")
-    return "".join(parts)
+        pieces.append(prefix + ("\n" + prefix).join(cells) + "\n")
+    return pieces
 
 
 # --------------------------------------------------------------------------

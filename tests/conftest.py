@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from recovery_track.config import load_config
@@ -36,3 +38,35 @@ def golden_city(tmp_path_factory):
     config = load_config(paths["config.json"])
     result = run(config)
     return {"root": root, "spec": spec, "config": config, "out": result.output_dir}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """{pid: wait status} of the readers' children, on a machine taken to have two CPUs.
+
+    Afterwards every child must have been reaped and no descriptor left open.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("two-process reads need os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    children = {}
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        if pid in children:
+            children[pid] = reaped[1]
+        return reaped
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    fds = sorted(os.listdir("/dev/fd"))
+    yield children
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert None not in children.values()

@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
+import errno
+import io
+import os
+import pickle
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_recovery_day, moving_average, percent_change
 from recovery_track import pipeline
 from recovery_track.aggregate import SeriesSet
+from recovery_track.config import load_config
 from recovery_track.errors import SeriesError
 from recovery_track.milestones import detect_recovery_days
-from recovery_track.pipeline import CHANGES_ARTIFACT, _changes_csv, _parse_changes_artifact, _RunArtifacts
+from recovery_track.pipeline import CHANGES_ARTIFACT, _changes_csv, _parse_changes_artifact, _RunArtifacts, run
 from recovery_track.series import (
     BOUNDARY_SKIP,
     BOUNDARY_TRUNCATE,
     build_change_series,
     compute_baselines,
 )
+from recovery_track.synth import ScenarioSpec, generate
 from recovery_track.windows import DateWindow
 
 WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-30")
@@ -177,3 +186,111 @@ def test_changes_artifact_of_no_keys(tmp_path):
     assert text == "region,source,category,day_index,change\n"
     parsed = _read_back(text, [], tmp_path)
     assert parsed.keys() == [] and parsed.values.shape == (0, WINDOW.n_days)
+
+
+# ---------------------------------------------------------------------------
+# work/changes.csv rendered in two processes
+
+
+def _check_split(monkeypatch, changes):
+    """_changes_csv(changes) in two processes equals it in one; the text."""
+    monkeypatch.setattr(pipeline, "_SPLIT_CELLS", 1 << 62)
+    expected = _changes_csv(changes)
+    monkeypatch.setattr(pipeline, "_SPLIT_CELLS", 1)
+    assert _changes_csv(changes) == expected
+    return expected
+
+
+def _exit_codes(children):
+    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
+
+
+def _shared_across_the_middle_key():
+    """24 keys, whose middle one, the child's first, is R003's first."""
+    rng = np.random.default_rng(4)
+    keys = _keys(6)
+    values = rng.standard_normal((len(keys), WINDOW.n_days))
+    for category in range(2):  # R001 to R004 inherit one Zip's transactions
+        values[4 + category : 20 : 4] = values[4 + category]
+    values[11] = values[12]  # the last key of this process's half and the child's first
+    return SeriesSet(WINDOW, keys, values)
+
+
+def _non_ascii_regions():
+    regions = sorted(["Zürich-1", "Ōsaka", "東京-3", "Région-É", "R001"])
+    keys = [(region, "trip", category) for region in regions for category in ("essential", "non-essential")]
+    return SeriesSet(WINDOW, keys, np.random.default_rng(5).standard_normal((len(keys), WINDOW.n_days)))
+
+
+@pytest.mark.parametrize("make", [_special_values, _shared_across_the_middle_key, _non_ascii_regions])
+def test_changes_render_the_same_in_two_processes(monkeypatch, forks, make):
+    changes = make()
+    assert _check_split(monkeypatch, changes) == _per_cell_csv(changes)
+    assert _exit_codes(forks) == [0]
+
+
+def test_any_number_of_keys_renders_the_same_in_two_processes(monkeypatch, forks):
+    changes = _random_set(np.random.default_rng(3), n_regions=5)
+    for n_keys, children in ((1, 0), (2, 1), (7, 2), (16, 3)):
+        _check_split(monkeypatch, SeriesSet(WINDOW, changes.keys()[:n_keys], changes.values[:n_keys]))
+        assert len(forks) == children  # one key leaves nothing for a second process
+    assert set(_exit_codes(forks)) == {0}
+
+
+def test_a_criterion_03_city_renders_in_one_process(tmp_path, forks):
+    spec = {
+        "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3,
+        "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
+    }
+    config = load_config(generate(ScenarioSpec.from_mapping(spec), tmp_path)["config.json"])
+    run(config)
+    with open(config.output_dir / CHANGES_ARTIFACT, encoding="utf-8") as handle:
+        cells = sum(1 for _ in handle) - 1
+    assert 5_000 < cells < pipeline._SPLIT_CELLS
+    assert not forks
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+def test_a_failed_writer_child_leaves_its_keys_to_this_process(monkeypatch, forks, failure):
+    send = pipeline._send_pieces
+
+    def fail(pipe, changes, start, stop):
+        if failure == "raise":
+            raise RuntimeError("the child fails")
+        if failure == "short":  # all but the end of the last piece, and a clean exit
+            whole = io.BytesIO()
+            send(whole, changes, start, stop)
+            pipe.write(whole.getvalue()[:-40])
+            return
+        # pieces sent whole, but with a failed exit, are not trusted
+        pickle.dump(["wrong\n"] * (stop - start), pipe)
+        pipe.flush()
+        os._exit(3)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(pipeline, "_send_pieces", fail)
+    if failure == "no_fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    changes = _special_values()
+    assert _check_split(monkeypatch, changes) == _per_cell_csv(changes)
+    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+
+
+def test_a_failure_in_this_process_kills_and_reaps_the_writer_child(monkeypatch, forks):
+    monkeypatch.setattr(pipeline, "_SPLIT_CELLS", 1)
+    monkeypatch.setattr(pipeline, "_send_pieces", lambda *args: time.sleep(30))  # a child that hangs
+    pieces = pipeline._changes_pieces
+
+    def fail_first_half(changes, start, stop):
+        if start == 0:
+            raise RuntimeError("this process fails")
+        return pieces(changes, start, stop)
+
+    monkeypatch.setattr(pipeline, "_changes_pieces", fail_first_half)
+    with pytest.raises(RuntimeError, match="this process fails"):
+        _changes_csv(_special_values())
+    [status] = forks.values()
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
