@@ -195,22 +195,18 @@ def _release_free_memory():
         pass
 
 
-# Change cells from which work/changes.csv is rendered in two processes.
-_SPLIT_CELLS = 1 << 17
-
-
 def _changes_csv(changes: aggregate.SeriesSet) -> str:
     """work/changes.csv: one line per key and day, the change as its repr.
 
-    From _SPLIT_CELLS change cells on, where processes.second_cpu() holds, a
-    forked child renders the keys from the middle one on while this process
-    renders those before it. The child sends its pieces, one per key, and
-    they are joined once with this process's; this process renders them
+    From processes.SPLIT_CELLS change cells on, where processes.second_cpu()
+    holds, a forked child renders the keys from the middle one on while this
+    process renders those before it. The child sends its pieces, one per key,
+    and they are joined once with this process's; this process renders them
     itself where the child fails in any way.
     """
     n_keys = len(changes.keys())
     mid = n_keys // 2
-    if not mid or changes.values.size < _SPLIT_CELLS or not processes.second_cpu():
+    if not mid or changes.values.size < processes.SPLIT_CELLS or not processes.second_cpu():
         return "".join([CHANGES_HEADER + "\n", *_changes_pieces(changes, 0, n_keys)])
 
     with processes.forked(lambda pipe: _send_pieces(pipe, changes, mid, n_keys)) as child:

@@ -1,4 +1,5 @@
-"""One forked child working beside the run, for the trip reader and the changes writer.
+"""One forked child working beside the run, for the trip reader, the changes
+writer and the synthetic city generator.
 
 A caller that splits its work in two checks `second_cpu()` and then runs its
 half inside `forked(send)`: the child calls send(pipe), which pickles its
@@ -16,6 +17,10 @@ import os
 import pickle
 import signal
 from contextlib import contextmanager
+
+# Cells of a key x day matrix from which the changes writer and the synthetic
+# city generator split their work in two; the trip reader splits by bytes.
+SPLIT_CELLS = 1 << 17
 
 
 def second_cpu() -> bool:

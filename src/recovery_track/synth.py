@@ -13,8 +13,13 @@ implementations. It is an oracle for the pipeline, not a reuse of it.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import pickle
+import shutil
+import tempfile
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
 from fractions import Fraction
@@ -22,9 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import processes
 from .aggregate import CATEGORIES, ESSENTIAL, load_taxonomy
 from .config import check_settings, days_after, read_json_object, read_settings, setting
-from .errors import ScenarioError
+from .errors import RecoveryTrackError, ScenarioError
 from .ingest import (
     ADJACENCY_HEADER,
     ATTRIBUTES_HEADER,
@@ -246,18 +252,17 @@ def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> 
 
 
 def _emit_entity(rng, spec: ScenarioSpec, profile: _EntityProfile, offsets: np.ndarray):
-    """Per-type values of one entity before quantisation, noisy (emitted) and
-    noiseless (truth), each (n_codes, n_days) with rows in category, then code order."""
-    noisy, clean = [], []
+    """Per-type values of one entity before quantisation, (n_codes, n_days) with
+    rows in category, then code order: noisy, drawn from `rng`, as emitted, and
+    noiseless, as the truth sees them, where `rng` is None."""
+    rows = []
     for category in CATEGORIES:
         ramp = max(1, round(profile.ramp * CATEGORY_RAMP_SCALE[category]))
         curve = level_at(offsets, profile.level, profile.drop, ramp, spec.ramp_shape)
-        shares = profile.shares[category][:, np.newaxis]
-        clean.append(shares * curve)
-        if spec.noise > 0.0:
+        if rng is not None and spec.noise > 0.0:
             curve = curve * (1.0 + rng.uniform(-spec.noise, spec.noise, size=len(offsets)))
-        noisy.append(shares * curve)
-    return np.concatenate(noisy), np.concatenate(clean)
+        rows.append(profile.shares[category][:, np.newaxis] * curve)
+    return np.concatenate(rows)
 
 
 def _counts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -297,14 +302,28 @@ def _day_blocks(window: DateWindow, prefixes: list[str], texts_by_day):
         yield "".join([f"{stamp},{prefix}{text}\n" for prefix, text in zip(prefixes, texts)])
 
 
+def _send_truth(pipe, ground_truth):
+    """In the forked child: pickle ground_truth(), the truth of every region
+    and Zip, down `pipe`."""
+    pickle.dump(ground_truth(), pipe, protocol=5)
+
+
 def generate(spec: ScenarioSpec, out_dir) -> dict:
     """Write the five ingest CSVs, ground_truth.csv, and a ready pipeline config.
 
     Deterministic for a fixed spec: every entity draws from its own seeded
     stream, and files are emitted in sorted order.
+
+    From processes.SPLIT_CELLS trip cells (regions x codes x days) on, where
+    processes.second_cpu() holds, a forked child computes the ground truth
+    while this process writes the five ingest CSVs; this process computes it
+    itself where the child fails in any way. The files are written to a
+    staging directory in `out_dir` and moved into place once all seven are
+    written, so a spec whose truth fails, or a write that fails, leaves the
+    files of `out_dir` as they were. An OSError ends in a RecoveryTrackError
+    naming the path.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     window = spec.window
     d0_index = window.index_of(spec.event_day)
     offsets = np.arange(window.n_days) - d0_index
@@ -312,6 +331,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     codes_by_category = {category: taxonomy.codes(category) for category in CATEGORIES}
     # an entity's rows: each category's codes in sorted order, categories in order
     codes = [code for category in CATEGORIES for code in codes_by_category[category]]
+    n_codes = len(codes)
     weights = np.array([taxonomy[code].weight for code in codes])
     bounds = np.cumsum([0] + [len(codes_by_category[category]) for category in CATEGORIES])
     category_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -351,56 +371,53 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         np.random.default_rng([spec.seed, 7]), len(zips),
         spec.flat_fraction, spec.censored_fraction,
     )
-
-    n_codes = len(codes)
-    region_profiles = []
-    # noisy values, one block of n_codes rows per entity, filled in place
-    counts = np.empty((spec.n_regions * n_codes, window.n_days))
-    trip_truth = []
-    for i in range(spec.n_regions):
-        profile = _sample_profile(
+    region_profiles = [
+        _sample_profile(
             np.random.default_rng([spec.seed, 1, i]), spec, cluster_bases,
             cluster_of(i), spec.baseline_level_range, region_kinds[i], codes_by_category,
         )
-        region_profiles.append(profile)
-        noisy, clean = _emit_entity(np.random.default_rng([spec.seed, 3, i]), spec, profile, offsets)
-        counts[i * n_codes:(i + 1) * n_codes] = noisy
-        trip_truth.append(truth(_counts(clean), "baseline_level_range", f"region {regions[i]}"))
-
-    amounts = np.empty((len(zips) * n_codes, window.n_days))
-    tx_truth = []
-    for k in range(len(zips)):
-        first_region_index = k * spec.regions_per_zip
-        profile = _sample_profile(
+        for i in range(spec.n_regions)
+    ]
+    zip_profiles = [
+        _sample_profile(
             np.random.default_rng([spec.seed, 2, k]), spec, cluster_bases,
-            cluster_of(min(first_region_index, spec.n_regions - 1)),
+            cluster_of(min(k * spec.regions_per_zip, spec.n_regions - 1)),
             spec.tx_level_range, zip_kinds[k], codes_by_category,
         )
-        noisy, clean = _emit_entity(np.random.default_rng([spec.seed, 4, k]), spec, profile, offsets)
-        amounts[k * n_codes:(k + 1) * n_codes] = noisy
-        tx_truth.append(truth(_amounts_as_read(clean), "tx_level_range", f"Zip {zips[k]}"))
+        for k in range(len(zips))
+    ]
 
-    paths = {}
+    def ground_truth():
+        """The truth per region of trips and per Zip of transactions, from the
+        noiseless values as written."""
+        trip_truth = [
+            truth(_counts(_emit_entity(None, spec, profile, offsets)),
+                  "baseline_level_range", f"region {region}")
+            for region, profile in zip(regions, region_profiles)
+        ]
+        tx_truth = [
+            truth(_amounts_as_read(_emit_entity(None, spec, profile, offsets)),
+                  "tx_level_range", f"Zip {zip_code}")
+            for zip_code, profile in zip(zips, zip_profiles)
+        ]
+        return trip_truth, tx_truth
+
+    def emitted(profiles, stream):
+        """Noisy values of the entities, one block of n_codes rows each."""
+        values = np.empty((len(profiles) * n_codes, window.n_days))
+        for i, profile in enumerate(profiles):
+            rng = np.random.default_rng([spec.seed, stream, i])
+            values[i * n_codes:(i + 1) * n_codes] = _emit_entity(rng, spec, profile, offsets)
+        return values
+
+    written = []
 
     def write(name, header, blocks):
-        """Write the header line, then each block of whole lines."""
-        paths[name] = out / name
-        with open(paths[name], "w", newline="", encoding="utf-8") as handle:
+        """Write the header line, then each block of whole lines, to the staging directory."""
+        written.append(name)
+        with open(staging / name, "w", newline="", encoding="utf-8") as handle:
             handle.write(",".join(header) + "\n")
             handle.writelines(blocks)
-
-    # trips.csv: per day x region x service type
-    _counts(counts, out=counts)
-    write("trips.csv", TRIPS_HEADER, _day_blocks(
-        window, [f"{region},{code}," for region in regions for code in codes],
-        (_count_texts(day) for day in counts.T),
-    ))
-
-    # transactions.csv: per day x zip x merchant type
-    write("transactions.csv", TRANSACTIONS_HEADER, _day_blocks(
-        window, [f"{zip_code},{code}," for zip_code in zips for code in codes],
-        (_cents(day) for day in amounts.T),
-    ))
 
     # overlaps.csv: each region mostly in its own zip, a sliver in the next one
     def overlap_rows():
@@ -414,8 +431,6 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
                 sliver = own_area * (0.1 + 0.8 * rng.uniform())
                 yield (region, zips[neighbor_index], f"{sliver:.6f}")
 
-    write("overlaps.csv", OVERLAPS_HEADER, _lines(overlap_rows()))
-
     # adjacency.csv: rook edges on the grid
     def adjacency_rows():
         for i, region in enumerate(regions):
@@ -426,8 +441,6 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
                 if j == i + 1 and grid_pos(j)[0] != row:
                     continue
                 yield (region, regions[j])
-
-    write("adjacency.csv", ADJACENCY_HEADER, _lines(adjacency_rows()))
 
     # attributes.csv: income anti-correlated and minority correlated with severity
     def attribute_rows():
@@ -443,21 +456,31 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
             income = max(0.0, 20000.0 + 45000.0 * (1.0 - severity) + rng.uniform(-8000.0, 8000.0))
             yield (region, f"{flood:.6f}", f"{minority:.6f}", f"{income:.2f}")
 
-    write("attributes.csv", ATTRIBUTES_HEADER, _lines(attribute_rows()))
+    def write_inputs():
+        # trips.csv: per day x region x service type
+        counts = emitted(region_profiles, 3)
+        _counts(counts, out=counts)
+        write("trips.csv", TRIPS_HEADER, _day_blocks(
+            window, [f"{region},{code}," for region in regions for code in codes],
+            (_count_texts(day) for day in counts.T),
+        ))
+        # transactions.csv: per day x zip x merchant type
+        amounts = emitted(zip_profiles, 4)
+        write("transactions.csv", TRANSACTIONS_HEADER, _day_blocks(
+            window, [f"{zip_code},{code}," for zip_code in zips for code in codes],
+            (_cents(day) for day in amounts.T),
+        ))
+        write("overlaps.csv", OVERLAPS_HEADER, _lines(overlap_rows()))
+        write("adjacency.csv", ADJACENCY_HEADER, _lines(adjacency_rows()))
+        write("attributes.csv", ATTRIBUTES_HEADER, _lines(attribute_rows()))
 
     # ground_truth.csv from the noiseless emitted values
-    def truth_rows():
+    def truth_rows(trip_truth, tx_truth):
         for i, region in enumerate(regions):
             own_zip = i // spec.regions_per_zip
             for source, cells in (("trip", trip_truth[i]), ("transaction", tx_truth[own_zip])):
                 for category, (duration, censored) in zip(CATEGORIES, cells):
                     yield (region, source, category, str(duration), "true" if censored else "false")
-
-    write(
-        "ground_truth.csv",
-        ["region", "source", "category", "duration_days", "censored"],
-        _lines(truth_rows()),
-    )
 
     config = {
         "inputs": {
@@ -476,9 +499,38 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         "recovery": {"threshold": 0.9, "run_length": 3, "horizon_days": spec.horizon_days},
         "output_dir": "out",
     }
-    config_path = out / "config.json"
-    with open(config_path, "w", encoding="utf-8") as handle:
-        json.dump(config, handle, indent=2)
-        handle.write("\n")
-    paths["config.json"] = config_path
-    return paths
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    except OSError as exc:
+        raise RecoveryTrackError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
+    try:
+        if spec.n_regions * n_codes * window.n_days < processes.SPLIT_CELLS or not processes.second_cpu():
+            truths = ground_truth()  # a failing spec fails before any file is written
+            write_inputs()
+        else:
+            with processes.forked(lambda pipe: _send_truth(pipe, ground_truth)) as child:
+                write_inputs()
+                truths = child.receive()
+            if truths is None:
+                truths = ground_truth()
+        write(
+            "ground_truth.csv",
+            ["region", "source", "category", "duration_days", "censored"],
+            _lines(truth_rows(*truths)),
+        )
+        written.append("config.json")
+        with open(staging / "config.json", "w", encoding="utf-8") as handle:
+            json.dump(config, handle, indent=2)
+            handle.write("\n")
+        for name in written:  # a directory in the way fails before any file is replaced
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        for name in written:
+            os.replace(staging / name, out / name)
+    except OSError as exc:
+        raise RecoveryTrackError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return {name: out / name for name in written}

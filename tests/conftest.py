@@ -42,7 +42,8 @@ def golden_city(tmp_path_factory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """{pid: wait status} of the readers' children, on a machine taken to have two CPUs.
+    """{pid: wait status} of the forked children of the trip reader, the changes
+    writer and the city generator, on a machine taken to have two CPUs.
 
     Afterwards every child must have been reaped and no descriptor left open.
     """

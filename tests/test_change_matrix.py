@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_recovery_day, moving_average, percent_change
-from recovery_track import pipeline
+from recovery_track import pipeline, processes
 from recovery_track.aggregate import SeriesSet
 from recovery_track.config import load_config
 from recovery_track.errors import SeriesError
@@ -194,9 +194,9 @@ def test_changes_artifact_of_no_keys(tmp_path):
 
 def _check_split(monkeypatch, changes):
     """_changes_csv(changes) in two processes equals it in one; the text."""
-    monkeypatch.setattr(pipeline, "_SPLIT_CELLS", 1 << 62)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
     expected = _changes_csv(changes)
-    monkeypatch.setattr(pipeline, "_SPLIT_CELLS", 1)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert _changes_csv(changes) == expected
     return expected
 
@@ -246,7 +246,7 @@ def test_a_criterion_03_city_renders_in_one_process(tmp_path, forks):
     run(config)
     with open(config.output_dir / CHANGES_ARTIFACT, encoding="utf-8") as handle:
         cells = sum(1 for _ in handle) - 1
-    assert 5_000 < cells < pipeline._SPLIT_CELLS
+    assert 5_000 < cells < processes.SPLIT_CELLS
     assert not forks
 
 
@@ -279,7 +279,7 @@ def test_a_failed_writer_child_leaves_its_keys_to_this_process(monkeypatch, fork
 
 
 def test_a_failure_in_this_process_kills_and_reaps_the_writer_child(monkeypatch, forks):
-    monkeypatch.setattr(pipeline, "_SPLIT_CELLS", 1)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     monkeypatch.setattr(pipeline, "_send_pieces", lambda *args: time.sleep(30))  # a child that hangs
     pieces = pipeline._changes_pieces
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from recovery_track import aggregate, cli, pipeline
+from recovery_track import aggregate, cli, pipeline, processes
 from recovery_track.config import PipelineConfig, load_config
 from recovery_track.errors import ConfigError, ParseError, PipelineError, TaxonomyError
 from recovery_track.pipeline import STAGES, run, validate
@@ -590,18 +590,82 @@ def test_cli_synth_unreadable_spec_exit_code(tmp_path, capsys, spec_text):
     assert "spec.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
+SYNTH_FILES = (
+    "adjacency.csv", "attributes.csv", "config.json", "ground_truth.csv",
+    "overlaps.csv", "transactions.csv", "trips.csv",
+)
+
+ZERO_BASELINES = pytest.mark.parametrize(
     "field, entity",
     [("baseline_level_range", "region R0001"), ("tx_level_range", "Zip 77001")],
 )
-def test_cli_synth_zero_baseline_exit_code(tmp_path, capsys, field, entity):
+
+
+def _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity):
+    """A spec whose truth fails exits 2 and leaves its output directory as it
+    found it: empty where it is new, an existing city's files unchanged."""
     # levels this low quantise to 0 trips or 0.00 a day before the event
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"n_regions": 4, field: [0.001, 0.02]}))
-    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "city")]) == 2
+    fine_path = tmp_path / "fine.json"
+    fine_path.write_text(json.dumps({"n_regions": 4, "seed": 1}))
+    new, existing = tmp_path / "city", tmp_path / "existing"
+    assert cli.main(["synth", "--spec", str(fine_path), "--out", str(existing)]) == 0
+    before = _files(existing)
+    assert sorted(before) == list(SYNTH_FILES)
+    capsys.readouterr()
+    for out in (new, existing):
+        assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: the essential baseline of {entity} quantises to zero" in err
+    assert not any(new.iterdir())  # no data file, and no staging directory
+    assert _files(existing) == before
+    assert sorted(path.name for path in existing.iterdir()) == list(SYNTH_FILES)
+
+
+@ZERO_BASELINES
+def test_cli_synth_zero_baseline_exit_code(tmp_path, capsys, field, entity):
+    _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity)
+
+
+@ZERO_BASELINES
+def test_cli_synth_zero_baseline_in_two_processes(tmp_path, capsys, monkeypatch, forks, field, entity):
+    # the child's truth fails, the files are written, and this process's truth fails too
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity)
+    assert len(forks) == 3 and all(os.WIFEXITED(status) for status in forks.values())
+    assert [os.WEXITSTATUS(status) for status in forks.values()] == [0, 1, 1]
+
+
+def _out_is_a_file(out):
+    out.touch()
+    return out, f"cannot create output directory {out}: File exists"
+
+
+def _out_under_a_file(out):
+    out.touch()
+    return out / "city", f"cannot create output directory {out / 'city'}: Not a directory"
+
+
+def _truth_is_a_directory(out):
+    # written after the input files, which must not be moved in either
+    (out / "ground_truth.csv" / "kept").mkdir(parents=True)
+    return out, f"cannot write {out / 'ground_truth.csv'}: Is a directory"
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-process", "two-processes"])
+@pytest.mark.parametrize("damage", [_out_is_a_file, _out_under_a_file, _truth_is_a_directory])
+def test_cli_synth_reports_an_unwritable_out(tmp_path, capsys, monkeypatch, forks, damage, split):
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 if split else 1 << 62)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_regions": 4}))
+    out, expected = damage(tmp_path / "out")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{field}: the essential baseline of {entity} quantises to zero" in err
-    assert not (tmp_path / "city" / "ground_truth.csv").exists()
+    assert err == f"error: {expected}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # no file written, no staging directory left
+    assert len(forks) == (split and damage is _truth_is_a_directory)
 
 
 def _mangle_truncate(lines):

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import ast
 import csv
+import errno
 import filecmp
 import hashlib
+import io
 import json
 import math
+import os
+import pickle
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +19,7 @@ import pytest
 
 import recovery_track.synth
 
+from recovery_track import processes
 from recovery_track.errors import ScenarioError
 from recovery_track.ingest import (
     parse_adjacency,
@@ -145,13 +152,90 @@ WRITTEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
-def test_written_files_keep_their_bytes(tmp_path, name):
+def _check_digests(out, name):
+    """generate() writes WRITTEN_DIGESTS[name] into `out`, and nothing else."""
     raw, digests = WRITTEN_DIGESTS[name]
-    paths = generate(ScenarioSpec.from_mapping(raw), tmp_path)
+    paths = generate(ScenarioSpec.from_mapping(raw), out)
     assert set(paths) == set(digests)
     for file_name, path in paths.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[file_name], file_name
+    assert sorted(path.name for path in out.iterdir()) == sorted(digests)  # no staging directory left
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
+def test_written_files_keep_their_bytes(tmp_path, name):
+    _check_digests(tmp_path, name)
+
+
+# ---------------------------------------------------------------------------
+# the ground truth computed by a forked child while this process writes
+
+
+def _exit_codes(children):
+    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
+def test_written_files_keep_their_bytes_in_two_processes(tmp_path, monkeypatch, forks, name):
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    _check_digests(tmp_path, name)
+    assert _exit_codes(forks) == [0]
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+def test_a_failed_truth_child_leaves_the_truth_to_this_process(tmp_path, monkeypatch, forks, failure):
+    send = recovery_track.synth._send_truth
+
+    def fail(pipe, ground_truth):
+        if failure == "raise":
+            raise RuntimeError("the child fails")
+        if failure == "short":  # all but the end of the truth, and a clean exit
+            whole = io.BytesIO()
+            send(whole, ground_truth)
+            pipe.write(whole.getvalue()[:-10])
+            return
+        # a truth sent whole, but with a failed exit, is not trusted
+        pickle.dump(tuple([[(0, True)] * 2 for _ in part] for part in ground_truth()), pipe)
+        pipe.flush()
+        os._exit(3)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(recovery_track.synth, "_send_truth", fail)
+    if failure == "no_fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    _check_digests(tmp_path, "noisy")
+    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+
+
+def test_a_failure_in_this_process_kills_and_reaps_the_truth_child(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(recovery_track.synth, "_send_truth", lambda *args: time.sleep(30))  # a child that hangs
+
+    def fail_after_a_line(*args):
+        yield "2017-08-01,R0001,grocery,1\n"
+        raise RuntimeError("this process fails")
+
+    monkeypatch.setattr(recovery_track.synth, "_day_blocks", fail_after_a_line)
+    with pytest.raises(RuntimeError, match="this process fails"):
+        generate(ScenarioSpec.from_mapping(SMALL), tmp_path)
+    [status] = forks.values()
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert not any(tmp_path.iterdir())  # the staged trips.csv went with its directory
+
+
+def test_a_criterion_03_city_generates_in_one_process(tmp_path, forks):
+    spec = {
+        "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3,
+        "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
+    }
+    paths = generate(ScenarioSpec.from_mapping(spec), tmp_path)
+    with open(paths["trips.csv"], encoding="utf-8") as handle:
+        cells = sum(1 for _ in handle) - 1
+    assert 5_000 < cells < processes.SPLIT_CELLS
+    assert not forks
 
 
 def test_truth_uses_no_pipeline_code():
