@@ -12,13 +12,14 @@ time, or by the csv module where that would split them differently, and each
 chunk of rows is validated at once, dates, names and codes once per distinct
 text and values in one vectorised conversion where the chunk allows it.
 
-A file of _SPLIT_BYTES or more is read by two processes where at least two
-CPUs are usable and os.fork exists: a forked child reads the lines from the
-first line start at or after the middle byte while this process reads the
-ones before, and the child's columns, names, counts and row errors are
-merged in file order (_read_in_two). The result and any ParseError are the
-ones one process gives, bit for bit. The child's memory counts in a peak RSS
-taken over the run and its children, not in the run's own.
+A file of _SPLIT_BYTES or more is read in two halves, split at the first line
+start at or after the middle byte: this process reads the lines before it,
+and a second reader (_read_part) the ones from it on, in a forked child
+beside this process where processes.beside can have one. The second
+reader's columns, names, counts and row errors are merged in file order
+(_ActivityReader.join). The result and any ParseError are the ones one
+reader of the whole file gives, bit for bit. The child's memory counts in a
+peak RSS taken over the run and its children, not in the run's own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import io
 import itertools
 import math
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
@@ -212,17 +212,19 @@ _BAD = np.iinfo(np.int32).min
 _BLOCK_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 14
 
-# Files from this size on are read in two processes (see _split_point).
+# Files from this size on are read in two halves, each by its own process
+# where processes.beside can fork one (see _split_point).
 _SPLIT_BYTES = 4 << 20
 
 
 def _parse_activity(path, window: DateWindow, header, plain_values, parse_value) -> ParseResult:
     reader = _ActivityReader(path, header, window, plain_values, parse_value)
     mid = _split_point(path)
-    if mid is None:
-        reader.read()
-    else:
-        _read_in_two(reader, mid)
+    with processes.beside(lambda: _read_part(reader, mid), split=mid is not None) as rest:
+        reader.read(stop=mid)
+        # where the csv module read on through the second half, its lines are taken in already
+        if mid is not None and reader.line_no is not None:
+            reader.join(rest())
     return reader.result()
 
 
@@ -281,8 +283,8 @@ class _ActivityReader(_RowReader):
             del dates, entities, codes, texts  # free the chunk before the next one is split
 
     def join(self, part):
-        """Take in what _send sent of another reader that read on from line
-        self.line_no, numbering its lines from 0."""
+        """Take in what _read_part gave of the lines from line self.line_no
+        on, numbered from 0."""
         accepted, dropped, total_rows, errors, entities, codes, (day, entity, code, value) = part
         self.accepted += accepted
         self.dropped += dropped
@@ -372,17 +374,14 @@ class _Chained(io.RawIOBase):
 
 def _split_point(path):
     """The first line start at or after the middle of `path`, where the file
-    is read in two processes; None where it is read in one.
+    is read in two halves; None where it is read whole.
 
-    A file is read in two where it holds at least _SPLIT_BYTES, at least two
-    CPUs are usable and os.fork exists; a middle on the last line leaves
-    nothing for a second process.
+    A file is read in two halves where it holds at least _SPLIT_BYTES; a
+    middle on the last line leaves nothing for a second half.
     """
-    if not processes.second_cpu():
-        return None
     try:
-        size = os.stat(path).st_size  # 0 for a pipe, which is read in one
-    except OSError:  # the read in one process reports it
+        size = os.stat(path).st_size  # 0 for a pipe, which is read whole
+    except OSError:  # the read of the whole file reports it
         return None
     if size < _SPLIT_BYTES:
         return None
@@ -393,41 +392,19 @@ def _split_point(path):
     return mid if mid < size else None
 
 
-def _read_in_two(reader: _ActivityReader, mid) -> None:
-    """reader.read(), with a forked child reading the lines from byte `mid` on
-    while this process reads the ones before them.
-
-    This process reads the child's lines itself when the child fails in any
-    way, and keeps reading through them when the csv module takes over
-    before `mid`. The child is reaped before this returns or raises, and
-    killed first unless it has sent all its rows.
-    """
-    with processes.forked(lambda pipe: _read_and_send(reader, mid, pipe)) as child:
-        reader.read(stop=mid)
-        if reader.line_no is None:  # the csv module read on through the child's lines
-            return
-        part = child.receive()
-    if part is None:
-        reader.read(start=mid)
-    else:
-        reader.join(part)
-
-
-def _read_and_send(reader: _ActivityReader, mid, pipe):
-    """In the forked child: read the lines from byte `mid` on, numbered from
-    0, and send what was taken in down `pipe`."""
-    reader.line_no = 0
-    reader.read(start=mid)
-    _send(pipe, reader)
-
-
-def _send(pipe, reader: _ActivityReader):
-    """Pickle the counters, row errors, names and column chunks `reader` took in, for join()."""
-    part = (
-        reader.accepted, reader.dropped, reader.total_rows, reader.errors,
-        list(reader.entity_ids), list(reader.code_ids), reader.kept,
+def _read_part(reader: _ActivityReader, mid):
+    """What a new reader of `reader`'s file takes in of the lines from byte
+    `mid` on, numbered from 0, for join(): its counters, row errors, names
+    and column chunks."""
+    part = _ActivityReader(
+        reader.path, reader.expected_header, reader.window, reader.plain_values, reader.parse_value
     )
-    pickle.dump(part, pipe, protocol=5)  # 5 sends the chunks' bytes without a copy
+    part.line_no = 0
+    part.read(start=mid)
+    return (
+        part.accepted, part.dropped, part.total_rows, part.errors,
+        list(part.entity_ids), list(part.code_ids), part.kept,
+    )
 
 
 def _row_chunks(records):

@@ -7,7 +7,8 @@ stage in memory, and only `--only milestones` parses work/changes.csv back.
 Both give the same milestones because each change is written as its repr and
 float(repr(x)) == x for every float; NaN reads back as NaN, which never
 qualifies as recovered. All artifacts are computed first and moved into the
-output directory together; a failing stage leaves the directory untouched.
+output directory together (processes.staged); a failing stage leaves the
+directory untouched.
 
 Stages read artifacts through one line reader, `_RunArtifacts.lines`, which
 checks the header and the final newline. It splits lines from blocks of about
@@ -18,21 +19,16 @@ holds the text of work/changes.csv.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
-golden bundle is stable. A large work/changes.csv is rendered by two
-processes, split at the middle key (_changes_csv); the text is the one a
-single process renders.
+golden bundle is stable. work/changes.csv is rendered in two halves, split
+at the middle key, the second beside the run (_changes_csv): by a forked
+child where it is large; the text is the one a single process renders.
 """
 
 from __future__ import annotations
 
-import errno
 import io
 import json
 import math
-import os
-import pickle
-import shutil
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,33 +194,20 @@ def _release_free_memory():
 def _changes_csv(changes: aggregate.SeriesSet) -> str:
     """work/changes.csv: one line per key and day, the change as its repr.
 
-    From processes.SPLIT_CELLS change cells on, where processes.second_cpu()
-    holds, a forked child renders the keys from the middle one on while this
-    process renders those before it. The child sends its pieces, one per key,
-    and they are joined once with this process's; this process renders them
-    itself where the child fails in any way.
+    The keys before the middle one are rendered by this process, the rest
+    beside it (processes.beside): by a forked child from processes.SPLIT_CELLS
+    change cells on, where one can be had. Each half gives its pieces, one per
+    key, and they are joined once. A child's pieces are pickled as a list,
+    which this process unpickles into the strings its join takes. Sent as one
+    joined text, encoded and decoded again, they took a 1000-region city's
+    peak RSS from 105 MB to 119 MB.
     """
     n_keys = len(changes.keys())
     mid = n_keys // 2
-    if not mid or changes.values.size < processes.SPLIT_CELLS or not processes.second_cpu():
-        return "".join([CHANGES_HEADER + "\n", *_changes_pieces(changes, 0, n_keys)])
-
-    with processes.forked(lambda pipe: _send_pieces(pipe, changes, mid, n_keys)) as child:
+    split = mid > 0 and changes.values.size >= processes.SPLIT_CELLS
+    with processes.beside(lambda: _changes_pieces(changes, mid, n_keys), split) as rest:
         pieces = _changes_pieces(changes, 0, mid)
-        rest = child.receive()
-    if rest is None:
-        rest = _changes_pieces(changes, mid, n_keys)
-    return "".join([CHANGES_HEADER + "\n", *pieces, *rest])
-
-
-def _send_pieces(pipe, changes: aggregate.SeriesSet, start: int, stop: int):
-    """In the forked child: pickle the pieces of keys `start` to `stop` down `pipe`.
-
-    The pieces go as a list, which this process unpickles into the strings
-    its join takes. Sent as one joined text, encoded and decoded again, they
-    took a 1000-region city's peak RSS from 105 MB to 119 MB.
-    """
-    pickle.dump(_changes_pieces(changes, start, stop), pipe, protocol=5)
+        return "".join([CHANGES_HEADER + "\n", *pieces, *rest()])
 
 
 def _changes_pieces(changes: aggregate.SeriesSet, start: int, stop: int) -> list[str]:
@@ -632,36 +615,18 @@ _WRITE_CHARS = 1 << 20
 
 
 def _commit(output_dir: Path, artifacts: dict):
-    """Write the artifacts to a staging directory, then move each into `output_dir`.
-
-    Every target's directory is made and every target checked before the
-    first move, so a target that cannot be replaced, such as a directory,
-    leaves the bundle as it was. Any OSError ends the run with a
+    """Write the artifacts to a staging directory, then move them into
+    `output_dir` together (processes.staged): a target that cannot be
+    replaced leaves the bundle as it was, and any OSError ends the run with a
     PipelineError naming the path.
     """
-    try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=output_dir))
-    except OSError as exc:
-        raise PipelineError(f"cannot create output directory {output_dir}: {exc.strerror or exc}") from None
-    try:
+    with processes.staged(output_dir, PipelineError) as staging:
         for name, text in artifacts.items():
             target = staging / name
             target.parent.mkdir(parents=True, exist_ok=True)
             with open(target, "w", encoding="utf-8", newline="") as handle:
                 for start in range(0, len(text), _WRITE_CHARS):
                     handle.write(text[start : start + _WRITE_CHARS])
-        for name in artifacts:
-            final = output_dir / name
-            final.parent.mkdir(parents=True, exist_ok=True)
-            if final.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
-        for name in artifacts:
-            os.replace(staging / name, output_dir / name)
-    except OSError as exc:
-        raise PipelineError(f"cannot write {exc.filename or output_dir}: {exc.strerror or exc}") from None
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------

@@ -1,29 +1,39 @@
-"""One forked child working beside the run, for the trip reader, the changes
-writer and the synthetic city generator.
+"""Two processes and staged writes, for the trip reader, the changes writer
+and the synthetic city generator.
 
-A caller that splits its work in two checks `second_cpu()` and then runs its
-half inside `forked(send)`: the child calls send(pipe), which pickles its
-half's result down the pipe, while the run works on its own half and then
-takes the child's result with `receive()`. Where the fork fails or the child
-fails in any way, `receive()` gives None and the caller does the child's
-half itself, so the outcome never depends on the child. The child always
-ends in os._exit, never returning into its caller, and is reaped (killed
-first unless it has sent all of its result) before `forked` is left.
+A caller that splits its work in two runs its own half inside
+`beside(work, split)`, which yields a function giving work()'s result. Where
+`split` holds and a second CPU, a descriptor pair and a process are free, a
+forked child computes work() while the block runs and pickles the result
+down a pipe. Where there is no child, or it failed in any way, this process
+computes work() itself, when the result is asked for; so the outcome never
+depends on the child, and a block that never asks computes nothing.
+The child always ends in os._exit, never returning into its caller, and is
+reaped before the block is left, killed first unless all of its result has
+been received.
+
+`staged(out_dir, error)` gives the run and `synth` one way to replace a set
+of files together: written to a staging directory, then moved into place.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
+import shutil
 import signal
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
 # Cells of a key x day matrix from which the changes writer and the synthetic
-# city generator split their work in two; the trip reader splits by bytes.
+# city generator have a forked child do half their work; the trip reader
+# splits by bytes.
 SPLIT_CELLS = 1 << 17
 
 
-def second_cpu() -> bool:
+def _second_cpu() -> bool:
     """Whether a forked child can run beside this process: os.fork exists and
     at least two CPUs are usable (os.sched_getaffinity, else os.cpu_count)."""
     if not hasattr(os, "fork"):
@@ -32,65 +42,103 @@ def second_cpu() -> bool:
     return (cpus or 1) >= 2
 
 
-class _Child:
-    def __init__(self, pid, pipe):
-        self.pid = pid
-        self.pipe = pipe
+@contextmanager
+def beside(work, split=True):
+    """A function giving work()'s result, computed by a forked child while
+    the block runs where `split` holds and a child can be had; see the module
+    docstring. Only the first call can take the child's result, and none
+    keeps it: a result held here would outlive the caller's last use of it."""
+    pid, pipe = _fork(work) if split and _second_cpu() else (None, None)
 
-    def receive(self):
-        """What the child pickled down the pipe, once it has exited with
-        status 0; None where it failed in any way, or there is no child."""
-        if self.pid is None:
-            return None
+    def result():
+        nonlocal pid
+        if pid is not None:
+            sent = None
+            try:
+                sent = (pickle.load(pipe),)
+            except (EOFError, pickle.UnpicklingError):  # the child sent less than a whole result
+                pass
+            child, pid = pid, None
+            # a result sent whole by a child that then failed is not trusted
+            if _reap(child, kill=sent is None) == 0 and sent is not None:
+                return sent[0]
+        return work()
+
+    try:
+        yield result
+    finally:
+        if pid is not None:
+            _reap(pid, kill=True)
+        if pipe is not None:
+            pipe.close()  # only now: a live child may still be writing
+
+
+def _fork(work):
+    """(pid, read end of the pipe as a binary file) of a forked child that
+    sends work() down the pipe; (None, None) where no descriptor pair or
+    process is free."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None, None
+    if pid == 0:  # the child: exit with status 0 once all is sent, 1 where anything raises
+        status = 1
         try:
-            part = pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):  # the child sent less than a whole part
-            part = None
-        status = self.reap(kill=part is None)
-        return part if status == 0 else None
+            os.close(read_fd)
+            pipe = open(write_fd, "wb")
+            _send(pipe, work())
+            pipe.flush()
+            status = 0
+        finally:
+            os._exit(status)  # which closes the pipe: the parent reads its end once the status is set
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
-    def reap(self, kill):
-        """Wait for the child, killing it first where `kill`; its wait status."""
-        pid, self.pid = self.pid, None
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1]
+
+def _send(pipe, result):
+    """Pickle `result` down `pipe`; protocol 5 sends the bytes of arrays without a copy."""
+    pickle.dump(result, pipe, protocol=5)
+
+
+def _reap(pid, kill):
+    """Wait for child `pid`, killing it first where `kill`; its wait status."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitpid(pid, 0)[1]
 
 
 @contextmanager
-def forked(send):
-    """A `_Child` whose forked process runs send(pipe), with `pipe` a binary
-    file on the write end of a pipe, and then exits with status 0; status 1
-    where send raises. With no process to spare there is no child, and its
-    receive() gives None."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(read_fd)
-        os.close(write_fd)
-        yield _Child(None, None)
-        return
-    if pid == 0:
-        _run_and_exit(send, read_fd, write_fd)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:  # open until the child is dead: it may be writing
-        child = _Child(pid, pipe)
-        try:
-            yield child
-        finally:
-            if child.pid is not None:
-                child.reap(kill=True)
+def staged(out_dir: Path, error):
+    """A new staging directory in `out_dir`, whose files are moved to the same
+    names in `out_dir` once the block has written them.
 
-
-def _run_and_exit(send, read_fd, write_fd):
-    """In the forked child: send(pipe), then exit. Never returns."""
-    status = 1
+    Every target's directory is made and every target checked before the
+    first move, so a target that cannot be replaced, such as a directory,
+    leaves `out_dir` as it was, and so does a block that raises. The staging
+    directory is removed on any outcome. An OSError ends in error(message),
+    naming the path.
+    """
     try:
-        os.close(read_fd)
-        pipe = open(write_fd, "wb")
-        send(pipe)
-        pipe.flush()
-        status = 0
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    except OSError as exc:
+        raise error(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
+    try:
+        yield staging
+        names = [path.relative_to(staging) for path in sorted(staging.rglob("*")) if not path.is_dir()]
+        for name in names:
+            (out_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    except OSError as exc:
+        raise error(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
     finally:
-        os._exit(status)  # which closes the pipe: the parent reads its end once the status is set
+        shutil.rmtree(staging, ignore_errors=True)

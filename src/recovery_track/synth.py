@@ -13,13 +13,8 @@ implementations. It is an oracle for the pipeline, not a reuse of it.
 
 from __future__ import annotations
 
-import errno
 import json
 import math
-import os
-import pickle
-import shutil
-import tempfile
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
 from fractions import Fraction
@@ -302,26 +297,20 @@ def _day_blocks(window: DateWindow, prefixes: list[str], texts_by_day):
         yield "".join([f"{stamp},{prefix}{text}\n" for prefix, text in zip(prefixes, texts)])
 
 
-def _send_truth(pipe, ground_truth):
-    """In the forked child: pickle ground_truth(), the truth of every region
-    and Zip, down `pipe`."""
-    pickle.dump(ground_truth(), pipe, protocol=5)
-
-
 def generate(spec: ScenarioSpec, out_dir) -> dict:
     """Write the five ingest CSVs, ground_truth.csv, and a ready pipeline config.
 
     Deterministic for a fixed spec: every entity draws from its own seeded
     stream, and files are emitted in sorted order.
 
-    From processes.SPLIT_CELLS trip cells (regions x codes x days) on, where
-    processes.second_cpu() holds, a forked child computes the ground truth
-    while this process writes the five ingest CSVs; this process computes it
-    itself where the child fails in any way. The files are written to a
-    staging directory in `out_dir` and moved into place once all seven are
-    written, so a spec whose truth fails, or a write that fails, leaves the
-    files of `out_dir` as they were. An OSError ends in a RecoveryTrackError
-    naming the path.
+    The ground truth is computed beside the writes of the five ingest CSVs
+    (processes.beside): by a forked child from processes.SPLIT_CELLS trip
+    cells (regions x codes x days) on, where one can be had, else by this
+    process once they are written. The files are written to a staging
+    directory and moved into `out_dir` once all seven are written
+    (processes.staged), so a spec whose truth fails, or a write that fails,
+    leaves the files of `out_dir` as they were. An OSError ends in a
+    RecoveryTrackError naming the path.
     """
     out = Path(out_dir)
     window = spec.window
@@ -500,37 +489,17 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         "output_dir": "out",
     }
 
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-    except OSError as exc:
-        raise RecoveryTrackError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
-    try:
-        if spec.n_regions * n_codes * window.n_days < processes.SPLIT_CELLS or not processes.second_cpu():
-            truths = ground_truth()  # a failing spec fails before any file is written
+    split = spec.n_regions * n_codes * window.n_days >= processes.SPLIT_CELLS
+    with processes.staged(out, RecoveryTrackError) as staging:
+        with processes.beside(ground_truth, split) as truths:
             write_inputs()
-        else:
-            with processes.forked(lambda pipe: _send_truth(pipe, ground_truth)) as child:
-                write_inputs()
-                truths = child.receive()
-            if truths is None:
-                truths = ground_truth()
-        write(
-            "ground_truth.csv",
-            ["region", "source", "category", "duration_days", "censored"],
-            _lines(truth_rows(*truths)),
-        )
+            write(
+                "ground_truth.csv",
+                ["region", "source", "category", "duration_days", "censored"],
+                _lines(truth_rows(*truths())),
+            )
         written.append("config.json")
         with open(staging / "config.json", "w", encoding="utf-8") as handle:
             json.dump(config, handle, indent=2)
             handle.write("\n")
-        for name in written:  # a directory in the way fails before any file is replaced
-            if (out / name).is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
-        for name in written:
-            os.replace(staging / name, out / name)
-    except OSError as exc:
-        raise RecoveryTrackError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
     return {name: out / name for name in written}

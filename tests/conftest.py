@@ -42,8 +42,9 @@ def golden_city(tmp_path_factory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """{pid: wait status} of the forked children of the trip reader, the changes
-    writer and the city generator, on a machine taken to have two CPUs.
+    """{pid: wait status} of the children processes.beside forks, for the trip
+    reader, the changes writer, the city generator or a test of its own, on a
+    machine taken to have two CPUs.
 
     Afterwards every child must have been reaped and no descriptor left open.
     """

@@ -250,37 +250,42 @@ def test_a_criterion_03_city_renders_in_one_process(tmp_path, forks):
     assert not forks
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork", "no_pipe"])
 def test_a_failed_writer_child_leaves_its_keys_to_this_process(monkeypatch, forks, failure):
-    send = pipeline._send_pieces
+    send = processes._send
 
-    def fail(pipe, changes, start, stop):
+    def fail(pipe, pieces):
         if failure == "raise":
             raise RuntimeError("the child fails")
         if failure == "short":  # all but the end of the last piece, and a clean exit
             whole = io.BytesIO()
-            send(whole, changes, start, stop)
+            send(whole, pieces)
             pipe.write(whole.getvalue()[:-40])
             return
         # pieces sent whole, but with a failed exit, are not trusted
-        pickle.dump(["wrong\n"] * (stop - start), pipe)
+        pickle.dump(["wrong\n"] * len(pieces), pipe)
         pipe.flush()
         os._exit(3)
 
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(pipeline, "_send_pieces", fail)
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(processes, "_send", fail)
     if failure == "no_fork":
         monkeypatch.setattr(os, "fork", no_fork)
+    if failure == "no_pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
     changes = _special_values()
     assert _check_split(monkeypatch, changes) == _per_cell_csv(changes)
-    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": [], "no_pipe": []}[failure]
 
 
 def test_a_failure_in_this_process_kills_and_reaps_the_writer_child(monkeypatch, forks):
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(pipeline, "_send_pieces", lambda *args: time.sleep(30))  # a child that hangs
+    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
     pieces = pipeline._changes_pieces
 
     def fail_first_half(changes, start, stop):

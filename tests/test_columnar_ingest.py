@@ -26,7 +26,7 @@ import pytest
 import corpus
 from conftest import write_csv
 from oracles import amount, parse_activity_rows, trip_count, weighted_measurement
-from recovery_track import ingest
+from recovery_track import ingest, processes
 from recovery_track.aggregate import (
     CATEGORIES,
     SOURCES,
@@ -547,25 +547,25 @@ def test_a_byte_that_is_not_utf8_in_either_half(tmp_path, monkeypatch, forks, ki
 
 @pytest.mark.parametrize("failure", ["raise", "interrupt", "exit", "short", "exit_after_sending"])
 def test_a_failed_child_leaves_its_lines_to_this_process(tmp_path, monkeypatch, forks, failure):
-    send = ingest._send
+    send = processes._send
 
-    def fail(pipe, reader):
+    def fail(pipe, part):
         if failure == "raise":
             raise RuntimeError("the child fails")
         if failure == "interrupt":
             raise KeyboardInterrupt
         if failure == "short":  # all but the end of the last column, and a clean exit
             whole = io.BytesIO()
-            send(whole, reader)
+            send(whole, part)
             pipe.write(whole.getvalue()[:-40])
             return
         if failure == "exit_after_sending":  # a wrong count, sent whole, is not trusted either
-            reader.accepted += 1
-            send(pipe, reader)
+            accepted, *rest = part
+            send(pipe, (accepted + 1, *rest))
             pipe.flush()
         os._exit(3)
 
-    monkeypatch.setattr(ingest, "_send", fail)
+    monkeypatch.setattr(processes, "_send", fail)
     rows = _random_rows(random.Random(failure), "trips", 300)
     result = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "clean.csv", "trips", rows))
     assert result.accepted > 0
@@ -619,10 +619,24 @@ def test_without_a_process_to_spare_the_file_is_read_in_one(tmp_path, monkeypatc
     assert not forks
 
 
+def test_without_a_descriptor_pair_the_file_is_read_in_one(tmp_path, monkeypatch, forks):
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    rows = _random_rows(random.Random(6), "trips", 300)
+    result = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "clean.csv", "trips", rows))
+    assert result.accepted > 0
+    rows[30][3], rows[280][3] = "1.5", "-2"
+    message, errors, *_ = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "bad.csv", "trips", rows))
+    assert [line for line, _ in errors] == [32, 282]
+    assert not forks
+
+
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 def test_a_bad_header_in_the_first_range_kills_and_reaps_the_child(tmp_path, monkeypatch, forks, kind):
     monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
-    monkeypatch.setattr(ingest, "_send", lambda pipe, reader: time.sleep(30))  # a child that hangs
+    monkeypatch.setattr(processes, "_send", lambda pipe, part: time.sleep(30))  # a child that hangs
     lines = _lines(kind, _random_rows(random.Random(kind), kind, 2000))
     path = write_csv(tmp_path, "bad_header.csv", "\n".join(["day,region,type,count", *lines[1:]]) + "\n")
     with pytest.raises(ParseError, match="does not match"):

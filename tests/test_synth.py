@@ -182,37 +182,42 @@ def test_written_files_keep_their_bytes_in_two_processes(tmp_path, monkeypatch, 
     assert _exit_codes(forks) == [0]
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork", "no_pipe"])
 def test_a_failed_truth_child_leaves_the_truth_to_this_process(tmp_path, monkeypatch, forks, failure):
-    send = recovery_track.synth._send_truth
+    send = processes._send
 
-    def fail(pipe, ground_truth):
+    def fail(pipe, truth):
         if failure == "raise":
             raise RuntimeError("the child fails")
         if failure == "short":  # all but the end of the truth, and a clean exit
             whole = io.BytesIO()
-            send(whole, ground_truth)
+            send(whole, truth)
             pipe.write(whole.getvalue()[:-10])
             return
         # a truth sent whole, but with a failed exit, is not trusted
-        pickle.dump(tuple([[(0, True)] * 2 for _ in part] for part in ground_truth()), pipe)
+        pickle.dump(tuple([[(0, True)] * 2 for _ in part] for part in truth), pipe)
         pipe.flush()
         os._exit(3)
 
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(recovery_track.synth, "_send_truth", fail)
+    monkeypatch.setattr(processes, "_send", fail)
     if failure == "no_fork":
         monkeypatch.setattr(os, "fork", no_fork)
+    if failure == "no_pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
     _check_digests(tmp_path, "noisy")
-    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": [], "no_pipe": []}[failure]
 
 
 def test_a_failure_in_this_process_kills_and_reaps_the_truth_child(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(recovery_track.synth, "_send_truth", lambda *args: time.sleep(30))  # a child that hangs
+    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
 
     def fail_after_a_line(*args):
         yield "2017-08-01,R0001,grocery,1\n"
