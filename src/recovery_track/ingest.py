@@ -12,14 +12,15 @@ time, or by the csv module where that would split them differently, and each
 chunk of rows is validated at once, dates, names and codes once per distinct
 text and values in one vectorised conversion where the chunk allows it.
 
-A file of _SPLIT_BYTES or more is read in two halves, split at the first line
-start at or after the middle byte: this process reads the lines before it,
-and a second reader (_read_part) the ones from it on, in a forked child
-beside this process where processes.beside can have one. The second
-reader's columns, names, counts and row errors are merged in file order
-(_ActivityReader.join). The result and any ParseError are the ones one
-reader of the whole file gives, bit for bit. The child's memory counts in a
-peak RSS taken over the run and its children, not in the run's own.
+A file of _SPLIT_BYTES or more is read in two halves where a second CPU is
+usable (processes.second_cpu), split at the first line start at or after the
+middle byte: this process reads the lines before it, and a second reader
+(_read_part) the ones from it on, in a forked child beside this process
+where processes.beside can have one. The second reader's columns, names,
+counts and row errors are merged in file order (_ActivityReader.join). The
+result and any ParseError are the ones one reader of the whole file gives,
+bit for bit. The child's memory counts in a peak RSS taken over the run and
+its children, not in the run's own.
 """
 
 from __future__ import annotations
@@ -376,9 +377,12 @@ def _split_point(path):
     """The first line start at or after the middle of `path`, where the file
     is read in two halves; None where it is read whole.
 
-    A file is read in two halves where it holds at least _SPLIT_BYTES; a
-    middle on the last line leaves nothing for a second half.
+    A file is read in two halves where it holds at least _SPLIT_BYTES and a
+    child can run beside this process (processes.second_cpu); a middle on
+    the last line leaves nothing for a second half.
     """
+    if not processes.second_cpu():
+        return None
     try:
         size = os.stat(path).st_size  # 0 for a pipe, which is read whole
     except OSError:  # the read of the whole file reports it

@@ -15,7 +15,11 @@ checks the header and the final newline. It splits lines from blocks of about
 a megabyte, of the in-memory text of an artifact produced in this run or read
 from the file of a committed one. `--only milestones` fills a change matrix
 allocated once from the sufficient keys of work/baselines.csv, so it never
-holds the text of work/changes.csv.
+holds the text of work/changes.csv. From processes.SPLIT_CELLS sufficient
+cells on, it reads the file in two halves, split at a key start after the
+middle byte, the second beside the run (_read_changes): by a forked child
+where one can be had. A file that fails any check is read again whole, so
+it is refused with the error one reader gives.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
@@ -27,8 +31,10 @@ child where it is large; the text is the one a single process renders.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -242,55 +248,14 @@ def _changes_pieces(changes: aggregate.SeriesSet, start: int, stop: int) -> list
 def _parse_changes_artifact(lines, window: DateWindow, sufficient: set) -> aggregate.SeriesSet:
     """The data lines of work/changes.csv -> change matrix, checking it is whole.
 
-    Rows must come as written: keys in sorted order, each with day_index 0 to
-    n_days - 1 in turn, and the keys must be those work/baselines.csv marks
-    `sufficient`. A truncated, duplicated or reordered artifact would
-    otherwise read as zero change, i.e. as recovered. The matrix is allocated
-    once, one row per sufficient key; the lines of any further key are
-    checked but their values not kept, since the key-set check refuses them.
+    Rows must come as written (_read_changes_rows), and the keys must be
+    those work/baselines.csv marks `sufficient`. A truncated, duplicated or
+    reordered artifact would otherwise read as zero change, i.e. as
+    recovered. The matrix is allocated once, one row per sufficient key.
     """
-    n_days = window.n_days
-    matrix = np.empty((len(sufficient), n_days))
-    spare = np.empty(n_days)
-    keys: list[tuple[str, str, str]] = []
-    day_texts = [str(day) for day in range(n_days)]
-    key_text, values, day = None, None, n_days
-    for line_no, line in enumerate(lines, start=2):
-        row = line.rsplit(",", 2)
-        if day == n_days:
-            key = tuple(row[0].split(","))
-            if len(row) != 3 or len(key) != 3:
-                raise PipelineError(
-                    f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {line.count(',') + 1}"
-                )
-            if keys and key <= keys[-1]:
-                raise PipelineError(
-                    f"{CHANGES_ARTIFACT} line {line_no}: key {key} is duplicated or out of order"
-                )
-            key_text, values, day = row[0], matrix[len(keys)] if len(keys) < len(matrix) else spare, 0
-            keys.append(key)
-        elif len(row) != 3 or row[0] != key_text:
-            if line.count(",") != 4:
-                raise PipelineError(
-                    f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {line.count(',') + 1}"
-                )
-            raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: key {keys[-1]} ends after {day} of {n_days} days"
-            )
-        if row[1] != day_texts[day]:
-            raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: expected day_index {day}, got {row[1]!r}"
-            )
-        try:
-            values[day] = float(row[2])
-        except ValueError:
-            raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: change {row[2]!r} is not a number"
-            ) from None
-        day += 1
-    if day != n_days:
-        raise PipelineError(f"{CHANGES_ARTIFACT}: key {keys[-1]} ends after {day} of {n_days} days")
-    # a file cut at a key boundary passes the checks above
+    matrix = np.empty((len(sufficient), window.n_days))
+    keys = _read_changes_rows(lines, window.n_days, matrix)
+    # a file cut at a key boundary passes the checks of the rows
     differ = sorted(set(keys) ^ sufficient)
     if differ:
         raise PipelineError(
@@ -298,6 +263,143 @@ def _parse_changes_artifact(lines, window: DateWindow, sufficient: set) -> aggre
             f"{len(differ)} differ, first {differ[0]}"
         )
     return aggregate.SeriesSet(window, keys, matrix)
+
+
+def _read_changes_rows(lines, n_days: int, matrix: np.ndarray) -> list:
+    """The keys of the data lines of work/changes.csv, their changes filling
+    the rows of `matrix` in turn.
+
+    Keys must come in sorted order, each with day_index 0 to n_days - 1 in
+    turn. A key's n_days lines are checked at once: its first line alone,
+    the others by their `key,day` heads, and its changes by one float() map.
+    A key that fails is checked line by line, which raises the error of its
+    first bad line. The lines of keys past the end of `matrix` are checked
+    but their changes not kept.
+    """
+    spare = np.empty(n_days)
+    day_heads = [f",{day}" for day in range(n_days)]
+    keys: list[tuple[str, str, str]] = []
+    line_no = 2
+    while key_lines := list(itertools.islice(lines, n_days)):
+        row = key_lines[0].rsplit(",", 2)
+        key = tuple(row[0].split(","))
+        if len(row) != 3 or len(key) != 3:
+            raise PipelineError(
+                f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {key_lines[0].count(',') + 1}"
+            )
+        if keys and key <= keys[-1]:
+            raise PipelineError(f"{CHANGES_ARTIFACT} line {line_no}: key {key} is duplicated or out of order")
+        changes = _changes_at_once(key_lines, row[0], day_heads)
+        if changes is None:
+            _refuse_key(key_lines, line_no, key, n_days)
+        (matrix[len(keys)] if len(keys) < len(matrix) else spare)[:] = changes
+        keys.append(key)
+        line_no += n_days
+    return keys
+
+
+def _changes_at_once(key_lines: list, key_text: str, day_heads: list):
+    """The changes of one key's lines, where each reads `key_text,day,change`
+    for day 0, 1, ... in turn and every change is a number; else None.
+
+    No line holds a newline, so the heads joined by newlines equal the
+    expected heads joined so exactly where each head equals its own.
+    """
+    heads, _, texts = zip(*map(str.rpartition, key_lines, itertools.repeat(",")))
+    if "\n".join(heads) != key_text + ("\n" + key_text).join(day_heads):
+        return None
+    try:
+        return list(map(float, texts))
+    except ValueError:
+        return None
+
+
+def _refuse_key(key_lines: list, line_no: int, key: tuple, n_days: int):
+    """Raise the error of the first bad line of `key_lines`, the lines from
+    line `line_no`, the first of key `key`, which _changes_at_once refused."""
+    key_text = ",".join(key)
+    for day, line in enumerate(key_lines):
+        where = f"{CHANGES_ARTIFACT} line {line_no + day}"
+        row = line.rsplit(",", 2)
+        if day and (len(row) != 3 or row[0] != key_text):
+            if line.count(",") != 4:
+                raise PipelineError(f"{where}: expected 5 fields, got {line.count(',') + 1}")
+            raise PipelineError(f"{where}: key {key} ends after {day} of {n_days} days")
+        if row[1] != str(day):
+            raise PipelineError(f"{where}: expected day_index {day}, got {row[1]!r}")
+        try:
+            float(row[2])
+        except ValueError:
+            raise PipelineError(f"{where}: change {row[2]!r} is not a number") from None
+    # n_days lines that pass these checks pass _changes_at_once: the file ends inside the key
+    raise PipelineError(f"{CHANGES_ARTIFACT}: key {key} ends after {len(key_lines)} of {n_days} days")
+
+
+def _read_changes(artifacts: _RunArtifacts, window: DateWindow, sufficient: set) -> aggregate.SeriesSet:
+    """The change matrix of the committed work/changes.csv, read in two halves where it is large.
+
+    From processes.SPLIT_CELLS sufficient cells (keys x days) on, where a
+    child can run beside this process (processes.second_cpu), the file is
+    split at a key start after its middle (_key_start_after_middle). This
+    process reads the header and the keys before the split into the matrix,
+    and a forked child (processes.beside) the keys from it on, whose rows
+    are copied in after them. Each half is checked as _read_changes_rows
+    checks it, and the two together by the order of the keys that meet at
+    the split and by the key set. Where any check fails, this process reads
+    the whole file again, so a damaged artifact is refused with the error a
+    one-process read gives.
+    """
+    n_keys, n_days = len(sufficient), window.n_days
+    mid = None
+    if n_keys * n_days >= processes.SPLIT_CELLS and processes.second_cpu():
+        mid = _key_start_after_middle(artifacts.output_dir / CHANGES_ARTIFACT, n_days)
+    if mid is not None:
+        matrix = np.empty((n_keys, n_days))
+        with processes.beside(lambda: _changes_part(artifacts, mid, n_keys, n_days)) as rest:
+            try:
+                keys = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, stop=mid), n_days, matrix)
+            except PipelineError:
+                keys = None
+            part = None if keys is None else rest()
+        if part is not None:
+            more, rows = part
+            # keys in order across the split are distinct: the set check also checks their number
+            if (not keys or keys[-1] < more[0]) and set(keys).union(more) == sufficient:
+                matrix[len(keys) :] = rows
+                return aggregate.SeriesSet(window, keys + more, matrix)
+        del matrix, part  # before the whole file is read again
+    return _parse_changes_artifact(artifacts.lines(CHANGES_ARTIFACT), window, sufficient)
+
+
+def _key_start_after_middle(path: Path, n_days: int):
+    """The start of the first line at or after the middle byte of work/changes.csv
+    whose day_index is 0, looked for among n_days + 1 lines; None where there is none."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(max(os.fstat(handle.fileno()).st_size // 2 - 1, 0))
+            handle.readline()
+            for _ in range(n_days + 1):
+                start, line = handle.tell(), handle.readline()
+                if not line:
+                    break
+                if line.rsplit(b",", 2)[1:2] == [b"0"]:
+                    return start
+    except OSError:  # the read of the whole file reports it
+        pass
+    return None
+
+
+def _changes_part(artifacts: _RunArtifacts, start: int, n_keys: int, n_days: int):
+    """(keys, rows) of the lines of work/changes.csv from byte `start`, a key
+    start, on; None where a check fails. Its errors number the lines from
+    `start`, so they are not shown: a failure sends the whole file to be
+    read again."""
+    rows = np.empty((n_keys, n_days))
+    try:
+        keys = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, start=start), n_days, rows)
+    except PipelineError:
+        return None
+    return keys, rows[: len(keys)]
 
 
 def _sufficient_keys(rows) -> set[tuple[str, str, str]]:
@@ -318,7 +420,7 @@ def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     if changes is None:
         # baselines.csv is small: read it first, so that the matrix is allocated once
         sufficient = _sufficient_keys(artifacts.rows(BASELINES_ARTIFACT))
-        changes = _parse_changes_artifact(artifacts.lines(CHANGES_ARTIFACT), config.window, sufficient)
+        changes = _read_changes(artifacts, config.window, sufficient)
     d0 = config.window.index_of(config.event_day)
     table, _ = milestones.build_milestone_table(
         changes,
@@ -513,8 +615,9 @@ _STAGE_FUNCS = {
 }
 
 
-# Characters of a committed artifact read at a time, which bounds the text a
-# staged run holds besides what it parses the artifact into.
+# Characters of an artifact produced in this run, or bytes of a committed
+# one (extended to a line end), split into lines at a time; this bounds the
+# text a staged run holds besides what it parses the artifact into.
 _READ_CHARS = 1 << 20
 
 
@@ -523,10 +626,13 @@ class _RunArtifacts:
 
     Each artifact is read through one line reader, `lines`, which checks its
     header and that it ends with a newline. It splits the lines from blocks
-    of _READ_CHARS characters: slices of the text for an artifact produced in
-    this run, reads of the file for a committed one, so a staged run never
-    holds a whole file's text. The series stage also leaves its change matrix
-    here, which the milestones stage of the same run takes instead of parsing
+    of about _READ_CHARS characters: slices of the text for an artifact
+    produced in this run, reads of whole lines of the file for a committed
+    one, so a staged run never holds a whole file's text. A committed file
+    can also be read from one byte offset to another, which is how
+    `--only milestones` reads work/changes.csv in two halves
+    (_read_changes). The series stage also leaves its change matrix here,
+    which the milestones stage of the same run takes instead of parsing
     work/changes.csv back.
     """
 
@@ -535,10 +641,17 @@ class _RunArtifacts:
         self.produced: dict[str, str] = {}
         self.changes: aggregate.SeriesSet | None = None
 
-    def lines(self, name: str):
-        """The lines after the header of artifact `name`, checking the header is exact."""
+    def lines(self, name: str, start: int = 0, stop: int | None = None):
+        """The lines after the header of artifact `name`, checking the header is exact.
+
+        For a committed file, `start` and `stop` may name the byte offsets of
+        two line starts (stop None for the end of the file): the lines
+        between them, the header checked and skipped only where start is 0.
+        """
+        lines = self._lines(name, start, stop)
+        if start:
+            return lines
         header = _HEADERS[name]
-        lines = self._lines(name)
         first = next(lines, None)
         if first != header:
             raise PipelineError(f"{name} line 1: expected header {header!r}, got {first!r}")
@@ -556,9 +669,9 @@ class _RunArtifacts:
                 raise PipelineError(f"{name} line {line_no}: expected {n_cells} fields, got {len(cells)}")
             yield line_no, cells
 
-    def _lines(self, name: str):
+    def _lines(self, name: str, start, stop):
         tail = ""  # the start of a line that the next block ends
-        for block in self._blocks(name):
+        for block in self._blocks(name, start, stop):
             lines = block.split("\n")
             del block  # drop each block and its lines before the next read
             lines[0] = tail + lines[0]
@@ -568,21 +681,26 @@ class _RunArtifacts:
         if tail:
             raise PipelineError(f"{name} ends mid-line")
 
-    def _blocks(self, name: str):
+    def _blocks(self, name: str, start, stop):
         if name in self.produced:
             text = self.produced[name]
-            for start in range(0, len(text), _READ_CHARS):
-                yield text[start : start + _READ_CHARS]
+            for begin in range(0, len(text), _READ_CHARS):
+                yield text[begin : begin + _READ_CHARS]
             return
         path = self.output_dir / name
         if not path.exists():
             raise PipelineError(
                 f"artifact {name} not found in {self.output_dir}; run upstream stages first"
             )
+        left = math.inf if stop is None else stop - start  # bytes of the range not yet read
         try:
-            with open(path, encoding="utf-8", newline="") as handle:
-                while block := handle.read(_READ_CHARS):
-                    yield block
+            with open(path, "rb") as handle:
+                handle.seek(start)
+                while block := handle.read(min(_READ_CHARS, left)):
+                    if len(block) < left:
+                        block += handle.readline()  # whole lines: no character is split between reads
+                    left -= len(block)
+                    yield block.decode("utf-8")
         except OSError as exc:
             raise PipelineError(f"cannot read artifact {path}: {exc.strerror or exc}") from None
         except UnicodeDecodeError:

@@ -1,14 +1,19 @@
-"""Two processes and staged writes, for the trip reader, the changes writer
-and the synthetic city generator.
+"""Two processes and staged writes.
 
-A caller that splits its work in two runs its own half inside
-`beside(work, split)`, which yields a function giving work()'s result. Where
-`split` holds and a second CPU, a descriptor pair and a process are free, a
-forked child computes work() while the block runs and pickles the result
-down a pipe. Where there is no child, or it failed in any way, this process
-computes work() itself, when the result is asked for; so the outcome never
-depends on the child, and a block that never asks computes nothing.
-The child always ends in os._exit, never returning into its caller, and is
+Four callers split their work in two: the trip reader
+(ingest._parse_activity), the writer of work/changes.csv
+(pipeline._changes_csv), its reader for `--only milestones`
+(pipeline._read_changes) and the synthetic city generator (synth.generate).
+Each runs its own half inside `beside(work, split)`, which yields a
+function giving work()'s result. Where `split` holds and a second CPU, a
+descriptor pair and a process are free, a forked child computes work()
+while the block runs and pickles the result down a pipe. Where there is no
+child, or it failed in any way, this process computes work() itself, when
+the result is asked for; so the outcome never depends on the child, and a
+block that never asks computes nothing. A work() that can fail in a way its
+caller expects, such as on a damaged file, returns that outcome rather than
+raising it, so that the child's answer is taken, not computed again. The
+child always ends in os._exit, never returning into its caller, and is
 reaped before the block is left, killed first unless all of its result has
 been received.
 
@@ -27,15 +32,18 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-# Cells of a key x day matrix from which the changes writer and the synthetic
-# city generator have a forked child do half their work; the trip reader
-# splits by bytes.
+# Cells of a key x day matrix from which the changes writer and reader and
+# the synthetic city generator have a forked child do half their work; the
+# trip reader splits by bytes.
 SPLIT_CELLS = 1 << 17
 
 
-def _second_cpu() -> bool:
+def second_cpu() -> bool:
     """Whether a forked child can run beside this process: os.fork exists and
-    at least two CPUs are usable (os.sched_getaffinity, else os.cpu_count)."""
+    at least two CPUs are usable (os.sched_getaffinity, else os.cpu_count).
+    beside() forks only where it holds; the trip reader and the changes
+    reader, whose split itself costs work, ask it before they split, so that
+    they read whole where no child can run."""
     if not hasattr(os, "fork"):
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -48,7 +56,7 @@ def beside(work, split=True):
     the block runs where `split` holds and a child can be had; see the module
     docstring. Only the first call can take the child's result, and none
     keeps it: a result held here would outlive the caller's last use of it."""
-    pid, pipe = _fork(work) if split and _second_cpu() else (None, None)
+    pid, pipe = _fork(work) if split and second_cpu() else (None, None)
 
     def result():
         nonlocal pid

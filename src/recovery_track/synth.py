@@ -306,7 +306,9 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     The ground truth is computed beside the writes of the five ingest CSVs
     (processes.beside): by a forked child from processes.SPLIT_CELLS trip
     cells (regions x codes x days) on, where one can be had, else by this
-    process once they are written. The files are written to a staging
+    process once they are written. A truth that fails gives its
+    ScenarioError as the result, raised once the inputs are written, so it
+    is computed once in either case. The files are written to a staging
     directory and moved into `out_dir` once all seven are written
     (processes.staged), so a spec whose truth fails, or a write that fails,
     leaves the files of `out_dir` as they were. An OSError ends in a
@@ -378,17 +380,21 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
 
     def ground_truth():
         """The truth per region of trips and per Zip of transactions, from the
-        noiseless values as written."""
-        trip_truth = [
-            truth(_counts(_emit_entity(None, spec, profile, offsets)),
-                  "baseline_level_range", f"region {region}")
-            for region, profile in zip(regions, region_profiles)
-        ]
-        tx_truth = [
-            truth(_amounts_as_read(_emit_entity(None, spec, profile, offsets)),
-                  "tx_level_range", f"Zip {zip_code}")
-            for zip_code, profile in zip(zips, zip_profiles)
-        ]
+        noiseless values as written; or the ScenarioError of a truth that
+        fails, returned so that a child sends it rather than failing."""
+        try:
+            trip_truth = [
+                truth(_counts(_emit_entity(None, spec, profile, offsets)),
+                      "baseline_level_range", f"region {region}")
+                for region, profile in zip(regions, region_profiles)
+            ]
+            tx_truth = [
+                truth(_amounts_as_read(_emit_entity(None, spec, profile, offsets)),
+                      "tx_level_range", f"Zip {zip_code}")
+                for zip_code, profile in zip(zips, zip_profiles)
+            ]
+        except ScenarioError as exc:
+            return exc
         return trip_truth, tx_truth
 
     def emitted(profiles, stream):
@@ -493,10 +499,13 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     with processes.staged(out, RecoveryTrackError) as staging:
         with processes.beside(ground_truth, split) as truths:
             write_inputs()
+            found = truths()
+            if isinstance(found, ScenarioError):
+                raise found
             write(
                 "ground_truth.csv",
                 ["region", "source", "category", "duration_days", "censored"],
-                _lines(truth_rows(*truths())),
+                _lines(truth_rows(*found)),
             )
         written.append("config.json")
         with open(staging / "config.json", "w", encoding="utf-8") as handle:

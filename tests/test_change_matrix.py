@@ -299,3 +299,82 @@ def test_a_failure_in_this_process_kills_and_reaps_the_writer_child(monkeypatch,
     [status] = forks.values()
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
+
+
+# ---------------------------------------------------------------------------
+# work/changes.csv read back in two processes
+
+
+def _specials_in_every_row(n_keys):
+    """n_keys keys, each row holding every kind of float the artifact must keep."""
+    rng = np.random.default_rng(n_keys)
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072009e-308]
+    values = rng.standard_normal((n_keys, WINDOW.n_days)) * 10.0 ** rng.integers(-300, 300, (n_keys, WINDOW.n_days))
+    values[1:, ::2] = 0.5  # shorter lines after the first key: two keys split at the second
+    for row in values:
+        row[rng.choice(WINDOW.n_days, len(specials), replace=False)] = specials
+    return SeriesSet(WINDOW, _keys(2)[:n_keys], values)
+
+
+def _check_read_split(monkeypatch, output_dir, changes):
+    """work/changes.csv of `changes`, committed to `output_dir`, read by the
+    milestones stage in two processes equals it read in one and `changes`."""
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
+    (output_dir / "work").mkdir(parents=True, exist_ok=True)
+    (output_dir / CHANGES_ARTIFACT).write_text(_changes_csv(changes), encoding="utf-8")
+    sufficient = set(changes.keys())
+    expected = pipeline._read_changes(_RunArtifacts(output_dir), WINDOW, sufficient)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    got = pipeline._read_changes(_RunArtifacts(output_dir), WINDOW, sufficient)
+    assert got.keys() == expected.keys() == changes.keys()
+    assert got.values.tobytes() == expected.values.tobytes() == changes.values.tobytes()
+
+
+@pytest.mark.parametrize("n_keys, children", [(1, 0), (2, 1), (3, 1), (7, 1)])
+def test_changes_read_the_same_in_two_processes(tmp_path, monkeypatch, forks, n_keys, children):
+    _check_read_split(monkeypatch, tmp_path, _specials_in_every_row(n_keys))
+    assert _exit_codes(forks) == [0] * children  # one key has no start after the middle
+
+
+def test_non_ascii_keys_read_the_same_in_two_processes(tmp_path, monkeypatch, forks):
+    _check_read_split(monkeypatch, tmp_path, _non_ascii_regions())
+    assert _exit_codes(forks) == [0]
+
+
+@pytest.mark.parametrize("failure", ["exit", "killed", "short"])
+def test_a_failed_reader_child_leaves_its_half_to_this_process(tmp_path, monkeypatch, forks, failure):
+    send, part, parts = processes._send, pipeline._changes_part, []
+
+    def fail(pipe, result):
+        if failure == "exit":
+            raise RuntimeError("the child fails")
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        whole = io.BytesIO()  # all but the end of the keys and rows, and a clean exit
+        send(whole, result)
+        pipe.write(whole.getvalue()[:-40])
+
+    monkeypatch.setattr(processes, "_send", fail)
+    monkeypatch.setattr(pipeline, "_changes_part", lambda *args: parts.append(args) or part(*args))
+    _check_read_split(monkeypatch, tmp_path, _specials_in_every_row(7))
+    assert len(parts) == 1  # read by this process, once, after the child failed
+    [status] = forks.values()
+    if failure == "killed":
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    else:
+        assert os.WEXITSTATUS(status) == {"exit": 1, "short": 0}[failure]
+
+
+def test_a_criterion_03_city_reruns_milestones_in_one_process(tmp_path, forks):
+    spec = {
+        "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3,
+        "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
+    }
+    config = load_config(generate(ScenarioSpec.from_mapping(spec), tmp_path)["config.json"])
+    run(config)
+    milestones = (config.output_dir / "milestones.csv").read_bytes()
+    run(config, only="milestones")
+    assert (config.output_dir / "milestones.csv").read_bytes() == milestones
+    sufficient = (config.output_dir / "work" / "baselines.csv").read_text().count(",true\n")
+    assert 0 < sufficient * config.window.n_days < processes.SPLIT_CELLS
+    assert not forks

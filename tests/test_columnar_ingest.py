@@ -633,6 +633,21 @@ def test_without_a_descriptor_pair_the_file_is_read_in_one(tmp_path, monkeypatch
     assert not forks
 
 
+def test_one_cpu_reads_the_file_whole(tmp_path, monkeypatch, forks):
+    # where no child can run beside this process, no half is read and joined
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    joined = []
+    join = ingest._ActivityReader.join
+    monkeypatch.setattr(ingest._ActivityReader, "join", lambda self, part: joined.append(part) or join(self, part))
+    rows = _random_rows(random.Random(7), "trips", 300)
+    result = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "clean.csv", "trips", rows))
+    assert result.accepted > 0
+    rows[30][3], rows[280][3] = "1.5", "-2"
+    message, errors, *_ = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "bad.csv", "trips", rows))
+    assert [line for line, _ in errors] == [32, 282]
+    assert not joined and not forks
+
+
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 def test_a_bad_header_in_the_first_range_kills_and_reaps_the_child(tmp_path, monkeypatch, forks, kind):
     monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)

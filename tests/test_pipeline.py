@@ -204,6 +204,36 @@ def test_milestones_rerun_memory_per_read(tmp_path, monkeypatch):
     assert peak < matrix_bytes + 8 * read_chars
 
 
+def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch, forks):
+    # test_milestones_rerun_memory_per_read's city, its changes read in two
+    # processes: this process holds the child's rows only until they are copied in
+    read_chars = 64 << 10
+    monkeypatch.setattr(pipeline, "_READ_CHARS", read_chars)
+    config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
+    run(config)
+    out = config.output_dir
+    sufficient = (out / "work" / "baselines.csv").read_text().count(",true\n")
+    matrix_bytes = sufficient * config.window.n_days * 8
+    changes = out / "work" / "changes.csv"
+    mid = pipeline._key_start_after_middle(changes, config.window.n_days)
+    with open(changes, "rb") as handle:
+        handle.seek(mid)
+        child_rows_bytes = sum(1 for _ in handle) * 8
+    assert 0 < child_rows_bytes < matrix_bytes * 0.6
+    milestones = (out / "milestones.csv").read_bytes()
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    forks.clear()
+    tracemalloc.start()
+    try:
+        run(config, only="milestones")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1 and [os.WEXITSTATUS(status) for status in forks.values()] == [0]
+    assert (out / "milestones.csv").read_bytes() == milestones
+    assert peak < matrix_bytes + child_rows_bytes + 8 * read_chars
+
+
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
     _, config = small_city
     config = config.with_overrides(output_dir=tmp_path / "fresh")
@@ -630,11 +660,11 @@ def test_cli_synth_zero_baseline_exit_code(tmp_path, capsys, field, entity):
 
 @ZERO_BASELINES
 def test_cli_synth_zero_baseline_in_two_processes(tmp_path, capsys, monkeypatch, forks, field, entity):
-    # the child's truth fails, the files are written, and this process's truth fails too
+    # the child sends the ScenarioError of its truth, which this process raises once the files are written
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity)
     assert len(forks) == 3 and all(os.WIFEXITED(status) for status in forks.values())
-    assert [os.WEXITSTATUS(status) for status in forks.values()] == [0, 1, 1]
+    assert [os.WEXITSTATUS(status) for status in forks.values()] == [0, 0, 0]
 
 
 def _out_is_a_file(out):
@@ -704,6 +734,11 @@ def _mangle_not_a_number(lines):
     return lines[:5] + [lines[5].rsplit(",", 1)[0] + ",zz\n"] + lines[6:]
 
 
+def _mangle_rename_last_key(lines):
+    # as many keys as work/baselines.csv marks sufficient, in order, but one of another region
+    return lines[:-15] + [line.replace("R004,", "R005,", 1) for line in lines[-15:]]
+
+
 def _mangle_drop_last_region(lines):
     return lines[: -4 * 15]  # its four keys, 15 days each: every check of the parse passes
 
@@ -720,16 +755,60 @@ def _mangle_cut_at_read_boundary(lines):
     return [text[:end]]
 
 
-@pytest.mark.parametrize(
+def _split_line(lines):
+    """The index of the line at which `--only milestones` splits the
+    artifact of `lines` in two: the first at or after the middle character
+    (byte, for this ASCII text) whose day_index is 0."""
+    middle, start = len("".join(lines)) // 2, 0
+    for index, line in enumerate(lines):
+        if start >= middle and line.split(",")[3] == "0":
+            return index
+        start += len(line)
+    raise AssertionError("no key starts after the middle")
+
+
+def _mangle_swap_keys_at_split(lines):
+    # each half in order, but the second's first key sorts before the first's
+    # last; spaces before the moved key's first change, which float() skips,
+    # lengthen its lines until the split falls at the seam
+    at = _split_line(lines)
+    first, (head, _, change), rest = lines[at - 15 : at], lines[at].rpartition(","), lines[at + 1 : at + 15]
+    for pad in range(len("".join(lines))):  # the seam moves by the padding, the middle by half of it
+        mangled = [*lines[: at - 15], f"{head},{' ' * pad}{change}", *rest, *first, *lines[at + 15 :]]
+        if _split_line(mangled) == at:
+            return mangled
+    raise AssertionError("no padding puts the split at the seam")
+
+
+def _mangle_drop_split_line(lines):
+    at = _split_line(lines)
+    return lines[:at] + lines[at + 1 :]
+
+
+def _mangle_duplicate_last_key_before_split(lines):
+    # the copy makes the file longer, and so moves its middle: the first key
+    # start at which the copied artifact is split, with the copy as the second half's first key
+    for at in range(1 + 15, len(lines), 15):
+        mangled = [*lines[:at], *lines[at - 15 : at], *lines[at:]]
+        if _split_line(mangled) == at:
+            return mangled
+    raise AssertionError("no copy of a key is split from its original")
+
+
+CHANGES_MANGLES = pytest.mark.parametrize(
     "mangle",
     [
         _mangle_truncate, _mangle_duplicate, _mangle_swap_keys, _mangle_swap_days,
         _mangle_drop_inner_day, _mangle_cut_mid_line, _mangle_extra_field,
         _mangle_short_first_row, _mangle_not_a_number, _mangle_drop_last_region,
-        _mangle_cut_at_read_boundary,
+        _mangle_rename_last_key, _mangle_cut_at_read_boundary, _mangle_swap_keys_at_split,
+        _mangle_drop_split_line, _mangle_duplicate_last_key_before_split,
     ],
 )
-def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, monkeypatch, mangle):
+
+
+def _mangle_changes(tmp_path, monkeypatch, mangle):
+    """The mini bundle, run, then its work/changes.csv mangled; its config path."""
     monkeypatch.setattr(pipeline, "_READ_CHARS", _SMALL_READ)
     config_path = _write_mini_bundle(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0
@@ -737,11 +816,34 @@ def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, monke
     lines = changes.read_text().splitlines(keepends=True)
     assert len(lines) == 1 + 16 * 15  # 16 keys x 15 days
     changes.write_text("".join(mangle(lines)))
+    return config_path
+
+
+@CHANGES_MANGLES
+def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, monkeypatch, mangle):
+    config_path = _mangle_changes(tmp_path, monkeypatch, mangle)
     before = (tmp_path / "out" / "milestones.csv").read_bytes()
     capsys.readouterr()
     assert cli.main(["run", "--config", str(config_path), "--only", "milestones"]) == 1
     assert "changes.csv" in capsys.readouterr().err
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
+
+
+@CHANGES_MANGLES
+def test_cli_milestones_rejects_damaged_changes_the_same_in_two_processes(
+    tmp_path, capsys, monkeypatch, forks, mangle
+):
+    config_path = _mangle_changes(tmp_path, monkeypatch, mangle)
+    before = (tmp_path / "out" / "milestones.csv").read_bytes()
+    capsys.readouterr()
+    refusals = []
+    for split_cells in (1 << 62, 1):
+        monkeypatch.setattr(processes, "SPLIT_CELLS", split_cells)
+        code = cli.main(["run", "--config", str(config_path), "--only", "milestones"])
+        refusals.append((code, capsys.readouterr().err))
+    assert refusals[1] == refusals[0] and refusals[0][0] == 1
+    assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
+    assert len(forks) == 1  # by the two-process read; none by the one-process read
 
 
 def _edit_text(change):
