@@ -12,15 +12,13 @@ time, or by the csv module where that would split them differently, and each
 chunk of rows is validated at once, dates, names and codes once per distinct
 text and values in one vectorised conversion where the chunk allows it.
 
-A file of _SPLIT_BYTES or more is read in two halves where a second CPU is
-usable (processes.second_cpu), split at the first line start at or after the
-middle byte: this process reads the lines before it, and a second reader
-(_read_part) the ones from it on, in a forked child beside this process
-where processes.beside can have one. The second reader's columns, names,
-counts and row errors are merged in file order (_ActivityReader.join). The
-result and any ParseError are the ones one reader of the whole file gives,
-bit for bit. The child's memory counts in a peak RSS taken over the run and
-its children, not in the run's own.
+A file of _SPLIT_BYTES or more is read in two halves where
+processes.split_point splits it: this process reads the lines before the
+split, and a second reader (_read_part) the rest beside it
+(processes.beside). Their columns, names, counts and row errors are merged
+in file order (_ActivityReader.join), bit for bit as one reader of the whole
+file gives them, ParseError included. The child's memory counts in a peak
+RSS taken over the run and its children, not in the run's own.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import csv
 import io
 import itertools
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
@@ -213,14 +210,13 @@ _BAD = np.iinfo(np.int32).min
 _BLOCK_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 14
 
-# Files from this size on are read in two halves, each by its own process
-# where processes.beside can fork one (see _split_point).
+# Files from this size on are read in two halves (processes.split_point).
 _SPLIT_BYTES = 4 << 20
 
 
 def _parse_activity(path, window: DateWindow, header, plain_values, parse_value) -> ParseResult:
     reader = _ActivityReader(path, header, window, plain_values, parse_value)
-    mid = _split_point(path)
+    mid = processes.split_point(path, _SPLIT_BYTES)
     with processes.beside(lambda: _read_part(reader, mid), split=mid is not None) as rest:
         reader.read(stop=mid)
         # where the csv module read on through the second half, its lines are taken in already
@@ -317,14 +313,8 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
     a newline; on the other blocks it would split the same way.
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
-        if start:
-            handle.seek(start)
         header = start == 0
-        left = math.inf if stop is None else stop - start  # bytes of the range not yet read
-        while block := handle.read(min(_BLOCK_BYTES, left)):
-            if len(block) < left:
-                block += handle.readline()
-            left -= len(block)
+        for block in processes.line_blocks(handle, start, stop, _BLOCK_BYTES):
             crlf = block.count(b"\r\n") if b"\r" in block else 0
             if b'"' in block or block.count(b"\r") != crlf:
                 rest = io.BufferedReader(_Chained(block, handle))  # no seek: a pipe cannot
@@ -371,29 +361,6 @@ class _Chained(io.RawIOBase):
 
     def readinto(self, buffer):
         return self.head.readinto(buffer) or self.tail.readinto(buffer)
-
-
-def _split_point(path):
-    """The first line start at or after the middle of `path`, where the file
-    is read in two halves; None where it is read whole.
-
-    A file is read in two halves where it holds at least _SPLIT_BYTES and a
-    child can run beside this process (processes.second_cpu); a middle on
-    the last line leaves nothing for a second half.
-    """
-    if not processes.second_cpu():
-        return None
-    try:
-        size = os.stat(path).st_size  # 0 for a pipe, which is read whole
-    except OSError:  # the read of the whole file reports it
-        return None
-    if size < _SPLIT_BYTES:
-        return None
-    with reading(path), open(path, "rb") as handle:
-        handle.seek(max(size // 2 - 1, 0))
-        handle.readline()
-        mid = handle.tell()
-    return mid if mid < size else None
 
 
 def _read_part(reader: _ActivityReader, mid):
@@ -505,6 +472,9 @@ def parse_overlaps(path) -> ParseResult:
         region, zip_code, raw_area = (f.strip() for f in row)
         if not region:
             reader.error(line_no, "empty region")
+            continue
+        if any(mark in region for mark in ",\n\r"):  # the keys of artifacts that never quote
+            reader.error(line_no, f"region {region!r} holds a comma or line break, which no artifact can carry")
             continue
         if not zip_code:
             reader.error(line_no, "empty zip")

@@ -16,10 +16,10 @@ a megabyte, of the in-memory text of an artifact produced in this run or read
 from the file of a committed one. `--only milestones` fills a change matrix
 allocated once from the sufficient keys of work/baselines.csv, so it never
 holds the text of work/changes.csv. From processes.SPLIT_CELLS sufficient
-cells on, it reads the file in two halves, split at a key start after the
-middle byte, the second beside the run (_read_changes): by a forked child
-where one can be had. A file that fails any check is read again whole, so
-it is refused with the error one reader gives.
+cells on, it reads the file in two halves by the split rule of
+processes.split_point, at a key's first line (_read_changes). A split read
+that fails any check is read again whole, so a damaged file is refused with
+the error one reader gives.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
@@ -34,7 +34,6 @@ import io
 import itertools
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,26 +244,6 @@ def _changes_pieces(changes: aggregate.SeriesSet, start: int, stop: int) -> list
 # stage: milestones
 
 
-def _parse_changes_artifact(lines, window: DateWindow, sufficient: set) -> aggregate.SeriesSet:
-    """The data lines of work/changes.csv -> change matrix, checking it is whole.
-
-    Rows must come as written (_read_changes_rows), and the keys must be
-    those work/baselines.csv marks `sufficient`. A truncated, duplicated or
-    reordered artifact would otherwise read as zero change, i.e. as
-    recovered. The matrix is allocated once, one row per sufficient key.
-    """
-    matrix = np.empty((len(sufficient), window.n_days))
-    keys = _read_changes_rows(lines, window.n_days, matrix)
-    # a file cut at a key boundary passes the checks of the rows
-    differ = sorted(set(keys) ^ sufficient)
-    if differ:
-        raise PipelineError(
-            f"{CHANGES_ARTIFACT} does not hold the sufficient keys of {BASELINES_ARTIFACT}: "
-            f"{len(differ)} differ, first {differ[0]}"
-        )
-    return aggregate.SeriesSet(window, keys, matrix)
-
-
 def _read_changes_rows(lines, n_days: int, matrix: np.ndarray) -> list:
     """The keys of the data lines of work/changes.csv, their changes filling
     the rows of `matrix` in turn.
@@ -336,82 +315,83 @@ def _refuse_key(key_lines: list, line_no: int, key: tuple, n_days: int):
 
 
 def _read_changes(artifacts: _RunArtifacts, window: DateWindow, sufficient: set) -> aggregate.SeriesSet:
-    """The change matrix of the committed work/changes.csv, read in two halves where it is large.
+    """The change matrix of the committed work/changes.csv, checking it is whole.
 
-    From processes.SPLIT_CELLS sufficient cells (keys x days) on, where a
-    child can run beside this process (processes.second_cpu), the file is
-    split at a key start after its middle (_key_start_after_middle). This
-    process reads the header and the keys before the split into the matrix,
-    and a forked child (processes.beside) the keys from it on, whose rows
-    are copied in after them. Each half is checked as _read_changes_rows
-    checks it, and the two together by the order of the keys that meet at
-    the split and by the key set. Where any check fails, this process reads
-    the whole file again, so a damaged artifact is refused with the error a
-    one-process read gives.
+    The rows must come as written (_read_changes_rows) and the keys be those
+    work/baselines.csv marks `sufficient`: a truncated, duplicated or
+    reordered artifact would otherwise read as zero change, i.e. as
+    recovered. The matrix is allocated once, one row per sufficient key.
+    From processes.SPLIT_CELLS sufficient cells (keys x days) on, a forked
+    child (processes.beside) reads the keys from a key's first line found by
+    processes.split_point, and its rows are copied in after this process's.
+    A split read that fails any check, the order of the keys that meet at
+    the split included, is read again whole, so a damaged artifact is
+    refused with the error of a one-process read.
     """
     n_keys, n_days = len(sufficient), window.n_days
-    mid = None
-    if n_keys * n_days >= processes.SPLIT_CELLS and processes.second_cpu():
-        mid = _key_start_after_middle(artifacts.output_dir / CHANGES_ARTIFACT, n_days)
-    if mid is not None:
+    split = None
+    if n_keys * n_days >= processes.SPLIT_CELLS:
+        path = artifacts.output_dir / CHANGES_ARTIFACT
+        split = processes.split_point(path, starts=_is_first_day, within=n_days + 1)
+    for mid in (split, None):  # with no split, the first read returns or raises
         matrix = np.empty((n_keys, n_days))
-        with processes.beside(lambda: _changes_part(artifacts, mid, n_keys, n_days)) as rest:
-            try:
+        more, rows = [], matrix[:0]  # the keys and rows from the split on, where there is one
+        try:
+            with processes.beside(lambda: _changes_part(artifacts, mid, n_keys, n_days), mid is not None) as rest:
                 keys = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, stop=mid), n_days, matrix)
-            except PipelineError:
-                keys = None
-            part = None if keys is None else rest()
-        if part is not None:
-            more, rows = part
+                if mid is not None:
+                    more, rows = rest()
+            # the child's half failed a check, or its first key does not sort after this half's last
+            if more is None or keys and more and keys[-1] >= more[0]:
+                raise PipelineError(f"{CHANGES_ARTIFACT}: the keys from byte {mid} on do not follow")
             # keys in order across the split are distinct: the set check also checks their number
-            if (not keys or keys[-1] < more[0]) and set(keys).union(more) == sufficient:
-                matrix[len(keys) :] = rows
-                return aggregate.SeriesSet(window, keys + more, matrix)
-        del matrix, part  # before the whole file is read again
-    return _parse_changes_artifact(artifacts.lines(CHANGES_ARTIFACT), window, sufficient)
+            differ = sorted(set(keys).union(more) ^ sufficient)
+            if differ:
+                raise PipelineError(
+                    f"{CHANGES_ARTIFACT} does not hold the sufficient keys of {BASELINES_ARTIFACT}: "
+                    f"{len(differ)} differ, first {differ[0]}"
+                )
+        except PipelineError:
+            if mid is None:
+                raise
+            del matrix, more, rows  # before the whole file is read again
+            continue
+        matrix[len(keys) :] = rows
+        return aggregate.SeriesSet(window, keys + more, matrix)
 
 
-def _key_start_after_middle(path: Path, n_days: int):
-    """The start of the first line at or after the middle byte of work/changes.csv
-    whose day_index is 0, looked for among n_days + 1 lines; None where there is none."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(max(os.fstat(handle.fileno()).st_size // 2 - 1, 0))
-            handle.readline()
-            for _ in range(n_days + 1):
-                start, line = handle.tell(), handle.readline()
-                if not line:
-                    break
-                if line.rsplit(b",", 2)[1:2] == [b"0"]:
-                    return start
-    except OSError:  # the read of the whole file reports it
-        pass
-    return None
+def _is_first_day(line: bytes) -> bool:
+    """Whether a line of work/changes.csv has day_index 0, the first of its key's lines."""
+    return line.rsplit(b",", 2)[1:2] == [b"0"]
 
 
 def _changes_part(artifacts: _RunArtifacts, start: int, n_keys: int, n_days: int):
     """(keys, rows) of the lines of work/changes.csv from byte `start`, a key
-    start, on; None where a check fails. Its errors number the lines from
-    `start`, so they are not shown: a failure sends the whole file to be
+    start, on; (None, None) where a check fails. Its errors number the lines
+    from `start`, so they are not shown: a failure sends the whole file to be
     read again."""
     rows = np.empty((n_keys, n_days))
     try:
         keys = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, start=start), n_days, rows)
     except PipelineError:
-        return None
+        return None, None
     return keys, rows[: len(keys)]
 
 
 def _sufficient_keys(rows) -> set[tuple[str, str, str]]:
-    """The keys the data rows of work/baselines.csv mark sufficient, checking their flags."""
+    """The keys the data rows of work/baselines.csv mark sufficient, checking
+    their flags and that the keys come in sorted order, each once, as written."""
     keys = set()
+    last = ()  # sorts before every key
     for line_no, cells in rows:
+        where, key = f"{BASELINES_ARTIFACT} line {line_no}", (cells[0], cells[1], cells[2])
+        if key <= last:
+            raise PipelineError(f"{where}: key {key} is duplicated or out of order")
         if cells[4] not in ("true", "false"):
-            raise PipelineError(
-                f"{BASELINES_ARTIFACT} line {line_no}: sufficient {cells[4]!r} is not true or false"
-            )
+            raise PipelineError(f"{where}: sufficient {cells[4]!r} is not true or false")
         if cells[4] == "true":
-            keys.add((cells[0], cells[1], cells[2]))
+            keys.add(key)
+        last = key
     return keys
 
 
@@ -692,14 +672,10 @@ class _RunArtifacts:
             raise PipelineError(
                 f"artifact {name} not found in {self.output_dir}; run upstream stages first"
             )
-        left = math.inf if stop is None else stop - start  # bytes of the range not yet read
         try:
             with open(path, "rb") as handle:
-                handle.seek(start)
-                while block := handle.read(min(_READ_CHARS, left)):
-                    if len(block) < left:
-                        block += handle.readline()  # whole lines: no character is split between reads
-                    left -= len(block)
+                # whole lines: no character is split between blocks
+                for block in processes.line_blocks(handle, start, stop, _READ_CHARS):
                     yield block.decode("utf-8")
         except OSError as exc:
             raise PipelineError(f"cannot read artifact {path}: {exc.strerror or exc}") from None

@@ -1,4 +1,4 @@
-"""Two processes and staged writes.
+"""Two processes, the split rule of the two-process file readers, and staged writes.
 
 Four callers split their work in two: the trip reader
 (ingest._parse_activity), the writer of work/changes.csv
@@ -17,6 +17,10 @@ child always ends in os._exit, never returning into its caller, and is
 reaped before the block is left, killed first unless all of its result has
 been received.
 
+The two file readers, of trips and transactions and of work/changes.csv,
+split a file by one rule, `split_point`, and read a range of whole lines a
+block at a time through `line_blocks`.
+
 `staged(out_dir, error)` gives the run and `synth` one way to replace a set
 of files together: written to a staging directory, then moved into place.
 """
@@ -24,10 +28,12 @@ of files together: written to a staging directory, then moved into place.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import pickle
 import shutil
 import signal
+import stat
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,6 +54,48 @@ def second_cpu() -> bool:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (cpus or 1) >= 2
+
+
+def split_point(path, min_bytes=0, starts=None, within=1):
+    """Where a two-process reader splits the file at `path`: the start of the
+    first of the `within` lines from the first line start at or after the
+    middle byte that `starts` accepts (any, where it is None). None, for a
+    whole read, with one usable CPU, below `min_bytes`, where no line
+    qualifies, and for a file that cannot be read or is not regular; stat()
+    comes first, so a named pipe is never opened here.
+    """
+    if not second_cpu():
+        return None
+    try:
+        status = os.stat(path)
+        if not stat.S_ISREG(status.st_mode) or status.st_size < min_bytes:
+            return None
+        with open(path, "rb") as handle:
+            handle.seek(max(status.st_size // 2 - 1, 0))
+            handle.readline()
+            for _ in range(within):
+                start, line = handle.tell(), handle.readline()
+                if not line:
+                    break
+                if starts is None or starts(line):
+                    return start
+    except OSError:
+        pass
+    return None
+
+
+def line_blocks(handle, start, stop, size):
+    """Blocks of about `size` bytes of whole lines of binary file `handle`,
+    from byte `start` to byte `stop` (line starts; None for the end of the
+    file). A `start` of 0 reads on from where it stands: a pipe cannot seek."""
+    if start:
+        handle.seek(start)
+    left = math.inf if stop is None else stop - start  # bytes of the range not yet read
+    while block := handle.read(min(size, left)):
+        if len(block) < left:
+            block += handle.readline()
+        left -= len(block)
+        yield block
 
 
 @contextmanager

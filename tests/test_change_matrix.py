@@ -18,7 +18,7 @@ from recovery_track.aggregate import SeriesSet
 from recovery_track.config import load_config
 from recovery_track.errors import SeriesError
 from recovery_track.milestones import detect_recovery_days
-from recovery_track.pipeline import CHANGES_ARTIFACT, _changes_csv, _parse_changes_artifact, _RunArtifacts, run
+from recovery_track.pipeline import CHANGES_ARTIFACT, _changes_csv, _read_changes, _RunArtifacts, run
 from recovery_track.series import (
     BOUNDARY_SKIP,
     BOUNDARY_TRUNCATE,
@@ -152,7 +152,7 @@ def _read_back(text, keys, output_dir, committed=False):
         (output_dir / CHANGES_ARTIFACT).write_bytes(text.encode("utf-8"))
     else:
         artifacts.produced[CHANGES_ARTIFACT] = text
-    return _parse_changes_artifact(artifacts.lines(CHANGES_ARTIFACT), WINDOW, set(keys))
+    return _read_changes(artifacts, WINDOW, set(keys))
 
 
 def test_changes_artifact_round_trips_every_float_bit_for_bit(tmp_path):

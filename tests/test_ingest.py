@@ -169,6 +169,18 @@ def test_overlaps_rejects_duplicates_and_nonpositive_area(tmp_path):
         parse_overlaps(path)
 
 
+@pytest.mark.parametrize("region", ["R,0001", "R\n0001", "R\r0001"])
+def test_overlaps_refuses_a_region_no_artifact_can_carry(tmp_path, region):
+    # the region is the key of every artifact, whose lines are split on commas and newlines
+    path = tmp_path / "overlaps.csv"
+    path.write_bytes(f'region,zip,overlap_area\nR001,77005,0.5\n"{region}",77005,0.4\n'.encode())
+    with pytest.raises(ParseError) as caught:
+        parse_overlaps(path)
+    assert caught.value.row_errors == [
+        (3, f"region {region!r} holds a comma or line break, which no artifact can carry")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # broadcast
 

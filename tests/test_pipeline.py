@@ -215,7 +215,7 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
     sufficient = (out / "work" / "baselines.csv").read_text().count(",true\n")
     matrix_bytes = sufficient * config.window.n_days * 8
     changes = out / "work" / "changes.csv"
-    mid = pipeline._key_start_after_middle(changes, config.window.n_days)
+    mid = processes.split_point(changes, starts=pipeline._is_first_day, within=config.window.n_days + 1)
     with open(changes, "rb") as handle:
         handle.seek(mid)
         child_rows_bytes = sum(1 for _ in handle) * 8
@@ -474,6 +474,25 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert "milestones.csv" in out
     assert cli.main(["validate", "--config", str(config_path)]) == 0
     assert json.loads(capsys.readouterr().out) == []
+
+
+@pytest.mark.parametrize("region", ["R,0001", "R\n0001"])
+def test_cli_refuses_a_region_no_artifact_can_carry(tmp_path, capsys, region):
+    # quoted in every input that names regions, R004 reads back whole everywhere but in the artifacts
+    config_path = _write_mini_bundle(tmp_path)
+    for name in ("trips.csv", "overlaps.csv", "adjacency.csv", "attributes.csv"):
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"R004", f'"{region}"'.encode()))
+    overlaps = tmp_path / "overlaps.csv"
+    detail = (
+        f"{overlaps}: 1 invalid row(s); first at line 5: "
+        f"region {region!r} holds a comma or line break, which no artifact can carry"
+    )
+    assert cli.main(["validate", "--config", str(config_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == [{"kind": "schema-error", "input": "overlaps", "detail": detail}]
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_import_scipy():
@@ -864,6 +883,26 @@ def _set_cell(line_no, cell, value):
     return _edit_text(change)
 
 
+def _duplicate_line(line_no):
+    def change(text):
+        lines = text.split("\n")
+        lines.insert(line_no, lines[line_no - 1])
+        return "\n".join(lines)
+
+    return _edit_text(change)
+
+
+def _swap_lines(line_no):
+    """Lines `line_no` and `line_no` + 1 swapped."""
+
+    def change(text):
+        lines = text.split("\n")
+        lines[line_no - 1], lines[line_no] = lines[line_no], lines[line_no - 1]
+        return "\n".join(lines)
+
+    return _edit_text(change)
+
+
 def _not_utf8(path):
     data = path.read_bytes()
     at = data.rindex(b"\n", 0, -1) + 1  # the start of the last line
@@ -925,6 +964,14 @@ def _directory(path):
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "yes"), "line 2", id="baselines-flag"),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "false"), "1 differ", id="baselines-key-set"),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "true,x"), "line 2", id="baselines-extra-cell"),
+        pytest.param(
+            "work/baselines.csv", "milestones", _duplicate_line(2), "line 3: key ('R001', 'transaction', 'essential')",
+            id="baselines-duplicated-line",
+        ),
+        pytest.param(
+            "work/baselines.csv", "milestones", _swap_lines(2), "line 3: key ('R001', 'transaction', 'essential')",
+            id="baselines-swapped-lines",
+        ),
         pytest.param("work/changes.csv", "milestones", _not_utf8, "not UTF-8", id="changes-not-utf8"),
         pytest.param("milestones.csv", "metric", _directory, "cannot read", id="milestones-directory"),
         pytest.param("milestones.csv", "stats", _edit_text(lambda text: text[:-1]), "ends mid-line", id="cut-stats"),

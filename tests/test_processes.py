@@ -1,5 +1,7 @@
-"""processes.beside, a result computed beside the caller's block, and
-processes.staged, files moved into place together."""
+"""processes.beside, a result computed beside the caller's block;
+processes.split_point and processes.line_blocks, the split rule and the
+block reader of the two-process file readers; and processes.staged, files
+moved into place together."""
 
 from __future__ import annotations
 
@@ -154,6 +156,90 @@ def test_a_failure_in_the_block_kills_and_reaps_the_child(monkeypatch, forks):
         with processes.beside(work):
             raise KeyboardInterrupt
     assert len(forks) == 2 and None not in forks.values() and work.calls == 0
+
+
+def _random_lines(rng):
+    """Random lines of a few bytes each, some empty, the last perhaps without its newline."""
+    lines = [bytes(rng.choice(list(b"ab,"), rng.integers(0, 12))) + b"\n" for _ in range(rng.integers(1, 40))]
+    if rng.random() < 0.3:
+        lines[-1] = lines[-1][:-1] or b"a"
+    return b"".join(lines)
+
+
+def _first_line_start(data, starts, within):
+    """split_point's answer worked out from the bytes: among the `within`
+    lines from the first line start at or after the middle byte, the start
+    of the first that `starts` accepts."""
+    line_starts = [at for at in range(len(data) // 2, len(data)) if data[at - 1 : at] == b"\n"]
+    for at in line_starts[:within]:
+        if starts is None or starts(io.BytesIO(data[at:]).readline()):
+            return at
+    return None
+
+
+def test_split_point_is_the_first_qualifying_line_start_after_the_middle(tmp_path, forks):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "lines.csv"
+    found = 0
+    for _ in range(300):
+        data = _random_lines(rng)
+        if len(data) < 2:
+            continue
+        path.write_bytes(data)
+        assert processes.split_point(path) == _first_line_start(data, None, 1)
+        within = int(rng.integers(1, 6))
+
+        def starts(line):
+            return line.startswith(b"a")
+
+        expected = _first_line_start(data, starts, within)
+        assert processes.split_point(path, starts=starts, within=within) == expected
+        found += expected is not None
+    assert 50 < found < 250  # both answers are common
+    assert not forks
+
+
+def test_split_point_reads_the_file_whole_where_it_cannot_split(tmp_path, monkeypatch, forks):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(b"header\nb,1\nb,2\na,3\nb,4\n")
+    middle = processes.split_point(path)
+    assert middle == path.read_bytes().index(b"b,2")
+    assert processes.split_point(path, min_bytes=path.stat().st_size) == middle
+    assert processes.split_point(path, starts=lambda line: line.startswith(b"a"), within=2) == middle + 4
+    # no line passes within `within` lines, the file is smaller than min_bytes, or missing
+    assert processes.split_point(path, starts=lambda line: line.startswith(b"a"), within=1) is None
+    assert processes.split_point(path, starts=lambda line: line.startswith(b"c"), within=10) is None
+    assert processes.split_point(path, min_bytes=path.stat().st_size + 1) is None
+    assert processes.split_point(tmp_path / "missing.csv") is None
+    assert processes.split_point(tmp_path) is None  # a directory
+    # a named pipe is never opened: opening one with no writer would block
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    with monkeypatch.context() as patch:
+        patch.setattr(processes, "open", lambda *args: pytest.fail("opened"), raising=False)
+        assert processes.split_point(fifo) is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert processes.split_point(path) is None  # one usable CPU
+    assert not forks
+
+
+def test_line_blocks_give_the_bytes_of_the_range_in_whole_lines(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "lines.csv"
+    for _ in range(300):
+        data = _random_lines(rng)
+        path.write_bytes(data)
+        line_starts = [0] + [at + 1 for at, byte in enumerate(data) if byte == ord("\n")]
+        start, stop = sorted(rng.choice(line_starts, 2))
+        stop = None if stop == len(data) and rng.random() < 0.5 else int(stop)
+        size = int(rng.integers(1, 40))
+        with open(path, "rb") as handle:
+            blocks = list(processes.line_blocks(handle, int(start), stop, size))
+            assert handle.tell() == (len(data) if stop is None else stop)
+        assert b"".join(blocks) == data[start:stop]
+        for block in blocks[:-1]:
+            assert len(block) >= size and block.endswith(b"\n")
+        assert not blocks or blocks[-1].endswith(b"\n") or not data.endswith(b"\n")
 
 
 def test_staged_files_move_in_together(tmp_path):
