@@ -7,12 +7,13 @@ lines, so `accepted + dropped + errored` always reconciles with the data row
 count. A file that cannot be opened or is not UTF-8 raises a ParseError too.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
-pass: whole lines are split on newlines and commas about a megabyte at a
-time, or by the csv module where that would split them differently, and each
-chunk of rows is validated at once, dates, names and codes once per distinct
-text and values in one vectorised conversion where the chunk allows it.
+pass: whole lines are split on newlines and commas a block of
+processes.BLOCK_BYTES at a time, or by the csv module where that would split
+them differently, and each chunk of rows is validated at once, dates, names
+and codes once per distinct text and values in one vectorised conversion
+where the chunk allows it. Rows are numbered by the file line they start on.
 
-A file of _SPLIT_BYTES or more is read in two halves where
+A file of processes.SPLIT_BYTES or more is read in two halves where
 processes.split_point splits it: this process reads the lines before the
 split, and a second reader (_read_part) the rest beside it
 (processes.beside). Their columns, names, counts and row errors are merged
@@ -126,20 +127,22 @@ class _RowReader:
     def rows_from(self, handle, line_no, header):
         """(line number, fields) of the data rows the csv module reads from
         binary `handle`, which stands at the start of line `line_no`, the
-        header row where `header` is true."""
+        header row where `header` is true. A row is numbered by the line it
+        starts on, so a quoted field holding a line break moves no later row."""
         with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
             reader = csv.reader(text)
             if header:
                 self.check_header(next(reader, None))
-                line_no += 1
-            for line_no, row in enumerate(reader, start=line_no):
+            read = reader.line_num  # lines before the next row; one row may take several
+            for row in reader:
+                row_no, read = line_no + read, reader.line_num
                 if not row:
                     continue  # blank lines are not data rows
                 self.total_rows += 1
                 if len(row) != len(self.expected_header):
-                    self.error(line_no, f"expected {len(self.expected_header)} fields, got {len(row)}")
+                    self.error(row_no, f"expected {len(self.expected_header)} fields, got {len(row)}")
                     continue
-                yield line_no, row
+                yield row_no, row
 
     def check_header(self, header):
         if header is None:
@@ -205,18 +208,14 @@ def _amount(text: str) -> float:
 # offsets between any two calendar dates, under 3.7 million, never reach it.
 _BAD = np.iinfo(np.int32).min
 
-# Bytes per block of whole lines tokenised at once, and rows per chunk the csv
-# module hands to validation; both bound the Python strings alive at one time.
-_BLOCK_BYTES = 1 << 20
+# Rows per chunk the csv module hands to validation; like the blocks of
+# processes.BLOCK_BYTES tokenised at once, it bounds the Python strings alive.
 _CHUNK_ROWS = 1 << 14
-
-# Files from this size on are read in two halves (processes.split_point).
-_SPLIT_BYTES = 4 << 20
 
 
 def _parse_activity(path, window: DateWindow, header, plain_values, parse_value) -> ParseResult:
     reader = _ActivityReader(path, header, window, plain_values, parse_value)
-    mid = processes.split_point(path, _SPLIT_BYTES)
+    mid = processes.split_point(path)
     with processes.beside(lambda: _read_part(reader, mid), split=mid is not None) as rest:
         reader.read(stop=mid)
         # where the csv module read on through the second half, its lines are taken in already
@@ -314,7 +313,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
         header = start == 0
-        for block in processes.line_blocks(handle, start, stop, _BLOCK_BYTES):
+        for block in processes.line_blocks(handle, start, stop):
             crlf = block.count(b"\r\n") if b"\r" in block else 0
             if b'"' in block or block.count(b"\r") != crlf:
                 rest = io.BufferedReader(_Chained(block, handle))  # no seek: a pipe cannot

@@ -11,15 +11,15 @@ output directory together (processes.staged); a failing stage leaves the
 directory untouched.
 
 Stages read artifacts through one line reader, `_RunArtifacts.lines`, which
-checks the header and the final newline. It splits lines from blocks of about
-a megabyte, of the in-memory text of an artifact produced in this run or read
-from the file of a committed one. `--only milestones` fills a change matrix
-allocated once from the sufficient keys of work/baselines.csv, so it never
-holds the text of work/changes.csv. From processes.SPLIT_CELLS sufficient
-cells on, it reads the file in two halves by the split rule of
-processes.split_point, at a key's first line (_read_changes). A split read
-that fails any check is read again whole, so a damaged file is refused with
-the error one reader gives.
+checks the header and the final newline. It splits lines from blocks of whole
+lines of processes.BLOCK_BYTES read from the file of a committed artifact;
+an artifact produced in this run, a few hundred KB at most, is one block.
+`--only milestones` fills a change matrix allocated once from the sufficient
+keys of work/baselines.csv, so it never holds the text of work/changes.csv.
+From processes.SPLIT_BYTES on, it reads the file in two halves by the split
+rule of processes.split_point, at a key's first line (_read_changes). A split
+read that fails any check is read again whole, so a damaged file is refused
+with the error one reader gives.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
@@ -321,18 +321,16 @@ def _read_changes(artifacts: _RunArtifacts, window: DateWindow, sufficient: set)
     work/baselines.csv marks `sufficient`: a truncated, duplicated or
     reordered artifact would otherwise read as zero change, i.e. as
     recovered. The matrix is allocated once, one row per sufficient key.
-    From processes.SPLIT_CELLS sufficient cells (keys x days) on, a forked
-    child (processes.beside) reads the keys from a key's first line found by
-    processes.split_point, and its rows are copied in after this process's.
+    Where processes.split_point splits the file, at a key's first line, a
+    forked child (processes.beside) reads the keys from there on, and its
+    rows are copied in after this process's.
     A split read that fails any check, the order of the keys that meet at
     the split included, is read again whole, so a damaged artifact is
     refused with the error of a one-process read.
     """
     n_keys, n_days = len(sufficient), window.n_days
-    split = None
-    if n_keys * n_days >= processes.SPLIT_CELLS:
-        path = artifacts.output_dir / CHANGES_ARTIFACT
-        split = processes.split_point(path, starts=_is_first_day, within=n_days + 1)
+    path = artifacts.output_dir / CHANGES_ARTIFACT
+    split = processes.split_point(path, starts=_is_first_day, within=n_days + 1)
     for mid in (split, None):  # with no split, the first read returns or raises
         matrix = np.empty((n_keys, n_days))
         more, rows = [], matrix[:0]  # the keys and rows from the split on, where there is one
@@ -595,20 +593,15 @@ _STAGE_FUNCS = {
 }
 
 
-# Characters of an artifact produced in this run, or bytes of a committed
-# one (extended to a line end), split into lines at a time; this bounds the
-# text a staged run holds besides what it parses the artifact into.
-_READ_CHARS = 1 << 20
-
-
 class _RunArtifacts:
     """What the stages of one run read: artifacts produced so far, else committed files.
 
     Each artifact is read through one line reader, `lines`, which checks its
     header and that it ends with a newline. It splits the lines from blocks
-    of about _READ_CHARS characters: slices of the text for an artifact
-    produced in this run, reads of whole lines of the file for a committed
-    one, so a staged run never holds a whole file's text. A committed file
+    of whole lines: reads of about processes.BLOCK_BYTES of the file of a
+    committed artifact, so a staged run never holds a whole file's text, and
+    the text of one produced in this run whole, since within a run only
+    milestones.csv and metric.csv are read back. A committed file
     can also be read from one byte offset to another, which is how
     `--only milestones` reads work/changes.csv in two halves
     (_read_changes). The series stage also leaves its change matrix here,
@@ -650,22 +643,18 @@ class _RunArtifacts:
             yield line_no, cells
 
     def _lines(self, name: str, start, stop):
-        tail = ""  # the start of a line that the next block ends
         for block in self._blocks(name, start, stop):
             lines = block.split("\n")
             del block  # drop each block and its lines before the next read
-            lines[0] = tail + lines[0]
-            tail = lines.pop()
+            tail = lines.pop()  # empty, but for the last block of a text with no final newline
             yield from lines
             del lines
-        if tail:
-            raise PipelineError(f"{name} ends mid-line")
+            if tail:
+                raise PipelineError(f"{name} ends mid-line")
 
     def _blocks(self, name: str, start, stop):
         if name in self.produced:
-            text = self.produced[name]
-            for begin in range(0, len(text), _READ_CHARS):
-                yield text[begin : begin + _READ_CHARS]
+            yield self.produced[name]
             return
         path = self.output_dir / name
         if not path.exists():
@@ -675,7 +664,7 @@ class _RunArtifacts:
         try:
             with open(path, "rb") as handle:
                 # whole lines: no character is split between blocks
-                for block in processes.line_blocks(handle, start, stop, _READ_CHARS):
+                for block in processes.line_blocks(handle, start, stop):
                     yield block.decode("utf-8")
         except OSError as exc:
             raise PipelineError(f"cannot read artifact {path}: {exc.strerror or exc}") from None
@@ -703,24 +692,21 @@ def run(config: PipelineConfig, only: str | None = None) -> RunResult:
     return RunResult(output_dir=config.output_dir, written=sorted(artifacts.produced))
 
 
-# Characters of an artifact encoded and written at a time, which bounds the
-# encoded copy of work/changes.csv alive at once.
-_WRITE_CHARS = 1 << 20
-
-
 def _commit(output_dir: Path, artifacts: dict):
     """Write the artifacts to a staging directory, then move them into
     `output_dir` together (processes.staged): a target that cannot be
     replaced leaves the bundle as it was, and any OSError ends the run with a
-    PipelineError naming the path.
+    PipelineError naming the path. Each text is encoded and written
+    processes.BLOCK_BYTES characters at a time, which bounds the encoded
+    copy of work/changes.csv alive at once.
     """
     with processes.staged(output_dir, PipelineError) as staging:
         for name, text in artifacts.items():
             target = staging / name
             target.parent.mkdir(parents=True, exist_ok=True)
             with open(target, "w", encoding="utf-8", newline="") as handle:
-                for start in range(0, len(text), _WRITE_CHARS):
-                    handle.write(text[start : start + _WRITE_CHARS])
+                for start in range(0, len(text), processes.BLOCK_BYTES):
+                    handle.write(text[start : start + processes.BLOCK_BYTES])
 
 
 # --------------------------------------------------------------------------

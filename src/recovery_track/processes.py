@@ -1,4 +1,4 @@
-"""Two processes, the split rule of the two-process file readers, and staged writes.
+"""Two processes, the two sizes and the split rule of whole-line file I/O, and staged writes.
 
 Four callers split their work in two: the trip reader
 (ingest._parse_activity), the writer of work/changes.csv
@@ -18,8 +18,10 @@ reaped before the block is left, killed first unless all of its result has
 been received.
 
 The two file readers, of trips and transactions and of work/changes.csv,
-split a file by one rule, `split_point`, and read a range of whole lines a
-block at a time through `line_blocks`.
+split a file of SPLIT_BYTES or more by one rule, `split_point`; the two
+producers, the changes writer and the city generator, have no file to
+measure and split from SPLIT_CELLS cells. Whole-line I/O moves BLOCK_BYTES
+at a time: `line_blocks` reads it, and the run writes its artifacts so.
 
 `staged(out_dir, error)` gives the run and `synth` one way to replace a set
 of files together: written to a staging directory, then moved into place.
@@ -38,10 +40,14 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-# Cells of a key x day matrix from which the changes writer and reader and
-# the synthetic city generator have a forked child do half their work; the
-# trip reader splits by bytes.
+# Where the two producers (cells of a key x day matrix) and the two file
+# readers (bytes of the file) have a forked child do half their work.
 SPLIT_CELLS = 1 << 17
+SPLIT_BYTES = 4 << 20
+
+# Bytes of whole lines read at a time, and characters of an artifact written
+# at a time; both bound the text alive at once.
+BLOCK_BYTES = 1 << 20
 
 
 def second_cpu() -> bool:
@@ -56,11 +62,11 @@ def second_cpu() -> bool:
     return (cpus or 1) >= 2
 
 
-def split_point(path, min_bytes=0, starts=None, within=1):
+def split_point(path, starts=None, within=1):
     """Where a two-process reader splits the file at `path`: the start of the
     first of the `within` lines from the first line start at or after the
     middle byte that `starts` accepts (any, where it is None). None, for a
-    whole read, with one usable CPU, below `min_bytes`, where no line
+    whole read, with one usable CPU, below SPLIT_BYTES, where no line
     qualifies, and for a file that cannot be read or is not regular; stat()
     comes first, so a named pipe is never opened here.
     """
@@ -68,7 +74,7 @@ def split_point(path, min_bytes=0, starts=None, within=1):
         return None
     try:
         status = os.stat(path)
-        if not stat.S_ISREG(status.st_mode) or status.st_size < min_bytes:
+        if not stat.S_ISREG(status.st_mode) or status.st_size < SPLIT_BYTES:
             return None
         with open(path, "rb") as handle:
             handle.seek(max(status.st_size // 2 - 1, 0))
@@ -84,14 +90,16 @@ def split_point(path, min_bytes=0, starts=None, within=1):
     return None
 
 
-def line_blocks(handle, start, stop, size):
-    """Blocks of about `size` bytes of whole lines of binary file `handle`,
+def line_blocks(handle, start, stop):
+    """Blocks of about BLOCK_BYTES of whole lines of binary file `handle`,
     from byte `start` to byte `stop` (line starts; None for the end of the
-    file). A `start` of 0 reads on from where it stands: a pipe cannot seek."""
+    file). Every block ends at a line end, except the last block of a file
+    that lacks a final newline. A `start` of 0 reads on from where it
+    stands: a pipe cannot seek."""
     if start:
         handle.seek(start)
     left = math.inf if stop is None else stop - start  # bytes of the range not yet read
-    while block := handle.read(min(size, left)):
+    while block := handle.read(min(BLOCK_BYTES, left)):
         if len(block) < left:
             block += handle.readline()
         left -= len(block)

@@ -76,7 +76,8 @@ def parse_activity_rows(path, window, header, parse_value):
 
     Returns a ParseResult of activity_from_rows columns, or raises the
     ParseError the package raises: every bad row's (line, message) in line
-    order, with the accepted, dropped and total row counts.
+    order, a row numbered by the line it starts on, with the accepted,
+    dropped and total row counts.
     """
     errors, rows = [], []
     accepted = dropped = total = 0
@@ -87,7 +88,9 @@ def parse_activity_rows(path, window, header, parse_value):
             raise ParseError(path, [(1, "empty file, missing header row")])
         if [h.strip() for h in first] != header:
             raise ParseError(path, [(1, f"header {first!r} does not match expected {header!r}")])
-        for line_no, row in enumerate(reader, start=2):
+        read = reader.line_num
+        for row in reader:
+            line_no, read = read + 1, reader.line_num  # the line the row starts on
             if not row:
                 continue
             total += 1

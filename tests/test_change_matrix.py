@@ -167,10 +167,10 @@ def test_changes_artifact_round_trips_every_float_bit_for_bit(tmp_path):
 
 
 @pytest.mark.parametrize("committed", [False, True], ids=["produced", "committed"])
-@pytest.mark.parametrize("read_chars", [1, 7])
-def test_changes_artifact_streams_bit_for_bit_across_read_blocks(tmp_path, monkeypatch, read_chars, committed):
-    # blocks this small end inside keys, day indices and values, and right at each newline
-    monkeypatch.setattr(pipeline, "_READ_CHARS", read_chars)
+@pytest.mark.parametrize("block_bytes", [1, 7])
+def test_changes_artifact_streams_bit_for_bit_across_read_blocks(tmp_path, monkeypatch, block_bytes, committed):
+    # blocks this small hold one line of a committed file each; a produced text is one block
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
     changes = _special_values()
     parsed = _read_back(_changes_csv(changes), changes.keys(), tmp_path, committed)
     assert parsed.keys() == changes.keys()
@@ -320,11 +320,13 @@ def _check_read_split(monkeypatch, output_dir, changes):
     """work/changes.csv of `changes`, committed to `output_dir`, read by the
     milestones stage in two processes equals it read in one and `changes`."""
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1 << 62)
     (output_dir / "work").mkdir(parents=True, exist_ok=True)
     (output_dir / CHANGES_ARTIFACT).write_text(_changes_csv(changes), encoding="utf-8")
     sufficient = set(changes.keys())
     expected = pipeline._read_changes(_RunArtifacts(output_dir), WINDOW, sufficient)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     got = pipeline._read_changes(_RunArtifacts(output_dir), WINDOW, sufficient)
     assert got.keys() == expected.keys() == changes.keys()
     assert got.values.tobytes() == expected.values.tobytes() == changes.values.tobytes()
@@ -377,4 +379,5 @@ def test_a_criterion_03_city_reruns_milestones_in_one_process(tmp_path, forks):
     assert (config.output_dir / "milestones.csv").read_bytes() == milestones
     sufficient = (config.output_dir / "work" / "baselines.csv").read_text().count(",true\n")
     assert 0 < sufficient * config.window.n_days < processes.SPLIT_CELLS
+    assert (config.output_dir / CHANGES_ARTIFACT).stat().st_size < processes.SPLIT_BYTES
     assert not forks

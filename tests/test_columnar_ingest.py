@@ -212,7 +212,7 @@ def test_bad_rows_keep_the_row_loop_errors_and_counts(tmp_path, kind, bad):
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 @pytest.mark.parametrize("block_bytes", [16, 200, 1 << 20])
 def test_bad_rows_and_value_quirks_inside_plain_blocks(tmp_path, monkeypatch, kind, block_bytes):
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
     rng = random.Random(kind)
     rows = _random_rows(rng, kind, 300)
     for quirk in VALUE_QUIRKS[kind]:
@@ -229,7 +229,7 @@ def test_bad_rows_and_value_quirks_inside_plain_blocks(tmp_path, monkeypatch, ki
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 def test_blank_lines_quotes_and_crlf_across_block_boundaries(tmp_path, monkeypatch, kind):
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", 64)
     rows = _random_rows(random.Random(kind), kind, 40)
     lines = [",".join(PARSERS[kind][1])] + [",".join(row) for row in rows]
     quoted = '{},"{}, north\nside",{},{}'.format(*rows[0])
@@ -248,7 +248,7 @@ def test_blank_lines_quotes_and_crlf_across_block_boundaries(tmp_path, monkeypat
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 @pytest.mark.parametrize("block_bytes", [16, 64, 1 << 20])
 def test_lone_carriage_return_after_crlf_blocks(tmp_path, monkeypatch, kind, block_bytes):
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
     rows = _random_rows(random.Random(kind), kind, 40)
     rows[30][1] = rows[30][1][:2] + "\r" + rows[30][1][2:]  # the csv module ends the row at \r
     path = _write(tmp_path, "lone_cr.csv", kind, rows, newline="\r\n")
@@ -288,7 +288,7 @@ def _random_file(rng, kind):
 def test_random_files_match_the_row_loop_at_any_block_size(tmp_path, monkeypatch, kind):
     rng = random.Random(f"fuzz-{kind}")
     for trial in range(150):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", rng.choice([16, 50, 256, 4096, 1 << 20]))
+        monkeypatch.setattr(processes, "BLOCK_BYTES", rng.choice([16, 50, 256, 4096, 1 << 20]))
         path = write_csv(tmp_path, f"{trial}.csv", _random_file(rng, kind))
         _check_against_rows(path, kind)
 
@@ -405,7 +405,7 @@ def _traced_peak(func, *args):
 
 def test_series_stage_memory_per_row(tmp_path, monkeypatch):
     # 60 regions: 70,560 trip rows; small blocks keep the reader's own text out of the peak
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", 64 << 10)
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
     assert trips.accepted == 70_560
@@ -443,9 +443,9 @@ def _check_split(monkeypatch, read, path):
 
     `read` may also be a parse_* caller such as validate, whose result is compared whole.
     """
-    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1 << 62)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1 << 62)
     expected = _outcome(read, path)
-    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     got = _outcome(read, path)
     if not isinstance(expected, ingest.ParseResult):
         assert got == expected
@@ -477,7 +477,7 @@ def test_corpus_reads_the_same_in_two_processes(tmp_path, monkeypatch, forks, ca
 def test_random_files_read_the_same_in_two_processes(tmp_path, monkeypatch, forks, kind):
     rng = random.Random(f"split-{kind}")
     for trial in range(50):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", rng.choice([16, 50, 256, 1 << 20]))
+        monkeypatch.setattr(processes, "BLOCK_BYTES", rng.choice([16, 50, 256, 1 << 20]))
         _check_split(monkeypatch, _reader(kind), write_csv(tmp_path, f"{trial}.csv", _random_file(rng, kind)))
     assert len(forks) > 35 and _failed(forks) == 0
 
@@ -519,7 +519,7 @@ def test_headers_and_line_ends_around_the_middle(tmp_path, monkeypatch, forks, k
         _check_split(monkeypatch, read, write_csv(tmp_path, f"{name}.csv", text))
     for at in range(len(lines) // 2 - 2, len(lines) // 2 + 2):
         for block_bytes in (16, 1 << 20):
-            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
             for name, edited in {
                 "blank": [*lines[:at], "", "", *lines[at:]],
                 "quoted_at": [*lines[:at], quoted(lines[at]), *lines[at + 1:]],
@@ -577,7 +577,7 @@ def test_a_failed_child_leaves_its_lines_to_this_process(tmp_path, monkeypatch, 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_named_pipe_is_read_in_one_process(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     rows = _random_rows(random.Random(9), "trips", 300)
     lines = _lines("trips", rows)
     texts = {
@@ -650,7 +650,7 @@ def test_one_cpu_reads_the_file_whole(tmp_path, monkeypatch, forks):
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 def test_a_bad_header_in_the_first_range_kills_and_reaps_the_child(tmp_path, monkeypatch, forks, kind):
-    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     monkeypatch.setattr(processes, "_send", lambda pipe, part: time.sleep(30))  # a child that hangs
     lines = _lines(kind, _random_rows(random.Random(kind), kind, 2000))
     path = write_csv(tmp_path, "bad_header.csv", "\n".join(["day,region,type,count", *lines[1:]]) + "\n")
@@ -682,11 +682,26 @@ def test_validate_diagnoses_the_same_in_two_processes(tmp_path, monkeypatch, for
     assert len(forks) == 4 and _failed(forks) == 0
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one-process", "two-processes"])
+def test_rows_after_a_quoted_line_break_keep_their_line_numbers(tmp_path, monkeypatch, forks, split):
+    # lines 2 to 2001 plain, a row whose quoted region takes lines 2002 and 2003, a bad count on line 2004
+    lines = _lines("trips", _random_rows(random.Random(11), "trips", 2000))
+    text = "\n".join([*lines, '2017-08-01,"R\nX",grocery,1', "2017-08-02,R001,grocery,bad"]) + "\n"
+    path = write_csv(tmp_path, "trips.csv", text)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1 if split else 1 << 62)
+    with pytest.raises(ParseError) as caught:
+        ingest.parse_trips(path, WINDOW)
+    assert caught.value.row_errors == [(2004, "trip_count 'bad' is not an integer")]
+    # the quoted row is past the middle: the child reads it, and numbers its lines from the split
+    assert text.index('"R') > len(text) // 2
+    assert len(forks) == split and _failed(forks) == 0
+
+
 def test_series_stage_memory_per_row_in_two_processes(tmp_path, monkeypatch, forks):
     # test_series_stage_memory_per_row's trip file, read in two processes: the
     # child's columns, received and joined, must not add a copy of the columns
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
-    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
     assert trips.accepted == 70_560 and len(forks) == 1 and _failed(forks) == 0

@@ -181,6 +181,14 @@ def test_overlaps_refuses_a_region_no_artifact_can_carry(tmp_path, region):
     ]
 
 
+def test_a_row_is_numbered_by_the_line_it_starts_on(tmp_path):
+    # the quoted Zip takes lines 2 and 3, so the bad area is on line 4
+    path = write_csv(tmp_path, "overlaps.csv", 'region,zip,overlap_area\nR001,"77\n005",0.5\nR002,77005,zero\n')
+    with pytest.raises(ParseError) as caught:
+        parse_overlaps(path)
+    assert caught.value.row_errors == [(4, "overlap_area 'zero' is not a number")]
+
+
 # ---------------------------------------------------------------------------
 # broadcast
 

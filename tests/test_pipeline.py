@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from recovery_track import aggregate, cli, pipeline, processes
+from recovery_track import aggregate, cli, ingest, pipeline, processes
 from recovery_track.config import PipelineConfig, load_config
 from recovery_track.errors import ConfigError, ParseError, PipelineError, TaxonomyError
 from recovery_track.pipeline import STAGES, run, validate
@@ -186,12 +186,12 @@ def test_stats_records_chi_square_errors(small_city, tmp_path, keep, edit, expec
 
 def test_milestones_rerun_memory_per_read(tmp_path, monkeypatch):
     # 60 regions: work/changes.csv is 1.8 MB, 28 reads of 64 KiB
-    read_chars = 64 << 10
-    monkeypatch.setattr(pipeline, "_READ_CHARS", read_chars)
+    block_bytes = 64 << 10
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     run(config)
     out = config.output_dir
-    assert (out / "work" / "changes.csv").stat().st_size > 25 * read_chars
+    assert (out / "work" / "changes.csv").stat().st_size > 25 * block_bytes
     sufficient = (out / "work" / "baselines.csv").read_text().count(",true\n")
     matrix_bytes = sufficient * config.window.n_days * 8
     tracemalloc.start()
@@ -201,20 +201,21 @@ def test_milestones_rerun_memory_per_read(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     # the matrix, plus a read or two of text and the lines split from one, never the whole file
-    assert peak < matrix_bytes + 8 * read_chars
+    assert peak < matrix_bytes + 8 * block_bytes
 
 
 def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch, forks):
     # test_milestones_rerun_memory_per_read's city, its changes read in two
     # processes: this process holds the child's rows only until they are copied in
-    read_chars = 64 << 10
-    monkeypatch.setattr(pipeline, "_READ_CHARS", read_chars)
+    block_bytes = 64 << 10
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     run(config)
     out = config.output_dir
     sufficient = (out / "work" / "baselines.csv").read_text().count(",true\n")
     matrix_bytes = sufficient * config.window.n_days * 8
     changes = out / "work" / "changes.csv"
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     mid = processes.split_point(changes, starts=pipeline._is_first_day, within=config.window.n_days + 1)
     with open(changes, "rb") as handle:
         handle.seek(mid)
@@ -231,7 +232,7 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
         tracemalloc.stop()
     assert len(forks) == 1 and [os.WEXITSTATUS(status) for status in forks.values()] == [0]
     assert (out / "milestones.csv").read_bytes() == milestones
-    assert peak < matrix_bytes + child_rows_bytes + 8 * read_chars
+    assert peak < matrix_bytes + child_rows_bytes + 8 * block_bytes
 
 
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
@@ -762,7 +763,7 @@ def _mangle_drop_last_region(lines):
     return lines[: -4 * 15]  # its four keys, 15 days each: every check of the parse passes
 
 
-# characters read at a time in the damaged-artifact tests: every artifact there takes many reads
+# bytes read at a time in the damaged-artifact tests: every committed artifact there takes many reads
 _SMALL_READ = 64
 
 
@@ -828,7 +829,7 @@ CHANGES_MANGLES = pytest.mark.parametrize(
 
 def _mangle_changes(tmp_path, monkeypatch, mangle):
     """The mini bundle, run, then its work/changes.csv mangled; its config path."""
-    monkeypatch.setattr(pipeline, "_READ_CHARS", _SMALL_READ)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", _SMALL_READ)
     config_path = _write_mini_bundle(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0
     changes = tmp_path / "out" / "work" / "changes.csv"
@@ -856,13 +857,31 @@ def test_cli_milestones_rejects_damaged_changes_the_same_in_two_processes(
     before = (tmp_path / "out" / "milestones.csv").read_bytes()
     capsys.readouterr()
     refusals = []
-    for split_cells in (1 << 62, 1):
-        monkeypatch.setattr(processes, "SPLIT_CELLS", split_cells)
+    for split in (1 << 62, 1):
+        monkeypatch.setattr(processes, "SPLIT_CELLS", split)
+        monkeypatch.setattr(processes, "SPLIT_BYTES", split)
         code = cli.main(["run", "--config", str(config_path), "--only", "milestones"])
         refusals.append((code, capsys.readouterr().err))
     assert refusals[1] == refusals[0] and refusals[0][0] == 1
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
     assert len(forks) == 1  # by the two-process read; none by the one-process read
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["above-both-files", "at-the-smaller-file"])
+def test_one_size_decides_the_split_of_both_file_readers(tmp_path, monkeypatch, forks, split):
+    config = load_config(_write_mini_bundle(tmp_path))
+    run(config)
+    milestones = (config.output_dir / "milestones.csv").read_bytes()
+    trips, changes = config.inputs["trips"], config.output_dir / "work" / "changes.csv"
+    sizes = trips.stat().st_size, changes.stat().st_size
+    assert not forks and max(sizes) < processes.SPLIT_BYTES
+    monkeypatch.setattr(processes, "SPLIT_BYTES", min(sizes) if split else max(sizes) + 1)
+    ingest.parse_trips(trips, config.window)
+    assert len(forks) == split  # the trip reader
+    run(config, only="milestones")
+    assert len(forks) == 2 * split  # and the changes reader
+    assert [os.WEXITSTATUS(status) for status in forks.values()] == [0] * len(forks)
+    assert (config.output_dir / "milestones.csv").read_bytes() == milestones
 
 
 def _edit_text(change):
@@ -984,7 +1003,7 @@ def _directory(path):
     ],
 )
 def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, monkeypatch, name, stage, edit, expected):
-    monkeypatch.setattr(pipeline, "_READ_CHARS", _SMALL_READ)
+    monkeypatch.setattr(processes, "BLOCK_BYTES", _SMALL_READ)
     config_path = _write_mini_bundle(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0
     path = tmp_path / "out" / name

@@ -177,7 +177,8 @@ def _first_line_start(data, starts, within):
     return None
 
 
-def test_split_point_is_the_first_qualifying_line_start_after_the_middle(tmp_path, forks):
+def test_split_point_is_the_first_qualifying_line_start_after_the_middle(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 0)
     rng = np.random.default_rng(0)
     path = tmp_path / "lines.csv"
     found = 0
@@ -202,14 +203,18 @@ def test_split_point_is_the_first_qualifying_line_start_after_the_middle(tmp_pat
 def test_split_point_reads_the_file_whole_where_it_cannot_split(tmp_path, monkeypatch, forks):
     path = tmp_path / "lines.csv"
     path.write_bytes(b"header\nb,1\nb,2\na,3\nb,4\n")
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 0)
     middle = processes.split_point(path)
     assert middle == path.read_bytes().index(b"b,2")
-    assert processes.split_point(path, min_bytes=path.stat().st_size) == middle
+    monkeypatch.setattr(processes, "SPLIT_BYTES", path.stat().st_size)
+    assert processes.split_point(path) == middle
     assert processes.split_point(path, starts=lambda line: line.startswith(b"a"), within=2) == middle + 4
-    # no line passes within `within` lines, the file is smaller than min_bytes, or missing
+    # no line passes within `within` lines, the file is smaller than SPLIT_BYTES, or missing
     assert processes.split_point(path, starts=lambda line: line.startswith(b"a"), within=1) is None
     assert processes.split_point(path, starts=lambda line: line.startswith(b"c"), within=10) is None
-    assert processes.split_point(path, min_bytes=path.stat().st_size + 1) is None
+    monkeypatch.setattr(processes, "SPLIT_BYTES", path.stat().st_size + 1)
+    assert processes.split_point(path) is None
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 0)
     assert processes.split_point(tmp_path / "missing.csv") is None
     assert processes.split_point(tmp_path) is None  # a directory
     # a named pipe is never opened: opening one with no writer would block
@@ -223,7 +228,7 @@ def test_split_point_reads_the_file_whole_where_it_cannot_split(tmp_path, monkey
     assert not forks
 
 
-def test_line_blocks_give_the_bytes_of_the_range_in_whole_lines(tmp_path):
+def test_line_blocks_give_the_bytes_of_the_range_in_whole_lines(tmp_path, monkeypatch):
     rng = np.random.default_rng(1)
     path = tmp_path / "lines.csv"
     for _ in range(300):
@@ -233,8 +238,9 @@ def test_line_blocks_give_the_bytes_of_the_range_in_whole_lines(tmp_path):
         start, stop = sorted(rng.choice(line_starts, 2))
         stop = None if stop == len(data) and rng.random() < 0.5 else int(stop)
         size = int(rng.integers(1, 40))
+        monkeypatch.setattr(processes, "BLOCK_BYTES", size)
         with open(path, "rb") as handle:
-            blocks = list(processes.line_blocks(handle, int(start), stop, size))
+            blocks = list(processes.line_blocks(handle, int(start), stop))
             assert handle.tell() == (len(data) if stop is None else stop)
         assert b"".join(blocks) == data[start:stop]
         for block in blocks[:-1]:
