@@ -539,7 +539,7 @@ def parse_attributes(path) -> ParseResult:
             reader.error(line_no, f"minority_fraction {raw_minority} outside [0, 1]")
             continue
         if not math.isfinite(income) or income < 0:
-            reader.error(line_no, f"per_capita_income {raw_income} must be nonnegative")
+            reader.error(line_no, f"per_capita_income {raw_income} must be a finite number >= 0")
             continue
         reader.accepted += 1
         records[region] = RegionAttributes(region, flood, minority, income)

@@ -514,6 +514,17 @@ def _moran_entry(values, weights, permutations, seed) -> dict:
 
 
 def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
+    """stats.json and lorenz.csv, from milestones.csv, metric.csv, the adjacency and the attributes.
+
+    Moran's I is computed for five fields, the four milestones and then the
+    integrated metric, each shuffled by its own stream, [seed, field index].
+    Where one field's shuffles gather processes.SPLIT_CELLS neighbor values
+    or more (permutations times weight edges), the last two fields are
+    computed beside this process (processes.beside), by a forked child where
+    one can be had, while this process computes the first three. A field's
+    numbers do not depend on where it is computed, so the bytes are the same
+    in one process or two.
+    """
     regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
     metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
     if metric_regions != regions:
@@ -523,13 +534,18 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
 
     weights = stats.SpatialWeights.from_adjacency(adjacency, include=regions)
 
-    columns = zip((*MILESTONE_FIELDS, "integrated"), (*durations.T, integrated))
-    moran_section = {
-        field: _moran_entry(
-            dict(zip(regions, column.tolist())), weights, config.permutations, [config.seed, index]
-        )
-        for index, (field, column) in enumerate(columns)
-    }
+    fields = (*MILESTONE_FIELDS, "integrated")
+    columns = (*durations.T, integrated)
+
+    def moran_entries(indices):
+        return [
+            _moran_entry(dict(zip(regions, columns[i].tolist())), weights, config.permutations, [config.seed, i])
+            for i in indices
+        ]
+
+    split = config.permutations * len(weights.columns) >= processes.SPLIT_CELLS
+    with processes.beside(lambda: moran_entries(range(3, len(fields))), split) as later:
+        moran_section = dict(zip(fields, moran_entries(range(3)) + later()))
 
     with_attributes = [i for i, region in enumerate(regions) if region in attributes]
     attribute_rows = [attributes[regions[i]] for i in with_attributes]

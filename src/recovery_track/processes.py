@@ -1,9 +1,10 @@
 """Two processes, the two sizes and the split rule of whole-line file I/O, and staged writes.
 
-Four callers split their work in two: the trip reader
+Five callers split their work in two: the trip reader
 (ingest._parse_activity), the writer of work/changes.csv
 (pipeline._changes_csv), its reader for `--only milestones`
-(pipeline._read_changes) and the synthetic city generator (synth.generate).
+(pipeline._read_changes), the synthetic city generator (synth.generate) and
+the Moran's I permutation tests of the stats stage (pipeline._stage_stats).
 Each runs its own half inside `beside(work, split)`, which yields a
 function giving work()'s result. Where `split` holds and a second CPU, a
 descriptor pair and a process are free, a forked child computes work()
@@ -18,10 +19,13 @@ reaped before the block is left, killed first unless all of its result has
 been received.
 
 The two file readers, of trips and transactions and of work/changes.csv,
-split a file of SPLIT_BYTES or more by one rule, `split_point`; the two
+split a file of SPLIT_BYTES or more by one rule, `split_point`. The two
 producers, the changes writer and the city generator, have no file to
-measure and split from SPLIT_CELLS cells. Whole-line I/O moves BLOCK_BYTES
-at a time: `line_blocks` reads it, and the run writes its artifacts so.
+measure and split from SPLIT_CELLS cells; the stats stage, a third reader of
+SPLIT_CELLS, splits where one Moran field's shuffles gather that many
+neighbor values (permutations times weight edges). Whole-line I/O moves
+BLOCK_BYTES at a time: `line_blocks` reads it, and the run writes its
+artifacts so.
 
 `staged(out_dir, error)` gives the run and `synth` one way to replace a set
 of files together: written to a staging directory, then moved into place.
@@ -40,8 +44,9 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-# Where the two producers (cells of a key x day matrix) and the two file
-# readers (bytes of the file) have a forked child do half their work.
+# Where the two producers (cells of a key x day matrix), the stats stage
+# (neighbor values gathered for one field's shuffles) and the two file readers
+# (bytes of the file) have a forked child do part of their work.
 SPLIT_CELLS = 1 << 17
 SPLIT_BYTES = 4 << 20
 

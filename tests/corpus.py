@@ -137,7 +137,7 @@ CASES = [
         "attributes_negative_income",
         "attributes",
         ATTR_HEADER + "R001,0.5,0.5,-1\n",
-        ("error", "nonnegative"),
+        ("error", "must be a finite number >= 0"),
     ),
     (
         "attributes_duplicate_region",

@@ -280,3 +280,16 @@ def test_attributes_validation(tmp_path):
     )
     with pytest.raises(ParseError):
         parse_attributes(bad)
+
+
+@pytest.mark.parametrize("income", ["inf", "nan", "-1"])
+def test_attributes_refuse_an_income_that_is_not_a_finite_number_at_least_0(tmp_path, income):
+    path = write_csv(
+        tmp_path, "attributes.csv",
+        "region,flood_fraction,minority_fraction,per_capita_income\n"
+        f"R001,0.25,0.4,35000\nR002,0.5,0.5,{income}\nR003,0.5,0.5,0\n",
+    )
+    with pytest.raises(ParseError) as err:
+        parse_attributes(path)
+    assert err.value.row_errors == [(3, f"per_capita_income {income} must be a finite number >= 0")]
+    assert err.value.accepted == 2

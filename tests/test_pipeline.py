@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import errno
 import filecmp
+import io
 import json
 import os
+import pickle
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -233,6 +238,143 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
     assert len(forks) == 1 and [os.WEXITSTATUS(status) for status in forks.values()] == [0]
     assert (out / "milestones.csv").read_bytes() == milestones
     assert peak < matrix_bytes + child_rows_bytes + 8 * block_bytes
+
+
+# ---------------------------------------------------------------------------
+# Moran's I of the last two fields beside the stats stage
+
+
+MORAN_FIELDS = (*pipeline.MILESTONE_FIELDS, "integrated")
+
+
+def _stats_bytes(out):
+    return [(out / name).read_bytes() for name in (pipeline.STATS_ARTIFACT, pipeline.LORENZ_ARTIFACT)]
+
+
+def _exit_codes(children):
+    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
+
+
+def _golden_bundle_copy(golden_city, directory):
+    """argv for `run` of the golden city into a copy of its bundle, and the copy."""
+    out = directory / "out"
+    shutil.copytree(golden_city["out"], out)
+    return ["run", "--config", str(golden_city["root"] / "config.json"), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stats_write_the_same_bytes_in_one_process_and_in_two(golden_city, tmp_path, monkeypatch, forks, seed):
+    config = str(golden_city["root"] / "config.json")
+    options = ["--permutations", "99", "--seed", str(seed)]
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1 << 62)  # the trip reader reads whole
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "one"), *options]) == 0
+    expected = _stats_bytes(tmp_path / "one")
+    assert not forks
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "two"), *options]) == 0
+    assert _stats_bytes(tmp_path / "two") == expected
+    assert len(forks) == 2  # the changes writer and the stats stage
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "one"), "--only", "stats", *options]) == 0
+    assert _stats_bytes(tmp_path / "one") == expected
+    assert len(forks) == 3 and _exit_codes(forks) == [0, 0, 0]
+    moran = json.loads(expected[0])["morans_i"]
+    assert all(moran[field]["permutation_p"] is not None for field in MORAN_FIELDS)
+
+
+def test_a_constant_field_is_refused_the_same_by_the_child(golden_city, tmp_path, monkeypatch, forks):
+    argv, out = _golden_bundle_copy(golden_city, tmp_path)
+    argv += ["--only", "stats", "--permutations", "99", "--seed", "7"]
+    milestones = out / pipeline.MILESTONES_ARTIFACT
+    lines = milestones.read_text().splitlines(keepends=True)
+    # the fourth milestone, the child's first field: 5 days, not censored, for every region
+    milestones.write_text(lines[0] + "".join(line.rsplit(",", 2)[0] + ",5,false\n" for line in lines[1:]))
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
+    assert cli.main(argv) == 0
+    expected = _stats_bytes(out)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    assert cli.main(argv) == 0
+    assert _stats_bytes(out) == expected and _exit_codes(forks) == [0]
+    moran = json.loads(expected[0])["morans_i"]
+    assert moran[MORAN_FIELDS[3]] == {"error": "constant field: Moran's I is undefined for zero variance"}
+    assert all("error" not in moran[field] for field in MORAN_FIELDS if field != MORAN_FIELDS[3])
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+def test_a_failed_stats_child_leaves_its_fields_to_this_process(golden_city, tmp_path, monkeypatch, forks, failure):
+    argv, out = _golden_bundle_copy(golden_city, tmp_path)
+    argv += ["--only", "stats", "--permutations", "99"]
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
+    assert cli.main(argv) == 0
+    expected = _stats_bytes(out)
+    send = processes._send
+
+    def fail(pipe, entries):
+        if failure == "raise":
+            raise RuntimeError("the child fails")
+        if failure == "short":  # all but the end of the entries, and a clean exit
+            whole = io.BytesIO()
+            send(whole, entries)
+            pipe.write(whole.getvalue()[:-40])
+            return
+        # entries sent whole, but with a failed exit, are not trusted
+        pickle.dump([{"error": "wrong"}] * len(entries), pipe)
+        pipe.flush()
+        os._exit(3)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(processes, "_send", fail)
+    if failure == "no_fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    assert cli.main(argv) == 0
+    assert _stats_bytes(out) == expected
+    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+
+
+def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp_path, monkeypatch, forks):
+    _, out = _golden_bundle_copy(golden_city, tmp_path)
+    config = golden_city["config"].with_overrides(output_dir=out, permutations=99)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
+    morans_i = pipeline.stats.morans_i
+
+    def fail_this_process(values, weights, permutations, seed):
+        if seed[1] == 2:  # the last field this process computes
+            raise RuntimeError("this process fails")
+        return morans_i(values, weights, permutations=permutations, seed=seed)
+
+    monkeypatch.setattr(pipeline.stats, "morans_i", fail_this_process)
+    with pytest.raises(RuntimeError, match="this process fails"):
+        run(config, only="stats")
+    [status] = forks.values()
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert _stats_bytes(out) == _stats_bytes(golden_city["out"])  # the bundle is as it was
+
+
+def test_stats_without_permutations_run_in_one_process(golden_city, tmp_path, monkeypatch, forks):
+    argv, out = _golden_bundle_copy(golden_city, tmp_path)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    assert cli.main([*argv, "--only", "stats"]) == 0
+    assert _stats_bytes(out) == _stats_bytes(golden_city["out"])
+    assert not forks
+
+
+def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, forks):
+    spec = {
+        "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3,
+        "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
+    }
+    config = load_config(generate(ScenarioSpec.from_mapping(spec), tmp_path)["config.json"])
+    run(config)
+    run(config.with_overrides(permutations=999), only="stats")
+    assert not forks
+    regions = [line.split(",", 1)[0] for line in (config.output_dir / "metric.csv").read_text().splitlines()[1:]]
+    adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
+    edges = len(pipeline.stats.SpatialWeights.from_adjacency(adjacency, include=regions).columns)
+    assert 0 < 999 * edges < processes.SPLIT_CELLS
 
 
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
@@ -493,6 +635,19 @@ def test_cli_refuses_a_region_no_artifact_can_carry(tmp_path, capsys, region):
     assert json.loads(capsys.readouterr().out) == [{"kind": "schema-error", "input": "overlaps", "detail": detail}]
     assert cli.main(["run", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == f"error: {detail}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("income", ["inf", "nan", "-1"])
+def test_cli_run_refuses_an_income_that_is_not_a_finite_number_at_least_0(tmp_path, capsys, income):
+    config_path = _write_mini_bundle(tmp_path)
+    attributes = tmp_path / "attributes.csv"
+    attributes.write_text(attributes.read_text().replace("R003,0.2,0.3,45000", f"R003,0.2,0.3,{income}"))
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {attributes}: 1 invalid row(s); first at line 4: "
+        f"per_capita_income {income} must be a finite number >= 0\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
