@@ -15,11 +15,13 @@ checks the header and the final newline. It splits lines from blocks of whole
 lines of processes.BLOCK_BYTES read from the file of a committed artifact;
 an artifact produced in this run, a few hundred KB at most, is one block.
 `--only milestones` fills a change matrix allocated once from the sufficient
-keys of work/baselines.csv, so it never holds the text of work/changes.csv.
-From processes.SPLIT_BYTES on, it reads the file in two halves by the split
-rule of processes.split_point, at a key's first line (_read_changes). A split
-read that fails any check is read again whole, so a damaged file is refused
-with the error one reader gives.
+keys of work/baselines.csv, so it never holds the text of work/changes.csv;
+each of its lines must hold the key and day that those keys put there. From
+processes.SPLIT_BYTES on, it reads the file in two halves by the split rule
+of processes.split_point, the first line start at or after the middle byte,
+which may fall inside a key (_read_changes). A split read that fails any
+check is read again whole, so a damaged file is refused with the error one
+reader gives.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
@@ -244,42 +246,38 @@ def _changes_pieces(changes: aggregate.SeriesSet, start: int, stop: int) -> list
 # stage: milestones
 
 
-def _read_changes_rows(lines, n_days: int, matrix: np.ndarray) -> list:
-    """The keys of the data lines of work/changes.csv, their changes filling
-    the rows of `matrix` in turn.
+def _read_changes_rows(lines, keys: list, n_days: int, cells: np.ndarray, first: int = 0) -> int:
+    """Fill `cells`, the flat key x day matrix of changes, from data line
+    `first` of work/changes.csv on, taking `lines`, the data lines from
+    there; the number of the data line after the last.
 
-    Keys must come in sorted order, each with day_index 0 to n_days - 1 in
-    turn. A key's n_days lines are checked at once: its first line alone,
-    the others by their `key,day` heads, and its changes by one float() map.
-    A key that fails is checked line by line, which raises the error of its
-    first bad line. The lines of keys past the end of `matrix` are checked
-    but their changes not kept.
+    work/baselines.csv fixes the layout: data line i holds sufficient key
+    `keys[i // n_days]` at day_index i % n_days. The lines of one key are
+    checked at once, by one compare of their `key,day` heads joined and one
+    float() map of their changes. Lines that fail are checked one by one,
+    which raises the error of the first bad line; so does a line after the
+    last key's. The caller checks that the lines run to the last key's end.
     """
-    spare = np.empty(n_days)
     day_heads = [f",{day}" for day in range(n_days)]
-    keys: list[tuple[str, str, str]] = []
-    line_no = 2
-    while key_lines := list(itertools.islice(lines, n_days)):
-        row = key_lines[0].rsplit(",", 2)
-        key = tuple(row[0].split(","))
-        if len(row) != 3 or len(key) != 3:
+    at = first
+    while chunk := list(itertools.islice(lines, n_days - at % n_days)):
+        k, day = divmod(at, n_days)
+        if k >= len(keys):
             raise PipelineError(
-                f"{CHANGES_ARTIFACT} line {line_no}: expected 5 fields, got {key_lines[0].count(',') + 1}"
+                f"{CHANGES_ARTIFACT} line {at + 2}: expected the end of the file "
+                f"after the {len(keys)} sufficient keys of {BASELINES_ARTIFACT}"
             )
-        if keys and key <= keys[-1]:
-            raise PipelineError(f"{CHANGES_ARTIFACT} line {line_no}: key {key} is duplicated or out of order")
-        changes = _changes_at_once(key_lines, row[0], day_heads)
+        changes = _changes_at_once(chunk, ",".join(keys[k]), day_heads[day : day + len(chunk)])
         if changes is None:
-            _refuse_key(key_lines, line_no, key, n_days)
-        (matrix[len(keys)] if len(keys) < len(matrix) else spare)[:] = changes
-        keys.append(key)
-        line_no += n_days
-    return keys
+            _refuse_lines(chunk, at, keys, n_days)
+        cells[at : at + len(chunk)] = changes
+        at += len(chunk)
+    return at
 
 
 def _changes_at_once(key_lines: list, key_text: str, day_heads: list):
-    """The changes of one key's lines, where each reads `key_text,day,change`
-    for day 0, 1, ... in turn and every change is a number; else None.
+    """The changes of lines of one key, where each reads `key_text,day,change`
+    for the days of `day_heads` in turn and every change is a number; else None.
 
     No line holds a newline, so the heads joined by newlines equal the
     expected heads joined so exactly where each head equals its own.
@@ -293,93 +291,82 @@ def _changes_at_once(key_lines: list, key_text: str, day_heads: list):
         return None
 
 
-def _refuse_key(key_lines: list, line_no: int, key: tuple, n_days: int):
-    """Raise the error of the first bad line of `key_lines`, the lines from
-    line `line_no`, the first of key `key`, which _changes_at_once refused."""
-    key_text = ",".join(key)
-    for day, line in enumerate(key_lines):
-        where = f"{CHANGES_ARTIFACT} line {line_no + day}"
-        row = line.rsplit(",", 2)
-        if day and (len(row) != 3 or row[0] != key_text):
-            if line.count(",") != 4:
-                raise PipelineError(f"{where}: expected 5 fields, got {line.count(',') + 1}")
-            raise PipelineError(f"{where}: key {key} ends after {day} of {n_days} days")
-        if row[1] != str(day):
-            raise PipelineError(f"{where}: expected day_index {day}, got {row[1]!r}")
+def _refuse_lines(key_lines: list, at: int, keys: list, n_days: int):
+    """Raise the error of the first bad line of `key_lines`, data lines `at`
+    on, which _changes_at_once refused; lines that pass these checks pass it."""
+    for at, line in enumerate(key_lines, start=at):
+        where, key, day = f"{CHANGES_ARTIFACT} line {at + 2}", keys[at // n_days], at % n_days
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise PipelineError(f"{where}: expected 5 fields, got {len(fields)}")
+        if tuple(fields[:3]) != key:
+            raise PipelineError(f"{where}: expected key {key} of {BASELINES_ARTIFACT}, got {tuple(fields[:3])}")
+        if fields[3] != str(day):
+            raise PipelineError(f"{where}: expected day_index {day}, got {fields[3]!r}")
         try:
-            float(row[2])
+            float(fields[4])
         except ValueError:
-            raise PipelineError(f"{where}: change {row[2]!r} is not a number") from None
-    # n_days lines that pass these checks pass _changes_at_once: the file ends inside the key
-    raise PipelineError(f"{CHANGES_ARTIFACT}: key {key} ends after {len(key_lines)} of {n_days} days")
+            raise PipelineError(f"{where}: change {fields[4]!r} is not a number") from None
 
 
-def _read_changes(artifacts: _RunArtifacts, window: DateWindow, sufficient: set) -> aggregate.SeriesSet:
+def _read_changes(artifacts: _RunArtifacts, window: DateWindow, keys: list) -> aggregate.SeriesSet:
     """The change matrix of the committed work/changes.csv, checking it is whole.
 
-    The rows must come as written (_read_changes_rows) and the keys be those
-    work/baselines.csv marks `sufficient`: a truncated, duplicated or
-    reordered artifact would otherwise read as zero change, i.e. as
-    recovered. The matrix is allocated once, one row per sufficient key.
-    Where processes.split_point splits the file, at a key's first line, a
-    forked child (processes.beside) reads the keys from there on, and its
-    rows are copied in after this process's.
-    A split read that fails any check, the order of the keys that meet at
-    the split included, is read again whole, so a damaged artifact is
+    Each line must hold the key and day work/baselines.csv puts there, `keys`
+    being its sufficient keys (_read_changes_rows): a truncated, duplicated
+    or reordered artifact would otherwise read as zero change, i.e. as
+    recovered. The matrix is allocated once. Where processes.split_point
+    splits the file, a forked child (processes.beside) reads the lines from
+    there on, and its cells are copied in after this process's. A split
+    read that fails any check is read again whole, so a damaged artifact is
     refused with the error of a one-process read.
     """
-    n_keys, n_days = len(sufficient), window.n_days
-    path = artifacts.output_dir / CHANGES_ARTIFACT
-    split = processes.split_point(path, starts=_is_first_day, within=n_days + 1)
+    n_days = window.n_days
+    split = processes.split_point(artifacts.output_dir / CHANGES_ARTIFACT)
     for mid in (split, None):  # with no split, the first read returns or raises
-        matrix = np.empty((n_keys, n_days))
-        more, rows = [], matrix[:0]  # the keys and rows from the split on, where there is one
+        matrix = np.empty((len(keys), n_days))
+        cells = matrix.reshape(-1)
         try:
-            with processes.beside(lambda: _changes_part(artifacts, mid, n_keys, n_days), mid is not None) as rest:
-                keys = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, stop=mid), n_days, matrix)
+            with processes.beside(lambda: _changes_part(artifacts, mid, keys, n_days), mid is not None) as rest:
+                end = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, stop=mid), keys, n_days, cells)
                 if mid is not None:
-                    more, rows = rest()
-            # the child's half failed a check, or its first key does not sort after this half's last
-            if more is None or keys and more and keys[-1] >= more[0]:
-                raise PipelineError(f"{CHANGES_ARTIFACT}: the keys from byte {mid} on do not follow")
-            # keys in order across the split are distinct: the set check also checks their number
-            differ = sorted(set(keys).union(more) ^ sufficient)
-            if differ:
+                    part = rest()
+                    if part is None:
+                        raise PipelineError(f"{CHANGES_ARTIFACT}: the lines from byte {mid} on fail a check")
+                    cells[end : end + len(part)] = part
+                    end += len(part)
+            if end < cells.size:
                 raise PipelineError(
-                    f"{CHANGES_ARTIFACT} does not hold the sufficient keys of {BASELINES_ARTIFACT}: "
-                    f"{len(differ)} differ, first {differ[0]}"
+                    f"{CHANGES_ARTIFACT} line {end + 2}: expected key {keys[end // n_days]} "
+                    f"day_index {end % n_days}, got the end of the file"
                 )
         except PipelineError:
             if mid is None:
                 raise
-            del matrix, more, rows  # before the whole file is read again
+            matrix = cells = part = None  # before the whole file is read again
             continue
-        matrix[len(keys) :] = rows
-        return aggregate.SeriesSet(window, keys + more, matrix)
+        return aggregate.SeriesSet(window, keys, matrix)
 
 
-def _is_first_day(line: bytes) -> bool:
-    """Whether a line of work/changes.csv has day_index 0, the first of its key's lines."""
-    return line.rsplit(b",", 2)[1:2] == [b"0"]
-
-
-def _changes_part(artifacts: _RunArtifacts, start: int, n_keys: int, n_days: int):
-    """(keys, rows) of the lines of work/changes.csv from byte `start`, a key
-    start, on; (None, None) where a check fails. Its errors number the lines
-    from `start`, so they are not shown: a failure sends the whole file to be
-    read again."""
-    rows = np.empty((n_keys, n_days))
+def _changes_part(artifacts: _RunArtifacts, start: int, keys: list, n_days: int):
+    """The cells of the data lines of work/changes.csv from byte `start`, a
+    line start, on; None where a check fails. The lines are numbered by the
+    line ends before `start`. Its errors are not shown: a failure sends the
+    whole file to be read again."""
+    cells = np.empty(len(keys) * n_days)  # only the pages of its own cells are ever touched
     try:
-        keys = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, start=start), n_days, rows)
+        first = sum(block.count("\n") for block in artifacts._blocks(CHANGES_ARTIFACT, 0, start)) - 1
+        end = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, start=start), keys, n_days, cells, first)
     except PipelineError:
-        return None, None
-    return keys, rows[: len(keys)]
+        return None
+    return cells[first:end]
 
 
-def _sufficient_keys(rows) -> set[tuple[str, str, str]]:
-    """The keys the data rows of work/baselines.csv mark sufficient, checking
-    their flags and that the keys come in sorted order, each once, as written."""
-    keys = set()
+def _sufficient_keys(rows) -> list[tuple[str, str, str]]:
+    """The sorted keys the data rows of work/baselines.csv mark sufficient,
+    checking their flags and that the keys come in sorted order, each once,
+    as written."""
+    keys = []
     last = ()  # sorts before every key
     for line_no, cells in rows:
         where, key = f"{BASELINES_ARTIFACT} line {line_no}", (cells[0], cells[1], cells[2])
@@ -388,7 +375,7 @@ def _sufficient_keys(rows) -> set[tuple[str, str, str]]:
         if cells[4] not in ("true", "false"):
             raise PipelineError(f"{where}: sufficient {cells[4]!r} is not true or false")
         if cells[4] == "true":
-            keys.add(key)
+            keys.append(key)
         last = key
     return keys
 
@@ -397,8 +384,7 @@ def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     changes = artifacts.changes
     if changes is None:
         # baselines.csv is small: read it first, so that the matrix is allocated once
-        sufficient = _sufficient_keys(artifacts.rows(BASELINES_ARTIFACT))
-        changes = _read_changes(artifacts, config.window, sufficient)
+        changes = _read_changes(artifacts, config.window, _sufficient_keys(artifacts.rows(BASELINES_ARTIFACT)))
     d0 = config.window.index_of(config.event_day)
     table, _ = milestones.build_milestone_table(
         changes,
@@ -618,9 +604,10 @@ class _RunArtifacts:
     committed artifact, so a staged run never holds a whole file's text, and
     the text of one produced in this run whole, since within a run only
     milestones.csv and metric.csv are read back. A committed file
-    can also be read from one byte offset to another, which is how
+    can also be read from one line start to another, which is how
     `--only milestones` reads work/changes.csv in two halves
-    (_read_changes). The series stage also leaves its change matrix here,
+    (_read_changes); its child numbers its lines by counting the line ends
+    of the blocks before its half. The series stage also leaves its change matrix here,
     which the milestones stage of the same run takes instead of parsing
     work/changes.csv back.
     """
@@ -635,7 +622,8 @@ class _RunArtifacts:
 
         For a committed file, `start` and `stop` may name the byte offsets of
         two line starts (stop None for the end of the file): the lines
-        between them, the header checked and skipped only where start is 0.
+        between them, the header checked and skipped only where start is 0,
+        and a line that ends the file unfinished numbered from `start`.
         """
         lines = self._lines(name, start, stop)
         if start:
@@ -659,14 +647,16 @@ class _RunArtifacts:
             yield line_no, cells
 
     def _lines(self, name: str, start, stop):
+        line_no = 1  # of the next line, counted from `start`
         for block in self._blocks(name, start, stop):
             lines = block.split("\n")
             del block  # drop each block and its lines before the next read
             tail = lines.pop()  # empty, but for the last block of a text with no final newline
+            line_no += len(lines)
             yield from lines
             del lines
             if tail:
-                raise PipelineError(f"{name} ends mid-line")
+                raise PipelineError(f"{name} line {line_no}: the file ends mid-line")
 
     def _blocks(self, name: str, start, stop):
         if name in self.produced:

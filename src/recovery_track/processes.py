@@ -19,7 +19,8 @@ reaped before the block is left, killed first unless all of its result has
 been received.
 
 The two file readers, of trips and transactions and of work/changes.csv,
-split a file of SPLIT_BYTES or more by one rule, `split_point`. The two
+split a file of SPLIT_BYTES or more by one rule, `split_point`: at the first
+line start at or after the middle byte, whatever the line holds. The two
 producers, the changes writer and the city generator, have no file to
 measure and split from SPLIT_CELLS cells; the stats stage, a third reader of
 SPLIT_CELLS, splits where one Moran field's shuffles gather that many
@@ -67,13 +68,12 @@ def second_cpu() -> bool:
     return (cpus or 1) >= 2
 
 
-def split_point(path, starts=None, within=1):
-    """Where a two-process reader splits the file at `path`: the start of the
-    first of the `within` lines from the first line start at or after the
-    middle byte that `starts` accepts (any, where it is None). None, for a
-    whole read, with one usable CPU, below SPLIT_BYTES, where no line
-    qualifies, and for a file that cannot be read or is not regular; stat()
-    comes first, so a named pipe is never opened here.
+def split_point(path):
+    """Where a two-process reader splits the file at `path`: the first line
+    start at or after the middle byte. None, for a whole read, with one
+    usable CPU, below SPLIT_BYTES, where no line starts there, and for a file
+    that cannot be read or is not regular; stat() comes first, so a named
+    pipe is never opened here.
     """
     if not second_cpu():
         return None
@@ -84,15 +84,10 @@ def split_point(path, starts=None, within=1):
         with open(path, "rb") as handle:
             handle.seek(max(status.st_size // 2 - 1, 0))
             handle.readline()
-            for _ in range(within):
-                start, line = handle.tell(), handle.readline()
-                if not line:
-                    break
-                if starts is None or starts(line):
-                    return start
+            start = handle.tell()
     except OSError:
-        pass
-    return None
+        return None
+    return start if start < status.st_size else None
 
 
 def line_blocks(handle, start, stop):

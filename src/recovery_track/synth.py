@@ -203,10 +203,8 @@ def _scan_recovery(changes, d0: int, horizon: int, threshold: float, run_length:
     return None
 
 
-def _ground_truth_for(values, baseline_days: int, d0_index: int, horizon: int, label: str):
+def _ground_truth_for(values, baseline_days: int, d0_index: int, horizon: int):
     baseline = math.fsum(values[:baseline_days]) / baseline_days
-    if baseline == 0.0:
-        raise ScenarioError(f"{label} quantises to zero, so it has no percent change; raise the range")
     smoothed = _smooth_truncated(values)
     threshold = change_threshold(0.9)
     changes = [(s - baseline) / baseline for s in smoothed]
@@ -303,16 +301,15 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     Deterministic for a fixed spec: every entity draws from its own seeded
     stream, and files are emitted in sorted order.
 
-    The ground truth is computed beside the writes of the five ingest CSVs
-    (processes.beside): by a forked child from processes.SPLIT_CELLS trip
-    cells (regions x codes x days) on, where one can be had, else by this
-    process once they are written. A truth that fails gives its
-    ScenarioError as the result, raised once the inputs are written, so it
-    is computed once in either case. The files are written to a staging
+    A spec whose baseline quantises to zero for some entity and category
+    has no truth; it is refused with a ScenarioError before anything is
+    made. The ground truth is computed beside the writes of the five ingest
+    CSVs (processes.beside): by a forked child from processes.SPLIT_CELLS
+    trip cells (regions x codes x days) on, where one can be had, else by
+    this process once they are written. The files are written to a staging
     directory and moved into `out_dir` once all seven are written
-    (processes.staged), so a spec whose truth fails, or a write that fails,
-    leaves the files of `out_dir` as they were. An OSError ends in a
-    RecoveryTrackError naming the path.
+    (processes.staged), so a write that fails leaves the files of `out_dir`
+    as they were. An OSError ends in a RecoveryTrackError naming the path.
     """
     out = Path(out_dir)
     window = spec.window
@@ -327,15 +324,13 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     bounds = np.cumsum([0] + [len(codes_by_category[category]) for category in CATEGORIES])
     category_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def truth(clean, field, entity):
+    def truth(clean):
         """(duration, censored) per category of one entity, from its noiseless values."""
         return [
             _ground_truth_for(
-                _weighted_series(clean[rows], weights[rows]),
-                spec.baseline_days, d0_index, spec.horizon_days,
-                f"{field}: the {category} baseline of {entity}",
+                _weighted_series(clean[rows], weights[rows]), spec.baseline_days, d0_index, spec.horizon_days
             )
-            for category, rows in zip(CATEGORIES, category_rows)
+            for rows in category_rows
         ]
 
     regions = _region_ids(spec.n_regions)
@@ -378,23 +373,31 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         for k in range(len(zips))
     ]
 
+    # Every baseline day comes before the event, where each code's noiseless
+    # value is share * level: a baseline the writing quantises to zero has no
+    # percent change, and is refused before any file is made.
+    for field, noun, entities, profiles, quantise in (
+        ("baseline_level_range", "region", regions, region_profiles, _counts),
+        ("tx_level_range", "Zip", zips, zip_profiles, _amounts_as_read),
+    ):
+        levels = quantise(np.array([  # one column per entity, rows in `codes` order
+            np.concatenate([profile.shares[category] for category in CATEGORIES]) * profile.level
+            for profile in profiles
+        ]).T)
+        per_category = [_weighted_series(levels[rows], weights[rows]) for rows in category_rows]
+        for entity, baselines in zip(entities, zip(*per_category)):
+            for category, baseline in zip(CATEGORIES, baselines):
+                if baseline == 0.0:
+                    raise ScenarioError(
+                        f"{field}: the {category} baseline of {noun} {entity} quantises to zero, "
+                        "so it has no percent change; raise the range"
+                    )
+
     def ground_truth():
         """The truth per region of trips and per Zip of transactions, from the
-        noiseless values as written; or the ScenarioError of a truth that
-        fails, returned so that a child sends it rather than failing."""
-        try:
-            trip_truth = [
-                truth(_counts(_emit_entity(None, spec, profile, offsets)),
-                      "baseline_level_range", f"region {region}")
-                for region, profile in zip(regions, region_profiles)
-            ]
-            tx_truth = [
-                truth(_amounts_as_read(_emit_entity(None, spec, profile, offsets)),
-                      "tx_level_range", f"Zip {zip_code}")
-                for zip_code, profile in zip(zips, zip_profiles)
-            ]
-        except ScenarioError as exc:
-            return exc
+        noiseless values as written."""
+        trip_truth = [truth(_counts(_emit_entity(None, spec, profile, offsets))) for profile in region_profiles]
+        tx_truth = [truth(_amounts_as_read(_emit_entity(None, spec, profile, offsets))) for profile in zip_profiles]
         return trip_truth, tx_truth
 
     def emitted(profiles, stream):
@@ -499,13 +502,10 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     with processes.staged(out, RecoveryTrackError) as staging:
         with processes.beside(ground_truth, split) as truths:
             write_inputs()
-            found = truths()
-            if isinstance(found, ScenarioError):
-                raise found
             write(
                 "ground_truth.csv",
                 ["region", "source", "category", "duration_days", "censored"],
-                _lines(truth_rows(*found)),
+                _lines(truth_rows(*truths())),
             )
         written.append("config.json")
         with open(staging / "config.json", "w", encoding="utf-8") as handle:

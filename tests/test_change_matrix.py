@@ -152,7 +152,7 @@ def _read_back(text, keys, output_dir, committed=False):
         (output_dir / CHANGES_ARTIFACT).write_bytes(text.encode("utf-8"))
     else:
         artifacts.produced[CHANGES_ARTIFACT] = text
-    return _read_changes(artifacts, WINDOW, set(keys))
+    return _read_changes(artifacts, WINDOW, list(keys))
 
 
 def test_changes_artifact_round_trips_every_float_bit_for_bit(tmp_path):
@@ -323,7 +323,7 @@ def _check_read_split(monkeypatch, output_dir, changes):
     monkeypatch.setattr(processes, "SPLIT_BYTES", 1 << 62)
     (output_dir / "work").mkdir(parents=True, exist_ok=True)
     (output_dir / CHANGES_ARTIFACT).write_text(_changes_csv(changes), encoding="utf-8")
-    sufficient = set(changes.keys())
+    sufficient = list(changes.keys())
     expected = pipeline._read_changes(_RunArtifacts(output_dir), WINDOW, sufficient)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
@@ -332,10 +332,19 @@ def _check_read_split(monkeypatch, output_dir, changes):
     assert got.values.tobytes() == expected.values.tobytes() == changes.values.tobytes()
 
 
-@pytest.mark.parametrize("n_keys, children", [(1, 0), (2, 1), (3, 1), (7, 1)])
+@pytest.mark.parametrize("n_keys, children", [(1, 1), (2, 1), (3, 1), (7, 1)])
 def test_changes_read_the_same_in_two_processes(tmp_path, monkeypatch, forks, n_keys, children):
     _check_read_split(monkeypatch, tmp_path, _specials_in_every_row(n_keys))
-    assert _exit_codes(forks) == [0] * children  # one key has no start after the middle
+    assert _exit_codes(forks) == [0] * children  # one key is split among its days
+
+
+def test_changes_split_inside_a_key_read_the_same_in_two_processes(tmp_path, monkeypatch, forks):
+    # the child's first line is not its key's first: the key's lines are read in two processes
+    _check_read_split(monkeypatch, tmp_path, _specials_in_every_row(7))
+    with open(tmp_path / CHANGES_ARTIFACT, "rb") as handle:
+        handle.seek(processes.split_point(tmp_path / CHANGES_ARTIFACT))
+        day_index = handle.readline().split(b",")[3]
+    assert day_index != b"0" and _exit_codes(forks) == [0]
 
 
 def test_non_ascii_keys_read_the_same_in_two_processes(tmp_path, monkeypatch, forks):

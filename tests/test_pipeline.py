@@ -221,7 +221,7 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
     matrix_bytes = sufficient * config.window.n_days * 8
     changes = out / "work" / "changes.csv"
     monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
-    mid = processes.split_point(changes, starts=pipeline._is_first_day, within=config.window.n_days + 1)
+    mid = processes.split_point(changes)
     with open(changes, "rb") as handle:
         handle.seek(mid)
         child_rows_bytes = sum(1 for _ in handle) * 8
@@ -808,7 +808,7 @@ ZERO_BASELINES = pytest.mark.parametrize(
 
 def _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity):
     """A spec whose truth fails exits 2 and leaves its output directory as it
-    found it: empty where it is new, an existing city's files unchanged."""
+    found it: not made where it is new, an existing city's files unchanged."""
     # levels this low quantise to 0 trips or 0.00 a day before the event
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"n_regions": 4, field: [0.001, 0.02]}))
@@ -823,7 +823,7 @@ def _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity):
         assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{field}: the essential baseline of {entity} quantises to zero" in err
-    assert not any(new.iterdir())  # no data file, and no staging directory
+    assert not new.exists()  # refused before the output directory is made
     assert _files(existing) == before
     assert sorted(path.name for path in existing.iterdir()) == list(SYNTH_FILES)
 
@@ -835,11 +835,11 @@ def test_cli_synth_zero_baseline_exit_code(tmp_path, capsys, field, entity):
 
 @ZERO_BASELINES
 def test_cli_synth_zero_baseline_in_two_processes(tmp_path, capsys, monkeypatch, forks, field, entity):
-    # the child sends the ScenarioError of its truth, which this process raises once the files are written
+    # only the fine city forks: a spec with a zero baseline is refused before its truth is computed
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     _check_zero_baseline_leaves_nothing(tmp_path, capsys, field, entity)
-    assert len(forks) == 3 and all(os.WIFEXITED(status) for status in forks.values())
-    assert [os.WEXITSTATUS(status) for status in forks.values()] == [0, 0, 0]
+    assert len(forks) == 1 and all(os.WIFEXITED(status) for status in forks.values())
+    assert [os.WEXITSTATUS(status) for status in forks.values()] == [0]
 
 
 def _out_is_a_file(out):
@@ -932,27 +932,40 @@ def _mangle_cut_at_read_boundary(lines):
 
 def _split_line(lines):
     """The index of the line at which `--only milestones` splits the
-    artifact of `lines` in two: the first at or after the middle character
-    (byte, for this ASCII text) whose day_index is 0."""
+    artifact of `lines` in two: the first that starts at or after the middle
+    character (byte, for this ASCII text)."""
     middle, start = len("".join(lines)) // 2, 0
     for index, line in enumerate(lines):
-        if start >= middle and line.split(",")[3] == "0":
+        if start >= middle:
             return index
         start += len(line)
-    raise AssertionError("no key starts after the middle")
+    raise AssertionError("no line starts after the middle")
+
+
+def _padded_to_split(lines, build):
+    """build(at, spaces) for the first padding that puts the split of the
+    lines it builds at line `at`, the first of the key that holds the split
+    of `lines`. build pads a change before line `at` with `spaces`, which
+    float() skips."""
+    split = _split_line(lines)
+    at = split - (split - 1) % 15  # the first line of the key that holds the split
+    for pad in range(len("".join(lines))):  # a line before `at` moves it by the padding, the middle by half of it
+        mangled = build(at, " " * pad)
+        if _split_line(mangled) == at:
+            return mangled
+    raise AssertionError("no padding puts the split at the key's first line")
+
+
+def _pad(line, spaces):
+    head, _, change = line.rpartition(",")
+    return f"{head},{spaces}{change}"
 
 
 def _mangle_swap_keys_at_split(lines):
-    # each half in order, but the second's first key sorts before the first's
-    # last; spaces before the moved key's first change, which float() skips,
-    # lengthen its lines until the split falls at the seam
-    at = _split_line(lines)
-    first, (head, _, change), rest = lines[at - 15 : at], lines[at].rpartition(","), lines[at + 1 : at + 15]
-    for pad in range(len("".join(lines))):  # the seam moves by the padding, the middle by half of it
-        mangled = [*lines[: at - 15], f"{head},{' ' * pad}{change}", *rest, *first, *lines[at + 15 :]]
-        if _split_line(mangled) == at:
-            return mangled
-    raise AssertionError("no padding puts the split at the seam")
+    # the key that holds the split moved before the key ahead of it, the split at their seam
+    return _padded_to_split(lines, lambda at, spaces: [
+        *lines[: at - 15], _pad(lines[at], spaces), *lines[at + 1 : at + 15], *lines[at - 15 : at], *lines[at + 15 :],
+    ])
 
 
 def _mangle_drop_split_line(lines):
@@ -961,24 +974,51 @@ def _mangle_drop_split_line(lines):
 
 
 def _mangle_duplicate_last_key_before_split(lines):
-    # the copy makes the file longer, and so moves its middle: the first key
-    # start at which the copied artifact is split, with the copy as the second half's first key
-    for at in range(1 + 15, len(lines), 15):
-        mangled = [*lines[:at], *lines[at - 15 : at], *lines[at:]]
-        if _split_line(mangled) == at:
-            return mangled
-    raise AssertionError("no copy of a key is split from its original")
+    # a copy of the key ahead of the key that holds the split, the split at the copy
+    return _padded_to_split(lines, lambda at, spaces: [
+        *lines[: at - 15], _pad(lines[at - 15], spaces), *lines[at - 14 : at], *lines[at - 15 : at], *lines[at:],
+    ])
 
 
+# each damage, and the refusal of the first bad line it makes
 CHANGES_MANGLES = pytest.mark.parametrize(
-    "mangle",
-    [
-        _mangle_truncate, _mangle_duplicate, _mangle_swap_keys, _mangle_swap_days,
-        _mangle_drop_inner_day, _mangle_cut_mid_line, _mangle_extra_field,
-        _mangle_short_first_row, _mangle_not_a_number, _mangle_drop_last_region,
-        _mangle_rename_last_key, _mangle_cut_at_read_boundary, _mangle_swap_keys_at_split,
-        _mangle_drop_split_line, _mangle_duplicate_last_key_before_split,
-    ],
+    "mangle, refusal",
+    [pytest.param(mangle, refusal, id=mangle.__name__) for mangle, refusal in [
+        (_mangle_truncate, "line 222: expected key ('R004', 'trip', 'essential') day_index 10, got the end of the file"),
+        (_mangle_duplicate, "line 242: expected the end of the file after the 16 sufficient keys of work/baselines.csv"),
+        (
+            _mangle_swap_keys,
+            "line 2: expected key ('R001', 'transaction', 'essential') of work/baselines.csv, "
+            "got ('R001', 'transaction', 'non-essential')",
+        ),
+        (_mangle_swap_days, "line 2: expected day_index 0, got '1'"),
+        (_mangle_drop_inner_day, "line 6: expected day_index 4, got '5'"),
+        (_mangle_cut_mid_line, "line 241: the file ends mid-line"),
+        (_mangle_extra_field, "line 6: expected 5 fields, got 6"),
+        (_mangle_short_first_row, "line 2: expected 5 fields, got 4"),
+        (_mangle_not_a_number, "line 6: change 'zz' is not a number"),
+        (
+            _mangle_drop_last_region,
+            "line 182: expected key ('R004', 'transaction', 'essential') day_index 0, got the end of the file",
+        ),
+        (
+            _mangle_rename_last_key,
+            "line 227: expected key ('R004', 'trip', 'non-essential') of work/baselines.csv, "
+            "got ('R005', 'trip', 'non-essential')",
+        ),
+        (_mangle_cut_at_read_boundary, "line 241: the file ends mid-line"),
+        (
+            _mangle_swap_keys_at_split,
+            "line 107: expected key ('R002', 'trip', 'non-essential') of work/baselines.csv, "
+            "got ('R003', 'transaction', 'essential')",
+        ),
+        (_mangle_drop_split_line, "line 122: expected day_index 0, got '1'"),
+        (
+            _mangle_duplicate_last_key_before_split,
+            "line 122: expected key ('R003', 'transaction', 'essential') of work/baselines.csv, "
+            "got ('R002', 'trip', 'non-essential')",
+        ),
+    ]],
 )
 
 
@@ -995,18 +1035,18 @@ def _mangle_changes(tmp_path, monkeypatch, mangle):
 
 
 @CHANGES_MANGLES
-def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, monkeypatch, mangle):
+def test_cli_milestones_rejects_damaged_changes_artifact(tmp_path, capsys, monkeypatch, mangle, refusal):
     config_path = _mangle_changes(tmp_path, monkeypatch, mangle)
     before = (tmp_path / "out" / "milestones.csv").read_bytes()
     capsys.readouterr()
     assert cli.main(["run", "--config", str(config_path), "--only", "milestones"]) == 1
-    assert "changes.csv" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pipeline.CHANGES_ARTIFACT} {refusal}\n"
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
 
 
 @CHANGES_MANGLES
 def test_cli_milestones_rejects_damaged_changes_the_same_in_two_processes(
-    tmp_path, capsys, monkeypatch, forks, mangle
+    tmp_path, capsys, monkeypatch, forks, mangle, refusal
 ):
     config_path = _mangle_changes(tmp_path, monkeypatch, mangle)
     before = (tmp_path / "out" / "milestones.csv").read_bytes()
@@ -1017,7 +1057,7 @@ def test_cli_milestones_rejects_damaged_changes_the_same_in_two_processes(
         monkeypatch.setattr(processes, "SPLIT_BYTES", split)
         code = cli.main(["run", "--config", str(config_path), "--only", "milestones"])
         refusals.append((code, capsys.readouterr().err))
-    assert refusals[1] == refusals[0] and refusals[0][0] == 1
+    assert refusals == [(1, f"error: {pipeline.CHANGES_ARTIFACT} {refusal}\n")] * 2
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
     assert len(forks) == 1  # by the two-process read; none by the one-process read
 
@@ -1136,7 +1176,11 @@ def _directory(path):
         ),
         pytest.param("work/baselines.csv", "milestones", _set_cell(1, 4, "ok"), "line 1", id="baselines-header"),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "yes"), "line 2", id="baselines-flag"),
-        pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "false"), "1 differ", id="baselines-key-set"),
+        pytest.param(
+            "work/baselines.csv", "milestones", _set_cell(2, 4, "false"),
+            "changes.csv line 2: expected key ('R001', 'transaction', 'non-essential') of work/baselines.csv",
+            id="baselines-key-set",
+        ),
         pytest.param("work/baselines.csv", "milestones", _set_cell(2, 4, "true,x"), "line 2", id="baselines-extra-cell"),
         pytest.param(
             "work/baselines.csv", "milestones", _duplicate_line(2), "line 3: key ('R001', 'transaction', 'essential')",

@@ -166,18 +166,13 @@ def _random_lines(rng):
     return b"".join(lines)
 
 
-def _first_line_start(data, starts, within):
-    """split_point's answer worked out from the bytes: among the `within`
-    lines from the first line start at or after the middle byte, the start
-    of the first that `starts` accepts."""
-    line_starts = [at for at in range(len(data) // 2, len(data)) if data[at - 1 : at] == b"\n"]
-    for at in line_starts[:within]:
-        if starts is None or starts(io.BytesIO(data[at:]).readline()):
-            return at
-    return None
+def _first_line_start(data):
+    """split_point's answer worked out from the bytes: the first line start
+    at or after the middle byte."""
+    return next((at for at in range(len(data) // 2, len(data)) if data[at - 1 : at] == b"\n"), None)
 
 
-def test_split_point_is_the_first_qualifying_line_start_after_the_middle(tmp_path, monkeypatch, forks):
+def test_split_point_is_the_first_line_start_after_the_middle(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(processes, "SPLIT_BYTES", 0)
     rng = np.random.default_rng(0)
     path = tmp_path / "lines.csv"
@@ -187,16 +182,10 @@ def test_split_point_is_the_first_qualifying_line_start_after_the_middle(tmp_pat
         if len(data) < 2:
             continue
         path.write_bytes(data)
-        assert processes.split_point(path) == _first_line_start(data, None, 1)
-        within = int(rng.integers(1, 6))
-
-        def starts(line):
-            return line.startswith(b"a")
-
-        expected = _first_line_start(data, starts, within)
-        assert processes.split_point(path, starts=starts, within=within) == expected
+        expected = _first_line_start(data)
+        assert processes.split_point(path) == expected
         found += expected is not None
-    assert 50 < found < 250  # both answers are common
+    assert 200 < found < 290  # both answers occur: None where the middle byte is in the last line
     assert not forks
 
 
@@ -208,13 +197,13 @@ def test_split_point_reads_the_file_whole_where_it_cannot_split(tmp_path, monkey
     assert middle == path.read_bytes().index(b"b,2")
     monkeypatch.setattr(processes, "SPLIT_BYTES", path.stat().st_size)
     assert processes.split_point(path) == middle
-    assert processes.split_point(path, starts=lambda line: line.startswith(b"a"), within=2) == middle + 4
-    # no line passes within `within` lines, the file is smaller than SPLIT_BYTES, or missing
-    assert processes.split_point(path, starts=lambda line: line.startswith(b"a"), within=1) is None
-    assert processes.split_point(path, starts=lambda line: line.startswith(b"c"), within=10) is None
+    # the file is smaller than SPLIT_BYTES, no line starts after its middle, or it is missing
     monkeypatch.setattr(processes, "SPLIT_BYTES", path.stat().st_size + 1)
     assert processes.split_point(path) is None
     monkeypatch.setattr(processes, "SPLIT_BYTES", 0)
+    last_line = tmp_path / "last.csv"
+    last_line.write_bytes(b"header\n" + b"b" * 20 + b"\n")
+    assert processes.split_point(last_line) is None
     assert processes.split_point(tmp_path / "missing.csv") is None
     assert processes.split_point(tmp_path) is None  # a directory
     # a named pipe is never opened: opening one with no writer would block

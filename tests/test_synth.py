@@ -66,7 +66,7 @@ def test_scan_truth_matches_analytic_in_interior_regime():
     values = [level] * (pre + 5)
     d0 = len(values)
     values += level_at(np.arange(horizon + 1), level, drop, ramp).tolist()
-    duration, censored = _ground_truth_for(values, pre, d0, horizon, "test series")
+    duration, censored = _ground_truth_for(values, pre, d0, horizon)
     assert not censored
     assert duration == analytic_recovery_day(drop, ramp)
 
@@ -75,7 +75,7 @@ def test_ground_truth_censors_at_horizon():
     level = 300.0
     pre, horizon = 21, 40
     values = [level] * (pre + 5) + [level * 0.4] * (horizon + 1)
-    duration, censored = _ground_truth_for(values, pre, pre + 5, horizon, "test series")
+    duration, censored = _ground_truth_for(values, pre, pre + 5, horizon)
     assert censored
     assert duration == horizon
 
