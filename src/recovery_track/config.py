@@ -123,13 +123,14 @@ def read_settings(cls, lookup, error) -> dict:
 
 
 def check_settings(obj, error):
-    """Raise `error` for a setting of `obj` outside its declared bounds or choices."""
+    """Raise `error` for a setting of `obj` outside its declared bounds or
+    choices; the bounds hold for both items of a [low, high] pair."""
     for f, key in _settings(obj):
         value, minimum, maximum = getattr(obj, f.name), f.metadata["minimum"], f.metadata["maximum"]
-        choices = f.metadata["choices"]
-        if minimum is not None and value < minimum:
+        choices, items = f.metadata["choices"], value if isinstance(value, tuple) else (value,)
+        if minimum is not None and min(items) < minimum:
             raise error(f"{key} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
+        if maximum is not None and max(items) > maximum:
             raise error(f"{key} must be <= {maximum}, got {value}")
         if choices is not None and value not in choices:
             raise error(f"{key} must be one of {list(choices)}, got {value!r}")

@@ -11,17 +11,19 @@ output directory together (processes.staged); a failing stage leaves the
 directory untouched.
 
 Stages read artifacts through one line reader, `_RunArtifacts.lines`, which
-checks the header and the final newline. It splits lines from blocks of whole
-lines of processes.BLOCK_BYTES read from the file of a committed artifact;
-an artifact produced in this run, a few hundred KB at most, is one block.
-`--only milestones` fills a change matrix allocated once from the sufficient
-keys of work/baselines.csv, so it never holds the text of work/changes.csv;
-each of its lines must hold the key and day that those keys put there. From
-processes.SPLIT_BYTES on, it reads the file in two halves by the split rule
-of processes.split_point, the first line start at or after the middle byte,
-which may fall inside a key (_read_changes). A split read that fails any
-check is read again whole, so a damaged file is refused with the error one
-reader gives.
+checks the header and the final newline. It splits bytes lines from blocks
+of whole lines of processes.BLOCK_BYTES read from the file of a committed
+artifact; an artifact produced in this run, a few hundred KB at most, is one
+block. A line is decoded only where its text is used, so every refusal,
+`not UTF-8 text` included, names its line, and the lines are checked in
+order. `--only milestones` fills a change matrix allocated once from the
+sufficient keys of work/baselines.csv, so it never holds the text of
+work/changes.csv; each of its lines must hold the key and day that those
+keys put there. From processes.SPLIT_BYTES on, it reads the file in two
+halves by the split rule of processes.split_point, the first line start at
+or after the middle byte, which may fall inside a key (_read_changes). The
+file is read once: the first refusal of the two halves in line order is the
+one a one-process read gives.
 
 Work artifacts (work/baselines.csv, work/changes.csv) keep full float
 precision; report artifacts round floats to 6 significant digits so the
@@ -249,7 +251,7 @@ def _changes_pieces(changes: aggregate.SeriesSet, start: int, stop: int) -> list
 def _read_changes_rows(lines, keys: list, n_days: int, cells: np.ndarray, first: int = 0) -> int:
     """Fill `cells`, the flat key x day matrix of changes, from data line
     `first` of work/changes.csv on, taking `lines`, the data lines from
-    there; the number of the data line after the last.
+    there as bytes; the number of the data line after the last.
 
     work/baselines.csv fixes the layout: data line i holds sufficient key
     `keys[i // n_days]` at day_index i % n_days. The lines of one key are
@@ -258,7 +260,7 @@ def _read_changes_rows(lines, keys: list, n_days: int, cells: np.ndarray, first:
     which raises the error of the first bad line; so does a line after the
     last key's. The caller checks that the lines run to the last key's end.
     """
-    day_heads = [f",{day}" for day in range(n_days)]
+    day_heads = [b",%d" % day for day in range(n_days)]
     at = first
     while chunk := list(itertools.islice(lines, n_days - at % n_days)):
         k, day = divmod(at, n_days)
@@ -267,7 +269,7 @@ def _read_changes_rows(lines, keys: list, n_days: int, cells: np.ndarray, first:
                 f"{CHANGES_ARTIFACT} line {at + 2}: expected the end of the file "
                 f"after the {len(keys)} sufficient keys of {BASELINES_ARTIFACT}"
             )
-        changes = _changes_at_once(chunk, ",".join(keys[k]), day_heads[day : day + len(chunk)])
+        changes = _changes_at_once(chunk, ",".join(keys[k]).encode("utf-8"), day_heads[day : day + len(chunk)])
         if changes is None:
             _refuse_lines(chunk, at, keys, n_days)
         cells[at : at + len(chunk)] = changes
@@ -275,15 +277,17 @@ def _read_changes_rows(lines, keys: list, n_days: int, cells: np.ndarray, first:
     return at
 
 
-def _changes_at_once(key_lines: list, key_text: str, day_heads: list):
+def _changes_at_once(key_lines: list, key_text: bytes, day_heads: list):
     """The changes of lines of one key, where each reads `key_text,day,change`
     for the days of `day_heads` in turn and every change is a number; else None.
 
     No line holds a newline, so the heads joined by newlines equal the
-    expected heads joined so exactly where each head equals its own.
+    expected heads joined so exactly where each head equals its own. A line
+    that is not UTF-8 text fails here: its head is not the expected text,
+    or its change is not ASCII, which float() of bytes refuses.
     """
-    heads, _, texts = zip(*map(str.rpartition, key_lines, itertools.repeat(",")))
-    if "\n".join(heads) != key_text + ("\n" + key_text).join(day_heads):
+    heads, _, texts = zip(*map(bytes.rpartition, key_lines, itertools.repeat(b",")))
+    if b"\n".join(heads) != key_text + (b"\n" + key_text).join(day_heads):
         return None
     try:
         return list(map(float, texts))
@@ -296,7 +300,7 @@ def _refuse_lines(key_lines: list, at: int, keys: list, n_days: int):
     on, which _changes_at_once refused; lines that pass these checks pass it."""
     for at, line in enumerate(key_lines, start=at):
         where, key, day = f"{CHANGES_ARTIFACT} line {at + 2}", keys[at // n_days], at % n_days
-        fields = line.split(",")
+        fields = _text(CHANGES_ARTIFACT, at + 2, line).split(",")
         if len(fields) != 5:
             raise PipelineError(f"{where}: expected 5 fields, got {len(fields)}")
         if tuple(fields[:3]) != key:
@@ -304,7 +308,7 @@ def _refuse_lines(key_lines: list, at: int, keys: list, n_days: int):
         if fields[3] != str(day):
             raise PipelineError(f"{where}: expected day_index {day}, got {fields[3]!r}")
         try:
-            float(fields[4])
+            float(line.rpartition(b",")[2])  # as _changes_at_once reads it: ASCII only
         except ValueError:
             raise PipelineError(f"{where}: change {fields[4]!r} is not a number") from None
 
@@ -317,48 +321,36 @@ def _read_changes(artifacts: _RunArtifacts, window: DateWindow, keys: list) -> a
     or reordered artifact would otherwise read as zero change, i.e. as
     recovered. The matrix is allocated once. Where processes.split_point
     splits the file, a forked child (processes.beside) reads the lines from
-    there on, and its cells are copied in after this process's. A split
-    read that fails any check is read again whole, so a damaged artifact is
-    refused with the error of a one-process read.
+    there on, and its cells are copied in after this process's. The file is
+    read once: every refusal names its line, and the lines are checked in
+    order, so the first refusal of a split read, this process's or else the
+    child's (raised here again by processes.beside), is the first refusal
+    of a one-process read.
     """
     n_days = window.n_days
-    split = processes.split_point(artifacts.output_dir / CHANGES_ARTIFACT)
-    for mid in (split, None):  # with no split, the first read returns or raises
-        matrix = np.empty((len(keys), n_days))
-        cells = matrix.reshape(-1)
-        try:
-            with processes.beside(lambda: _changes_part(artifacts, mid, keys, n_days), mid is not None) as rest:
-                end = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, stop=mid), keys, n_days, cells)
-                if mid is not None:
-                    part = rest()
-                    if part is None:
-                        raise PipelineError(f"{CHANGES_ARTIFACT}: the lines from byte {mid} on fail a check")
-                    cells[end : end + len(part)] = part
-                    end += len(part)
-            if end < cells.size:
-                raise PipelineError(
-                    f"{CHANGES_ARTIFACT} line {end + 2}: expected key {keys[end // n_days]} "
-                    f"day_index {end % n_days}, got the end of the file"
-                )
-        except PipelineError:
-            if mid is None:
-                raise
-            matrix = cells = part = None  # before the whole file is read again
-            continue
-        return aggregate.SeriesSet(window, keys, matrix)
+    matrix = np.empty((len(keys), n_days))
+    cells = matrix.reshape(-1)
+    mid = processes.split_point(artifacts.output_dir / CHANGES_ARTIFACT)
+    with processes.beside(lambda: _changes_part(artifacts, mid, keys, n_days), mid is not None) as rest:
+        end = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, stop=mid), keys, n_days, cells)
+        if mid is not None:
+            part = rest()
+            cells[end : end + len(part)] = part
+            end += len(part)
+    if end < cells.size:
+        raise PipelineError(
+            f"{CHANGES_ARTIFACT} line {end + 2}: expected key {keys[end // n_days]} "
+            f"day_index {end % n_days}, got the end of the file"
+        )
+    return aggregate.SeriesSet(window, keys, matrix)
 
 
 def _changes_part(artifacts: _RunArtifacts, start: int, keys: list, n_days: int):
     """The cells of the data lines of work/changes.csv from byte `start`, a
-    line start, on; None where a check fails. The lines are numbered by the
-    line ends before `start`. Its errors are not shown: a failure sends the
-    whole file to be read again."""
+    line start, on. The lines are numbered by the line ends before `start`."""
     cells = np.empty(len(keys) * n_days)  # only the pages of its own cells are ever touched
-    try:
-        first = sum(block.count("\n") for block in artifacts._blocks(CHANGES_ARTIFACT, 0, start)) - 1
-        end = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, start=start), keys, n_days, cells, first)
-    except PipelineError:
-        return None
+    first = sum(block.count(b"\n") for block in artifacts._blocks(CHANGES_ARTIFACT, 0, start)) - 1
+    end = _read_changes_rows(artifacts.lines(CHANGES_ARTIFACT, start, line_no=first + 2), keys, n_days, cells, first)
     return cells[first:end]
 
 
@@ -416,6 +408,8 @@ def parse_milestones_artifact(rows, horizon_days: int):
     durations = {}
     for line_no, cells in rows:
         where, region = f"{MILESTONES_ARTIFACT} line {line_no}", cells[0]
+        if not region:
+            raise PipelineError(f"{where}: region is empty")
         if region in durations:
             raise PipelineError(f"{where}: region {region!r} is duplicated")
         row = []
@@ -599,17 +593,19 @@ class _RunArtifacts:
     """What the stages of one run read: artifacts produced so far, else committed files.
 
     Each artifact is read through one line reader, `lines`, which checks its
-    header and that it ends with a newline. It splits the lines from blocks
+    header and that it ends with a newline. It splits bytes lines from blocks
     of whole lines: reads of about processes.BLOCK_BYTES of the file of a
     committed artifact, so a staged run never holds a whole file's text, and
-    the text of one produced in this run whole, since within a run only
-    milestones.csv and metric.csv are read back. A committed file
-    can also be read from one line start to another, which is how
+    the text of one produced in this run, encoded whole, since within a run
+    only milestones.csv and metric.csv are read back. A line is decoded where
+    its text is used (_text), so a line that is not UTF-8 is refused at its
+    number, in line order like every other refusal. A committed file can
+    also be read from one line start to another, which is how
     `--only milestones` reads work/changes.csv in two halves
     (_read_changes); its child numbers its lines by counting the line ends
-    of the blocks before its half. The series stage also leaves its change matrix here,
-    which the milestones stage of the same run takes instead of parsing
-    work/changes.csv back.
+    of the blocks before its half. The series stage also leaves its change
+    matrix here, which the milestones stage of the same run takes instead of
+    parsing work/changes.csv back.
     """
 
     def __init__(self, output_dir: Path):
@@ -617,21 +613,23 @@ class _RunArtifacts:
         self.produced: dict[str, str] = {}
         self.changes: aggregate.SeriesSet | None = None
 
-    def lines(self, name: str, start: int = 0, stop: int | None = None):
-        """The lines after the header of artifact `name`, checking the header is exact.
+    def lines(self, name: str, start: int = 0, stop: int | None = None, line_no: int = 1):
+        """The lines, as bytes, after the header of artifact `name`, checking the header is exact.
 
         For a committed file, `start` and `stop` may name the byte offsets of
         two line starts (stop None for the end of the file): the lines
         between them, the header checked and skipped only where start is 0,
-        and a line that ends the file unfinished numbered from `start`.
+        and a line that ends the file unfinished numbered from `line_no`,
+        the number of the line at `start`.
         """
-        lines = self._lines(name, start, stop)
+        lines = self._lines(name, start, stop, line_no)
         if start:
             return lines
         header = _HEADERS[name]
         first = next(lines, None)
-        if first != header:
-            raise PipelineError(f"{name} line 1: expected header {header!r}, got {first!r}")
+        got = None if first is None else _text(name, 1, first)
+        if got != header:
+            raise PipelineError(f"{name} line 1: expected header {header!r}, got {got!r}")
         return lines
 
     def rows(self, name: str):
@@ -641,15 +639,14 @@ class _RunArtifacts:
         """
         n_cells = _HEADERS[name].count(",") + 1
         for line_no, line in enumerate(self.lines(name), start=2):
-            cells = line.split(",")
+            cells = _text(name, line_no, line).split(",")
             if len(cells) != n_cells:
                 raise PipelineError(f"{name} line {line_no}: expected {n_cells} fields, got {len(cells)}")
             yield line_no, cells
 
-    def _lines(self, name: str, start, stop):
-        line_no = 1  # of the next line, counted from `start`
+    def _lines(self, name: str, start, stop, line_no):
         for block in self._blocks(name, start, stop):
-            lines = block.split("\n")
+            lines = block.split(b"\n")
             del block  # drop each block and its lines before the next read
             tail = lines.pop()  # empty, but for the last block of a text with no final newline
             line_no += len(lines)
@@ -660,7 +657,7 @@ class _RunArtifacts:
 
     def _blocks(self, name: str, start, stop):
         if name in self.produced:
-            yield self.produced[name]
+            yield self.produced[name].encode("utf-8")
             return
         path = self.output_dir / name
         if not path.exists():
@@ -669,13 +666,17 @@ class _RunArtifacts:
             )
         try:
             with open(path, "rb") as handle:
-                # whole lines: no character is split between blocks
-                for block in processes.line_blocks(handle, start, stop):
-                    yield block.decode("utf-8")
+                yield from processes.line_blocks(handle, start, stop)
         except OSError as exc:
             raise PipelineError(f"cannot read artifact {path}: {exc.strerror or exc}") from None
-        except UnicodeDecodeError:
-            raise PipelineError(f"artifact {path} is not UTF-8 text") from None
+
+
+def _text(name: str, line_no: int, line: bytes) -> str:
+    """Line `line_no` of artifact `name` decoded; a line that is not UTF-8 is refused."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise PipelineError(f"{name} line {line_no}: not UTF-8 text") from None
 
 
 @dataclass

@@ -11,9 +11,9 @@ descriptor pair and a process are free, a forked child computes work()
 while the block runs and pickles the result down a pipe. Where there is no
 child, or it failed in any way, this process computes work() itself, when
 the result is asked for; so the outcome never depends on the child, and a
-block that never asks computes nothing. A work() that can fail in a way its
-caller expects, such as on a damaged file, returns that outcome rather than
-raising it, so that the child's answer is taken, not computed again. The
+block that never asks computes nothing. A child whose work() raises exits
+with status 1, and this process does the work again itself, which raises
+the same error, such as the refusal of a damaged file. The
 child always ends in os._exit, never returning into its caller, and is
 reaped before the block is left, killed first unless all of its result has
 been received.

@@ -57,10 +57,10 @@ class ScenarioSpec:
     clusters: int = setting(4, minimum=1)
     baseline_level_range: tuple[float, float] = setting((200.0, 2000.0))
     tx_level_range: tuple[float, float] = setting((2000.0, 20000.0))
-    drop_range: tuple[float, float] = setting((0.2, 0.9))
-    ramp_range: tuple[int, int] = setting((5, 60))
-    flat_fraction: float = setting(0.05)
-    censored_fraction: float = setting(0.05)
+    drop_range: tuple[float, float] = setting((0.2, 0.9), minimum=0, maximum=1)
+    ramp_range: tuple[int, int] = setting((5, 60), minimum=1)
+    flat_fraction: float = setting(0.05, minimum=0, maximum=1)
+    censored_fraction: float = setting(0.05, minimum=0, maximum=1)
     ramp_shape: str = setting(RAMP_LINEAR, choices=(RAMP_LINEAR, RAMP_EXPONENTIAL))
 
     @classmethod
@@ -89,21 +89,10 @@ class ScenarioSpec:
             )
         if not (0.0 <= self.noise < 1.0):
             raise ScenarioError(f"noise: must lie in [0, 1), got {self.noise}")
-        lo, hi = self.drop_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ScenarioError(f"drop_range: must lie in [0, 1], got {self.drop_range}")
         if self.baseline_level_range[0] <= 0:
             raise ScenarioError("baseline_level_range: levels must be positive")
         if self.tx_level_range[0] <= 0:
             raise ScenarioError("tx_level_range: levels must be positive")
-        if self.ramp_range[0] < 1:
-            raise ScenarioError(f"ramp_range: must be >= 1, got {self.ramp_range}")
-        if not (0.0 <= self.flat_fraction <= 1.0):
-            raise ScenarioError(f"flat_fraction: must lie in [0, 1], got {self.flat_fraction}")
-        if not (0.0 <= self.censored_fraction <= 1.0):
-            raise ScenarioError(
-                f"censored_fraction: must lie in [0, 1], got {self.censored_fraction}"
-            )
         if self.flat_fraction + self.censored_fraction > 1.0:
             raise ScenarioError("flat_fraction + censored_fraction exceed 1")
 
@@ -172,7 +161,6 @@ class _EntityProfile:
     drop: float
     ramp: int
     shares: dict  # category -> share of each of its codes, in sorted code order
-    kind: str = "ramped"  # ramped | flat | censored
 
 
 def _region_ids(n: int) -> list[str]:
@@ -231,7 +219,7 @@ def _sample_profile(
     for category in CATEGORIES:
         draws = rng.uniform(0.5, 1.5, size=len(codes_by_category[category]))
         shares[category] = draws / draws.sum()
-    return _EntityProfile(level=level, drop=drop, ramp=ramp, shares=shares, kind=kind)
+    return _EntityProfile(level=level, drop=drop, ramp=ramp, shares=shares)
 
 
 def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> list[str]:

@@ -3,9 +3,11 @@ from __future__ import annotations
 import errno
 import filecmp
 import io
+import itertools
 import json
 import os
 import pickle
+import re
 import shutil
 import signal
 import subprocess
@@ -980,6 +982,34 @@ def _mangle_duplicate_last_key_before_split(lines):
     ])
 
 
+def _not_utf8_change(line):
+    """`line` with the first character of its change a byte that is not UTF-8
+    (written through surrogateescape), so its length in bytes stays."""
+    head, _, change = line.rpartition(",")
+    return f"{head},\udcff{change[1:]}"
+
+
+def _mangle_not_utf8_in_child_half(lines):
+    at = len(lines) * 3 // 4
+    return [*lines[:at], _not_utf8_change(lines[at]), *lines[at + 1 :]]
+
+
+def _mangle_not_utf8_header(lines):
+    return [lines[0].replace("e", "\udcff", 1), *lines[1:]]
+
+
+def _mangle_day_before_split_not_utf8_after(lines):
+    # a wrong day_index on the line before the split and a bad byte on the split
+    # line, both in one read block of the one-process read
+    at = _split_line(lines)
+    head, day, change = lines[at - 1].rsplit(",", 2)
+    mangled = [*lines[: at - 1], f"{head},{int(day) + 1},{change}", _not_utf8_change(lines[at]), *lines[at + 1 :]]
+    blocks = processes.line_blocks(io.BytesIO("".join(mangled).encode("utf-8", "surrogateescape")), 0, None)
+    assert _split_line(mangled) == at
+    assert len("".join(lines[:at])) not in itertools.accumulate(map(len, blocks))  # no block ends at the split
+    return mangled
+
+
 # each damage, and the refusal of the first bad line it makes
 CHANGES_MANGLES = pytest.mark.parametrize(
     "mangle, refusal",
@@ -1018,6 +1048,9 @@ CHANGES_MANGLES = pytest.mark.parametrize(
             "line 122: expected key ('R003', 'transaction', 'essential') of work/baselines.csv, "
             "got ('R002', 'trip', 'non-essential')",
         ),
+        (_mangle_not_utf8_in_child_half, "line 181: not UTF-8 text"),
+        (_mangle_not_utf8_header, "line 1: not UTF-8 text"),
+        (_mangle_day_before_split_not_utf8_after, "line 121: expected day_index 14, got '15'"),
     ]],
 )
 
@@ -1030,7 +1063,7 @@ def _mangle_changes(tmp_path, monkeypatch, mangle):
     changes = tmp_path / "out" / "work" / "changes.csv"
     lines = changes.read_text().splitlines(keepends=True)
     assert len(lines) == 1 + 16 * 15  # 16 keys x 15 days
-    changes.write_text("".join(mangle(lines)))
+    changes.write_bytes("".join(mangle(lines)).encode("utf-8", "surrogateescape"))
     return config_path
 
 
@@ -1060,6 +1093,13 @@ def test_cli_milestones_rejects_damaged_changes_the_same_in_two_processes(
     assert refusals == [(1, f"error: {pipeline.CHANGES_ARTIFACT} {refusal}\n")] * 2
     assert (tmp_path / "out" / "milestones.csv").read_bytes() == before
     assert len(forks) == 1  # by the two-process read; none by the one-process read
+    changes = tmp_path / "out" / "work" / "changes.csv"
+    child_line = changes.read_bytes()[: processes.split_point(changes)].count(b"\n") + 1
+    # a line of the child's half is refused: the child exits 1, and this process
+    # reads that half again; the end of the file is checked here, after the child
+    if int(re.match(r"line (\d+):", refusal)[1]) >= child_line and "got the end of the file" not in refusal:
+        [status] = forks.values()
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["above-both-files", "at-the-smaller-file"])
@@ -1190,13 +1230,17 @@ def _directory(path):
             "work/baselines.csv", "milestones", _swap_lines(2), "line 3: key ('R001', 'transaction', 'essential')",
             id="baselines-swapped-lines",
         ),
-        pytest.param("work/changes.csv", "milestones", _not_utf8, "not UTF-8", id="changes-not-utf8"),
+        pytest.param("work/changes.csv", "milestones", _not_utf8, "line 241: not UTF-8 text", id="changes-not-utf8"),
+        pytest.param("milestones.csv", "metric", _not_utf8, "line 5: not UTF-8 text", id="milestones-not-utf8"),
+        pytest.param(
+            "work/baselines.csv", "milestones", _not_utf8, "line 17: not UTF-8 text", id="baselines-not-utf8",
+        ),
         pytest.param("milestones.csv", "metric", _directory, "cannot read", id="milestones-directory"),
         pytest.param("milestones.csv", "stats", _edit_text(lambda text: text[:-1]), "ends mid-line", id="cut-stats"),
         pytest.param("work/changes.csv", "milestones", _directory, "cannot read", id="changes-directory"),
         pytest.param("work/changes.csv", "milestones", Path.unlink, "not found", id="changes-missing"),
         pytest.param(
-            "work/changes.csv", "milestones", _not_utf8_past_first_block, "not UTF-8",
+            "work/changes.csv", "milestones", _not_utf8_past_first_block, "line 3: not UTF-8 text",
             id="changes-not-utf8-past-first-block",
         ),
     ],
@@ -1212,6 +1256,18 @@ def test_cli_rejects_damaged_report_artifacts(tmp_path, capsys, monkeypatch, nam
     assert cli.main(["run", "--config", str(config_path), "--only", stage]) == 1
     err = capsys.readouterr().err
     assert name in err and expected in err
+    assert _files(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("stage", ["metric", "stats"])
+def test_cli_refuses_an_empty_region_in_milestones(tmp_path, capsys, stage):
+    config_path = _write_mini_bundle(tmp_path)
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    _set_cell(2, 0, "")(tmp_path / "out" / "milestones.csv")
+    before = _files(tmp_path / "out")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config_path), "--only", stage]) == 1
+    assert capsys.readouterr().err == "error: milestones.csv line 2: region is empty\n"
     assert _files(tmp_path / "out") == before
 
 
