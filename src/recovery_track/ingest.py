@@ -1,17 +1,21 @@
 """Parse and validate the five input CSVs and resolve Zip-level data to regions.
 
 All files are UTF-8, comma separated, first row is a header that must match
-the documented schema exactly, dates are ISO-8601. Parsers validate every row,
-collect all violations, and raise a single ParseError naming the offending
-lines, so `accepted + dropped + errored` always reconciles with the data row
-count. A file that cannot be opened or is not UTF-8 raises a ParseError too.
+the documented schema exactly, dates are ISO-8601. Every file is read in
+blocks of whole lines (processes.line_blocks), each decoded once. Parsers
+validate every row, collect all violations, and raise a single ParseError
+naming the offending lines, so `accepted + dropped + errored` always
+reconciles with the data row count. A line that is not UTF-8 is a row error;
+so is a field the csv module cannot end, such as a quote never closed, and
+no line after it is read. A file that cannot be opened or read raises a
+ParseError too.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
-pass: whole lines are split on newlines and commas a block of
-processes.BLOCK_BYTES at a time, or by the csv module where that would split
-them differently, and each chunk of rows is validated at once, dates, names
-and codes once per distinct text and values in one vectorised conversion
-where the chunk allows it. Rows are numbered by the file line they start on.
+pass: the lines of a block are split on newlines and commas, or by the csv
+module where that would split them differently, and each chunk of rows is
+validated at once, dates, names and codes once per distinct text and values
+in one vectorised conversion where the chunk allows it. Rows are numbered by
+the file line they start on.
 
 A file of processes.SPLIT_BYTES or more is read in two halves where
 processes.split_point splits it: this process reads the lines before the
@@ -100,11 +104,9 @@ class ParseResult:
 
 @contextmanager
 def reading(path):
-    """Turn a file that cannot be opened or is not UTF-8 into a ParseError naming it."""
+    """Turn a file that cannot be opened or read into a ParseError naming it."""
     try:
         yield
-    except UnicodeDecodeError:
-        raise ParseError(path, [], detail="not UTF-8 text") from None
     except OSError as exc:
         raise ParseError(path, [], detail=f"cannot read ({exc.strerror or exc})") from None
 
@@ -119,21 +121,37 @@ class _RowReader:
         self.accepted = 0
         self.dropped = 0
         self.total_rows = 0
+        # the number of the next line to read; None once the csv module has read
+        # to the end of the file, or stopped at a field it cannot end
+        self.line_no = 1
 
     def rows(self):
         with reading(self.path), open(self.path, "rb") as handle:
-            yield from self.rows_from(handle, 1, True)
+            yield from self.rows_from(processes.line_blocks(handle, 0, None), 1, True)
 
-    def rows_from(self, handle, line_no, header):
+    def rows_from(self, blocks, line_no, header):
         """(line number, fields) of the data rows the csv module reads from
-        binary `handle`, which stands at the start of line `line_no`, the
-        header row where `header` is true. A row is numbered by the line it
-        starts on, so a quoted field holding a line break moves no later row."""
-        with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
-            reader = csv.reader(text)
+        `blocks` of whole lines, the first line `line_no`, the header row where
+        `header` is true; each block is decoded once (where it is not UTF-8, a
+        line at a time by decoded()) and split at \\n, \\r\\n and a lone \\r, as a
+        file opened with newline="" is. A row is numbered by the line it starts
+        on, so a quoted field holding a line break moves no later row. A field
+        the csv module cannot end within csv.field_size_limit() characters, such
+        as a quoted field that is not closed, is its row's error and ends the file."""
+
+        def lines(block):
+            try:
+                return io.StringIO(block.decode("utf-8"), newline="")
+            except UnicodeDecodeError:
+                numbered = enumerate(block.splitlines(keepends=True), line_no + reader.line_num)
+                return (self.decoded(line, n, header and n == line_no) for n, line in numbered)
+
+        reader = csv.reader(itertools.chain.from_iterable(map(lines, blocks)))
+        read = 0  # lines before the next row; one row may take several
+        try:
             if header:
                 self.check_header(next(reader, None))
-            read = reader.line_num  # lines before the next row; one row may take several
+            read = reader.line_num
             for row in reader:
                 row_no, read = line_no + read, reader.line_num
                 if not row:
@@ -143,6 +161,23 @@ class _RowReader:
                     self.error(row_no, f"expected {len(self.expected_header)} fields, got {len(row)}")
                     continue
                 yield row_no, row
+        except csv.Error:  # past a field never closed, rows have no defined ends
+            self.total_rows += 1
+            limit = csv.field_size_limit()
+            self.error(line_no + read, f"quoted field not closed, or a field over {limit} characters")
+            self.line_no = None
+
+    def decoded(self, line: bytes, line_no, header) -> str:
+        """`line` decoded. A line that is not UTF-8 refuses the file where it is
+        the header, and is otherwise a data row in error, read as a blank line."""
+        try:
+            return line.decode("utf-8")
+        except UnicodeDecodeError:
+            if header:
+                raise ParseError(self.path, [(line_no, "not UTF-8 text")]) from None
+            self.total_rows += 1
+            self.error(line_no, "not UTF-8 text")
+            return "\n"
 
     def check_header(self, header):
         if header is None:
@@ -240,8 +275,6 @@ class _ActivityReader(_RowReader):
         self.code_ids: dict[str, int] = {}
         # the kept rows of each chunk, one list per column: day, entity, code, value
         self.kept = tuple([np.zeros(0, t)] for t in (np.int32, np.int32, np.int32, np.float64))
-        # the number of the next line to read; None once the csv module has read to the end
-        self.line_no = 1
 
     def read(self, start=0, stop=None):
         """Take in the rows of the lines from byte `start` (a line start) to
@@ -306,7 +339,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
     where `start` is 0.
 
     Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
-    block whose every line has four fields is split with str.split alone.
+    UTF-8 block whose every line has four fields is split with str.split alone.
     The csv module reads any other block, and the rest of the file from the
     first block that holds a quote or a carriage return not directly before
     a newline; on the other blocks it would split the same way.
@@ -316,7 +349,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
         for block in processes.line_blocks(handle, start, stop):
             crlf = block.count(b"\r\n") if b"\r" in block else 0
             if b'"' in block or block.count(b"\r") != crlf:
-                rest = io.BufferedReader(_Chained(block, handle))  # no seek: a pipe cannot
+                rest = itertools.chain([block], processes.line_blocks(handle, 0, None))  # no seek: a pipe cannot
                 yield from _row_chunks(reader.rows_from(rest, reader.line_no, header))
                 reader.line_no = None
                 return
@@ -326,7 +359,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
                 block += b"\n"
             if header:
                 first, block = block.split(b"\n", 1)
-                reader.check_header(first.decode("utf-8").split(",") if first else [])
+                reader.check_header(reader.decoded(first, 1, True).split(",") if first else [])
                 reader.line_no += 1
                 header = False
                 if not block:
@@ -336,30 +369,22 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             commas_per_line = np.diff(
                 np.searchsorted(np.flatnonzero(raw == ord(",")), line_ends), prepend=0
             )
-            if (commas_per_line == 3).all():
-                fields = block[:-1].decode("utf-8").replace("\n", ",").split(",")
+            plain = (commas_per_line == 3).all()
+            try:
+                fields = block[:-1].decode("utf-8").replace("\n", ",").split(",") if plain else None
+            except UnicodeDecodeError:  # rows_from names each line that is not UTF-8
+                fields = None
+            if fields is not None:
                 reader.total_rows += len(line_ends)
                 lines = np.arange(reader.line_no, reader.line_no + len(line_ends))
                 yield lines, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
             else:
-                yield from _row_chunks(reader.rows_from(io.BytesIO(block), reader.line_no, False))
+                yield from _row_chunks(reader.rows_from([block], reader.line_no, False))
+                if reader.line_no is None:
+                    return
             reader.line_no += len(line_ends)
         if header:
             reader.check_header(None)
-
-
-class _Chained(io.RawIOBase):
-    """The bytes `head`, then the rest of binary file `tail`, read as one stream."""
-
-    def __init__(self, head: bytes, tail):
-        self.head = io.BytesIO(head)
-        self.tail = tail
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        return self.head.readinto(buffer) or self.tail.readinto(buffer)
 
 
 def _read_part(reader: _ActivityReader, mid):

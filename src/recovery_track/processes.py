@@ -25,8 +25,8 @@ producers, the changes writer and the city generator, have no file to
 measure and split from SPLIT_CELLS cells; the stats stage, a third reader of
 SPLIT_CELLS, splits where one Moran field's shuffles gather that many
 neighbor values (permutations times weight edges). Whole-line I/O moves
-BLOCK_BYTES at a time: `line_blocks` reads it, and the run writes its
-artifacts so.
+BLOCK_BYTES at a time: `line_blocks` reads every line file, the inputs and
+the artifacts, and the run writes its artifacts so.
 
 `staged(out_dir, error)` gives the run and `synth` one way to replace a set
 of files together: written to a staging directory, then moved into place.

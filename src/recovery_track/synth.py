@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -124,29 +123,6 @@ def level_at(
         decay = [math.exp(-3.0 * day / ramp) for day in np.maximum(t, 0).tolist()]
         curve = level * (1.0 - drop * np.array(decay))
     return np.where(t < 0, level, curve)
-
-
-def analytic_recovery_day(
-    drop: float,
-    ramp: int,
-    recovered_fraction: float = 0.9,
-    run_length: int = DEFAULT_RUN_LENGTH,
-):
-    """Recovery-day offset for the raw linear ramp, in exact rational arithmetic.
-
-    First day the curve reaches the recovered fraction, plus run_length - 1
-    qualifying days (the ramp never dips again). Arguments are read as decimal
-    literals (0.9 means 9/10, not the nearest binary float) so boundary hits
-    land exactly.
-    """
-    drop_frac = Fraction(str(drop))
-    gap = 1 - Fraction(str(recovered_fraction))
-    if drop_frac <= gap:
-        return run_length - 1
-    if drop_frac > 1:
-        raise ScenarioError(f"drop must lie in [0, 1], got {drop}")
-    first = math.ceil(ramp * (drop_frac - gap) / drop_frac)
-    return first + run_length - 1
 
 
 # --------------------------------------------------------------------------

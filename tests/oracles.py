@@ -12,6 +12,9 @@ parse_activity_rows is the row-by-row reader of trips.csv and transactions.csv
 through the csv module; the package's reader must give the same columns,
 counts and per-line messages for every file. It shares only the result and
 error types with the package.
+
+analytic_recovery_day is the exact-rational recovery day of synth's linear
+ramp, which the generator's scanned truth must match.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from recovery_track.errors import ParseError
+from recovery_track.errors import ParseError, ScenarioError
 from recovery_track.ingest import Activity, ParseResult
+from recovery_track.milestones import DEFAULT_RUN_LENGTH
 
 
 def activity_from_rows(rows):
@@ -139,6 +143,24 @@ def brute_force_recovery_day(changes, d0, horizon, threshold=-0.1, run_length=3)
         if ok:
             return end
     return None
+
+
+def analytic_recovery_day(drop, ramp, recovered_fraction=0.9, run_length=DEFAULT_RUN_LENGTH):
+    """Recovery-day offset for synth's raw linear ramp, in exact rational arithmetic.
+
+    First day the curve reaches the recovered fraction, plus run_length - 1
+    qualifying days (the ramp never dips again). Arguments are read as decimal
+    literals (0.9 means 9/10, not the nearest binary float) so boundary hits
+    land exactly.
+    """
+    drop_frac = Fraction(str(drop))
+    gap = 1 - Fraction(str(recovered_fraction))
+    if drop_frac <= gap:
+        return run_length - 1
+    if drop_frac > 1:
+        raise ScenarioError(f"drop must lie in [0, 1], got {drop}")
+    first = math.ceil(ramp * (drop_frac - gap) / drop_frac)
+    return first + run_length - 1
 
 
 def moran_double_sum(values, neighbor_indices):

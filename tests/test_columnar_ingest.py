@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import io
+import itertools
 import math
 import os
 import random
@@ -540,9 +541,33 @@ def test_a_byte_that_is_not_utf8_in_either_half(tmp_path, monkeypatch, forks, ki
     data = ("\n".join(lines[:at]) + "\n").encode() + b"\xff" + ("\n".join(lines[at:]) + "\n").encode()
     path = tmp_path / "latin.csv"
     path.write_bytes(data)
-    message, *_ = _check_split(monkeypatch, _reader(kind), path)
-    assert message.endswith("not UTF-8 text")
-    assert len(forks) == 1 and _failed(forks) == half  # a child that fails leaves its lines to the parent
+    message, errors, *_ = _check_split(monkeypatch, _reader(kind), path)
+    # the line is a data row in error, and every other row is read
+    assert message.endswith(f"1 invalid row(s); first at line {at + 1}: not UTF-8 text")
+    assert errors == [(at + 1, "not UTF-8 text")]
+    assert len(forks) == 1 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("half", [0, 1])
+def test_a_field_over_the_csv_limit_ends_the_file_in_either_half(tmp_path, monkeypatch, forks, kind, half):
+    # an unquoted field of 131,073 characters, on a line whose field count sends
+    # its block to the csv module: it ends the file, whatever the block size
+    lines = _lines(kind, _random_rows(random.Random(kind), kind, 10_000))
+    at = 1000 if half == 0 else 9000
+    lines.insert(at, "x" * 131_073)
+    path = write_csv(tmp_path, "long.csv", "\n".join(lines) + "\n")
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
+    assert (processes.split_point(path) < len("\n".join(lines[:at]))) == half
+    outcomes = []
+    for block_bytes in (4096, 1 << 20):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        outcomes.append(_check_split(monkeypatch, _reader(kind), path))
+    assert outcomes[0] == outcomes[1]
+    message, errors, accepted, dropped, total_rows = outcomes[0]
+    assert errors == [(at + 1, "quoted field not closed, or a field over 131072 characters")]
+    assert total_rows == at  # the rows before it, and itself
+    assert len(forks) == 2 and _failed(forks) == 0
 
 
 @pytest.mark.parametrize("failure", ["raise", "interrupt", "exit", "short", "exit_after_sending"])
@@ -584,12 +609,14 @@ def test_a_named_pipe_is_read_in_one_process(tmp_path, monkeypatch, forks):
         "plain": "\n".join(lines) + "\n",
         # the csv module reads these from the pipe without seeking back
         "quoted": "\n".join([*lines[:200], '"{}","{}",{},"{}"'.format(*rows[199]), *lines[201:]]) + "\n",
+        "quoted_line_break": "\n".join([*lines[:200], '{},"R\n{}",{},{}'.format(*rows[199]), *lines[201:]]) + "\n",
         "lone_cr": "\n".join([*lines[:200], lines[200].replace(",", "\r,", 1), *lines[201:]]) + "\n",
     }
-    for name, text in texts.items():
+    for (name, text), block_bytes in itertools.product(texts.items(), (16, 1 << 20)):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
         path = write_csv(tmp_path, f"{name}.csv", text)
         expected = _outcome(_reader("trips"), path)
-        fifo = tmp_path / f"{name}.fifo"
+        fifo = tmp_path / f"{name}-{block_bytes}.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
         writer.start()
@@ -605,7 +632,7 @@ def test_a_named_pipe_is_read_in_one_process(tmp_path, monkeypatch, forks):
             expected.accepted, expected.dropped, expected.total_rows,
         )
         _assert_same_columns(result.records, expected.records)
-    assert len(forks) == 3  # the regular files alone were split
+    assert len(forks) == 8  # the regular files alone were split
 
 
 def test_without_a_process_to_spare_the_file_is_read_in_one(tmp_path, monkeypatch, forks):

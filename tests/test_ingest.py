@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 from datetime import date
 
 import pytest
 
 from conftest import write_csv
 from oracles import activity_from_rows
+from recovery_track import processes
 from recovery_track.aggregate import build_daily_series, load_taxonomy
 from recovery_track.errors import ParseError
 from recovery_track.ingest import (
@@ -187,6 +190,86 @@ def test_a_row_is_numbered_by_the_line_it_starts_on(tmp_path):
     with pytest.raises(ParseError) as caught:
         parse_overlaps(path)
     assert caught.value.row_errors == [(4, "overlap_area 'zero' is not a number")]
+
+
+# Each small input as its parser reads it, in a file of eight lines: a quoted
+# line break (in a field that a 16-byte block ends inside), CRLF and LF line
+# ends, a lone CR between two rows and blank lines; four rows in all.
+SMALL_FILES = {
+    "overlaps": (
+        lambda path: parse_overlaps(path).records,
+        'region,zip,overlap_area\r\nR001,"77\n001",0.5\r\n\r\nR002,77001,0.7\rR003,77002,0.9\n\nR004,77002,0.8\n',
+    ),
+    "adjacency": (
+        lambda path: parse_adjacency(path).records,
+        'region_a,region_b\r\nR001,"R\n002"\r\n\nR002,R003\rR003,R004\n\r\n"R004",R005\r\n',
+    ),
+    "attributes": (
+        lambda path: parse_attributes(path).records,
+        "region,flood_fraction,minority_fraction,per_capita_income\r\n"
+        '"R\n001",0.1,0.2,50000\r\n\r\nR002,0.4,0.5,30000\rR003,0.2,0.3,45000\n\nR004,0.8,0.7,20000\n',
+    ),
+    "taxonomy": (
+        lambda path: load_taxonomy(path).entries,
+        'service_type,category,weight_percent\r\n"gro\ncery",essential,94.7\r\n\r\n'
+        "drug_store,essential,5.3\rrestaurant,non-essential,60\n\nretail,non-essential,40\n",
+    ),
+}
+
+
+def _read_through_pipe(read, path, fifo):
+    """read(fifo) while a thread writes the bytes of `path` into the named pipe `fifo`."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_FILES))
+def test_small_inputs_read_the_same_at_any_block_size_and_from_a_pipe(tmp_path, monkeypatch, name):
+    read, text = SMALL_FILES[name]
+    clean, bad = tmp_path / f"{name}.csv", tmp_path / f"bad-{name}.csv"
+    clean.write_bytes(text.encode())
+    # lines 9 to 12: one field, one field over two quoted lines, a line that is not UTF-8
+    bad.write_bytes(text.encode() + b'one\r\n"two\nlines"\r\n\xff\n')
+    outcomes = []
+    for block_bytes in (16, 1 << 20):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        with pytest.raises(ParseError) as caught:
+            read(bad)
+        error = caught.value
+        outcomes.append((read(clean), str(error), error.row_errors, error.accepted, error.total_rows))
+    assert outcomes[0] == outcomes[1]
+    width = text.split("\r\n", 1)[0].count(",") + 1
+    got_one = f"expected {width} fields, got 1"
+    assert outcomes[0][2:] == ([(9, got_one), (10, got_one), (12, "not UTF-8 text")], 4, 7)
+    if hasattr(os, "mkfifo"):  # 16-byte blocks: the quoted line break is past the first block
+        monkeypatch.setattr(processes, "BLOCK_BYTES", 16)
+        assert _read_through_pipe(read, clean, tmp_path / f"{name}.fifo") == outcomes[0][0]
+
+
+TRIPS_HEADER_NOT_UTF8 = b"date\xff,origin_region,service_type,trip_count\n"
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (parse_overlaps, b"region\xff,zip,overlap_area\nR001,77001,0.5\n"),
+        (lambda path: parse_trips(path, WINDOW), TRIPS_HEADER_NOT_UTF8 + b"2017-08-01,R001,grocery,1\n"),
+        (lambda path: parse_trips(path, WINDOW), TRIPS_HEADER_NOT_UTF8 + b'2017-08-01,"R001",grocery,1\n'),
+    ],
+    ids=["overlaps", "trips-plain", "trips-quoted"],
+)
+def test_a_header_that_is_not_utf8_refuses_the_file(tmp_path, parse, data):
+    path = tmp_path / "bad-header.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as caught:
+        parse(path)
+    assert caught.value.row_errors == [(1, "not UTF-8 text")]
 
 
 # ---------------------------------------------------------------------------

@@ -1280,8 +1280,14 @@ def _set_taxonomy(config_path):
 @pytest.mark.parametrize(
     "target, damage, code, expected",
     [
-        pytest.param("trips.csv", _not_utf8, 1, "trips.csv: not UTF-8", id="trips-not-utf8"),
-        pytest.param("overlaps.csv", _not_utf8, 1, "overlaps.csv: not UTF-8", id="overlaps-not-utf8"),
+        pytest.param(
+            "trips.csv", _not_utf8, 1, "trips.csv: 1 invalid row(s); first at line 121: not UTF-8 text",
+            id="trips-not-utf8",
+        ),
+        pytest.param(
+            "overlaps.csv", _not_utf8, 1, "overlaps.csv: 1 invalid row(s); first at line 5: not UTF-8 text",
+            id="overlaps-not-utf8",
+        ),
         pytest.param("trips.csv", Path.unlink, 1, "trips.csv: cannot read", id="trips-missing"),
         pytest.param("overlaps.csv", Path.unlink, 1, "overlaps.csv: cannot read", id="overlaps-missing"),
         pytest.param("config.json", _set_taxonomy, 1, "no-taxonomy.csv: cannot read", id="taxonomy-missing"),
@@ -1298,6 +1304,35 @@ def test_cli_reports_unreadable_files(tmp_path, capsys, target, damage, code, ex
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "error: ")
     assert expected in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-process", "two-processes"])
+@pytest.mark.parametrize("name, line", [("trips.csv", 7502), ("trips.csv", 22502), ("overlaps.csv", 3)])
+def test_an_unclosed_quote_is_a_row_error_that_ends_the_file(
+    tmp_path, capsys, monkeypatch, forks, split, name, line
+):
+    # more than csv.field_size_limit() characters follow each quote: the trip
+    # file's two stand at a quarter and three quarters of its 30,121 lines,
+    # one in each half of a two-process read, and 10,000 more rows follow the
+    # one in overlaps.csv
+    config_path = _write_mini_bundle(tmp_path, trip_extra="2017-08-02,R001,grocery,1\n" * 30_000)
+    extra = "".join(f"R{region},77002,0.5\n" for region in range(1000, 11_000))
+    write_csv(tmp_path, "overlaps.csv", (tmp_path / "overlaps.csv").read_text() + extra)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line - 1] = '"' + lines[line - 1]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1 if split else 1 << 62)
+    expected = (
+        f"{path}: 1 invalid row(s); first at line {line}: "
+        "quoted field not closed, or a field over 131072 characters"
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert cli.main(["validate", "--config", str(config_path)]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert {"kind": "schema-error", "input": name[: -len(".csv")], "detail": expected} in diagnostics
+    assert bool(forks) == split
 
 
 def _work_as_file(out):

@@ -19,6 +19,7 @@ import pytest
 
 import recovery_track.synth
 
+from oracles import analytic_recovery_day
 from recovery_track import processes
 from recovery_track.errors import ScenarioError
 from recovery_track.ingest import (
@@ -32,7 +33,6 @@ from recovery_track.ingest import (
 )
 from recovery_track.synth import (
     ScenarioSpec,
-    analytic_recovery_day,
     generate,
     level_at,
     _ground_truth_for,
