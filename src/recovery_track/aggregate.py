@@ -3,7 +3,8 @@
 Each service type maps to an essential or non-essential category and a weight.
 A day's measurement for a (region, source, category) key is the weighted sum
 of that day's per-type totals. Weights live in a config CSV (percent on disk,
-fractions in memory); the bundled default ships with the package.
+fractions in memory); the bundled default ships with the package. Either is
+read once, by load_taxonomy, into the one layout all consumers use.
 """
 
 from __future__ import annotations
@@ -34,58 +35,26 @@ POLICY_SKIP = "skip-with-warning"
 
 
 @dataclass(frozen=True)
-class TaxonomyEntry:
-    category: str
-    weight: float  # fraction, not percent
-
-
 class ServiceTaxonomy:
-    """Mapping of service-type code to category and weight fraction."""
+    """The service types: `codes`, each category's sorted, categories in CATEGORIES
+    order; `weights[i]`, the float64 weight fraction (not percent) of `codes[i]`;
+    `rows[c]`, the slice of `codes` that CATEGORIES[c] takes, empty if it has none."""
 
-    def __init__(self, entries: dict[str, TaxonomyEntry]):
-        self._entries = dict(entries)
-        # fixed summation order per category for deterministic dot products
-        self._codes_by_category = {
-            cat: tuple(sorted(c for c, e in self._entries.items() if e.category == cat))
-            for cat in CATEGORIES
-        }
-
-    def __getitem__(self, code: str) -> TaxonomyEntry:
-        try:
-            return self._entries[code]
-        except KeyError:
-            raise TaxonomyError(f"unknown service type {code!r}") from None
-
-    def codes(self, category: str) -> tuple[str, ...]:
-        return self._codes_by_category[category]
-
-    @property
-    def entries(self) -> dict[str, TaxonomyEntry]:
-        return dict(self._entries)
-
-    def renormalized(self) -> "ServiceTaxonomy":
-        """Rescale weights so each category sums to 1."""
-        totals = {
-            cat: math.fsum(self._entries[c].weight for c in self.codes(cat))
-            for cat in CATEGORIES
-        }
-        entries = {}
-        for code, entry in self._entries.items():
-            total = totals[entry.category]
-            if total <= 0:
-                raise TaxonomyError(f"category {entry.category} has zero total weight")
-            entries[code] = TaxonomyEntry(entry.category, entry.weight / total)
-        return ServiceTaxonomy(entries)
+    codes: tuple[str, ...]
+    weights: np.ndarray
+    rows: tuple[slice, ...]
 
 
 def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
-    """Load a taxonomy CSV; `path=None` loads the bundled default."""
+    """Load a taxonomy CSV; `path=None` loads the bundled default. With
+    `renormalize`, each category's weights are divided by their math.fsum;
+    a category with codes whose weights sum to zero is refused."""
     if path is None:
         ref = resources.files("recovery_track").joinpath("data/taxonomy.csv")
         with resources.as_file(ref) as bundled:
             return load_taxonomy(bundled, renormalize=renormalize)
 
-    entries: dict[str, TaxonomyEntry] = {}
+    entries: dict[str, tuple[str, float]] = {}  # code -> (category, weight fraction)
     reader = _RowReader(path, TAXONOMY_HEADER)
     for line_no, row in reader.rows():
         code, category, raw_weight = (f.strip() for f in row)
@@ -107,12 +76,21 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
             reader.error(line_no, f"duplicate service_type {code!r}")
             continue
         reader.accepted += 1
-        entries[code] = TaxonomyEntry(category, weight_percent / 100.0)
+        entries[code] = (category, weight_percent / 100.0)
     reader.finish(entries)
     if not entries:
         raise TaxonomyError(f"{path}: taxonomy has no entries")
-    taxonomy = ServiceTaxonomy(entries)
-    return taxonomy.renormalized() if renormalize else taxonomy
+    codes, weights, rows = [], [], []
+    for category in CATEGORIES:
+        mine = sorted(code for code, (of, _) in entries.items() if of == category)
+        shares = [entries[code][1] for code in mine]
+        total = math.fsum(shares) if renormalize and mine else 1.0  # x / 1.0 is x
+        if total <= 0:
+            raise TaxonomyError(f"category {category} has zero total weight")
+        rows.append(slice(len(codes), len(codes) + len(mine)))
+        codes += mine
+        weights += [share / total for share in shares]
+    return ServiceTaxonomy(tuple(codes), np.array(weights, dtype=np.float64), tuple(rows))
 
 
 @dataclass
@@ -192,8 +170,7 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
 
     `region_rows[i]` is the entity whose rows region i takes, or -1 for none.
     """
-    order = [code for category in CATEGORIES for code in taxonomy.codes(category)]
-    position = {code: i for i, code in enumerate(order)}
+    position = {code: i for i, code in enumerate(taxonomy.codes)}
     code_position = np.array([position.get(code, -1) for code in activity.codes], dtype=np.int32)
     taken = np.zeros(len(activity.entities), dtype=bool)
     taken[region_rows[region_rows >= 0]] = True
@@ -214,7 +191,7 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
 
     # entity x code x day totals over the taken entities only; the flat cell
     # index is built in place, in int64 so that no city's cell count overflows it
-    n_taken, n_codes, n_days = int(taken.sum()), len(order), window.n_days
+    n_taken, n_codes, n_days = int(taken.sum()), len(taxonomy.codes), window.n_days
     compact = np.cumsum(taken, dtype=np.int64) - 1
     cells = compact[activity.entity]
     cells *= n_codes
@@ -228,17 +205,13 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     del cells, values
     totals = totals.reshape(n_taken, n_codes, n_days)
     entity_names = [activity.entities[i] for i in np.flatnonzero(taken)]
-    _refuse_overflow(totals, source, entity_names, [f"service type {code!r}" for code in order], window)
+    _refuse_overflow(totals, source, entity_names, [f"service type {code!r}" for code in taxonomy.codes], window)
 
-    weights = np.array([taxonomy[code].weight for code in order])
     entity_series = np.zeros((n_taken + 1, len(CATEGORIES), n_days))  # last row: no data
-    first = 0
-    for c, category in enumerate(CATEGORIES):
-        last = first + len(taxonomy.codes(category))
+    for c, rows in enumerate(taxonomy.rows):
         with np.errstate(over="ignore", invalid="ignore"):  # such cells go to math.fsum
-            products = totals[:, first:last, :] * weights[first:last, None]
+            products = totals[:, rows, :] * taxonomy.weights[rows, None]
             entity_series[:n_taken, c] = _exact_sums(products)
-        first = last
     category_names = [f"{category} services" for category in CATEGORIES]
     _refuse_overflow(entity_series[:n_taken], source, entity_names, category_names, window)
     series_row = np.full(len(region_rows), n_taken)

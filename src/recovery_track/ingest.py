@@ -1,13 +1,13 @@
 """Parse and validate the five input CSVs and resolve Zip-level data to regions.
 
 All files are UTF-8, comma separated, first row is a header that must match
-the documented schema exactly, dates are ISO-8601. Every file is read in
-blocks of whole lines (processes.line_blocks), each decoded once. Parsers
-validate every row, collect all violations, and raise a single ParseError
-naming the offending lines, so `accepted + dropped + errored` always
-reconciles with the data row count. A line that is not UTF-8 is a row error;
-so is a field the csv module cannot end, such as a quote never closed, and
-no line after it is read. A file that cannot be opened or read raises a
+the documented schema exactly, dates are YYYY-MM-DD (parse_iso_date). Every
+file is read in blocks of whole lines (processes.line_blocks), each decoded
+once. Parsers validate every row, collect all violations, and raise a single
+ParseError naming the offending lines, so `accepted + dropped + errored`
+always reconciles with the data row count. A line that is not UTF-8 is a row
+error; so is a field the csv module cannot end, such as a quote never closed,
+and no line after it is read. A file that cannot be opened or read raises a
 ParseError too.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
@@ -34,13 +34,12 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
 from . import processes
 from .errors import ParseError
-from .windows import DateWindow
+from .windows import DateWindow, parse_iso_date
 
 TRIPS_HEADER = ["date", "origin_region", "service_type", "trip_count"]
 TRANSACTIONS_HEADER = ["date", "zip", "merchant_type", "amount"]
@@ -73,13 +72,6 @@ class Activity:
         """Accepted rows per entity name, in name order."""
         counts = np.bincount(self.entity, minlength=len(self.entities))
         return dict(zip(self.entities, counts.tolist()))
-
-
-@dataclass(frozen=True)
-class OverlapEntry:
-    region: str
-    zip_code: str
-    overlap_area: float
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,7 @@ class _ActivityReader(_RowReader):
             return lambda text: ids.setdefault(text, len(ids)) if text else _BAD
 
         for lines, dates, entities, codes, texts in _activity_chunks(self, start, stop):
-            day = _resolve(self.day_of, dates, lambda text: self.window.index_of(date.fromisoformat(text)))
+            day = _resolve(self.day_of, dates, lambda text: self.window.index_of(parse_iso_date(text)))
             entity = _resolve(self.entity_of, entities, name_id(self.entity_ids))
             code = _resolve(self.code_of, codes, name_id(self.code_ids))
             value = self.plain_values(texts)
@@ -488,10 +480,9 @@ def _plain_amounts(texts):
 
 
 def parse_overlaps(path) -> ParseResult:
-    """Parse overlaps.csv; (region, zip) pairs must be unique, areas positive."""
+    """Parse overlaps.csv into {(region, zip): area}; pairs must be unique, areas positive."""
     reader = _RowReader(path, OVERLAPS_HEADER)
-    records = []
-    seen = set()
+    areas: dict[tuple[str, str], float] = {}
     for line_no, row in reader.rows():
         region, zip_code, raw_area = (f.strip() for f in row)
         if not region:
@@ -511,13 +502,12 @@ def parse_overlaps(path) -> ParseResult:
         if not math.isfinite(area) or area <= 0:
             reader.error(line_no, f"overlap_area must be positive, got {raw_area}")
             continue
-        if (region, zip_code) in seen:
+        if (region, zip_code) in areas:
             reader.error(line_no, f"duplicate (region, zip) pair ({region}, {zip_code})")
             continue
-        seen.add((region, zip_code))
         reader.accepted += 1
-        records.append(OverlapEntry(region, zip_code, area))
-    return reader.finish(records)
+        areas[region, zip_code] = area
+    return reader.finish(areas)
 
 
 def parse_adjacency(path) -> ParseResult:
@@ -571,21 +561,17 @@ def parse_attributes(path) -> ParseResult:
     return reader.finish(records)
 
 
-def resolve_crosswalk(overlaps: list[OverlapEntry]) -> dict[str, str]:
-    """Assign each region the zip with the largest overlap area.
+def resolve_crosswalk(areas: dict[tuple[str, str], float]) -> dict[str, str]:
+    """{region: zip} in region order from parse_overlaps' {(region, zip): area}.
 
-    Ties break to the lexicographically smallest zip, so the result is
-    invariant under any permutation of the input entries.
+    Each region keeps the least (-area, zip): the largest overlap area, ties to
+    the smallest zip, whatever the order of `areas`.
     """
-    best: dict[str, OverlapEntry] = {}
-    for entry in overlaps:
-        current = best.get(entry.region)
-        if current is None:
-            best[entry.region] = entry
-            continue
-        if (-entry.overlap_area, entry.zip_code) < (-current.overlap_area, current.zip_code):
-            best[entry.region] = entry
-    return {region: entry.zip_code for region, entry in sorted(best.items())}
+    best: dict[str, tuple[float, str]] = {}
+    for (region, zip_code), area in areas.items():
+        if region not in best or (-area, zip_code) < best[region]:
+            best[region] = (-area, zip_code)
+    return {region: zip_code for region, (_, zip_code) in sorted(best.items())}
 
 
 @dataclass

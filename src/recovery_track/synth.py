@@ -136,7 +136,7 @@ class _EntityProfile:
     level: float
     drop: float
     ramp: int
-    shares: dict  # category -> share of each of its codes, in sorted code order
+    shares: tuple  # per category, in CATEGORIES order: the share of each of its codes, in code order
 
 
 def _region_ids(n: int) -> list[str]:
@@ -179,8 +179,7 @@ def _ground_truth_for(values, baseline_days: int, d0_index: int, horizon: int):
 
 
 def _sample_profile(
-    rng, spec: ScenarioSpec, cluster_bases, cluster: int, level_range, kind: str,
-    codes_by_category: dict,
+    rng, spec: ScenarioSpec, cluster_bases, cluster: int, level_range, kind: str, category_rows,
 ):
     base_drop, base_ramp = cluster_bases[cluster]
     drop = float(np.clip(base_drop + rng.uniform(-0.08, 0.08), *spec.drop_range))
@@ -191,11 +190,8 @@ def _sample_profile(
     elif kind == "censored":
         drop = max(drop, 0.5)
         ramp = spec.horizon_days * 10
-    shares = {}
-    for category in CATEGORIES:
-        draws = rng.uniform(0.5, 1.5, size=len(codes_by_category[category]))
-        shares[category] = draws / draws.sum()
-    return _EntityProfile(level=level, drop=drop, ramp=ramp, shares=shares)
+    draws = [rng.uniform(0.5, 1.5, size=rows.stop - rows.start) for rows in category_rows]
+    return _EntityProfile(level=level, drop=drop, ramp=ramp, shares=tuple(d / d.sum() for d in draws))
 
 
 def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> list[str]:
@@ -213,12 +209,12 @@ def _emit_entity(rng, spec: ScenarioSpec, profile: _EntityProfile, offsets: np.n
     rows in category, then code order: noisy, drawn from `rng`, as emitted, and
     noiseless, as the truth sees them, where `rng` is None."""
     rows = []
-    for category in CATEGORIES:
+    for category, shares in zip(CATEGORIES, profile.shares):
         ramp = max(1, round(profile.ramp * CATEGORY_RAMP_SCALE[category]))
         curve = level_at(offsets, profile.level, profile.drop, ramp, spec.ramp_shape)
         if rng is not None and spec.noise > 0.0:
             curve = curve * (1.0 + rng.uniform(-spec.noise, spec.noise, size=len(offsets)))
-        rows.append(profile.shares[category][:, np.newaxis] * curve)
+        rows.append(shares[:, np.newaxis] * curve)
     return np.concatenate(rows)
 
 
@@ -280,13 +276,9 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     d0_index = window.index_of(spec.event_day)
     offsets = np.arange(window.n_days) - d0_index
     taxonomy = load_taxonomy()
-    codes_by_category = {category: taxonomy.codes(category) for category in CATEGORIES}
     # an entity's rows: each category's codes in sorted order, categories in order
-    codes = [code for category in CATEGORIES for code in codes_by_category[category]]
+    codes, weights, category_rows = taxonomy.codes, taxonomy.weights, taxonomy.rows
     n_codes = len(codes)
-    weights = np.array([taxonomy[code].weight for code in codes])
-    bounds = np.cumsum([0] + [len(codes_by_category[category]) for category in CATEGORIES])
-    category_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def truth(clean):
         """(duration, censored) per category of one entity, from its noiseless values."""
@@ -324,7 +316,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     region_profiles = [
         _sample_profile(
             np.random.default_rng([spec.seed, 1, i]), spec, cluster_bases,
-            cluster_of(i), spec.baseline_level_range, region_kinds[i], codes_by_category,
+            cluster_of(i), spec.baseline_level_range, region_kinds[i], category_rows,
         )
         for i in range(spec.n_regions)
     ]
@@ -332,7 +324,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         _sample_profile(
             np.random.default_rng([spec.seed, 2, k]), spec, cluster_bases,
             cluster_of(min(k * spec.regions_per_zip, spec.n_regions - 1)),
-            spec.tx_level_range, zip_kinds[k], codes_by_category,
+            spec.tx_level_range, zip_kinds[k], category_rows,
         )
         for k in range(len(zips))
     ]
@@ -345,7 +337,7 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         ("tx_level_range", "Zip", zips, zip_profiles, _amounts_as_read),
     ):
         levels = quantise(np.array([  # one column per entity, rows in `codes` order
-            np.concatenate([profile.shares[category] for category in CATEGORIES]) * profile.level
+            np.concatenate(profile.shares) * profile.level
             for profile in profiles
         ]).T)
         per_category = [_weighted_series(levels[rows], weights[rows]) for rows in category_rows]

@@ -13,6 +13,11 @@ from .errors import ConfigError
 
 
 def parse_iso_date(text: str) -> date:
+    """The date of an ASCII YYYY-MM-DD text, the one form every input and
+    setting takes; ValueError for any other. date.fromisoformat alone takes
+    more forms from Python 3.11 on, such as 20170801 and 2017-W31-2."""
+    if not (len(text) == 10 and text.isascii() and text[4] == text[7] == "-"):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
     return date.fromisoformat(text)
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from datetime import date
 from fractions import Fraction
 
 import numpy as np
 
+from recovery_track.aggregate import CATEGORIES
 from recovery_track.errors import ParseError, ScenarioError
 from recovery_track.ingest import Activity, ParseResult
 from recovery_track.milestones import DEFAULT_RUN_LENGTH
@@ -103,6 +105,8 @@ def parse_activity_rows(path, window, header, parse_value):
                 continue
             raw_date, entity, code, raw_value = (f.strip() for f in row)
             try:
+                if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", raw_date):
+                    raise ValueError(raw_date)  # no other ISO form, whatever the Python
                 day = date.fromisoformat(raw_date)
             except ValueError:
                 errors.append((line_no, f"bad date {raw_date!r}"))
@@ -244,7 +248,17 @@ def percent_change(smoothed, baseline):
 
 def weighted_measurement(values, taxonomy):
     """One day's weighted sum of per-type totals: math.fsum of weight * value."""
-    return math.fsum(taxonomy[code].weight * values[code] for code in sorted(values))
+    weights = taxonomy_entries(taxonomy)
+    return math.fsum(weights[code][1] * values[code] for code in sorted(values))
+
+
+def taxonomy_entries(taxonomy):
+    """{code: (category, weight fraction)} of a ServiceTaxonomy, read off its three fields."""
+    return {
+        code: (category, weight)
+        for category, rows in zip(CATEGORIES, taxonomy.rows)
+        for code, weight in zip(taxonomy.codes[rows], taxonomy.weights[rows].tolist())
+    }
 
 
 def dense_weights(weights):

@@ -24,7 +24,6 @@ from recovery_track.aggregate import ESSENTIAL, NON_ESSENTIAL, build_daily_serie
 from recovery_track.config import load_config
 from recovery_track.errors import ParseError
 from recovery_track.ingest import (
-    OverlapEntry,
     broadcast_zip_to_regions,
     parse_adjacency,
     parse_attributes,
@@ -147,7 +146,7 @@ def test_criterion_04_weighted_measurement_fidelity():
         taxonomy = load_taxonomy()
         window = DateWindow.from_strings("2017-08-01", "2017-08-01")
         # one trip of 1.0 per service type, in one region on one day
-        units = activity_from_rows((0, "R001", code, 1.0) for code in taxonomy.entries)
+        units = activity_from_rows((0, "R001", code, 1.0) for code in taxonomy.codes)
         no_transactions = activity_from_rows([])
         broadcast = broadcast_zip_to_regions(no_transactions, {"R001": "77001"})
         series_set, _ = build_daily_series(units, no_transactions, broadcast, taxonomy, window)
@@ -301,13 +300,11 @@ def test_criterion_09_determinism(golden_city, tmp_path):
             overlaps = []
             for r in range(30):
                 for z in rng.sample(range(77001, 77040), k=rng.randrange(1, 4)):
-                    overlaps.append(
-                        OverlapEntry(f"R{r:03d}", str(z), rng.choice([0.2, 0.5, 0.5, 0.8]))
-                    )
-            reference = resolve_crosswalk(overlaps)
+                    overlaps.append(((f"R{r:03d}", str(z)), rng.choice([0.2, 0.5, 0.5, 0.8])))
+            reference = resolve_crosswalk(dict(overlaps))
             for _ in range(5):
                 rng.shuffle(overlaps)
-                assert resolve_crosswalk(overlaps) == reference
+                assert resolve_crosswalk(dict(overlaps)) == reference
 
 
 def test_criterion_10_ingest_robustness(tmp_path):

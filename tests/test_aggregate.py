@@ -4,10 +4,11 @@ import math
 import random
 from datetime import date
 
+import numpy as np
 import pytest
 
 from conftest import write_csv
-from oracles import activity_from_rows
+from oracles import activity_from_rows, taxonomy_entries
 from recovery_track.aggregate import (
     ESSENTIAL,
     NON_ESSENTIAL,
@@ -39,19 +40,79 @@ def taxonomy():
 
 
 def test_default_taxonomy_matches_documented_weights(taxonomy):
+    entries = taxonomy_entries(taxonomy)
     for code, (category, weight) in DEFAULT_WEIGHTS.items():
-        entry = taxonomy[code]
-        assert entry.category == category
-        assert entry.weight == pytest.approx(weight, abs=1e-4)
+        entry_category, entry_weight = entries[code]
+        assert entry_category == category
+        assert entry_weight == pytest.approx(weight, abs=1e-4)
 
 
 def test_classify_examples(taxonomy):
-    assert taxonomy["grocery"].category == ESSENTIAL
-    assert taxonomy["grocery"].weight == pytest.approx(0.947, abs=1e-12)
-    assert taxonomy["restaurant"].category == NON_ESSENTIAL
-    assert taxonomy["restaurant"].weight == pytest.approx(0.631, abs=1e-12)
-    with pytest.raises(TaxonomyError):
-        taxonomy["florist"]
+    entries = taxonomy_entries(taxonomy)
+    assert entries["grocery"][0] == ESSENTIAL
+    assert entries["grocery"][1] == pytest.approx(0.947, abs=1e-12)
+    assert entries["restaurant"][0] == NON_ESSENTIAL
+    assert entries["restaurant"][1] == pytest.approx(0.631, abs=1e-12)
+    assert "florist" not in taxonomy.codes
+
+
+# the bundled taxonomy.csv: (code, category, weight_percent) in file order
+BUNDLED_ROWS = [
+    ("drug_store", ESSENTIAL, 5.0),
+    ("healthcare", ESSENTIAL, 0.01),
+    ("grocery", ESSENTIAL, 94.7),
+    ("utilities", ESSENTIAL, 0.2),
+    ("self_care", NON_ESSENTIAL, 0.5),
+    ("retail", NON_ESSENTIAL, 28.8),
+    ("recreation", NON_ESSENTIAL, 7.6),
+    ("restaurant", NON_ESSENTIAL, 63.1),
+]
+
+
+def _taxonomy_file(tmp_path, rows, name="taxonomy.csv"):
+    lines = [f"{code},{category},{percent}\n" for code, category, percent in rows]
+    return write_csv(tmp_path, name, "service_type,category,weight_percent\n" + "".join(lines))
+
+
+def _assert_bundled_layout(taxonomy):
+    assert taxonomy.codes == (
+        "drug_store", "grocery", "healthcare", "utilities",
+        "recreation", "restaurant", "retail", "self_care",
+    )
+    assert taxonomy.rows == (slice(0, 4), slice(4, 8))
+    assert taxonomy.weights.dtype == np.float64
+    percents = {code: percent for code, _, percent in BUNDLED_ROWS}
+    assert taxonomy.weights.tolist() == [percents[code] / 100.0 for code in taxonomy.codes]
+
+
+def test_taxonomy_codes_weights_and_rows_of_the_bundled_file(taxonomy):
+    _assert_bundled_layout(taxonomy)
+
+
+def test_taxonomy_layout_does_not_depend_on_row_order(tmp_path):
+    rng = random.Random(3)
+    for trial in range(5):
+        rows = list(BUNDLED_ROWS)
+        rng.shuffle(rows)
+        _assert_bundled_layout(load_taxonomy(_taxonomy_file(tmp_path, rows, f"shuffled{trial}.csv")))
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_a_category_with_no_codes_takes_an_empty_slice(tmp_path, renormalize):
+    path = _taxonomy_file(tmp_path, [("retail", NON_ESSENTIAL, 40.0), ("grocery", NON_ESSENTIAL, 60.0)])
+    taxonomy = load_taxonomy(path, renormalize=renormalize)
+    assert taxonomy.codes == ("grocery", "retail")
+    assert taxonomy.rows == (slice(0, 0), slice(0, 2))
+    assert taxonomy.weights.tolist() == ([0.6, 0.4] if renormalize else [60.0 / 100.0, 40.0 / 100.0])
+
+
+def test_renormalize_refuses_a_category_whose_weights_sum_to_zero(tmp_path):
+    path = _taxonomy_file(tmp_path, [
+        ("grocery", ESSENTIAL, 50.0), ("retail", NON_ESSENTIAL, 0.0), ("recreation", NON_ESSENTIAL, 0),
+    ])
+    assert load_taxonomy(path).weights.tolist() == [0.5, 0.0, 0.0]
+    with pytest.raises(TaxonomyError, match="^category non-essential has zero total weight$"):
+        load_taxonomy(path, renormalize=True)
 
 
 def _measurement(values, taxonomy, category):
@@ -111,10 +172,10 @@ def test_weighted_measurement_linearity(taxonomy):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_renormalized_weights_sum_to_one(taxonomy):
-    renorm = taxonomy.renormalized()
+def test_renormalized_weights_sum_to_one():
+    renorm = taxonomy_entries(load_taxonomy(renormalize=True))
     for category in (ESSENTIAL, NON_ESSENTIAL):
-        total = math.fsum(renorm[c].weight for c in renorm.codes(category))
+        total = math.fsum(weight for of, weight in renorm.values() if of == category)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -26,7 +26,7 @@ import pytest
 
 import corpus
 from conftest import write_csv
-from oracles import amount, parse_activity_rows, trip_count, weighted_measurement
+from oracles import amount, parse_activity_rows, taxonomy_entries, trip_count, weighted_measurement
 from recovery_track import ingest, processes
 from recovery_track.aggregate import (
     CATEGORIES,
@@ -301,9 +301,10 @@ def test_random_files_match_the_row_loop_at_any_block_size(tmp_path, monkeypatch
 def _scalar_series(trips, transactions, crosswalk, taxonomy):
     """Record-per-row aggregation: per-type math.fsum totals, then weighted_measurement."""
     buckets = {}
+    categories = {code: category for code, (category, _) in taxonomy_entries(taxonomy).items()}
 
     def add(region, source, day, code, value):
-        key = (region, source, taxonomy[code].category)
+        key = (region, source, categories[code])
         buckets.setdefault(key, {}).setdefault(day, {}).setdefault(code, []).append(value)
 
     for i in range(len(trips)):

@@ -9,12 +9,11 @@ from datetime import date
 import pytest
 
 from conftest import write_csv
-from oracles import activity_from_rows
+from oracles import activity_from_rows, taxonomy_entries
 from recovery_track import processes
 from recovery_track.aggregate import build_daily_series, load_taxonomy
 from recovery_track.errors import ParseError
 from recovery_track.ingest import (
-    OverlapEntry,
     broadcast_zip_to_regions,
     parse_adjacency,
     parse_attributes,
@@ -134,30 +133,31 @@ def test_parser_reconciliation_on_random_files(tmp_path):
 
 
 def test_crosswalk_prefers_largest_area():
-    overlaps = [OverlapEntry("R001", "77005", 0.7), OverlapEntry("R001", "77030", 0.3)]
+    overlaps = {("R001", "77005"): 0.7, ("R001", "77030"): 0.3}
     assert resolve_crosswalk(overlaps) == {"R001": "77005"}
 
 
 def test_crosswalk_single_entry():
-    assert resolve_crosswalk([OverlapEntry("R002", "77005", 1.0)]) == {"R002": "77005"}
+    assert resolve_crosswalk({("R002", "77005"): 1.0}) == {"R002": "77005"}
 
 
 def test_crosswalk_tie_breaks_to_smaller_zip():
-    overlaps = [OverlapEntry("R003", "77030", 0.5), OverlapEntry("R003", "77005", 0.5)]
+    overlaps = {("R003", "77030"): 0.5, ("R003", "77005"): 0.5}
     assert resolve_crosswalk(overlaps) == {"R003": "77005"}
 
 
 def test_crosswalk_invariant_under_permutation():
+    # the same map, built in 20 insertion orders
     rng = random.Random(99)
     overlaps = []
     for r in range(40):
         zips = rng.sample(range(77001, 77060), k=rng.randrange(1, 5))
         for z in zips:
-            overlaps.append(OverlapEntry(f"R{r:03d}", str(z), rng.choice([0.1, 0.25, 0.5, 0.5])))
-    reference = resolve_crosswalk(overlaps)
+            overlaps.append(((f"R{r:03d}", str(z)), rng.choice([0.1, 0.25, 0.5, 0.5])))
+    reference = resolve_crosswalk(dict(overlaps))
     for _ in range(20):
         rng.shuffle(overlaps)
-        assert resolve_crosswalk(overlaps) == reference
+        assert resolve_crosswalk(dict(overlaps)) == reference
 
 
 def test_overlaps_rejects_duplicates_and_nonpositive_area(tmp_path):
@@ -210,7 +210,7 @@ SMALL_FILES = {
         '"R\n001",0.1,0.2,50000\r\n\r\nR002,0.4,0.5,30000\rR003,0.2,0.3,45000\n\nR004,0.8,0.7,20000\n',
     ),
     "taxonomy": (
-        lambda path: load_taxonomy(path).entries,
+        lambda path: taxonomy_entries(load_taxonomy(path)),
         'service_type,category,weight_percent\r\n"gro\ncery",essential,94.7\r\n\r\n'
         "drug_store,essential,5.3\rrestaurant,non-essential,60\n\nretail,non-essential,40\n",
     ),
@@ -296,7 +296,7 @@ def test_broadcast_copies_full_value_to_each_region():
     assert len(result.records) == 2
     assert result.regions == ["R001", "R002"]
     assert result.records.tolist() == [0, 0]
-    grocery = load_taxonomy()["grocery"].weight
+    grocery = taxonomy_entries(load_taxonomy())["grocery"][1]
     for values in _tx_series(transactions, result).values():
         assert values[14] == grocery * 100.0
 
@@ -312,7 +312,7 @@ def test_broadcast_identity_single_pair():
     result = broadcast_zip_to_regions(transactions, {"R001": "77005"})
     assert len(result.records) == 1
     assert result.regions == ["R001"]
-    assert _tx_series(transactions, result)["R001"][14] == load_taxonomy()["grocery"].weight * 7.5
+    assert _tx_series(transactions, result)["R001"][14] == taxonomy_entries(load_taxonomy())["grocery"][1] * 7.5
 
 
 def test_broadcast_preserves_per_zip_daily_values():
@@ -324,7 +324,7 @@ def test_broadcast_preserves_per_zip_daily_values():
                 rows.append((f"2017-08-{day:02d}", zip_code, rng.uniform(0, 500)))
     crosswalk = {f"R{i:03d}": rng.choice(["77001", "77002", "77003"]) for i in range(12)}
     series = _tx_series(_tx(rows), broadcast_zip_to_regions(_tx(rows), crosswalk))
-    grocery = load_taxonomy()["grocery"].weight
+    grocery = taxonomy_entries(load_taxonomy())["grocery"][1]
     by_zip_day = {}
     for day, zip_code, amount in rows:
         by_zip_day.setdefault((zip_code, day), []).append(amount)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import filecmp
+import hashlib
 import io
 import itertools
 import json
@@ -377,6 +378,59 @@ def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, fork
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
     edges = len(pipeline.stats.SpatialWeights.from_adjacency(adjacency, include=regions).columns)
     assert 0 < 999 * edges < processes.SPLIT_CELLS
+
+
+# taxonomy rows, taxonomy_options and the sha256 of each artifact the small city's run writes with them
+CUSTOM_TAXONOMIES = {
+    # the bundled rows in reverse order, with recreation's weight 0
+    "renormalized": (
+        "restaurant,non-essential,63.1\nretail,non-essential,28.8\nrecreation,non-essential,0\n"
+        "self_care,non-essential,0.5\nutilities,essential,0.2\ngrocery,essential,94.7\n"
+        "healthcare,essential,0.01\ndrug_store,essential,5.0\n",
+        {"renormalize_weights": True},
+        {
+            "milestones.csv": "65dfca98245fdfb61a272901972843196144aae9455093cc40ed4a7d8652a662",
+            "metric.csv": "d27ad6107f05a325cdcb3085dca72cb654eb23a33851f42cf30b04a1fc4d7640",
+            "stats.json": "315fce5176d4f29d2dc0aec2a1e5ee01653aaecf0ae05621aa7a0d5449d8e1ad",
+            "lorenz.csv": "816f85b64bd489a4213efaa2039d5928000146be191c67f9741ae31df20e4ea2",
+            "coverage_report.json": "ef356981f6d60ae8d0a4ac660bf02b2700a642d2e5b4c6e83dab422e4605277d",
+            "work/baselines.csv": "d1452677538b6cbebe5e5cfb4ebf8798c63ac1ef90051fd24df3012f06a2cb05",
+            "work/changes.csv": "24f695687aac3d414cbe0f88ca74f06640737b3fb1c9958ae25c28d2771b0513",
+        },
+    ),
+    # five of the eight codes the city's rows hold are not in it
+    "skipped": (
+        "drug_store,essential,5.0\ngrocery,essential,94.7\nrestaurant,non-essential,63.1\n",
+        {"unknown_service_policy": "skip-with-warning"},
+        {
+            "milestones.csv": "7b2b9f1669a58447b11ddd611b203f9431cc0b5b7aca5eb2d179f2e739f45954",
+            "metric.csv": "424d2e6b330110ce583c8fc6a42e1f4db4d06d666955dc51a63f362808da3b34",
+            "stats.json": "cc2aeca903624227d6bd8eabace719ffffc27f0339aca81ab9a500d2f61d49c9",
+            "lorenz.csv": "c26bfdb70d8b6dff53d8bc0421ab0a2ce4a58465cba733b476385ba4adbe53c4",
+            "coverage_report.json": "9e00dbe9587ee3b78763c825a95d8c677f61a076e920c3dcbc3b364033fa5dca",
+            "work/baselines.csv": "109e962144d9dc7e35fd226886d223da4ac6dcb08e70a8fb00d3d910c53a1c2e",
+            "work/changes.csv": "959592d795dc455f225d5bb287cd303b9a4a0214a8a52865e22cc6be74899ecf",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_TAXONOMIES))
+def test_a_custom_taxonomy_end_to_end(small_city, tmp_path, name):
+    rows, options, digests = CUSTOM_TAXONOMIES[name]
+    root, _ = small_city
+    raw = json.loads((root / "config.json").read_text())
+    raw["inputs"] = {key: str(root / path) for key, path in raw["inputs"].items()}
+    taxonomy = write_csv(tmp_path, "taxonomy.csv", "service_type,category,weight_percent\n" + rows)
+    raw["inputs"]["taxonomy"] = str(taxonomy)
+    raw["taxonomy_options"] = options
+    raw["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    out = run(load_config(config_path)).output_dir
+    names = (*GOLDEN_ARTIFACTS, "work/baselines.csv", "work/changes.csv")
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    assert got == digests
 
 
 def test_only_stage_requires_upstream_artifacts(small_city, tmp_path):
@@ -767,6 +821,42 @@ def test_cli_rejects_non_string_dates_and_paths(tmp_path, capsys, key, value):
     assert cli.main(["run", "--config", str(config_path)]) == 2
     assert f"{key} must be a" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_input_dates_in_any_form_but_yyyy_mm_dd(tmp_path, capsys):
+    # date.fromisoformat takes both forms from Python 3.11 on, and neither before
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_regions": 4, "horizon_days": 30}))
+    city = tmp_path / "city"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(city)]) == 0
+    trips = city / "trips.csv"
+    lines = trips.read_text().splitlines(keepends=True)
+    for line_no, day in ((2, "20170801"), (3, "2017-W31-2")):
+        lines[line_no - 1] = day + lines[line_no - 1][len("2017-08-01"):]
+    trips.write_text("".join(lines))
+    capsys.readouterr()
+    config = str(city / "config.json")
+    detail = f"{trips}: 2 invalid row(s); first at line 2: bad date '20170801'"
+    assert cli.main(["validate", "--config", config]) == 0
+    assert json.loads(capsys.readouterr().out) == [{"kind": "schema-error", "input": "trips", "detail": detail}]
+    assert cli.main(["run", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    assert not (city / "out").exists()
+
+
+@pytest.mark.parametrize("day", ["20170827", "2017-W34-7", "2017-08-27T00:00", "\uff12017-08-27"])
+def test_cli_refuses_config_and_scenario_dates_in_any_form_but_yyyy_mm_dd(tmp_path, capsys, day):
+    config_path = _write_mini_bundle(tmp_path)
+    raw = json.loads(config_path.read_text())
+    raw["event_day"] = day
+    config_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"config error: event_day: Invalid isoformat string: {day!r}\n"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_regions": 4, "event_day": day}))
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "city")]) == 2
+    assert f"event_day: Invalid isoformat string: {day!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "city").exists()
 
 
 def test_cli_rejects_negative_seed_option(tmp_path, capsys):
