@@ -1,0 +1,196 @@
+"""The report bundle has the same bytes on one CPU and on all, at real sizes.
+
+Run as `python tests/same_bytes.py`; it takes no options. The unit tests
+reach the two-process paths only with lowered sizes; these cities cross
+processes.SPLIT_BYTES and processes.SPLIT_CELLS, the last one in the
+permutation tests of the stats stage. Every command runs twice, pinned to
+one CPU, where nothing forks, and on all CPUs, and the two must agree:
+
+- every file of `synth`, `run` and `run --only milestones` on a 1000-region
+  city and a 200-region, 365-day city, and `--only milestones` equal to `run`;
+- the refusal of the 200-region city's work/changes.csv damaged at three
+  quarters, in the child's half: a line dropped, then a byte that is not UTF-8;
+- the refusal, and the `validate` diagnostic, of the 1000-region city's
+  trips.csv damaged at three quarters of its bytes, in the reader's second
+  half: a byte that is not UTF-8, then a quote opened at the start of the
+  next line and never closed;
+- every artifact of the 2,500-region stats-perm benchmark city after
+  `run --only stats --permutations 999`.
+
+It exits nonzero, naming the comparison, at the first that fails, and
+removes its temporary directory either way.
+"""
+
+import csv
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+from recovery_track import processes  # noqa: E402
+
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
+CPUS = ("one", "all")
+PERMUTATIONS = 999
+
+
+def check(holds, message):
+    if not holds:
+        sys.exit(f"same_bytes: {message}")
+
+
+def python(cpus, *args, code=0):
+    """(stdout, stderr) of `python *args`, pinned to one CPU where `cpus` is
+    "one"; it must exit with `code`."""
+    cpu = min(os.sched_getaffinity(0))
+    done = subprocess.run(
+        [sys.executable, *map(str, args)],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if cpus == "one" else None,
+    )
+    check(done.returncode == code,
+          f"`{' '.join(map(str, args))}` on {cpus} CPU(s) exited {done.returncode}, not {code}:\n{done.stderr}")
+    return done.stdout, done.stderr
+
+
+def cli(cpus, *args, code=0):
+    """(stdout, stderr) of `recovery_track.cli *args`; see python()."""
+    return python(cpus, "-m", "recovery_track.cli", *args, code=code)
+
+
+def digests(directory):
+    return {str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def same(what, one, other):
+    differ = sorted(name for name in one.keys() | other.keys() if one.get(name) != other.get(name))
+    check(not differ, f"{what}: {', '.join(differ)} differ")
+
+
+def big(path):
+    size = path.stat().st_size
+    check(size >= processes.SPLIT_BYTES,
+          f"{path.name} is {size} bytes, below processes.SPLIT_BYTES ({processes.SPLIT_BYTES}): it is read whole")
+
+
+def refused(what, args, expected):
+    """The one error line of `args` on one CPU and on all, which must exit 1
+    with the same stderr: one line, starting with `expected`."""
+    on_one, on_all = (cli(cpus, *args, code=1)[1] for cpus in CPUS)
+    check(on_all.count("\n") == 1 and on_all.startswith(expected),
+          f"{what}: not one line starting {expected!r}:\n{on_all}")
+    check(on_one == on_all, f"{what}: the error on one CPU and on all differ:\n{on_one}{on_all}")
+    print(f"{what}: {on_all}", end="")
+    return on_all.removeprefix("error: ").rstrip("\n")
+
+
+def cities(tmp):
+    """Both cities through synth, run and --only milestones, on one CPU and on all."""
+    for n, (spec, crosses) in enumerate([
+        ('{"n_regions": 1000}', "city/trips.csv"),
+        ('{"n_regions": 200, "horizon_days": 365, "censored_fraction": 0.2}', "out/work/changes.csv"),
+    ], start=1):
+        (tmp / f"spec{n}.json").write_text(spec + "\n")
+        sums = {}
+        for cpus in CPUS:
+            run = tmp / str(n) / cpus
+            cli(cpus, "synth", "--spec", tmp / f"spec{n}.json", "--out", run / "city")
+            sums[cpus, "synth"] = digests(run / "city")
+            cli(cpus, "run", "--config", run / "city/config.json", "--out", run / "out")
+            sums[cpus, "full"] = digests(run / "out")
+            cli(cpus, "run", "--config", run / "city/config.json", "--out", run / "out", "--only", "milestones")
+            sums[cpus, "milestones"] = digests(run / "out")
+        big(tmp / str(n) / "all" / crosses)
+        for kind in ("synth", "full", "milestones"):
+            same(f"{spec}: {kind} on one CPU and on all", sums["one", kind], sums["all", kind])
+        same(f"{spec}: run and run --only milestones", sums["all", "full"], sums["all", "milestones"])
+        print(f"{spec}: {len(sums['all', 'synth'])} synth files and {len(sums['all', 'full'])} artifacts agree")
+
+
+def damaged_changes(tmp):
+    """The 200-region city's work/changes.csv, damaged at three quarters, in
+    the child's half: refused naming the damaged line."""
+    whole = (tmp / "one/out/work/changes.csv").read_bytes()
+    args = ("run", "--config", tmp / "all/city/config.json", "--out", tmp / "all/out", "--only", "milestones")
+    lines = whole.splitlines(keepends=True)
+    dropped = whole.count(b"\n") * 3 // 4  # 1-based: the line that follows it is refused in its place
+    del lines[dropped - 1]
+    (tmp / "all/out/work/changes.csv").write_bytes(b"".join(lines))
+    refused("a line dropped from work/changes.csv", args, f"error: work/changes.csv line {dropped}: ")
+    at = len(whole) * 3 // 4
+    (tmp / "all/out/work/changes.csv").write_bytes(whole[:at] + b"\xff" + whole[at:])
+    line = whole.count(b"\n", 0, at) + 1  # the line that holds the byte
+    refused("a byte of work/changes.csv that is not UTF-8", args,
+            f"error: work/changes.csv line {line}: not UTF-8 text\n")
+
+
+def damaged_trips(tmp):
+    """The 1000-region city's trips.csv, damaged at three quarters of its
+    bytes, in the reader's second half: `run` refuses it, and `validate`
+    lists the same error, naming its line."""
+    city = tmp / "all/city"
+    whole = (city / "trips.csv").read_bytes()
+    at = len(whole) * 3 // 4
+    line = whole.count(b"\n", 0, at) + 1  # the line that holds byte `at`
+    after = whole.index(b"\n", at) + 1  # where the next line starts
+    for what, damaged, error in [
+        ("a byte of trips.csv that is not UTF-8", whole[:at] + b"\xff" + whole[at:], f"{line}: not UTF-8 text"),
+        ("a quote in trips.csv never closed", whole[:after] + b'"' + whole[after:],
+         f"{line + 1}: quoted field not closed, or a field over {csv.field_size_limit()} characters"),
+    ]:
+        (city / "trips.csv").write_bytes(damaged)
+        detail = refused(what, ("run", "--config", city / "config.json", "--out", tmp / "damaged"),
+                         f"error: {city}/trips.csv: 1 invalid row(s); first at line {error}\n")
+        on_one, on_all = (cli(cpus, "validate", "--config", city / "config.json")[0] for cpus in CPUS)
+        check(on_one == on_all, f"{what}: validate on one CPU and on all differ:\n{on_one}{on_all}")
+        errors = [entry for entry in json.loads(on_all) if entry["kind"] == "schema-error"]
+        check(errors == [{"kind": "schema-error", "input": "trips", "detail": detail}],
+              f"{what}: validate lists {errors}, not the error of run")
+        print(f"{what}: validate lists the same error on one CPU and on all")
+
+
+def stats_perm(tmp):
+    """The stats-perm benchmark city: its permutation tests cross processes.SPLIT_CELLS."""
+    spec = '{"n_regions": 2500, "window_start": "2017-08-17", "baseline_days": 7, "horizon_days": 21, "ramp_range": [3, 15]}'
+    (tmp / "perm.json").write_text(spec + "\n")
+    cli("all", "synth", "--spec", tmp / "perm.json", "--out", tmp / "perm/city")
+    cli("all", "run", "--config", tmp / "perm/city/config.json", "--out", tmp / "perm/out")
+    # a data row of adjacency.csv gives at most two weight edges, one each way,
+    # so a product below processes.SPLIT_CELLS here could never split
+    edges = 2 * ((tmp / "perm/city/adjacency.csv").read_bytes().count(b"\n") - 1)
+    check(PERMUTATIONS * edges >= processes.SPLIT_CELLS,
+          f"{PERMUTATIONS} permutations x {edges} edges is below processes.SPLIT_CELLS ({processes.SPLIT_CELLS})")
+    sums = {}
+    for cpus in CPUS:
+        shutil.copytree(tmp / "perm/out", tmp / "perm" / cpus)
+        cli(cpus, "run", "--config", tmp / "perm/city/config.json", "--out", tmp / "perm" / cpus,
+            "--only", "stats", "--permutations", PERMUTATIONS)
+        sums[cpus] = digests(tmp / "perm" / cpus)
+    same(f"{spec}: --only stats on one CPU and on all", sums["one"], sums["all"])
+    print(f"{spec}: {len(sums['all'])} artifacts agree after run --only stats --permutations {PERMUTATIONS}")
+
+
+def main():
+    check(len(os.sched_getaffinity(0)) >= 2, "fewer than 2 usable CPUs: both sides would run in one process")
+    for cpus in CPUS:
+        out, _ = python(cpus, "-c", "from recovery_track import processes; print(processes.second_cpu())")
+        check(out == f"{cpus == 'all'}\n", f"processes.second_cpu() is {out.strip()} on {cpus} CPU(s)")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cities(tmp)
+        damaged_changes(tmp / "2")
+        damaged_trips(tmp / "1")
+        stats_perm(tmp)
+
+
+if __name__ == "__main__":
+    main()
