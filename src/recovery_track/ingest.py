@@ -74,14 +74,6 @@ class Activity:
         return dict(zip(self.entities, counts.tolist()))
 
 
-@dataclass(frozen=True)
-class RegionAttributes:
-    region: str
-    flood_fraction: float
-    minority_fraction: float
-    per_capita_income: float
-
-
 @dataclass
 class ParseResult:
     """Records (an `Activity` for trips and transactions) plus the counters
@@ -529,11 +521,12 @@ def parse_adjacency(path) -> ParseResult:
 
 
 def parse_attributes(path) -> ParseResult:
-    """Parse attributes.csv into region -> RegionAttributes."""
+    """Parse attributes.csv into {region: (flood_fraction, minority_fraction,
+    per_capita_income)}, in ATTRIBUTES_HEADER order; regions must be unique."""
     reader = _RowReader(path, ATTRIBUTES_HEADER)
-    records: dict[str, RegionAttributes] = {}
+    records: dict[str, tuple[float, float, float]] = {}
     for line_no, row in reader.rows():
-        region, raw_flood, raw_minority, raw_income = (f.strip() for f in row)
+        region, *texts = (f.strip() for f in row)
         if not region:
             reader.error(line_no, "empty region")
             continue
@@ -541,12 +534,12 @@ def parse_attributes(path) -> ParseResult:
             reader.error(line_no, f"duplicate region {region}")
             continue
         try:
-            flood = float(raw_flood)
-            minority = float(raw_minority)
-            income = float(raw_income)
+            flood, minority, income = (float(text) for text in texts)
         except ValueError:
-            reader.error(line_no, "non-numeric attribute value")
+            column, text = next((c, t) for c, t in zip(ATTRIBUTES_HEADER[1:], texts) if _refusal(float, t))
+            reader.error(line_no, f"{column} {text!r} is not a number")
             continue
+        raw_flood, raw_minority, raw_income = texts
         if not (0.0 <= flood <= 1.0):
             reader.error(line_no, f"flood_fraction {raw_flood} outside [0, 1]")
             continue
@@ -557,7 +550,7 @@ def parse_attributes(path) -> ParseResult:
             reader.error(line_no, f"per_capita_income {raw_income} must be a finite number >= 0")
             continue
         reader.accepted += 1
-        records[region] = RegionAttributes(region, flood, minority, income)
+        records[region] = (flood, minority, income)
     return reader.finish(records)
 
 

@@ -497,7 +497,8 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     """stats.json and lorenz.csv, from milestones.csv, metric.csv, the adjacency and the attributes.
 
     Moran's I is computed for five fields, the four milestones and then the
-    integrated metric, each shuffled by its own stream, [seed, field index].
+    integrated metric, each shuffled by its own stream, [seed, field index],
+    and each gathered by one index into weights.regions order.
     Where one field's shuffles gather processes.SPLIT_CELLS neighbor values
     or more (permutations times weight edges), the last two fields are
     computed beside this process (processes.beside), by a forked child where
@@ -516,19 +517,18 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
 
     fields = (*MILESTONE_FIELDS, "integrated")
     columns = (*durations.T, integrated)
+    position = {region: i for i, region in enumerate(regions)}
+    at = np.array([position[region] for region in weights.regions], dtype=np.int64)
 
     def moran_entries(indices):
-        return [
-            _moran_entry(dict(zip(regions, columns[i].tolist())), weights, config.permutations, [config.seed, i])
-            for i in indices
-        ]
+        return [_moran_entry(columns[i][at], weights, config.permutations, [config.seed, i]) for i in indices]
 
     split = config.permutations * len(weights.columns) >= processes.SPLIT_CELLS
     with processes.beside(lambda: moran_entries(range(3, len(fields))), split) as later:
         moran_section = dict(zip(fields, moran_entries(range(3)) + later()))
 
     with_attributes = [i for i, region in enumerate(regions) if region in attributes]
-    attribute_rows = [attributes[regions[i]] for i in with_attributes]
+    attribute_matrix = np.array([attributes[regions[i]] for i in with_attributes], dtype=float)
     chi_section = {}
     for variable in CHI_SQUARE_VARIABLES:
         try:
@@ -537,7 +537,9 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
                     f"chi-square needs >= 4 regions with attributes, got {len(with_attributes)}"
                 )
             recovery_high = stats.dichotomize_by_median(integrated[with_attributes])
-            attr_high = stats.dichotomize_by_median([getattr(row, variable) for row in attribute_rows])
+            attr_high = stats.dichotomize_by_median(
+                attribute_matrix[:, ingest.ATTRIBUTES_HEADER.index(variable) - 1]
+            )
             result = stats.chi_square_2x2(recovery_high, attr_high, yates=config.yates)
             chi_section[variable] = {
                 "statistic": round_sig(result.statistic),

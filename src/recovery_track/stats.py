@@ -2,8 +2,9 @@
 and the Gini index with its Lorenz curve.
 
 Moran's I uses row-standardized binary contiguity weights built from the
-adjacency edge list. Inference is analytical under the randomization
-assumption, with an optional seeded permutation p-value as a cross-check.
+adjacency edge list, and reads its values as one float array in the weights'
+region order. Inference is analytical under the randomization assumption,
+with an optional seeded permutation p-value as a cross-check.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ class SpatialWeights:
     at them; with an asymmetric adjacency that can leave further regions
     without neighbors, which are excluded in turn.
 
-    The weights are held as an edge list in `regions` index order, sorted by
-    row and then column: edge e runs from region `rows[e]` to its neighbor
-    `columns[e]` with weight `edge_weights[e]` (1/k for a region with k
-    neighbors). Memory is linear in the number of edges.
+    The weights are held only as an edge list in `regions` index order,
+    sorted by row and then column: edge e runs from region `rows[e]` to its
+    neighbor `columns[e]` with weight `edge_weights[e]` (1/k for a region with
+    k neighbors). Memory is linear in the number of edges.
     """
 
     regions: tuple[str, ...]
-    neighbors: dict
     isolated: tuple[str, ...]
     rows: np.ndarray = field(repr=False, compare=False)
     columns: np.ndarray = field(repr=False, compare=False)
@@ -61,17 +61,15 @@ class SpatialWeights:
                     others -= empty
 
         regions = tuple(sorted(within))
-        neighbors = {region: tuple(sorted(within[region])) for region in regions}
         index = {region: i for i, region in enumerate(regions)}
-        degrees = np.array([len(neighbors[region]) for region in regions], dtype=np.int64)
+        degrees = np.array([len(within[region]) for region in regions], dtype=np.int64)
         columns = np.fromiter(
-            (index[other] for region in regions for other in neighbors[region]),
+            (index[other] for region in regions for other in sorted(within[region])),
             dtype=np.int64,
             count=int(degrees.sum()),
         )
         return cls(
             regions=regions,
-            neighbors=neighbors,
             isolated=tuple(sorted(isolated)),
             rows=np.repeat(np.arange(len(regions), dtype=np.int64), degrees),
             columns=columns,
@@ -139,12 +137,13 @@ def _spatial_numerators(z: np.ndarray, weights: SpatialWeights) -> np.ndarray:
 
 
 def morans_i(
-    values: dict,
+    values,
     weights: SpatialWeights,
     permutations: int = 0,
     seed: int = 0,
 ) -> MoranResult:
-    """Global Moran's I with analytical randomization-assumption inference.
+    """Global Moran's I of `values`, one float per region of `weights.regions`,
+    in that order, with analytical randomization-assumption inference.
 
     I = (n / S0) * (sum_ij w_ij z_i z_j) / (sum_i z_i^2), z_i = x_i - mean(x).
     The z-score uses E[I] = -1/(n-1) and the randomization variance; the
@@ -154,15 +153,12 @@ def morans_i(
     Everything is computed from the sparse weights, in memory linear in the
     number of edges.
     """
-    regions = weights.regions
-    n = len(regions)
+    n = len(weights.regions)
     if n < 3:
         raise StatsError(f"Moran's I needs at least 3 non-isolated regions, got {n}")
-    missing = [r for r in regions if r not in values]
-    if missing:
-        raise StatsError(f"values missing for regions: {missing[:5]}")
-
-    x = np.array([float(values[r]) for r in regions])
+    x = np.asarray(values, dtype=float)
+    if x.shape != (n,):
+        raise StatsError(f"Moran's I needs one value per weighted region: {n}, got {x.size}")
     z = x - x.mean()
     denom = float(z @ z)
     if denom == 0.0:

@@ -140,6 +140,12 @@ CASES = [
         ("error", "must be a finite number >= 0"),
     ),
     (
+        "attributes_non_numeric_value",
+        "attributes",
+        ATTR_HEADER + "R001,0.5,abc,30000\n",
+        ("error", "minority_fraction 'abc' is not a number"),
+    ),
+    (
         "attributes_duplicate_region",
         "attributes",
         ATTR_HEADER + "R001,0.5,0.5,30000\nR001,0.2,0.2,40000\n",

@@ -261,18 +261,23 @@ def taxonomy_entries(taxonomy):
     }
 
 
-def dense_weights(weights):
+def neighbor_indices(adjacency, regions):
+    """For each of `regions`, the ascending indices in `regions` of its neighbors
+    in the raw `adjacency` ({region: neighbor names}) that are among `regions`."""
+    index = {region: i for i, region in enumerate(regions)}
+    return [sorted(index[other] for other in adjacency.get(region, ()) if other in index) for region in regions]
+
+
+def dense_weights(adjacency, weights):
     """Dense row-standardized n x n matrix of a SpatialWeights, in `regions` order.
 
-    Built from the region names in `weights.neighbors`, not from the sparse
-    arrays the package computes with.
+    Built from the raw `adjacency` the weights were made from, restricted to
+    `weights.regions`, not from the sparse arrays the package computes with.
     """
-    index = {region: i for i, region in enumerate(weights.regions)}
     n = len(weights.regions)
     w = np.zeros((n, n))
-    for region, others in weights.neighbors.items():
-        for other in others:
-            w[index[region], index[other]] = 1.0 / len(others)
+    for i, others in enumerate(neighbor_indices(adjacency, weights.regions)):
+        w[i, others] = 1.0 / len(others)
     return w
 
 

@@ -19,7 +19,7 @@ import scipy.stats
 
 import corpus as corpus_module
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from oracles import activity_from_rows, brute_force_recovery_day, gini_pairwise, moran_double_sum
+from oracles import activity_from_rows, brute_force_recovery_day, gini_pairwise, moran_double_sum, neighbor_indices
 from recovery_track.aggregate import ESSENTIAL, NON_ESSENTIAL, build_daily_series, load_taxonomy
 from recovery_track.config import load_config
 from recovery_track.errors import ParseError
@@ -201,11 +201,11 @@ def _rook_grid(rows, cols):
 def test_criterion_06_moran_analytics():
     with criterion(6, "Moran checkerboard/gradient/oracle agreement and uniform permutation p"):
         checker = SpatialWeights.from_adjacency(_rook_grid(2, 2))
-        values = {"G0_0": 1.0, "G0_1": 0.0, "G1_0": 0.0, "G1_1": 1.0}
-        assert abs(morans_i(values, checker).i - (-1.0)) <= 1e-12
+        assert checker.regions == ("G0_0", "G0_1", "G1_0", "G1_1")
+        assert abs(morans_i([1.0, 0.0, 0.0, 1.0], checker).i - (-1.0)) <= 1e-12
 
         grid = SpatialWeights.from_adjacency(_rook_grid(5, 5))
-        gradient = {f"G{r}_{c}": float(2 * r + 3 * c) for r in range(5) for c in range(5)}
+        gradient = [float(2 * int(region[1]) + 3 * int(region[3])) for region in grid.regions]  # "G{r}_{c}"
         assert morans_i(gradient, grid).i > 0.0
 
         rng = np.random.default_rng(606)
@@ -222,22 +222,16 @@ def test_criterion_06_moran_analytics():
                     adjacency[f"R{i}"].add(f"R{j}")
                     adjacency[f"R{j}"].add(f"R{i}")
             weights = SpatialWeights.from_adjacency(adjacency)
-            field = {r: float(v) for r, v in zip(weights.regions, rng.normal(size=n))}
+            field = rng.normal(size=n)
             mine = morans_i(field, weights).i
-            ordered = list(weights.regions)
-            index = {r: k for k, r in enumerate(ordered)}
-            neighbor_indices = [[index[o] for o in weights.neighbors[r]] for r in ordered]
-            oracle = moran_double_sum([field[r] for r in ordered], neighbor_indices)
+            oracle = moran_double_sum(field.tolist(), neighbor_indices(adjacency, weights.regions))
             assert abs(mine - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
         # permutation p under the null is uniform
         grid6 = SpatialWeights.from_adjacency(_rook_grid(6, 6))
         p_values = []
         for trial in range(500):
-            field = {
-                r: float(v)
-                for r, v in zip(grid6.regions, np.random.default_rng([9000, trial]).normal(size=36))
-            }
+            field = np.random.default_rng([9000, trial]).normal(size=36)
             result = morans_i(field, grid6, permutations=99, seed=[9001, trial])
             p_values.append(result.permutation_p)
         assert all(0.0 < p <= 1.0 for p in p_values)

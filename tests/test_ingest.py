@@ -356,7 +356,7 @@ def test_attributes_validation(tmp_path):
         "R001,0.25,0.4,35000\n",
     )
     records = parse_attributes(path).records
-    assert records["R001"].flood_fraction == 0.25
+    assert records["R001"] == (0.25, 0.4, 35000.0)
     bad = write_csv(
         tmp_path, "bad_attr.csv",
         "region,flood_fraction,minority_fraction,per_capita_income\nR001,1.5,0.4,35000\n",

@@ -2,7 +2,8 @@
 
 Each case copies a small synthetic city, rewrites some of its input files,
 runs the pipeline and compares the seven artifacts with the unchanged city's.
-Reordering rows, swapping or repeating adjacency edges and re-encoding the
+Reordering rows, swapping or repeating adjacency edges, adding regions the
+city does not have to the adjacency and attributes and re-encoding the
 activity files leave every byte alone; splitting or padding trip rows moves
 only the row counts in `coverage_report.json`, by exactly the rows added.
 """
@@ -55,6 +56,13 @@ def list_every_edge_twice(city, rng):
     return 0
 
 
+def add_regions_outside_the_city(city, rng):
+    # one edge from a city region to an unknown one, one between two unknown ones
+    _edit_rows(city / "adjacency.csv", lambda lines: lines + [lines[0].split(",")[0] + ",OUT1", "OUT1,OUT2"])
+    _edit_rows(city / "attributes.csv", lambda lines: lines + ["OUT1,0.9,0.1,1000", "OUT2,0.1,0.9,90000"])
+    return 0
+
+
 def crlf_quoted_activity(city, rng):
     for name in ("trips.csv", "transactions.csv"):
         lines = (city / name).read_text(encoding="utf-8").splitlines()
@@ -83,7 +91,7 @@ def add_zero_trip_rows(city, rng):
 
 
 TRANSFORMS = (
-    shuffle_all_inputs, swap_edge_ends, list_every_edge_twice, crlf_quoted_activity,
+    shuffle_all_inputs, swap_edge_ends, list_every_edge_twice, add_regions_outside_the_city, crlf_quoted_activity,
     split_trip_rows, add_zero_trip_rows,
 )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import errno
 import filecmp
 import hashlib
@@ -355,6 +356,35 @@ def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp
     [status] = forks.values()
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
     assert _stats_bytes(out) == _stats_bytes(golden_city["out"])  # the bundle is as it was
+
+
+def test_moran_reads_each_region_by_name_around_one_left_without_neighbors(golden_city, tmp_path):
+    # R0002 loses its edges, so the weighted regions skip it and every later region moves up one place
+    city = tmp_path / "city"
+    shutil.copytree(golden_city["root"], city, ignore=shutil.ignore_patterns("out"))
+    adjacency_csv = city / "adjacency.csv"
+    header, *edges = adjacency_csv.read_text(encoding="utf-8").splitlines()
+    adjacency_csv.write_text("\n".join([header, *(e for e in edges if "R0002" not in e.split(","))]) + "\n")
+    shutil.copytree(golden_city["out"], city / "out")
+    config = load_config(city / "config.json")
+    run(config, only="stats")
+
+    def rows_by_region(name):
+        with open(city / "out" / name, encoding="utf-8", newline="") as handle:
+            return {row["region"]: row for row in csv.DictReader(handle)}
+
+    milestones, metric = rows_by_region(pipeline.MILESTONES_ARTIFACT), rows_by_region(pipeline.METRIC_ARTIFACT)
+    weights = pipeline.stats.SpatialWeights.from_adjacency(
+        ingest.parse_adjacency(adjacency_csv).records, include=sorted(milestones)
+    )
+    assert weights.isolated == ("R0002",)
+    stats = json.loads((city / "out" / pipeline.STATS_ARTIFACT).read_text(encoding="utf-8"))
+    assert stats["regions"]["moran_isolated"] == ["R0002"]
+    for i, field in enumerate((*pipeline.MILESTONE_FIELDS, "integrated")):
+        rows, column = (metric, field) if field == "integrated" else (milestones, f"{field}_days")
+        values = [float(rows[region][column]) for region in weights.regions]
+        expected = pipeline._moran_entry(values, weights, config.permutations, [config.seed, i])
+        assert stats["morans_i"][field] == expected, field
 
 
 def test_stats_without_permutations_run_in_one_process(golden_city, tmp_path, monkeypatch, forks):

@@ -14,6 +14,7 @@ from oracles import (
     exact_moran_permutation_p,
     gini_pairwise,
     moran_double_sum,
+    neighbor_indices,
 )
 from recovery_track.errors import StatsError
 from recovery_track.stats import (
@@ -128,7 +129,7 @@ def test_dichotomize_degenerate_split():
 # Moran's I
 
 
-def _grid_weights(rows, cols):
+def _grid_adjacency(rows, cols):
     adjacency = {}
     for r in range(rows):
         for c in range(cols):
@@ -143,26 +144,30 @@ def _grid_weights(rows, cols):
             if c < cols - 1:
                 neighbors.add(f"R{r}_{c + 1}")
             adjacency[region] = neighbors
-    return SpatialWeights.from_adjacency(adjacency)
+    return adjacency
+
+
+def _grid_weights(rows, cols):
+    return SpatialWeights.from_adjacency(_grid_adjacency(rows, cols))
 
 
 def test_moran_constant_field_errors():
     weights = _grid_weights(2, 2)
     with pytest.raises(StatsError):
-        morans_i({r: 1.0 for r in weights.regions}, weights)
+        morans_i(np.ones(len(weights.regions)), weights)
 
 
 def test_moran_checkerboard_is_minus_one():
     weights = _grid_weights(2, 2)
-    values = {"R0_0": 1.0, "R0_1": 0.0, "R1_0": 0.0, "R1_1": 1.0}
-    result = morans_i(values, weights)
+    assert weights.regions == ("R0_0", "R0_1", "R1_0", "R1_1")
+    result = morans_i([1.0, 0.0, 0.0, 1.0], weights)
     assert result.i == pytest.approx(-1.0, abs=1e-12)
     assert result.expected_i == pytest.approx(-1.0 / 3.0)
 
 
 def test_moran_gradient_is_positive():
     weights = _grid_weights(5, 5)
-    values = {f"R{r}_{c}": float(r + c) for r in range(5) for c in range(5)}
+    values = [float(int(region[1]) + int(region[3])) for region in weights.regions]  # "R{r}_{c}"
     result = morans_i(values, weights)
     assert result.i > 0.0
     assert result.z_score > 0.0
@@ -184,14 +189,9 @@ def test_moran_matches_double_sum_oracle_on_random_graphs():
                 adjacency[f"R{i}"].add(f"R{j}")
                 adjacency[f"R{j}"].add(f"R{i}")
         weights = SpatialWeights.from_adjacency(adjacency)
-        values = {r: float(v) for r, v in zip(weights.regions, rng.normal(size=n))}
+        values = rng.normal(size=n)
         result = morans_i(values, weights)
-        ordered = list(weights.regions)
-        index = {r: k for k, r in enumerate(ordered)}
-        neighbor_indices = [
-            [index[o] for o in weights.neighbors[r]] for r in ordered
-        ]
-        oracle = moran_double_sum([values[r] for r in ordered], neighbor_indices)
+        oracle = moran_double_sum(values.tolist(), neighbor_indices(adjacency, weights.regions))
         assert result.i == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
@@ -200,20 +200,20 @@ def test_moran_isolated_regions_flagged_and_excluded():
     weights = SpatialWeights.from_adjacency(adjacency)
     assert weights.isolated == ("D",)
     assert "D" not in weights.regions
-    values = {"A": 1.0, "B": 2.0, "C": 4.0}
-    result = morans_i(values, weights)
+    assert weights.regions == ("A", "B", "C")
+    result = morans_i([1.0, 2.0, 4.0], weights)
     assert result.n == 3
 
 
 def test_moran_analytic_moments_match_permutation_distribution():
     # the randomization variance IS the permutation variance; simulate it
     rng = np.random.default_rng(53)
-    weights = _grid_weights(5, 5)
+    adjacency = _grid_adjacency(5, 5)
+    weights = SpatialWeights.from_adjacency(adjacency)
     values = rng.gamma(2.0, 2.0, size=25)
-    mapping = {r: float(v) for r, v in zip(weights.regions, values)}
-    result = morans_i(mapping, weights)
+    result = morans_i(values, weights)
 
-    w = dense_weights(weights)
+    w = dense_weights(adjacency, weights)
     n = len(weights.regions)
     s0 = w.sum()
     z = values - values.mean()
@@ -253,9 +253,8 @@ def test_moran_matches_dense_reference_on_random_graphs():
         if len(weights.regions) < 4:
             continue
         x = rng.normal(size=len(weights.regions))
-        values = dict(zip(weights.regions, map(float, x)))
-        result = morans_i(values, weights, permutations=99, seed=[5, trial])
-        oracle = dense_moran(x, dense_weights(weights), permutations=99, seed=[5, trial])
+        result = morans_i(x, weights, permutations=99, seed=[5, trial])
+        oracle = dense_moran(x, dense_weights(adjacency, weights), permutations=99, seed=[5, trial])
         for name in ("i", "variance", "z_score"):
             assert getattr(result, name) == pytest.approx(oracle[name], rel=1e-12, abs=1e-12)
         assert weights.sums() == pytest.approx((oracle["s0"], oracle["s1"], oracle["s2"]), rel=1e-12)
@@ -269,9 +268,11 @@ def test_moran_weights_drop_edges_to_isolated_regions():
     weights = SpatialWeights.from_adjacency(adjacency)
     assert weights.isolated == ("A", "B")
     assert weights.regions == ("C", "D", "E")
-    assert weights.neighbors == {"C": ("D",), "D": ("C", "E"), "E": ("D",)}
-    assert dense_weights(weights).tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
-    assert morans_i({"C": 1.0, "D": 2.0, "E": 4.0}, weights).n == 3
+    regions = np.array(weights.regions)
+    edges = list(zip(regions[weights.rows].tolist(), regions[weights.columns].tolist()))
+    assert edges == [("C", "D"), ("D", "C"), ("D", "E"), ("E", "D")]
+    assert dense_weights(adjacency, weights).tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
+    assert morans_i([1.0, 2.0, 4.0], weights).n == 3
 
 
 def test_moran_permutation_p_counts_exact_ties():
@@ -283,8 +284,8 @@ def test_moran_permutation_p_counts_exact_ties():
     neighbor_indices = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
     exact_p, ties = exact_moran_permutation_p(days, neighbor_indices, permutations=999, seed=1)
     assert (exact_p, ties) == (Fraction(409, 1000), 61)
-    values = {region: float(d) for region, d in zip(weights.regions, days)}
-    result = morans_i(values, weights, permutations=999, seed=1)
+    assert weights.regions == tuple(f"R{i:02d}" for i in range(n))
+    result = morans_i([float(d) for d in days], weights, permutations=999, seed=1)
     assert result.permutation_p == float(exact_p)
 
 
@@ -292,10 +293,9 @@ def test_moran_memory_is_linear_in_edges():
     # 20,164 regions: the dense matrix alone would take 8 n^2 B = 3.2 GB
     weights = _grid_weights(142, 142)
     x = np.random.default_rng(79).normal(size=len(weights.regions))
-    values = dict(zip(weights.regions, map(float, x)))
     tracemalloc.start()
     try:
-        result = morans_i(values, weights, permutations=99, seed=3)
+        result = morans_i(x, weights, permutations=99, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -307,7 +307,7 @@ def test_moran_memory_is_linear_in_edges():
 def test_moran_permutation_p_range_and_determinism():
     rng = np.random.default_rng(59)
     weights = _grid_weights(4, 4)
-    values = {r: float(v) for r, v in zip(weights.regions, rng.normal(size=16))}
+    values = rng.normal(size=16)
     a = morans_i(values, weights, permutations=199, seed=11)
     b = morans_i(values, weights, permutations=199, seed=11)
     assert a.permutation_p == b.permutation_p
@@ -317,7 +317,14 @@ def test_moran_permutation_p_range_and_determinism():
 def test_moran_needs_three_regions():
     weights = SpatialWeights.from_adjacency({"A": {"B"}, "B": {"A"}})
     with pytest.raises(StatsError):
-        morans_i({"A": 1.0, "B": 2.0}, weights)
+        morans_i([1.0, 2.0], weights)
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_moran_refuses_values_not_one_per_weighted_region(length):
+    weights = SpatialWeights.from_adjacency({"A": {"B"}, "B": {"A", "C"}, "C": {"B"}})
+    with pytest.raises(StatsError, match=f"one value per weighted region: 3, got {length}"):
+        morans_i(np.arange(length, dtype=float), weights)
 
 
 # ---------------------------------------------------------------------------
