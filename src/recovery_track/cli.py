@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     config = load_config(args.config).with_overrides(
         permutations=args.permutations,
         yates=args.yates,
@@ -50,37 +51,40 @@ def _cmd_run(args) -> int:
         output_dir=args.out,
     )
     result = run(config, only=args.only)
-    for name in result.written:
-        print(f"wrote {result.output_dir / name}")
-    return 0
+    return "".join(f"wrote {result.output_dir / name}\n" for name in result.written)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> str:
     config = load_config(args.config)
-    diagnostics = validate(config)
-    print(json.dumps(diagnostics, indent=2))
-    return 0
+    return json.dumps(validate(config), indent=2) + "\n"
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> str:
     spec = ScenarioSpec.from_json(args.spec)
     paths = generate(spec, args.out)
-    for name in sorted(paths):
-        print(f"wrote {paths[name]}")
-    return 0
+    return "".join(f"wrote {paths[name]}\n" for name in sorted(paths))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "validate": _cmd_validate, "synth": _cmd_synth}
     try:
-        return handlers[args.command](args)
+        report = handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RecoveryTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        sys.stdout.write(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone; what the command wrote stays written. Python's
+        # note on SIGPIPE: point stdout at devnull, so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

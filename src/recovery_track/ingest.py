@@ -11,11 +11,12 @@ and no line after it is read. A file that cannot be opened or read raises a
 ParseError too.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
-pass: the lines of a block are split on newlines and commas, or by the csv
-module where that would split them differently, and each chunk of rows is
-validated at once, dates, names and codes once per distinct text and values
-in one vectorised conversion where the chunk allows it. Rows are numbered by
-the file line they start on.
+pass: a plain block is cut into the date, the "entity,code" pair and the
+value of each line, and the csv module splits any other block. Each chunk of
+rows is validated at once, one lookup pass per column: dates and pairs are
+parsed once per distinct text, a plain block's trip counts are read from its
+bytes, and other values are converted in one vectorised step where the chunk
+allows it. Rows are numbered by the file line they start on.
 
 A file of processes.SPLIT_BYTES or more is read in two halves where
 processes.split_point splits it: this process reads the lines before the
@@ -29,6 +30,7 @@ RSS taken over the run and its children, not in the run's own.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -190,12 +192,12 @@ class _RowReader:
 
 def parse_trips(path, window: DateWindow) -> ParseResult:
     """Parse trips.csv; rows outside `window` are dropped and counted."""
-    return _parse_activity(path, window, TRIPS_HEADER, _plain_counts, _trip_count)
+    return _parse_activity(path, window, TRIPS_HEADER, _trip_count)
 
 
 def parse_transactions(path, window: DateWindow) -> ParseResult:
     """Parse transactions.csv; rows outside `window` are dropped and counted."""
-    return _parse_activity(path, window, TRANSACTIONS_HEADER, _plain_amounts, _amount)
+    return _parse_activity(path, window, TRANSACTIONS_HEADER, _amount)
 
 
 def _trip_count(text: str) -> float:
@@ -232,8 +234,8 @@ _BAD = np.iinfo(np.int32).min
 _CHUNK_ROWS = 1 << 14
 
 
-def _parse_activity(path, window: DateWindow, header, plain_values, parse_value) -> ParseResult:
-    reader = _ActivityReader(path, header, window, plain_values, parse_value)
+def _parse_activity(path, window: DateWindow, header, parse_value) -> ParseResult:
+    reader = _ActivityReader(path, header, window, parse_value)
     mid = processes.split_point(path)
     with processes.beside(lambda: _read_part(reader, mid), split=mid is not None) as rest:
         reader.read(stop=mid)
@@ -247,16 +249,32 @@ class _ActivityReader(_RowReader):
     """The accepted rows of trips.csv or transactions.csv as column chunks,
     taken in a range of whole lines at a time."""
 
-    def __init__(self, path, header, window: DateWindow, plain_values, parse_value):
+    def __init__(self, path, header, window: DateWindow, parse_value):
         super().__init__(path, header)
         self.window = window
-        self.plain_values = plain_values
         self.parse_value = parse_value
-        self.day_of: dict[str, int] = {}  # raw date text -> offset from the window start, or _BAD
-        self.entity_of: dict[str, int] = {}  # raw text -> provisional id, or _BAD
-        self.code_of: dict[str, int] = {}
+        # trip counts are read from the bytes of a plain block (_digit_counts)
+        self.counts = parse_value is _trip_count
         self.entity_ids: dict[str, int] = {}  # stripped name -> provisional id, in first-seen order
         self.code_ids: dict[str, int] = {}
+        # raw text -> offset from the window start, or provisional id; _BAD where refused.
+        # No cache refers back to the reader, so the caches go with it, not with a later gc.
+        self.day_of = _Known(lambda text: window.index_of(parse_iso_date(text.strip())))
+        entity_of = _Known(functools.partial(_name_id, self.entity_ids))
+        code_of = _Known(functools.partial(_name_id, self.code_ids))
+        # the provisional entity and code ids of each pair id, as two lists: a tuple a
+        # pair, once freed onto Python's free list, would keep the memory around it resident
+        self.pairs = entities, codes = [], []
+
+        def new_pair(pair) -> int:
+            entity, code = pair.split(",") if isinstance(pair, str) else pair
+            entities.append(entity_of[entity])
+            codes.append(code_of[code])
+            return len(codes) - 1
+
+        # "entity,code" text, or (entity, code) texts of the csv module -> pair id
+        self.pair_of = _Known(new_pair)
+        self.pair_ids = np.zeros((2, 0), np.int32)  # self.pairs as an array, remade as it grows
         # the kept rows of each chunk, one list per column: day, entity, code, value
         self.kept = tuple([np.zeros(0, t)] for t in (np.int32, np.int32, np.int32, np.float64))
 
@@ -264,17 +282,13 @@ class _ActivityReader(_RowReader):
         """Take in the rows of the lines from byte `start` (a line start) to
         byte `stop` (a line start, or None for the end of the file)."""
         header = self.expected_header
-
-        def name_id(ids):
-            return lambda text: ids.setdefault(text, len(ids)) if text else _BAD
-
-        for lines, dates, entities, codes, texts in _activity_chunks(self, start, stop):
-            day = _resolve(self.day_of, dates, lambda text: self.window.index_of(parse_iso_date(text)))
-            entity = _resolve(self.entity_of, entities, name_id(self.entity_ids))
-            code = _resolve(self.code_of, codes, name_id(self.code_ids))
-            value = self.plain_values(texts)
-            if value is None:  # no value parse_value takes is NaN, so NaN marks a refused one
-                value = _resolve({}, texts, self.parse_value, math.nan, np.float64)
+        for lines, dates, pairs, values in _activity_chunks(self, start, stop):
+            day = _resolve(self.day_of, dates)
+            pair = _resolve(self.pair_of, pairs)
+            if self.pair_ids.shape[1] < len(self.pair_of):
+                self.pair_ids = np.array(self.pairs, np.int32)
+            entity, code = self.pair_ids[:, pair]
+            value = self.floats(values)
             bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(value)
             for i in np.flatnonzero(bad).tolist():
                 if day[i] == _BAD:
@@ -284,7 +298,7 @@ class _ActivityReader(_RowReader):
                 elif code[i] == _BAD:
                     message = f"empty {header[2]}"
                 else:
-                    message = _refusal(self.parse_value, texts[i].strip())
+                    message = _refusal(self.parse_value, values[i].strip())
                 self.error(int(lines[i]), message)
             good = ~bad
             keep = good & (day >= 0) & (day < self.window.n_days)
@@ -292,8 +306,18 @@ class _ActivityReader(_RowReader):
             self.accepted += accepted
             self.dropped += int(np.count_nonzero(good)) - accepted
             for pieces, column in zip(self.kept, (day, entity, code, value)):
-                pieces.append(column[keep])
-            del dates, entities, codes, texts  # free the chunk before the next one is split
+                pieces.append(column if accepted == len(keep) else column[keep])
+            del dates, pairs, values  # free the chunk before the next one is split
+
+    def floats(self, values) -> np.ndarray:
+        """A chunk's values as floats, with NaN where parse_value refuses one
+        (no value it takes is NaN)."""
+        if isinstance(values, np.ndarray):  # trip counts read from the bytes
+            return values
+        floats = None if self.counts else _plain_amounts(values)
+        if floats is None:
+            floats = _resolve(_Known(lambda text: self.parse_value(text.strip()), math.nan), values, np.float64)
+        return floats
 
     def join(self, part):
         """Take in what _read_part gave of the lines from line self.line_no
@@ -318,21 +342,22 @@ class _ActivityReader(_RowReader):
 
 
 def _activity_chunks(reader: _ActivityReader, start, stop):
-    """(line numbers, dates, entities, codes, values) of the data rows between
-    byte offsets `start` and `stop`, a chunk at a time; the header is read
-    where `start` is 0.
+    """(line numbers, dates, pairs, values) of the data rows between byte
+    offsets `start` and `stop`, a chunk at a time; the header is read where
+    `start` is 0.
 
     Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
-    UTF-8 block whose every line has four fields is split with str.split alone.
-    The csv module reads any other block, and the rest of the file from the
-    first block that holds a quote or a carriage return not directly before
-    a newline; on the other blocks it would split the same way.
+    plain block, UTF-8 with four fields on every line, is split by
+    _plain_columns. The csv module reads any other block, giving each pair as
+    an (entity, code) tuple, and the rest of the file from the first block
+    that holds a quote or a carriage return not directly before a newline; on
+    the other blocks it would split the same way.
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
         header = start == 0
         for block in processes.line_blocks(handle, start, stop):
-            crlf = block.count(b"\r\n") if b"\r" in block else 0
-            if b'"' in block or block.count(b"\r") != crlf:
+            crlf = b"\r" in block
+            if b'"' in block or crlf and block.count(b"\r") != block.count(b"\r\n"):
                 rest = itertools.chain([block], processes.line_blocks(handle, 0, None))  # no seek: a pipe cannot
                 yield from _row_chunks(reader.rows_from(rest, reader.line_no, header))
                 reader.line_no = None
@@ -350,18 +375,17 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
                     continue
             raw = np.frombuffer(block, dtype=np.uint8)
             line_ends = np.flatnonzero(raw == ord("\n"))
-            commas_per_line = np.diff(
-                np.searchsorted(np.flatnonzero(raw == ord(",")), line_ends), prepend=0
-            )
-            plain = (commas_per_line == 3).all()
-            try:
-                fields = block[:-1].decode("utf-8").replace("\n", ",").split(",") if plain else None
-            except UnicodeDecodeError:  # rows_from names each line that is not UTF-8
-                fields = None
-            if fields is not None:
+            commas = np.flatnonzero(raw == ord(","))
+            # three commas a line: each line ends after its third and before the next line's first
+            plain = len(commas) == 3 * len(line_ends) and (commas[2::3] < line_ends).all() and (
+                commas[3::3] > line_ends[:-1]
+            ).all()
+            columns = None
+            if plain:
+                columns = _plain_columns(block, raw, line_ends, commas.reshape(-1, 3), reader.counts)
+            if columns is not None:
                 reader.total_rows += len(line_ends)
-                lines = np.arange(reader.line_no, reader.line_no + len(line_ends))
-                yield lines, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+                yield np.arange(reader.line_no, reader.line_no + len(line_ends)), *columns
             else:
                 yield from _row_chunks(reader.rows_from([block], reader.line_no, False))
                 if reader.line_no is None:
@@ -371,13 +395,43 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             reader.check_header(None)
 
 
+def _plain_columns(block, raw, line_ends, commas, counts):
+    """The dates, "entity,code" pairs and values of the lines of a plain
+    block, `commas` the three of each line; None where the block is not UTF-8
+    (rows_from names each line that is not).
+
+    In a copy of the block, each line's first comma becomes a line end, and
+    one split on line ends gives the texts. Where `counts` holds and every
+    value is 1-15 ASCII digits, the values are those counts, read from the
+    bytes (_digit_counts), and the third comma and the count become blanks
+    after the code, which its stripping removes: two texts a line. Otherwise
+    the third comma becomes a line end too, and the values are the texts
+    after it: three texts a line.
+    """
+    values = _digit_counts(raw, commas[:, 2] + 1, line_ends) if counts else None
+    cut = bytearray(block)
+    view = np.frombuffer(cut, dtype=np.uint8)
+    view[commas[:, 0]] = ord("\n")
+    if values is None:
+        view[commas[:, 2]] = ord("\n")
+    else:
+        for k in range((line_ends - commas[:, 2]).max()):
+            view[np.minimum(commas[:, 2] + k, line_ends - 1)] = ord(" ")
+    try:
+        fields = cut.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    fields.pop()  # after the last line end
+    if values is None:
+        return fields[0::3], fields[1::3], fields[2::3]
+    return fields[0::2], fields[1::2], values
+
+
 def _read_part(reader: _ActivityReader, mid):
     """What a new reader of `reader`'s file takes in of the lines from byte
     `mid` on, numbered from 0, for join(): its counters, row errors, names
     and column chunks."""
-    part = _ActivityReader(
-        reader.path, reader.expected_header, reader.window, reader.plain_values, reader.parse_value
-    )
+    part = _ActivityReader(reader.path, reader.expected_header, reader.window, reader.parse_value)
     part.line_no = 0
     part.read(start=mid)
     return (
@@ -387,10 +441,11 @@ def _read_part(reader: _ActivityReader, mid):
 
 
 def _row_chunks(records):
-    """Columns of (line number, four fields) records, _CHUNK_ROWS at a time."""
+    """Columns of (line number, four fields) records, _CHUNK_ROWS at a time:
+    line numbers, dates, (entity, code) pairs and values."""
     while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
         lines, dates, entities, codes, texts = zip(*((n, *fields) for n, fields in chunk))
-        yield np.array(lines, dtype=np.int64), dates, entities, codes, texts
+        yield np.array(lines, dtype=np.int64), dates, list(zip(entities, codes)), texts
 
 
 def _concatenate(pieces: list) -> np.ndarray:
@@ -400,19 +455,33 @@ def _concatenate(pieces: list) -> np.ndarray:
     return whole
 
 
-def _resolve(known: dict, texts, parse, refused=_BAD, dtype=np.int32) -> np.ndarray:
-    """parse(text.strip()) of every text, or `refused` where that raises
-    ValueError, computed once per distinct text and remembered in `known`;
-    only texts not found there are gathered and parsed."""
-    try:
-        return np.fromiter(map(known.__getitem__, texts), dtype, len(texts))
-    except KeyError:
-        pass
-    for text in set(texts).difference(known):
+class _Known(dict):
+    """parse(key) of each key looked up, or `refused` where that raises
+    ValueError; computed on its first lookup and kept."""
+
+    def __init__(self, parse, refused=_BAD):
+        super().__init__()
+        self.parse = parse
+        self.refused = refused
+
+    def __missing__(self, key):
         try:
-            known[text] = parse(text.strip())
+            value = self.parse(key)
         except ValueError:
-            known[text] = refused
+            value = self.refused
+        self[key] = value
+        return value
+
+
+def _name_id(ids: dict, text: str) -> int:
+    """The provisional id of the stripped name, new names numbered in first-seen order; _BAD for an empty one."""
+    name = text.strip()
+    return ids.setdefault(name, len(ids)) if name else _BAD
+
+
+def _resolve(known: _Known, texts, dtype=np.int32) -> np.ndarray:
+    """known[text] of every text, in one pass; each text `known` lacks is
+    parsed on its first lookup, so once per distinct text."""
     return np.fromiter(map(known.__getitem__, texts), dtype, len(texts))
 
 
@@ -440,20 +509,25 @@ def _sorted_names(ids: dict, column: np.ndarray):
     return tuple(names), renumber[column]
 
 
-def _plain_counts(texts):
-    """Trip counts written as at most 308 ASCII digits, as floats; None for anything else.
+def _digit_counts(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The counts at raw[starts[i]:stops[i]] as floats, where every one is
+    1-15 ASCII digits; None where any is not.
 
-    float() of a digit string rounds the exact integer once, as float(int())
-    does, so counts above 2**53 and above the int64 range come out the same.
-    308 digits keep every count below the float range and int()'s digit limit.
+    Every integer below 10**15 is below 2**53, so it is a float exactly and
+    each count equals float(text) and float(int(text)) bit for bit. The 15 is
+    a property of float64; a longer count goes through _trip_count.
     """
-    joined = "".join(texts)
-    if not (joined.isascii() and joined.isdigit()):
+    lengths = stops - starts
+    if lengths.min() < 1 or lengths.max() > 15:
         return None
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    if lengths.min() < 1 or lengths.max() > 308:
-        return None
-    return np.fromiter(map(float, texts), np.float64, len(texts))
+    counts = np.zeros(len(stops), np.int64)
+    for k in range(lengths.max()):
+        # the k-th byte of each count, or its last for a shorter one; a byte below "0" wraps past 9
+        digits = raw[np.minimum(starts + k, stops - 1)] - np.uint8(ord("0"))
+        if (digits > 9).any():
+            return None
+        counts = np.where(lengths > k, counts * 10 + digits, counts)
+    return counts.astype(np.float64)
 
 
 def _plain_amounts(texts):

@@ -10,6 +10,10 @@ one CPU, where nothing forks, and on all CPUs, and the two must agree:
   city and a 200-region, 365-day city, and `--only milestones` equal to `run`;
 - the refusal of the 200-region city's work/changes.csv damaged at three
   quarters, in the child's half: a line dropped, then a byte that is not UTF-8;
+- every artifact of the 1000-region city with one trip count of trips.csv,
+  at three quarters of its bytes, zero-padded to 17 digits: in the reader's
+  second half, that block's counts are read by int(), not from the bytes,
+  and the artifacts equal the unpadded city's;
 - the refusal, and the `validate` diagnostic, of the 1000-region city's
   trips.csv damaged at three quarters of its bytes, in the reader's second
   half: a byte that is not UTF-8, then a quote opened at the start of the
@@ -133,6 +137,26 @@ def damaged_changes(tmp):
             f"error: work/changes.csv line {line}: not UTF-8 text\n")
 
 
+def long_count(tmp):
+    """The 1000-region city with the trip count at three quarters of the
+    bytes of trips.csv padded to 17 digits, which moves no value: the same
+    artifacts on one CPU and on all, and as the city's own."""
+    city = tmp / "long/city"
+    shutil.copytree(tmp / "all/city", city)
+    whole = (city / "trips.csv").read_bytes()
+    end = whole.index(b"\n", len(whole) * 3 // 4)  # the end of the line that holds byte 3/4
+    start = whole.rindex(b",", 0, end) + 1
+    (city / "trips.csv").write_bytes(whole[:start] + whole[start:end].zfill(17) + whole[end:])
+    big(city / "trips.csv")
+    sums = {}
+    for cpus in CPUS:
+        cli(cpus, "run", "--config", city / "config.json", "--out", tmp / "long" / cpus)
+        sums[cpus] = digests(tmp / "long" / cpus)
+    same("a 17-digit trip count: run on one CPU and on all", sums["one"], sums["all"])
+    same("a 17-digit trip count: run and the unpadded city's run", sums["all"], digests(tmp / "all/out"))
+    print(f"a 17-digit trip count: {len(sums['all'])} artifacts agree with the unpadded city's")
+
+
 def damaged_trips(tmp):
     """The 1000-region city's trips.csv, damaged at three quarters of its
     bytes, in the reader's second half: `run` refuses it, and `validate`
@@ -188,6 +212,7 @@ def main():
         tmp = Path(tmp)
         cities(tmp)
         damaged_changes(tmp / "2")
+        long_count(tmp / "1")
         damaged_trips(tmp / "1")
         stats_perm(tmp)
 

@@ -51,12 +51,20 @@ PARSERS = {
     "transactions": (ingest.parse_transactions, ingest.TRANSACTIONS_HEADER, amount),
 }
 
+# trip counts at the edges of the plain-block path: 1-15 ASCII digits are read
+# from the bytes, 16 or more (from 2**53 - 1 on, or not) go through int()
+SHORT_COUNTS = ["0", "007", "000000000000007", "9" * 15, "12345678901", "100000000000000"]
+LONG_COUNTS = [
+    "1" + "0" * 15, str(2**53 - 1), str(2**53), str(2**53 + 1), "98765432109876543", "9" * 18, "9" * 19,
+]
+EDGE_COUNTS = SHORT_COUNTS + LONG_COUNTS
+
 # value texts at the edges of what int() and float() take: signs, underscores,
 # padding, non-ASCII digits, int()'s digit limit, and refused ones
 VALUE_QUIRKS = {
     "trips": [
         "+5", "1_000", "-0", "007", " 7", "7\t", "\u0663", "-3", "1.5", " 1.5", "", "1__0", "_1",
-        "9" * 400, "0" * 5000 + "7",
+        "9" * 400, "0" * 5000 + "7", *EDGE_COUNTS,
     ],
     "transactions": [
         "+5", "1_000.5", "-0", "-0.0", " 2.50", "\x1c5.00", "nan", " nan", "-inf", "-0.50", "1e400",
@@ -72,7 +80,8 @@ def _random_rows(rng, kind, n, entities=4):
         day = (WINDOW.start + timedelta(days=rng.randrange(-3, 34))).isoformat()
         code = rng.choice(CODES)
         if kind == "trips":
-            rows.append([day, f"R{rng.randrange(entities):03d}", code, str(rng.randrange(60))])
+            count = rng.choice(EDGE_COUNTS) if rng.random() < 0.03 else str(rng.randrange(60))
+            rows.append([day, f"R{rng.randrange(entities):03d}", code, count])
         else:
             amount = rng.choice(["0.10", "0.20", "0.30", "1e16", "3.3", "0", "2.5e-3", "9007199254740993"])
             if rng.random() < 0.5:
@@ -226,6 +235,45 @@ def test_bad_rows_and_value_quirks_inside_plain_blocks(tmp_path, monkeypatch, ki
         rows = _random_rows(rng, kind, 40)
         rows[20][3] = quirk
         _check_against_rows(_write(tmp_path, "quirk.csv", kind, rows), kind)
+
+
+@pytest.mark.parametrize("block_bytes", [16, 256, 1 << 20])
+def test_edge_counts_inside_plain_blocks(tmp_path, monkeypatch, forks, block_bytes):
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+    rng = random.Random(block_bytes)
+    for name, counts in [("short", SHORT_COUNTS), ("edge", EDGE_COUNTS)]:
+        rows = [[*row[:3], str(rng.randrange(60))] for row in _random_rows(rng, "trips", 300)]
+        for at, count in zip(rng.sample(range(300), 3 * len(counts)), counts * 3):
+            rows[at][3] = count
+        path = _write(tmp_path, f"{name}.csv", "trips", rows)
+        result = _check_against_rows(path, "trips")
+        in_window = [row for row in rows if WINDOW.contains(date.fromisoformat(row[0]))]
+        assert sorted(result.records.value.tolist()) == sorted(float(int(row[3])) for row in in_window)
+        _check_split(monkeypatch, _reader("trips"), path)
+    assert len(forks) >= 2 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("block_bytes", [16, 256, 1 << 20])
+def test_padded_and_empty_pairs_inside_plain_blocks(tmp_path, monkeypatch, forks, kind, block_bytes):
+    monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+    rng = random.Random(f"{kind}-{block_bytes}")
+
+    def padded(entity, code):
+        return [(f" {entity}", code), (f"{entity} ", code), (entity, f" {code}"), (entity, f"{code}\t"),
+                (f" {entity} ", f" {code} ")]
+
+    def empty(entity, code):
+        return [*padded(entity, code), ("", code), (entity, ""), ("", ""), (" ", code), (entity, " ")]
+
+    for forms in (padded, empty):  # columns compared, then the row errors
+        rows = _random_rows(rng, kind, 300)
+        for at in rng.sample(range(300), 40):
+            rows[at][1:3] = rng.choice(forms(*rows[at][1:3]))
+        path = _write(tmp_path, f"{forms.__name__}.csv", kind, rows)
+        assert (_check_against_rows(path, kind) is None) == (forms is empty)
+        _check_split(monkeypatch, _reader(kind), path)
+    assert len(forks) >= 2 and _failed(forks) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))

@@ -755,6 +755,37 @@ def test_cli_synth(tmp_path, capsys):
     assert (tmp_path / "city" / "ground_truth.csv").exists()
 
 
+def test_cli_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # as `recovery-track ... | true` gives it: stdout's read end closed before anything is written
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def into_closed_pipe(*args):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "recovery_track.cli", *map(str, args)],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, ""), done.stderr
+
+    spec_path = tmp_path / "scenario.json"
+    spec_path.write_text(json.dumps({"n_regions": 6, "seed": 1, "horizon_days": 30}))
+    into_closed_pipe("synth", "--spec", spec_path, "--out", tmp_path / "city")
+    config = tmp_path / "city" / "config.json"
+    into_closed_pipe("validate", "--config", config)
+    into_closed_pipe("run", "--config", config, "--out", tmp_path / "closed")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "open")]) == 0
+
+    def files(directory):
+        return {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+    assert files(tmp_path / "closed") == files(tmp_path / "open")
+    assert len(files(tmp_path / "open")) == 7
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["run", "--config", str(missing)]) == 2
