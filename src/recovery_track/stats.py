@@ -4,7 +4,9 @@ and the Gini index with its Lorenz curve.
 Moran's I uses row-standardized binary contiguity weights built from the
 adjacency edge list, and reads its values as one float array in the weights'
 region order. Inference is analytical under the randomization assumption,
-with an optional seeded permutation p-value as a cross-check.
+with an optional seeded permutation p-value as a cross-check. One kernel
+gives the cross-product of the observed field and of each shuffle, one
+shuffle at a time.
 """
 
 from __future__ import annotations
@@ -114,26 +116,11 @@ class MoranResult:
     permutation_p: float | None = None
 
 
-# Permuted fields per block: at most this many gathered neighbor values (8 B
-# each), and at least one field. Temporaries above glibc's default 128 kB mmap
-# threshold are mapped afresh for every block, and their page faults made
-# larger blocks about 1.6x slower on 2500 regions.
-_BLOCK_CELLS = 1 << 14
-
-
-def _spatial_numerators(z: np.ndarray, weights: SpatialWeights) -> np.ndarray:
-    """sum_ij w_ij z_i z_j for each row of the (fields, n) array `z`.
-
-    Each region's spatial lag is the weighted sum of its gathered neighbor
-    values. Every row goes through the same operations in the same order
-    whatever the number of rows, so equal fields give equal numerators.
-    """
-    n_fields, n = z.shape
-    gathered = np.take(z, weights.columns, axis=1)
-    gathered *= weights.edge_weights
-    bins = (np.arange(0, n_fields * n, n)[:, None] + weights.rows).ravel()
-    lag = np.bincount(bins, gathered.ravel(), minlength=n_fields * n).reshape(n_fields, n)
-    return (z * lag).sum(axis=1)
+def _spatial_numerator(z: np.ndarray, weights: SpatialWeights) -> float:
+    """sum_ij w_ij z_i z_j: each region's spatial lag is the weighted sum of
+    its gathered neighbor values, summed from 0.0 in edge order."""
+    lag = np.bincount(weights.rows, z[weights.columns] * weights.edge_weights, minlength=len(z))
+    return float((z * lag).sum())
 
 
 def morans_i(
@@ -150,8 +137,9 @@ def morans_i(
     two-sided p comes from the normal approximation. `permutations > 0` adds
     a seeded permutation p-value: the fraction of shuffles at least as far
     from E[I] as the observed I, where a shuffle that ties it exactly counts.
-    Everything is computed from the sparse weights, in memory linear in the
-    number of edges.
+    Each shuffle is one `rng.permutation(z)` call, and its cross-product goes
+    through the observed field's kernel. Everything is computed from the
+    sparse weights, in memory linear in the number of edges.
     """
     n = len(weights.regions)
     if n < 3:
@@ -165,7 +153,7 @@ def morans_i(
         raise StatsError("constant field: Moran's I is undefined for zero variance")
 
     s0, s1, s2 = weights.sums()
-    num = float(_spatial_numerators(z[np.newaxis], weights)[0])
+    num = _spatial_numerator(z, weights)
     i_value = (n / s0) * num / denom
 
     expected = -1.0 / (n - 1)
@@ -187,11 +175,11 @@ def morans_i(
     permutation_p = None
     if permutations > 0:
         rng = np.random.default_rng(seed)
-        block = max(1, _BLOCK_CELLS // len(weights.columns))
-        nums = np.empty(permutations)
-        for start in range(0, permutations, block):
-            shuffled = np.array([rng.permutation(z) for _ in range(min(block, permutations - start))])
-            nums[start : start + len(shuffled)] = _spatial_numerators(shuffled, weights)
+        nums = np.fromiter(
+            (_spatial_numerator(rng.permutation(z), weights) for _ in range(permutations)),
+            float,
+            count=permutations,
+        )
         i_perm = (n / s0) * nums / denom
         # A shuffle that ties the observed I in exact arithmetic (common with
         # whole-day durations) may round to either side of it, so a deviation

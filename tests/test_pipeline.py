@@ -266,6 +266,18 @@ def _golden_bundle_copy(golden_city, directory):
     return ["run", "--config", str(golden_city["root"] / "config.json"), "--out", str(out)], out
 
 
+def _permutation_p(out):
+    moran = json.loads((out / pipeline.STATS_ARTIFACT).read_text(encoding="utf-8"))["morans_i"]
+    return [moran[field]["permutation_p"] for field in MORAN_FIELDS]
+
+
+# Each field's seeded permutation_p on the golden city with 99 shuffles, by
+# seed, written down from runs of the kernel that gathered several shuffles per
+# call (blocks of about 160 on the 30-region city below), so that any kernel
+# must keep them.
+GOLDEN_PERMUTATION_P = {0: [0.11, 0.02, 0.01, 0.01, 0.01], 7: [0.09, 0.02, 0.01, 0.01, 0.01]}
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_stats_write_the_same_bytes_in_one_process_and_in_two(golden_city, tmp_path, monkeypatch, forks, seed):
     config = str(golden_city["root"] / "config.json")
@@ -282,8 +294,7 @@ def test_stats_write_the_same_bytes_in_one_process_and_in_two(golden_city, tmp_p
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "one"), "--only", "stats", *options]) == 0
     assert _stats_bytes(tmp_path / "one") == expected
     assert len(forks) == 3 and _exit_codes(forks) == [0, 0, 0]
-    moran = json.loads(expected[0])["morans_i"]
-    assert all(moran[field]["permutation_p"] is not None for field in MORAN_FIELDS)
+    assert _permutation_p(tmp_path / "one") == GOLDEN_PERMUTATION_P[seed]
 
 
 def test_a_constant_field_is_refused_the_same_by_the_child(golden_city, tmp_path, monkeypatch, forks):
@@ -408,6 +419,19 @@ def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, fork
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
     edges = len(pipeline.stats.SpatialWeights.from_adjacency(adjacency, include=regions).columns)
     assert 0 < 999 * edges < processes.SPLIT_CELLS
+
+
+def test_seeded_permutation_p_values_on_a_criterion_03_sized_city(tmp_path):
+    # one severity cluster, so the p-values spread rather than all sit at 1/1000
+    spec = {
+        "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3, "clusters": 1,
+        "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
+    }
+    config = load_config(generate(ScenarioSpec.from_mapping(spec), tmp_path)["config.json"])
+    run(config)
+    assert cli.main(["run", "--config", str(tmp_path / "config.json"), "--only", "stats", "--permutations", "999",
+                     "--seed", "3"]) == 0
+    assert _permutation_p(config.output_dir) == [0.895, 0.803, 0.004, 0.001, 0.002]
 
 
 # taxonomy rows, taxonomy_options and the sha256 of each artifact the small city's run writes with them
