@@ -150,19 +150,29 @@ def _zip_ids(n_regions: int, per_zip: int) -> list[str]:
 
 
 def _smooth_truncated(values, half_width: int = 3):
-    """Centered truncated-window mean, written independently of series.py."""
+    """Centered truncated-window mean, written independently of series.py:
+    each window's exactly rounded sum over its length."""
     n = len(values)
-    out = []
-    for i in range(n):
-        window = values[max(0, i - half_width) : min(n, i + half_width + 1)]
-        out.append(math.fsum(window) / len(window))
-    return out
+    width = 2 * half_width + 1
+    whole = max(0, n - width + 1)  # windows inside the series, centered on half_width to n - half_width - 1
+
+    def truncated(i):
+        window = values[max(0, i - half_width) : i + half_width + 1]
+        return math.fsum(window) / len(window)
+
+    head = [truncated(i) for i in range(min(half_width, n))]
+    full = [math.fsum(window) / width for window in zip(*(values[k:k + whole] for k in range(width)))]
+    tail = [truncated(i) for i in range(max(half_width, n - half_width), n)]
+    return head + full + tail
 
 
 def _scan_recovery(changes, d0: int, horizon: int, threshold: float, run_length: int):
-    """First index t in [d0, d0+horizon] ending a qualifying run, else None."""
-    for t in range(d0 + run_length - 1, d0 + horizon + 1):
-        if all(changes[t - k] >= threshold for k in range(run_length)):
+    """First index t in [d0, d0+horizon] ending a run of `run_length`
+    changes at or above `threshold` that starts at d0 or later, else None."""
+    run = 0
+    for t in range(d0, d0 + horizon + 1):
+        run = run + 1 if changes[t] >= threshold else 0
+        if run == run_length:
             return t
     return None
 
@@ -224,8 +234,16 @@ def _counts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _count_texts(counts: np.ndarray):
-    """Texts of nonnegative integral counts, as str(int(count)) gives them at any size."""
-    return map(str, map(int, counts.tolist()))
+    """Per day, the texts of nonnegative integral counts (cells, days), as
+    str(int(count)) gives them at any size. Where the largest count is below
+    the number of cells, they come from one table of "0", "1", ... up to it,
+    so the table never holds more texts than the file has cells. The counts
+    go to integers a day at a time: a whole-matrix copy would raise the peak."""
+    top = counts.max(initial=0.0)
+    if top < counts.size:
+        table = np.array([str(count) for count in range(int(top) + 1)], dtype=object)
+        return (table[day.astype(np.intp)].tolist() for day in counts.T)
+    return (map(str, map(int, day.tolist())) for day in counts.T)
 
 
 def _cents(values: np.ndarray) -> list[str]:
@@ -234,8 +252,21 @@ def _cents(values: np.ndarray) -> list[str]:
 
 
 def _amounts_as_read(values: np.ndarray) -> np.ndarray:
-    """The amounts a reader of the written text gets back, so truth == parsed value."""
-    return np.array(list(map(float, _cents(values)))).reshape(values.shape)
+    """The amounts a reader of the written text gets back, so truth == parsed
+    value: float(f"{v:.2f}") of each amount, never negative.
+
+    Below 2^52, the product 100 * v rounds to the same whole number of cents
+    as the exact one unless it is exactly a half-cent, and that number over
+    100 is the double its two-decimal text parses to. A half-cent, a larger
+    product (inf among them) or a NaN takes the text."""
+    values = np.maximum(0.0, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = 100.0 * values
+        cents = np.rint(scaled)
+        text = ~(scaled < 2.0 ** 52) | (np.abs(scaled - cents) == 0.5)
+    read = cents / 100.0
+    read[text] = [float(f"{v:.2f}") for v in values[text].tolist()]
+    return read
 
 
 def _weighted_series(values: np.ndarray, weights: np.ndarray) -> list[float]:
@@ -415,9 +446,9 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         counts = emitted(region_profiles, 3)
         _counts(counts, out=counts)
         write("trips.csv", TRIPS_HEADER, _day_blocks(
-            window, [f"{region},{code}," for region in regions for code in codes],
-            (_count_texts(day) for day in counts.T),
+            window, [f"{region},{code}," for region in regions for code in codes], _count_texts(counts),
         ))
+        del counts  # freed before the amounts are drawn, so the two never sit in memory together
         # transactions.csv: per day x zip x merchant type
         amounts = emitted(zip_profiles, 4)
         write("transactions.csv", TRANSACTIONS_HEADER, _day_blocks(

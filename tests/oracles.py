@@ -14,7 +14,9 @@ counts and per-line messages for every file. It shares only the result and
 error types with the package.
 
 analytic_recovery_day is the exact-rational recovery day of synth's linear
-ramp, which the generator's scanned truth must match.
+ramp, which the generator's scanned truth must match. smooth_truncated is
+synth's truth smoothing one window at a time, which its sliding windows must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -218,6 +220,17 @@ def seven_term_mean(values, index, half_width=3):
     hi = min(len(values) - 1, index + half_width)
     window = values[lo : hi + 1]
     return sum(window) / len(window)
+
+
+def smooth_truncated(values, half_width=3):
+    """Centered truncated-window mean of one series: each window's math.fsum
+    over its length, one window at a time."""
+    n = len(values)
+    out = []
+    for i in range(n):
+        window = values[max(0, i - half_width) : min(n, i + half_width + 1)]
+        out.append(math.fsum(window) / len(window))
+    return out
 
 
 def moving_average(values, half_width=3, boundary="truncate"):

@@ -8,6 +8,7 @@ one CPU, where nothing forks, and on all CPUs, and the two must agree:
 
 - every file of `synth`, `run` and `run --only milestones` on a 1000-region
   city and a 200-region, 365-day city, and `--only milestones` equal to `run`;
+  the seven `synth` files must also keep the sha256 recorded in SYNTH_DIGESTS;
 - the refusal of the 200-region city's work/changes.csv damaged at three
   quarters, in the child's half: a line dropped, then a byte that is not UTF-8;
 - every artifact of the 1000-region city with one trip count of trips.csv,
@@ -42,6 +43,30 @@ from recovery_track import processes  # noqa: E402
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 CPUS = ("one", "all")
 PERMUTATIONS = 999
+
+# sha256 of every file `synth` writes for the two cities of cities(): the
+# unit tests pin the bytes of cities of 3 to 200 regions only, and these
+# cities cross processes.SPLIT_CELLS, where the truth comes from a child
+SYNTH_DIGESTS = {
+    '{"n_regions": 1000}': {
+        "adjacency.csv": "65d868d201b289740295e2340980a6e8f168e2b257836bda8da03b453146f52e",
+        "attributes.csv": "a7ecae413396d9ed75d4b68eeb61dd9c8cc7ace5eb450043571689e6394cd2ce",
+        "config.json": "6e4beaca7d0f2042a24c5057342fea3dcdde178689f725070b6dbdbd062f6782",
+        "ground_truth.csv": "fa4b055855d7535ea9fb144b81b9ae0406632479f1d9fbbd00f9774f11d6ade2",
+        "overlaps.csv": "2134eb6f2e45c4954eda972932a917df5441f3a0d636447835e36a591fc67afd",
+        "transactions.csv": "553aa3ff11a163f406835f0f86df17b5d1190755f8c142c3e4b17f406157a21d",
+        "trips.csv": "d955b29bf06146f8ffe729df8a68e4648e6531f9f1e2acd3a4efaa6d3bedd610",
+    },
+    '{"n_regions": 200, "horizon_days": 365, "censored_fraction": 0.2}': {
+        "adjacency.csv": "332c6e2be38254db9d6ed8d2f51885dfddc5bb94756e9e106d5950b26ed434e2",
+        "attributes.csv": "6068cf95ec25f8c3a7122b96747c62ae03e2c062c743d9112c14b54b6e8f8de3",
+        "config.json": "0901b6ae1f221604789efd7219e668970895d665f4aa15148200753093d7de7c",
+        "ground_truth.csv": "7181a32210a1f2d70a762cac4ecb1a94004777b4c560b4a102bf02d5d8946d8b",
+        "overlaps.csv": "f5d67c8ebbf3575cb2e04f841ed257c3838ddb72074f51e24b24afdc84691694",
+        "transactions.csv": "163986e49ee85b8842da639f9d6da97dd14dc124cfb10a8434f85f4f2b486aed",
+        "trips.csv": "2a85f3b7c4af76ec5fc4fb9711395dd612e8a82cf611fa9381b7b3de53c18978",
+    },
+}
 
 
 def check(holds, message):
@@ -98,7 +123,8 @@ def refused(what, args, expected):
 
 
 def cities(tmp):
-    """Both cities through synth, run and --only milestones, on one CPU and on all."""
+    """Both cities through synth, run and --only milestones, on one CPU and on
+    all; synth's files as SYNTH_DIGESTS records them."""
     for n, (spec, crosses) in enumerate([
         ('{"n_regions": 1000}', "city/trips.csv"),
         ('{"n_regions": 200, "horizon_days": 365, "censored_fraction": 0.2}', "out/work/changes.csv"),
@@ -114,6 +140,8 @@ def cities(tmp):
             cli(cpus, "run", "--config", run / "city/config.json", "--out", run / "out", "--only", "milestones")
             sums[cpus, "milestones"] = digests(run / "out")
         big(tmp / str(n) / "all" / crosses)
+        for cpus in CPUS:
+            same(f"{spec}: synth on {cpus} CPU(s) and SYNTH_DIGESTS", sums[cpus, "synth"], SYNTH_DIGESTS[spec])
         for kind in ("synth", "full", "milestones"):
             same(f"{spec}: {kind} on one CPU and on all", sums["one", kind], sums["all", kind])
         same(f"{spec}: run and run --only milestones", sums["all", "full"], sums["all", "milestones"])

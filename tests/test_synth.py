@@ -19,7 +19,7 @@ import pytest
 
 import recovery_track.synth
 
-from oracles import analytic_recovery_day
+from oracles import analytic_recovery_day, brute_force_recovery_day, smooth_truncated
 from recovery_track import processes
 from recovery_track.errors import ScenarioError
 from recovery_track.ingest import (
@@ -35,7 +35,11 @@ from recovery_track.synth import (
     ScenarioSpec,
     generate,
     level_at,
+    _amounts_as_read,
+    _count_texts,
     _ground_truth_for,
+    _scan_recovery,
+    _smooth_truncated,
 )
 
 SMALL = {
@@ -78,6 +82,99 @@ def test_ground_truth_censors_at_horizon():
     duration, censored = _ground_truth_for(values, pre, pre + 5, horizon)
     assert censored
     assert duration == horizon
+
+
+# ---------------------------------------------------------------------------
+# the truth's helpers against their references, bit for bit
+
+
+def _bits(values):
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("half_width", range(5))
+def test_truth_smoothing_matches_one_window_at_a_time(half_width):
+    rng = np.random.default_rng(half_width)
+    for n in range(21):  # from no window that fits to several
+        for values in (
+            rng.uniform(0.0, 1.0, size=n) * 10.0 ** rng.integers(-300, 300),
+            rng.lognormal(0.0, 20.0, size=n),  # magnitudes far apart: the sum needs fsum
+            rng.integers(0, 500, size=n) * 0.0371,  # weighted counts, as the truth sums them
+        ):
+            values = values.tolist()
+            assert _bits(_smooth_truncated(values, half_width)) == _bits(smooth_truncated(values, half_width)), (n, values)
+
+
+@pytest.mark.parametrize("run_length", range(1, 6))
+def test_truth_scan_matches_brute_force(run_length):
+    rng = np.random.default_rng(run_length)
+    threshold = -0.1
+    # on, just below and above the threshold, or NaN, which never qualifies
+    choices = [threshold, np.nextafter(threshold, -1.0), 0.2, -0.6, np.nan]
+    found = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 30))
+        changes = rng.choice(choices, size=n, p=[0.2, 0.1, 0.5, 0.1, 0.1]).tolist()
+        d0 = int(rng.integers(0, n))
+        horizon = int(rng.integers(0, n - d0))
+        day = _scan_recovery(changes, d0, horizon, threshold, run_length)
+        assert day == brute_force_recovery_day(changes, d0, horizon, threshold, run_length), (changes, d0, horizon)
+        found.add(day is None)
+    assert found == {True, False}
+
+
+def test_amounts_as_read_are_the_values_of_their_texts():
+    rng = np.random.default_rng(0)
+    tiny, top = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    # (2m + 1) / 200 and k + 0.005 are half-cents in decimal; as doubles, 100 * v
+    # may round onto the half-cent, or off it; 0.125 and 0.375 are half-cents in binary
+    half_cents = [(2 * m + 1) / 200 for m in range(3000)] + [k + 0.005 for k in range(3000)]
+    half_cents += [0.125, 0.375, 1e6 + 0.625, 2.0 ** 40 + 0.875]
+    near = [np.nextafter(v, toward) for v in half_cents for toward in (0.0, np.inf)]
+    large = [2.0 ** 52 / 100 * f for f in (0.999, 1.0, 1.001)] + [2.0 ** 50 + 0.125, 2.0 ** 52, 2.0 ** 53 + 2, 1e17, 1e300]
+    extreme = [top, np.nextafter(top, 0.0), top / 100, np.nextafter(top / 100, np.inf), 1.7e306, np.inf, np.nan]
+    small = [0.0, tiny, 1e-310, np.finfo(float).tiny, 0.004999, 0.005, 0.015, 0.025]
+    negative = [-1.0, -0.005, -tiny, -top, -np.inf]
+    spread = 2.0 ** rng.uniform(-1074.0, 1024.0, size=4000)
+    values = np.concatenate([
+        half_cents, near, large, extreme, small, negative, spread,
+        rng.uniform(0.0, 1e4, size=4000), rng.integers(0, 10 ** 6, size=4000) / 100,
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = 100.0 * values
+        assert np.sum(np.abs(product - np.rint(product)) == 0.5) > 100  # the rule's first case is reached
+    values = values[: values.size // 7 * 7].reshape(7, -1)
+    read = _amounts_as_read(values)
+    assert read.shape == values.shape
+    assert _bits(read.ravel()) == _bits(float(f"{max(v, 0.0):.2f}") for v in values.ravel().tolist())
+    # which of two zeros np.maximum keeps is the platform's; the text follows it
+    assert _amounts_as_read(np.array([-0.0])).tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# trip-count texts: from one table where the largest count is below the
+# number of cells, else str(int(count)); the table gives equal counts one text
+
+
+@pytest.mark.parametrize("largest, table", [
+    (6 * 5 - 1, True),  # the largest is cells - 1
+    (6 * 5, False),  # the largest is cells
+    (0, True),  # every count is zero
+    (2.0 ** 64 + 2.0 ** 12, False),  # past 2^63, beyond int64
+])
+def test_trip_texts_are_str_int_on_both_sides_of_the_table_rule(largest, table):
+    counts = np.floor(np.random.default_rng(1).uniform(0.0, largest + 1.0, size=(6, 5)))  # (cells, days)
+    counts[2, 3] = largest
+    if largest:
+        counts[:2, 0] = 17.0
+    if largest > 2.0 ** 63:
+        counts[3, :2] = [2.0 ** 63, 4e19]
+    texts = [list(day) for day in _count_texts(counts)]
+    assert texts == [[str(int(count)) for count in day] for day in counts.T.tolist()]
+    if largest:
+        assert (texts[0][0] is texts[0][1]) == table  # the two 17s of day 0: one text from the table
+    else:
+        assert not counts.any()
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -165,6 +262,10 @@ def _check_digests(out, name):
 @pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
 def test_written_files_keep_their_bytes(tmp_path, name):
     _check_digests(tmp_path, name)
+    # trips.csv takes its texts from the table where its largest count is
+    # below its number of cells; huge-counts alone takes str(int(count)), end to end
+    counts = [int(line.rsplit(b",", 1)[1]) for line in (tmp_path / "trips.csv").read_bytes().splitlines()[1:]]
+    assert (max(counts) < len(counts)) == (name != "huge-counts")
 
 
 # ---------------------------------------------------------------------------
