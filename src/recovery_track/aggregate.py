@@ -9,7 +9,6 @@ read once, by load_taxonomy, into the one layout all consumers use.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -108,17 +107,6 @@ class SeriesSet:
     def keys(self) -> list[tuple[str, str, str]]:
         return self.key_list
 
-    def __getitem__(self, key) -> np.ndarray:
-        row = bisect.bisect_left(self.key_list, key)
-        if row == len(self.key_list) or self.key_list[row] != key:
-            raise KeyError(key)
-        return self.values[row]
-
-    @property
-    def regions(self) -> list[str]:
-        """Regions with at least one key, in sorted order."""
-        return list(dict.fromkeys(key[0] for key in self.key_list))
-
 
 def build_daily_series(
     trips: Activity,
@@ -133,15 +121,14 @@ def build_daily_series(
     All four series exist for every region of `broadcast`, zero-filled where
     no activity was recorded. Trips reduce per region and transactions per
     Zip; each region then takes its Zip's row. Rows of entities no region
-    takes are left out (the caller counts them). Each day's value is the
+    takes are left out, and counted per entity. Each day's value is the
     weighted sum over the category's types of their per-type math.fsum
     totals, itself summed as by math.fsum, so results are independent of row
-    order. Unknown codes count once per input row.
-    Returns (SeriesSet, unknown_code_counts).
+    order. Unknown codes count once per input row; any policy but
+    POLICY_ERROR skips them.
+    Returns (SeriesSet, unknown_code_counts, unmatched), where `unmatched`
+    maps each source to {entity: accepted rows} of the entities no region takes.
     """
-    if unknown_policy not in (POLICY_ERROR, POLICY_SKIP):
-        raise TaxonomyError(f"unknown_policy must be {POLICY_ERROR!r} or {POLICY_SKIP!r}")
-
     regions = list(broadcast.regions)
     trip_row = {region: i for i, region in enumerate(trips.entities)}
     sources = (
@@ -149,9 +136,9 @@ def build_daily_series(
         (SOURCE_TRANSACTION, transactions, broadcast.records),
     )
     unknown: dict[str, int] = {}
-    per_source = {}
+    per_source, unmatched = {}, {}
     for source, activity, region_rows in sources:
-        per_source[source], counts = _region_series(
+        per_source[source], counts, unmatched[source] = _region_series(
             activity, region_rows, taxonomy, window, source, unknown_policy
         )
         for code, rows in counts.items():
@@ -162,11 +149,12 @@ def build_daily_series(
     keys = [(r, s, c) for r in regions for s in key_sources for c in CATEGORIES]
     values = np.stack([per_source[s] for s in key_sources], axis=1)
     values = values.reshape(len(keys), window.n_days)
-    return SeriesSet(window, keys, values), dict(sorted(unknown.items()))
+    return SeriesSet(window, keys, values), dict(sorted(unknown.items())), unmatched
 
 
 def _region_series(activity, region_rows, taxonomy, window, source, unknown_policy):
-    """(regions, categories, days) series of one source, plus its unknown-code row counts.
+    """(regions, categories, days) series of one source, its unknown-code row
+    counts, and the accepted rows of each entity no region takes, in entity order.
 
     `region_rows[i]` is the entity whose rows region i takes, or -1 for none.
     """
@@ -177,7 +165,10 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     known = code_position >= 0
 
     keep = None  # rows of taken entities with known codes, where not all rows are
-    unknown = {}
+    unknown, unmatched = {}, {}
+    if not taken.all():
+        rows = np.bincount(activity.entity, minlength=len(activity.entities))
+        unmatched = {activity.entities[i]: int(rows[i]) for i in np.flatnonzero(~taken)}
     if not (taken.all() and known.all()):
         keep = taken[activity.entity]
         unknown_rows = keep & ~known[activity.code]
@@ -217,7 +208,7 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     series_row = np.full(len(region_rows), n_taken)
     has_rows = region_rows >= 0
     series_row[has_rows] = compact[region_rows[has_rows]]
-    return entity_series[series_row], unknown
+    return entity_series[series_row], unknown, unmatched
 
 
 def _refuse_overflow(sums, source, entity_names, column_names, window):

@@ -35,7 +35,7 @@ import io
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +69,6 @@ class Activity:
 
     def __len__(self) -> int:
         return len(self.value)
-
-    def rows_per_entity(self) -> dict[str, int]:
-        """Accepted rows per entity name, in name order."""
-        counts = np.bincount(self.entity, minlength=len(self.entities))
-        return dict(zip(self.entities, counts.tolist()))
 
 
 @dataclass
@@ -651,7 +646,6 @@ class BroadcastResult:
 
     regions: list[str]
     records: np.ndarray
-    unmatched_zip_rows: dict[str, int] = field(default_factory=dict)
 
 
 def broadcast_zip_to_regions(transactions: Activity, crosswalk: dict[str, str]) -> BroadcastResult:
@@ -659,15 +653,9 @@ def broadcast_zip_to_regions(transactions: Activity, crosswalk: dict[str, str]) 
 
     Values are inherited whole, not apportioned: if two regions resolve to the
     same zip, both index that zip's amounts. Rows whose zip resolves no region
-    are counted per zip and used nowhere.
+    are used nowhere.
     """
     regions = sorted(crosswalk)
     zip_row = {zip_code: i for i, zip_code in enumerate(transactions.entities)}
     records = np.array([zip_row.get(crosswalk[region], -1) for region in regions], dtype=np.int64)
-    resolved = set(crosswalk.values())
-    unmatched = {
-        zip_code: rows
-        for zip_code, rows in transactions.rows_per_entity().items()
-        if zip_code not in resolved
-    }
-    return BroadcastResult(regions=regions, records=records, unmatched_zip_rows=unmatched)
+    return BroadcastResult(regions=regions, records=records)

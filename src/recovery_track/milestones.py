@@ -9,11 +9,12 @@ horizon, not dropped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import CATEGORIES, SOURCES, SeriesSet
+from .aggregate import SeriesSet
 from .errors import SeriesError
 
 
@@ -92,23 +93,16 @@ def build_milestone_table(
     table keyed by region in sorted order.
     """
     days = detect_recovery_days(changes.values, d0, horizon, threshold, run_length)
-    row_of = {key: i for i, key in enumerate(changes.keys())}
     table: dict[str, dict[str, Milestone]] = {}
     excluded: dict[str, list[str]] = {}
-    for region in changes.regions:
-        missing = []
-        row = {}
-        for source in SOURCES:
-            for category in CATEGORIES:
-                field = milestone_field(source, category)
-                i = row_of.get((region, source, category))
-                if i is None:
-                    missing.append(field)
-                    continue
-                if days[i] < 0:
-                    row[field] = Milestone(duration_days=horizon, censored=True)
-                else:
-                    row[field] = Milestone(duration_days=int(days[i]) - d0, censored=False)
+    rows = zip(changes.key_list, days.tolist())
+    for region, region_rows in itertools.groupby(rows, key=lambda row: row[0][0]):
+        row = {
+            milestone_field(source, category): Milestone(duration_days=horizon, censored=True)
+            if day < 0 else Milestone(duration_days=day - d0, censored=False)
+            for (_, source, category), day in region_rows
+        }
+        missing = [field for field in MILESTONE_FIELDS if field not in row]
         if missing:
             excluded[region] = missing
         else:

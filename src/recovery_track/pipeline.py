@@ -107,9 +107,8 @@ def _series_and_coverage(config: PipelineConfig, taxonomy, trips, transactions, 
     Shared by the series stage and validate(), whose diagnostics restate the
     report's findings.
     """
-    crosswalk = ingest.resolve_crosswalk(overlaps.records)
-    broadcast = ingest.broadcast_zip_to_regions(transactions.records, crosswalk)
-    series_set, unknown_codes = aggregate.build_daily_series(
+    broadcast = ingest.broadcast_zip_to_regions(transactions.records, ingest.resolve_crosswalk(overlaps.records))
+    series_set, unknown_codes, unmatched = aggregate.build_daily_series(
         trips.records, transactions.records, broadcast, taxonomy, config.window,
         unknown_policy=unknown_policy,
     )
@@ -118,7 +117,7 @@ def _series_and_coverage(config: PipelineConfig, taxonomy, trips, transactions, 
     for (region, source, category), sufficient in zip(series_set.key_list, baselines[1].tolist()):
         if not sufficient:
             insufficient.setdefault(region, []).append(milestones.milestone_field(source, category))
-    n_regions = len(series_set.regions)
+    n_regions = len(broadcast.regions)
     coverage = {
         "window": {"start": config.window.start.isoformat(), "end": config.window.end.isoformat()},
         "regions": {
@@ -130,17 +129,13 @@ def _series_and_coverage(config: PipelineConfig, taxonomy, trips, transactions, 
             "data_rows": trips.total_rows,
             "accepted": trips.accepted,
             "dropped_out_of_window": trips.dropped,
-            "unmatched_regions": {
-                region: rows
-                for region, rows in trips.records.rows_per_entity().items()
-                if region not in crosswalk
-            },
+            "unmatched_regions": unmatched[aggregate.SOURCE_TRIP],
         },
         "transactions": {
             "data_rows": transactions.total_rows,
             "accepted": transactions.accepted,
             "dropped_out_of_window": transactions.dropped,
-            "unmatched_zips": broadcast.unmatched_zip_rows,
+            "unmatched_zips": unmatched[aggregate.SOURCE_TRANSACTION],
         },
         "insufficient_baselines": insufficient,
         "unknown_service_types": unknown_codes,

@@ -52,6 +52,11 @@ def activity_from_rows(rows):
     )
 
 
+def series_by_key(series_set):
+    """{key: its row of values} of a SeriesSet."""
+    return dict(zip(series_set.key_list, series_set.values))
+
+
 def trip_count(text):
     """A trip count as int() reads it, as a float; ValueError with the row's message."""
     try:

@@ -15,6 +15,11 @@ one CPU, where nothing forks, and on all CPUs, and the two must agree:
   at three quarters of its bytes, zero-padded to 17 digits: in the reader's
   second half, that block's counts are read by int(), not from the bytes,
   and the artifacts equal the unpadded city's;
+- the coverage of the 1000-region city with the four regions of one Zip
+  taken out of overlaps.csv and a trip row of an unknown service type added
+  to each half of trips.csv, unknown types skipped: `run` and `validate`
+  agree, and coverage_report.json counts the unmatched regions, the
+  unmatched Zip and the unknown types as the CSV text does;
 - the refusal, and the `validate` diagnostic, of the 1000-region city's
   trips.csv damaged at three quarters of its bytes, in the reader's second
   half: a byte that is not UTF-8, then a quote opened at the start of the
@@ -28,6 +33,7 @@ removes its temporary directory either way.
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -185,6 +191,95 @@ def long_count(tmp):
     print(f"a 17-digit trip count: {len(sums['all'])} artifacts agree with the unpadded city's")
 
 
+def resolved_zips(overlaps):
+    """{region: the Zip of its largest overlap_area, ties to the smaller Zip} of overlaps.csv rows."""
+    best = {}
+    for region, zip_code, area in overlaps:
+        candidate = (-float(area), zip_code)
+        if region not in best or candidate < best[region]:
+            best[region] = candidate
+    return {region: zip_code for region, (_, zip_code) in best.items()}
+
+
+def coverage_of_text(city, zip_of):
+    """The unmatched and unknown-type counts of coverage_report.json, taken
+    from the CSV text of `city`, every row of which lies in its window."""
+    with open(SRC / "recovery_track/data/taxonomy.csv", newline="") as handle:
+        codes = {row[0] for row in list(csv.reader(handle))[1:]}
+    unmatched = {"trips.csv": {}, "transactions.csv": {}}
+    unknown = {}
+    for name, matched in (("trips.csv", zip_of.keys()), ("transactions.csv", set(zip_of.values()))):
+        with open(city / name, newline="") as handle:
+            for _, entity, code, _ in itertools.islice(csv.reader(handle), 1, None):
+                if entity not in matched:
+                    unmatched[name][entity] = unmatched[name].get(entity, 0) + 1
+                elif code not in codes:
+                    unknown[code] = unknown.get(code, 0) + 1
+    return {
+        "unmatched_regions": dict(sorted(unmatched["trips.csv"].items())),
+        "unmatched_zips": dict(sorted(unmatched["transactions.csv"].items())),
+        "unknown_service_types": dict(sorted(unknown.items())),
+    }
+
+
+def coverage(tmp):
+    """The 1000-region city without the overlaps.csv rows of the four regions
+    of its middle Zip, with a trip row of service type `florist` before the
+    line at a quarter and at three quarters of the bytes of trips.csv, and
+    with unknown types skipped: `run` and `validate` give the same on one CPU
+    and on all, and the report's counts are those of the CSV text."""
+    city = tmp / "coverage/city"
+    shutil.copytree(tmp / "all/city", city)
+    with open(city / "overlaps.csv", newline="") as handle:
+        header, *overlaps = list(csv.reader(handle))
+    zip_of = resolved_zips(overlaps)
+    middle = sorted(set(zip_of.values()))[len(set(zip_of.values())) // 2]
+    gone = {region for region, zip_code in zip_of.items() if zip_code == middle}
+    check(len(gone) == 4, f"Zip {middle} is the Zip of {len(gone)} regions, not 4")
+    kept = [row for row in overlaps if row[0] not in gone]
+    (city / "overlaps.csv").write_text("".join(",".join(row) + "\n" for row in [header, *kept]))
+    whole = (city / "trips.csv").read_bytes()
+    for at in (len(whole) * 3 // 4, len(whole) // 4):  # the later first, so the earlier offset holds
+        start = whole.index(b"\n", at) + 1
+        day, region, _, count = whole[start:whole.index(b"\n", start)].split(b",")
+        whole = whole[:start] + b",".join([day, region, b"florist", count]) + b"\n" + whole[start:]
+    (city / "trips.csv").write_bytes(whole)
+    big(city / "trips.csv")
+    config = json.loads((city / "config.json").read_text())
+    config["taxonomy_options"] = {"unknown_service_policy": "skip-with-warning"}
+    (city / "config.json").write_text(json.dumps(config))
+
+    sums, found = {}, {}
+    for cpus in CPUS:
+        cli(cpus, "run", "--config", city / "config.json", "--out", tmp / "coverage" / cpus)
+        sums[cpus] = digests(tmp / "coverage" / cpus)
+        found[cpus] = cli(cpus, "validate", "--config", city / "config.json")[0]
+    same("coverage: run on one CPU and on all", sums["one"], sums["all"])
+    check(found["one"] == found["all"], f"coverage: validate on one CPU and on all differ:\n{found['one']}{found['all']}")
+    report = json.loads((tmp / "coverage/all/coverage_report.json").read_text())
+    got = {
+        "unmatched_regions": report["trips"]["unmatched_regions"],
+        "unmatched_zips": report["transactions"]["unmatched_zips"],
+        "unknown_service_types": report["unknown_service_types"],
+    }
+    expected = coverage_of_text(city, resolved_zips(kept))
+    check(list(expected["unmatched_regions"]) == sorted(gone) and list(expected["unmatched_zips"]) == [middle]
+          and expected["unknown_service_types"] == {"florist": 2},
+          f"coverage: the CSV text shows {expected}, not the regions {sorted(gone)} and Zip {middle} "
+          "unmatched and two florist rows")
+    for key in expected:
+        check(list(got[key].items()) == list(expected[key].items()),
+              f"coverage: {key} is {got[key]} in the report and {expected[key]} in the CSV text")
+    diagnostics = json.loads(found["all"])
+    for kind, name, key in (("unmatched-region", "region", "unmatched_regions"),
+                            ("unmatched-zip", "zip", "unmatched_zips"),
+                            ("unknown-service-type", "code", "unknown_service_types")):
+        listed = {entry[name]: entry["rows"] for entry in diagnostics if entry["kind"] == kind}
+        check(listed == got[key], f"coverage: validate lists {kind} {listed}, the report {got[key]}")
+    print(f"coverage: {len(gone)} unmatched regions, Zip {middle} and {expected['unknown_service_types']} "
+          "counted as the CSV text shows, on one CPU and on all")
+
+
 def damaged_trips(tmp):
     """The 1000-region city's trips.csv, damaged at three quarters of its
     bytes, in the reader's second half: `run` refuses it, and `validate`
@@ -241,6 +336,7 @@ def main():
         cities(tmp)
         damaged_changes(tmp / "2")
         long_count(tmp / "1")
+        coverage(tmp / "1")
         damaged_trips(tmp / "1")
         stats_perm(tmp)
 

@@ -19,7 +19,14 @@ import scipy.stats
 
 import corpus as corpus_module
 from conftest import GOLDEN_ARTIFACTS, write_csv
-from oracles import activity_from_rows, brute_force_recovery_day, gini_pairwise, moran_double_sum, neighbor_indices
+from oracles import (
+    activity_from_rows,
+    brute_force_recovery_day,
+    gini_pairwise,
+    moran_double_sum,
+    neighbor_indices,
+    series_by_key,
+)
 from recovery_track.aggregate import ESSENTIAL, NON_ESSENTIAL, build_daily_series, load_taxonomy
 from recovery_track.config import load_config
 from recovery_track.errors import ParseError
@@ -149,9 +156,10 @@ def test_criterion_04_weighted_measurement_fidelity():
         units = activity_from_rows((0, "R001", code, 1.0) for code in taxonomy.codes)
         no_transactions = activity_from_rows([])
         broadcast = broadcast_zip_to_regions(no_transactions, {"R001": "77001"})
-        series_set, _ = build_daily_series(units, no_transactions, broadcast, taxonomy, window)
-        assert abs(series_set[("R001", "trip", ESSENTIAL)][0] - 0.9991) <= 1e-12
-        assert abs(series_set[("R001", "trip", NON_ESSENTIAL)][0] - 1.0) <= 1e-12
+        series_set, _, _ = build_daily_series(units, no_transactions, broadcast, taxonomy, window)
+        series = series_by_key(series_set)
+        assert abs(series[("R001", "trip", ESSENTIAL)][0] - 0.9991) <= 1e-12
+        assert abs(series[("R001", "trip", NON_ESSENTIAL)][0] - 1.0) <= 1e-12
 
 
 def test_criterion_05_gini_analytics():

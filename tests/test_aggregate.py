@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import write_csv
-from oracles import activity_from_rows, taxonomy_entries
+from oracles import activity_from_rows, series_by_key, taxonomy_entries
 from recovery_track.aggregate import (
     ESSENTIAL,
     NON_ESSENTIAL,
@@ -119,7 +119,7 @@ def _measurement(values, taxonomy, category):
     """One day's series value of a region with one trip row per type of `values`."""
     trips = [("2017-08-05", "R001", code, value) for code, value in values.items()]
     series_set, _ = _series(taxonomy, trips=trips)
-    return series_set[("R001", "trip", category)][WINDOW.index_of(date(2017, 8, 5))]
+    return series_by_key(series_set)[("R001", "trip", category)][WINDOW.index_of(date(2017, 8, 5))]
 
 
 def test_weighted_measurement_unit_inputs(taxonomy):
@@ -192,7 +192,7 @@ def _activity(rows):
 
 
 def _series(taxonomy, trips=(), transactions=(), crosswalk=None, **options):
-    """Daily series of trip rows (per region) and transaction rows (per zip).
+    """(SeriesSet, unknown code counts) of trip rows (per region) and transaction rows (per zip).
 
     The default crosswalk takes every trip region, all in zip 77001.
     """
@@ -200,12 +200,13 @@ def _series(taxonomy, trips=(), transactions=(), crosswalk=None, **options):
     if crosswalk is None:
         crosswalk = {region: "77001" for region in trips.entities}
     broadcast = broadcast_zip_to_regions(transactions, crosswalk)
-    return build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW, **options)
+    series_set, unknown, _ = build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW, **options)
+    return series_set, unknown
 
 
 def test_single_trip_weights_into_series(taxonomy):
     series_set, unknown = _series(taxonomy, trips=[("2017-08-05", "R001", "grocery", 10)])
-    values = series_set[("R001", "trip", ESSENTIAL)]
+    values = series_by_key(series_set)[("R001", "trip", ESSENTIAL)]
     assert values[WINDOW.index_of(date.fromisoformat("2017-08-05"))] == pytest.approx(9.47)
     assert unknown == {}
 
@@ -224,7 +225,7 @@ def test_same_day_records_sum_before_weighting(taxonomy):
         transactions=[("2017-08-05", "77001", "restaurant", 100.0), ("2017-08-05", "77001", "restaurant", 50.0)],
         crosswalk={"R001": "77001"},
     )
-    value = series_set[("R001", "transaction", NON_ESSENTIAL)][4]
+    value = series_by_key(series_set)[("R001", "transaction", NON_ESSENTIAL)][4]
     assert value == pytest.approx(0.631 * 150.0, rel=1e-12)
 
 
@@ -236,9 +237,10 @@ def test_series_additivity_under_dataset_split(taxonomy):
         for _ in range(400)
     ]
     crosswalk = {f"R{i:03d}": "77001" for i in range(3)}
-    whole, _ = _series(taxonomy, trips=trips, crosswalk=crosswalk)
-    first, _ = _series(taxonomy, trips=trips[::2], crosswalk=crosswalk)
-    second, _ = _series(taxonomy, trips=trips[1::2], crosswalk=crosswalk)
+    whole, first, second = (
+        series_by_key(_series(taxonomy, trips=part, crosswalk=crosswalk)[0])
+        for part in (trips, trips[::2], trips[1::2])
+    )
     for key in whole.keys():
         combined = first[key] + second[key]
         assert combined == pytest.approx(whole[key], rel=1e-12, abs=1e-12)
@@ -251,10 +253,10 @@ def test_series_independent_of_record_order(taxonomy):
          rng.choice(list(DEFAULT_WEIGHTS)), rng.randrange(0, 50))
         for _ in range(300)
     ]
-    reference, _ = _series(taxonomy, trips=trips)
+    reference = series_by_key(_series(taxonomy, trips=trips)[0])
     shuffled = trips[:]
     rng.shuffle(shuffled)
-    permuted, _ = _series(taxonomy, trips=shuffled)
+    permuted = series_by_key(_series(taxonomy, trips=shuffled)[0])
     for key in reference.keys():
         assert (reference[key] == permuted[key]).all()
 
@@ -289,3 +291,21 @@ def test_unknown_code_error_names_first_in_file_order_trips_first(taxonomy):
     transactions.append(("2017-08-04", "77001", "atm", 1.0))
     with pytest.raises(TaxonomyError, match="'bakery' in transaction data"):
         _series(taxonomy, trips=trips[:1], transactions=transactions, crosswalk=crosswalk)
+
+
+def test_rows_no_region_takes_are_counted_per_entity_whatever_their_code(taxonomy):
+    # R002 and Zip 77002 resolve no region: their unknown codes neither fail nor count as unknown
+    trips = _activity([
+        ("2017-08-05", "R001", "grocery", 1),
+        ("2017-08-05", "R002", "florist", 2),
+        ("2017-08-06", "R002", "grocery", 3),
+        ("2017-08-06", "R003", "grocery", 4),
+    ])
+    transactions = _activity([("2017-08-05", "77001", "grocery", 1.0), ("2017-08-05", "77002", "florist", 1.0)])
+    broadcast = broadcast_zip_to_regions(transactions, {"R001": "77001", "R003": "77001"})
+    _, unknown, unmatched = build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW)
+    assert unknown == {}
+    assert unmatched == {"trip": {"R002": 2}, "transaction": {"77002": 1}}
+    broadcast = broadcast_zip_to_regions(transactions, {"R001": "77001", "R002": "77002", "R003": "77001"})
+    with pytest.raises(TaxonomyError, match="'florist' in trip data"):
+        build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_recovery_day, moving_average, percent_change
+from oracles import brute_force_recovery_day, moving_average, percent_change, series_by_key
 from recovery_track import pipeline, processes
 from recovery_track.aggregate import SeriesSet
 from recovery_track.config import load_config
@@ -59,11 +59,12 @@ def test_change_matrix_equals_scalar_smoothing_and_change(boundary, half_width):
         values, sufficient = compute_baselines(series_set, BASELINE_WINDOW)
         changes = build_change_series(series_set, (values, sufficient), half_width, boundary)
         baseline_of = dict(zip(series_set.keys(), values.tolist()))
+        series = series_by_key(series_set)
         expected = [key for key, ok in zip(series_set.keys(), sufficient.tolist()) if ok]
         assert changes.keys() == expected
         assert 0 < len(expected) < len(series_set.keys())
         for key, row in zip(changes.keys(), changes.values):
-            smoothed = moving_average(series_set[key], half_width=half_width, boundary=boundary)
+            smoothed = moving_average(series[key], half_width=half_width, boundary=boundary)
             want = percent_change(smoothed, baseline_of[key])
             assert row.tobytes() == want.tobytes(), key
 

@@ -26,7 +26,7 @@ import pytest
 
 import corpus
 from conftest import write_csv
-from oracles import amount, parse_activity_rows, taxonomy_entries, trip_count, weighted_measurement
+from oracles import amount, parse_activity_rows, series_by_key, taxonomy_entries, trip_count, weighted_measurement
 from recovery_track import ingest, processes
 from recovery_track.aggregate import (
     CATEGORIES,
@@ -398,11 +398,12 @@ def test_series_match_the_scalar_reference_in_any_row_order(tmp_path):
             trips = ingest.parse_trips(trips_file, WINDOW).records
             transactions = ingest.parse_transactions(tx_file, WINDOW).records
             broadcast = ingest.broadcast_zip_to_regions(transactions, crosswalk)
-            got, unknown = build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW)
+            got, unknown, _ = build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW)
             assert unknown == {}
             if reference is None:
                 reference = _scalar_series(trips, transactions, crosswalk, taxonomy)
             assert got.keys() == sorted(reference)
+            got = series_by_key(got)
             for key, values in reference.items():
                 assert got[key].tobytes() == values.tobytes(), key
 

@@ -9,7 +9,7 @@ from datetime import date
 import pytest
 
 from conftest import write_csv
-from oracles import activity_from_rows, taxonomy_entries
+from oracles import activity_from_rows, series_by_key, taxonomy_entries
 from recovery_track import processes
 from recovery_track.aggregate import build_daily_series, load_taxonomy
 from recovery_track.errors import ParseError
@@ -286,8 +286,9 @@ def _tx(rows):
 
 def _tx_series(transactions, broadcast):
     no_trips = activity_from_rows([])
-    series_set, _ = build_daily_series(no_trips, transactions, broadcast, load_taxonomy(), WINDOW)
-    return {r: series_set[(r, "transaction", "essential")] for r in series_set.regions}
+    series_set, _, _ = build_daily_series(no_trips, transactions, broadcast, load_taxonomy(), WINDOW)
+    series = series_by_key(series_set)
+    return {r: series[(r, "transaction", "essential")] for r in broadcast.regions}
 
 
 def test_broadcast_copies_full_value_to_each_region():
@@ -302,9 +303,11 @@ def test_broadcast_copies_full_value_to_each_region():
 
 
 def test_broadcast_counts_unmatched_zip():
-    result = broadcast_zip_to_regions(_tx([("2017-08-15", "99999", 5.0)]), {"R001": "77005"})
+    transactions = _tx([("2017-08-15", "99999", 5.0)])
+    result = broadcast_zip_to_regions(transactions, {"R001": "77005"})
     assert result.records.tolist() == [-1]
-    assert result.unmatched_zip_rows == {"99999": 1}
+    _, _, unmatched = build_daily_series(activity_from_rows([]), transactions, result, load_taxonomy(), WINDOW)
+    assert unmatched["transaction"] == {"99999": 1}
 
 
 def test_broadcast_identity_single_pair():

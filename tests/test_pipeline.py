@@ -880,6 +880,118 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, path, value, unknown)
     assert not (tmp_path / "out").exists()
 
 
+def _config(**changes):
+    """An edit of the mini bundle that sets each top-level config key, or deletes it for None."""
+
+    def edit(directory):
+        path = directory / "config.json"
+        raw = json.loads(path.read_text())
+        for key, value in changes.items():
+            if value is None:
+                del raw[key]
+            else:
+                raw[key] = value
+        path.write_text(json.dumps(raw))
+
+    return edit
+
+
+def _replace(name, text):
+    return lambda directory: write_csv(directory, name, text)
+
+
+def _append(name, text):
+    def edit(directory):
+        with open(directory / name, "a", encoding="utf-8") as handle:
+            handle.write(text)
+
+    return edit
+
+
+def _taxonomy(rows):
+    """An edit that makes the mini bundle read a taxonomy.csv with these data rows."""
+
+    def edit(directory):
+        write_csv(directory, "taxonomy.csv", "service_type,category,weight_percent\n" + rows)
+        _config(inputs={**MINI_CONFIG["inputs"], "taxonomy": "taxonomy.csv"})(directory)
+
+    return edit
+
+
+def _spec(**fields):
+    return _replace("spec.json", json.dumps({"n_regions": 4, **fields}))
+
+
+def _duplicate_metric_row(directory):
+    run(load_config(directory / "config.json"))
+    path = directory / "out" / "metric.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines[:3], lines[2], *lines[3:]]))
+
+
+REFUSAL_COMMANDS = {
+    "run": ["run", "--config", "{dir}/config.json"],
+    "stats": ["run", "--config", "{dir}/config.json", "--only", "stats"],
+    "synth": ["synth", "--spec", "{dir}/spec.json", "--out", "{dir}/city"],
+}
+
+
+@pytest.mark.parametrize(
+    "edit, command, code, message",
+    [
+        # taxonomy
+        (_taxonomy(",essential,50\n"), "run", 1,
+         "error: {dir}/taxonomy.csv: 1 invalid row(s); first at line 2: empty service_type"),
+        (_taxonomy("grocery,essential,-5\n"), "run", 1,
+         "error: {dir}/taxonomy.csv: 1 invalid row(s); first at line 2: weight_percent must be nonnegative, got -5"),
+        (_taxonomy("grocery,essential,50\nrestaurant,non-essential,50\ngrocery,essential,20\n"), "run", 1,
+         "error: {dir}/taxonomy.csv: 1 invalid row(s); first at line 4: duplicate service_type 'grocery'"),
+        (_taxonomy(""), "run", 1, "error: {dir}/taxonomy.csv: taxonomy has no entries"),
+        # config, and a scenario spec's [low, high] pairs
+        (_spec(drop_range=[0.5]), "synth", 2, "config error: drop_range: expected a [low, high] pair"),
+        (_spec(ramp_range=[30, 10]), "synth", 2, "config error: ramp_range: low 30 exceeds high 10"),
+        (_replace("config.json", "[]\n"), "run", 2, "config error: {dir}/config.json: config must be a JSON object"),
+        (_config(recovery=10), "run", 2, "config error: recovery must be a JSON object"),
+        (_config(window={"start": "2017-08-02", "end": "2017-08-15"}), "run", 2,
+         "config error: analysis window must start at or before the baseline window"),
+        (_config(window={"start": "2017-08-01", "end": "2017-08-14"}), "run", 2,
+         "config error: analysis window must reach event day + horizon (2017-08-15), ends 2017-08-14"),
+        (_config(inputs={name: path for name, path in MINI_CONFIG["inputs"].items() if name != "adjacency"}),
+         "run", 2, "config error: inputs missing: ['adjacency']"),
+        (_config(event_day=None), "run", 2, "config error: event_day is required"),
+        (_config(window={"start": "2017-08-01"}), "run", 2,
+         "config error: window.end is required: a window needs both start and end"),
+        # DateWindow
+        (_config(window={"start": "2017-08-15", "end": "2017-08-01"}), "run", 2,
+         "config error: window end 2017-08-01 precedes start 2017-08-15"),
+        # overlaps, adjacency and attributes
+        (_append("overlaps.csv", ",77001,0.5\n"), "run", 1,
+         "error: {dir}/overlaps.csv: 1 invalid row(s); first at line 6: empty region"),
+        (_append("overlaps.csv", "R005,,0.5\n"), "run", 1,
+         "error: {dir}/overlaps.csv: 1 invalid row(s); first at line 6: empty zip"),
+        (_append("adjacency.csv", "R004,\n"), "run", 1,
+         "error: {dir}/adjacency.csv: 1 invalid row(s); first at line 5: empty region identifier"),
+        (_append("attributes.csv", ",0.1,0.2,50000\n"), "run", 1,
+         "error: {dir}/attributes.csv: 1 invalid row(s); first at line 6: empty region"),
+        (_append("attributes.csv", "R005,0.1,1.5,50000\n"), "run", 1,
+         "error: {dir}/attributes.csv: 1 invalid row(s); first at line 6: minority_fraction 1.5 outside [0, 1]"),
+        # metric.csv
+        (_duplicate_metric_row, "stats", 1, "error: metric.csv line 4: region 'R002' is duplicated"),
+        # scenario spec
+        (_spec(baseline_level_range=[0, 100]), "synth", 2,
+         "config error: baseline_level_range: levels must be positive"),
+        (_spec(tx_level_range=[-1, 100]), "synth", 2, "config error: tx_level_range: levels must be positive"),
+        (_spec(flat_fraction=0.6, censored_fraction=0.5), "synth", 2,
+         "config error: flat_fraction + censored_fraction exceed 1"),
+    ],
+)
+def test_cli_refusals_name_their_cause(tmp_path, capsys, edit, command, code, message):
+    _write_mini_bundle(tmp_path)
+    edit(tmp_path)
+    assert cli.main([arg.format(dir=tmp_path) for arg in REFUSAL_COMMANDS[command]]) == code
+    assert capsys.readouterr().err == message.format(dir=tmp_path) + "\n"
+
+
 @pytest.mark.parametrize("boundary", ["truncate", "skip"])
 def test_half_width_past_the_window_equals_the_window_length(tmp_path, boundary):
     config_path = _write_mini_bundle(tmp_path)

@@ -21,6 +21,7 @@ import recovery_track.synth
 
 from oracles import analytic_recovery_day, brute_force_recovery_day, smooth_truncated
 from recovery_track import processes
+from recovery_track.aggregate import build_daily_series, load_taxonomy
 from recovery_track.errors import ScenarioError
 from recovery_track.ingest import (
     parse_adjacency,
@@ -375,7 +376,8 @@ def test_generated_files_roundtrip_with_zero_warnings(tmp_path):
     regions = set(crosswalk)
     assert set(trips.records.entities) <= regions
     broadcast = broadcast_zip_to_regions(transactions.records, crosswalk)
-    assert broadcast.unmatched_zip_rows == {}
+    _, _, unmatched = build_daily_series(trips.records, transactions.records, broadcast, load_taxonomy(), window)
+    assert unmatched["transaction"] == {}
     assert set(attributes.records) == regions
     assert set(adjacency.records) == regions
 
