@@ -223,6 +223,8 @@ def _window(section: dict, name: str) -> DateWindow:
         if key not in section:
             raise ConfigError(f"{name}.{key} is required: a window needs both start and end")
         days.append(date_field(section[key], f"{name}.{key}"))
+    if days[1] < days[0]:
+        raise ConfigError(f"{name}.end {days[1]} precedes {name}.start {days[0]}")
     return DateWindow(*days)
 
 

@@ -494,12 +494,6 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     Moran's I is computed for five fields, the four milestones and then the
     integrated metric, each shuffled by its own stream, [seed, field index],
     and each gathered by one index into weights.regions order.
-    Where one field's shuffles gather processes.SPLIT_CELLS neighbor values
-    or more (permutations times weight edges), the last two fields are
-    computed beside this process (processes.beside), by a forked child where
-    one can be had, while this process computes the first three. A field's
-    numbers do not depend on where it is computed, so the bytes are the same
-    in one process or two.
     """
     regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
     metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
@@ -514,13 +508,10 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     columns = (*durations.T, integrated)
     position = {region: i for i, region in enumerate(regions)}
     at = np.array([position[region] for region in weights.regions], dtype=np.int64)
-
-    def moran_entries(indices):
-        return [_moran_entry(columns[i][at], weights, config.permutations, [config.seed, i]) for i in indices]
-
-    split = config.permutations * len(weights.columns) >= processes.SPLIT_CELLS
-    with processes.beside(lambda: moran_entries(range(3, len(fields))), split) as later:
-        moran_section = dict(zip(fields, moran_entries(range(3)) + later()))
+    moran_section = {
+        field: _moran_entry(column[at], weights, config.permutations, [config.seed, i])
+        for i, (field, column) in enumerate(zip(fields, columns))
+    }
 
     with_attributes = [i for i, region in enumerate(regions) if region in attributes]
     attribute_matrix = np.array([attributes[regions[i]] for i in with_attributes], dtype=float)

@@ -1,10 +1,9 @@
 """Two processes, the two sizes and the split rule of whole-line file I/O, and staged writes.
 
-Five callers split their work in two: the trip reader
+Four callers split their work in two: the trip reader
 (ingest._parse_activity), the writer of work/changes.csv
 (pipeline._changes_csv), its reader for `--only milestones`
-(pipeline._read_changes), the synthetic city generator (synth.generate) and
-the Moran's I permutation tests of the stats stage (pipeline._stage_stats).
+(pipeline._read_changes) and the synthetic city generator (synth.generate).
 Each runs its own half inside `beside(work, split)`, which yields a
 function giving work()'s result. Where `split` holds and a second CPU, a
 descriptor pair and a process are free, a forked child computes work()
@@ -22,9 +21,7 @@ The two file readers, of trips and transactions and of work/changes.csv,
 split a file of SPLIT_BYTES or more by one rule, `split_point`: at the first
 line start at or after the middle byte, whatever the line holds. The two
 producers, the changes writer and the city generator, have no file to
-measure and split from SPLIT_CELLS cells; the stats stage, a third reader of
-SPLIT_CELLS, splits where one Moran field's shuffles gather that many
-neighbor values (permutations times weight edges). Whole-line I/O moves
+measure and split from SPLIT_CELLS cells. Whole-line I/O moves
 BLOCK_BYTES at a time: `line_blocks` reads every line file, the inputs and
 the artifacts, and the run writes its artifacts so.
 
@@ -45,9 +42,8 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-# Where the two producers (cells of a key x day matrix), the stats stage
-# (neighbor values gathered for one field's shuffles) and the two file readers
-# (bytes of the file) have a forked child do part of their work.
+# Where the two producers (cells of a key x day matrix) and the two file
+# readers (bytes of the file) have a forked child do part of their work.
 SPLIT_CELLS = 1 << 17
 SPLIT_BYTES = 4 << 20
 

@@ -6,7 +6,7 @@ adjacency edge list, and reads its values as one float array in the weights'
 region order. Inference is analytical under the randomization assumption,
 with an optional seeded permutation p-value as a cross-check. One kernel
 gives the cross-product of the observed field and of each shuffle, one
-shuffle at a time.
+shuffle at a time, with one product per unordered pair of neighbors.
 """
 
 from __future__ import annotations
@@ -23,6 +23,36 @@ from .errors import StatsError
 # spatial weights
 
 
+def _neighbors(adjacency: dict, include):
+    """(regions, isolated, degrees, columns): the regions left with neighbors
+    in sorted order and those left without; each region's neighbor count,
+    and its neighbors' indices in `regions`, region after region. The sets
+    built here are freed on return, before the weights' arrays are built."""
+    if include is None:
+        universe = set(adjacency)
+        for others in adjacency.values():
+            universe.update(others)
+    else:
+        universe = set(include)
+    within = {region: set(adjacency.get(region, ())) & universe for region in universe}
+    isolated = set()
+    while empty := {region for region, others in within.items() if not others}:
+        isolated |= empty
+        for region in empty:
+            del within[region]
+        for others in within.values():
+            if not others.isdisjoint(empty):
+                others -= empty
+
+    regions = tuple(sorted(within))
+    index = {region: i for i, region in enumerate(regions)}
+    degrees = np.array([len(within[region]) for region in regions], dtype=np.int64)
+    columns = np.fromiter(
+        (index[other] for region in regions for other in within[region]), dtype=np.int64, count=int(degrees.sum())
+    )
+    return regions, tuple(sorted(isolated)), degrees, columns
+
+
 @dataclass(frozen=True)
 class SpatialWeights:
     """Row-standardized contiguity weights over a fixed region ordering.
@@ -32,69 +62,43 @@ class SpatialWeights:
     at them; with an asymmetric adjacency that can leave further regions
     without neighbors, which are excluded in turn.
 
-    The weights are held only as an edge list in `regions` index order,
-    sorted by row and then column: edge e runs from region `rows[e]` to its
-    neighbor `columns[e]` with weight `edge_weights[e]` (1/k for a region with
-    k neighbors). Memory is linear in the number of edges.
+    The weights are held only as region pairs (`first` <= `second`, indices
+    into `regions`), sorted: pair k of regions i < j weighs `pair_weights[k]`
+    = w_ij + w_ji, with w_ij = 1/k_i for a region of k_i neighbors that lists
+    j (else 0), and a region that lists itself is a pair of weight w_ii. So
+    sum_ij w_ij z_i z_j = sum_k pair_weights[k] z[first[k]] z[second[k]].
     """
 
     regions: tuple[str, ...]
     isolated: tuple[str, ...]
-    rows: np.ndarray = field(repr=False, compare=False)
-    columns: np.ndarray = field(repr=False, compare=False)
-    edge_weights: np.ndarray = field(repr=False, compare=False)
+    first: np.ndarray = field(repr=False, compare=False)
+    second: np.ndarray = field(repr=False, compare=False)
+    pair_weights: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_adjacency(cls, adjacency: dict, include=None) -> "SpatialWeights":
-        if include is None:
-            universe = set(adjacency)
-            for others in adjacency.values():
-                universe.update(others)
-        else:
-            universe = set(include)
-        within = {region: set(adjacency.get(region, ())) & universe for region in universe}
-        isolated = set()
-        while empty := {region for region, others in within.items() if not others}:
-            isolated |= empty
-            for region in empty:
-                del within[region]
-            for others in within.values():
-                if not others.isdisjoint(empty):
-                    others -= empty
-
-        regions = tuple(sorted(within))
-        index = {region: i for i, region in enumerate(regions)}
-        degrees = np.array([len(within[region]) for region in regions], dtype=np.int64)
-        columns = np.fromiter(
-            (index[other] for region in regions for other in sorted(within[region])),
-            dtype=np.int64,
-            count=int(degrees.sum()),
-        )
-        return cls(
-            regions=regions,
-            isolated=tuple(sorted(isolated)),
-            rows=np.repeat(np.arange(len(regions), dtype=np.int64), degrees),
-            columns=columns,
-            edge_weights=np.repeat(1.0 / degrees, degrees),
-        )
+        regions, isolated, degrees, columns = _neighbors(adjacency, include)
+        n = len(regions)
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        # edge i -> j belongs to pair min(i, j) * n + max(i, j); a pair sums the
+        # weights of its one or two edges from 0.0, so w_ij + w_ji exactly
+        codes = np.minimum(rows, columns) * n + np.maximum(rows, columns)
+        pairs, pair_of_edge = np.unique(codes, return_inverse=True)
+        first, second = np.divmod(pairs, n)
+        return cls(regions, isolated, first, second, np.bincount(pair_of_edge, np.repeat(1.0 / degrees, degrees)))
 
     def sums(self) -> tuple[float, float, float]:
-        """The Cliff-Ord weight sums (S0, S1, S2), from the edge list.
+        """The Cliff-Ord weight sums (S0, S1, S2), from the pairs.
 
-        S0 = sum_ij w_ij; S1 = 1/2 sum_ij (w_ij + w_ji)^2, which is
-        sum_e w_e^2 + sum_e w_e w_reverse(e) over edges e = (i, j) with
-        w_reverse(e) = w_ji (0 when j does not list i); S2 = sum_i (w_i. + w_.i)^2.
+        S0 = sum_ij w_ij = sum_k c_k over the pair weights c; S1 = 1/2 sum_ij
+        (w_ij + w_ji)^2 = c . c plus c_k^2 once more for each self pair; and
+        S2 = sum_i (w_i. + w_.i)^2, w_i. + w_.i summing c over i's pairs, a self pair twice.
         """
+        first, second, c = self.first, self.second, self.pair_weights
         n = len(self.regions)
-        rows, columns, w = self.rows, self.columns, self.edge_weights
-        # edges are sorted by row and then column, so the codes i * n + j ascend
-        codes = rows * n + columns
-        reverse = columns * n + rows
-        at = np.searchsorted(codes, reverse)
-        found = np.append(codes, -1)[at] == reverse
-        w_reverse = np.where(found, np.append(w, 0.0)[at], 0.0)
-        row_plus_col = np.bincount(rows, w, minlength=n) + np.bincount(columns, w, minlength=n)
-        return float(w.sum()), float(w @ w + w @ w_reverse), float((row_plus_col**2).sum())
+        self_pairs = c[first == second]
+        at_region = np.bincount(first, c, minlength=n) + np.bincount(second, c, minlength=n)
+        return float(c.sum()), float(c @ c + self_pairs @ self_pairs), float((at_region**2).sum())
 
 
 # --------------------------------------------------------------------------
@@ -117,10 +121,8 @@ class MoranResult:
 
 
 def _spatial_numerator(z: np.ndarray, weights: SpatialWeights) -> float:
-    """sum_ij w_ij z_i z_j: each region's spatial lag is the weighted sum of
-    its gathered neighbor values, summed from 0.0 in edge order."""
-    lag = np.bincount(weights.rows, z[weights.columns] * weights.edge_weights, minlength=len(z))
-    return float((z * lag).sum())
+    """sum_ij w_ij z_i z_j, as one product per region pair."""
+    return float((z[weights.first] * z[weights.second]) @ weights.pair_weights)
 
 
 def morans_i(
@@ -139,7 +141,7 @@ def morans_i(
     from E[I] as the observed I, where a shuffle that ties it exactly counts.
     Each shuffle is one `rng.permutation(z)` call, and its cross-product goes
     through the observed field's kernel. Everything is computed from the
-    sparse weights, in memory linear in the number of edges.
+    sparse weights, in memory linear in the number of region pairs.
     """
     n = len(weights.regions)
     if n < 3:

@@ -43,9 +43,8 @@ def golden_city(tmp_path_factory):
 @pytest.fixture
 def forks(monkeypatch):
     """{pid: wait status} of the children processes.beside forks, for the trip
-    reader, the changes writer and reader, the city generator, the stats
-    stage's last two Moran fields or a test of its own, on a machine taken to
-    have two CPUs.
+    reader, the changes writer and reader, the city generator or a test of
+    its own, on a machine taken to have two CPUs.
 
     Afterwards every child must have been reaped and no descriptor left open.
     """

@@ -2,9 +2,9 @@
 
 Run as `python tests/same_bytes.py`; it takes no options. The unit tests
 reach the two-process paths only with lowered sizes; these cities cross
-processes.SPLIT_BYTES and processes.SPLIT_CELLS, the last one in the
-permutation tests of the stats stage. Every command runs twice, pinned to
-one CPU, where nothing forks, and on all CPUs, and the two must agree:
+processes.SPLIT_BYTES and processes.SPLIT_CELLS. Every command runs twice,
+pinned to one CPU, where nothing forks, and on all CPUs, and the two must
+agree:
 
 - every file of `synth`, `run` and `run --only milestones` on a 1000-region
   city and a 200-region, 365-day city, and `--only milestones` equal to `run`;
@@ -25,7 +25,8 @@ one CPU, where nothing forks, and on all CPUs, and the two must agree:
   half: a byte that is not UTF-8, then a quote opened at the start of the
   next line and never closed;
 - every artifact of the 2,500-region stats-perm benchmark city after
-  `run --only stats --permutations 999`.
+  `run --only stats --permutations 999`; its stats.json and lorenz.csv must
+  also keep the sha256 recorded in STATS_PERM_DIGESTS.
 
 It exits nonzero, naming the comparison, at the first that fails, and
 removes its temporary directory either way.
@@ -72,6 +73,14 @@ SYNTH_DIGESTS = {
         "transactions.csv": "163986e49ee85b8842da639f9d6da97dd14dc124cfb10a8434f85f4f2b486aed",
         "trips.csv": "2a85f3b7c4af76ec5fc4fb9711395dd612e8a82cf611fa9381b7b3de53c18978",
     },
+}
+
+# sha256 of the files the stats stage writes for the stats-perm city of
+# stats_perm() after `run --only stats --permutations 999`: the unit tests pin
+# seeded permutation p-values on cities of 30 and 200 regions only
+STATS_PERM_DIGESTS = {
+    "lorenz.csv": "e06a93c4984890f6325d98528e3bafeb91eda519c84ed749d124238260af1720",
+    "stats.json": "a92bbafb976cb89f7e9d926969e41453ae4ee9c97bd005b290ec0901390df77b",
 }
 
 
@@ -306,16 +315,13 @@ def damaged_trips(tmp):
 
 
 def stats_perm(tmp):
-    """The stats-perm benchmark city: its permutation tests cross processes.SPLIT_CELLS."""
+    """The stats-perm benchmark city after `run --only stats --permutations
+    999`: the same artifacts on one CPU and on all, and stats.json and
+    lorenz.csv as STATS_PERM_DIGESTS records them."""
     spec = '{"n_regions": 2500, "window_start": "2017-08-17", "baseline_days": 7, "horizon_days": 21, "ramp_range": [3, 15]}'
     (tmp / "perm.json").write_text(spec + "\n")
     cli("all", "synth", "--spec", tmp / "perm.json", "--out", tmp / "perm/city")
     cli("all", "run", "--config", tmp / "perm/city/config.json", "--out", tmp / "perm/out")
-    # a data row of adjacency.csv gives at most two weight edges, one each way,
-    # so a product below processes.SPLIT_CELLS here could never split
-    edges = 2 * ((tmp / "perm/city/adjacency.csv").read_bytes().count(b"\n") - 1)
-    check(PERMUTATIONS * edges >= processes.SPLIT_CELLS,
-          f"{PERMUTATIONS} permutations x {edges} edges is below processes.SPLIT_CELLS ({processes.SPLIT_CELLS})")
     sums = {}
     for cpus in CPUS:
         shutil.copytree(tmp / "perm/out", tmp / "perm" / cpus)
@@ -323,6 +329,8 @@ def stats_perm(tmp):
             "--only", "stats", "--permutations", PERMUTATIONS)
         sums[cpus] = digests(tmp / "perm" / cpus)
     same(f"{spec}: --only stats on one CPU and on all", sums["one"], sums["all"])
+    same(f"{spec}: --only stats and STATS_PERM_DIGESTS",
+         {name: sums["all"][name] for name in STATS_PERM_DIGESTS}, STATS_PERM_DIGESTS)
     print(f"{spec}: {len(sums['all'])} artifacts agree after run --only stats --permutations {PERMUTATIONS}")
 
 

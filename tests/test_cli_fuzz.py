@@ -1,0 +1,82 @@
+"""A seeded fuzz of every file the CLI reads: random byte and line edits of
+the scenario spec, the config, the five inputs and the artifacts the staged
+runs read back, on a 6-region city. Whatever the edit, a command exits 0, or
+refuses with one `error:` or `config error:` line and exit 1 or 2; it never
+ends in any other exception.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from recovery_track import cli
+
+EDITS = 150
+SEED = 14
+
+# bytes an edit puts in: CSV and JSON syntax, number characters, and two that are rarely valid
+BYTES = b'\n\r,"-.:0123456789e []{} \x00\xff'
+
+RUN = ["run", "--config", "{dir}/city/config.json", "--out", "{dir}/out", "--permutations", "9"]
+VALIDATE = ["validate", "--config", "{dir}/city/config.json"]
+INPUTS = ("trips.csv", "transactions.csv", "overlaps.csv", "adjacency.csv", "attributes.csv")
+
+# (file edited, command that reads it)
+TARGETS = [
+    ("spec.json", ["synth", "--spec", "{dir}/spec.json", "--out", "{dir}/synth"]),
+    *((f"city/{name}", command) for name in ("config.json", *INPUTS) for command in (RUN, VALIDATE)),
+    ("out/work/baselines.csv", [*RUN, "--only", "milestones"]),
+    ("out/work/changes.csv", [*RUN, "--only", "milestones"]),
+    ("out/milestones.csv", [*RUN, "--only", "metric"]),
+    ("out/milestones.csv", [*RUN, "--only", "stats"]),
+    ("out/metric.csv", [*RUN, "--only", "stats"]),
+]
+
+
+def _edit(rng, data):
+    """`data` with one random edit: a byte replaced, put in or taken out, or
+    a line dropped or repeated, or the file cut off within a line."""
+    kind = rng.choice(("replace", "insert", "delete", "drop", "repeat", "cut"))
+    if kind in ("replace", "insert", "delete"):
+        at = rng.randrange(len(data) + (kind == "insert"))
+        byte = b"" if kind == "delete" else bytes([rng.choice(BYTES)])
+        return data[:at] + byte + data[at + (kind != "insert"):]
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines[i:] = [lines[i][: rng.randrange(len(lines[i]))]]
+    return b"".join(lines)
+
+
+def test_every_edit_ends_in_exit_0_or_one_refusal(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps({"n_regions": 6, "seed": 1}))
+    assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "city")]) == 0
+    assert cli.main([arg.format(dir=tmp_path) for arg in RUN]) == 0
+    pristine = {name: (tmp_path / name).read_bytes() for name in {name for name, _ in TARGETS}}
+    rng = random.Random(SEED)
+    codes = []
+    for case in range(EDITS):
+        for name, data in pristine.items():
+            (tmp_path / name).write_bytes(data)
+        name, command = rng.choice(TARGETS)
+        (tmp_path / name).write_bytes(_edit(rng, pristine[name]))
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001 - any exception here is the failure this test looks for
+            pytest.fail(f"edit {case} of {name}: {' '.join(argv[:1] + argv[4:])} raised {exc!r}")
+        err = capsys.readouterr().err
+        if code:
+            assert (code, err.count("\n")) in ((1, 1), (2, 1)), f"edit {case} of {name}: exit {code}, {err!r}"
+            assert err.startswith("error: " if code == 1 else "config error: "), f"edit {case} of {name}: {err!r}"
+        codes.append(code)
+    # the edits reach every outcome: a pass, and refusals with both exit codes
+    assert {0, 1, 2} <= set(codes)

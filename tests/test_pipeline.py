@@ -1,20 +1,16 @@
 from __future__ import annotations
 
 import csv
-import errno
 import filecmp
 import hashlib
 import io
 import itertools
 import json
 import os
-import pickle
 import re
 import shutil
-import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -28,6 +24,7 @@ from recovery_track.errors import ConfigError, ParseError, PipelineError, Taxono
 from recovery_track.pipeline import STAGES, run, validate
 from recovery_track.series import BOUNDARY_SKIP
 from recovery_track.synth import ScenarioSpec, generate
+from recovery_track.windows import DateWindow
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -245,7 +242,7 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# Moran's I of the last two fields beside the stats stage
+# Moran's I in the stats stage, which never forks
 
 
 MORAN_FIELDS = (*pipeline.MILESTONE_FIELDS, "integrated")
@@ -290,83 +287,49 @@ def test_stats_write_the_same_bytes_in_one_process_and_in_two(golden_city, tmp_p
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "two"), *options]) == 0
     assert _stats_bytes(tmp_path / "two") == expected
-    assert len(forks) == 2  # the changes writer and the stats stage
+    assert len(forks) == 1  # the changes writer; the stats stage never forks
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "one"), "--only", "stats", *options]) == 0
     assert _stats_bytes(tmp_path / "one") == expected
-    assert len(forks) == 3 and _exit_codes(forks) == [0, 0, 0]
+    assert len(forks) == 1 and _exit_codes(forks) == [0]
     assert _permutation_p(tmp_path / "one") == GOLDEN_PERMUTATION_P[seed]
 
 
-def test_a_constant_field_is_refused_the_same_by_the_child(golden_city, tmp_path, monkeypatch, forks):
+def test_a_constant_field_is_refused_in_its_own_entry(golden_city, tmp_path, monkeypatch, forks):
     argv, out = _golden_bundle_copy(golden_city, tmp_path)
     argv += ["--only", "stats", "--permutations", "99", "--seed", "7"]
     milestones = out / pipeline.MILESTONES_ARTIFACT
     lines = milestones.read_text().splitlines(keepends=True)
-    # the fourth milestone, the child's first field: 5 days, not censored, for every region
+    # the fourth milestone: 5 days, not censored, for every region
     milestones.write_text(lines[0] + "".join(line.rsplit(",", 2)[0] + ",5,false\n" for line in lines[1:]))
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
     assert cli.main(argv) == 0
     expected = _stats_bytes(out)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert cli.main(argv) == 0
-    assert _stats_bytes(out) == expected and _exit_codes(forks) == [0]
+    assert _stats_bytes(out) == expected and not forks
     moran = json.loads(expected[0])["morans_i"]
     assert moran[MORAN_FIELDS[3]] == {"error": "constant field: Moran's I is undefined for zero variance"}
     assert all("error" not in moran[field] for field in MORAN_FIELDS if field != MORAN_FIELDS[3])
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
-def test_a_failed_stats_child_leaves_its_fields_to_this_process(golden_city, tmp_path, monkeypatch, forks, failure):
-    argv, out = _golden_bundle_copy(golden_city, tmp_path)
-    argv += ["--only", "stats", "--permutations", "99"]
-    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
-    assert cli.main(argv) == 0
-    expected = _stats_bytes(out)
-    send = processes._send
-
-    def fail(pipe, entries):
-        if failure == "raise":
-            raise RuntimeError("the child fails")
-        if failure == "short":  # all but the end of the entries, and a clean exit
-            whole = io.BytesIO()
-            send(whole, entries)
-            pipe.write(whole.getvalue()[:-40])
-            return
-        # entries sent whole, but with a failed exit, are not trusted
-        pickle.dump([{"error": "wrong"}] * len(entries), pipe)
-        pipe.flush()
-        os._exit(3)
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(processes, "_send", fail)
-    if failure == "no_fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    assert cli.main(argv) == 0
-    assert _stats_bytes(out) == expected
-    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
-
-
-def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp_path, monkeypatch, forks):
+def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, tmp_path, monkeypatch, forks):
     _, out = _golden_bundle_copy(golden_city, tmp_path)
     config = golden_city["config"].with_overrides(output_dir=out, permutations=99)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
     morans_i = pipeline.stats.morans_i
+    fields = []
 
-    def fail_this_process(values, weights, permutations, seed):
-        if seed[1] == 2:  # the last field this process computes
-            raise RuntimeError("this process fails")
+    def fail_the_last_field(values, weights, permutations, seed):
+        fields.append(seed[1])
+        if seed[1] == len(MORAN_FIELDS) - 1:
+            raise RuntimeError("the stats stage fails")
         return morans_i(values, weights, permutations=permutations, seed=seed)
 
-    monkeypatch.setattr(pipeline.stats, "morans_i", fail_this_process)
-    with pytest.raises(RuntimeError, match="this process fails"):
+    monkeypatch.setattr(pipeline.stats, "morans_i", fail_the_last_field)
+    with pytest.raises(RuntimeError, match="the stats stage fails"):
         run(config, only="stats")
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-    assert _stats_bytes(out) == _stats_bytes(golden_city["out"])  # the bundle is as it was
+    assert fields == list(range(len(MORAN_FIELDS))) and not forks
+    assert _stats_bytes(out) == _stats_bytes(golden_city["out"])
 
 
 def test_moran_reads_each_region_by_name_around_one_left_without_neighbors(golden_city, tmp_path):
@@ -406,19 +369,17 @@ def test_stats_without_permutations_run_in_one_process(golden_city, tmp_path, mo
     assert not forks
 
 
-def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, forks):
+def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, monkeypatch, forks):
     spec = {
         "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3,
         "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
     }
     config = load_config(generate(ScenarioSpec.from_mapping(spec), tmp_path)["config.json"])
     run(config)
+    assert not forks
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     run(config.with_overrides(permutations=999), only="stats")
     assert not forks
-    regions = [line.split(",", 1)[0] for line in (config.output_dir / "metric.csv").read_text().splitlines()[1:]]
-    adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
-    edges = len(pipeline.stats.SpatialWeights.from_adjacency(adjacency, include=regions).columns)
-    assert 0 < 999 * edges < processes.SPLIT_CELLS
 
 
 def test_seeded_permutation_p_values_on_a_criterion_03_sized_city(tmp_path):
@@ -961,9 +922,10 @@ REFUSAL_COMMANDS = {
         (_config(event_day=None), "run", 2, "config error: event_day is required"),
         (_config(window={"start": "2017-08-01"}), "run", 2,
          "config error: window.end is required: a window needs both start and end"),
-        # DateWindow
         (_config(window={"start": "2017-08-15", "end": "2017-08-01"}), "run", 2,
-         "config error: window end 2017-08-01 precedes start 2017-08-15"),
+         "config error: window.end 2017-08-01 precedes window.start 2017-08-15"),
+        (_config(baseline={"start": "2017-08-03", "end": "2017-08-01"}), "run", 2,
+         "config error: baseline.end 2017-08-01 precedes baseline.start 2017-08-03"),
         # overlaps, adjacency and attributes
         (_append("overlaps.csv", ",77001,0.5\n"), "run", 1,
          "error: {dir}/overlaps.csv: 1 invalid row(s); first at line 6: empty region"),
@@ -990,6 +952,12 @@ def test_cli_refusals_name_their_cause(tmp_path, capsys, edit, command, code, me
     edit(tmp_path)
     assert cli.main([arg.format(dir=tmp_path) for arg in REFUSAL_COMMANDS[command]]) == code
     assert capsys.readouterr().err == message.format(dir=tmp_path) + "\n"
+
+
+def test_a_date_window_refuses_an_end_before_its_start():
+    # config._window names the section first; this is the check of every other window
+    with pytest.raises(ConfigError, match=r"^window end 2017-08-01 precedes start 2017-08-03$"):
+        DateWindow.from_strings("2017-08-03", "2017-08-01")
 
 
 @pytest.mark.parametrize("boundary", ["truncate", "skip"])

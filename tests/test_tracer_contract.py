@@ -66,3 +66,5 @@ def test_tracer_spans_and_counts_match_the_bundle(tmp_path):
     # the full run and --only milestones each build the table once
     assert counts["milestones.censored_keys"] == [censored, censored]
     assert counts["pipeline.changes_csv.bytes"] == [(out / "work" / "changes.csv").stat().st_size]
+    # five Moran fields in the full run and five in --only stats, every one in this process
+    assert counts["stats.morans_i.calls"] == [1] * 10
