@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -49,9 +49,7 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
     `renormalize`, each category's weights are divided by their math.fsum;
     a category with codes whose weights sum to zero is refused."""
     if path is None:
-        ref = resources.files("recovery_track").joinpath("data/taxonomy.csv")
-        with resources.as_file(ref) as bundled:
-            return load_taxonomy(bundled, renormalize=renormalize)
+        path = Path(__file__).with_name("data") / "taxonomy.csv"
 
     entries: dict[str, tuple[str, float]] = {}  # code -> (category, weight fraction)
     reader = _RowReader(path, TAXONOMY_HEADER)

@@ -50,8 +50,8 @@ def _cmd_run(args) -> str:
         seed=args.seed,
         output_dir=args.out,
     )
-    result = run(config, only=args.only)
-    return "".join(f"wrote {result.output_dir / name}\n" for name in result.written)
+    written = run(config, only=args.only)
+    return "".join(f"wrote {config.output_dir / name}\n" for name in written)
 
 
 def _cmd_validate(args) -> str:

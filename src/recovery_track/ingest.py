@@ -67,9 +67,6 @@ class Activity:
     code: np.ndarray
     value: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.value)
-
 
 @dataclass
 class ParseResult:
@@ -80,7 +77,6 @@ class ParseResult:
     accepted: int
     dropped: int
     total_rows: int
-    path: str
 
 
 @contextmanager
@@ -181,7 +177,7 @@ class _RowReader:
             )
         return ParseResult(
             records=records, accepted=self.accepted,
-            dropped=self.dropped, total_rows=self.total_rows, path=str(self.path),
+            dropped=self.dropped, total_rows=self.total_rows,
         )
 
 

@@ -39,7 +39,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -667,14 +666,9 @@ def _text(name: str, line_no: int, line: bytes) -> str:
         raise PipelineError(f"{name} line {line_no}: not UTF-8 text") from None
 
 
-@dataclass
-class RunResult:
-    output_dir: Path
-    written: list[str]
-
-
-def run(config: PipelineConfig, only: str | None = None) -> RunResult:
-    """Execute the pipeline (or one stage) and commit artifacts atomically."""
+def run(config: PipelineConfig, only: str | None = None) -> list[str]:
+    """Execute the pipeline (or one stage) and commit artifacts atomically;
+    the sorted names, relative to config.output_dir, of the files written."""
     if only is not None and only not in STAGES:
         raise PipelineError(f"unknown stage {only!r}; expected one of {STAGES}")
     stages = STAGES if only is None else (only,)
@@ -684,7 +678,7 @@ def run(config: PipelineConfig, only: str | None = None) -> RunResult:
         artifacts.produced.update(_STAGE_FUNCS[stage](config, artifacts))
 
     _commit(config.output_dir, artifacts.produced)
-    return RunResult(output_dir=config.output_dir, written=sorted(artifacts.produced))
+    return sorted(artifacts.produced)
 
 
 def _commit(output_dir: Path, artifacts: dict):

@@ -32,16 +32,9 @@ class DateWindow:
         if self.end < self.start:
             raise ConfigError(f"window end {self.end} precedes start {self.start}")
 
-    @classmethod
-    def from_strings(cls, start: str, end: str) -> "DateWindow":
-        return cls(parse_iso_date(start), parse_iso_date(end))
-
     @property
     def n_days(self) -> int:
         return (self.end - self.start).days + 1
-
-    def contains(self, day: date) -> bool:
-        return self.start <= day <= self.end
 
     def index_of(self, day: date) -> int:
         """Offset of `day` from the window start (may be out of range)."""

@@ -36,8 +36,8 @@ def golden_city(tmp_path_factory):
     spec = ScenarioSpec.from_mapping(GOLDEN_SCENARIO)
     paths = generate(spec, root)
     config = load_config(paths["config.json"])
-    result = run(config)
-    return {"root": root, "spec": spec, "config": config, "out": result.output_dir}
+    run(config)
+    return {"root": root, "spec": spec, "config": config, "out": config.output_dir}
 
 
 @pytest.fixture

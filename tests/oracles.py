@@ -137,8 +137,7 @@ def parse_activity_rows(path, window, header, parse_value):
     if errors:
         raise ParseError(path, errors, accepted=accepted, dropped=dropped, total_rows=total)
     return ParseResult(
-        records=activity_from_rows(rows), accepted=accepted, dropped=dropped,
-        total_rows=total, path=str(path),
+        records=activity_from_rows(rows), accepted=accepted, dropped=dropped, total_rows=total,
     )
 
 

@@ -11,6 +11,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from datetime import date
 
 import numpy as np
 import pytest
@@ -136,9 +137,9 @@ def test_criterion_03_noise_robustness(tmp_path):
             scenario_dir = tmp_path / f"noise-{seed}"
             paths = generate(spec, scenario_dir)
             config = load_config(paths["config.json"])
-            result = run(config)
+            run(config)
             truth = _load_truth(paths["ground_truth.csv"])
-            cells = _load_milestones(result.output_dir / "milestones.csv")
+            cells = _load_milestones(config.output_dir / "milestones.csv")
             assert len(cells) == len(truth)
             for key, (duration, _) in cells.items():
                 total += 1
@@ -151,7 +152,7 @@ def test_criterion_03_noise_robustness(tmp_path):
 def test_criterion_04_weighted_measurement_fidelity():
     with criterion(4, "unit-input weighted measurements equal 0.9991 and 1.0000 to 1e-12"):
         taxonomy = load_taxonomy()
-        window = DateWindow.from_strings("2017-08-01", "2017-08-01")
+        window = DateWindow(date(2017, 8, 1), date(2017, 8, 1))
         # one trip of 1.0 per service type, in one region on one day
         units = activity_from_rows((0, "R001", code, 1.0) for code in taxonomy.codes)
         no_transactions = activity_from_rows([])
@@ -291,10 +292,10 @@ def test_criterion_08_metric_contract():
 def test_criterion_09_determinism(golden_city, tmp_path):
     with criterion(9, "byte-identical reruns and permutation-invariant crosswalk"):
         config = golden_city["config"].with_overrides(output_dir=tmp_path / "rerun")
-        rerun = run(config)
+        run(config)
         for name in GOLDEN_ARTIFACTS + ("work/baselines.csv", "work/changes.csv"):
             first = (golden_city["out"] / name).read_bytes()
-            second = (rerun.output_dir / name).read_bytes()
+            second = (config.output_dir / name).read_bytes()
             assert first == second, f"{name} differs between identical runs"
 
         rng = random.Random(909)
@@ -311,7 +312,7 @@ def test_criterion_09_determinism(golden_city, tmp_path):
 
 def test_criterion_10_ingest_robustness(tmp_path):
     with criterion(10, "malformed corpus: expected error/warning and reconciled counts"):
-        window = DateWindow.from_strings("2017-08-01", "2017-12-25")
+        window = DateWindow(date(2017, 8, 1), date(2017, 12, 25))
         parsers = {
             "trips": lambda p: parse_trips(p, window),
             "transactions": lambda p: parse_transactions(p, window),

@@ -20,7 +20,7 @@ from recovery_track.errors import ParseError, TaxonomyError
 from recovery_track.ingest import broadcast_zip_to_regions
 from recovery_track.windows import DateWindow
 
-WINDOW = DateWindow.from_strings("2017-08-01", "2017-09-30")
+WINDOW = DateWindow(date(2017, 8, 1), date(2017, 9, 30))
 
 DEFAULT_WEIGHTS = {
     "drug_store": (ESSENTIAL, 0.05),

@@ -8,6 +8,7 @@ import os
 import pickle
 import signal
 import time
+from datetime import date
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from recovery_track.series import (
 from recovery_track.synth import ScenarioSpec, generate
 from recovery_track.windows import DateWindow
 
-WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-30")
-BASELINE_WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-10")
+WINDOW = DateWindow(date(2017, 8, 1), date(2017, 8, 30))
+BASELINE_WINDOW = DateWindow(date(2017, 8, 1), date(2017, 8, 10))
 
 
 def _keys(n_regions):

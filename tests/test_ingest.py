@@ -24,7 +24,7 @@ from recovery_track.ingest import (
 )
 from recovery_track.windows import DateWindow
 
-WINDOW = DateWindow.from_strings("2017-08-01", "2017-12-25")
+WINDOW = DateWindow(date(2017, 8, 1), date(2017, 12, 25))
 
 
 def test_parse_trips_maps_fields(tmp_path):
@@ -89,7 +89,7 @@ def test_parse_transactions_keeps_duplicates(tmp_path):
         "2017-08-15,77005,restaurant,19.50\n",
     )
     result = parse_transactions(path, WINDOW)
-    assert len(result.records) == 2
+    assert len(result.records.value) == 2
     assert result.records.value.sum() == 250.0
 
 

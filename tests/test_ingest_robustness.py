@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import date
+
 import pytest
 
 import corpus
@@ -16,7 +18,7 @@ from recovery_track.ingest import (
 )
 from recovery_track.windows import DateWindow
 
-WINDOW = DateWindow.from_strings("2017-08-01", "2017-12-25")
+WINDOW = DateWindow(date(2017, 8, 1), date(2017, 12, 25))
 
 PARSERS = {
     "trips": lambda path: parse_trips(path, WINDOW),

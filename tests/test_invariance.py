@@ -103,8 +103,9 @@ def cities(tmp_path_factory):
     for label, raw in CITIES.items():
         root = tmp_path_factory.mktemp(label)
         paths = generate(ScenarioSpec.from_mapping(raw), root / "city")
-        result = run(load_config(paths["config.json"]))
-        out[label] = (root / "city", {name: (result.output_dir / name).read_bytes() for name in ARTIFACTS})
+        config = load_config(paths["config.json"])
+        run(config)
+        out[label] = (root / "city", {name: (config.output_dir / name).read_bytes() for name in ARTIFACTS})
     return out
 
 
@@ -115,8 +116,9 @@ def test_input_rewrites_keep_the_bundle(cities, tmp_path, label, transform):
     city = tmp_path / "city"
     shutil.copytree(source, city, ignore=shutil.ignore_patterns("out"))
     added_trip_rows = transform(city, random.Random(7))
-    result = run(load_config(city / "config.json"))
-    got = {name: (result.output_dir / name).read_bytes() for name in ARTIFACTS}
+    config = load_config(city / "config.json")
+    run(config)
+    got = {name: (config.output_dir / name).read_bytes() for name in ARTIFACTS}
     coverage = json.loads(expected["coverage_report.json"])
     coverage["trips"]["data_rows"] += added_trip_rows
     coverage["trips"]["accepted"] += added_trip_rows

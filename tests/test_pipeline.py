@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -92,15 +93,16 @@ def small_city(tmp_path_factory):
 
 def test_run_writes_expected_bundle(mini_bundle):
     config = load_config(mini_bundle)
-    result = run(config)
+    written = run(config)
+    assert written == sorted((*GOLDEN_ARTIFACTS, "work/baselines.csv", "work/changes.csv"))
     for name in GOLDEN_ARTIFACTS:
-        assert (result.output_dir / name).exists(), name
-    assert (result.output_dir / "work" / "changes.csv").exists()
+        assert (config.output_dir / name).exists(), name
+    assert (config.output_dir / "work" / "changes.csv").exists()
     # flat mini city: everything recovers on day 2, stats degenerate but recorded
-    stats = json.loads((result.output_dir / "stats.json").read_text())
+    stats = json.loads((config.output_dir / "stats.json").read_text())
     assert "error" in stats["morans_i"]["trip_essential"]
     assert "error" in stats["gini"]
-    coverage = json.loads((result.output_dir / "coverage_report.json").read_text())
+    coverage = json.loads((config.output_dir / "coverage_report.json").read_text())
     assert coverage["regions"]["total"] == 4
     assert coverage["regions"]["included"] == 4
 
@@ -442,7 +444,9 @@ def test_a_custom_taxonomy_end_to_end(small_city, tmp_path, name):
     raw["output_dir"] = str(tmp_path / "out")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
-    out = run(load_config(config_path)).output_dir
+    config = load_config(config_path)
+    run(config)
+    out = config.output_dir
     names = (*GOLDEN_ARTIFACTS, "work/baselines.csv", "work/changes.csv")
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
     assert got == digests
@@ -530,8 +534,9 @@ def test_coverage_counts_unknown_codes_once_per_input_row(tmp_path):
     raw = json.loads(config_path.read_text())
     raw["taxonomy_options"] = {"unknown_service_policy": "skip-with-warning"}
     config_path.write_text(json.dumps(raw))
-    result = run(load_config(config_path))
-    coverage = json.loads((result.output_dir / "coverage_report.json").read_text())
+    config = load_config(config_path)
+    run(config)
+    coverage = json.loads((config.output_dir / "coverage_report.json").read_text())
     assert coverage["unknown_service_types"] == {"florist": 3}
 
 
@@ -572,7 +577,8 @@ def _write_city_with_every_finding(directory):
 def test_validate_findings_restate_the_coverage_report(tmp_path):
     config = load_config(_write_city_with_every_finding(tmp_path))
     diagnostics = validate(config)
-    coverage = json.loads((run(config).output_dir / "coverage_report.json").read_text())
+    run(config)
+    coverage = json.loads((config.output_dir / "coverage_report.json").read_text())
 
     def found(kind, name, field):
         return {d[name]: d[field] for d in diagnostics if d["kind"] == kind}
@@ -731,6 +737,20 @@ def test_cli_import_does_not_import_scipy():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert done.stdout == "[]\n"
+
+
+def test_the_package_root_imports_nothing():
+    # the root holds only __version__; each module is imported by its own path
+    probe = (
+        "import sys, recovery_track; print(recovery_track.__version__, sorted("
+        "m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'recovery_track.'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert done.stdout == "0.1.0 []\n"
 
 
 def test_cli_synth(tmp_path, capsys):
@@ -957,7 +977,7 @@ def test_cli_refusals_name_their_cause(tmp_path, capsys, edit, command, code, me
 def test_a_date_window_refuses_an_end_before_its_start():
     # config._window names the section first; this is the check of every other window
     with pytest.raises(ConfigError, match=r"^window end 2017-08-01 precedes start 2017-08-03$"):
-        DateWindow.from_strings("2017-08-03", "2017-08-01")
+        DateWindow(date(2017, 8, 3), date(2017, 8, 1))
 
 
 @pytest.mark.parametrize("boundary", ["truncate", "skip"])
@@ -970,7 +990,9 @@ def test_half_width_past_the_window_equals_the_window_length(tmp_path, boundary)
         raw["smoothing"] = {"half_width": half_width, "boundary": boundary}
         raw["output_dir"] = f"out-{half_width}"
         config_path.write_text(json.dumps(raw))
-        out = run(load_config(config_path)).output_dir
+        config = load_config(config_path)
+        run(config)
+        out = config.output_dir
         names = (*GOLDEN_ARTIFACTS, "work/baselines.csv", "work/changes.csv")
         bundles.append({name: (out / name).read_bytes() for name in names})
     assert bundles[1] == bundles[0]

@@ -19,8 +19,8 @@ from recovery_track.series import (
 )
 from recovery_track.windows import DateWindow
 
-WINDOW = DateWindow.from_strings("2017-08-01", "2017-09-30")
-BASELINE_WINDOW = DateWindow.from_strings("2017-08-01", "2017-08-21")
+WINDOW = DateWindow(date(2017, 8, 1), date(2017, 9, 30))
+BASELINE_WINDOW = DateWindow(date(2017, 8, 1), date(2017, 8, 21))
 KEY = ("R001", "trip", "essential")
 
 
@@ -92,7 +92,7 @@ def test_baselines_of_no_keys_are_empty():
 
 
 def test_baseline_window_outside_data_errors():
-    narrow = DateWindow.from_strings("2017-08-10", "2017-09-30")
+    narrow = DateWindow(date(2017, 8, 10), date(2017, 9, 30))
     with pytest.raises(SeriesError):
         _baseline(np.zeros(narrow.n_days), narrow, BASELINE_WINDOW)
 

@@ -66,6 +66,8 @@ def test_chi_square_degenerate_margins_error():
         chi_square_from_table([[0, 0], [10, 20]])
     with pytest.raises(StatsError):
         chi_square_from_table([[0, 10], [0, 20]])
+    with pytest.raises(StatsError, match="^negative cell count -1$"):
+        chi_square_from_table(((-1, 2), (3, 4)))
 
 
 def test_chi_square_symmetries():
