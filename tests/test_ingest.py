@@ -379,3 +379,63 @@ def test_attributes_refuse_an_income_that_is_not_a_finite_number_at_least_0(tmp_
         parse_attributes(path)
     assert err.value.row_errors == [(3, f"per_capita_income {income} must be a finite number >= 0")]
     assert err.value.accepted == 2
+
+
+# ---------------------------------------------------------------------------
+# every refusal of the four small readers, exact
+
+SMALL_READERS = {
+    "overlaps": ("region,zip,overlap_area\n", parse_overlaps),
+    "adjacency": ("region_a,region_b\n", parse_adjacency),
+    "attributes": ("region,flood_fraction,minority_fraction,per_capita_income\n", parse_attributes),
+    "taxonomy": ("service_type,category,weight_percent\n", load_taxonomy),
+}
+
+BAD_CATEGORY = "category must be one of ('essential', 'non-essential'), got 'staple'"
+
+# (file, data rows after the header, the one row error they give); a row that
+# fails two checks is refused by the first in the reader's order
+SMALL_REFUSALS = [
+    ("overlaps", ",77005,0.5", (2, "empty region")),
+    ("overlaps", '"R,1",77005,0.5', (2, "region 'R,1' holds a comma or line break, which no artifact can carry")),
+    ("overlaps", "R001, ,0.5", (2, "empty zip")),
+    ("overlaps", "R001,77005,zero", (2, "overlap_area 'zero' is not a number")),
+    ("overlaps", "R001,77005,0", (2, "overlap_area must be positive, got 0")),
+    ("overlaps", "R001,77005,-0.5", (2, "overlap_area must be positive, got -0.5")),
+    ("overlaps", "R001,77005,0.5\nR001,77005,0.4", (3, "duplicate (region, zip) pair (R001, 77005)")),
+    ("overlaps", ",,zero", (2, "empty region")),
+    ("overlaps", "R001,77005,0.5\nR001,77005,0", (3, "overlap_area must be positive, got 0")),
+    ("adjacency", "R001,", (2, "empty region identifier")),
+    ("adjacency", " ,R001", (2, "empty region identifier")),
+    ("adjacency", "R001,R001", (2, "self-loop on region R001")),
+    ("attributes", ",0.5,0.5,30000", (2, "empty region")),
+    ("attributes", "R001,0.5,0.5,30000\nR001,0.2,0.2,40000", (3, "duplicate region R001")),
+    ("attributes", "R001,x,0.5,30000", (2, "flood_fraction 'x' is not a number")),
+    ("attributes", "R001,0.5,x,30000", (2, "minority_fraction 'x' is not a number")),
+    ("attributes", "R001,0.5,0.5,", (2, "per_capita_income '' is not a number")),
+    ("attributes", "R001,1.5,0.5,30000", (2, "flood_fraction 1.5 outside [0, 1]")),
+    ("attributes", "R001,nan,0.5,30000", (2, "flood_fraction nan outside [0, 1]")),
+    ("attributes", "R001,0.5,-0.1,30000", (2, "minority_fraction -0.1 outside [0, 1]")),
+    ("attributes", "R001,0.5,0.5,-1", (2, "per_capita_income -1 must be a finite number >= 0")),
+    ("attributes", "R001,2,x,-1", (2, "minority_fraction 'x' is not a number")),
+    ("attributes", "R001,2,2,-1", (2, "flood_fraction 2 outside [0, 1]")),
+    ("attributes", "R001,0.5,0.5,1\nR001,x,0.5,1", (3, "duplicate region R001")),
+    ("taxonomy", ",essential,5", (2, "empty service_type")),
+    ("taxonomy", "grocery,staple,5", (2, BAD_CATEGORY)),
+    ("taxonomy", "grocery,essential,abc", (2, "weight_percent 'abc' is not a number")),
+    ("taxonomy", "grocery,essential,-5", (2, "weight_percent must be nonnegative, got -5")),
+    ("taxonomy", "grocery,essential,5\ngrocery,essential,6", (3, "duplicate service_type 'grocery'")),
+    ("taxonomy", ",staple,abc", (2, "empty service_type")),
+    ("taxonomy", "grocery,essential,5\ngrocery,staple,6", (3, BAD_CATEGORY)),
+]
+
+
+@pytest.mark.parametrize("name,rows,error", SMALL_REFUSALS)
+def test_small_file_refusals_are_exact(tmp_path, name, rows, error):
+    header, read = SMALL_READERS[name]
+    path = write_csv(tmp_path, f"{name}.csv", header + rows + "\n")
+    with pytest.raises(ParseError) as caught:
+        read(path)
+    refused = caught.value
+    assert refused.row_errors == [error]
+    assert (refused.accepted, refused.dropped, refused.total_rows) == (rows.count("\n"), 0, rows.count("\n") + 1)
