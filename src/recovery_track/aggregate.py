@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SeriesError, TaxonomyError
-from .ingest import Activity, BroadcastResult, _RowReader
+from .ingest import Activity, BroadcastResult, number, read_rows
 from .windows import DateWindow
 
 ESSENTIAL = "essential"
@@ -52,29 +52,22 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
         path = Path(__file__).with_name("data") / "taxonomy.csv"
 
     entries: dict[str, tuple[str, float]] = {}  # code -> (category, weight fraction)
-    reader = _RowReader(path, TAXONOMY_HEADER)
-    for line_no, row in reader.rows():
-        code, category, raw_weight = (f.strip() for f in row)
+
+    def take(code, category, text):
         if not code:
-            reader.error(line_no, "empty service_type")
-            continue
+            raise ValueError("empty service_type")
         if category not in CATEGORIES:
-            reader.error(line_no, f"category must be one of {CATEGORIES}, got {category!r}")
-            continue
-        try:
-            weight_percent = float(raw_weight)
-        except ValueError:
-            reader.error(line_no, f"weight_percent {raw_weight!r} is not a number")
-            continue
-        if not math.isfinite(weight_percent) or weight_percent < 0:
-            reader.error(line_no, f"weight_percent must be nonnegative, got {raw_weight}")
-            continue
+            raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
+        weight_percent = number(text, "weight_percent")
+        if not math.isfinite(weight_percent):
+            raise ValueError(f"weight_percent {text!r} is not a finite number")
+        if weight_percent < 0:
+            raise ValueError(f"weight_percent must be nonnegative, got {text}")
         if code in entries:
-            reader.error(line_no, f"duplicate service_type {code!r}")
-            continue
-        reader.accepted += 1
+            raise ValueError(f"duplicate service_type {code!r}")
         entries[code] = (category, weight_percent / 100.0)
-    reader.finish(entries)
+
+    read_rows(path, TAXONOMY_HEADER, take, entries)
     if not entries:
         raise TaxonomyError(f"{path}: taxonomy has no entries")
     codes, weights, rows = [], [], []

@@ -8,7 +8,10 @@ ParseError naming the offending lines, so `accepted + dropped + errored`
 always reconciles with the data row count. A line that is not UTF-8 is a row
 error; so is a field the csv module cannot end, such as a quote never closed,
 and no line after it is read. A file that cannot be opened or read raises a
-ParseError too.
+ParseError too. A check refuses a value or a row by raising ValueError, whose
+text is the row error: overlaps.csv, adjacency.csv, attributes.csv and the
+taxonomy (aggregate.load_taxonomy) share one row loop, read_rows, which hands
+each row's stripped fields to the reader's `take`.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
 pass: a plain block is cut into the date, the "entity,code" pair and the
@@ -102,10 +105,6 @@ class _RowReader:
         # to the end of the file, or stopped at a field it cannot end
         self.line_no = 1
 
-    def rows(self):
-        with reading(self.path), open(self.path, "rb") as handle:
-            yield from self.rows_from(processes.line_blocks(handle, 0, None), 1, True)
-
     def rows_from(self, blocks, line_no, header):
         """(line number, fields) of the data rows the csv module reads from
         `blocks` of whole lines, the first line `line_no`, the header row where
@@ -135,13 +134,13 @@ class _RowReader:
                     continue  # blank lines are not data rows
                 self.total_rows += 1
                 if len(row) != len(self.expected_header):
-                    self.error(row_no, f"expected {len(self.expected_header)} fields, got {len(row)}")
+                    self.errors.append((row_no, f"expected {len(self.expected_header)} fields, got {len(row)}"))
                     continue
                 yield row_no, row
         except csv.Error:  # past a field never closed, rows have no defined ends
             self.total_rows += 1
             limit = csv.field_size_limit()
-            self.error(line_no + read, f"quoted field not closed, or a field over {limit} characters")
+            self.errors.append((line_no + read, f"quoted field not closed, or a field over {limit} characters"))
             self.line_no = None
 
     def decoded(self, line: bytes, line_no, header) -> str:
@@ -153,7 +152,7 @@ class _RowReader:
             if header:
                 raise ParseError(self.path, [(line_no, "not UTF-8 text")]) from None
             self.total_rows += 1
-            self.error(line_no, "not UTF-8 text")
+            self.errors.append((line_no, "not UTF-8 text"))
             return "\n"
 
     def check_header(self, header):
@@ -164,9 +163,6 @@ class _RowReader:
                 self.path,
                 [(1, f"header {header!r} does not match expected {self.expected_header!r}")],
             )
-
-    def error(self, line_no, message):
-        self.errors.append((line_no, message))
 
     def finish(self, records) -> ParseResult:
         if self.errors:
@@ -205,10 +201,7 @@ def _trip_count(text: str) -> float:
 
 
 def _amount(text: str) -> float:
-    try:
-        amount = float(text)
-    except ValueError:
-        amount = math.nan  # reported with the non-finite amounts
+    amount = number(text, "amount")
     if not math.isfinite(amount):
         raise ValueError(f"amount {text!r} is not a number")
     if amount < 0:
@@ -290,7 +283,7 @@ class _ActivityReader(_RowReader):
                     message = f"empty {header[2]}"
                 else:
                     message = _refusal(self.parse_value, values[i].strip())
-                self.error(int(lines[i]), message)
+                self.errors.append((int(lines[i]), message))
             good = ~bad
             keep = good & (day >= 0) & (day < self.window.n_days)
             accepted = int(np.count_nonzero(keep))
@@ -536,87 +529,89 @@ def _plain_amounts(texts):
     return values
 
 
+def read_rows(path, header, take, records) -> ParseResult:
+    """`records` once take(*fields) has been called with the stripped fields
+    of each data row of `path`, whose header must be `header`. A ValueError
+    from take refuses its row, with the error's text; take changes nothing
+    before it has made every check."""
+    reader = _RowReader(path, header)
+    with reading(path), open(path, "rb") as handle:
+        for line_no, row in reader.rows_from(processes.line_blocks(handle, 0, None), 1, True):
+            try:  # take alone: a UnicodeDecodeError of the reading is a ValueError too
+                take(*(field.strip() for field in row))
+            except ValueError as exc:
+                reader.errors.append((line_no, str(exc)))
+            else:
+                reader.accepted += 1
+    return reader.finish(records)
+
+
+def number(text: str, column: str) -> float:
+    """float(text), refused as a ValueError naming `column`."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{column} {text!r} is not a number") from None
+
+
 def parse_overlaps(path) -> ParseResult:
     """Parse overlaps.csv into {(region, zip): area}; pairs must be unique, areas positive."""
-    reader = _RowReader(path, OVERLAPS_HEADER)
     areas: dict[tuple[str, str], float] = {}
-    for line_no, row in reader.rows():
-        region, zip_code, raw_area = (f.strip() for f in row)
+
+    def take(region, zip_code, text):
         if not region:
-            reader.error(line_no, "empty region")
-            continue
+            raise ValueError("empty region")
         if any(mark in region for mark in ",\n\r"):  # the keys of artifacts that never quote
-            reader.error(line_no, f"region {region!r} holds a comma or line break, which no artifact can carry")
-            continue
+            raise ValueError(f"region {region!r} holds a comma or line break, which no artifact can carry")
         if not zip_code:
-            reader.error(line_no, "empty zip")
-            continue
-        try:
-            area = float(raw_area)
-        except ValueError:
-            reader.error(line_no, f"overlap_area {raw_area!r} is not a number")
-            continue
-        if not math.isfinite(area) or area <= 0:
-            reader.error(line_no, f"overlap_area must be positive, got {raw_area}")
-            continue
+            raise ValueError("empty zip")
+        area = number(text, "overlap_area")
+        if not math.isfinite(area):
+            raise ValueError(f"overlap_area {text!r} is not a finite number")
+        if area <= 0:
+            raise ValueError(f"overlap_area must be positive, got {text}")
         if (region, zip_code) in areas:
-            reader.error(line_no, f"duplicate (region, zip) pair ({region}, {zip_code})")
-            continue
-        reader.accepted += 1
+            raise ValueError(f"duplicate (region, zip) pair ({region}, {zip_code})")
         areas[region, zip_code] = area
-    return reader.finish(areas)
+
+    return read_rows(path, OVERLAPS_HEADER, take, areas)
 
 
 def parse_adjacency(path) -> ParseResult:
     """Parse adjacency.csv (undirected edge list) into region -> neighbor set."""
-    reader = _RowReader(path, ADJACENCY_HEADER)
     neighbors: dict[str, set[str]] = {}
-    for line_no, row in reader.rows():
-        a, b = (f.strip() for f in row)
+
+    def take(a, b):
         if not a or not b:
-            reader.error(line_no, "empty region identifier")
-            continue
+            raise ValueError("empty region identifier")
         if a == b:
-            reader.error(line_no, f"self-loop on region {a}")
-            continue
-        reader.accepted += 1
+            raise ValueError(f"self-loop on region {a}")
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
-    return reader.finish(neighbors)
+
+    return read_rows(path, ADJACENCY_HEADER, take, neighbors)
 
 
 def parse_attributes(path) -> ParseResult:
     """Parse attributes.csv into {region: (flood_fraction, minority_fraction,
     per_capita_income)}, in ATTRIBUTES_HEADER order; regions must be unique."""
-    reader = _RowReader(path, ATTRIBUTES_HEADER)
     records: dict[str, tuple[float, float, float]] = {}
-    for line_no, row in reader.rows():
-        region, *texts = (f.strip() for f in row)
+
+    def take(region, raw_flood, raw_minority, raw_income):
         if not region:
-            reader.error(line_no, "empty region")
-            continue
+            raise ValueError("empty region")
         if region in records:
-            reader.error(line_no, f"duplicate region {region}")
-            continue
-        try:
-            flood, minority, income = (float(text) for text in texts)
-        except ValueError:
-            column, text = next((c, t) for c, t in zip(ATTRIBUTES_HEADER[1:], texts) if _refusal(float, t))
-            reader.error(line_no, f"{column} {text!r} is not a number")
-            continue
-        raw_flood, raw_minority, raw_income = texts
+            raise ValueError(f"duplicate region {region}")
+        flood, minority, income = map(number, (raw_flood, raw_minority, raw_income), ATTRIBUTES_HEADER[1:])
         if not (0.0 <= flood <= 1.0):
-            reader.error(line_no, f"flood_fraction {raw_flood} outside [0, 1]")
-            continue
+            raise ValueError(f"flood_fraction {raw_flood} outside [0, 1]")
         if not (0.0 <= minority <= 1.0):
-            reader.error(line_no, f"minority_fraction {raw_minority} outside [0, 1]")
-            continue
+            raise ValueError(f"minority_fraction {raw_minority} outside [0, 1]")
         if not math.isfinite(income) or income < 0:
-            reader.error(line_no, f"per_capita_income {raw_income} must be a finite number >= 0")
-            continue
-        reader.accepted += 1
+            raise ValueError(f"per_capita_income {raw_income} must be a finite number >= 0")
         records[region] = (flood, minority, income)
-    return reader.finish(records)
+
+    return read_rows(path, ATTRIBUTES_HEADER, take, records)
 
 
 def resolve_crosswalk(areas: dict[tuple[str, str], float]) -> dict[str, str]:

@@ -400,6 +400,10 @@ SMALL_REFUSALS = [
     ("overlaps", '"R,1",77005,0.5', (2, "region 'R,1' holds a comma or line break, which no artifact can carry")),
     ("overlaps", "R001, ,0.5", (2, "empty zip")),
     ("overlaps", "R001,77005,zero", (2, "overlap_area 'zero' is not a number")),
+    ("overlaps", "R001,77005,1e400", (2, "overlap_area '1e400' is not a finite number")),
+    ("overlaps", "R001,77005,inf", (2, "overlap_area 'inf' is not a finite number")),
+    ("overlaps", "R001,77005,nan", (2, "overlap_area 'nan' is not a finite number")),
+    ("overlaps", "R001,77005,-inf", (2, "overlap_area '-inf' is not a finite number")),
     ("overlaps", "R001,77005,0", (2, "overlap_area must be positive, got 0")),
     ("overlaps", "R001,77005,-0.5", (2, "overlap_area must be positive, got -0.5")),
     ("overlaps", "R001,77005,0.5\nR001,77005,0.4", (3, "duplicate (region, zip) pair (R001, 77005)")),
@@ -423,6 +427,9 @@ SMALL_REFUSALS = [
     ("taxonomy", ",essential,5", (2, "empty service_type")),
     ("taxonomy", "grocery,staple,5", (2, BAD_CATEGORY)),
     ("taxonomy", "grocery,essential,abc", (2, "weight_percent 'abc' is not a number")),
+    ("taxonomy", "grocery,essential,nan", (2, "weight_percent 'nan' is not a finite number")),
+    ("taxonomy", "grocery,essential,1e400", (2, "weight_percent '1e400' is not a finite number")),
+    ("taxonomy", "grocery,essential,-inf", (2, "weight_percent '-inf' is not a finite number")),
     ("taxonomy", "grocery,essential,-5", (2, "weight_percent must be nonnegative, got -5")),
     ("taxonomy", "grocery,essential,5\ngrocery,essential,6", (3, "duplicate service_type 'grocery'")),
     ("taxonomy", ",staple,abc", (2, "empty service_type")),
