@@ -1,6 +1,7 @@
 """A seeded fuzz of every file the CLI reads: random byte and line edits of
-the scenario spec, the config, the five inputs and the artifacts the staged
-runs read back, on a 6-region city. Whatever the edit, a command exits 0, or
+the scenario spec, the config, the five inputs, a taxonomy override (a copy
+of the bundled one) and the artifacts the staged runs read back, on a
+6-region city. Whatever the edit, a command exits 0, or
 refuses with one `error:` or `config error:` line and exit 1 or 2; it never
 ends in any other exception.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ BYTES = b'\n\r,"-.:0123456789e []{} \x00\xff'
 
 RUN = ["run", "--config", "{dir}/city/config.json", "--out", "{dir}/out", "--permutations", "9"]
 VALIDATE = ["validate", "--config", "{dir}/city/config.json"]
-INPUTS = ("trips.csv", "transactions.csv", "overlaps.csv", "adjacency.csv", "attributes.csv")
+INPUTS = ("trips.csv", "transactions.csv", "overlaps.csv", "adjacency.csv", "attributes.csv", "taxonomy.csv")
 
 # (file edited, command that reads it)
 TARGETS = [
@@ -58,6 +60,11 @@ def _edit(rng, data):
 def test_every_edit_ends_in_exit_0_or_one_refusal(tmp_path, capsys):
     (tmp_path / "spec.json").write_text(json.dumps({"n_regions": 6, "seed": 1}))
     assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "city")]) == 0
+    bundled = Path(cli.__file__).with_name("data") / "taxonomy.csv"
+    (tmp_path / "city/taxonomy.csv").write_bytes(bundled.read_bytes())
+    config = json.loads((tmp_path / "city/config.json").read_text())
+    config["inputs"]["taxonomy"] = "taxonomy.csv"
+    (tmp_path / "city/config.json").write_text(json.dumps(config, indent=2))
     assert cli.main([arg.format(dir=tmp_path) for arg in RUN]) == 0
     pristine = {name: (tmp_path / name).read_bytes() for name in {name for name, _ in TARGETS}}
     rng = random.Random(SEED)
