@@ -1,9 +1,10 @@
 """Parse and validate the five input CSVs and resolve Zip-level data to regions.
 
-All files are UTF-8, comma separated, first row is a header that must match
-the documented schema exactly, dates are YYYY-MM-DD (parse_iso_date). Every
-file is read in blocks of whole lines (processes.line_blocks), each decoded
-once. Parsers validate every row, collect all violations, and raise a single
+All files are UTF-8 (a byte order mark before the header is ignored), comma
+separated, first row is a header that must match the documented schema
+exactly, dates are YYYY-MM-DD (parse_iso_date). Every file is read in
+blocks of whole lines (processes.line_blocks), each decoded once. Parsers
+validate every row, collect all violations, and raise a single
 ParseError naming the offending lines, so `accepted + dropped + errored`
 always reconciles with the data row count. A line that is not UTF-8 is a row
 error; so is a field the csv module cannot end, such as a quote never closed,
@@ -32,6 +33,7 @@ RSS taken over the run and its children, not in the run's own.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
@@ -116,6 +118,8 @@ class _RowReader:
         as a quoted field that is not closed, is its row's error and ends the file."""
 
         def lines(block):
+            if header and not reader.line_num:  # the first block: a byte order mark is not text
+                block = block.removeprefix(codecs.BOM_UTF8)
             try:
                 return io.StringIO(block.decode("utf-8"), newline="")
             except UnicodeDecodeError:
@@ -351,7 +355,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             if not block.endswith(b"\n"):
                 block += b"\n"
             if header:
-                first, block = block.split(b"\n", 1)
+                first, block = block.removeprefix(codecs.BOM_UTF8).split(b"\n", 1)
                 reader.check_header(reader.decoded(first, 1, True).split(",") if first else [])
                 reader.line_no += 1
                 header = False

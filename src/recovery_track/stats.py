@@ -4,9 +4,11 @@ and the Gini index with its Lorenz curve.
 Moran's I uses row-standardized binary contiguity weights built from the
 adjacency edge list, and reads its values as one float array in the weights'
 region order. Inference is analytical under the randomization assumption,
-with an optional seeded permutation p-value as a cross-check. One kernel
-gives the cross-product of the observed field and of each shuffle, one
-shuffle at a time, with one product per unordered pair of neighbors.
+with an optional seeded permutation p-value as a cross-check. Every sum of
+the observed statistic is exactly rounded (math.fsum), so region names move
+no bit of it, and a numerator within its rounding bound of 0 is 0. The
+shuffles' cross-products are plain sums, and by design a seeded permutation
+p depends on region order: it shuffles values held in that order.
 """
 
 from __future__ import annotations
@@ -92,13 +94,14 @@ class SpatialWeights:
 
         S0 = sum_ij w_ij = sum_k c_k over the pair weights c; S1 = 1/2 sum_ij
         (w_ij + w_ji)^2 = c . c plus c_k^2 once more for each self pair; and
-        S2 = sum_i (w_i. + w_.i)^2, w_i. + w_.i summing c over i's pairs, a self pair twice.
+        S2 = sum_i (w_i. + w_.i)^2, w_i. + w_.i summing c over i's pairs, a self
+        pair twice, in ascending order. So no sum depends on the region order.
         """
         first, second, c = self.first, self.second, self.pair_weights
-        n = len(self.regions)
-        self_pairs = c[first == second]
-        at_region = np.bincount(first, c, minlength=n) + np.bincount(second, c, minlength=n)
-        return float(c.sum()), float(c @ c + self_pairs @ self_pairs), float((at_region**2).sum())
+        ends, ends_c = np.concatenate([first, second]), np.concatenate([c, c])
+        order = np.lexsort((ends_c, ends))
+        at_region = np.add.reduceat(ends_c[order], np.flatnonzero(np.diff(ends[order], prepend=-1)))
+        return math.fsum(c), math.fsum(c * c * (1 + (first == second))), math.fsum(at_region**2)
 
 
 # --------------------------------------------------------------------------
@@ -134,14 +137,28 @@ def morans_i(
     """Global Moran's I of `values`, one float per region of `weights.regions`,
     in that order, with analytical randomization-assumption inference.
 
-    I = (n / S0) * (sum_ij w_ij z_i z_j) / (sum_i z_i^2), z_i = x_i - mean(x).
+    I = (n / S0) * (sum_ij w_ij z_i z_j) / (sum_i z_i^2), z_i = x_i - mean(x),
+    with the mean, both sums and sum_i z_i^4 exactly rounded (fsum), so the
+    region order moves no bit. A constant field is refused.
+
+    The zero rule: the numerator num is 0 where |num| <= 16u sum_k c_k a_a a_b
+    (u = 2**-53, a_i = |z_i| + |mean|, k over the pairs of regions a and b, of
+    weight c_k), since an exact numerator N of 0 rounds to no larger |num|.
+    Three roundings part num from N (exact values written Z and C):
+    - z_i once, and the mean it subtracts twice (fsum, then / n), so |z_i -
+      Z_i| <= u|z_i| + 3u|mean| <= 3u a_i and |z_a z_b - Z_a Z_b| <= 6u a_a a_b;
+    - each pair weight twice (1/k, then w_ij + w_ji): |c_k - C_k| <= 3u c_k;
+    - each product c_k z_a z_b twice, 2u, and their fsum once, which is of
+      second order where N = 0. So |num| <= 11u sum_k c_k a_a a_b to first
+      order; 16u leaves room for higher orders and the bound's own rounding.
+
     The z-score uses E[I] = -1/(n-1) and the randomization variance; the
     two-sided p comes from the normal approximation. `permutations > 0` adds
     a seeded permutation p-value: the fraction of shuffles at least as far
     from E[I] as the observed I, where a shuffle that ties it exactly counts.
-    Each shuffle is one `rng.permutation(z)` call, and its cross-product goes
-    through the observed field's kernel. Everything is computed from the
-    sparse weights, in memory linear in the number of region pairs.
+    Each shuffle is one `rng.permutation(z)` call, and its cross-product one
+    _spatial_numerator call. Everything is computed from the sparse weights,
+    in memory linear in the number of region pairs.
     """
     n = len(weights.regions)
     if n < 3:
@@ -149,17 +166,23 @@ def morans_i(
     x = np.asarray(values, dtype=float)
     if x.shape != (n,):
         raise StatsError(f"Moran's I needs one value per weighted region: {n}, got {x.size}")
-    z = x - x.mean()
-    denom = float(z @ z)
-    if denom == 0.0:
+    mean = math.fsum(x) / n
+    z = x - mean
+    denom = math.fsum(z * z)
+    # a constant x whose mean rounds leaves a constant z, not 0; a sum z^2 can underflow
+    if x.min() == x.max() or denom == 0.0:
         raise StatsError("constant field: Moran's I is undefined for zero variance")
 
     s0, s1, s2 = weights.sums()
-    num = _spatial_numerator(z, weights)
+    first, second, c = weights.first, weights.second, weights.pair_weights
+    num = math.fsum(z[first] * z[second] * c)
+    a = np.abs(z) + abs(mean)
+    if abs(num) <= 16 * 2.0**-53 * math.fsum(a[first] * a[second] * c):  # the zero rule
+        num = 0.0
     i_value = (n / s0) * num / denom
 
     expected = -1.0 / (n - 1)
-    b2 = n * float((z**4).sum()) / denom**2
+    b2 = n * math.fsum(z**4) / denom**2
     if n > 3:
         var = (
             n * ((n * n - 3 * n + 3) * s1 - n * s2 + 3 * s0 * s0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -159,6 +160,77 @@ def test_moran_constant_field_errors():
         morans_i(np.ones(len(weights.regions)), weights)
 
 
+@pytest.mark.parametrize(("value", "n"), [(0.1, 3), (1 / 3, 7), (0.1, 7)])
+def test_moran_constant_field_errors_where_its_mean_rounds(value, n):
+    # the mean of three or seven 0.1s is not 0.1: centred, they are a constant z != 0, whose I would be 1
+    chain = {f"R{i}": {f"R{j}" for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
+    with pytest.raises(StatsError, match="constant field"):
+        morans_i(np.full(n, value), SpatialWeights.from_adjacency(chain))
+
+
+def _chain_and_random_edges(rng):
+    """A random connected-ish graph of 5 to 59 regions: a chain plus random extra edges."""
+    n = int(rng.integers(5, 60))
+    adjacency = {f"R{i}": set() for i in range(n)}
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        adjacency[f"R{i}"].add(f"R{j}")
+        adjacency[f"R{j}"].add(f"R{i}")
+    for _ in range(n):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            adjacency[f"R{i}"].add(f"R{j}")
+            adjacency[f"R{j}"].add(f"R{i}")
+    return adjacency
+
+
+def _relabelled(values, weights, adjacency, rng):
+    """(values, weights) with the regions renamed by a seeded permutation of
+    their names, the values gathered in the renamed weights' region order."""
+    names = sorted(adjacency)
+    rename = dict(zip(names, rng.sample(names, len(names))))
+    renamed = SpatialWeights.from_adjacency(
+        {rename[region]: {rename[other] for other in others} for region, others in adjacency.items()}
+    )
+    value_of = {rename[region]: value for region, value in zip(weights.regions, values)}
+    return [value_of[region] for region in renamed.regions], renamed
+
+
+def test_moran_relabelling_leaves_every_reported_float_bit_identical():
+    # each sum of the observed statistic is exactly rounded, so region order moves no bit
+    rng = np.random.default_rng(47)
+    names = random.Random(89)
+    for _ in range(40):
+        adjacency = _chain_and_random_edges(rng)
+        weights = SpatialWeights.from_adjacency(adjacency)
+        values = rng.integers(0, 30, size=len(adjacency)).astype(float).tolist()
+        result = morans_i(values, weights)
+        renamed = morans_i(*_relabelled(values, weights, adjacency, names))
+        for name in ("i", "expected_i", "variance", "z_score", "p_value"):
+            assert getattr(renamed, name) == getattr(result, name), name
+
+
+@pytest.mark.parametrize(("low", "high"), [(10.0, 11.0), (4.1, 4.2)])
+def test_moran_exact_zero_is_zero_under_every_relabelling(low, high):
+    # sum_ij w_ij z_i z_j is exactly 0 here, but its rounded products are not:
+    # 1/3 rounds, and the mean of 4.1s and 4.2s rounds, which moves every z by
+    # the same amount; the zero rule's bound must count that at first order
+    adjacency = {
+        "R0": {"R1", "R2", "R4", "R5"}, "R1": {"R0", "R3", "R7"}, "R2": {"R0", "R3", "R5", "R6"},
+        "R3": {"R1", "R2", "R4"}, "R4": {"R0", "R3"}, "R5": {"R0", "R2"}, "R6": {"R2"}, "R7": {"R1"},
+    }
+    weights = SpatialWeights.from_adjacency(adjacency)
+    values = [high, low, low, low, high, high, low, high]
+    x = [Fraction(v) for v in values]
+    z = [v - sum(x) / len(x) for v in x]
+    neighbors = neighbor_indices(adjacency, weights.regions)
+    assert sum(Fraction(1, len(others)) * z[i] * z[j] for i, others in enumerate(neighbors) for j in others) == 0
+    names = random.Random(3)
+    for _ in range(10):
+        result = morans_i(*_relabelled(values, weights, adjacency, names))
+        assert math.copysign(1.0, result.i) == 1.0 and result.i == 0.0
+
+
 def test_moran_checkerboard_is_minus_one():
     weights = _grid_weights(2, 2)
     assert weights.regions == ("R0_0", "R0_1", "R1_0", "R1_1")
@@ -178,20 +250,9 @@ def test_moran_gradient_is_positive():
 def test_moran_matches_double_sum_oracle_on_random_graphs():
     rng = np.random.default_rng(47)
     for _ in range(40):
-        n = int(rng.integers(5, 60))
-        adjacency = {f"R{i}": set() for i in range(n)}
-        # random connected-ish graph: chain plus random extra edges
-        for i in range(1, n):
-            j = int(rng.integers(0, i))
-            adjacency[f"R{i}"].add(f"R{j}")
-            adjacency[f"R{j}"].add(f"R{i}")
-        for _ in range(n):
-            i, j = rng.integers(0, n, size=2)
-            if i != j:
-                adjacency[f"R{i}"].add(f"R{j}")
-                adjacency[f"R{j}"].add(f"R{i}")
+        adjacency = _chain_and_random_edges(rng)
         weights = SpatialWeights.from_adjacency(adjacency)
-        values = rng.normal(size=n)
+        values = rng.normal(size=len(adjacency))
         result = morans_i(values, weights)
         oracle = moran_double_sum(values.tolist(), neighbor_indices(adjacency, weights.regions))
         assert result.i == pytest.approx(oracle, rel=1e-12, abs=1e-12)
