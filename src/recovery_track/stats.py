@@ -98,9 +98,9 @@ class SpatialWeights:
         pair twice, in ascending order. So no sum depends on the region order.
         """
         first, second, c = self.first, self.second, self.pair_weights
-        ends, ends_c = np.concatenate([first, second]), np.concatenate([c, c])
-        order = np.lexsort((ends_c, ends))
-        at_region = np.add.reduceat(ends_c[order], np.flatnonzero(np.diff(ends[order], prepend=-1)))
+        ends, end_weights = np.concatenate([first, second]), np.concatenate([c, c])
+        order = np.lexsort((end_weights, ends))
+        at_region = np.add.reduceat(end_weights[order], np.flatnonzero(np.diff(ends[order], prepend=-1)))
         return math.fsum(c), math.fsum(c * c * (1 + (first == second))), math.fsum(at_region**2)
 
 
