@@ -154,13 +154,14 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
         config, taxonomy, trips_result, tx_result, overlaps_result,
         config.unknown_service_policy,
     )
+    # the parse columns hold most of the stage's memory; nothing after this needs them
+    del trips_result, tx_result, overlaps_result
+    _release_free_memory()
     changes = series.build_change_series(
         series_set, baselines, config.smoothing_half_width, config.smoothing_boundary
     )
     keys = series_set.key_list
-    # the parse columns hold most of the stage's memory; rendering needs none of it
-    del trips_result, tx_result, overlaps_result, series_set
-    _release_free_memory()
+    del series_set
 
     values, sufficient = (array.tolist() for array in baselines)
     baselines_csv = [BASELINES_HEADER + "\n"]
@@ -498,10 +499,11 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
     if metric_regions != regions:
         raise PipelineError(f"{METRIC_ARTIFACT} and {MILESTONES_ARTIFACT} list different regions")
-    adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
+    # the parsed adjacency serves only the weights; freed here, it lowers the stage's peak
+    weights = stats.SpatialWeights.from_adjacency(
+        ingest.parse_adjacency(config.inputs["adjacency"]).records, include=regions
+    )
     attributes = ingest.parse_attributes(config.inputs["attributes"]).records
-
-    weights = stats.SpatialWeights.from_adjacency(adjacency, include=regions)
 
     fields = (*MILESTONE_FIELDS, "integrated")
     columns = (*durations.T, integrated)

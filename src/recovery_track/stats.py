@@ -2,13 +2,14 @@
 and the Gini index with its Lorenz curve.
 
 Moran's I uses row-standardized binary contiguity weights built from the
-adjacency edge list, and reads its values as one float array in the weights'
-region order. Inference is analytical under the randomization assumption,
-with an optional seeded permutation p-value as a cross-check. Every sum of
-the observed statistic is exactly rounded (math.fsum), so region names move
-no bit of it, and a numerator within its rounding bound of 0 is 0. The
-shuffles' cross-products are plain sums, and by design a seeded permutation
-p depends on region order: it shuffles values held in that order.
+undirected adjacency, with their sums computed once, and reads its values as
+one float array in the weights' region order. Inference is analytical under
+the randomization assumption, with an optional seeded permutation p-value as
+a cross-check. Every sum of the observed statistic is exactly rounded
+(math.fsum), so region names move no bit of it, and a numerator within its
+rounding bound of 0 is 0. The shuffles' cross-products are plain sums, and
+by design a seeded permutation p depends on region order: it shuffles values
+held in that order.
 """
 
 from __future__ import annotations
@@ -25,50 +26,26 @@ from .errors import StatsError
 # spatial weights
 
 
-def _neighbors(adjacency: dict, include):
-    """(regions, isolated, degrees, columns): the regions left with neighbors
-    in sorted order and those left without; each region's neighbor count,
-    and its neighbors' indices in `regions`, region after region. The sets
-    built here are freed on return, before the weights' arrays are built."""
-    if include is None:
-        universe = set(adjacency)
-        for others in adjacency.values():
-            universe.update(others)
-    else:
-        universe = set(include)
-    within = {region: set(adjacency.get(region, ())) & universe for region in universe}
-    isolated = set()
-    while empty := {region for region, others in within.items() if not others}:
-        isolated |= empty
-        for region in empty:
-            del within[region]
-        for others in within.values():
-            if not others.isdisjoint(empty):
-                others -= empty
-
-    regions = tuple(sorted(within))
-    index = {region: i for i, region in enumerate(regions)}
-    degrees = np.array([len(within[region]) for region in regions], dtype=np.int64)
-    columns = np.fromiter(
-        (index[other] for region in regions for other in within[region]), dtype=np.int64, count=int(degrees.sum())
-    )
-    return regions, tuple(sorted(isolated)), degrees, columns
-
-
 @dataclass(frozen=True)
 class SpatialWeights:
     """Row-standardized contiguity weights over a fixed region ordering.
 
-    Regions left without neighbors (after any subsetting) are excluded from
-    the statistic and surfaced in `isolated`, and so are the edges that point
-    at them; with an asymmetric adjacency that can leave further regions
-    without neighbors, which are excluded in turn.
+    Built from an undirected adjacency without self-loops, as
+    ingest.parse_adjacency reads it: every edge listed from both ends. A
+    region none of whose neighbors is in `include` is excluded from the
+    statistic and surfaced in `isolated`; no edge of a region left with
+    neighbors points at one.
 
-    The weights are held only as region pairs (`first` <= `second`, indices
-    into `regions`), sorted: pair k of regions i < j weighs `pair_weights[k]`
-    = w_ij + w_ji, with w_ij = 1/k_i for a region of k_i neighbors that lists
-    j (else 0), and a region that lists itself is a pair of weight w_ii. So
+    The weights are held only as region pairs (`first` < `second`, indices
+    into `regions`), sorted: pair k of neighbors i < j weighs `pair_weights[k]`
+    = w_ij + w_ji = 1/k_i + 1/k_j, for regions of k_i and k_j neighbors. So
     sum_ij w_ij z_i z_j = sum_k pair_weights[k] z[first[k]] z[second[k]].
+
+    `sums` holds the Cliff-Ord weight sums (S0, S1, S2): S0 = sum_ij w_ij =
+    sum_k c_k over the pair weights c; S1 = 1/2 sum_ij (w_ij + w_ji)^2 = c . c;
+    and S2 = sum_i (w_i. + w_.i)^2, w_i. + w_.i summing c over i's pairs in
+    ascending order. Each is exactly rounded, so no sum depends on the region
+    order.
     """
 
     regions: tuple[str, ...]
@@ -76,32 +53,31 @@ class SpatialWeights:
     first: np.ndarray = field(repr=False, compare=False)
     second: np.ndarray = field(repr=False, compare=False)
     pair_weights: np.ndarray = field(repr=False, compare=False)
+    sums: tuple[float, float, float] = field(repr=False, compare=False)
 
     @classmethod
     def from_adjacency(cls, adjacency: dict, include=None) -> "SpatialWeights":
-        regions, isolated, degrees, columns = _neighbors(adjacency, include)
-        n = len(regions)
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # edge i -> j belongs to pair min(i, j) * n + max(i, j); a pair sums the
-        # weights of its one or two edges from 0.0, so w_ij + w_ji exactly
-        codes = np.minimum(rows, columns) * n + np.maximum(rows, columns)
-        pairs, pair_of_edge = np.unique(codes, return_inverse=True)
-        first, second = np.divmod(pairs, n)
-        return cls(regions, isolated, first, second, np.bincount(pair_of_edge, np.repeat(1.0 / degrees, degrees)))
-
-    def sums(self) -> tuple[float, float, float]:
-        """The Cliff-Ord weight sums (S0, S1, S2), from the pairs.
-
-        S0 = sum_ij w_ij = sum_k c_k over the pair weights c; S1 = 1/2 sum_ij
-        (w_ij + w_ji)^2 = c . c plus c_k^2 once more for each self pair; and
-        S2 = sum_i (w_i. + w_.i)^2, w_i. + w_.i summing c over i's pairs, a self
-        pair twice, in ascending order. So no sum depends on the region order.
-        """
-        first, second, c = self.first, self.second, self.pair_weights
-        ends, end_weights = np.concatenate([first, second]), np.concatenate([c, c])
-        order = np.lexsort((end_weights, ends))
-        at_region = np.add.reduceat(end_weights[order], np.flatnonzero(np.diff(ends[order], prepend=-1)))
-        return math.fsum(c), math.fsum(c * c * (1 + (first == second))), math.fsum(at_region**2)
+        universe = set(adjacency if include is None else include)
+        within = {region: universe.intersection(adjacency.get(region, ())) for region in universe}
+        regions = tuple(sorted(region for region, others in within.items() if others))
+        isolated = tuple(sorted(region for region, others in within.items() if not others))
+        index = {region: i for i, region in enumerate(regions)}
+        degrees = np.array([len(within[region]) for region in regions], dtype=np.int64)
+        columns = np.fromiter(
+            (index[other] for region in regions for other in within[region]), dtype=np.int64, count=int(degrees.sum())
+        )
+        del within, index  # the sets go before the arrays are built
+        rows = np.repeat(np.arange(len(regions), dtype=np.int64), degrees)
+        inverse = 1.0 / degrees
+        edge_weights = inverse[rows] + inverse[columns]  # w_ij + w_ji, from either end
+        # each pair i < j once, from its first region's edges
+        keep = rows < columns
+        first, second, c = rows[keep], columns[keep], edge_weights[keep]
+        order = np.lexsort((second, first))
+        first, second, c = first[order], second[order], c[order]
+        # w_i. + w_.i: the weights of region i's pairs, in ascending order
+        at_region = np.add.reduceat(edge_weights[np.lexsort((edge_weights, rows))], np.cumsum(degrees) - degrees)
+        return cls(regions, isolated, first, second, c, (math.fsum(c), math.fsum(c * c), math.fsum(at_region**2)))
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +149,7 @@ def morans_i(
     if x.min() == x.max() or denom == 0.0:
         raise StatsError("constant field: Moran's I is undefined for zero variance")
 
-    s0, s1, s2 = weights.sums()
+    s0, s1, s2 = weights.sums
     first, second, c = weights.first, weights.second, weights.pair_weights
     num = math.fsum(z[first] * z[second] * c)
     a = np.abs(z) + abs(mean)

@@ -298,13 +298,12 @@ def dense_weights(adjacency, weights):
     return w
 
 
-def dense_moran(values, w, permutations=0, seed=0):
+def dense_moran(values, w):
     """Moran's I with randomization moments from a dense weight matrix.
 
-    Returns a dict with i, variance, z_score, s0, s1, s2 and, for
-    `permutations > 0`, permutation_p: shuffles drawn one `permutation` call
-    each from numpy's `default_rng(seed)`, counted when at least as far from
-    E[I] as the observed I.
+    Returns a dict with i, variance, z_score, s0, s1, s2. Permutation
+    p-values are checked against exact_moran_permutation_p, which counts
+    shuffles that tie the observed I exactly.
     """
     n = len(values)
     x = np.asarray(values, dtype=float)
@@ -320,7 +319,7 @@ def dense_moran(values, w, permutations=0, seed=0):
         n * ((n * n - 3 * n + 3) * s1 - n * s2 + 3 * s0 * s0)
         - b2 * ((n * n - n) * s1 - 2 * n * s2 + 6 * s0 * s0)
     ) / ((n - 1) * (n - 2) * (n - 3) * s0 * s0) - expected * expected
-    result = {
+    return {
         "i": i_value,
         "variance": variance,
         "z_score": (i_value - expected) / math.sqrt(variance),
@@ -328,15 +327,6 @@ def dense_moran(values, w, permutations=0, seed=0):
         "s1": s1,
         "s2": s2,
     }
-    if permutations > 0:
-        rng = np.random.default_rng(seed)
-        extreme = 0
-        for _ in range(permutations):
-            perm = rng.permutation(z)
-            i_perm = (n / s0) * float(perm @ (w @ perm)) / denom
-            extreme += abs(i_perm - expected) >= abs(i_value - expected)
-        result["permutation_p"] = (extreme + 1) / (permutations + 1)
-    return result
 
 
 def exact_moran_permutation_p(values, neighbor_indices, permutations, seed):
@@ -350,17 +340,19 @@ def exact_moran_permutation_p(values, neighbor_indices, permutations, seed):
     """
     n = len(values)
     x = [Fraction(v) for v in values]
-    mean = sum(x) / n
-    z = [v - mean for v in x]
+    scale = math.lcm(*(v.denominator for v in x))
+    whole = [int(v * scale) for v in x]
+    total = sum(whole)
+    # z scaled by n * scale, to whole numbers: I is the same for any positive scale
+    z = [n * v - total for v in whole]
     denom = sum(v * v for v in z)
     s0 = sum(Fraction(1, len(others)) * len(others) for others in neighbor_indices)
     expected = Fraction(-1, n - 1)
 
     def deviation(field):
         num = sum(
-            Fraction(1, len(others)) * field[i] * field[j]
+            Fraction(field[i] * sum(field[j] for j in others), len(others))
             for i, others in enumerate(neighbor_indices)
-            for j in others
         )
         return abs(n / s0 * num / denom - expected)
 

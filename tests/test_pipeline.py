@@ -363,6 +363,24 @@ def test_moran_reads_each_region_by_name_around_one_left_without_neighbors(golde
         assert stats["morans_i"][field] == expected, field
 
 
+def test_moran_reads_each_edge_from_both_ends(golden_city, tmp_path):
+    # the weights take the adjacency as undirected: an edge listed once, from
+    # both ends, or twice over gives the same stats.json
+    header, *edges = (golden_city["root"] / "adjacency.csv").read_text(encoding="utf-8").splitlines()
+    once = sorted({",".join(sorted(edge.split(","))) for edge in edges})
+    both_ends = [*once, *(",".join(edge.split(",")[::-1]) for edge in once), once[0]]
+    stats_json = []
+    for name, lines in (("once", once), ("both-ends", both_ends)):
+        city = tmp_path / name
+        shutil.copytree(golden_city["root"], city, ignore=shutil.ignore_patterns("out"))
+        (city / "adjacency.csv").write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        shutil.copytree(golden_city["out"], city / "out")
+        (city / "out" / pipeline.STATS_ARTIFACT).unlink()
+        assert cli.main(["run", "--config", str(city / "config.json"), "--only", "stats"]) == 0
+        stats_json.append((city / "out" / pipeline.STATS_ARTIFACT).read_bytes())
+    assert stats_json == [(golden_city["out"] / pipeline.STATS_ARTIFACT).read_bytes()] * 2
+
+
 def test_stats_without_permutations_run_in_one_process(golden_city, tmp_path, monkeypatch, forks):
     argv, out = _golden_bundle_copy(golden_city, tmp_path)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)

@@ -289,82 +289,64 @@ def test_moran_analytic_moments_match_permutation_distribution():
     assert sims.var() == pytest.approx(result.variance, rel=0.05)
 
 
-def _random_adjacency(rng, n, symmetric):
-    """A chain plus n random edges; an asymmetric graph lists some edges one
-    way only, and one region of every graph lists itself."""
+def _random_adjacency(rng, n):
+    """A chain plus n random edges, each listed from both ends; none a self-loop."""
     adjacency = {f"R{i:02d}": set() for i in range(n)}
     edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
     edges += [tuple(int(v) for v in rng.integers(0, n, size=2)) for _ in range(n)]
     for i, j in edges:
         if i != j:
             adjacency[f"R{i:02d}"].add(f"R{j:02d}")
-            if symmetric or rng.random() < 0.5:
-                adjacency[f"R{j:02d}"].add(f"R{i:02d}")
-    adjacency[f"R{n // 2:02d}"].add(f"R{n // 2:02d}")
+            adjacency[f"R{j:02d}"].add(f"R{i:02d}")
     return adjacency
 
 
 def test_moran_matches_dense_reference_on_random_graphs():
     rng = np.random.default_rng(83)
-    with_isolated = with_self_pair = 0
+    with_isolated = 0
     for trial in range(60):
         n = int(rng.integers(6, 50))
-        adjacency = _random_adjacency(rng, n, symmetric=trial % 2 == 0)
+        adjacency = _random_adjacency(rng, n)
         include = None
-        if trial % 4 >= 2:
+        if trial % 2 == 1:
             include = sorted(r for r in adjacency if rng.random() < 0.6)
         weights = SpatialWeights.from_adjacency(adjacency, include=include)
         with_isolated += bool(weights.isolated)
         if len(weights.regions) < 4:
             continue
-        with_self_pair += bool((weights.first == weights.second).any())
-        # each pair once, sorted, weighing w_ij + w_ji, or w_ii for a region that lists itself
+        # each pair once, sorted, weighing w_ij + w_ji
         w, n = dense_weights(adjacency, weights), len(weights.regions)
+        assert (weights.first < weights.second).all()
         assert (np.diff(weights.first * n + weights.second) > 0).all()
         pairs = np.zeros((n, n))
         pairs[weights.first, weights.second] = weights.pair_weights
-        assert pairs.tolist() == (np.triu(w + w.T, 1) + np.diag(np.diag(w))).tolist()
+        assert pairs.tolist() == np.triu(w + w.T, 1).tolist()
         x = rng.normal(size=n)
         result = morans_i(x, weights, permutations=99, seed=[5, trial])
-        oracle = dense_moran(x, w, permutations=99, seed=[5, trial])
+        oracle = dense_moran(x, w)
         for name in ("i", "variance", "z_score"):
             assert getattr(result, name) == pytest.approx(oracle[name], rel=1e-12, abs=1e-12)
-        assert weights.sums() == pytest.approx((oracle["s0"], oracle["s1"], oracle["s2"]), rel=1e-12)
-        assert result.permutation_p == oracle["permutation_p"]
-    assert with_isolated > 0 and with_self_pair > 0
+        assert weights.sums == pytest.approx((oracle["s0"], oracle["s1"], oracle["s2"]), rel=1e-12)
+        # a shuffle that maps the field onto a symmetry of the graph ties the
+        # observed I exactly, which the dense oracle's rounded I may not
+        exact_p, _ = exact_moran_permutation_p(x.tolist(), neighbor_indices(adjacency, weights.regions), 99, [5, trial])
+        assert result.permutation_p == float(exact_p)
+    assert with_isolated > 0
 
 
-def test_moran_weights_drop_edges_to_isolated_regions():
-    # B lists no neighbor; A lists only B, so it is left without one too
-    adjacency = {"A": {"B"}, "B": set(), "C": {"A", "D"}, "D": {"C", "E"}, "E": {"D"}}
-    weights = SpatialWeights.from_adjacency(adjacency)
-    assert weights.isolated == ("A", "B")
+def test_moran_weights_exclude_a_region_left_without_neighbors():
+    # A's only neighbor, B, is not included; C, D and E form a chain
+    adjacency = {"A": {"B"}, "B": {"A", "C"}, "C": {"B", "D"}, "D": {"C", "E"}, "E": {"D"}}
+    weights = SpatialWeights.from_adjacency(adjacency, include=["A", "C", "D", "E"])
+    assert weights.isolated == ("A",)
     assert weights.regions == ("C", "D", "E")
     regions = np.array(weights.regions)
     pairs = list(zip(regions[weights.first].tolist(), regions[weights.second].tolist()))
     assert pairs == [("C", "D"), ("D", "E")]
     assert weights.pair_weights.tolist() == [1.5, 1.5]
+    assert weights.sums == (3.0, 4.5, 13.5)
     assert dense_weights(adjacency, weights).tolist() == [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]
     assert morans_i([1.0, 2.0, 4.0], weights).n == 3
-
-
-def test_moran_weights_pair_a_self_listing_region_and_one_way_edges():
-    # A lists itself and B; B lists only C; C lists A, B and D; D lists only C
-    adjacency = {"A": {"A", "B"}, "B": {"C"}, "C": {"A", "B", "D"}, "D": {"C"}}
-    weights = SpatialWeights.from_adjacency(adjacency)
-    assert weights.regions == ("A", "B", "C", "D") and weights.isolated == ()
-    assert (weights.first.tolist(), weights.second.tolist()) == ([0, 0, 0, 1, 2], [0, 1, 2, 2, 3])
-    # w_AA alone; w_AB + 0; 0 + w_CA; w_BC + w_CB; w_CD + w_DC
-    assert weights.pair_weights.tolist() == pytest.approx([1 / 2, 1 / 2, 1 / 3, 4 / 3, 4 / 3], rel=1e-15)
-    assert weights.sums() == pytest.approx((4.0, 53 / 12, 17.5), rel=1e-15)
-    x = [1.0, 2.0, 6.0, 3.0]
-    oracle = dense_moran(x, dense_weights(adjacency, weights))
-    assert weights.sums() == pytest.approx((oracle["s0"], oracle["s1"], oracle["s2"]), rel=1e-12)
-    # z = (-2, -1, 3, 0): sum_ij w_ij z_i z_j = -3 over sum z^2 = 14
-    result = morans_i(x, weights)
-    assert result.i == pytest.approx(-3 / 14, rel=1e-12)
-    for name in ("i", "variance", "z_score"):
-        assert getattr(result, name) == pytest.approx(oracle[name], rel=1e-12, abs=1e-12)
 
 
 def test_moran_permutation_p_counts_exact_ties():
