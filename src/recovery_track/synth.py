@@ -23,7 +23,7 @@ import numpy as np
 
 from . import processes
 from .aggregate import CATEGORIES, ESSENTIAL, load_taxonomy
-from .config import check_settings, days_after, read_json_object, read_settings, setting
+from .config import PipelineConfig, check_settings, days_after, read_json_object, read_settings, setting
 from .errors import RecoveryTrackError, ScenarioError
 from .ingest import (
     ADJACENCY_HEADER,
@@ -32,7 +32,7 @@ from .ingest import (
     TRANSACTIONS_HEADER,
     TRIPS_HEADER,
 )
-from .milestones import DEFAULT_RUN_LENGTH, change_threshold
+from .milestones import change_threshold
 from .windows import DateWindow
 
 RAMP_LINEAR = "linear"
@@ -40,6 +40,9 @@ RAMP_EXPONENTIAL = "exponential"
 
 # per-category ramp multipliers: essential activity comes back faster
 CATEGORY_RAMP_SCALE = {ESSENTIAL: 0.7, "non-essential": 1.3}
+
+# the standard setup, PipelineConfig's defaults: the truth scans with it, config.json carries part of it
+STANDARD = {f.name: f.default for f in fields(PipelineConfig)}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -108,35 +111,23 @@ class ScenarioSpec:
 # planted curves
 
 
-def level_at(
-    t: np.ndarray, level: float, drop: float, ramp: int, shape: str = RAMP_LINEAR
-) -> np.ndarray:
-    """Planted activity level at integer day offsets `t` from the event (t < 0 is pre-event)."""
+def level_at(t: np.ndarray, level, drop, ramp, shape: str = RAMP_LINEAR) -> np.ndarray:
+    """Planted activity level at integer day offsets `t` from the event (t < 0
+    is pre-event): of one entity, or of several, one row each, where level,
+    drop and ramp are columns. A `drop` of 0 keeps `level` exactly."""
     t = np.asarray(t)
-    if drop == 0.0:
-        return np.full(t.shape, level)
     if shape == RAMP_LINEAR:
-        fraction = np.minimum(1.0, t / ramp)
-        curve = level * (1.0 - drop * (1.0 - fraction))
+        gap = 1.0 - np.minimum(1.0, t / ramp)
     else:
         # math.exp, not np.exp: the two may differ in the last bit, and the curve is a contract
-        decay = [math.exp(-3.0 * day / ramp) for day in np.maximum(t, 0).tolist()]
-        curve = level * (1.0 - drop * np.array(decay))
-    return np.where(t < 0, level, curve)
+        days, ramps = np.maximum(t, 0).tolist(), np.ravel(ramp).tolist()
+        decay = {r: [math.exp(-3.0 * day / r) for day in days] for r in set(ramps)}
+        gap = np.array([decay[r] for r in ramps]).reshape(np.broadcast_shapes(np.shape(ramp), t.shape))
+    return np.where(t < 0, level, level * (1.0 - drop * gap))
 
 
 # --------------------------------------------------------------------------
 # generator internals
-
-
-@dataclass
-class _EntityProfile:
-    """Sampled parameters for one trip region or one transaction zip."""
-
-    level: float
-    drop: float
-    ramp: int
-    shares: tuple  # per category, in CATEGORIES order: the share of each of its codes, in code order
 
 
 def _region_ids(n: int) -> list[str]:
@@ -149,7 +140,7 @@ def _zip_ids(n_regions: int, per_zip: int) -> list[str]:
     return [f"{77001 + k:05d}" for k in range(n_zips)]
 
 
-def _smooth_truncated(values, half_width: int = 3):
+def _smooth_truncated(values, half_width: int):
     """Centered truncated-window mean, written independently of series.py:
     each window's exactly rounded sum over its length."""
     n = len(values)
@@ -179,29 +170,13 @@ def _scan_recovery(changes, d0: int, horizon: int, threshold: float, run_length:
 
 def _ground_truth_for(values, baseline_days: int, d0_index: int, horizon: int):
     baseline = math.fsum(values[:baseline_days]) / baseline_days
-    smoothed = _smooth_truncated(values)
-    threshold = change_threshold(0.9)
+    smoothed = _smooth_truncated(values, STANDARD["smoothing_half_width"])
+    threshold = change_threshold(STANDARD["recovered_fraction"])
     changes = [(s - baseline) / baseline for s in smoothed]
-    dn = _scan_recovery(changes, d0_index, horizon, threshold, DEFAULT_RUN_LENGTH)
+    dn = _scan_recovery(changes, d0_index, horizon, threshold, STANDARD["run_length"])
     if dn is None:
         return horizon, True
     return dn - d0_index, False
-
-
-def _sample_profile(
-    rng, spec: ScenarioSpec, cluster_bases, cluster: int, level_range, kind: str, category_rows,
-):
-    base_drop, base_ramp = cluster_bases[cluster]
-    drop = float(np.clip(base_drop + rng.uniform(-0.08, 0.08), *spec.drop_range))
-    ramp = int(np.clip(round(base_ramp + rng.uniform(-4.0, 4.0)), *spec.ramp_range))
-    level = float(rng.uniform(*level_range))
-    if kind == "flat":
-        drop = 0.0
-    elif kind == "censored":
-        drop = max(drop, 0.5)
-        ramp = spec.horizon_days * 10
-    draws = [rng.uniform(0.5, 1.5, size=rows.stop - rows.start) for rows in category_rows]
-    return _EntityProfile(level=level, drop=drop, ramp=ramp, shares=tuple(d / d.sum() for d in draws))
 
 
 def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> list[str]:
@@ -214,18 +189,26 @@ def _pick_kinds(rng, n: int, flat_fraction: float, censored_fraction: float) -> 
     return kinds
 
 
-def _emit_entity(rng, spec: ScenarioSpec, profile: _EntityProfile, offsets: np.ndarray):
-    """Per-type values of one entity before quantisation, (n_codes, n_days) with
-    rows in category, then code order: noisy, drawn from `rng`, as emitted, and
-    noiseless, as the truth sees them, where `rng` is None."""
-    rows = []
-    for category, shares in zip(CATEGORIES, profile.shares):
-        ramp = max(1, round(profile.ramp * CATEGORY_RAMP_SCALE[category]))
-        curve = level_at(offsets, profile.level, profile.drop, ramp, spec.ramp_shape)
-        if rng is not None and spec.noise > 0.0:
-            curve = curve * (1.0 + rng.uniform(-spec.noise, spec.noise, size=len(offsets)))
-        rows.append(shares[:, np.newaxis] * curve)
-    return np.concatenate(rows)
+def _emit(spec: ScenarioSpec, offsets: np.ndarray, category_rows, profiles, block: slice, stream=None, out=None):
+    """Per-type values of the entities of `block` before quantisation, into
+    `out` where given, (entities, codes, days) with codes in category, then
+    code order. `profiles` are the arrays (level, drop, ramp, shares) of
+    every entity. The values are noisy, entity i drawing its (categories,
+    days) noise from stream [seed, stream, i], as written, and noiseless, as
+    the truth sees them, where `stream` is None."""
+    level, drop, ramp = (column[block, np.newaxis, np.newaxis] for column in profiles[:3])
+    shares = profiles[3][block]
+    ramps = np.maximum(1.0, np.rint(ramp * [[CATEGORY_RAMP_SCALE[category]] for category in CATEGORIES]))
+    curves = level_at(offsets, level, drop, ramps, spec.ramp_shape)  # (entities, categories, days)
+    if stream is not None and spec.noise > 0.0:
+        curves *= 1.0 + np.array([
+            np.random.default_rng([spec.seed, stream, i]).uniform(-spec.noise, spec.noise, size=curves.shape[1:])
+            for i in range(block.start, block.stop)
+        ])
+    out = np.empty(shares.shape + offsets.shape) if out is None else out
+    for k, rows in enumerate(category_rows):
+        np.multiply(shares[:, rows, np.newaxis], curves[:, k, np.newaxis], out=out[:, rows])
+    return out
 
 
 def _counts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -290,7 +273,12 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     """Write the five ingest CSVs, ground_truth.csv, and a ready pipeline config.
 
     Deterministic for a fixed spec: every entity draws from its own seeded
-    stream, and files are emitted in sorted order.
+    streams, and files are emitted in sorted order. The profiles of the
+    regions and of the Zips are arrays, one row per entity: level, drop,
+    ramp and a row of code shares, entity i drawing them from stream
+    [seed, 1, i] for a region and [seed, 2, i] for a Zip. Values are emitted
+    a block of entities at a time, about processes.BLOCK_BYTES of them, each
+    noisy entity drawing its noise from stream [seed, 3, i] or [seed, 4, i].
 
     A spec whose baseline quantises to zero for some entity and category
     has no truth; it is refused with a ScenarioError before anything is
@@ -311,15 +299,6 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     codes, weights, category_rows = taxonomy.codes, taxonomy.weights, taxonomy.rows
     n_codes = len(codes)
 
-    def truth(clean):
-        """(duration, censored) per category of one entity, from its noiseless values."""
-        return [
-            _ground_truth_for(
-                _weighted_series(clean[rows], weights[rows]), spec.baseline_days, d0_index, spec.horizon_days
-            )
-            for rows in category_rows
-        ]
-
     regions = _region_ids(spec.n_regions)
     zips = _zip_ids(spec.n_regions, spec.regions_per_zip)
     cols = math.ceil(math.sqrt(spec.n_regions))
@@ -336,41 +315,46 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
         (cluster_rng.uniform(*spec.drop_range), cluster_rng.uniform(*spec.ramp_range))
         for _ in range(spec.clusters)
     ]
-    region_kinds = _pick_kinds(
-        np.random.default_rng([spec.seed, 6]), spec.n_regions,
-        spec.flat_fraction, spec.censored_fraction,
-    )
-    zip_kinds = _pick_kinds(
-        np.random.default_rng([spec.seed, 7]), len(zips),
-        spec.flat_fraction, spec.censored_fraction,
-    )
-    region_profiles = [
-        _sample_profile(
-            np.random.default_rng([spec.seed, 1, i]), spec, cluster_bases,
-            cluster_of(i), spec.baseline_level_range, region_kinds[i], category_rows,
+
+    def sample(stream, kinds_stream, clusters, level_range):
+        """(level, drop, ramp, shares) of the entities, entity i drawing from
+        stream [seed, stream, i] its drop, ramp and level, then one shares
+        draw per category; which are flat and which censored is drawn from
+        stream [seed, kinds_stream]."""
+        kinds = _pick_kinds(
+            np.random.default_rng([spec.seed, kinds_stream]), len(clusters), spec.flat_fraction, spec.censored_fraction
         )
-        for i in range(spec.n_regions)
-    ]
-    zip_profiles = [
-        _sample_profile(
-            np.random.default_rng([spec.seed, 2, k]), spec, cluster_bases,
-            cluster_of(min(k * spec.regions_per_zip, spec.n_regions - 1)),
-            spec.tx_level_range, zip_kinds[k], category_rows,
-        )
-        for k in range(len(zips))
-    ]
+        level, drop, ramp = np.empty((3, len(kinds)))
+        shares = np.empty((len(kinds), n_codes))
+        for i, (cluster, kind) in enumerate(zip(clusters, kinds)):
+            rng = np.random.default_rng([spec.seed, stream, i])
+            base_drop, base_ramp = cluster_bases[cluster]
+            drop[i] = min(max(base_drop + rng.uniform(-0.08, 0.08), spec.drop_range[0]), spec.drop_range[1])
+            ramp[i] = min(max(round(base_ramp + rng.uniform(-4.0, 4.0)), spec.ramp_range[0]), spec.ramp_range[1])
+            level[i] = rng.uniform(*level_range)
+            if kind == "flat":
+                drop[i] = 0.0
+            elif kind == "censored":
+                drop[i], ramp[i] = max(drop[i], 0.5), spec.horizon_days * 10
+            for rows in category_rows:
+                draw = rng.uniform(0.5, 1.5, size=rows.stop - rows.start)
+                shares[i, rows] = draw / draw.sum()
+        return level, drop, ramp, shares
+
+    region_profiles = sample(1, 6, [cluster_of(i) for i in range(spec.n_regions)], spec.baseline_level_range)
+    zip_profiles = sample(
+        2, 7, [cluster_of(min(k * spec.regions_per_zip, spec.n_regions - 1)) for k in range(len(zips))],
+        spec.tx_level_range,
+    )
 
     # Every baseline day comes before the event, where each code's noiseless
     # value is share * level: a baseline the writing quantises to zero has no
     # percent change, and is refused before any file is made.
-    for field, noun, entities, profiles, quantise in (
+    for field, noun, entities, (level, _, _, shares), quantise in (
         ("baseline_level_range", "region", regions, region_profiles, _counts),
         ("tx_level_range", "Zip", zips, zip_profiles, _amounts_as_read),
     ):
-        levels = quantise(np.array([  # one column per entity, rows in `codes` order
-            np.concatenate(profile.shares) * profile.level
-            for profile in profiles
-        ]).T)
+        levels = quantise(shares.T * level)  # one column per entity, rows in `codes` order
         per_category = [_weighted_series(levels[rows], weights[rows]) for rows in category_rows]
         for entity, baselines in zip(entities, zip(*per_category)):
             for category, baseline in zip(CATEGORIES, baselines):
@@ -380,29 +364,36 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
                         "so it has no percent change; raise the range"
                     )
 
-    def ground_truth():
-        """The truth per region of trips and per Zip of transactions, from the
-        noiseless values as written."""
-        trip_truth = [truth(_counts(_emit_entity(None, spec, profile, offsets))) for profile in region_profiles]
-        tx_truth = [truth(_amounts_as_read(_emit_entity(None, spec, profile, offsets))) for profile in zip_profiles]
-        return trip_truth, tx_truth
+    def blocks(n):
+        """Slices of n entities, each of whose values take about processes.BLOCK_BYTES."""
+        size = max(1, processes.BLOCK_BYTES // (8 * n_codes * window.n_days))
+        return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
-    def emitted(profiles, stream):
-        """Noisy values of the entities, one block of n_codes rows each."""
-        values = np.empty((len(profiles) * n_codes, window.n_days))
-        for i, profile in enumerate(profiles):
-            rng = np.random.default_rng([spec.seed, stream, i])
-            values[i * n_codes:(i + 1) * n_codes] = _emit_entity(rng, spec, profile, offsets)
-        return values
+    def truth(profiles, quantise):
+        """(duration, censored) per category of each entity, from its noiseless values as written."""
+        return [
+            [
+                _ground_truth_for(
+                    _weighted_series(clean[rows], weights[rows]), spec.baseline_days, d0_index, spec.horizon_days
+                )
+                for rows in category_rows
+            ]
+            for block in blocks(len(profiles[0]))
+            for clean in quantise(_emit(spec, offsets, category_rows, profiles, block))
+        ]
+
+    def ground_truth():
+        """The truth per region of trips and per Zip of transactions."""
+        return truth(region_profiles, _counts), truth(zip_profiles, _amounts_as_read)
 
     written = []
 
-    def write(name, header, blocks):
+    def write(name, header, lines):
         """Write the header line, then each block of whole lines, to the staging directory."""
         written.append(name)
         with open(staging / name, "w", newline="", encoding="utf-8") as handle:
             handle.write(",".join(header) + "\n")
-            handle.writelines(blocks)
+            handle.writelines(lines)
 
     # overlaps.csv: each region mostly in its own zip, a sliver in the next one
     def overlap_rows():
@@ -431,29 +422,33 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
     def attribute_rows():
         drop_lo, drop_hi = spec.drop_range
         span = max(drop_hi - drop_lo, 1e-9)
-        for i, region in enumerate(regions):
+        for i, (region, drop) in enumerate(zip(regions, region_profiles[1].tolist())):
             rng = np.random.default_rng([spec.seed, 8, i])
-            profile = region_profiles[i]
-            severity = (profile.drop - drop_lo) / span if profile.drop > 0 else 0.0
+            severity = (drop - drop_lo) / span if drop > 0 else 0.0
             severity = min(1.0, max(0.0, severity))
             flood = rng.uniform()
-            minority = float(np.clip(0.15 + 0.6 * severity + rng.uniform(-0.2, 0.2), 0.0, 1.0))
+            minority = min(1.0, max(0.0, 0.15 + 0.6 * severity + rng.uniform(-0.2, 0.2)))
             income = max(0.0, 20000.0 + 45000.0 * (1.0 - severity) + rng.uniform(-8000.0, 8000.0))
             yield (region, f"{flood:.6f}", f"{minority:.6f}", f"{income:.2f}")
 
     def write_inputs():
         # trips.csv: per day x region x service type
-        counts = emitted(region_profiles, 3)
+        counts = np.empty((spec.n_regions, n_codes, window.n_days))
+        for block in blocks(spec.n_regions):
+            _emit(spec, offsets, category_rows, region_profiles, block, 3, counts[block])
         _counts(counts, out=counts)
         write("trips.csv", TRIPS_HEADER, _day_blocks(
-            window, [f"{region},{code}," for region in regions for code in codes], _count_texts(counts),
+            window, [f"{region},{code}," for region in regions for code in codes],
+            _count_texts(counts.reshape(-1, window.n_days)),
         ))
         del counts  # freed before the amounts are drawn, so the two never sit in memory together
         # transactions.csv: per day x zip x merchant type
-        amounts = emitted(zip_profiles, 4)
+        amounts = np.empty((len(zips), n_codes, window.n_days))
+        for block in blocks(len(zips)):
+            _emit(spec, offsets, category_rows, zip_profiles, block, 4, amounts[block])
         write("transactions.csv", TRANSACTIONS_HEADER, _day_blocks(
             window, [f"{zip_code},{code}," for zip_code in zips for code in codes],
-            (_cents(day) for day in amounts.T),
+            (_cents(day) for day in amounts.reshape(-1, window.n_days).T),
         ))
         write("overlaps.csv", OVERLAPS_HEADER, _lines(overlap_rows()))
         write("adjacency.csv", ADJACENCY_HEADER, _lines(adjacency_rows()))
@@ -481,7 +476,8 @@ def generate(spec: ScenarioSpec, out_dir) -> dict:
             "start": spec.baseline_window.start.isoformat(),
             "end": spec.baseline_window.end.isoformat(),
         },
-        "recovery": {"threshold": 0.9, "run_length": 3, "horizon_days": spec.horizon_days},
+        "recovery": {"threshold": STANDARD["recovered_fraction"], "run_length": STANDARD["run_length"],
+                     "horizon_days": spec.horizon_days},
         "output_dir": "out",
     }
 

@@ -26,7 +26,8 @@ agree:
   next line and never closed;
 - every artifact of the 2,500-region stats-perm benchmark city after
   `run --only stats --permutations 999`; its stats.json and lorenz.csv must
-  also keep the sha256 recorded in STATS_PERM_DIGESTS.
+  also keep the sha256 recorded in STATS_PERM_DIGESTS, and its seven `synth`
+  files those in SYNTH_DIGESTS.
 
 It exits nonzero, naming the comparison, at the first that fails, and
 removes its temporary directory either way.
@@ -51,9 +52,11 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 CPUS = ("one", "all")
 PERMUTATIONS = 999
 
-# sha256 of every file `synth` writes for the two cities of cities(): the
-# unit tests pin the bytes of cities of 3 to 200 regions only, and these
-# cities cross processes.SPLIT_CELLS, where the truth comes from a child
+# sha256 of every file `synth` writes for the two cities of cities() and the
+# city of stats_perm(): the unit tests pin the bytes of cities of 3 to 200
+# regions only, and these cities cross processes.SPLIT_CELLS, where the truth
+# comes from a child; the 2,500 entities of stats_perm()'s are emitted over
+# many blocks
 SYNTH_DIGESTS = {
     '{"n_regions": 1000}': {
         "adjacency.csv": "65d868d201b289740295e2340980a6e8f168e2b257836bda8da03b453146f52e",
@@ -72,6 +75,15 @@ SYNTH_DIGESTS = {
         "overlaps.csv": "f5d67c8ebbf3575cb2e04f841ed257c3838ddb72074f51e24b24afdc84691694",
         "transactions.csv": "163986e49ee85b8842da639f9d6da97dd14dc124cfb10a8434f85f4f2b486aed",
         "trips.csv": "2a85f3b7c4af76ec5fc4fb9711395dd612e8a82cf611fa9381b7b3de53c18978",
+    },
+    '{"n_regions": 2500, "window_start": "2017-08-17", "baseline_days": 7, "horizon_days": 21, "ramp_range": [3, 15]}': {
+        "adjacency.csv": "42a8cc1eb133fa63716067cc43a946b66412d780870e5be5f071c1f5e3f1faca",
+        "attributes.csv": "d769d753c45a67c1fa6456e7b646f36275bea7806175aa358ffac267ff820518",
+        "config.json": "dc8754ad9e3fe4537472c5e383b1ca71ad243f270e40579c947771f87ec0dc46",
+        "ground_truth.csv": "c06e4c0eea64f1a85eee7ec24f4622294e3c5020c1d225de0e25a58164173c94",
+        "overlaps.csv": "514fc9aed48ad3ec837da664bdf9ffc2e693f4943b3f24bd2cb44d6db1025a74",
+        "transactions.csv": "cacbbaeac490d87c91f9c7aae69461ea09287e30c782fd262aa73dcb6938fbec",
+        "trips.csv": "4a434b6fe28d9b0dc1691876f79c8a98fdb975b41ea121566e1e0bb3f7d4e6d2",
     },
 }
 
@@ -315,12 +327,14 @@ def damaged_trips(tmp):
 
 
 def stats_perm(tmp):
-    """The stats-perm benchmark city after `run --only stats --permutations
-    999`: the same artifacts on one CPU and on all, and stats.json and
-    lorenz.csv as STATS_PERM_DIGESTS records them."""
+    """The stats-perm benchmark city, its synth files as SYNTH_DIGESTS records
+    them, after `run --only stats --permutations 999`: the same artifacts on
+    one CPU and on all, and stats.json and lorenz.csv as STATS_PERM_DIGESTS
+    records them."""
     spec = '{"n_regions": 2500, "window_start": "2017-08-17", "baseline_days": 7, "horizon_days": 21, "ramp_range": [3, 15]}'
     (tmp / "perm.json").write_text(spec + "\n")
     cli("all", "synth", "--spec", tmp / "perm.json", "--out", tmp / "perm/city")
+    same(f"{spec}: synth and SYNTH_DIGESTS", digests(tmp / "perm/city"), SYNTH_DIGESTS[spec])
     cli("all", "run", "--config", tmp / "perm/city/config.json", "--out", tmp / "perm/out")
     sums = {}
     for cpus in CPUS:

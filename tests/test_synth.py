@@ -33,6 +33,8 @@ from recovery_track.ingest import (
     broadcast_zip_to_regions,
 )
 from recovery_track.synth import (
+    RAMP_EXPONENTIAL,
+    RAMP_LINEAR,
     ScenarioSpec,
     generate,
     level_at,
@@ -91,6 +93,26 @@ def test_ground_truth_censors_at_horizon():
 
 def _bits(values):
     return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("shape", [RAMP_LINEAR, RAMP_EXPONENTIAL])
+def test_level_at_over_entity_columns_is_the_per_entity_call(shape):
+    rng = np.random.default_rng(3)
+    t = np.arange(82) - 21  # 21 days before the event, 60 after
+    n = 40
+    level = rng.uniform(200.0, 2000.0, size=n)
+    drop = rng.uniform(0.2, 0.9, size=n)
+    ramp = rng.integers(1, 60, size=n).astype(float)  # as the generator scales them: integral floats
+    drop[:6] = 0.0  # flat entities
+    ramp[6:12] = [420.0, 780.0] * 3  # censored: a 60-day horizon's ramp of 600 days, scaled per category
+    drop[6:12] = np.maximum(drop[6:12], 0.5)
+    ramp[12:16] = ramp[16]  # entities that share a ramp
+    columns = level_at(t, level[:, np.newaxis], drop[:, np.newaxis], ramp[:, np.newaxis], shape)
+    assert columns.shape == (n, t.size)
+    for i in range(n):
+        one = level_at(t, level[i].item(), drop[i].item(), int(ramp[i]), shape)
+        assert _bits(columns[i]) == _bits(one), i
+    assert _bits(columns[:6].ravel()) == _bits(np.repeat(level[:6], t.size))  # a flat entity keeps its level
 
 
 @pytest.mark.parametrize("half_width", range(5))
@@ -199,7 +221,8 @@ GOLDEN_SPEC = Path(__file__).resolve().parents[1] / "configs" / "golden_scenario
 HUGE_COUNTS = {**SMALL, "n_regions": 3, "horizon_days": 30, "baseline_level_range": [1e19, 4e19]}
 
 # sha256 of every file `generate` writes, recorded from the per-cell generator
-# that the array-at-a-time one replaced
+# that the array-at-a-time one replaced; noisy-exponential's from the
+# entity-at-a-time one that the block-at-a-time one replaced
 WRITTEN_DIGESTS = {
     "golden": (json.loads(GOLDEN_SPEC.read_text(encoding="utf-8")), {
         "trips.csv": "f19bcee56d50d5576d14d69d56a1fc05da0011dee8d083de391fac88313aaccf",
@@ -235,6 +258,15 @@ WRITTEN_DIGESTS = {
         "adjacency.csv": "9e41f11ef1bd029546762eb393c8c22a0a2dfa9c74c91ee763251aca1e3e5022",
         "attributes.csv": "bf986c9eb3bee98335f7a1700bb667f55aad5cea6540752aa03392761031f0d3",
         "ground_truth.csv": "76d64cac194a173ce4d9d20948e2c11bd767fac271f45c782487d7c326287a70",
+        "config.json": "6c6003d7bfd4ac236d4c76a140883109426498b50de4d8d246b2e82ed07f5e29",
+    }),
+    "noisy-exponential": ({**SMALL, "noise": 0.05, "ramp_shape": "exponential", "censored_fraction": 0.3}, {
+        "trips.csv": "9655fe3e6eb0328f6325e71748e5757c408a1f55331a4f4676d5262ab13e342d",
+        "transactions.csv": "27976bf53b2148d21dcec187709f5fa8704a10bf276ecdfeef1bd1c933d52e85",
+        "overlaps.csv": "c9102a96821d7062b0dcd5d26f61a9e2c86afacdc2e8c0e64dbd69189ad5c23b",
+        "adjacency.csv": "9e41f11ef1bd029546762eb393c8c22a0a2dfa9c74c91ee763251aca1e3e5022",
+        "attributes.csv": "c7a8a0323902a8d55857b46bce3802c134509203932095e7813096ab87a7af99",
+        "ground_truth.csv": "f0d116c42712ff2ea0d9feee251def64aab071f8896aa7725de3d3758f1583f4",
         "config.json": "6c6003d7bfd4ac236d4c76a140883109426498b50de4d8d246b2e82ed07f5e29",
     }),
     # some of its trip counts pass 2**63, beyond int64
@@ -281,6 +313,15 @@ def _exit_codes(children):
 def test_written_files_keep_their_bytes_in_two_processes(tmp_path, monkeypatch, forks, name):
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     _check_digests(tmp_path, name)
+    assert _exit_codes(forks) == [0]
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
+def test_written_files_keep_their_bytes_in_blocks_of_one_entity(tmp_path, monkeypatch, forks, name):
+    monkeypatch.setattr(processes, "BLOCK_BYTES", 1)  # too small for one entity's values: one a block
+    for split_cells, processes_run in ((math.inf, "one"), (1, "two")):
+        monkeypatch.setattr(processes, "SPLIT_CELLS", split_cells)
+        _check_digests(tmp_path / processes_run, name)
     assert _exit_codes(forks) == [0]
 
 
