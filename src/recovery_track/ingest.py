@@ -15,12 +15,11 @@ taxonomy (aggregate.load_taxonomy) share one row loop, read_rows, which hands
 each row's stripped fields to the reader's `take`.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
-pass: a plain block is cut into the date, the "entity,code" pair and the
-value of each line, and the csv module splits any other block. Each chunk of
-rows is validated at once, one lookup pass per column: dates and pairs are
-parsed once per distinct text, a plain block's trip counts are read from its
-bytes, and other values are converted in one vectorised step where the chunk
-allows it. Rows are numbered by the file line they start on.
+pass: a plain block's values are read from its bytes (_byte_values) and its
+lines cut into the date and the "entity,code" pair of each, and the csv
+module splits any other block. Each chunk of rows is validated at once, one
+lookup pass per column: dates, pairs and the csv module's values are parsed
+once per distinct text. Rows are numbered by the file line they start on.
 
 A file of processes.SPLIT_BYTES or more is read in two halves where
 processes.split_point splits it: this process reads the lines before the
@@ -241,8 +240,8 @@ class _ActivityReader(_RowReader):
         super().__init__(path, header)
         self.window = window
         self.parse_value = parse_value
-        # trip counts are read from the bytes of a plain block (_digit_counts)
-        self.counts = parse_value is _trip_count
+        # a plain block's amounts, not its trip counts, may hold a point (_byte_values)
+        self.point = parse_value is _amount
         self.entity_ids: dict[str, int] = {}  # stripped name -> provisional id, in first-seen order
         self.code_ids: dict[str, int] = {}
         # raw text -> offset from the window start, or provisional id; _BAD where refused.
@@ -298,14 +297,12 @@ class _ActivityReader(_RowReader):
             del dates, pairs, values  # free the chunk before the next one is split
 
     def floats(self, values) -> np.ndarray:
-        """A chunk's values as floats, with NaN where parse_value refuses one
-        (no value it takes is NaN)."""
-        if isinstance(values, np.ndarray):  # trip counts read from the bytes
+        """A chunk's values as floats: those of a plain block as read from its
+        bytes, the csv module's texts parsed once per distinct text, with NaN
+        where parse_value refuses one (no value it takes is NaN)."""
+        if isinstance(values, np.ndarray):
             return values
-        floats = None if self.counts else _plain_amounts(values)
-        if floats is None:
-            floats = _resolve(_Known(lambda text: self.parse_value(text.strip()), math.nan), values, np.float64)
-        return floats
+        return _resolve(_Known(lambda text: self.parse_value(text.strip()), math.nan), values, np.float64)
 
     def join(self, part):
         """Take in what _read_part gave of the lines from line self.line_no
@@ -335,9 +332,10 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
     `start` is 0.
 
     Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
-    plain block, UTF-8 with four fields on every line, is split by
-    _plain_columns. The csv module reads any other block, giving each pair as
-    an (entity, code) tuple, and the rest of the file from the first block
+    plain block, UTF-8 with four fields on every line and values _byte_values
+    reads, is split by _plain_columns, its values as floats. The csv module
+    reads any other block, giving each pair as an (entity, code) tuple and
+    each value as text, and the rest of the file from the first block
     that holds a quote or a carriage return not directly before a newline; on
     the other blocks it would split the same way.
     """
@@ -370,7 +368,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             ).all()
             columns = None
             if plain:
-                columns = _plain_columns(block, raw, line_ends, commas.reshape(-1, 3), reader.counts)
+                columns = _plain_columns(block, raw, line_ends, commas.reshape(-1, 3), reader.point)
             if columns is not None:
                 reader.total_rows += len(line_ends)
                 yield np.arange(reader.line_no, reader.line_no + len(line_ends)), *columns
@@ -383,35 +381,30 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             reader.check_header(None)
 
 
-def _plain_columns(block, raw, line_ends, commas, counts):
+def _plain_columns(block, raw, line_ends, commas, point):
     """The dates, "entity,code" pairs and values of the lines of a plain
-    block, `commas` the three of each line; None where the block is not UTF-8
-    (rows_from names each line that is not).
+    block, `commas` the three of each line; None where _byte_values refuses
+    a value (`point` as it takes) or the block is not UTF-8 (rows_from names
+    each line that is not), and the csv module reads the block.
 
-    In a copy of the block, each line's first comma becomes a line end, and
-    one split on line ends gives the texts. Where `counts` holds and every
-    value is 1-15 ASCII digits, the values are those counts, read from the
-    bytes (_digit_counts), and the third comma and the count become blanks
-    after the code, which its stripping removes: two texts a line. Otherwise
-    the third comma becomes a line end too, and the values are the texts
-    after it: three texts a line.
+    The values are read from the bytes after each third comma. In a copy of
+    the block, each line's first comma becomes a line end, and its third
+    comma and value become blanks after the code, which its stripping
+    removes; one split on line ends gives two texts a line.
     """
-    values = _digit_counts(raw, commas[:, 2] + 1, line_ends) if counts else None
+    values = _byte_values(raw, commas[:, 2] + 1, line_ends, point)
+    if values is None:
+        return None
     cut = bytearray(block)
     view = np.frombuffer(cut, dtype=np.uint8)
     view[commas[:, 0]] = ord("\n")
-    if values is None:
-        view[commas[:, 2]] = ord("\n")
-    else:
-        for k in range((line_ends - commas[:, 2]).max()):
-            view[np.minimum(commas[:, 2] + k, line_ends - 1)] = ord(" ")
+    for k in range((line_ends - commas[:, 2]).max()):
+        view[np.minimum(commas[:, 2] + k, line_ends - 1)] = ord(" ")
     try:
         fields = cut.decode("utf-8").split("\n")
     except UnicodeDecodeError:
         return None
     fields.pop()  # after the last line end
-    if values is None:
-        return fields[0::3], fields[1::3], fields[2::3]
     return fields[0::2], fields[1::2], values
 
 
@@ -497,40 +490,43 @@ def _sorted_names(ids: dict, column: np.ndarray):
     return tuple(names), renumber[column]
 
 
-def _digit_counts(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """The counts at raw[starts[i]:stops[i]] as floats, where every one is
-    1-15 ASCII digits; None where any is not.
+# 10**k as a float for k up to 15, each exact
+_POWERS = np.array([float(10**k) for k in range(16)])
 
-    Every integer below 10**15 is below 2**53, so it is a float exactly and
-    each count equals float(text) and float(int(text)) bit for bit. The 15 is
-    a property of float64; a longer count goes through _trip_count.
+
+def _byte_values(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, point: bool):
+    """The values at raw[starts[i]:stops[i]] as floats, where every one is
+    1-15 ASCII digits with, where `point` holds, at most one "." among or
+    around them ("12.", ".5"); None where any is not.
+
+    A value is its digits as an integer over 10**k, k the digits after the
+    point. Every integer below 10**15 is below 2**53, so both are floats
+    exactly and their quotient, rounded once, equals float(text) bit for bit,
+    and float(int(text)) where there is no point. The 15 is a property of
+    float64; a longer value goes through parse_value.
     """
     lengths = stops - starts
-    if lengths.min() < 1 or lengths.max() > 15:
+    if lengths.max() > 15 + point:
         return None
-    counts = np.zeros(len(stops), np.int64)
+    whole = np.zeros(len(stops), np.int64)
+    points = np.zeros(len(stops), np.int64)  # points read so far
+    places = np.zeros(len(stops), np.int64)  # digits read after a point
     for k in range(lengths.max()):
-        # the k-th byte of each count, or its last for a shorter one; a byte below "0" wraps past 9
-        digits = raw[np.minimum(starts + k, stops - 1)] - np.uint8(ord("0"))
-        if (digits > 9).any():
+        # the k-th byte of each value, or its last for a shorter one; a byte below "0" wraps past 9
+        byte = raw[np.minimum(starts + k, stops - 1)]
+        digit = byte - np.uint8(ord("0"))
+        dot = byte == ord(".")
+        if ((digit > 9) & ~(dot & point)).any():
             return None
-        counts = np.where(lengths > k, counts * 10 + digits, counts)
-    return counts.astype(np.float64)
-
-
-def _plain_amounts(texts):
-    """Finite, nonnegative amounts as floats; None for anything else.
-
-    Where float() takes a padded amount at all, it reads it as it reads the
-    stripped text, so padding needs no check here.
-    """
-    try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
+        read = lengths > k
+        points += dot & read
+        read &= ~dot
+        places += read & (points > 0)
+        whole = np.where(read, whole * 10 + digit, whole)
+    digits = lengths - points
+    if points.max() > 1 or digits.min() < 1 or digits.max() > 15:
         return None
-    if not (np.isfinite(values).all() and (values >= 0).all()):
-        return None
-    return values
+    return whole / _POWERS[places]
 
 
 def read_rows(path, header, take, records) -> ParseResult:

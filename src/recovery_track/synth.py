@@ -241,13 +241,15 @@ def _amounts_as_read(values: np.ndarray) -> np.ndarray:
     Below 2^52, the product 100 * v rounds to the same whole number of cents
     as the exact one unless it is exactly a half-cent, and that number over
     100 is the double its two-decimal text parses to. A half-cent, a larger
-    product (inf among them) or a NaN takes the text."""
-    values = np.maximum(0.0, values)
+    product (inf among them) or a NaN, never a negative amount, takes the
+    text. Two block-sized temporaries, each written in place."""
+    scaled = np.maximum(0.0, values)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = 100.0 * values
+        np.multiply(scaled, 100.0, out=scaled)
         cents = np.rint(scaled)
-        text = ~(scaled < 2.0 ** 52) | (np.abs(scaled - cents) == 0.5)
-    read = cents / 100.0
+        text = ~(scaled < 2.0 ** 52)
+        text |= np.abs(np.subtract(scaled, cents, out=scaled), out=scaled) == 0.5
+    read = np.divide(cents, 100.0, out=cents)
     read[text] = [float(f"{v:.2f}") for v in values[text].tolist()]
     return read
 

@@ -60,7 +60,9 @@ LONG_COUNTS = [
 EDGE_COUNTS = SHORT_COUNTS + LONG_COUNTS
 
 # value texts at the edges of what int() and float() take: signs, underscores,
-# padding, non-ASCII digits, int()'s digit limit, and refused ones
+# padding, non-ASCII digits, int()'s digit limit, and refused ones; and at the
+# edges of the amounts read from the bytes: a point before, after or twice,
+# 15 digits and 16 (read by float())
 VALUE_QUIRKS = {
     "trips": [
         "+5", "1_000", "-0", "007", " 7", "7\t", "\u0663", "-3", "1.5", " 1.5", "", "1__0", "_1",
@@ -68,7 +70,8 @@ VALUE_QUIRKS = {
     ],
     "transactions": [
         "+5", "1_000.5", "-0", "-0.0", " 2.50", "\x1c5.00", "nan", " nan", "-inf", "-0.50", "1e400",
-        "12,50", "", "0x10", "\u0663.5",
+        "12,50", "", "0x10", "\u0663.5", "12.", ".5", "007.50", ".", "1.2.3", "0.000000000000001",
+        "99999999999999.9", "999999999999999", "1234567890123.456", "5e-1",
     ],
 }
 
@@ -83,7 +86,9 @@ def _random_rows(rng, kind, n, entities=4):
             count = rng.choice(EDGE_COUNTS) if rng.random() < 0.03 else str(rng.randrange(60))
             rows.append([day, f"R{rng.randrange(entities):03d}", code, count])
         else:
-            amount = rng.choice(["0.10", "0.20", "0.30", "1e16", "3.3", "0", "2.5e-3", "9007199254740993"])
+            amount = rng.choice(
+                ["0.10", "0.20", "0.30", "1e16", "3.3", "0", "2.5e-3", "9007199254740993", "123456789.012345"]
+            )
             if rng.random() < 0.5:
                 amount = f"{rng.uniform(0, 1e4):.2f}"
             rows.append([day, f"7700{rng.randrange(entities)}", code, amount])
@@ -251,6 +256,25 @@ def test_edge_counts_inside_plain_blocks(tmp_path, monkeypatch, forks, block_byt
         assert sorted(result.records.value.tolist()) == sorted(float(int(row[3])) for row in in_window)
         _check_split(monkeypatch, _reader("trips"), path)
     assert len(forks) >= 2 and _failed(forks) == 0
+
+
+def test_decimal_amounts_read_as_float_of_their_text(tmp_path, monkeypatch, forks):
+    # 1-15 digits are read from the bytes, and a block holding 16 goes to the csv module
+    monkeypatch.setattr(processes, "BLOCK_BYTES", 1 << 12)
+    rng = random.Random("decimals")
+    texts = []
+    for _ in range(10**5):
+        digits = "".join(rng.choices("0123456789", k=16 if rng.random() < 0.005 else rng.randint(1, 15)))
+        places = rng.randint(0, min(15, len(digits)))  # all the digits: a leading point
+        cut = len(digits) - places
+        texts.append(digits[:cut] + "." + digits[cut:] if places or rng.random() < 0.1 else digits)
+    rows = [["2017-08-02", f"7700{i % 4}", CODES[i % 6], text] for i, text in enumerate(texts)]
+    path = _write(tmp_path, "decimals.csv", "transactions", rows)
+    expected = np.array([float(text) for text in texts]).tobytes()
+    for split in (1 << 62, 1):  # one process, then two
+        monkeypatch.setattr(processes, "SPLIT_BYTES", split)
+        assert ingest.parse_transactions(path, WINDOW).records.value.tobytes() == expected
+    assert len(forks) == 1 and _failed(forks) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
