@@ -15,11 +15,12 @@ taxonomy (aggregate.load_taxonomy) share one row loop, read_rows, which hands
 each row's stripped fields to the reader's `take`.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
-pass: a plain block's values are read from its bytes (_byte_values) and its
-lines cut into the date and the "entity,code" pair of each, and the csv
-module splits any other block. Each chunk of rows is validated at once, one
-lookup pass per column: dates, pairs and the csv module's values are parsed
-once per distinct text. Rows are numbered by the file line they start on.
+pass: a plain block's values are read from its bytes where _byte_values
+takes them and its lines cut into the date and the "entity,code" pair of
+each, and the csv module splits any other block. Each chunk of rows is
+validated at once, one lookup pass per column: dates, pairs and the values
+not read from bytes are parsed once per distinct text. Rows are numbered by
+the file line they start on.
 
 A file of processes.SPLIT_BYTES or more is read in two halves where
 processes.split_point splits it: this process reads the lines before the
@@ -269,14 +270,19 @@ class _ActivityReader(_RowReader):
         """Take in the rows of the lines from byte `start` (a line start) to
         byte `stop` (a line start, or None for the end of the file)."""
         header = self.expected_header
-        for lines, dates, pairs, values in _activity_chunks(self, start, stop):
+        for lines, dates, pairs, values, texts in _activity_chunks(self, start, stop):
             day = _resolve(self.day_of, dates)
             pair = _resolve(self.pair_of, pairs)
             if self.pair_ids.shape[1] < len(self.pair_of):
                 self.pair_ids = np.array(self.pairs, np.int32)
             entity, code = self.pair_ids[:, pair]
-            value = self.floats(values)
-            bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(value)
+            # values parsed from their texts, once per distinct text; NaN where refused
+            known = _Known(lambda text: self.parse_value(text.strip()), math.nan)
+            if values is None:  # the csv module's chunk
+                values = _resolve(known, texts, np.float64)
+            else:  # each NaN of a plain block's
+                values[list(texts)] = _resolve(known, texts.values(), np.float64)
+            bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(values)
             for i in np.flatnonzero(bad).tolist():
                 if day[i] == _BAD:
                     message = f"bad date {dates[i].strip()!r}"
@@ -285,24 +291,16 @@ class _ActivityReader(_RowReader):
                 elif code[i] == _BAD:
                     message = f"empty {header[2]}"
                 else:
-                    message = _refusal(self.parse_value, values[i].strip())
+                    message = _refusal(self.parse_value, texts[i].strip())
                 self.errors.append((int(lines[i]), message))
             good = ~bad
             keep = good & (day >= 0) & (day < self.window.n_days)
             accepted = int(np.count_nonzero(keep))
             self.accepted += accepted
             self.dropped += int(np.count_nonzero(good)) - accepted
-            for pieces, column in zip(self.kept, (day, entity, code, value)):
+            for pieces, column in zip(self.kept, (day, entity, code, values)):
                 pieces.append(column if accepted == len(keep) else column[keep])
-            del dates, pairs, values  # free the chunk before the next one is split
-
-    def floats(self, values) -> np.ndarray:
-        """A chunk's values as floats: those of a plain block as read from its
-        bytes, the csv module's texts parsed once per distinct text, with NaN
-        where parse_value refuses one (no value it takes is NaN)."""
-        if isinstance(values, np.ndarray):
-            return values
-        return _resolve(_Known(lambda text: self.parse_value(text.strip()), math.nan), values, np.float64)
+            del dates, pairs, values, texts  # free the chunk before the next one is split
 
     def join(self, part):
         """Take in what _read_part gave of the lines from line self.line_no
@@ -327,17 +325,17 @@ class _ActivityReader(_RowReader):
 
 
 def _activity_chunks(reader: _ActivityReader, start, stop):
-    """(line numbers, dates, pairs, values) of the data rows between byte
-    offsets `start` and `stop`, a chunk at a time; the header is read where
-    `start` is 0.
+    """(line numbers, dates, pairs, values, value texts) of the data rows
+    between byte offsets `start` and `stop`, a chunk at a time; the header is
+    read where `start` is 0.
 
     Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
-    plain block, UTF-8 with four fields on every line and values _byte_values
-    reads, is split by _plain_columns, its values as floats. The csv module
-    reads any other block, giving each pair as an (entity, code) tuple and
-    each value as text, and the rest of the file from the first block
-    that holds a quote or a carriage return not directly before a newline; on
-    the other blocks it would split the same way.
+    plain block, UTF-8 with four fields on every line, is split by
+    _plain_columns, its values as floats, NaN where the texts by line index
+    hold the value. The csv module reads any other block, giving each pair as
+    an (entity, code) tuple, no values and every value's text, and the rest of
+    the file from the first block that holds a quote or a carriage return not
+    directly before a newline; on the other blocks it would split the same way.
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
         header = start == 0
@@ -382,30 +380,36 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
 
 
 def _plain_columns(block, raw, line_ends, commas, point):
-    """The dates, "entity,code" pairs and values of the lines of a plain
-    block, `commas` the three of each line; None where _byte_values refuses
-    a value (`point` as it takes) or the block is not UTF-8 (rows_from names
-    each line that is not), and the csv module reads the block.
+    """The dates, "entity,code" pairs, values and value texts of the lines of
+    a plain block, `commas` the three of each line; None where the block is
+    not UTF-8 (rows_from names each line that is not).
 
-    The values are read from the bytes after each third comma. In a copy of
-    the block, each line's first comma becomes a line end, and its third
-    comma and value become blanks after the code, which its stripping
-    removes; one split on line ends gives two texts a line.
+    The values are read from the bytes after each third comma (_byte_values,
+    `point` as it takes); the texts, by line index, are those of the values it
+    leaves as NaN, for parse_value. In a copy of the block, each line's first
+    comma becomes a line end, and its third comma and value become blanks
+    after the code, which its stripping removes; one split on line ends gives
+    two texts a line.
     """
     values = _byte_values(raw, commas[:, 2] + 1, line_ends, point)
-    if values is None:
-        return None
+    left = np.flatnonzero(np.isnan(values))
+    # the bytes of each value left and its line end, `size` from its third comma on, at one index
+    size = line_ends[left] - commas[left, 2]
+    at = np.arange(size.sum()) + np.repeat(commas[left, 2] + 1 - np.cumsum(size) + size, size)
     cut = bytearray(block)
     view = np.frombuffer(cut, dtype=np.uint8)
     view[commas[:, 0]] = ord("\n")
-    for k in range((line_ends - commas[:, 2]).max()):
+    for k in range(min((line_ends - commas[:, 2]).max(), 17)):  # 17 holds a comma and a value read
         view[np.minimum(commas[:, 2] + k, line_ends - 1)] = ord(" ")
+    view[at] = ord(" ")
+    view[line_ends[left]] = ord("\n")
     try:
         fields = cut.decode("utf-8").split("\n")
+        texts = str(raw[at], "utf-8").split("\n")
     except UnicodeDecodeError:
         return None
     fields.pop()  # after the last line end
-    return fields[0::2], fields[1::2], values
+    return fields[0::2], fields[1::2], values, dict(zip(left.tolist(), texts))
 
 
 def _read_part(reader: _ActivityReader, mid):
@@ -423,10 +427,10 @@ def _read_part(reader: _ActivityReader, mid):
 
 def _row_chunks(records):
     """Columns of (line number, four fields) records, _CHUNK_ROWS at a time:
-    line numbers, dates, (entity, code) pairs and values."""
+    line numbers, dates, (entity, code) pairs, no values and the value texts."""
     while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
         lines, dates, entities, codes, texts = zip(*((n, *fields) for n, fields in chunk))
-        yield np.array(lines, dtype=np.int64), dates, list(zip(entities, codes)), texts
+        yield np.array(lines, dtype=np.int64), dates, list(zip(entities, codes)), None, texts
 
 
 def _concatenate(pieces: list) -> np.ndarray:
@@ -494,10 +498,10 @@ def _sorted_names(ids: dict, column: np.ndarray):
 _POWERS = np.array([float(10**k) for k in range(16)])
 
 
-def _byte_values(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, point: bool):
-    """The values at raw[starts[i]:stops[i]] as floats, where every one is
-    1-15 ASCII digits with, where `point` holds, at most one "." among or
-    around them ("12.", ".5"); None where any is not.
+def _byte_values(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, point: bool) -> np.ndarray:
+    """The values at raw[starts[i]:stops[i]] as floats, each of 1-15 ASCII
+    digits with, where `point` holds, at most one "." among or around them
+    ("12.", ".5"); NaN for any other value.
 
     A value is its digits as an integer over 10**k, k the digits after the
     point. Every integer below 10**15 is below 2**53, so both are floats
@@ -506,27 +510,24 @@ def _byte_values(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, point: 
     float64; a longer value goes through parse_value.
     """
     lengths = stops - starts
-    if lengths.max() > 15 + point:
-        return None
+    refused = lengths > 15 + point
     whole = np.zeros(len(stops), np.int64)
     points = np.zeros(len(stops), np.int64)  # points read so far
     places = np.zeros(len(stops), np.int64)  # digits read after a point
-    for k in range(lengths.max()):
+    for k in range(min(lengths.max(), 15 + point)):
         # the k-th byte of each value, or its last for a shorter one; a byte below "0" wraps past 9
         byte = raw[np.minimum(starts + k, stops - 1)]
         digit = byte - np.uint8(ord("0"))
-        dot = byte == ord(".")
-        if ((digit > 9) & ~(dot & point)).any():
-            return None
+        dot = (byte == ord(".")) & point
         read = lengths > k
+        refused |= read & (digit > 9) & ~dot
         points += dot & read
         read &= ~dot
         places += read & (points > 0)
         whole = np.where(read, whole * 10 + digit, whole)
     digits = lengths - points
-    if points.max() > 1 or digits.min() < 1 or digits.max() > 15:
-        return None
-    return whole / _POWERS[places]
+    refused |= (points > 1) | (digits < 1) | (digits > 15)
+    return np.where(refused, math.nan, whole / _POWERS[places])
 
 
 def read_rows(path, header, take, records) -> ParseResult:

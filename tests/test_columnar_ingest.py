@@ -107,6 +107,20 @@ def _assert_same_columns(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
+def _csv_reads(monkeypatch):
+    """The first line of each range of lines the activity reader hands to the
+    csv module in this process from now on, as a list that grows."""
+    reads = []
+    rows_from = ingest._ActivityReader.rows_from
+
+    def spy(self, blocks, line_no, header):
+        reads.append(line_no)
+        return rows_from(self, blocks, line_no, header)
+
+    monkeypatch.setattr(ingest._ActivityReader, "rows_from", spy)
+    return reads
+
+
 def _check_against_rows(path, kind):
     """parse_* on `path` equals the row-by-row oracle; the result, or None on a ParseError."""
     public, header, parse_value = PARSERS[kind]
@@ -128,12 +142,14 @@ def _check_against_rows(path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
-def test_plain_files_match_the_row_loop(tmp_path, kind):
+def test_plain_files_match_the_row_loop(tmp_path, monkeypatch, kind):
     rng = random.Random(kind)
+    reads = _csv_reads(monkeypatch)
     for trial in range(20):
         rows = _random_rows(rng, kind, rng.randrange(1, 300) if trial else 0)
         result = _check_against_rows(_write(tmp_path, f"{trial}.csv", kind, rows), kind)
         assert result.dropped == sum(not WINDOW.start <= date.fromisoformat(r[0]) <= WINDOW.end for r in rows)
+        assert reads == []
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -229,17 +245,22 @@ def test_bad_rows_keep_the_row_loop_errors_and_counts(tmp_path, kind, bad):
 def test_bad_rows_and_value_quirks_inside_plain_blocks(tmp_path, monkeypatch, kind, block_bytes):
     monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
     rng = random.Random(kind)
+    reads = _csv_reads(monkeypatch)
     rows = _random_rows(rng, kind, 300)
     for quirk in VALUE_QUIRKS[kind]:
         rows[rng.randrange(60, 240)][3] = quirk
     rows[rng.randrange(60, 240)][0] = "2017-13-01"
     rows[rng.randrange(60, 240)][1] = " "
     _check_against_rows(_write(tmp_path, "quirks.csv", kind, rows), kind)
+    # only a block that holds a value with a comma ("12,50") goes to the csv module
+    assert bool(reads) == any("," in quirk for quirk in VALUE_QUIRKS[kind])
     # every quirk that int() or float() takes, alone in an otherwise plain file
     for quirk in VALUE_QUIRKS[kind]:
+        reads.clear()
         rows = _random_rows(rng, kind, 40)
         rows[20][3] = quirk
         _check_against_rows(_write(tmp_path, "quirk.csv", kind, rows), kind)
+        assert bool(reads) == ("," in quirk), quirk
 
 
 @pytest.mark.parametrize("block_bytes", [16, 256, 1 << 20])
@@ -259,8 +280,9 @@ def test_edge_counts_inside_plain_blocks(tmp_path, monkeypatch, forks, block_byt
 
 
 def test_decimal_amounts_read_as_float_of_their_text(tmp_path, monkeypatch, forks):
-    # 1-15 digits are read from the bytes, and a block holding 16 goes to the csv module
+    # 1-15 digits are read from the bytes, and 16 by float(), in the same plain blocks
     monkeypatch.setattr(processes, "BLOCK_BYTES", 1 << 12)
+    reads = _csv_reads(monkeypatch)
     rng = random.Random("decimals")
     texts = []
     for _ in range(10**5):
@@ -274,7 +296,7 @@ def test_decimal_amounts_read_as_float_of_their_text(tmp_path, monkeypatch, fork
     for split in (1 << 62, 1):  # one process, then two
         monkeypatch.setattr(processes, "SPLIT_BYTES", split)
         assert ingest.parse_transactions(path, WINDOW).records.value.tobytes() == expected
-    assert len(forks) == 1 and _failed(forks) == 0
+    assert reads == [] and len(forks) == 1 and _failed(forks) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -290,6 +312,7 @@ def test_padded_and_empty_pairs_inside_plain_blocks(tmp_path, monkeypatch, forks
     def empty(entity, code):
         return [*padded(entity, code), ("", code), (entity, ""), ("", ""), (" ", code), (entity, " ")]
 
+    reads = _csv_reads(monkeypatch)
     for forms in (padded, empty):  # columns compared, then the row errors
         rows = _random_rows(rng, kind, 300)
         for at in rng.sample(range(300), 40):
@@ -297,7 +320,7 @@ def test_padded_and_empty_pairs_inside_plain_blocks(tmp_path, monkeypatch, forks
         path = _write(tmp_path, f"{forms.__name__}.csv", kind, rows)
         assert (_check_against_rows(path, kind) is None) == (forms is empty)
         _check_split(monkeypatch, _reader(kind), path)
-    assert len(forks) >= 2 and _failed(forks) == 0
+    assert reads == [] and len(forks) >= 2 and _failed(forks) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -641,6 +664,31 @@ def test_a_field_over_the_csv_limit_ends_the_file_in_either_half(tmp_path, monke
     message, errors, accepted, dropped, total_rows = outcomes[0]
     assert errors == [(at + 1, "quoted field not closed, or a field over 131072 characters")]
     assert total_rows == at  # the rows before it, and itself
+    assert len(forks) == 2 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("half", [0, 1])
+def test_a_value_over_the_csv_limit_in_a_plain_block_is_a_row_error(tmp_path, monkeypatch, forks, kind, half):
+    # a plain block sets no length limit on a field: the value is refused as
+    # any other is, and the rows after it are read and counted
+    lines = _lines(kind, _random_rows(random.Random(kind), kind, 10_000))
+    at = 1000 if half == 0 else 9000
+    long = "x" * 131_073
+    lines[at] = lines[at][: lines[at].rindex(",") + 1] + long
+    path = write_csv(tmp_path, "long.csv", "\n".join(lines) + "\n")
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
+    assert (processes.split_point(path) < len("\n".join(lines[:at]))) == half
+    reads = _csv_reads(monkeypatch)
+    outcomes = []
+    for block_bytes in (4096, 1 << 20):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        outcomes.append(_check_split(monkeypatch, _reader(kind), path))
+    assert outcomes[0] == outcomes[1] and reads == []
+    message, errors, accepted, dropped, total_rows = outcomes[0]
+    refusal = f"trip_count {long!r} is not an integer" if kind == "trips" else f"amount {long!r} is not a number"
+    assert errors == [(at + 1, refusal)]
+    assert total_rows == 10_000
     assert len(forks) == 2 and _failed(forks) == 0
 
 
