@@ -150,35 +150,34 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     `region_rows[i]` is the entity whose rows region i takes, or -1 for none.
     """
     position = {code: i for i, code in enumerate(taxonomy.codes)}
-    code_position = np.array([position.get(code, -1) for code in activity.codes], dtype=np.int32)
     taken = np.zeros(len(activity.entities), dtype=bool)
     taken[region_rows[region_rows >= 0]] = True
-    known = code_position >= 0
+    # per pair of the activity's pair table: its code's place in taxonomy.codes
+    # (-1 for none), and whether its rows are kept
+    pair_position = np.array([position.get(code, -1) for code in activity.codes], np.int32)[activity.pair_code]
+    pair_taken = taken[activity.pair_entity]
+    pair_unknown = pair_taken & (pair_position < 0)
+    pair_kept = pair_taken & ~pair_unknown
 
     keep = None  # rows of taken entities with known codes, where not all rows are
     unknown, unmatched = {}, {}
-    if not taken.all():
-        rows = np.bincount(activity.entity, minlength=len(activity.entities))
+    if not pair_kept.all():
+        pair_rows = np.bincount(activity.pair, minlength=len(pair_kept))
+        rows = np.bincount(activity.pair_entity, pair_rows, len(activity.entities))
         unmatched = {activity.entities[i]: int(rows[i]) for i in np.flatnonzero(~taken)}
-    if not (taken.all() and known.all()):
-        keep = taken[activity.entity]
-        unknown_rows = keep & ~known[activity.code]
-        if unknown_rows.any():
+        if pair_unknown.any():
             if unknown_policy == POLICY_ERROR:
-                first = activity.codes[activity.code[np.argmax(unknown_rows)]]
-                raise TaxonomyError(f"unknown service type {first!r} in {source} data")
-            counts = np.bincount(activity.code[unknown_rows], minlength=len(activity.codes))
+                first = activity.pair_code[activity.pair[np.argmax(pair_unknown[activity.pair])]]
+                raise TaxonomyError(f"unknown service type {activity.codes[first]!r} in {source} data")
+            counts = np.bincount(activity.pair_code, pair_rows * pair_unknown, len(activity.codes))
             unknown = {activity.codes[i]: int(counts[i]) for i in np.flatnonzero(counts)}
-        keep &= ~unknown_rows
+        keep = pair_kept[activity.pair]
 
-    # entity x code x day totals over the taken entities only; the flat cell
-    # index is built in place, in int64 so that no city's cell count overflows it
+    # entity x code x day totals over the taken entities only: each pair's cell
+    # on day 0, then each row's, in int64 so that no city's cell count overflows it
     n_taken, n_codes, n_days = int(taken.sum()), len(taxonomy.codes), window.n_days
     compact = np.cumsum(taken, dtype=np.int64) - 1
-    cells = compact[activity.entity]
-    cells *= n_codes
-    cells += code_position[activity.code]
-    cells *= n_days
+    cells = ((compact[activity.pair_entity] * n_codes + pair_position) * n_days)[activity.pair]
     cells += activity.day
     values = activity.value
     if keep is not None:

@@ -19,13 +19,14 @@ pass: a plain block's values are read from its bytes where _byte_values
 takes them and its lines cut into the date and the "entity,code" pair of
 each, and the csv module splits any other block. Each chunk of rows is
 validated at once, one lookup pass per column: dates, pairs and the values
-not read from bytes are parsed once per distinct text. Rows are numbered by
-the file line they start on.
+not read from bytes are parsed once per distinct text, each pair text to a
+provisional pair id that result() maps into the sorted pair table. Rows are
+numbered by the file line they start on.
 
 A file of processes.SPLIT_BYTES or more is read in two halves where
 processes.split_point splits it: this process reads the lines before the
 split, and a second reader (_read_part) the rest beside it
-(processes.beside). Their columns, names, counts and row errors are merged
+(processes.beside). Their columns, pairs, counts and row errors are merged
 in file order (_ActivityReader.join), bit for bit as one reader of the whole
 file gives them, ParseError included. The child's memory counts in a peak
 RSS taken over the run and its children, not in the run's own.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import functools
 import io
 import itertools
 import math
@@ -59,17 +59,20 @@ ATTRIBUTES_HEADER = ["region", "flood_fraction", "minority_fraction", "per_capit
 class Activity:
     """Accepted rows of trips.csv or transactions.csv as columns, in file order.
 
-    `entity` indexes `entities` (region or Zip names, sorted) and `code`
-    indexes `codes` (service or merchant types, sorted); `day` is the offset
-    from the window start and `value` the trip count or amount as a float.
-    `day`, `entity` and `code` are int32 and `value` is float64: 20 bytes a row.
+    The pair table lists each (entity, code) pair of the rows once, sorted by
+    name: pair i is (entities[pair_entity[i]], codes[pair_code[i]]), with
+    `entities` the region or Zip names and `codes` the service or merchant
+    types, each sorted. Row r is `pair[r]` on day `day[r]`, the offset from
+    the window start, with `value[r]` the trip count or amount as a float.
+    `day` and `pair` are int32 and `value` is float64: 16 bytes a row.
     """
 
     entities: tuple[str, ...]
     codes: tuple[str, ...]
+    pair_entity: np.ndarray
+    pair_code: np.ndarray
     day: np.ndarray
-    entity: np.ndarray
-    code: np.ndarray
+    pair: np.ndarray
     value: np.ndarray
 
 
@@ -213,7 +216,7 @@ def _amount(text: str) -> float:
     return amount
 
 
-# What a bad date, an empty name or code, or a refused value resolves to. Day
+# What a bad date, a pair with an empty name, or a refused value resolves to. Day
 # offsets between any two calendar dates, under 3.7 million, never reach it.
 _BAD = np.iinfo(np.int32).min
 
@@ -234,8 +237,8 @@ def _parse_activity(path, window: DateWindow, header, parse_value) -> ParseResul
 
 
 class _ActivityReader(_RowReader):
-    """The accepted rows of trips.csv or transactions.csv as column chunks,
-    taken in a range of whole lines at a time."""
+    """The accepted rows of trips.csv or transactions.csv as column chunks of
+    day, provisional pair id and value, taken in a range of whole lines at a time."""
 
     def __init__(self, path, header, window: DateWindow, parse_value):
         super().__init__(path, header)
@@ -243,28 +246,27 @@ class _ActivityReader(_RowReader):
         self.parse_value = parse_value
         # a plain block's amounts, not its trip counts, may hold a point (_byte_values)
         self.point = parse_value is _amount
-        self.entity_ids: dict[str, int] = {}  # stripped name -> provisional id, in first-seen order
-        self.code_ids: dict[str, int] = {}
-        # raw text -> offset from the window start, or provisional id; _BAD where refused.
+        # raw text -> offset from the window start, or provisional pair id; _BAD where refused.
         # No cache refers back to the reader, so the caches go with it, not with a later gc.
         self.day_of = _Known(lambda text: window.index_of(parse_iso_date(text.strip())))
-        entity_of = _Known(functools.partial(_name_id, self.entity_ids))
-        code_of = _Known(functools.partial(_name_id, self.code_ids))
-        # the provisional entity and code ids of each pair id, as two lists: a tuple a
-        # pair, once freed onto Python's free list, would keep the memory around it resident
-        self.pairs = entities, codes = [], []
+        # the stripped entity and code names of each provisional pair id, one id a distinct pair
+        # text, as two lists: a tuple a pair, once freed onto Python's free list, would keep the
+        # memory around it resident. A name is one str (`distinct`), in however many pairs.
+        self.names = entities, codes = [], []
+        distinct: dict[str, str] = {}
 
         def new_pair(pair) -> int:
-            entity, code = pair.split(",") if isinstance(pair, str) else pair
-            entities.append(entity_of[entity])
-            codes.append(code_of[code])
+            entity, code = (name.strip() for name in _split(pair))
+            if not (entity and code):
+                return _BAD
+            entities.append(distinct.setdefault(entity, entity))
+            codes.append(distinct.setdefault(code, code))
             return len(codes) - 1
 
-        # "entity,code" text, or (entity, code) texts of the csv module -> pair id
+        # "entity,code" text, or (entity, code) texts of the csv module -> provisional pair id
         self.pair_of = _Known(new_pair)
-        self.pair_ids = np.zeros((2, 0), np.int32)  # self.pairs as an array, remade as it grows
-        # the kept rows of each chunk, one list per column: day, entity, code, value
-        self.kept = tuple([np.zeros(0, t)] for t in (np.int32, np.int32, np.int32, np.float64))
+        # the kept rows of each chunk, one list per column: day, pair, value
+        self.kept = tuple([np.zeros(0, t)] for t in (np.int32, np.int32, np.float64))
 
     def read(self, start=0, stop=None):
         """Take in the rows of the lines from byte `start` (a line start) to
@@ -273,23 +275,18 @@ class _ActivityReader(_RowReader):
         for lines, dates, pairs, values, texts in _activity_chunks(self, start, stop):
             day = _resolve(self.day_of, dates)
             pair = _resolve(self.pair_of, pairs)
-            if self.pair_ids.shape[1] < len(self.pair_of):
-                self.pair_ids = np.array(self.pairs, np.int32)
-            entity, code = self.pair_ids[:, pair]
             # values parsed from their texts, once per distinct text; NaN where refused
             known = _Known(lambda text: self.parse_value(text.strip()), math.nan)
             if values is None:  # the csv module's chunk
                 values = _resolve(known, texts, np.float64)
             else:  # each NaN of a plain block's
                 values[list(texts)] = _resolve(known, texts.values(), np.float64)
-            bad = (day == _BAD) | (entity == _BAD) | (code == _BAD) | np.isnan(values)
+            bad = (day == _BAD) | (pair == _BAD) | np.isnan(values)
             for i in np.flatnonzero(bad).tolist():
                 if day[i] == _BAD:
                     message = f"bad date {dates[i].strip()!r}"
-                elif entity[i] == _BAD:
-                    message = f"empty {header[1]}"
-                elif code[i] == _BAD:
-                    message = f"empty {header[2]}"
+                elif pair[i] == _BAD:
+                    message = f"empty {header[2] if _split(pairs[i])[0].strip() else header[1]}"
                 else:
                     message = _refusal(self.parse_value, texts[i].strip())
                 self.errors.append((int(lines[i]), message))
@@ -298,30 +295,36 @@ class _ActivityReader(_RowReader):
             accepted = int(np.count_nonzero(keep))
             self.accepted += accepted
             self.dropped += int(np.count_nonzero(good)) - accepted
-            for pieces, column in zip(self.kept, (day, entity, code, values)):
+            for pieces, column in zip(self.kept, (day, pair, values)):
                 pieces.append(column if accepted == len(keep) else column[keep])
             del dates, pairs, values, texts  # free the chunk before the next one is split
 
     def join(self, part):
         """Take in what _read_part gave of the lines from line self.line_no
         on, numbered from 0."""
-        accepted, dropped, total_rows, errors, entities, codes, (day, entity, code, value) = part
+        accepted, dropped, total_rows, errors, (entities, codes), (day, pair, value) = part
         self.accepted += accepted
         self.dropped += dropped
         self.total_rows += total_rows
         self.errors.extend((line + self.line_no, message) for line, message in errors)
-        entity = _renumber(self.entity_ids, entities, entity)
-        code = _renumber(self.code_ids, codes, code)
-        for pieces, more in zip(self.kept, (day, entity, code, value)):
+        # the child's pairs take the ids after this reader's; result() merges those of the same names
+        offset = len(self.names[1])
+        for names, more in zip(self.names, (entities, codes)):
+            names.extend(more)
+        for pieces, more in zip(self.kept, (day, [piece + offset for piece in pair], value)):
             pieces.extend(more)
 
     def result(self) -> ParseResult:
-        day, entity, code, value = map(_concatenate, self.kept)
-        entities, entity = _sorted_names(self.entity_ids, entity)
-        codes, code = _sorted_names(self.code_ids, code)
-        return self.finish(
-            Activity(entities=entities, codes=codes, day=day, entity=entity, code=code, value=value)
-        )
+        day, pair, value = map(_concatenate, self.kept)
+        entity_names, code_names = self.names
+        used = np.flatnonzero(np.bincount(pair, minlength=len(code_names))).tolist()
+        # one place in the sorted pair table for every provisional id of a pair's names
+        pairs, place = _sorted_index([(entity_names[i], code_names[i]) for i in used])
+        renumber = np.zeros(len(code_names), np.int32)
+        renumber[used] = place
+        entities, pair_entity = _sorted_index([entity for entity, _ in pairs])
+        codes, pair_code = _sorted_index([code for _, code in pairs])
+        return self.finish(Activity(entities, codes, pair_entity, pair_code, day, renumber[pair], value))
 
 
 def _activity_chunks(reader: _ActivityReader, start, stop):
@@ -414,15 +417,12 @@ def _plain_columns(block, raw, line_ends, commas, point):
 
 def _read_part(reader: _ActivityReader, mid):
     """What a new reader of `reader`'s file takes in of the lines from byte
-    `mid` on, numbered from 0, for join(): its counters, row errors, names
-    and column chunks."""
+    `mid` on, numbered from 0, for join(): its counters, row errors, the
+    names of its provisional pair ids and its column chunks."""
     part = _ActivityReader(reader.path, reader.expected_header, reader.window, reader.parse_value)
     part.line_no = 0
     part.read(start=mid)
-    return (
-        part.accepted, part.dropped, part.total_rows, part.errors,
-        list(part.entity_ids), list(part.code_ids), part.kept,
-    )
+    return part.accepted, part.dropped, part.total_rows, part.errors, part.names, part.kept
 
 
 def _row_chunks(records):
@@ -458,10 +458,9 @@ class _Known(dict):
         return value
 
 
-def _name_id(ids: dict, text: str) -> int:
-    """The provisional id of the stripped name, new names numbered in first-seen order; _BAD for an empty one."""
-    name = text.strip()
-    return ids.setdefault(name, len(ids)) if name else _BAD
+def _split(pair):
+    """The (entity, code) texts of an "entity,code" text or of the csv module's tuple."""
+    return pair.split(",") if isinstance(pair, str) else pair
 
 
 def _resolve(known: _Known, texts, dtype=np.int32) -> np.ndarray:
@@ -478,20 +477,11 @@ def _refusal(parse_value, text) -> str:
         return str(exc)
 
 
-def _renumber(ids: dict, names: list, pieces: list) -> list:
-    """`pieces` of a column of ids into `names`, as ids in `ids`, which takes in the names it lacks."""
-    renumber = np.array([ids.setdefault(name, len(ids)) for name in names], dtype=np.int32)
-    return [renumber[piece] for piece in pieces]
-
-
-def _sorted_names(ids: dict, column: np.ndarray):
-    """Names used by accepted rows, sorted, and `column` renumbered to match."""
-    by_id = list(ids)
-    used = np.flatnonzero(np.bincount(column, minlength=len(by_id)))
-    names = sorted(by_id[i] for i in used)
-    renumber = np.zeros(len(by_id), dtype=np.int32)
-    renumber[[ids[name] for name in names]] = np.arange(len(names))
-    return tuple(names), renumber[column]
+def _sorted_index(keys: list):
+    """The distinct `keys`, sorted, and the place of each key among them, as int32."""
+    distinct = sorted(set(keys))
+    place = {key: i for i, key in enumerate(distinct)}
+    return tuple(distinct), np.array([place[key] for key in keys], np.int32)
 
 
 # 10**k as a float for k up to 15, each exact

@@ -57,8 +57,9 @@ class ScenarioSpec:
     noise: float = setting(0.0)
     regions_per_zip: int = setting(4, minimum=1)
     clusters: int = setting(4, minimum=1)
-    baseline_level_range: tuple[float, float] = setting((200.0, 2000.0))
-    tx_level_range: tuple[float, float] = setting((2000.0, 20000.0))
+    # 1e300 leaves room for noise and the sums of the ground truth under the float limit
+    baseline_level_range: tuple[float, float] = setting((200.0, 2000.0), maximum=1e300)
+    tx_level_range: tuple[float, float] = setting((2000.0, 20000.0), maximum=1e300)
     drop_range: tuple[float, float] = setting((0.2, 0.9), minimum=0, maximum=1)
     ramp_range: tuple[int, int] = setting((5, 60), minimum=1)
     flat_fraction: float = setting(0.05, minimum=0, maximum=1)

@@ -40,14 +40,15 @@ def activity_from_rows(rows):
     rows = list(rows)
     entities = tuple(sorted({row[1] for row in rows}))
     codes = tuple(sorted({row[2] for row in rows}))
-    entity_index = {name: i for i, name in enumerate(entities)}
-    code_index = {name: i for i, name in enumerate(codes)}
+    pairs = sorted({(row[1], row[2]) for row in rows})
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
     return Activity(
         entities=entities,
         codes=codes,
+        pair_entity=np.array([entities.index(entity) for entity, _ in pairs], dtype=np.int32),
+        pair_code=np.array([codes.index(code) for _, code in pairs], dtype=np.int32),
         day=np.array([row[0] for row in rows], dtype=np.int32),
-        entity=np.array([entity_index[row[1]] for row in rows], dtype=np.int32),
-        code=np.array([code_index[row[2]] for row in rows], dtype=np.int32),
+        pair=np.array([pair_index[row[1], row[2]] for row in rows], dtype=np.int32),
         value=np.array([row[3] for row in rows], dtype=np.float64),
     )
 

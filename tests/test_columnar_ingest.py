@@ -102,7 +102,7 @@ def _write(tmp_path, name, kind, rows, newline="\n"):
 
 def _assert_same_columns(a, b):
     assert a.entities == b.entities and a.codes == b.codes
-    for name in ("day", "entity", "code", "value"):
+    for name in ("pair_entity", "pair_code", "day", "pair", "value"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
@@ -403,14 +403,16 @@ def _scalar_series(trips, transactions, crosswalk, taxonomy):
         buckets.setdefault(key, {}).setdefault(day, {}).setdefault(code, []).append(value)
 
     for i in range(len(trips.value)):
-        region = trips.entities[trips.entity[i]]
+        pair = trips.pair[i]
+        region = trips.entities[trips.pair_entity[pair]]
         if region in crosswalk:
-            add(region, "trip", int(trips.day[i]), trips.codes[trips.code[i]], float(trips.value[i]))
+            add(region, "trip", int(trips.day[i]), trips.codes[trips.pair_code[pair]], float(trips.value[i]))
     for i in range(len(transactions.value)):
-        zip_code = transactions.entities[transactions.entity[i]]
+        pair = transactions.pair[i]
+        zip_code = transactions.entities[transactions.pair_entity[pair]]
         for region in sorted(crosswalk):
             if crosswalk[region] == zip_code:
-                code = transactions.codes[transactions.code[i]]
+                code = transactions.codes[transactions.pair_code[pair]]
                 add(region, "transaction", int(transactions.day[i]), code, float(transactions.value[i]))
 
     series = {}
@@ -507,8 +509,8 @@ def test_series_stage_memory_per_row(tmp_path, monkeypatch):
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
     assert trips.accepted == 70_560
-    # the columns take 20 B a row, and joining their chunks one column at a time adds 8 more
-    assert peak / trips.accepted < 48
+    # the columns take 16 B a row, and joining their chunks one column at a time adds 8 more
+    assert peak / trips.accepted < 28
     transactions = ingest.parse_transactions(config.inputs["transactions"], config.window)
     crosswalk = ingest.resolve_crosswalk(ingest.parse_overlaps(config.inputs["overlaps"]).records)
     broadcast = ingest.broadcast_zip_to_regions(transactions.records, crosswalk)
@@ -854,4 +856,4 @@ def test_series_stage_memory_per_row_in_two_processes(tmp_path, monkeypatch, for
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
     assert trips.accepted == 70_560 and len(forks) == 1 and _failed(forks) == 0
-    assert peak / trips.accepted < 48
+    assert peak / trips.accepted < 28

@@ -36,8 +36,9 @@ def test_parse_trips_maps_fields(tmp_path):
     result = parse_trips(path, WINDOW)
     columns = result.records
     assert WINDOW.date_at(int(columns.day[0])).isoformat() == "2017-08-15"
-    assert columns.entities[columns.entity[0]] == "R001"
-    assert columns.codes[columns.code[0]] == "grocery"
+    pair = columns.pair[0]
+    assert columns.entities[columns.pair_entity[pair]] == "R001"
+    assert columns.codes[columns.pair_code[pair]] == "grocery"
     assert columns.value[0] == 12.0
     assert result.accepted == 1 and result.dropped == 0
 

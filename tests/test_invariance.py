@@ -4,9 +4,10 @@ Each case copies a small synthetic city, rewrites some of its input files,
 runs the pipeline and compares the seven artifacts with the unchanged city's.
 Reordering rows, swapping or repeating adjacency edges, adding regions the
 city does not have to the adjacency and attributes, re-encoding the activity
-files and putting a byte order mark before every header leave every byte
-alone; splitting or padding trip rows moves only the row counts in
-`coverage_report.json`, by exactly the rows added. Renaming the regions
+files, padding the names in their rows with spaces and putting a byte
+order mark before every header leave every byte alone; splitting or padding
+trip rows moves only the row counts in `coverage_report.json`, by exactly the
+rows added. Renaming the regions
 leaves every artifact the same once the names are mapped back.
 """
 
@@ -81,6 +82,28 @@ def crlf_quoted_activity(city, rng):
     return 0
 
 
+def pad_activity_names(city, rng):
+    # one (entity, code) pair under several raw texts, whose stripped names are one pair
+    def pad(lines):
+        out = []
+        for line in lines:
+            day, entity, code, value = line.split(",")
+            if rng.random() < 0.5:
+                entity, code = (" " * rng.randint(0, 2) + name + " " * rng.randint(1, 2) for name in (entity, code))
+            out.append(",".join((day, entity, code, value)))
+        return out
+
+    for name in ("trips.csv", "transactions.csv"):
+        _edit_rows(city / name, pad)
+    return 0
+
+
+def pad_quoted_activity_names(city, rng):
+    # the padded texts inside quotes, which send every block to the csv module
+    pad_activity_names(city, rng)
+    return crlf_quoted_activity(city, rng)
+
+
 def split_trip_rows(city, rng):
     def split(lines):
         out = []
@@ -115,7 +138,8 @@ def bom_on_quoted_trips(city, rng):
 
 TRANSFORMS = (
     shuffle_all_inputs, swap_edge_ends, list_every_edge_twice, add_regions_outside_the_city, crlf_quoted_activity,
-    split_trip_rows, add_zero_trip_rows, bom_on_every_input, bom_on_quoted_trips,
+    pad_activity_names, pad_quoted_activity_names, split_trip_rows, add_zero_trip_rows, bom_on_every_input,
+    bom_on_quoted_trips,
 )
 
 

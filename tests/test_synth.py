@@ -506,6 +506,10 @@ def test_spec_errors_name_the_field():
         # json reads NaN and Infinity as floats
         ("baseline_level_range", [1, math.inf]),
         ("tx_level_range", [math.nan, 5]),
+        # past 1e300, the ground truth's sums could pass the float range
+        ("baseline_level_range", [1e308, 1.7e308]),
+        ("tx_level_range", [1e308, 1.7e308]),
+        ("baseline_level_range", [1e307, 1e308]),
         ("noise", math.nan),
         ("flat_fraction", -math.inf),
         ("ramp_shape", "cubic"),
