@@ -493,7 +493,14 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
 
     Moran's I is computed for five fields, the four milestones and then the
     integrated metric, each shuffled by its own stream, [seed, field index],
-    and each gathered by one index into weights.regions order.
+    and each gathered by one index into weights.regions order. Where one
+    field's shuffles take processes.SPLIT_CELLS pair products or more
+    (permutations times region pairs), the last two fields are computed
+    beside this process (processes.beside), by a forked child where one can
+    be had, while this process computes the first three, the longer half, and
+    then chi-square and Gini. The fork comes after every input is parsed, so
+    every refusal keeps its order. A field's numbers do not depend on where
+    it is computed, so the bytes are the same in one process or two.
     """
     regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
     metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
@@ -509,44 +516,48 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     columns = (*durations.T, integrated)
     position = {region: i for i, region in enumerate(regions)}
     at = np.array([position[region] for region in weights.regions], dtype=np.int64)
-    moran_section = {
-        field: _moran_entry(column[at], weights, config.permutations, [config.seed, i])
-        for i, (field, column) in enumerate(zip(fields, columns))
-    }
 
-    with_attributes = [i for i, region in enumerate(regions) if region in attributes]
-    attribute_matrix = np.array([attributes[regions[i]] for i in with_attributes], dtype=float)
-    chi_section = {}
-    for variable in CHI_SQUARE_VARIABLES:
-        try:
-            if len(with_attributes) < 4:
-                raise StatsError(
-                    f"chi-square needs >= 4 regions with attributes, got {len(with_attributes)}"
+    def moran_entries(indices):
+        return [_moran_entry(columns[i][at], weights, config.permutations, [config.seed, i]) for i in indices]
+
+    split = config.permutations * len(weights.first) >= processes.SPLIT_CELLS
+    with processes.beside(lambda: moran_entries(range(3, len(fields))), split) as later:
+        first_three = moran_entries(range(3))
+
+        with_attributes = [i for i, region in enumerate(regions) if region in attributes]
+        attribute_matrix = np.array([attributes[regions[i]] for i in with_attributes], dtype=float)
+        chi_section = {}
+        for variable in CHI_SQUARE_VARIABLES:
+            try:
+                if len(with_attributes) < 4:
+                    raise StatsError(
+                        f"chi-square needs >= 4 regions with attributes, got {len(with_attributes)}"
+                    )
+                recovery_high = stats.dichotomize_by_median(integrated[with_attributes])
+                attr_high = stats.dichotomize_by_median(
+                    attribute_matrix[:, ingest.ATTRIBUTES_HEADER.index(variable) - 1]
                 )
-            recovery_high = stats.dichotomize_by_median(integrated[with_attributes])
-            attr_high = stats.dichotomize_by_median(
-                attribute_matrix[:, ingest.ATTRIBUTES_HEADER.index(variable) - 1]
-            )
-            result = stats.chi_square_2x2(recovery_high, attr_high, yates=config.yates)
-            chi_section[variable] = {
-                "statistic": round_sig(result.statistic),
-                "dof": result.dof,
-                "p_value": round_sig(result.p_value),
-                "table": [list(result.table[0]), list(result.table[1])],
-                "n": len(with_attributes),
-            }
-        except StatsError as exc:
-            chi_section[variable] = {"error": str(exc)}
+                result = stats.chi_square_2x2(recovery_high, attr_high, yates=config.yates)
+                chi_section[variable] = {
+                    "statistic": round_sig(result.statistic),
+                    "dof": result.dof,
+                    "p_value": round_sig(result.p_value),
+                    "table": [list(result.table[0]), list(result.table[1])],
+                    "n": len(with_attributes),
+                }
+            except StatsError as exc:
+                chi_section[variable] = {"error": str(exc)}
 
-    lorenz_text = "pop_share,metric_share\n"
-    try:
-        curve = stats.gini(integrated.tolist())
-        gini_section = {"value": round_sig(curve.gini), "n": curve.n}
-        lorenz_text += "".join(
-            f"{format_sig(p)},{format_sig(s)}\n" for p, s in curve.points
-        )
-    except StatsError as exc:
-        gini_section = {"error": str(exc)}
+        lorenz_text = "pop_share,metric_share\n"
+        try:
+            curve = stats.gini(integrated.tolist())
+            gini_section = {"value": round_sig(curve.gini), "n": curve.n}
+            lorenz_text += "".join(
+                f"{format_sig(p)},{format_sig(s)}\n" for p, s in curve.points
+            )
+        except StatsError as exc:
+            gini_section = {"error": str(exc)}
+        moran_section = dict(zip(fields, first_three + later()))
 
     payload = {
         "regions": {
@@ -705,7 +716,7 @@ def _commit(output_dir: Path, artifacts: dict):
 
 
 def validate(config: PipelineConfig) -> list:
-    """Schema, coverage, and sufficiency diagnostics; empty list means clean."""
+    """Schema, output-directory, coverage, and sufficiency diagnostics; empty list means clean."""
     diagnostics = []
 
     parsed = {}
@@ -725,6 +736,9 @@ def validate(config: PipelineConfig) -> list:
             parsed[name] = parse(path)
         except ParseError as exc:
             diagnostics.append({"kind": "schema-error", "input": name, "detail": str(exc)})
+    refusal = processes.creation_refusal(config.output_dir)
+    if refusal is not None:
+        diagnostics.append({"kind": "output-dir", "detail": refusal})
 
     try:
         taxonomy = aggregate.load_taxonomy(

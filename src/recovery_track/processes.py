@@ -1,9 +1,10 @@
 """Two processes, the two sizes and the split rule of whole-line file I/O, and staged writes.
 
-Four callers split their work in two: the trip reader
+Five callers split their work in two: the trip reader
 (ingest._parse_activity), the writer of work/changes.csv
 (pipeline._changes_csv), its reader for `--only milestones`
-(pipeline._read_changes) and the synthetic city generator (synth.generate).
+(pipeline._read_changes), the synthetic city generator (synth.generate) and
+the Moran's I permutation tests of the stats stage (pipeline._stage_stats).
 Each runs its own half inside `beside(work, split)`, which yields a
 function giving work()'s result. Where `split` holds and a second CPU, a
 descriptor pair and a process are free, a forked child computes work()
@@ -21,12 +22,16 @@ The two file readers, of trips and transactions and of work/changes.csv,
 split a file of SPLIT_BYTES or more by one rule, `split_point`: at the first
 line start at or after the middle byte, whatever the line holds. The two
 producers, the changes writer and the city generator, have no file to
-measure and split from SPLIT_CELLS cells. Whole-line I/O moves
-BLOCK_BYTES at a time: `line_blocks` reads every line file, the inputs and
-the artifacts, and the run writes its artifacts so.
+measure and split from SPLIT_CELLS cells; the stats stage splits where one
+Moran field's shuffles take SPLIT_CELLS pair products (permutations times
+region pairs). Whole-line I/O moves BLOCK_BYTES at a time: `line_blocks`
+reads every line file, the inputs and the artifacts, and the run writes its
+artifacts so.
 
 `staged(out_dir, error)` gives the run and `synth` one way to replace a set
 of files together: written to a staging directory, then moved into place.
+`creation_refusal(out_dir)` tells `validate`, creating nothing, whether
+staged can make `out_dir`.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-# Where the two producers (cells of a key x day matrix) and the two file
-# readers (bytes of the file) have a forked child do part of their work.
+# Where the two producers (cells of a key x day matrix), the stats stage (pair
+# products of one Moran field's shuffles) and the two file readers (bytes of
+# the file) have a forked child do part of their work.
 SPLIT_CELLS = 1 << 17
 SPLIT_BYTES = 4 << 20
 
@@ -173,6 +179,27 @@ def _reap(pid, kill):
     return os.waitpid(pid, 0)[1]
 
 
+def _cannot_create(out_dir, reason):
+    return f"cannot create output directory {out_dir}: {reason}"
+
+
+def creation_refusal(out_dir: Path):
+    """The message staged(out_dir, ...) ends in where `out_dir` cannot be
+    made as Path.mkdir(parents=True, exist_ok=True) makes it, told from the
+    paths alone, creating nothing; None where it can be. A path that exists
+    and is no directory refuses it (File exists), and so does a path under a
+    file (Not a directory); a missing path defers to its parent. The last
+    path tried, "/" or ".", always exists."""
+    for path in (out_dir, *out_dir.parents):
+        try:
+            os.lstat(path)
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            return _cannot_create(out_dir, exc.strerror or exc)
+        return None if path.is_dir() else _cannot_create(out_dir, os.strerror(errno.EEXIST))
+
+
 @contextmanager
 def staged(out_dir: Path, error):
     """A new staging directory in `out_dir`, whose files are moved to the same
@@ -188,7 +215,7 @@ def staged(out_dir: Path, error):
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     except OSError as exc:
-        raise error(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from None
+        raise error(_cannot_create(out_dir, exc.strerror or exc)) from None
     try:
         yield staging
         names = [path.relative_to(staging) for path in sorted(staging.rglob("*")) if not path.is_dir()]

@@ -100,8 +100,11 @@ class MoranResult:
 
 
 def _spatial_numerator(z: np.ndarray, weights: SpatialWeights) -> float:
-    """sum_ij w_ij z_i z_j, as one product per region pair."""
-    return float((z[weights.first] * z[weights.second]) @ weights.pair_weights)
+    """sum_ij w_ij z_i z_j, as one product per region pair, reduced by numpy
+    itself in the calling thread. Not by `@`: above about 10,000 elements
+    OpenBLAS threads its ddot, and those threads spin beside a forked child
+    that computes other fields (pipeline._stage_stats)."""
+    return float(np.einsum("i,i,i->", z[weights.first], z[weights.second], weights.pair_weights))
 
 
 def morans_i(
@@ -133,8 +136,11 @@ def morans_i(
     a seeded permutation p-value: the fraction of shuffles at least as far
     from E[I] as the observed I, where a shuffle that ties it exactly counts.
     Each shuffle is one `rng.permutation(z)` call, and its cross-product one
-    _spatial_numerator call. Everything is computed from the sparse weights,
-    in memory linear in the number of region pairs.
+    _spatial_numerator call, which numpy reduces in this thread with no BLAS
+    call: the stats stage computes two fields in a forked child beside this
+    process, and OpenBLAS threads its ddot above about 10,000 elements,
+    threads that would spin beside the child. Everything is computed from
+    the sparse weights, in memory linear in the number of region pairs.
     """
     n = len(weights.regions)
     if n < 3:

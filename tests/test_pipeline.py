@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import csv
+import errno
 import filecmp
 import hashlib
 import io
 import itertools
 import json
 import os
+import pickle
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from datetime import date
@@ -244,7 +248,7 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# Moran's I in the stats stage, which never forks
+# Moran's I in the stats stage, the last two fields beside it
 
 
 MORAN_FIELDS = (*pipeline.MILESTONE_FIELDS, "integrated")
@@ -289,10 +293,10 @@ def test_stats_write_the_same_bytes_in_one_process_and_in_two(golden_city, tmp_p
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "two"), *options]) == 0
     assert _stats_bytes(tmp_path / "two") == expected
-    assert len(forks) == 1  # the changes writer; the stats stage never forks
+    assert len(forks) == 2  # the changes writer and the stats stage
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "one"), "--only", "stats", *options]) == 0
     assert _stats_bytes(tmp_path / "one") == expected
-    assert len(forks) == 1 and _exit_codes(forks) == [0]
+    assert len(forks) == 3 and _exit_codes(forks) == [0, 0, 0]
     assert _permutation_p(tmp_path / "one") == GOLDEN_PERMUTATION_P[seed]
 
 
@@ -301,17 +305,71 @@ def test_a_constant_field_is_refused_in_its_own_entry(golden_city, tmp_path, mon
     argv += ["--only", "stats", "--permutations", "99", "--seed", "7"]
     milestones = out / pipeline.MILESTONES_ARTIFACT
     lines = milestones.read_text().splitlines(keepends=True)
-    # the fourth milestone: 5 days, not censored, for every region
+    # the fourth milestone, the child's first field: 5 days, not censored, for every region
     milestones.write_text(lines[0] + "".join(line.rsplit(",", 2)[0] + ",5,false\n" for line in lines[1:]))
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
     assert cli.main(argv) == 0
     expected = _stats_bytes(out)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert cli.main(argv) == 0
-    assert _stats_bytes(out) == expected and not forks
+    assert _stats_bytes(out) == expected and _exit_codes(forks) == [0]
     moran = json.loads(expected[0])["morans_i"]
     assert moran[MORAN_FIELDS[3]] == {"error": "constant field: Moran's I is undefined for zero variance"}
     assert all("error" not in moran[field] for field in MORAN_FIELDS if field != MORAN_FIELDS[3])
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+def test_a_failed_stats_child_leaves_its_fields_to_this_process(golden_city, tmp_path, monkeypatch, forks, failure):
+    argv, out = _golden_bundle_copy(golden_city, tmp_path)
+    argv += ["--only", "stats", "--permutations", "99"]
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
+    assert cli.main(argv) == 0
+    expected = _stats_bytes(out)
+    send = processes._send
+
+    def fail(pipe, entries):
+        if failure == "raise":
+            raise RuntimeError("the child fails")
+        if failure == "short":  # all but the end of the entries, and a clean exit
+            whole = io.BytesIO()
+            send(whole, entries)
+            pipe.write(whole.getvalue()[:-40])
+            return
+        # entries sent whole, but with a failed exit, are not trusted
+        pickle.dump([{"error": "wrong"}] * len(entries), pipe)
+        pipe.flush()
+        os._exit(3)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(processes, "_send", fail)
+    if failure == "no_fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    assert cli.main(argv) == 0
+    assert _stats_bytes(out) == expected
+    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+
+
+def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp_path, monkeypatch, forks):
+    _, out = _golden_bundle_copy(golden_city, tmp_path)
+    config = golden_city["config"].with_overrides(output_dir=out, permutations=99)
+    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
+    morans_i = pipeline.stats.morans_i
+
+    def fail_this_process(values, weights, permutations, seed):
+        if seed[1] == 2:  # the last field this process computes
+            raise RuntimeError("this process fails")
+        return morans_i(values, weights, permutations=permutations, seed=seed)
+
+    monkeypatch.setattr(pipeline.stats, "morans_i", fail_this_process)
+    with pytest.raises(RuntimeError, match="this process fails"):
+        run(config, only="stats")
+    [status] = forks.values()
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert _stats_bytes(out) == _stats_bytes(golden_city["out"])  # the bundle is as it was
 
 
 def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, tmp_path, monkeypatch, forks):
@@ -330,7 +388,8 @@ def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, t
     monkeypatch.setattr(pipeline.stats, "morans_i", fail_the_last_field)
     with pytest.raises(RuntimeError, match="the stats stage fails"):
         run(config, only="stats")
-    assert fields == list(range(len(MORAN_FIELDS))) and not forks
+    # the child fails on the last field and exits 1; this process computes the child's two fields again
+    assert fields == list(range(len(MORAN_FIELDS))) and _exit_codes(forks) == [1]
     assert _stats_bytes(out) == _stats_bytes(golden_city["out"])
 
 
@@ -389,7 +448,7 @@ def test_stats_without_permutations_run_in_one_process(golden_city, tmp_path, mo
     assert not forks
 
 
-def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, monkeypatch, forks):
+def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, forks):
     spec = {
         "seed": 0, "n_regions": 30, "horizon_days": 60, "noise": 0.02, "regions_per_zip": 3,
         "drop_range": [0.25, 0.85], "ramp_range": [8, 30], "flat_fraction": 0.0, "censored_fraction": 0.0,
@@ -397,9 +456,13 @@ def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, monk
     config = load_config(generate(ScenarioSpec.from_mapping(spec), tmp_path)["config.json"])
     run(config)
     assert not forks
-    monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     run(config.with_overrides(permutations=999), only="stats")
     assert not forks
+    # 999 shuffles of its region pairs stay below the split
+    regions = [line.split(",", 1)[0] for line in (config.output_dir / "metric.csv").read_text().splitlines()[1:]]
+    adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
+    pairs = len(pipeline.stats.SpatialWeights.from_adjacency(adjacency, include=regions).first)
+    assert 0 < 999 * pairs < processes.SPLIT_CELLS
 
 
 def test_seeded_permutation_p_values_on_a_criterion_03_sized_city(tmp_path):
@@ -712,6 +775,23 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert "milestones.csv" in out
     assert cli.main(["validate", "--config", str(config_path)]) == 0
     assert json.loads(capsys.readouterr().out) == []
+
+
+@pytest.mark.parametrize("output_dir", ["taken", "taken/out"])
+def test_cli_validate_refuses_an_output_dir_that_run_cannot_create(tmp_path, capsys, output_dir):
+    # an existing file as the output directory, and a directory under it
+    config_path = _write_mini_bundle(tmp_path)
+    config_path.write_text(json.dumps({**MINI_CONFIG, "output_dir": output_dir}), encoding="utf-8")
+    (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+    listing = sorted(tmp_path.rglob("*"))
+    reason = {"taken": "File exists", "taken/out": "Not a directory"}[output_dir]
+    detail = f"cannot create output directory {tmp_path / output_dir}: {reason}"
+    assert cli.main(["validate", "--config", str(config_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == [{"kind": "output-dir", "detail": detail}]
+    assert sorted(tmp_path.rglob("*")) == listing
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    assert sorted(tmp_path.rglob("*")) == listing
 
 
 @pytest.mark.parametrize("region", ["R,0001", "R\n0001"])

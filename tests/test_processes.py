@@ -1,7 +1,8 @@
 """processes.beside, a result computed beside the caller's block;
 processes.split_point and processes.line_blocks, the split rule and the
 block reader of the two-process file readers; and processes.staged, files
-moved into place together."""
+moved into place together, with processes.creation_refusal, which foretells
+its refusal to make the directory."""
 
 from __future__ import annotations
 
@@ -274,3 +275,25 @@ def test_staged_names_the_directory_it_cannot_create(tmp_path):
     with pytest.raises(PipelineError, match=f"cannot create output directory {out}: File exists"):
         with processes.staged(out, PipelineError):
             pytest.fail("the block runs")
+
+
+@pytest.mark.parametrize(
+    "out",
+    ["out", "new/out", "file", "file/out", "file/a/out", "file/../out", "dangling", "dangling/out", "linked/out"],
+)
+def test_creation_refusal_foretells_staged_and_creates_nothing(tmp_path, out):
+    (tmp_path / "file").write_text("a file\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "dangling").symlink_to(tmp_path / "gone")
+    (tmp_path / "linked").symlink_to(tmp_path / "out")
+    before = sorted(tmp_path.rglob("*"))
+    refusal = processes.creation_refusal(tmp_path / out)
+    assert sorted(tmp_path.rglob("*")) == before
+    try:
+        with processes.staged(tmp_path / out, PipelineError):
+            pass
+    except PipelineError as exc:
+        assert refusal == str(exc)
+    else:
+        assert refusal is None
+    assert (refusal is None) == (out in ("out", "new/out", "linked/out"))

@@ -363,6 +363,17 @@ def test_moran_permutation_p_counts_exact_ties():
     assert result.permutation_p == float(exact_p)
 
 
+def test_moran_permutation_p_above_ten_thousand_pairs():
+    # 28,560 pairs, where a BLAS dot product of one shuffle's products would run threaded;
+    # written down from runs of the kernel that summed them with `@`
+    weights = SpatialWeights.from_adjacency(_grid_adjacency(120, 120))
+    assert len(weights.first) == 2 * 120 * 119
+    days = np.random.default_rng(2).integers(0, 60, size=len(weights.regions)).astype(float)
+    assert len(np.unique(days)) == 60
+    p_values = [morans_i(days, weights, permutations=99, seed=seed).permutation_p for seed in (0, 1)]
+    assert p_values == [0.11, 0.06]
+
+
 def test_moran_memory_is_linear_in_edges():
     # 20,164 regions: the dense matrix alone would take 8 n^2 B = 3.2 GB
     weights = _grid_weights(142, 142)
