@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="apply the continuity correction to chi-square tests")
     run_parser.add_argument("--seed", type=int, help="seed for permutation inference")
 
-    validate_parser = sub.add_parser("validate", help="report input diagnostics without running")
+    validate_parser = sub.add_parser("validate", help="list every refusal and finding of a run, writing nothing")
     validate_parser.add_argument("--config", required=True, help="pipeline config JSON")
 
     synth_parser = sub.add_parser("synth", help="generate a synthetic scenario with ground truth")

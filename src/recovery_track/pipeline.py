@@ -34,7 +34,6 @@ child where it is large; the text is the one a single process renders.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -44,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregate, ingest, metric, milestones, processes, series, stats
-from .config import PipelineConfig
-from .errors import ParseError, PipelineError, StatsError, TaxonomyError
+from .config import INPUT_NAMES, PipelineConfig
+from .errors import MetricError, ParseError, PipelineError, SeriesError, StatsError, TaxonomyError
 from .milestones import MILESTONE_FIELDS, change_threshold
 from .windows import DateWindow
 
@@ -54,6 +53,7 @@ STAGE_MILESTONES = "milestones"
 STAGE_METRIC = "metric"
 STAGE_STATS = "stats"
 STAGES = (STAGE_SERIES, STAGE_MILESTONES, STAGE_METRIC, STAGE_STATS)
+_SERIES_INPUTS = ("trips", "transactions", "overlaps")  # the inputs the series stage reads
 
 BASELINES_ARTIFACT = "work/baselines.csv"
 CHANGES_ARTIFACT = "work/changes.csv"
@@ -98,14 +98,34 @@ def _json_text(obj) -> str:
 # stage: series (ingest + aggregate + baseline + change)
 
 
-def _series_and_coverage(config: PipelineConfig, taxonomy, trips, transactions, overlaps, unknown_policy):
-    """Daily series, baselines and the coverage report from the parsed inputs.
+def _read_input(config: PipelineConfig, name: str):
+    """Input `name`, one of config.INPUT_NAMES or "taxonomy", parsed: both commands read each here.
+    Parsers are looked up as called, so wrappers set on their modules (perfbench/tracer.py) run."""
+    if name == "taxonomy":
+        return aggregate.load_taxonomy(config.taxonomy, renormalize=config.renormalize_weights)
+    path = config.inputs[name]
+    if name == "trips":
+        return ingest.parse_trips(path, config.window)
+    if name == "transactions":
+        return ingest.parse_transactions(path, config.window)
+    if name == "overlaps":
+        return ingest.parse_overlaps(path)
+    if name == "adjacency":
+        return ingest.parse_adjacency(path)
+    return ingest.parse_attributes(path)
 
-    Returns (series_set, baselines, coverage): the (values, sufficient) pair
-    of series.compute_baselines, and the content of coverage_report.json.
-    Shared by the series stage and validate(), whose diagnostics restate the
-    report's findings.
+
+def _series(config: PipelineConfig, taxonomy, parsed: dict, unknown_policy):
+    """(keys, baselines, changes, coverage) of the parsed inputs, for the series stage and validate().
+
+    The sorted keys, the (values, sufficient) pair of series.compute_baselines
+    aligned with them, the change series of the sufficient keys, and the
+    content of coverage_report.json, whose findings validate() restates.
+    The trips, transactions and overlaps are taken out of `parsed` and freed
+    once the daily series are built.
     """
+    trips, transactions, overlaps = (parsed.pop(name) for name in _SERIES_INPUTS)
+    _release_free_memory()
     broadcast = ingest.broadcast_zip_to_regions(transactions.records, ingest.resolve_crosswalk(overlaps.records))
     series_set, unknown_codes, unmatched = aggregate.build_daily_series(
         trips.records, transactions.records, broadcast, taxonomy, config.window,
@@ -139,39 +159,25 @@ def _series_and_coverage(config: PipelineConfig, taxonomy, trips, transactions, 
         "insufficient_baselines": insufficient,
         "unknown_service_types": unknown_codes,
     }
-    return series_set, baselines, coverage
-
-
-def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
-    taxonomy = aggregate.load_taxonomy(
-        config.taxonomy, renormalize=config.renormalize_weights
-    )
-    trips_result = ingest.parse_trips(config.inputs["trips"], config.window)
-    tx_result = ingest.parse_transactions(config.inputs["transactions"], config.window)
-    overlaps_result = ingest.parse_overlaps(config.inputs["overlaps"])
-    _release_free_memory()
-    series_set, baselines, coverage = _series_and_coverage(
-        config, taxonomy, trips_result, tx_result, overlaps_result,
-        config.unknown_service_policy,
-    )
     # the parse columns hold most of the stage's memory; nothing after this needs them
-    del trips_result, tx_result, overlaps_result
+    del trips, transactions, overlaps, broadcast
     _release_free_memory()
     changes = series.build_change_series(
         series_set, baselines, config.smoothing_half_width, config.smoothing_boundary
     )
-    keys = series_set.key_list
-    del series_set
+    return series_set.key_list, baselines, changes, coverage
 
-    values, sufficient = (array.tolist() for array in baselines)
-    baselines_csv = [BASELINES_HEADER + "\n"]
-    baselines_csv.extend(
-        f"{region},{source},{category},{value!r},{'true' if ok else 'false'}\n"
-        for (region, source, category), value, ok in zip(keys, values, sufficient)
-    )
+
+def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
+    taxonomy = _read_input(config, "taxonomy")
+    parsed = {name: _read_input(config, name) for name in _SERIES_INPUTS}
+    keys, baselines, changes, coverage = _series(config, taxonomy, parsed, config.unknown_service_policy)
+
+    rows = zip(keys, *(array.tolist() for array in baselines))
+    baselines_csv = "".join(f"{','.join(key)},{value!r},{'true' if ok else 'false'}\n" for key, value, ok in rows)
     artifacts.changes = changes
     return {
-        BASELINES_ARTIFACT: "".join(baselines_csv),
+        BASELINES_ARTIFACT: BASELINES_HEADER + "\n" + baselines_csv,
         CHANGES_ARTIFACT: _changes_csv(changes),
         COVERAGE_ARTIFACT: _json_text(coverage),
     }
@@ -367,30 +373,24 @@ def _sufficient_keys(rows) -> list[tuple[str, str, str]]:
     return keys
 
 
+def _milestone_table(config: PipelineConfig, changes: aggregate.SeriesSet) -> dict:
+    """The milestones of every region with all four keys sufficient, sorted by region."""
+    d0, threshold = config.window.index_of(config.event_day), change_threshold(config.recovered_fraction)
+    return milestones.build_milestone_table(changes, d0, config.horizon_days, threshold, config.run_length)[0]
+
+
 def _stage_milestones(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     changes = artifacts.changes
     if changes is None:
         # baselines.csv is small: read it first, so that the matrix is allocated once
         changes = _read_changes(artifacts, config.window, _sufficient_keys(artifacts.rows(BASELINES_ARTIFACT)))
-    d0 = config.window.index_of(config.event_day)
-    table, _ = milestones.build_milestone_table(
-        changes,
-        d0,
-        config.horizon_days,
-        threshold=change_threshold(config.recovered_fraction),
-        run_length=config.run_length,
-    )
+    table = _milestone_table(config, changes)
 
-    out = io.StringIO()
-    out.write(MILESTONES_HEADER + "\n")
-    for region in sorted(table):
-        cells = [region]
-        for field in MILESTONE_FIELDS:
-            milestone = table[region][field]
-            cells.append(str(milestone.duration_days))
-            cells.append("true" if milestone.censored else "false")
-        out.write(",".join(cells) + "\n")
-    return {MILESTONES_ARTIFACT: out.getvalue()}
+    out = [MILESTONES_HEADER + "\n"]
+    for region, row in sorted(table.items()):
+        cells = [f"{row[f].duration_days},{'true' if row[f].censored else 'false'}" for f in MILESTONE_FIELDS]
+        out.append(",".join([region, *cells]) + "\n")
+    return {MILESTONES_ARTIFACT: "".join(out)}
 
 
 def parse_milestones_artifact(rows, horizon_days: int):
@@ -507,10 +507,8 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     if metric_regions != regions:
         raise PipelineError(f"{METRIC_ARTIFACT} and {MILESTONES_ARTIFACT} list different regions")
     # the parsed adjacency serves only the weights; freed here, it lowers the stage's peak
-    weights = stats.SpatialWeights.from_adjacency(
-        ingest.parse_adjacency(config.inputs["adjacency"]).records, include=regions
-    )
-    attributes = ingest.parse_attributes(config.inputs["attributes"]).records
+    weights = stats.SpatialWeights.from_adjacency(_read_input(config, "adjacency").records, include=regions)
+    attributes = _read_input(config, "attributes").records
 
     fields = (*MILESTONE_FIELDS, "integrated")
     columns = (*durations.T, integrated)
@@ -712,28 +710,27 @@ def _commit(output_dir: Path, artifacts: dict):
 
 
 # --------------------------------------------------------------------------
-# validation (diagnostics without running)
+# validation (a run's refusals and findings, listed without committing)
 
 
 def validate(config: PipelineConfig) -> list:
-    """Schema, output-directory, coverage, and sufficiency diagnostics; empty list means clean."""
+    """The diagnostics of a run of `config`, computed up to the metric by run()'s functions; [] if clean.
+
+    It lists refusals instead of raising the first, renders nothing and
+    commits nothing. A refusal of the milestones or metric computation is a
+    stage-error, listed last; one of the series computation past the inputs
+    is raised, as in a run.
+    """
     diagnostics = []
 
     parsed = {}
-    parsers = {
-        "trips": lambda p: ingest.parse_trips(p, config.window),
-        "transactions": lambda p: ingest.parse_transactions(p, config.window),
-        "overlaps": ingest.parse_overlaps,
-        "adjacency": ingest.parse_adjacency,
-        "attributes": ingest.parse_attributes,
-    }
-    for name, parse in parsers.items():
+    for name in INPUT_NAMES:
         path = config.inputs[name]
         if not Path(path).exists():
             diagnostics.append({"kind": "missing-file", "input": name, "detail": str(path)})
             continue
         try:
-            parsed[name] = parse(path)
+            parsed[name] = _read_input(config, name)
         except ParseError as exc:
             diagnostics.append({"kind": "schema-error", "input": name, "detail": str(exc)})
     refusal = processes.creation_refusal(config.output_dir)
@@ -741,27 +738,19 @@ def validate(config: PipelineConfig) -> list:
         diagnostics.append({"kind": "output-dir", "detail": refusal})
 
     try:
-        taxonomy = aggregate.load_taxonomy(
-            config.taxonomy, renormalize=config.renormalize_weights
-        )
+        taxonomy = _read_input(config, "taxonomy")
     except (ParseError, TaxonomyError) as exc:  # taxonomy problems are diagnostics here
         diagnostics.append({"kind": "taxonomy-error", "detail": str(exc)})
         return diagnostics
 
     for name in ("trips", "transactions"):
-        result = parsed.get(name)
-        if result and result.dropped:
-            diagnostics.append(
-                {"kind": "out-of-window-rows", "input": name, "rows": result.dropped}
-            )
+        if name in parsed and parsed[name].dropped:
+            diagnostics.append({"kind": "out-of-window-rows", "input": name, "rows": parsed[name].dropped})
 
-    if "trips" not in parsed or "transactions" not in parsed or "overlaps" not in parsed:
+    if any(name not in parsed for name in _SERIES_INPUTS):
         return diagnostics
 
-    _, _, coverage = _series_and_coverage(
-        config, taxonomy, parsed["trips"], parsed["transactions"], parsed["overlaps"],
-        aggregate.POLICY_SKIP,
-    )
+    _, _, changes, coverage = _series(config, taxonomy, parsed, aggregate.POLICY_SKIP)
     findings = (
         ("unmatched-region", "region", "rows", coverage["trips"]["unmatched_regions"]),
         ("unmatched-zip", "zip", "rows", coverage["transactions"]["unmatched_zips"]),
@@ -770,4 +759,13 @@ def validate(config: PipelineConfig) -> list:
     )
     for kind, name, field, counts in findings:
         diagnostics.extend({"kind": kind, name: key, field: value} for key, value in counts.items())
+
+    stage = STAGE_MILESTONES
+    try:
+        table = _milestone_table(config, changes)
+        stage = STAGE_METRIC
+        durations = [[row[field].duration_days for field in MILESTONE_FIELDS] for row in table.values()]
+        metric.build_metric_table(np.array(durations, dtype=float).reshape(-1, len(MILESTONE_FIELDS)))
+    except (SeriesError, MetricError) as exc:
+        diagnostics.append({"kind": "stage-error", "stage": stage, "detail": str(exc)})
     return diagnostics

@@ -50,8 +50,9 @@ def compute_baselines(
     """(values, sufficient) per row of `series_set`: the mean daily value over the window.
 
     Both arrays align with `series_set.key_list`. Missing days count as 0.
-    Rows whose mean falls below `min_baseline` are flagged insufficient and
-    excluded from every downstream computation that divides by the baseline.
+    Rows whose mean falls below `min_baseline`, or is 0, are flagged
+    insufficient and excluded from every downstream computation that divides
+    by the baseline.
     """
     start = series_set.window.index_of(baseline_window.start)
     end = series_set.window.index_of(baseline_window.end)
@@ -62,7 +63,7 @@ def compute_baselines(
         )
     days = series_set.values[:, start : end + 1]
     values = np.array([math.fsum(row.tolist()) / baseline_window.n_days for row in days], dtype=float)
-    return values, values >= min_baseline
+    return values, (values >= min_baseline) & (values > 0)
 
 
 def build_change_series(

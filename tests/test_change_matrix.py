@@ -71,11 +71,12 @@ def test_change_matrix_equals_scalar_smoothing_and_change(boundary, half_width):
 
 
 def test_change_matrix_rejects_a_sufficient_nonpositive_baseline():
+    # compute_baselines never marks a zero baseline sufficient; the pair is built by hand
     keys = _keys(2)
-    values = np.ones((len(keys), WINDOW.n_days))
+    series_set = SeriesSet(WINDOW, keys, np.ones((len(keys), WINDOW.n_days)))
+    values = np.ones(len(keys))
     values[5] = 0.0
-    series_set = SeriesSet(WINDOW, keys, values)
-    baselines = compute_baselines(series_set, BASELINE_WINDOW, min_baseline=0.0)
+    baselines = (values, np.ones(len(keys), dtype=bool))
     with pytest.raises(SeriesError, match="baseline must be positive"):
         build_change_series(series_set, baselines)
 

@@ -3,7 +3,9 @@ the scenario spec, the config, the five inputs, a taxonomy override (a copy
 of the bundled one) and the artifacts the staged runs read back, on a
 6-region city. Whatever the edit, a command exits 0, or
 refuses with one `error:` or `config error:` line and exit 1 or 2; it never
-ends in any other exception.
+ends in any other exception. And `validate` foretells every refusal of
+`run`: where an edit of the config or an input makes `run` refuse,
+`validate` refuses too or lists a diagnostic.
 """
 
 from __future__ import annotations
@@ -57,14 +59,19 @@ def _edit(rng, data):
     return b"".join(lines)
 
 
-def test_every_edit_ends_in_exit_0_or_one_refusal(tmp_path, capsys):
-    (tmp_path / "spec.json").write_text(json.dumps({"n_regions": 6, "seed": 1}))
-    assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "city")]) == 0
+def _write_city(directory):
+    """The 6-region city in `directory`/city, reading a copy of the bundled taxonomy."""
+    (directory / "spec.json").write_text(json.dumps({"n_regions": 6, "seed": 1}))
+    assert cli.main(["synth", "--spec", str(directory / "spec.json"), "--out", str(directory / "city")]) == 0
     bundled = Path(cli.__file__).with_name("data") / "taxonomy.csv"
-    (tmp_path / "city/taxonomy.csv").write_bytes(bundled.read_bytes())
-    config = json.loads((tmp_path / "city/config.json").read_text())
+    (directory / "city/taxonomy.csv").write_bytes(bundled.read_bytes())
+    config = json.loads((directory / "city/config.json").read_text())
     config["inputs"]["taxonomy"] = "taxonomy.csv"
-    (tmp_path / "city/config.json").write_text(json.dumps(config, indent=2))
+    (directory / "city/config.json").write_text(json.dumps(config, indent=2))
+
+
+def test_every_edit_ends_in_exit_0_or_one_refusal(tmp_path, capsys):
+    _write_city(tmp_path)
     assert cli.main([arg.format(dir=tmp_path) for arg in RUN]) == 0
     pristine = {name: (tmp_path / name).read_bytes() for name in {name for name, _ in TARGETS}}
     rng = random.Random(SEED)
@@ -87,3 +94,28 @@ def test_every_edit_ends_in_exit_0_or_one_refusal(tmp_path, capsys):
         codes.append(code)
     # the edits reach every outcome: a pass, and refusals with both exit codes
     assert {0, 1, 2} <= set(codes)
+
+
+def test_validate_foretells_every_refusal_of_run(tmp_path, capsys):
+    # both commands read the config's output directory
+    _write_city(tmp_path)
+    run, validate = ([arg.format(dir=tmp_path) for arg in command] for command in (RUN[:3], VALIDATE))
+    names = [f"city/{name}" for name in ("config.json", *INPUTS)]
+    pristine = {name: (tmp_path / name).read_bytes() for name in names}
+    rng = random.Random(SEED)
+    refused = 0
+    for case in range(EDITS):
+        for name, data in pristine.items():
+            (tmp_path / name).write_bytes(data)
+        name = rng.choice(names)
+        (tmp_path / name).write_bytes(_edit(rng, pristine[name]))
+        capsys.readouterr()
+        if cli.main(run) == 0:
+            continue
+        refused += 1
+        err = capsys.readouterr().err
+        code = cli.main(validate)
+        out = capsys.readouterr().out
+        assert code or json.loads(out), f"edit {case} of {name}: run refused with {err!r}, validate listed nothing"
+    # the edits reach both outcomes of run
+    assert 0 < refused < EDITS

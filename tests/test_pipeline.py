@@ -777,6 +777,71 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
+def _synth_city(directory, n_regions):
+    """A synth city of `n_regions` regions, seed 1, in `directory`/city; its config path."""
+    (directory / "spec.json").write_text(json.dumps({"n_regions": n_regions, "seed": 1}), encoding="utf-8")
+    assert cli.main(["synth", "--spec", str(directory / "spec.json"), "--out", str(directory / "city")]) == 0
+    return directory / "city" / "config.json"
+
+
+def _drop_region_trips(directory, region):
+    trips = directory / "trips.csv"
+    trips.write_text("".join(line for line in trips.read_text().splitlines(True) if f",{region}," not in line))
+
+
+def _three_region_city(directory):
+    return _synth_city(directory, 3)
+
+
+def _mini_city_with_three_sufficient_regions(directory):
+    # R004 keeps its transactions but has no trips
+    config_path = _write_mini_bundle(directory)
+    _drop_region_trips(directory, "R004")
+    return config_path
+
+
+@pytest.mark.parametrize(
+    "write_city, kinds",
+    [
+        pytest.param(_three_region_city, ["stage-error"], id="three-region-synth-city"),
+        pytest.param(
+            _mini_city_with_three_sufficient_regions, ["insufficient-baseline", "stage-error"],
+            id="mini-city-three-sufficient",
+        ),
+    ],
+)
+def test_cli_validate_lists_the_refusal_of_the_metric_computation(tmp_path, capsys, write_city, kinds):
+    config_path = write_city(tmp_path)
+    listing = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: metric table needs at least 4 regions, got 3\n"
+    assert cli.main(["validate", "--config", str(config_path)]) == 0
+    diagnostics = json.loads(capsys.readouterr().out)
+    assert [d["kind"] for d in diagnostics] == kinds
+    assert diagnostics[-1] == {"kind": "stage-error", "stage": "metric", "detail": err[len("error: ") : -1]}
+    assert sorted(tmp_path.rglob("*")) == listing
+
+
+def test_cli_a_zero_baseline_is_never_sufficient(tmp_path, capsys):
+    # R0001 has no trips, so its trip baselines are 0, which min_baseline 0 would let through
+    config_path = _synth_city(tmp_path, 12)
+    _drop_region_trips(tmp_path / "city", "R0001")
+    raw = json.loads(config_path.read_text())
+    raw["baseline"]["min_baseline"] = 0
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", str(config_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"kind": "insufficient-baseline", "region": "R0001", "fields": ["trip_essential", "trip_nonessential"]}
+    ]
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    coverage = json.loads((tmp_path / "city" / "out" / "coverage_report.json").read_text())
+    assert coverage["regions"] == {"total": 12, "included": 11, "excluded": ["R0001"]}
+    assert coverage["insufficient_baselines"] == {"R0001": ["trip_essential", "trip_nonessential"]}
+
+
 @pytest.mark.parametrize("output_dir", ["taken", "taken/out"])
 def test_cli_validate_refuses_an_output_dir_that_run_cannot_create(tmp_path, capsys, output_dir):
     # an existing file as the output directory, and a directory under it
