@@ -5,4 +5,9 @@ integrated recovery metric with quartile categories, and spatial and
 socioeconomic inequality statistics come out.
 """
 
+import os
+
+# Before any module imports numpy: OpenBLAS then starts no worker thread, so every fork copies one thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

@@ -76,6 +76,9 @@ def main(argv=None) -> int:
     except RecoveryTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # processes.staged has left the output directory as it was
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 1
     try:
         sys.stdout.write(report)
         sys.stdout.flush()

@@ -125,7 +125,6 @@ def _series(config: PipelineConfig, taxonomy, parsed: dict, unknown_policy):
     once the daily series are built.
     """
     trips, transactions, overlaps = (parsed.pop(name) for name in _SERIES_INPUTS)
-    _release_free_memory()
     broadcast = ingest.broadcast_zip_to_regions(transactions.records, ingest.resolve_crosswalk(overlaps.records))
     series_set, unknown_codes, unmatched = aggregate.build_daily_series(
         trips.records, transactions.records, broadcast, taxonomy, config.window,
@@ -161,7 +160,6 @@ def _series(config: PipelineConfig, taxonomy, parsed: dict, unknown_policy):
     }
     # the parse columns hold most of the stage's memory; nothing after this needs them
     del trips, transactions, overlaps, broadcast
-    _release_free_memory()
     changes = series.build_change_series(
         series_set, baselines, config.smoothing_half_width, config.smoothing_boundary
     )
@@ -181,24 +179,6 @@ def _stage_series(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
         CHANGES_ARTIFACT: _changes_csv(changes),
         COVERAGE_ARTIFACT: _json_text(coverage),
     }
-
-
-def _release_free_memory():
-    """Give the C heap's free pages back to the OS, where glibc's malloc_trim exists.
-
-    The series stage frees most of its memory twice at once: the parsers'
-    block temporaries, then the parse columns. glibc keeps much of such freed
-    memory, and whether later arrays and strings reuse it or take fresh pages
-    depends on the heap's layout, which shifts with the input and even with
-    where stdout goes. On a 1000-region city, four full runs each peaked at
-    109.7-109.8 MB with the trims and at 121.8-123.0 MB without them.
-    """
-    try:
-        import ctypes
-
-        ctypes.CDLL(None).malloc_trim(0)
-    except (ImportError, OSError, AttributeError, TypeError):
-        pass
 
 
 def _changes_csv(changes: aggregate.SeriesSet) -> str:
@@ -495,12 +475,12 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     integrated metric, each shuffled by its own stream, [seed, field index],
     and each gathered by one index into weights.regions order. Where one
     field's shuffles take processes.SPLIT_CELLS pair products or more
-    (permutations times region pairs), the last two fields are computed
+    (permutations times region pairs), the last three fields are computed
     beside this process (processes.beside), by a forked child where one can
-    be had, while this process computes the first three, the longer half, and
-    then chi-square and Gini. The fork comes after every input is parsed, so
-    every refusal keeps its order. A field's numbers do not depend on where
-    it is computed, so the bytes are the same in one process or two.
+    be had, while this process computes the first two and then chi-square
+    and Gini. The fork comes after every input is parsed, so every refusal
+    keeps its order. A field's numbers do not depend on where it is
+    computed, so the bytes are the same in one process or two.
     """
     regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
     metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
@@ -519,8 +499,8 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
         return [_moran_entry(columns[i][at], weights, config.permutations, [config.seed, i]) for i in indices]
 
     split = config.permutations * len(weights.first) >= processes.SPLIT_CELLS
-    with processes.beside(lambda: moran_entries(range(3, len(fields))), split) as later:
-        first_three = moran_entries(range(3))
+    with processes.beside(lambda: moran_entries(range(2, len(fields))), split) as later:
+        first_two = moran_entries(range(2))
 
         with_attributes = [i for i, region in enumerate(regions) if region in attributes]
         attribute_matrix = np.array([attributes[regions[i]] for i in with_attributes], dtype=float)
@@ -555,7 +535,7 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
             )
         except StatsError as exc:
             gini_section = {"error": str(exc)}
-        moran_section = dict(zip(fields, first_three + later()))
+        moran_section = dict(zip(fields, first_two + later()))
 
     payload = {
         "regions": {

@@ -1,5 +1,11 @@
 """Two processes, the two sizes and the split rule of whole-line file I/O, and staged writes.
 
+Every process is single-threaded: before any of its modules imports numpy,
+the package sets OPENBLAS_NUM_THREADS to 1 (recovery_track/__init__.py), so
+numpy's BLAS starts no worker thread and a fork copies the one thread there
+is; none spins beside a child, and none holds a lock the child inherits. A
+value set in the environment wins.
+
 Five callers split their work in two: the trip reader
 (ingest._parse_activity), the writer of work/changes.csv
 (pipeline._changes_csv), its reader for `--only milestones`

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -44,7 +45,7 @@ def golden_city(tmp_path_factory):
 def forks(monkeypatch):
     """{pid: wait status} of the children processes.beside forks, for the trip
     reader, the changes writer and reader, the city generator, the stats
-    stage's last two Moran fields or a test of its own, on a machine taken to
+    stage's last three Moran fields or a test of its own, on a machine taken to
     have two CPUs.
 
     Afterwards every child must have been reaped and no descriptor left open.
@@ -73,3 +74,27 @@ def forks(monkeypatch):
     yield children
     assert sorted(os.listdir("/dev/fd")) == fds
     assert None not in children.values()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def one_thread_at_every_fork():
+    """Fail the test whose process forks beside another thread: the package
+    pins numpy's BLAS so that every fork copies one thread. Python 3.12 only
+    warns of such a fork, and clears the error a warnings filter makes of it."""
+    if not hasattr(os, "fork"):
+        yield
+        return
+    fork = os.fork
+
+    def checked_fork():
+        try:
+            threads = len(os.listdir("/proc/self/task"))
+        except OSError:  # no /proc: Python's own threads only
+            threads = threading.active_count()
+        if threads > 1:
+            pytest.fail(f"os.fork beside {threads - 1} other thread(s)")
+        return fork()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", checked_fork)
+        yield

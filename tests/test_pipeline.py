@@ -248,7 +248,7 @@ def test_milestones_rerun_memory_per_read_in_two_processes(tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# Moran's I in the stats stage, the last two fields beside it
+# Moran's I in the stats stage, the last three fields beside it
 
 
 MORAN_FIELDS = (*pipeline.MILESTONE_FIELDS, "integrated")
@@ -360,7 +360,7 @@ def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp
     morans_i = pipeline.stats.morans_i
 
     def fail_this_process(values, weights, permutations, seed):
-        if seed[1] == 2:  # the last field this process computes
+        if seed[1] == 1:  # the last field this process computes
             raise RuntimeError("this process fails")
         return morans_i(values, weights, permutations=permutations, seed=seed)
 
@@ -388,7 +388,7 @@ def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, t
     monkeypatch.setattr(pipeline.stats, "morans_i", fail_the_last_field)
     with pytest.raises(RuntimeError, match="the stats stage fails"):
         run(config, only="stats")
-    # the child fails on the last field and exits 1; this process computes the child's two fields again
+    # the child fails on the last field and exits 1; this process computes the child's three fields again
     assert fields == list(range(len(MORAN_FIELDS))) and _exit_codes(forks) == [1]
     assert _stats_bytes(out) == _stats_bytes(golden_city["out"])
 
@@ -914,6 +914,46 @@ def test_the_package_root_imports_nothing():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert done.stdout == "0.1.0 []\n"
+
+
+# A cap on a command's address space, set in its child only: far above what a
+# small city needs, and far below what the commands below ask for. Never run
+# them without it, for they would take that memory from the machine.
+_ADDRESS_SPACE_CAP = 512 << 20
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "synth"])
+def test_cli_out_of_memory_is_one_error_line_and_writes_no_file(tmp_path, command):
+    resource = pytest.importorskip("resource")
+    # a 12-region city with a 9,000-year window, whose daily series ask for
+    # 2.35 GiB, and a 100-year spec, whose trip counts alone would take 2.3 GB
+    paths = generate(ScenarioSpec.from_mapping({"seed": 1, "n_regions": 12}), tmp_path / "city")
+    wide = json.loads(paths["config.json"].read_text())
+    wide["window"] = {"start": "1000-01-01", "end": "9999-12-31"}
+    config = tmp_path / "city" / "wide.json"
+    config.write_text(json.dumps(wide))
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"seed": 1, "n_regions": 1000, "horizon_days": 36500}))
+    argv = {
+        "run": ["--config", config, "--out", tmp_path / "out"],
+        "validate": ["--config", config],
+        "synth": ["--spec", spec, "--out", tmp_path / "out"],
+    }[command]
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
+    done = subprocess.run(
+        [sys.executable, "-m", "recovery_track.cli", command, *map(str, argv)],
+        capture_output=True, text=True, timeout=300, preexec_fn=capped,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: out of memory in {command}\n")
+    assert files() == before
 
 
 def test_cli_synth(tmp_path, capsys):

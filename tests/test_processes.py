@@ -2,7 +2,7 @@
 processes.split_point and processes.line_blocks, the split rule and the
 block reader of the two-process file readers; and processes.staged, files
 moved into place together, with processes.creation_refusal, which foretells
-its refusal to make the directory."""
+its refusal to make the directory; and the one OS thread of every process."""
 
 from __future__ import annotations
 
@@ -11,8 +11,11 @@ import io
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +300,21 @@ def test_creation_refusal_foretells_staged_and_creates_nothing(tmp_path, out):
     else:
         assert refusal is None
     assert (refusal is None) == (out in ("out", "new/out", "linked/out"))
+
+
+def test_the_cli_imports_into_one_os_thread_and_keeps_a_blas_setting_of_its_own():
+    # with numpy's BLAS pinned before numpy is imported, every fork copies one thread
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counting OS threads needs /proc/self/task")
+    probe = "import os, recovery_track.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def probed(**setting):
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120, env={**env, **setting}
+        )
+        return done.stdout.split()
+
+    assert probed() == ["1", "1"]
+    assert probed(OPENBLAS_NUM_THREADS="2")[1] == "2"
