@@ -182,23 +182,31 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
     values = activity.value
     if keep is not None:
         cells, values = cells[keep], values[keep]
-    totals = _cell_fsums(cells, values, n_taken * n_codes * n_days)
-    del cells, values
-    totals = totals.reshape(n_taken, n_codes, n_days)
-    entity_names = [activity.entities[i] for i in np.flatnonzero(taken)]
-    _refuse_overflow(totals, source, entity_names, [f"service type {code!r}" for code in taxonomy.codes], window)
+    n_cells = n_taken * n_codes * n_days
+    try:  # the dense arrays, of float64: a MemoryError names their shape
+        totals = _cell_fsums(cells, values, n_cells)
+        del cells, values
+        totals = totals.reshape(n_taken, n_codes, n_days)
+        entity_names = [activity.entities[i] for i in np.flatnonzero(taken)]
+        _refuse_overflow(totals, source, entity_names, [f"service type {code!r}" for code in taxonomy.codes], window)
 
-    entity_series = np.zeros((n_taken + 1, len(CATEGORIES), n_days))  # last row: no data
-    for c, rows in enumerate(taxonomy.rows):
-        with np.errstate(over="ignore", invalid="ignore"):  # such cells go to math.fsum
-            products = totals[:, rows, :] * taxonomy.weights[rows, None]
-            entity_series[:n_taken, c] = _exact_sums(products)
-    category_names = [f"{category} services" for category in CATEGORIES]
-    _refuse_overflow(entity_series[:n_taken], source, entity_names, category_names, window)
-    series_row = np.full(len(region_rows), n_taken)
-    has_rows = region_rows >= 0
-    series_row[has_rows] = compact[region_rows[has_rows]]
-    return entity_series[series_row], unknown, unmatched
+        entity_series = np.zeros((n_taken + 1, len(CATEGORIES), n_days))  # last row: no data
+        for c, rows in enumerate(taxonomy.rows):
+            with np.errstate(over="ignore"):  # such cells go to math.fsum
+                products = totals[:, rows, :] * taxonomy.weights[rows, None]
+            entity_series[:n_taken, c] = exact_sums(products)
+        category_names = [f"{category} services" for category in CATEGORIES]
+        _refuse_overflow(entity_series[:n_taken], source, entity_names, category_names, window)
+        series_row = np.full(len(region_rows), n_taken)
+        has_rows = region_rows >= 0
+        series_row[has_rows] = compact[region_rows[has_rows]]
+        return entity_series[series_row], unknown, unmatched
+    except MemoryError:
+        kind = "region" if source == SOURCE_TRIP else "Zip"
+        raise SeriesError(
+            f"{source} data: the daily totals of {n_taken:,} {kind}s x {n_codes} service types x {n_days:,} days "
+            f"({n_cells:,} cells, {n_cells * 8 / 2**30:.2f} GiB) do not fit in memory"
+        ) from None
 
 
 def _refuse_overflow(sums, source, entity_names, column_names, window):
@@ -247,7 +255,7 @@ def _two_sum(a, b):
     return total, (a - (total - b_part)) + (b - b_part)
 
 
-def _exact_sums(terms):
+def exact_sums(terms):
     """math.fsum over axis 1 of a (rows, terms, days) array, vectorised.
 
     The terms are added in order with TwoSum, which keeps each rounding error.
@@ -259,11 +267,12 @@ def _exact_sums(terms):
     total = np.zeros((terms.shape[0], terms.shape[2]))
     error = np.zeros_like(total)
     exact = np.ones(total.shape, dtype=bool)
-    for k in range(terms.shape[1]):
-        total, rounding = _two_sum(total, terms[:, k])
-        error, residue = _two_sum(error, rounding)
-        exact &= residue == 0
-    result = total + error
+    with np.errstate(over="ignore", invalid="ignore"):  # such cells fail the check
+        for k in range(terms.shape[1]):
+            total, rounding = _two_sum(total, terms[:, k])
+            error, residue = _two_sum(error, rounding)
+            exact &= residue == 0
+        result = total + error
     redo = ~exact | ((terms == 0) & np.signbit(terms)).any(axis=1)
     for row, day in zip(*np.nonzero(redo)):
         result[row, day] = _fsum(terms[row, :, day])

@@ -8,10 +8,9 @@ Every function takes and returns arrays whose rows follow one region order.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .aggregate import exact_sums
 from .errors import MetricError
 
 CATEGORY_LABELS = ("early", "mild", "late", "delayed")
@@ -32,14 +31,14 @@ def min_max_normalize(values) -> np.ndarray:
 
 
 def integrated_metric(normalized) -> np.ndarray:
-    """Arithmetic mean of each row's four normalized milestone values."""
+    """Arithmetic mean of each row's four normalized milestone values, summed exactly."""
     normalized = np.asarray(normalized, dtype=float)
     if normalized.ndim != 2 or normalized.shape[1] != 4:
         raise MetricError(f"integrated metric needs rows of exactly 4 values, got shape {normalized.shape}")
     outside = ~((normalized >= 0.0) & (normalized <= 1.0))
     if outside.any():
         raise MetricError(f"normalized value {normalized[outside][0]} outside [0, 1]")
-    return np.array([math.fsum(row) / 4.0 for row in normalized.tolist()])
+    return exact_sums(normalized[:, :, None])[:, 0] / 4.0
 
 
 def quartiles(values) -> tuple[float, float, float]:

@@ -43,6 +43,7 @@ staged can make `out_dir`.
 from __future__ import annotations
 
 import errno
+import itertools
 import math
 import os
 import pickle
@@ -50,7 +51,7 @@ import shutil
 import signal
 import stat
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # Where the two producers (cells of a key x day matrix), the stats stage (pair
@@ -214,24 +215,45 @@ def staged(out_dir: Path, error):
     Every target's directory is made and every target checked before the
     first move, so a target that cannot be replaced, such as a directory,
     leaves `out_dir` as it was, and so does a block that raises. The staging
-    directory is removed on any outcome. An OSError ends in error(message),
-    naming the path.
+    directory is removed on any outcome; where the files do not all move in,
+    so is every directory made here that is left empty. An OSError ends in
+    error(message), naming the path.
     """
+    made = _missing(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     except OSError as exc:
+        _remove_empty(made)
         raise error(_cannot_create(out_dir, exc.strerror or exc)) from None
+    moved = False
     try:
         yield staging
         names = [path.relative_to(staging) for path in sorted(staging.rglob("*")) if not path.is_dir()]
         for name in names:
+            made += _missing((out_dir / name).parent)
             (out_dir / name).parent.mkdir(parents=True, exist_ok=True)
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
         for name in names:
             os.replace(staging / name, out_dir / name)
+        moved = True
     except OSError as exc:
         raise error(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+        if not moved:
+            _remove_empty(made)
+
+
+def _missing(directory: Path):
+    """`directory` and each of its parents that does not exist, up to the first that
+    does; one that cannot be looked up (os.path.exists) counts as missing."""
+    return list(itertools.takewhile(lambda path: not os.path.exists(path), (directory, *directory.parents)))
+
+
+def _remove_empty(directories):
+    """Remove each of `directories` that is an empty directory, the deepest first."""
+    for path in sorted(directories, key=lambda path: len(path.parts), reverse=True):
+        with suppress(OSError):
+            path.rmdir()

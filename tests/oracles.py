@@ -13,6 +13,9 @@ through the csv module; the package's reader must give the same columns,
 counts and per-line messages for every file. It shares only the result and
 error types with the package.
 
+baseline_mean and integrated_mean total one row at a time with math.fsum;
+the package's vectorised exact sums must equal them bit for bit.
+
 analytic_recovery_day is the exact-rational recovery day of synth's linear
 ramp, which the generator's scanned truth must match. smooth_truncated is
 synth's truth smoothing one window at a time, which its sliding windows must
@@ -262,6 +265,16 @@ def moving_average(values, half_width=3, boundary="truncate"):
 def percent_change(smoothed, baseline):
     """(smoothed - baseline) / baseline."""
     return (smoothed - baseline) / baseline
+
+
+def baseline_mean(days, n_days):
+    """One series' baseline: the math.fsum of its baseline days over their count."""
+    return math.fsum(days) / n_days
+
+
+def integrated_mean(normalized):
+    """One region's integrated metric: the math.fsum of its four normalized values over 4."""
+    return math.fsum(normalized) / 4.0
 
 
 def weighted_measurement(values, taxonomy):

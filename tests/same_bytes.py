@@ -8,7 +8,8 @@ agree:
 
 - every file of `synth`, `run` and `run --only milestones` on a 1000-region
   city and a 200-region, 365-day city, and `--only milestones` equal to `run`;
-  the seven `synth` files must also keep the sha256 recorded in SYNTH_DIGESTS;
+  the seven `synth` files must also keep the sha256 recorded in SYNTH_DIGESTS,
+  and the seven artifacts of `run` those in RUN_DIGESTS;
 - the refusal of the 200-region city's work/changes.csv damaged at three
   quarters, in the child's half: a line dropped, then a byte that is not UTF-8;
 - every artifact of the 1000-region city with one trip count of trips.csv,
@@ -87,6 +88,31 @@ SYNTH_DIGESTS = {
     },
 }
 
+# sha256 of the seven artifacts `run` writes for the two cities of cities(),
+# on one CPU and on all: the golden bundle pins only the five report
+# artifacts of a 200-region city, so these guard the work files, and every
+# artifact at real size, through any rewrite of the series stage
+RUN_DIGESTS = {
+    '{"n_regions": 1000}': {
+        "coverage_report.json": "8f50a4a481abbf883387af0fc7aa9f8b72d79a44fe997c50607e29a7da3303aa",
+        "lorenz.csv": "5521249381b2858664244d69f880337b8d23ffcff9ca53d6fb0d379c110c953f",
+        "metric.csv": "accea86fe56184e2ed14c367c8103432beac8667333f62ae5139459fef5a0c4c",
+        "milestones.csv": "7fb8cf6339feeaff55681ebf649a500ef8573401015a2be27ca4f5d4b2ebdc74",
+        "stats.json": "1f95cc0692c641a0b15d22e862f175ee06b46114b62fe8a75a89faf5ef86f4c5",
+        "work/baselines.csv": "b685c97ee18a773d49be041ca858c518d63710c422e6b6e0878fbfa5cc2823c4",
+        "work/changes.csv": "dd49dc811cf824d4c095e6d0f2b878c16cd836ea5cba92bd273aa185c7096bba",
+    },
+    '{"n_regions": 200, "horizon_days": 365, "censored_fraction": 0.2}': {
+        "coverage_report.json": "7379712df589394553751e25419e0722736b1f35244086af24f3369a4241f069",
+        "lorenz.csv": "2b23b704fdf3e7ee587715268f61a89ee71719b177743b9b7210495b48d1119a",
+        "metric.csv": "0fbd3936651d75b336f245f0abb8959a420af16810f9ff6e69a6ab2b5f05b790",
+        "milestones.csv": "3719a69e1f5d293052bd7aa452b7d3996b33caf64c84b109c1456b97249cf53f",
+        "stats.json": "c731bf9d53e3aeab8751adae5e80f7c2a99b794318fef62aeabc127f348569b3",
+        "work/baselines.csv": "83e9fea23943774366eccd2459ce5d594e7a8d98b63d43d2dae155abf546fffe",
+        "work/changes.csv": "f7613a28960fca9c0dae6af4c602bebf09ee1f65605b85070ae9dfa20ac834e5",
+    },
+}
+
 # sha256 of the files the stats stage writes for the stats-perm city of
 # stats_perm() after `run --only stats --permutations 999`: the unit tests pin
 # seeded permutation p-values on cities of 30 and 200 regions only
@@ -151,7 +177,7 @@ def refused(what, args, expected):
 
 def cities(tmp):
     """Both cities through synth, run and --only milestones, on one CPU and on
-    all; synth's files as SYNTH_DIGESTS records them."""
+    all; synth's files as SYNTH_DIGESTS records them, run's as RUN_DIGESTS does."""
     for n, (spec, crosses) in enumerate([
         ('{"n_regions": 1000}', "city/trips.csv"),
         ('{"n_regions": 200, "horizon_days": 365, "censored_fraction": 0.2}', "out/work/changes.csv"),
@@ -169,6 +195,7 @@ def cities(tmp):
         big(tmp / str(n) / "all" / crosses)
         for cpus in CPUS:
             same(f"{spec}: synth on {cpus} CPU(s) and SYNTH_DIGESTS", sums[cpus, "synth"], SYNTH_DIGESTS[spec])
+            same(f"{spec}: run on {cpus} CPU(s) and RUN_DIGESTS", sums[cpus, "full"], RUN_DIGESTS[spec])
         for kind in ("synth", "full", "milestones"):
             same(f"{spec}: {kind} on one CPU and on all", sums["one", kind], sums["all", kind])
         same(f"{spec}: run and run --only milestones", sums["all", "full"], sums["all", "milestones"])

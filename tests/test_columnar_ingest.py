@@ -32,7 +32,7 @@ from recovery_track.aggregate import (
     CATEGORIES,
     SOURCES,
     _cell_fsums,
-    _exact_sums,
+    exact_sums,
     build_daily_series,
     load_taxonomy,
 )
@@ -473,7 +473,7 @@ def test_exact_sums_equal_fsum_bit_for_bit():
             terms[10:20, :3] = np.array([2.0**53, 1.0, 2.0**-60])[:, None]
             terms[20:30, :3] = np.array([1.0, 2.0**-60, 2.0**53])[:, None]
         with np.errstate(invalid="ignore"):
-            got = _exact_sums(terms)
+            got = exact_sums(terms)
         for row in range(terms.shape[0]):
             for day in range(terms.shape[2]):
                 want = math.fsum(terms[row, :, day].tolist())

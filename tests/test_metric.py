@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import quantile_linear
+from oracles import integrated_mean, quantile_linear
 from recovery_track.errors import MetricError
 from recovery_track.metric import (
     build_metric_table,
@@ -56,6 +56,19 @@ def test_integrated_metric_examples():
     assert values[0] == 0.0
     assert values[1] == pytest.approx(0.5, abs=1e-15)
     assert values[2] == 1.0
+
+
+def test_integrated_metric_equals_the_fsum_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    normalized = np.ldexp(rng.uniform(0.5, 1.0, (240, 4)), rng.integers(-60, 1, (240, 4)))
+    normalized[0::6] = rng.integers(1, 1 << 20, normalized[0::6].shape) * 5e-324  # subnormals
+    normalized[1::6] = [1.0, 2.0**-53, 2.0**-53, 0.0]  # a plain sum rounds 1 + 2**-53 to 1 twice
+    normalized[2::6] = 0.0
+    normalized[3::6] = -0.0
+    normalized[3::12, 1] = 0.0  # -0.0 with 0.0
+    normalized[5::6, rng.integers(0, 4)] = 1.0
+    got = integrated_metric(normalized)
+    assert [value.hex() for value in got.tolist()] == [integrated_mean(row).hex() for row in normalized.tolist()]
 
 
 def test_integrated_metric_validates_input():

@@ -952,8 +952,14 @@ def test_cli_out_of_memory_is_one_error_line_and_writes_no_file(tmp_path, comman
         capture_output=True, text=True, timeout=300, preexec_fn=capped,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
-    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: out of memory in {command}\n")
+    # run and validate name the dense series arrays they could not allocate
+    error = "out of memory in synth" if command == "synth" else (
+        "trip data: the daily totals of 12 regions x 8 service types x 3,287,182 days "
+        "(315,569,472 cells, 2.35 GiB) do not fit in memory"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {error}\n")
     assert files() == before
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_synth(tmp_path, capsys):
@@ -1900,6 +1906,31 @@ def test_cli_rejects_a_daily_total_past_the_float_range(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err == f"error: trip data: the total of {total} for region R001 on 2017-08-02 passes the float range\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "count, total",
+    [
+        # 1e307 trips a day: 21 baseline days pass the float range
+        pytest.param("1" + "0" * 307, "baseline total", id="baseline"),
+        # 5e306 a day: the baseline holds, the running sum over 57 days does not
+        pytest.param("5" + "0" * 306, "smoothing's running total", id="running-sum"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_refuses_a_sum_past_the_float_range(tmp_path, capsys, command, count, total):
+    (tmp_path / "spec.json").write_text(json.dumps({"n_regions": 6, "seed": 1, "horizon_days": 30}))
+    assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "city")]) == 0
+    trips = tmp_path / "city" / "trips.csv"
+    header, *lines = trips.read_text().splitlines()
+    trips.write_text("".join(f"{line}\n" for line in [header, *(line.rsplit(",", 1)[0] + f",{count}" for line in lines)]))
+    listing = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(tmp_path / "city" / "config.json")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: trip data: the {total} of essential services for region R0001 passes the float range\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == listing
 
 
 def test_cli_pipeline_error_exit_code(tmp_path, capsys):

@@ -106,7 +106,7 @@ def test_a_result_never_asked_for_kills_the_child(forks):
 
 
 FAILURES = {  # what a failed child does, and the status it exits with
-    "raise": 1, "interrupt": 1, "exit_after_sending": 3, "short": 0, "no_fork": None, "no_pipe": None,
+    "raise": 1, "interrupt": 1, "memory": 1, "exit_after_sending": 3, "short": 0, "no_fork": None, "no_pipe": None,
 }
 
 
@@ -119,6 +119,8 @@ def test_a_failed_child_leaves_work_to_this_process(monkeypatch, forks, failure)
             raise RuntimeError("the child fails")
         if failure == "interrupt":
             raise KeyboardInterrupt
+        if failure == "memory":
+            raise MemoryError
         if failure == "short":  # all but the end of the result, and a clean exit
             whole = io.BytesIO()
             send(whole, result)
@@ -252,24 +254,29 @@ def test_staged_files_move_in_together(tmp_path):
     assert (out / "work" / "a.csv").read_text() == "a\n"
 
 
-@pytest.mark.parametrize("failure", ["raise", "directory_in_the_way"])
+@pytest.mark.parametrize("failure", ["raise", "directory_in_the_way", "raise_in_a_new_directory"])
 def test_staged_files_leave_the_directory_as_it_was(tmp_path, failure):
     out = tmp_path / "out"
     (out / "kept.csv").parent.mkdir()
     (out / "kept.csv").write_text("old\n")
     (out / "b.json" / "inner").mkdir(parents=True)
+    if failure == "raise_in_a_new_directory":
+        out = tmp_path / "new" / "out"
     before = sorted(tmp_path.rglob("*"))
-    with pytest.raises(PipelineError if failure != "raise" else ValueError) as caught:
+    with pytest.raises(PipelineError if failure == "directory_in_the_way" else ValueError) as caught:
         with processes.staged(out, PipelineError) as staging:
             (staging / "a.csv").write_text("new\n")
             (staging / "kept.csv").write_text("new\n")
-            if failure == "raise":
+            (staging / "a").mkdir()  # out/a is made before b.json is found in the way
+            (staging / "a" / "c.csv").write_text("new\n")
+            if failure != "directory_in_the_way":
                 raise ValueError("the block fails")
             (staging / "b.json").write_text("{}\n")
-    if failure != "raise":
+    if failure == "directory_in_the_way":
         assert str(caught.value) == f"cannot write {out / 'b.json'}: Is a directory"
-    assert sorted(tmp_path.rglob("*")) == before  # no file moved, no staging directory left
-    assert (out / "kept.csv").read_text() == "old\n"
+    # no file moved, and no staging directory, nor any directory staged made, left
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "out" / "kept.csv").read_text() == "old\n"
 
 
 def test_staged_names_the_directory_it_cannot_create(tmp_path):

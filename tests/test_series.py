@@ -6,9 +6,11 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from oracles import seven_term_mean
-from recovery_track.aggregate import SeriesSet
+from conftest import write_csv
+from oracles import activity_from_rows, baseline_mean, seven_term_mean
+from recovery_track.aggregate import SeriesSet, build_daily_series, load_taxonomy
 from recovery_track.errors import SeriesError
+from recovery_track.ingest import broadcast_zip_to_regions
 from recovery_track.series import (
     BOUNDARY_SKIP,
     BOUNDARY_TRUNCATE,
@@ -43,7 +45,7 @@ def _baseline(values, window, baseline_window) -> tuple[float, bool]:
 
 def _smoothed(values, boundary=BOUNDARY_TRUNCATE):
     """The smoothing build_change_series applies, on one series."""
-    return _smooth_rows(np.asarray(values, dtype=float).reshape(1, -1), 3, boundary)[0]
+    return _smooth_rows(np.asarray(values, dtype=float).reshape(1, -1), 3, boundary, [KEY])[0]
 
 
 def _change(values, baseline: float, half_width=0):
@@ -82,6 +84,50 @@ def test_baselines_align_with_keys_and_sum_exactly():
         assert value == math.fsum(row[:21].tolist()) / 21
         assert ok == (value >= DEFAULT_MIN_BASELINE)
     assert 0 < sufficient.sum() < len(keys)
+
+
+def _hard_rows(rng, n_rows):
+    """Seeded series whose exactly rounded totals a plain sum misses: mixed
+    signs and exponents, exact cancellations, subnormals, terms near 1e307,
+    all-zero rows and rows of -0.0."""
+    rows = np.ldexp(rng.uniform(0.5, 1.0, (n_rows, WINDOW.n_days)), rng.integers(-60, 60, (n_rows, WINDOW.n_days)))
+    rows[rng.random(rows.shape) < 0.4] *= -1.0
+    rows[0::6, 1] = -rows[0::6, 0]
+    rows[1::6] = rng.integers(1, 1 << 20, rows[1::6].shape) * 5e-324
+    # alternating signs keep every partial sum far from the float range; 17 terms of 1e307 sum just below it
+    rows[2::6] = rng.uniform(0.5, 1.0, rows[2::6].shape) * 1e307 * (-1.0) ** np.arange(WINDOW.n_days)
+    rows[3::6] = 0.0
+    rows[3::6, :17] = rng.uniform(0.99, 1.0, rows[3::6, :17].shape) * 1e307
+    rows[4::6] = 0.0
+    rows[5::6] = -0.0
+    rows[5::12, ::5] = 0.0  # -0.0 with 0.0 sums to 0.0
+    return rows
+
+
+def test_baselines_equal_the_fsum_reference_bit_for_bit():
+    values = _hard_rows(np.random.default_rng(12), 120)
+    keys = [(f"R{i:03d}", "trip", "essential") for i in range(len(values))]
+    baselines, _ = compute_baselines(SeriesSet(WINDOW, keys, values), BASELINE_WINDOW)
+    want = [baseline_mean(row[: BASELINE_WINDOW.n_days], BASELINE_WINDOW.n_days) for row in values.tolist()]
+    assert [value.hex() for value in baselines.tolist()] == [value.hex() for value in want]
+
+
+def test_the_baselines_of_a_weight_of_minus_zero_are_the_fsum_reference(tmp_path):
+    # grocery is essential's one type: every essential day sums -0.0 terms, whose sign math.fsum decides
+    taxonomy = load_taxonomy(write_csv(
+        tmp_path, "taxonomy.csv", "service_type,category,weight_percent\ngrocery,essential,-0\nretail,non-essential,100\n"
+    ))
+    trips = activity_from_rows(
+        (day, region, code, 7.0) for day in range(0, 30, 3) for region in ("R1", "R2") for code in ("grocery", "retail")
+    )
+    transactions = activity_from_rows([(4, "77001", "grocery", 12.5), (5, "77001", "retail", 3.25)])
+    broadcast = broadcast_zip_to_regions(transactions, {"R1": "77001", "R2": "77001", "R3": "77001"})
+    series_set, _, _ = build_daily_series(trips, transactions, broadcast, taxonomy, WINDOW)
+    baselines, _ = compute_baselines(series_set, BASELINE_WINDOW)
+    want = [baseline_mean(row[: BASELINE_WINDOW.n_days], BASELINE_WINDOW.n_days) for row in series_set.values.tolist()]
+    assert [value.hex() for value in baselines.tolist()] == [value.hex() for value in want]
+    zero = {key for key, value in zip(series_set.key_list, baselines.tolist()) if value == 0}
+    assert zero == {key for key in series_set.key_list if key[2] == "essential"} | {("R3", "trip", "non-essential")}
 
 
 def test_baselines_of_no_keys_are_empty():
