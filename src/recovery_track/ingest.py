@@ -3,7 +3,7 @@
 All files are UTF-8 (a byte order mark before the header is ignored), comma
 separated, first row is a header that must match the documented schema
 exactly, dates are YYYY-MM-DD (parse_iso_date). Every file is read in
-blocks of whole lines (processes.line_blocks), each decoded once. Parsers
+blocks of whole lines (processes.line_blocks). Parsers
 validate every row, collect all violations, and raise a single
 ParseError naming the offending lines, so `accepted + dropped + errored`
 always reconciles with the data row count. A line that is not UTF-8 is a row
@@ -15,12 +15,16 @@ taxonomy (aggregate.load_taxonomy) share one row loop, read_rows, which hands
 each row's stripped fields to the reader's `take`.
 
 trips.csv and transactions.csv are read into columns (`Activity`) in one
-pass: a plain block's values are read from its bytes where _byte_values
-takes them and its lines cut into the date and the "entity,code" pair of
-each, and the csv module splits any other block. Each chunk of rows is
-validated at once, one lookup pass per column: dates, pairs and the values
-not read from bytes are parsed once per distinct text, each pair text to a
-provisional pair id that result() maps into the sorted pair table. Rows are
+pass. A plain block, four fields on every line, is read from its bytes: its
+values where _byte_values takes them, and its date and "entity,code" fields
+by byte keys. Each field's bytes are looked up in a key table of the reader,
+one for dates and one for pairs (_KeyTable), which decodes and parses a key
+only the first time the reader meets it, so once per distinct key per
+reader; no text is made for a field of a line, except for the values that
+_byte_values leaves. The csv module splits any other block, whose dates and
+pairs are parsed once per distinct text. A pair, by text or by key, gets a
+provisional pair id that result() maps into the sorted pair table. Values
+not read from bytes are parsed a chunk at a time (_values). Rows are
 numbered by the file line they start on.
 
 A file of processes.SPLIT_BYTES or more is read in two halves where
@@ -43,6 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import processes
 from .errors import ParseError
@@ -265,6 +270,8 @@ class _ActivityReader(_RowReader):
 
         # "entity,code" text, or (entity, code) texts of the csv module -> provisional pair id
         self.pair_of = _Known(new_pair)
+        # the date and the "entity,code" field of a plain block's lines -> day, pair id (by bytes)
+        self.keys = _KeyTable(self.day_of), _KeyTable(self.pair_of)
         # the kept rows of each chunk, one list per column: day, pair, value
         self.kept = tuple([np.zeros(0, t)] for t in (np.int32, np.int32, np.float64))
 
@@ -272,15 +279,7 @@ class _ActivityReader(_RowReader):
         """Take in the rows of the lines from byte `start` (a line start) to
         byte `stop` (a line start, or None for the end of the file)."""
         header = self.expected_header
-        for lines, dates, pairs, values, texts in _activity_chunks(self, start, stop):
-            day = _resolve(self.day_of, dates)
-            pair = _resolve(self.pair_of, pairs)
-            # values parsed from their texts, once per distinct text; NaN where refused
-            known = _Known(lambda text: self.parse_value(text.strip()), math.nan)
-            if values is None:  # the csv module's chunk
-                values = _resolve(known, texts, np.float64)
-            else:  # each NaN of a plain block's
-                values[list(texts)] = _resolve(known, texts.values(), np.float64)
+        for lines, (day, pair, values), (dates, pairs, texts) in _activity_chunks(self, start, stop):
             bad = (day == _BAD) | (pair == _BAD) | np.isnan(values)
             for i in np.flatnonzero(bad).tolist():
                 if day[i] == _BAD:
@@ -297,7 +296,7 @@ class _ActivityReader(_RowReader):
             self.dropped += int(np.count_nonzero(good)) - accepted
             for pieces, column in zip(self.kept, (day, pair, values)):
                 pieces.append(column if accepted == len(keep) else column[keep])
-            del dates, pairs, values, texts  # free the chunk before the next one is split
+            del dates, pairs, values, texts  # free the chunk before the next one is read
 
     def join(self, part):
         """Take in what _read_part gave of the lines from line self.line_no
@@ -315,6 +314,7 @@ class _ActivityReader(_RowReader):
             pieces.extend(more)
 
     def result(self) -> ParseResult:
+        self.keys = None  # the key tables go before the columns are joined
         day, pair, value = map(_concatenate, self.kept)
         entity_names, code_names = self.names
         used = np.flatnonzero(np.bincount(pair, minlength=len(code_names))).tolist()
@@ -328,17 +328,17 @@ class _ActivityReader(_RowReader):
 
 
 def _activity_chunks(reader: _ActivityReader, start, stop):
-    """(line numbers, dates, pairs, values, value texts) of the data rows
-    between byte offsets `start` and `stop`, a chunk at a time; the header is
-    read where `start` is 0.
+    """(line numbers, (days, provisional pair ids, values), (dates, pairs,
+    value texts)) of the data rows between byte offsets `start` and `stop`, a
+    chunk at a time; the header is read where `start` is 0.
 
-    Fields are the raw texts, unstripped. CRLF line ends are read as LF. A
-    plain block, UTF-8 with four fields on every line, is split by
-    _plain_columns, its values as floats, NaN where the texts by line index
-    hold the value. The csv module reads any other block, giving each pair as
-    an (entity, code) tuple, no values and every value's text, and the rest of
-    the file from the first block that holds a quote or a carriage return not
-    directly before a newline; on the other blocks it would split the same way.
+    Values are NaN where refused. The texts, by row index, are the raw
+    fields, unstripped, for the messages of bad rows. CRLF line ends are read
+    as LF. A plain block, UTF-8 with four fields on every line, is read by
+    _plain_columns. The csv module reads any other block (_row_chunks), and
+    the rest of the file from the first block that holds a quote or a
+    carriage return not directly before a newline; on the other blocks it
+    would split the same way.
     """
     with reading(reader.path), open(reader.path, "rb") as handle:
         header = start == 0
@@ -346,7 +346,7 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             crlf = b"\r" in block
             if b'"' in block or crlf and block.count(b"\r") != block.count(b"\r\n"):
                 rest = itertools.chain([block], processes.line_blocks(handle, 0, None))  # no seek: a pipe cannot
-                yield from _row_chunks(reader.rows_from(rest, reader.line_no, header))
+                yield from _row_chunks(reader, reader.rows_from(rest, reader.line_no, header))
                 reader.line_no = None
                 return
             if crlf:
@@ -360,7 +360,8 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
                 header = False
                 if not block:
                     continue
-            raw = np.frombuffer(block, dtype=np.uint8)
+            # zeros after the last line, which a key read past a short field may take in
+            raw = np.frombuffer(block + bytes(_KEY_BYTES), dtype=np.uint8)
             line_ends = np.flatnonzero(raw == ord("\n"))
             commas = np.flatnonzero(raw == ord(","))
             # three commas a line: each line ends after its third and before the next line's first
@@ -369,12 +370,12 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             ).all()
             columns = None
             if plain:
-                columns = _plain_columns(block, raw, line_ends, commas.reshape(-1, 3), reader.point)
+                columns = _plain_columns(reader, block, raw, line_ends, commas.reshape(-1, 3))
             if columns is not None:
                 reader.total_rows += len(line_ends)
                 yield np.arange(reader.line_no, reader.line_no + len(line_ends)), *columns
             else:
-                yield from _row_chunks(reader.rows_from([block], reader.line_no, False))
+                yield from _row_chunks(reader, reader.rows_from([block], reader.line_no, False))
                 if reader.line_no is None:
                     return
             reader.line_no += len(line_ends)
@@ -382,37 +383,197 @@ def _activity_chunks(reader: _ActivityReader, start, stop):
             reader.check_header(None)
 
 
-def _plain_columns(block, raw, line_ends, commas, point):
-    """The dates, "entity,code" pairs, values and value texts of the lines of
-    a plain block, `commas` the three of each line; None where the block is
-    not UTF-8 (rows_from names each line that is not).
+def _plain_columns(reader: _ActivityReader, block, raw, line_ends, commas):
+    """The (days, provisional pair ids, values) and the (dates, "entity,code"
+    pairs, value texts) of the lines of a plain block, `commas` the three of
+    each line; None where the block is not UTF-8 (rows_from names each line
+    that is not).
 
-    The values are read from the bytes after each third comma (_byte_values,
-    `point` as it takes); the texts, by line index, are those of the values it
-    leaves as NaN, for parse_value. In a copy of the block, each line's first
-    comma becomes a line end, and its third comma and value become blanks
-    after the code, which its stripping removes; one split on line ends gives
-    two texts a line.
+    The date and pair fields are looked up by their bytes in the reader's key
+    tables, which decode a field only the first time they meet it. The values
+    are read from the bytes after each third comma (_byte_values, where the
+    reader's `point` lets it read a point); the texts of those it leaves as
+    NaN are cut out of the block at once and parsed by _values. The texts
+    given back decode a line's field when asked for.
     """
-    values = _byte_values(raw, commas[:, 2] + 1, line_ends, point)
+    starts = np.concatenate(([0], line_ends[:-1] + 1))
+    fields = (
+        _Fields(block, starts, commas[:, 0]),
+        _Fields(block, commas[:, 0] + 1, commas[:, 2]),
+        _Fields(block, commas[:, 2] + 1, line_ends),
+    )
+    windows = sliding_window_view(raw, _KEY_BYTES)
+    values = _byte_values(raw, commas[:, 2] + 1, line_ends, reader.point)
     left = np.flatnonzero(np.isnan(values))
     # the bytes of each value left and its line end, `size` from its third comma on, at one index
     size = line_ends[left] - commas[left, 2]
     at = np.arange(size.sum()) + np.repeat(commas[left, 2] + 1 - np.cumsum(size) + size, size)
-    cut = bytearray(block)
-    view = np.frombuffer(cut, dtype=np.uint8)
-    view[commas[:, 0]] = ord("\n")
-    for k in range(min((line_ends - commas[:, 2]).max(), 17)):  # 17 holds a comma and a value read
-        view[np.minimum(commas[:, 2] + k, line_ends - 1)] = ord(" ")
-    view[at] = ord(" ")
-    view[line_ends[left]] = ord("\n")
     try:
-        fields = cut.decode("utf-8").split("\n")
+        day, pair = (table.resolve(windows, column) for table, column in zip(reader.keys, fields))
         texts = str(raw[at], "utf-8").split("\n")
     except UnicodeDecodeError:
         return None
-    fields.pop()  # after the last line end
-    return fields[0::2], fields[1::2], values, dict(zip(left.tolist(), texts))
+    texts.pop()  # after the last line end
+    values[left] = _values(reader.parse_value, texts)
+    return (day, pair, values), fields
+
+
+class _Fields:
+    """The texts of one field of a plain block's lines, by line index, each
+    decoded when asked for: block[starts[i]:stops[i]]."""
+
+    def __init__(self, block, starts, stops):
+        self.block = block
+        self.starts = starts
+        self.stops = stops
+
+    def __getitem__(self, i):
+        return self.block[self.starts[i] : self.stops[i]].decode("utf-8")
+
+
+# A date or "entity,code" field of up to _KEY_BYTES bytes is looked up by its
+# bytes, as _KEY_BYTES // 8 little-endian words, each byte past its width 0; a
+# longer field by its text.
+_KEY_BYTES = 24
+_KEY_WORDS = _KEY_BYTES // 8
+# Lines apart of the fields that _KeyTable.resolve looks up first
+_SAMPLE_STRIDE = 64
+# the low k bytes of a word, by k from 0 to 8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# an odd multiplier a word, for _key_hash
+_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
+
+
+def _key_hash(words: np.ndarray) -> np.ndarray:
+    """A multiplicative hash of each key, `words` its words by row, as uint64,
+    whose top bits pick a table slot. Words that are 0 add nothing, so a key
+    hashes the same whatever the number of words it is read as. Arrays only:
+    a numpy scalar warns where the product wraps."""
+    hashes = words[0] * _MULTIPLIERS[0]
+    for j in range(1, len(words)):
+        hashes += words[j] * _MULTIPLIERS[j]
+    return hashes
+
+
+class _KeyTable:
+    """known[text] of the fields of one column of plain blocks, looked up by
+    the fields' bytes, so that a field is decoded only the first time it is met.
+
+    An open-addressing table, linearly probed, of the distinct fields of up to
+    _KEY_BYTES met so far: each one's words and width, with known[its text].
+    A key is found only where both its words and its width equal the stored
+    ones, never by its hash alone. At most a quarter of the slots are taken:
+    the table doubles as keys come.
+    """
+
+    def __init__(self, known: _Known):
+        self.known = known
+        self.count = 0
+        self._clear(64)
+
+    def _clear(self, size):
+        self.words = np.zeros((_KEY_WORDS, size), np.uint64)
+        self.widths = np.full(size, -1, np.int64)  # -1: an empty slot
+        self.values = np.zeros(size, np.int32)
+        self.shift = np.uint64(64 - (size.bit_length() - 1))
+
+    def resolve(self, windows, fields: _Fields) -> np.ndarray:
+        """known[text] of every field as int32, `windows` the block's
+        _KEY_BYTES-byte windows. A field met for the first time is decoded,
+        and raises UnicodeDecodeError where it is not UTF-8.
+
+        The fields _SAMPLE_STRIDE lines apart are looked up first: the key of
+        many lines, such as a date of a date-sorted file, is then stored
+        before the rest are looked up, and few of them miss."""
+        stride = slice(None, None, _SAMPLE_STRIDE)
+        self._lookup(windows, _Fields(fields.block, fields.starts[stride], fields.stops[stride]))
+        return self._lookup(windows, fields)
+
+    def _lookup(self, windows, fields: _Fields) -> np.ndarray:
+        """known[text] of every field, storing the keys not yet stored."""
+        width = fields.stops - fields.starts
+        narrowest, widest = int(width.min()), int(width.max())
+        # words past the widest short field are 0 in every key: only the first `used` are read,
+        # one row of words each
+        used = max(1, min(_KEY_WORDS, -(-widest // 8)))
+        words = np.ascontiguousarray(windows[fields.starts].view("<u8")[:, :used].T)
+        for j in range(used):
+            if narrowest < 8 * (j + 1):  # a field ends before this word does: zero the bytes after it
+                # one mask for all where the widths are equal, as the dates of most files are
+                bytes_in = min(widest - 8 * j, 8) if narrowest == widest else np.clip(width - 8 * j, 0, 8)
+                words[j] &= _LOW_BYTES[bytes_in]
+        slot = self._home(words)
+        missed = self._find(words, width, slot)
+        value = self.values[slot]
+        if len(missed):
+            long = missed[width[missed] > _KEY_BYTES]
+            value[long] = [self.known[fields[i]] for i in long.tolist()]
+            self._insert(words, width, slot, missed[width[missed] <= _KEY_BYTES], value, fields)
+        return value
+
+    def _insert(self, words, width, slot, rows, value, fields=None):
+        """Store the keys of `rows`, probed to the empty slots `slot[rows]`,
+        and set value[rows]. Rows probed to the same empty slot claim it, and
+        one of them, its head, is stored there, with known[its text] where
+        `fields` is given, else its value; then the rows probe again, and those
+        of a head's key find it. So each key is stored, and decoded, once."""
+        while len(rows):
+            claims = np.empty(len(self.widths), np.intp)
+            claims[slot[rows]] = rows
+            heads = rows[claims[slot[rows]] == rows]
+            if 4 * (self.count + len(heads)) > len(self.widths):
+                self._grow(4 * (self.count + len(heads)))
+                slot[rows] = self._home(words[:, rows])
+            else:
+                if fields is not None:
+                    value[heads] = [self.known[text] for text in [fields[i] for i in heads.tolist()]]
+                taken = slot[heads]
+                self.words[: len(words), taken] = words[:, heads]
+                self.widths[taken] = width[heads]
+                self.values[taken] = value[heads]
+                self.count += len(heads)
+            probed = slot[rows]
+            missed = self._find(words[:, rows], width[rows], probed)
+            slot[rows] = probed
+            found = np.ones(len(rows), bool)
+            found[missed] = False
+            value[rows[found]] = self.values[probed[found]]
+            rows = rows[missed]
+
+    def _grow(self, keys):
+        """Double the table until `keys` fit in it, and store its keys again."""
+        size = len(self.widths)
+        while size < keys:
+            size *= 2
+        taken = np.flatnonzero(self.widths >= 0)
+        words, width, value = self.words[:, taken], self.widths[taken], self.values[taken]
+        self._clear(size)
+        self.count = 0
+        slot = self._home(words)
+        self._insert(words, width, slot, self._find(words, width, slot), value)
+
+    def _home(self, words):
+        return (_key_hash(words) >> self.shift).astype(np.intp)
+
+    def _find(self, words, width, slot):
+        """Probe each key from `slot` on, to the slot it is stored in, or else
+        to the first empty one; the rows of the keys not stored."""
+        missed = []
+        rows = np.flatnonzero(~self._holds(words, width, slot))
+        while len(rows):
+            empty = self.widths[slot[rows]] < 0
+            missed.append(rows[empty])
+            rows = rows[~empty]
+            slot[rows] = (slot[rows] + 1) & (len(self.widths) - 1)
+            rows = rows[~self._holds(words[:, rows], width[rows], slot[rows])]
+        return np.concatenate(missed) if missed else rows
+
+    def _holds(self, words, width, slot):
+        """Whether each slot holds its row's key."""
+        same = self.widths[slot] == width
+        for j in range(len(words)):
+            same &= self.words[j][slot] == words[j]
+        return same
 
 
 def _read_part(reader: _ActivityReader, mid):
@@ -425,12 +586,16 @@ def _read_part(reader: _ActivityReader, mid):
     return part.accepted, part.dropped, part.total_rows, part.errors, part.names, part.kept
 
 
-def _row_chunks(records):
-    """Columns of (line number, four fields) records, _CHUNK_ROWS at a time:
-    line numbers, dates, (entity, code) pairs, no values and the value texts."""
+def _row_chunks(reader: _ActivityReader, records):
+    """The columns of (line number, four fields) records, as _activity_chunks
+    gives them, _CHUNK_ROWS at a time: each pair is an (entity, code) tuple,
+    and dates and pairs are looked up once per distinct text in the reader's
+    caches."""
     while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
         lines, dates, entities, codes, texts = zip(*((n, *fields) for n, fields in chunk))
-        yield np.array(lines, dtype=np.int64), dates, list(zip(entities, codes)), None, texts
+        pairs = list(zip(entities, codes))
+        columns = _resolve(reader.day_of, dates), _resolve(reader.pair_of, pairs), _values(reader.parse_value, texts)
+        yield np.array(lines, dtype=np.int64), columns, (dates, pairs, texts)
 
 
 def _concatenate(pieces: list) -> np.ndarray:
@@ -469,6 +634,24 @@ def _resolve(known: _Known, texts, dtype=np.int32) -> np.ndarray:
     return np.fromiter(map(known.__getitem__, texts), dtype, len(texts))
 
 
+def _values(parse_value, texts) -> np.ndarray:
+    """parse_value(text.strip()) of every value text as float64, NaN where
+    refused. Amounts are read by one float() pass over the texts where it
+    takes them all, and refused as _amount refuses them; float() ignores the
+    very whitespace that strip() removes from a text it takes. Trip counts,
+    and the amounts of a chunk where float() raises, are parsed once per
+    distinct text."""
+    if parse_value is _amount:
+        try:
+            amounts = np.fromiter(map(float, texts), np.float64, len(texts))
+        except ValueError:
+            pass
+        else:
+            amounts[~((amounts >= 0) & (amounts < math.inf))] = math.nan  # NaN, negative or infinite
+            return amounts
+    return _resolve(_Known(lambda text: parse_value(text.strip()), math.nan), texts, np.float64)
+
+
 def _refusal(parse_value, text) -> str:
     """The message `parse_value` refuses `text` with."""
     try:
@@ -502,19 +685,26 @@ def _byte_values(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, point: 
     lengths = stops - starts
     refused = lengths > 15 + point
     whole = np.zeros(len(stops), np.int64)
-    points = np.zeros(len(stops), np.int64)  # points read so far
-    places = np.zeros(len(stops), np.int64)  # digits read after a point
+    if point:
+        points = np.zeros(len(stops), np.int64)  # points read so far
+        places = np.zeros(len(stops), np.int64)  # digits read after a point
     for k in range(min(lengths.max(), 15 + point)):
         # the k-th byte of each value, or its last for a shorter one; a byte below "0" wraps past 9
         byte = raw[np.minimum(starts + k, stops - 1)]
         digit = byte - np.uint8(ord("0"))
-        dot = (byte == ord(".")) & point
         read = lengths > k
-        refused |= read & (digit > 9) & ~dot
-        points += dot & read
-        read &= ~dot
-        places += read & (points > 0)
+        if point:
+            dot = byte == ord(".")
+            refused |= read & (digit > 9) & ~dot
+            points += dot & read
+            read &= ~dot
+            places += read & (points > 0)
+        else:
+            refused |= read & (digit > 9)
         whole = np.where(read, whole * 10 + digit, whole)
+    if not point:
+        refused |= lengths < 1
+        return np.where(refused, math.nan, whole)
     digits = lengths - points
     refused |= (points > 1) | (digits < 1) | (digits > 15)
     return np.where(refused, math.nan, whole / _POWERS[places])

@@ -16,6 +16,7 @@ import math
 import os
 import random
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -387,6 +388,117 @@ def test_random_files_match_the_row_loop_at_any_block_size(tmp_path, monkeypatch
         monkeypatch.setattr(processes, "BLOCK_BYTES", rng.choice([16, 50, 256, 4096, 1 << 20]))
         path = write_csv(tmp_path, f"{trial}.csv", _random_file(rng, kind))
         _check_against_rows(path, kind)
+
+
+# ---------------------------------------------------------------------------
+# byte keys: a plain block's date and "entity,code" fields looked up by their bytes
+
+BLOCK_SIZES = (16, 64, 256, 4096, 1 << 20)
+
+
+def _key_cases(kind):
+    """{name: rows} whose date and "entity,code" fields sit at the edges of
+    the key tables' words (ingest._KEY_BYTES a key, 8 a word)."""
+    rng = random.Random(f"keys-{kind}")
+    base = _random_rows(rng, kind, 200)
+
+    def named(entities, codes):
+        return [[row[0], rng.choice(entities), rng.choice(codes), row[3]] for row in base]
+
+    long = ingest._KEY_BYTES
+    every = [  # each (entity, code) of 10 names and 6 codes on each of 17 days, shuffled below
+        [(WINDOW.start + timedelta(days=day)).isoformat(), f"E{entity:02d}", code, str(entity + day)]
+        for day in range(-2, 15) for entity in range(10) for code in CODES
+    ]
+    rng.shuffle(every)
+    return {
+        # pair fields that share their first 8 or 16 bytes ("ABCDEFG," is 8), and one word more or less
+        "prefix": named(["ABCDEFG", "ABCDEFGH", "ABCDEFGHIJKLMNO", "ABCDEFGHIJKLMNOP"], ["x", "xy", "x" * 8, "x" * 9]),
+        # pair fields of a key's width, one byte under and over, and far over; names of two-byte characters
+        "long": named(["L" * (long - 3), "L" * (long - 2), "L" * (long - 1), "L" * 40, "L" * 40 + "M"], ["x", "é" * 10]),
+        # padded dates as wide as a key, and wider
+        "long_dates": [[row[0].ljust(rng.choice([long - 1, long, long + 1, 40])), *row[1:]] for row in base],
+        # a NUL byte is a character of the name: its bytes differ from those of the name without it
+        "nul": named(["R001", "R001\x00", "R00\x001", "\x00R001"], ["grocery", "grocery\x00"]),
+        "shuffled": every,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("case", ["prefix", "long", "long_dates", "nul", "shuffled"])
+def test_byte_keys_match_the_row_loop(tmp_path, monkeypatch, forks, kind, case):
+    if case == "nul" and sys.version_info < (3, 11):
+        pytest.skip("the csv module of the oracle reads NUL from Python 3.11 on")
+    path = _write(tmp_path, f"{case}.csv", kind, _key_cases(kind)[case])
+    reads = _csv_reads(monkeypatch)
+    for block_bytes, split in itertools.product(BLOCK_SIZES, (1 << 62, 1)):  # one process, then two
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(processes, "SPLIT_BYTES", split)
+        _check_against_rows(path, kind)
+    assert reads == [] and len(forks) == len(BLOCK_SIZES) and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_keys_in_one_slot_are_told_apart_by_their_bytes(tmp_path, monkeypatch, forks, kind):
+    # every key hashes to slot 0: each is found by its words and width alone
+    monkeypatch.setattr(ingest, "_key_hash", lambda words: np.zeros_like(words[0]))
+    for case, rows in _key_cases(kind).items():
+        if case == "nul" and sys.version_info < (3, 11):
+            continue
+        path = _write(tmp_path, f"{case}.csv", kind, rows)
+        for block_bytes, split in itertools.product((256, 1 << 20), (1 << 62, 1)):
+            monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(processes, "SPLIT_BYTES", split)
+            _check_against_rows(path, kind)
+    assert len(forks) >= 8 and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_keys_first_met_in_the_second_half(tmp_path, monkeypatch, forks, kind):
+    # the child's reader meets dates, names and codes that this process's never does
+    rng = random.Random(f"second-{kind}")
+    rows = [row for row in _random_rows(rng, kind, 400) if row[0] < "2017-08-20"]
+    late = [[f"2017-08-{rng.randrange(20, 32)}", f"{row[1]}{rng.choice('XY')}", row[2], row[3]] for row in rows[:60]]
+    late += [[row[0], row[1], rng.choice(["florist", "x" * 30]), row[3]] for row in rows[60:90]]
+    text = "\n".join(_lines(kind, rows + late)) + "\n"
+    path = write_csv(tmp_path, "late.csv", text)
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
+    assert processes.split_point(path) < len("\n".join(_lines(kind, rows)))
+    for block_bytes, split in itertools.product(BLOCK_SIZES, (1 << 62, 1)):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(processes, "SPLIT_BYTES", split)
+        _check_against_rows(path, kind)
+    assert len(forks) == len(BLOCK_SIZES) and _failed(forks) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["date", "entity", "code"])
+def test_a_new_key_that_is_not_utf8_after_known_keys(tmp_path, monkeypatch, forks, kind, field):
+    # blocks of known keys, then a field with a byte that is not UTF-8: its
+    # block goes to the csv module, and the line is a row error
+    rows = _random_rows(random.Random(kind), kind, 300)
+    at = 250
+    lines = [line.encode() for line in _lines(kind, rows)]
+    bad = lines[at].split(b",")
+    bad[field] += b"\xff"
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"\n".join([*lines[:at], b",".join(bad), *lines[at + 1:]]) + b"\n")
+    expected = parse_activity_rows(_write(tmp_path, "clean.csv", kind, rows[: at - 1] + rows[at:]), WINDOW,
+                                   *PARSERS[kind][1:])
+    reads = _csv_reads(monkeypatch)
+    for block_bytes, split in itertools.product((64, 256, 1 << 20), (1 << 62, 1)):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(processes, "SPLIT_BYTES", split)
+        with pytest.raises(ParseError) as caught:
+            PARSERS[kind][0](path, WINDOW)
+        assert caught.value.row_errors == [(at + 1, "not UTF-8 text")]
+        assert (caught.value.accepted, caught.value.dropped, caught.value.total_rows) == (
+            expected.accepted, expected.dropped, expected.total_rows + 1,
+        )
+        if split > 1:  # the child's reads are its own: line `at` is in its half
+            assert reads and max(reads) <= at + 1  # the line's block, and no block after it
+        reads.clear()
+    assert len(forks) == 3 and _failed(forks) == 0
 
 
 # ---------------------------------------------------------------------------
