@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SeriesError, TaxonomyError
-from .ingest import Activity, BroadcastResult, number, read_rows
 from .windows import DateWindow
+
+if TYPE_CHECKING:
+    from .ingest import Activity, BroadcastResult
 
 ESSENTIAL = "essential"
 NON_ESSENTIAL = "non-essential"
@@ -48,6 +51,8 @@ def load_taxonomy(path=None, renormalize: bool = False) -> ServiceTaxonomy:
     """Load a taxonomy CSV; `path=None` loads the bundled default. With
     `renormalize`, each category's weights are divided by their math.fsum;
     a category with codes whose weights sum to zero is refused."""
+    from .ingest import number, read_rows  # not at the top: `--only milestones` loads no parser
+
     if path is None:
         path = Path(__file__).with_name("data") / "taxonomy.csv"
 

@@ -1,4 +1,10 @@
-"""Batch command-line entry points: run, validate, synth."""
+"""Batch command-line entry points: run, validate, synth.
+
+A command imports the modules it runs at its start, before any fork
+(processes.beside), and no others: `generate` imports `synth`, so `run` and
+`validate` never load it, and `pipeline` imports the parsers and the
+statistics in the stages that call them.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,6 @@ from pathlib import Path
 from .config import load_config
 from .errors import ConfigError, RecoveryTrackError
 from .pipeline import STAGES, run, validate
-from .synth import ScenarioSpec, generate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,9 +64,16 @@ def _cmd_validate(args) -> str:
     return json.dumps(validate(config), indent=2) + "\n"
 
 
+def generate(spec_path, out_dir) -> dict:
+    """synth.generate of the scenario spec file at `spec_path`, importing synth, which no other
+    command loads. perfbench/tracer.py times the synth command by this name."""
+    from . import synth
+
+    return synth.generate(synth.ScenarioSpec.from_json(spec_path), out_dir)
+
+
 def _cmd_synth(args) -> str:
-    spec = ScenarioSpec.from_json(args.spec)
-    paths = generate(spec, args.out)
+    paths = generate(args.spec, args.out)
     return "".join(f"wrote {paths[name]}\n" for name in sorted(paths))
 
 

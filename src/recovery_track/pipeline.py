@@ -30,6 +30,13 @@ precision; report artifacts round floats to 6 significant digits so the
 golden bundle is stable. work/changes.csv is rendered in two halves, split
 at the middle key, the second beside the run (_changes_csv): by a forked
 child where it is large; the text is the one a single process renders.
+
+The parsers (`ingest`) and the statistics (`stats`) are imported by the
+functions that call them, first at the start of a stage, before any fork
+(processes.beside): the series stage and validate() begin by reading an
+input (_read_input), and the stats stage imports both on entry. A forked
+child finds every module it calls loaded, `--only milestones` and
+`--only metric` load neither module, and validate() does not load `stats`.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import aggregate, ingest, metric, milestones, processes, series, stats
+from . import aggregate, metric, milestones, processes, series
 from .config import INPUT_NAMES, PipelineConfig
 from .errors import MetricError, ParseError, PipelineError, SeriesError, StatsError, TaxonomyError
 from .milestones import MILESTONE_FIELDS, change_threshold
@@ -101,6 +108,8 @@ def _json_text(obj) -> str:
 def _read_input(config: PipelineConfig, name: str):
     """Input `name`, one of config.INPUT_NAMES or "taxonomy", parsed: both commands read each here.
     Parsers are looked up as called, so wrappers set on their modules (perfbench/tracer.py) run."""
+    from . import ingest
+
     if name == "taxonomy":
         return aggregate.load_taxonomy(config.taxonomy, renormalize=config.renormalize_weights)
     path = config.inputs[name]
@@ -124,6 +133,8 @@ def _series(config: PipelineConfig, taxonomy, parsed: dict, unknown_policy):
     The trips, transactions and overlaps are taken out of `parsed` and freed
     once the daily series are built.
     """
+    from . import ingest
+
     trips, transactions, overlaps = (parsed.pop(name) for name in _SERIES_INPUTS)
     broadcast = ingest.broadcast_zip_to_regions(transactions.records, ingest.resolve_crosswalk(overlaps.records))
     series_set, unknown_codes, unmatched = aggregate.build_daily_series(
@@ -445,6 +456,8 @@ def parse_metric_artifact(rows):
 
 
 def _moran_entry(values, weights, permutations, seed) -> dict:
+    from . import stats
+
     try:
         result = stats.morans_i(values, weights, permutations=permutations, seed=seed)
     except StatsError as exc:
@@ -482,6 +495,8 @@ def _stage_stats(config: PipelineConfig, artifacts: _RunArtifacts) -> dict:
     keeps its order. A field's numbers do not depend on where it is
     computed, so the bytes are the same in one process or two.
     """
+    from . import ingest, stats
+
     regions, durations = parse_milestones_artifact(artifacts.rows(MILESTONES_ARTIFACT), config.horizon_days)
     metric_regions, integrated = parse_metric_artifact(artifacts.rows(METRIC_ARTIFACT))
     if metric_regions != regions:

@@ -1,7 +1,11 @@
-"""Which lines of src/recovery_track/ the tier-1 suite never runs.
+"""Which lines of src/recovery_track/ the tier-1 suite, or a part of it, never runs.
 
-Run as `python tests/line_trace.py`; it takes no options. It runs the
-tier-1 suite in this process under a sys.settrace hook, installed for this
+Run as `python tests/line_trace.py [TEST ...]`. Without arguments it runs
+the whole tier-1 suite. Each TEST is a test file, directory or node id as
+pytest takes it, relative to the repository root; the lines listed are then
+those that the tests named never run, as with
+`python tests/line_trace.py tests/test_acceptance.py`. It runs the tests in
+this process under a sys.settrace hook, installed for this
 thread and for every thread the suite starts, that records the lines run in
 the package's source files only. A forked child or a subprocess is not
 traced, so lines that only those run are listed as never run. Executable
@@ -34,7 +38,7 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def main() -> int:
+def main(tests) -> int:
     files = {str(path): path for path in sorted(PACKAGE.rglob("*.py"))}
     ran = {name: set() for name in files}
 
@@ -59,7 +63,7 @@ def main() -> int:
     threading.settrace(hook)
     sys.settrace(hook)
     try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", str(ROOT / "tests")])
+        status = pytest.main(["-q", "--continue-on-collection-errors", *(tests or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -77,4 +81,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

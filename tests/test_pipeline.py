@@ -22,12 +22,14 @@ from pathlib import Path
 
 import pytest
 
+import recovery_track.stats
 from conftest import GOLDEN_ARTIFACTS, write_csv
 from recovery_track import aggregate, cli, ingest, pipeline, processes
 from recovery_track.config import PipelineConfig, load_config
 from recovery_track.errors import ConfigError, ParseError, PipelineError, TaxonomyError
 from recovery_track.pipeline import STAGES, run, validate
 from recovery_track.series import BOUNDARY_SKIP
+from recovery_track.stats import chi_square_from_table
 from recovery_track.synth import ScenarioSpec, generate
 from recovery_track.windows import DateWindow
 
@@ -357,14 +359,14 @@ def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp
     config = golden_city["config"].with_overrides(output_dir=out, permutations=99)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
-    morans_i = pipeline.stats.morans_i
+    morans_i = recovery_track.stats.morans_i
 
     def fail_this_process(values, weights, permutations, seed):
         if seed[1] == 1:  # the last field this process computes
             raise RuntimeError("this process fails")
         return morans_i(values, weights, permutations=permutations, seed=seed)
 
-    monkeypatch.setattr(pipeline.stats, "morans_i", fail_this_process)
+    monkeypatch.setattr(recovery_track.stats, "morans_i", fail_this_process)
     with pytest.raises(RuntimeError, match="this process fails"):
         run(config, only="stats")
     [status] = forks.values()
@@ -376,7 +378,7 @@ def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, t
     _, out = _golden_bundle_copy(golden_city, tmp_path)
     config = golden_city["config"].with_overrides(output_dir=out, permutations=99)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    morans_i = pipeline.stats.morans_i
+    morans_i = recovery_track.stats.morans_i
     fields = []
 
     def fail_the_last_field(values, weights, permutations, seed):
@@ -385,7 +387,7 @@ def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, t
             raise RuntimeError("the stats stage fails")
         return morans_i(values, weights, permutations=permutations, seed=seed)
 
-    monkeypatch.setattr(pipeline.stats, "morans_i", fail_the_last_field)
+    monkeypatch.setattr(recovery_track.stats, "morans_i", fail_the_last_field)
     with pytest.raises(RuntimeError, match="the stats stage fails"):
         run(config, only="stats")
     # the child fails on the last field and exits 1; this process computes the child's three fields again
@@ -409,7 +411,7 @@ def test_moran_reads_each_region_by_name_around_one_left_without_neighbors(golde
             return {row["region"]: row for row in csv.DictReader(handle)}
 
     milestones, metric = rows_by_region(pipeline.MILESTONES_ARTIFACT), rows_by_region(pipeline.METRIC_ARTIFACT)
-    weights = pipeline.stats.SpatialWeights.from_adjacency(
+    weights = recovery_track.stats.SpatialWeights.from_adjacency(
         ingest.parse_adjacency(adjacency_csv).records, include=sorted(milestones)
     )
     assert weights.isolated == ("R0002",)
@@ -461,7 +463,7 @@ def test_a_criterion_03_city_runs_its_permutations_in_one_process(tmp_path, fork
     # 999 shuffles of its region pairs stay below the split
     regions = [line.split(",", 1)[0] for line in (config.output_dir / "metric.csv").read_text().splitlines()[1:]]
     adjacency = ingest.parse_adjacency(config.inputs["adjacency"]).records
-    pairs = len(pipeline.stats.SpatialWeights.from_adjacency(adjacency, include=regions).first)
+    pairs = len(recovery_track.stats.SpatialWeights.from_adjacency(adjacency, include=regions).first)
     assert 0 < 999 * pairs < processes.SPLIT_CELLS
 
 
@@ -713,6 +715,81 @@ def test_validate_lets_a_taxonomy_bug_propagate(tmp_path, monkeypatch):
         validate(config)
 
 
+def _with_config(config_path, **sections):
+    """Set the config sections at `config_path` given as keyword arguments; the path."""
+    raw = json.loads(config_path.read_text())
+    raw.update(sections)
+    config_path.write_text(json.dumps(raw))
+    return config_path
+
+
+def test_cli_run_without_smoothing_writes_the_unsmoothed_changes(tmp_path):
+    # R001's grocery trips triple on 2017-08-07 alone (day_index 6); every other day is flat
+    config_path = _with_config(
+        _write_mini_bundle(tmp_path, trip_extra="2017-08-07,R001,grocery,40\n"), smoothing={"half_width": 0}
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    header, *lines = (tmp_path / "out" / pipeline.CHANGES_ARTIFACT).read_text().splitlines()
+    assert header == pipeline.CHANGES_HEADER
+    spike = [line for line in lines if line.startswith("R001,trip,essential,")]
+    assert [line.split(",")[3] for line in spike] == [str(day) for day in range(15)]
+    for line in lines:
+        expected = 2.0 if line.startswith("R001,trip,essential,6,") else 0.0
+        assert float(line.rsplit(",", 1)[1]) == pytest.approx(expected, abs=1e-12), line
+
+
+def test_cli_run_only_stats_with_yates_applies_the_continuity_correction(golden_city, tmp_path):
+    argv, out = _golden_bundle_copy(golden_city, tmp_path)
+    assert cli.main([*argv, "--only", "stats", "--yates"]) == 0
+    stats_json = json.loads((out / pipeline.STATS_ARTIFACT).read_text(encoding="utf-8"))
+    plain = json.loads((golden_city["out"] / pipeline.STATS_ARTIFACT).read_text(encoding="utf-8"))["chi_square"]
+    assert stats_json["options"]["yates"] is True
+    assert sorted(stats_json["chi_square"]) == sorted(pipeline.CHI_SQUARE_VARIABLES)
+    for variable, entry in stats_json["chi_square"].items():
+        expected = chi_square_from_table(entry["table"], yates=True)
+        assert entry["table"] == plain[variable]["table"], variable
+        assert entry["statistic"] == pipeline.round_sig(expected.statistic), variable
+        assert entry["p_value"] == pipeline.round_sig(expected.p_value), variable
+        assert entry["statistic"] <= plain[variable]["statistic"], variable
+    assert any(stats_json["chi_square"][v]["statistic"] < plain[v]["statistic"] for v in plain)
+
+
+def test_cli_run_writes_null_moran_variance_for_three_weighted_regions(tmp_path):
+    # a 2 x 2 grid city with R0001's edges gone: Moran's I weighs 3 regions, too few for the variance
+    config_path = _synth_city(tmp_path, 4)
+    adjacency = tmp_path / "city" / "adjacency.csv"
+    adjacency.write_text("".join(line for line in adjacency.read_text().splitlines(True) if "R0001" not in line))
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    stats_json = json.loads((tmp_path / "city" / "out" / pipeline.STATS_ARTIFACT).read_text(encoding="utf-8"))
+    assert stats_json["regions"]["moran_isolated"] == ["R0001"]
+    entries = [entry for entry in stats_json["morans_i"].values() if "error" not in entry]
+    assert entries
+    for entry in entries:
+        assert entry["n"] == 3 and entry["expected_i"] == -0.5
+        assert (entry["variance"], entry["z_score"], entry["p_value"]) == (None, None, None)
+
+
+def test_cli_renormalizing_a_category_of_zero_weight_is_refused(tmp_path, capsys):
+    config_path = _write_mini_bundle(tmp_path)
+    write_csv(
+        tmp_path, "taxonomy.csv",
+        "service_type,category,weight_percent\ngrocery,essential,0\nrestaurant,non-essential,100\n",
+    )
+    _with_config(
+        config_path,
+        inputs={**MINI_CONFIG["inputs"], "taxonomy": "taxonomy.csv"},
+        taxonomy_options={"renormalize_weights": True},
+    )
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: category essential has zero total weight\n"
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["validate", "--config", str(config_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"kind": "taxonomy-error", "detail": "category essential has zero total weight"}
+    ]
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -914,6 +991,49 @@ def test_the_package_root_imports_nothing():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert done.stdout == "0.1.0 []\n"
+
+
+# the package modules that every command loads; each command adds only the modules it runs
+_COMMON_MODULES = (
+    "aggregate", "cli", "config", "errors", "metric", "milestones", "pipeline", "processes", "series", "windows",
+)
+
+
+def _modules_loaded(*argv):
+    """(exit code, the recovery_track modules loaded) of a fresh process that imports
+    recovery_track.cli and, given `argv`, runs cli.main(argv)."""
+    probe = (
+        "import json, sys\n"
+        "from recovery_track import cli\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+        "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('recovery_track.'))]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, argv)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_generator_parser_or_statistics():
+    assert _modules_loaded() == (None, sorted(_COMMON_MODULES))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_regions": 8, "seed": 1}), encoding="utf-8")
+    config = tmp_path / "city" / "config.json"
+    commands = {
+        "synth": (["synth", "--spec", spec, "--out", tmp_path / "city"], ["ingest", "synth"]),
+        "run": (["run", "--config", config], ["ingest", "stats"]),
+        "--only milestones": (["run", "--config", config, "--only", "milestones"], []),
+        "--only metric": (["run", "--config", config, "--only", "metric"], []),
+        "--only stats": (["run", "--config", config, "--only", "stats"], ["ingest", "stats"]),
+        "validate": (["validate", "--config", config], ["ingest"]),
+    }
+    loaded = {name: _modules_loaded(*argv) for name, (argv, _) in commands.items()}
+    assert loaded == {name: (0, sorted([*_COMMON_MODULES, *more])) for name, (_, more) in commands.items()}
 
 
 # A cap on a command's address space, set in its child only: far above what a
