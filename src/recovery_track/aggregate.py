@@ -193,15 +193,22 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
         del cells, values
         totals = totals.reshape(n_taken, n_codes, n_days)
         entity_names = [activity.entities[i] for i in np.flatnonzero(taken)]
-        _refuse_overflow(totals, source, entity_names, [f"service type {code!r}" for code in taxonomy.codes], window)
+        kind = "region" if source == SOURCE_TRIP else "Zip"
+
+        def total_of(names):  # refuse_overflow's name of an (entity, name, day) cell
+            return lambda entity, column, day: (
+                f"{source} data: the total of {names[column]} for {kind} {entity_names[entity]} "
+                f"on {window.date_at(day)}"
+            )
+
+        refuse_overflow(totals, total_of([f"service type {code!r}" for code in taxonomy.codes]))
 
         entity_series = np.zeros((n_taken + 1, len(CATEGORIES), n_days))  # last row: no data
         for c, rows in enumerate(taxonomy.rows):
             with np.errstate(over="ignore"):  # such cells go to math.fsum
                 products = totals[:, rows, :] * taxonomy.weights[rows, None]
             entity_series[:n_taken, c] = exact_sums(products)
-        category_names = [f"{category} services" for category in CATEGORIES]
-        _refuse_overflow(entity_series[:n_taken], source, entity_names, category_names, window)
+        refuse_overflow(entity_series[:n_taken], total_of([f"{category} services" for category in CATEGORIES]))
         series_row = np.full(len(region_rows), n_taken)
         has_rows = region_rows >= 0
         series_row[has_rows] = compact[region_rows[has_rows]]
@@ -214,19 +221,12 @@ def _region_series(activity, region_rows, taxonomy, window, source, unknown_poli
         ) from None
 
 
-def _refuse_overflow(sums, source, entity_names, column_names, window):
-    """SeriesError naming the first (entity, column, day) cell of `sums` that is not finite.
-
-    The inputs are finite and nonnegative, so only a sum past the float range is not.
-    """
-    if np.isfinite(sums).all():
-        return
-    entity, column, day = np.argwhere(~np.isfinite(sums))[0]
-    kind = "region" if source == SOURCE_TRIP else "Zip"
-    raise SeriesError(
-        f"{source} data: the total of {column_names[column]} for {kind} {entity_names[entity]} "
-        f"on {window.date_at(int(day))} passes the float range"
-    )
+def refuse_overflow(sums, sum_at):
+    """SeriesError "{sum_at(*index)} passes the float range" for the first cell
+    of `sums` that is not finite. The inputs are finite and nonnegative, so
+    only a sum past the float range is not."""
+    if not np.isfinite(sums).all():
+        raise SeriesError(f"{sum_at(*map(int, np.argwhere(~np.isfinite(sums))[0]))} passes the float range")
 
 
 def _fsum(values):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .aggregate import SeriesSet, exact_sums
+from .aggregate import SeriesSet, exact_sums, refuse_overflow
 from .errors import SeriesError
 from .windows import DateWindow
 
@@ -15,15 +15,9 @@ BOUNDARY_SKIP = "skip"
 BOUNDARIES = (BOUNDARY_TRUNCATE, BOUNDARY_SKIP)
 
 
-def _refuse_overflow(sums, keys, what):
-    """SeriesError naming the first of `keys` whose `what`, in `sums`, is not finite.
-
-    The series are finite and nonnegative, so only a sum past the float range is not.
-    """
-    if np.isfinite(sums).all():
-        return
-    region, source, category = keys[int(np.argmin(np.isfinite(sums)))]
-    raise SeriesError(f"{source} data: the {what} of {category} services for region {region} passes the float range")
+def _sum_of(what, keys):
+    """refuse_overflow's name of row i's sum: `what` of the key keys[i]."""
+    return lambda row: "{1} data: the {what} of {2} services for region {0}".format(*keys[row], what=what)
 
 
 def _smooth_rows(values: np.ndarray, half_width: int, boundary: str, keys) -> np.ndarray:
@@ -45,7 +39,7 @@ def _smooth_rows(values: np.ndarray, half_width: int, boundary: str, keys) -> np
     with np.errstate(over="ignore"):
         np.cumsum(values, axis=1, out=csum[:, 1:])
     # a partial sum past the float range leaves every later one past it, the last included
-    _refuse_overflow(csum[:, -1], keys, "smoothing's running total")
+    refuse_overflow(csum[:, -1], _sum_of("smoothing's running total", keys))
     day = np.arange(n)
     lo = np.maximum(day - half_width, 0)
     hi = np.minimum(day + half_width, n - 1)
@@ -77,7 +71,7 @@ def compute_baselines(
             f"is outside the data window"
         )
     totals = exact_sums(series_set.values[:, start : end + 1, None])[:, 0]
-    _refuse_overflow(totals, series_set.key_list, "baseline total")
+    refuse_overflow(totals, _sum_of("baseline total", series_set.key_list))
     values = totals / baseline_window.n_days
     return values, (values >= min_baseline) & (values > 0)
 

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import errno
-import io
-import os
-import pickle
 import signal
-import time
 from datetime import date
 
 import numpy as np
@@ -204,10 +199,6 @@ def _check_split(monkeypatch, changes):
     return expected
 
 
-def _exit_codes(children):
-    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
-
-
 def _shared_across_the_middle_key():
     """24 keys, whose middle one, the child's first, is R003's first."""
     rng = np.random.default_rng(4)
@@ -229,7 +220,7 @@ def _non_ascii_regions():
 def test_changes_render_the_same_in_two_processes(monkeypatch, forks, make):
     changes = make()
     assert _check_split(monkeypatch, changes) == _per_cell_csv(changes)
-    assert _exit_codes(forks) == [0]
+    assert forks.exit_codes() == [0]
 
 
 def test_any_number_of_keys_renders_the_same_in_two_processes(monkeypatch, forks):
@@ -237,7 +228,7 @@ def test_any_number_of_keys_renders_the_same_in_two_processes(monkeypatch, forks
     for n_keys, children in ((1, 0), (2, 1), (7, 2), (16, 3)):
         _check_split(monkeypatch, SeriesSet(WINDOW, changes.keys()[:n_keys], changes.values[:n_keys]))
         assert len(forks) == children  # one key leaves nothing for a second process
-    assert set(_exit_codes(forks)) == {0}
+    assert set(forks.exit_codes()) == {0}
 
 
 def test_a_criterion_03_city_renders_in_one_process(tmp_path, forks):
@@ -253,42 +244,17 @@ def test_a_criterion_03_city_renders_in_one_process(tmp_path, forks):
     assert not forks
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork", "no_pipe"])
+@pytest.mark.parametrize("failure", ["raise", "exit_after_sending", "short", "no_fork", "no_pipe"])
 def test_a_failed_writer_child_leaves_its_keys_to_this_process(monkeypatch, forks, failure):
-    send = processes._send
-
-    def fail(pipe, pieces):
-        if failure == "raise":
-            raise RuntimeError("the child fails")
-        if failure == "short":  # all but the end of the last piece, and a clean exit
-            whole = io.BytesIO()
-            send(whole, pieces)
-            pipe.write(whole.getvalue()[:-40])
-            return
-        # pieces sent whole, but with a failed exit, are not trusted
-        pickle.dump(["wrong\n"] * len(pieces), pipe)
-        pipe.flush()
-        os._exit(3)
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    monkeypatch.setattr(processes, "_send", fail)
-    if failure == "no_fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    if failure == "no_pipe":
-        monkeypatch.setattr(os, "pipe", no_pipe)
+    forks.fail(failure, wrong=lambda pieces: ["wrong\n"] * len(pieces))
     changes = _special_values()
     assert _check_split(monkeypatch, changes) == _per_cell_csv(changes)
-    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": [], "no_pipe": []}[failure]
+    assert forks.exit_codes() == {"raise": [1], "exit_after_sending": [3], "short": [0]}.get(failure, [])
 
 
 def test_a_failure_in_this_process_kills_and_reaps_the_writer_child(monkeypatch, forks):
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
+    forks.fail("hang")
     pieces = pipeline._changes_pieces
 
     def fail_first_half(changes, start, stop):
@@ -299,8 +265,7 @@ def test_a_failure_in_this_process_kills_and_reaps_the_writer_child(monkeypatch,
     monkeypatch.setattr(pipeline, "_changes_pieces", fail_first_half)
     with pytest.raises(RuntimeError, match="this process fails"):
         _changes_csv(_special_values())
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert forks.exit_codes() == [-signal.SIGKILL]
 
 
 
@@ -338,7 +303,7 @@ def _check_read_split(monkeypatch, output_dir, changes):
 @pytest.mark.parametrize("n_keys, children", [(1, 1), (2, 1), (3, 1), (7, 1)])
 def test_changes_read_the_same_in_two_processes(tmp_path, monkeypatch, forks, n_keys, children):
     _check_read_split(monkeypatch, tmp_path, _specials_in_every_row(n_keys))
-    assert _exit_codes(forks) == [0] * children  # one key is split among its days
+    assert forks.exit_codes() == [0] * children  # one key is split among its days
 
 
 def test_changes_split_inside_a_key_read_the_same_in_two_processes(tmp_path, monkeypatch, forks):
@@ -347,36 +312,22 @@ def test_changes_split_inside_a_key_read_the_same_in_two_processes(tmp_path, mon
     with open(tmp_path / CHANGES_ARTIFACT, "rb") as handle:
         handle.seek(processes.split_point(tmp_path / CHANGES_ARTIFACT))
         day_index = handle.readline().split(b",")[3]
-    assert day_index != b"0" and _exit_codes(forks) == [0]
+    assert day_index != b"0" and forks.exit_codes() == [0]
 
 
 def test_non_ascii_keys_read_the_same_in_two_processes(tmp_path, monkeypatch, forks):
     _check_read_split(monkeypatch, tmp_path, _non_ascii_regions())
-    assert _exit_codes(forks) == [0]
+    assert forks.exit_codes() == [0]
 
 
-@pytest.mark.parametrize("failure", ["exit", "killed", "short"])
+@pytest.mark.parametrize("failure", ["raise", "killed", "short"])
 def test_a_failed_reader_child_leaves_its_half_to_this_process(tmp_path, monkeypatch, forks, failure):
-    send, part, parts = processes._send, pipeline._changes_part, []
-
-    def fail(pipe, result):
-        if failure == "exit":
-            raise RuntimeError("the child fails")
-        if failure == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        whole = io.BytesIO()  # all but the end of the keys and rows, and a clean exit
-        send(whole, result)
-        pipe.write(whole.getvalue()[:-40])
-
-    monkeypatch.setattr(processes, "_send", fail)
+    part, parts = pipeline._changes_part, []
+    forks.fail(failure)
     monkeypatch.setattr(pipeline, "_changes_part", lambda *args: parts.append(args) or part(*args))
     _check_read_split(monkeypatch, tmp_path, _specials_in_every_row(7))
     assert len(parts) == 1  # read by this process, once, after the child failed
-    [status] = forks.values()
-    if failure == "killed":
-        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-    else:
-        assert os.WEXITSTATUS(status) == {"exit": 1, "short": 0}[failure]
+    assert forks.exit_codes() == [{"raise": 1, "killed": -signal.SIGKILL, "short": 0}[failure]]
 
 
 def test_a_criterion_03_city_reruns_milestones_in_one_process(tmp_path, forks):

@@ -9,8 +9,6 @@ file read in one gives, bit for bit, including the ParseError text.
 
 from __future__ import annotations
 
-import errno
-import io
 import itertools
 import math
 import os
@@ -18,7 +16,6 @@ import random
 import signal
 import sys
 import threading
-import time
 import tracemalloc
 from datetime import date, timedelta
 
@@ -277,7 +274,7 @@ def test_edge_counts_inside_plain_blocks(tmp_path, monkeypatch, forks, block_byt
         in_window = [row for row in rows if WINDOW.start <= date.fromisoformat(row[0]) <= WINDOW.end]
         assert sorted(result.records.value.tolist()) == sorted(float(int(row[3])) for row in in_window)
         _check_split(monkeypatch, _reader("trips"), path)
-    assert len(forks) >= 2 and _failed(forks) == 0
+    assert len(forks) >= 2 and set(forks.exit_codes()) <= {0}
 
 
 def test_decimal_amounts_read_as_float_of_their_text(tmp_path, monkeypatch, forks):
@@ -297,7 +294,7 @@ def test_decimal_amounts_read_as_float_of_their_text(tmp_path, monkeypatch, fork
     for split in (1 << 62, 1):  # one process, then two
         monkeypatch.setattr(processes, "SPLIT_BYTES", split)
         assert ingest.parse_transactions(path, WINDOW).records.value.tobytes() == expected
-    assert reads == [] and len(forks) == 1 and _failed(forks) == 0
+    assert reads == [] and len(forks) == 1 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -321,7 +318,7 @@ def test_padded_and_empty_pairs_inside_plain_blocks(tmp_path, monkeypatch, forks
         path = _write(tmp_path, f"{forms.__name__}.csv", kind, rows)
         assert (_check_against_rows(path, kind) is None) == (forms is empty)
         _check_split(monkeypatch, _reader(kind), path)
-    assert reads == [] and len(forks) >= 2 and _failed(forks) == 0
+    assert reads == [] and len(forks) >= 2 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -435,7 +432,7 @@ def test_byte_keys_match_the_row_loop(tmp_path, monkeypatch, forks, kind, case):
         monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(processes, "SPLIT_BYTES", split)
         _check_against_rows(path, kind)
-    assert reads == [] and len(forks) == len(BLOCK_SIZES) and _failed(forks) == 0
+    assert reads == [] and len(forks) == len(BLOCK_SIZES) and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -450,7 +447,7 @@ def test_keys_in_one_slot_are_told_apart_by_their_bytes(tmp_path, monkeypatch, f
             monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
             monkeypatch.setattr(processes, "SPLIT_BYTES", split)
             _check_against_rows(path, kind)
-    assert len(forks) >= 8 and _failed(forks) == 0
+    assert len(forks) >= 8 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -468,7 +465,7 @@ def test_keys_first_met_in_the_second_half(tmp_path, monkeypatch, forks, kind):
         monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(processes, "SPLIT_BYTES", split)
         _check_against_rows(path, kind)
-    assert len(forks) == len(BLOCK_SIZES) and _failed(forks) == 0
+    assert len(forks) == len(BLOCK_SIZES) and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -498,7 +495,46 @@ def test_a_new_key_that_is_not_utf8_after_known_keys(tmp_path, monkeypatch, fork
         if split > 1:  # the child's reads are its own: line `at` is in its half
             assert reads and max(reads) <= at + 1  # the line's block, and no block after it
         reads.clear()
-    assert len(forks) == 3 and _failed(forks) == 0
+    assert len(forks) == 3 and set(forks.exit_codes()) <= {0}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_each_key_is_parsed_once_per_reader(tmp_path, monkeypatch, quoted):
+    # dates and pairs met again in block after block: a reader parses each
+    # distinct text once, and on a plain block decodes each key of up to
+    # _KEY_BYTES once; a longer pair field is looked up by its text
+    rng = random.Random(f"once-{quoted}")
+    rows = [
+        [(WINDOW.start + timedelta(days=rng.randrange(12))).isoformat(), rng.choice(["R001", "R002", "R" * 30]),
+         rng.choice(CODES[:3]), str(rng.randrange(60))]
+        for _ in range(3000)
+    ]
+    dates, pairs = {row[0] for row in rows}, {(row[1], row[2]) for row in rows}
+    if quoted:  # the csv module reads the file from its first line on
+        rows[0][1] = f'"{rows[0][1]}"'
+    path = _write(tmp_path, "trips.csv", "trips", rows)
+    parsed, decoded, tables = [], [], []
+    parse, decode, result = ingest.parse_iso_date, ingest._Fields.__getitem__, ingest._ActivityReader.result
+
+    def counted_decode(fields, i):
+        decoded.append(decode(fields, i))
+        return decoded[-1]
+
+    monkeypatch.setattr(ingest, "parse_iso_date", lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(ingest._Fields, "__getitem__", counted_decode)
+    monkeypatch.setattr(ingest._ActivityReader, "result", lambda self: tables.append(self.names) or result(self))
+    monkeypatch.setattr(processes, "SPLIT_BYTES", 1 << 62)
+    reads = _csv_reads(monkeypatch)
+    for block_bytes in (256, 1 << 20):
+        monkeypatch.setattr(processes, "BLOCK_BYTES", block_bytes)
+        assert ingest.parse_trips(path, WINDOW).accepted == len(rows)
+        assert sorted(parsed) == sorted(dates)
+        [(entities, codes)] = tables
+        assert sorted(zip(entities, codes)) == sorted(pairs)  # one provisional pair id a distinct pair
+        short = dates | {f"{entity},{code}" for entity, code in pairs if len(entity) + len(code) < ingest._KEY_BYTES}
+        assert sorted(text for text in decoded if text in short) == ([] if quoted else sorted(short))
+        del parsed[:], decoded[:], tables[:]
+    assert len(reads) == 2 * quoted
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +673,6 @@ def test_series_stage_memory_per_row(tmp_path, monkeypatch):
 # two-process reads
 
 
-def _failed(children):
-    """How many children exited with a nonzero code."""
-    return sum(os.WIFEXITED(status) and os.WEXITSTATUS(status) != 0 for status in children.values())
-
-
 def _outcome(read, path):
     """read(path), or the text, row errors and counts of the ParseError it raises."""
     try:
@@ -654,6 +685,8 @@ def _check_split(monkeypatch, read, path):
     """read(path) in two processes equals read(path) in one; the outcome.
 
     `read` may also be a parse_* caller such as validate, whose result is compared whole.
+    The child is killed where this process refuses the file, or reads on
+    through the child's lines, before it asks for the child's result.
     """
     monkeypatch.setattr(processes, "SPLIT_BYTES", 1 << 62)
     expected = _outcome(read, path)
@@ -682,7 +715,7 @@ def test_corpus_reads_the_same_in_two_processes(tmp_path, monkeypatch, forks, ca
     name, kind, text, _ = case
     window = DateWindow(date(2017, 8, 1), date(2017, 12, 25))
     _check_split(monkeypatch, _reader(kind, window), write_csv(tmp_path, f"{name}.csv", text))
-    assert _failed(forks) == 0
+    assert set(forks.exit_codes()) <= {0, -signal.SIGKILL}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -691,7 +724,7 @@ def test_random_files_read_the_same_in_two_processes(tmp_path, monkeypatch, fork
     for trial in range(50):
         monkeypatch.setattr(processes, "BLOCK_BYTES", rng.choice([16, 50, 256, 1 << 20]))
         _check_split(monkeypatch, _reader(kind), write_csv(tmp_path, f"{trial}.csv", _random_file(rng, kind)))
-    assert len(forks) > 35 and _failed(forks) == 0
+    assert len(forks) > 35 and set(forks.exit_codes()) <= {0, -signal.SIGKILL}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -706,7 +739,7 @@ def test_bad_and_dropped_rows_in_both_halves(tmp_path, monkeypatch, forks, kind)
     clean = [row for row in clean if row[0] != "2017-02-30"]
     result = _check_split(monkeypatch, _reader(kind), _write(tmp_path, "clean.csv", kind, clean))
     assert result.dropped > 0
-    assert len(forks) == 2 and _failed(forks) == 0
+    assert len(forks) == 2 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -741,7 +774,7 @@ def test_headers_and_line_ends_around_the_middle(tmp_path, monkeypatch, forks, k
                 for newline in ("\n", "\r\n"):
                     path = write_csv(tmp_path, f"{name}.csv", newline.join(edited) + newline)
                     _check_split(monkeypatch, read, path)
-    assert len(forks) > 60 and _failed(forks) == 0
+    assert len(forks) > 60 and set(forks.exit_codes()) <= {0, -signal.SIGKILL}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -756,7 +789,7 @@ def test_a_byte_that_is_not_utf8_in_either_half(tmp_path, monkeypatch, forks, ki
     # the line is a data row in error, and every other row is read
     assert message.endswith(f"1 invalid row(s); first at line {at + 1}: not UTF-8 text")
     assert errors == [(at + 1, "not UTF-8 text")]
-    assert len(forks) == 1 and _failed(forks) == 0
+    assert len(forks) == 1 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -778,7 +811,7 @@ def test_a_field_over_the_csv_limit_ends_the_file_in_either_half(tmp_path, monke
     message, errors, accepted, dropped, total_rows = outcomes[0]
     assert errors == [(at + 1, "quoted field not closed, or a field over 131072 characters")]
     assert total_rows == at  # the rows before it, and itself
-    assert len(forks) == 2 and _failed(forks) == 0
+    assert len(forks) == 2 and set(forks.exit_codes()) <= {0, -signal.SIGKILL}
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
@@ -803,37 +836,20 @@ def test_a_value_over_the_csv_limit_in_a_plain_block_is_a_row_error(tmp_path, mo
     refusal = f"trip_count {long!r} is not an integer" if kind == "trips" else f"amount {long!r} is not a number"
     assert errors == [(at + 1, refusal)]
     assert total_rows == 10_000
-    assert len(forks) == 2 and _failed(forks) == 0
+    assert len(forks) == 2 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("failure", ["raise", "interrupt", "exit", "short", "exit_after_sending"])
 def test_a_failed_child_leaves_its_lines_to_this_process(tmp_path, monkeypatch, forks, failure):
-    send = processes._send
-
-    def fail(pipe, part):
-        if failure == "raise":
-            raise RuntimeError("the child fails")
-        if failure == "interrupt":
-            raise KeyboardInterrupt
-        if failure == "short":  # all but the end of the last column, and a clean exit
-            whole = io.BytesIO()
-            send(whole, part)
-            pipe.write(whole.getvalue()[:-40])
-            return
-        if failure == "exit_after_sending":  # a wrong count, sent whole, is not trusted either
-            accepted, *rest = part
-            send(pipe, (accepted + 1, *rest))
-            pipe.flush()
-        os._exit(3)
-
-    monkeypatch.setattr(processes, "_send", fail)
+    # a wrong count, sent whole, is not trusted either
+    forks.fail(failure, wrong=lambda part: (part[0] + 1, *part[1:]))
     rows = _random_rows(random.Random(failure), "trips", 300)
     result = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "clean.csv", "trips", rows))
     assert result.accepted > 0
     rows[30][3], rows[280][3] = "1.5", "-2"
     message, errors, *_ = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "bad.csv", "trips", rows))
     assert [line for line, _ in errors] == [32, 282]
-    assert len(forks) == 2 and _failed(forks) == (0 if failure == "short" else 2)
+    assert forks.exit_codes() == [{"raise": 1, "interrupt": 1, "short": 0}.get(failure, 3)] * 2
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -872,10 +888,7 @@ def test_a_named_pipe_is_read_in_one_process(tmp_path, monkeypatch, forks):
 
 
 def test_without_a_process_to_spare_the_file_is_read_in_one(tmp_path, monkeypatch, forks):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    forks.fail("no_fork")
     rows = _random_rows(random.Random(5), "transactions", 300)
     rows[30][3], rows[280][3] = "nan", "-2"
     _check_split(monkeypatch, _reader("transactions"), _write(tmp_path, "bad.csv", "transactions", rows))
@@ -883,10 +896,7 @@ def test_without_a_process_to_spare_the_file_is_read_in_one(tmp_path, monkeypatc
 
 
 def test_without_a_descriptor_pair_the_file_is_read_in_one(tmp_path, monkeypatch, forks):
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    monkeypatch.setattr(os, "pipe", no_pipe)
+    forks.fail("no_pipe")
     rows = _random_rows(random.Random(6), "trips", 300)
     result = _check_split(monkeypatch, _reader("trips"), _write(tmp_path, "clean.csv", "trips", rows))
     assert result.accepted > 0
@@ -914,13 +924,12 @@ def test_one_cpu_reads_the_file_whole(tmp_path, monkeypatch, forks):
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 def test_a_bad_header_in_the_first_range_kills_and_reaps_the_child(tmp_path, monkeypatch, forks, kind):
     monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
-    monkeypatch.setattr(processes, "_send", lambda pipe, part: time.sleep(30))  # a child that hangs
+    forks.fail("hang")
     lines = _lines(kind, _random_rows(random.Random(kind), kind, 2000))
     path = write_csv(tmp_path, "bad_header.csv", "\n".join(["day,region,type,count", *lines[1:]]) + "\n")
     with pytest.raises(ParseError, match="does not match"):
         PARSERS[kind][0](path, WINDOW)
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert forks.exit_codes() == [-signal.SIGKILL]
 
 
 def test_validate_diagnoses_the_same_in_two_processes(tmp_path, monkeypatch, forks):
@@ -942,7 +951,7 @@ def test_validate_diagnoses_the_same_in_two_processes(tmp_path, monkeypatch, for
         handle.write("2017-08-04,R001,grocery,-1\n")
     diagnostics = _check_split(monkeypatch, lambda _: validate(config), None)
     assert [d["kind"] for d in diagnostics] == ["schema-error", "out-of-window-rows"]
-    assert len(forks) == 4 and _failed(forks) == 0
+    assert len(forks) == 4 and set(forks.exit_codes()) <= {0}
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one-process", "two-processes"])
@@ -957,7 +966,7 @@ def test_rows_after_a_quoted_line_break_keep_their_line_numbers(tmp_path, monkey
     assert caught.value.row_errors == [(2004, "trip_count 'bad' is not an integer")]
     # the quoted row is past the middle: the child reads it, and numbers its lines from the split
     assert text.index('"R') > len(text) // 2
-    assert len(forks) == split and _failed(forks) == 0
+    assert len(forks) == split and set(forks.exit_codes()) <= {0}
 
 
 def test_series_stage_memory_per_row_in_two_processes(tmp_path, monkeypatch, forks):
@@ -967,5 +976,5 @@ def test_series_stage_memory_per_row_in_two_processes(tmp_path, monkeypatch, for
     monkeypatch.setattr(processes, "SPLIT_BYTES", 1)
     config = load_config(generate(ScenarioSpec.from_mapping({"n_regions": 60}), tmp_path)["config.json"])
     trips, peak = _traced_peak(ingest.parse_trips, config.inputs["trips"], config.window)
-    assert trips.accepted == 70_560 and len(forks) == 1 and _failed(forks) == 0
+    assert trips.accepted == 70_560 and len(forks) == 1 and set(forks.exit_codes()) <= {0}
     assert peak / trips.accepted < 28

@@ -1,20 +1,17 @@
 from __future__ import annotations
 
 import csv
-import errno
 import filecmp
 import hashlib
 import io
 import itertools
 import json
 import os
-import pickle
 import re
 import shutil
 import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import fields, replace
 from datetime import date
@@ -260,10 +257,6 @@ def _stats_bytes(out):
     return [(out / name).read_bytes() for name in (pipeline.STATS_ARTIFACT, pipeline.LORENZ_ARTIFACT)]
 
 
-def _exit_codes(children):
-    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
-
-
 def _golden_bundle_copy(golden_city, directory):
     """argv for `run` of the golden city into a copy of its bundle, and the copy."""
     out = directory / "out"
@@ -298,7 +291,7 @@ def test_stats_write_the_same_bytes_in_one_process_and_in_two(golden_city, tmp_p
     assert len(forks) == 2  # the changes writer and the stats stage
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "one"), "--only", "stats", *options]) == 0
     assert _stats_bytes(tmp_path / "one") == expected
-    assert len(forks) == 3 and _exit_codes(forks) == [0, 0, 0]
+    assert len(forks) == 3 and forks.exit_codes() == [0, 0, 0]
     assert _permutation_p(tmp_path / "one") == GOLDEN_PERMUTATION_P[seed]
 
 
@@ -314,51 +307,31 @@ def test_a_constant_field_is_refused_in_its_own_entry(golden_city, tmp_path, mon
     expected = _stats_bytes(out)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert cli.main(argv) == 0
-    assert _stats_bytes(out) == expected and _exit_codes(forks) == [0]
+    assert _stats_bytes(out) == expected and forks.exit_codes() == [0]
     moran = json.loads(expected[0])["morans_i"]
     assert moran[MORAN_FIELDS[3]] == {"error": "constant field: Moran's I is undefined for zero variance"}
     assert all("error" not in moran[field] for field in MORAN_FIELDS if field != MORAN_FIELDS[3])
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork"])
+@pytest.mark.parametrize("failure", ["raise", "exit_after_sending", "short", "no_fork"])
 def test_a_failed_stats_child_leaves_its_fields_to_this_process(golden_city, tmp_path, monkeypatch, forks, failure):
     argv, out = _golden_bundle_copy(golden_city, tmp_path)
     argv += ["--only", "stats", "--permutations", "99"]
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1 << 62)
     assert cli.main(argv) == 0
     expected = _stats_bytes(out)
-    send = processes._send
-
-    def fail(pipe, entries):
-        if failure == "raise":
-            raise RuntimeError("the child fails")
-        if failure == "short":  # all but the end of the entries, and a clean exit
-            whole = io.BytesIO()
-            send(whole, entries)
-            pipe.write(whole.getvalue()[:-40])
-            return
-        # entries sent whole, but with a failed exit, are not trusted
-        pickle.dump([{"error": "wrong"}] * len(entries), pipe)
-        pipe.flush()
-        os._exit(3)
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(processes, "_send", fail)
-    if failure == "no_fork":
-        monkeypatch.setattr(os, "fork", no_fork)
+    forks.fail(failure, wrong=lambda entries: [{"error": "wrong"}] * len(entries))
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     assert cli.main(argv) == 0
     assert _stats_bytes(out) == expected
-    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": []}[failure]
+    assert forks.exit_codes() == {"raise": [1], "exit_after_sending": [3], "short": [0]}.get(failure, [])
 
 
 def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp_path, monkeypatch, forks):
     _, out = _golden_bundle_copy(golden_city, tmp_path)
     config = golden_city["config"].with_overrides(output_dir=out, permutations=99)
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
+    forks.fail("hang")
     morans_i = recovery_track.stats.morans_i
 
     def fail_this_process(values, weights, permutations, seed):
@@ -369,8 +342,7 @@ def test_a_failure_in_the_stats_stage_kills_and_reaps_the_child(golden_city, tmp
     monkeypatch.setattr(recovery_track.stats, "morans_i", fail_this_process)
     with pytest.raises(RuntimeError, match="this process fails"):
         run(config, only="stats")
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert forks.exit_codes() == [-signal.SIGKILL]
     assert _stats_bytes(out) == _stats_bytes(golden_city["out"])  # the bundle is as it was
 
 
@@ -391,7 +363,7 @@ def test_a_failure_in_the_stats_stage_leaves_the_bundle_as_it_was(golden_city, t
     with pytest.raises(RuntimeError, match="the stats stage fails"):
         run(config, only="stats")
     # the child fails on the last field and exits 1; this process computes the child's three fields again
-    assert fields == list(range(len(MORAN_FIELDS))) and _exit_codes(forks) == [1]
+    assert fields == list(range(len(MORAN_FIELDS))) and forks.exit_codes() == [1]
     assert _stats_bytes(out) == _stats_bytes(golden_city["out"])
 
 

@@ -6,10 +6,7 @@ its refusal to make the directory; and the one OS thread of every process."""
 
 from __future__ import annotations
 
-import errno
-import io
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -22,10 +19,6 @@ import pytest
 
 from recovery_track import processes
 from recovery_track.errors import PipelineError
-
-
-def _exit_codes(children):
-    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
 
 
 class _Work:
@@ -56,14 +49,14 @@ def test_the_result_is_what_work_gives(forks):
         assert work.calls == 0  # computed by the child alone
         _same(result(), RESULT)  # the child's result is not kept: asked again, this process computes it
     assert work.calls == 1
-    assert _exit_codes(forks) == [0]
+    assert forks.exit_codes() == [0]
 
 
 def test_a_result_of_none_comes_from_the_child(forks):
     work = _Work(None)
     with processes.beside(work) as result:
         assert result() is None
-    assert work.calls == 0 and _exit_codes(forks) == [0]
+    assert work.calls == 0 and forks.exit_codes() == [0]
 
 
 class _Result:
@@ -101,8 +94,7 @@ def test_one_cpu_forks_nothing(forks, monkeypatch):
 def test_a_result_never_asked_for_kills_the_child(forks):
     with processes.beside(lambda: time.sleep(30)):
         pass
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert forks.exit_codes() == [-signal.SIGKILL]
 
 
 FAILURES = {  # what a failed child does, and the status it exits with
@@ -111,52 +103,23 @@ FAILURES = {  # what a failed child does, and the status it exits with
 
 
 @pytest.mark.parametrize("failure", sorted(FAILURES))
-def test_a_failed_child_leaves_work_to_this_process(monkeypatch, forks, failure):
-    send = processes._send
-
-    def fail(pipe, result):
-        if failure == "raise":
-            raise RuntimeError("the child fails")
-        if failure == "interrupt":
-            raise KeyboardInterrupt
-        if failure == "memory":
-            raise MemoryError
-        if failure == "short":  # all but the end of the result, and a clean exit
-            whole = io.BytesIO()
-            send(whole, result)
-            pipe.write(whole.getvalue()[:-40])
-            return
-        # a wrong result, sent whole, is not trusted after a failed exit
-        pickle.dump({"counts": np.zeros(3)}, pipe)
-        pipe.flush()
-        os._exit(3)
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    monkeypatch.setattr(processes, "_send", fail)
-    if failure == "no_fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    if failure == "no_pipe":
-        monkeypatch.setattr(os, "pipe", no_pipe)
+def test_a_failed_child_leaves_work_to_this_process(forks, failure):
+    # a wrong result, sent whole, is not trusted after a failed exit
+    forks.fail(failure, wrong=lambda result: {"counts": np.zeros(3)})
     work = _Work(RESULT)
     with processes.beside(work) as result:
         _same(result(), RESULT)
     assert work.calls == 1
     expected = FAILURES[failure]
-    assert _exit_codes(forks) == ([] if expected is None else [expected])
+    assert forks.exit_codes() == ([] if expected is None else [expected])
 
 
-def test_a_failure_in_the_block_kills_and_reaps_the_child(monkeypatch, forks):
-    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
+def test_a_failure_in_the_block_kills_and_reaps_the_child(forks):
+    forks.fail("hang")
     with pytest.raises(RuntimeError, match="the block fails"):
         with processes.beside(_Work(RESULT)):
             raise RuntimeError("the block fails")
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert forks.exit_codes() == [-signal.SIGKILL]
     work = _Work(RESULT)
     with pytest.raises(KeyboardInterrupt):
         with processes.beside(work):

@@ -2,16 +2,11 @@ from __future__ import annotations
 
 import ast
 import csv
-import errno
 import filecmp
 import hashlib
-import io
 import json
 import math
-import os
-import pickle
 import signal
-import time
 from pathlib import Path
 
 import numpy as np
@@ -305,15 +300,11 @@ def test_written_files_keep_their_bytes(tmp_path, name):
 # the ground truth computed by a forked child while this process writes
 
 
-def _exit_codes(children):
-    return [os.WEXITSTATUS(status) if os.WIFEXITED(status) else None for status in children.values()]
-
-
 @pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
 def test_written_files_keep_their_bytes_in_two_processes(tmp_path, monkeypatch, forks, name):
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
     _check_digests(tmp_path, name)
-    assert _exit_codes(forks) == [0]
+    assert forks.exit_codes() == [0]
 
 
 @pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
@@ -322,45 +313,20 @@ def test_written_files_keep_their_bytes_in_blocks_of_one_entity(tmp_path, monkey
     for split_cells, processes_run in ((math.inf, "one"), (1, "two")):
         monkeypatch.setattr(processes, "SPLIT_CELLS", split_cells)
         _check_digests(tmp_path / processes_run, name)
-    assert _exit_codes(forks) == [0]
+    assert forks.exit_codes() == [0]
 
 
-@pytest.mark.parametrize("failure", ["raise", "exit", "short", "no_fork", "no_pipe"])
+@pytest.mark.parametrize("failure", ["raise", "exit_after_sending", "short", "no_fork", "no_pipe"])
 def test_a_failed_truth_child_leaves_the_truth_to_this_process(tmp_path, monkeypatch, forks, failure):
-    send = processes._send
-
-    def fail(pipe, truth):
-        if failure == "raise":
-            raise RuntimeError("the child fails")
-        if failure == "short":  # all but the end of the truth, and a clean exit
-            whole = io.BytesIO()
-            send(whole, truth)
-            pipe.write(whole.getvalue()[:-10])
-            return
-        # a truth sent whole, but with a failed exit, is not trusted
-        pickle.dump(tuple([[(0, True)] * 2 for _ in part] for part in truth), pipe)
-        pipe.flush()
-        os._exit(3)
-
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(processes, "_send", fail)
-    if failure == "no_fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    if failure == "no_pipe":
-        monkeypatch.setattr(os, "pipe", no_pipe)
+    forks.fail(failure, wrong=lambda truth: tuple([[(0, True)] * 2 for _ in part] for part in truth))
     _check_digests(tmp_path, "noisy")
-    assert _exit_codes(forks) == {"raise": [1], "exit": [3], "short": [0], "no_fork": [], "no_pipe": []}[failure]
+    assert forks.exit_codes() == {"raise": [1], "exit_after_sending": [3], "short": [0]}.get(failure, [])
 
 
 def test_a_failure_in_this_process_kills_and_reaps_the_truth_child(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(processes, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(processes, "_send", lambda *args: time.sleep(30))  # a child that hangs
+    forks.fail("hang")
 
     def fail_after_a_line(*args):
         yield "2017-08-01,R0001,grocery,1\n"
@@ -369,8 +335,7 @@ def test_a_failure_in_this_process_kills_and_reaps_the_truth_child(tmp_path, mon
     monkeypatch.setattr(recovery_track.synth, "_day_blocks", fail_after_a_line)
     with pytest.raises(RuntimeError, match="this process fails"):
         generate(ScenarioSpec.from_mapping(SMALL), tmp_path)
-    [status] = forks.values()
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert forks.exit_codes() == [-signal.SIGKILL]
     assert not any(tmp_path.iterdir())  # the staged trips.csv went with its directory
 
 
